@@ -1,32 +1,29 @@
-"""A/B: restart-per-solve vs persistent incremental external solving.
+"""Incremental solving lanes on the specification-mining workload.
 
 The paper's toolchain exported one DIMACS file per query and restarted
-zChaff from scratch; the ``ipasir`` backends keep one external solver
-alive across the whole solve/block mining loop, so learned clauses from
-one query prune the next.  This module measures exactly that contrast on
-the specification-mining workload (the heaviest enumeration loop in the
-pipeline):
+zChaff from scratch; every backend here keeps one solver alive across the
+whole solve/block mining loop (the heaviest enumeration loop in the
+pipeline), so learned clauses from one query prune the next.  This module
+runs that loop on each lane:
 
-* **restart** — ``DimacsBackend`` over the in-tree DIMACS CLI: a fresh
-  subprocess and a full clause-database re-export per solve;
+* **internal** — ``InternalBackend``: the in-tree CDCL solver, in process;
 * **persistent** — ``IncrementalPipeBackend``: the same in-tree solver
   behind one long-lived ``--incremental`` process (clauses shipped once,
   learned clauses preserved);
 * **library** — ``IpasirBackend`` over a real IPASIR shared library,
   when one is installed (skipped otherwise).
 
-Both lanes run the identical mining loop, so on the uncapped test the
-observation sets must agree exactly — the verdict-identity gate of the
-incremental path.  Results land in the BENCH trend JSON via
+Every lane runs the identical mining loop, so the solve counts must agree
+and, on the uncapped test, the observation sets too — the verdict-identity
+gate of the incremental paths.  Results land in the BENCH trend JSON via
 ``extra_info``.
 
-Not in the default ``bench_trend`` set (the restart lane is deliberately
-slow); run via ``tools/bench_trend.py --benchmarks backend_incremental``
-or directly with pytest.
+Not in the default ``bench_trend`` set (the pipe lane spawns solver
+processes); run via ``tools/bench_trend.py --benchmarks
+backend_incremental`` or directly with pytest.
 """
 
 import os
-import sys
 
 import pytest
 
@@ -34,20 +31,16 @@ from repro.core.specification import SatSpecificationMiner
 from repro.datatypes.registry import category_of, get_implementation
 from repro.encoding import compile_test
 from repro.harness.catalog import get_test
-from repro.sat.backend import DimacsBackend
+from repro.sat.backend import InternalBackend
 from repro.sat.ipasir import (
     IncrementalPipeBackend,
     IpasirBackend,
     find_ipasir_library,
 )
 
-_CLI_COMMAND = [sys.executable, "-m", "repro.sat.dimacs_cli"]
-
-#: The A/B pair from the issue: a small queue test mined to completion
-#: (verdict-identity asserted) and the largest catalog test capped to a
-#: fixed number of solve/block iterations (per-solve timing only — a full
-#: restart-per-solve mining run on a ~375k-clause formula is pointlessly
-#: slow, which is rather the point of this benchmark).
+#: A small queue test mined to completion (verdict identity asserted) and
+#: the largest catalog test capped to a fixed number of solve/block
+#: iterations (per-solve timing only).
 FULL_TEST = ("msn", "Ti2")
 CAPPED_TEST = ("lazylist", "Saaarr")
 CAPPED_SOLVES = 6
@@ -78,147 +71,104 @@ def _compiled(implementation_name, test_name):
     return compile_test(implementation, test)
 
 
-def test_restart_vs_persistent_full_mining(benchmark):
-    """msn/Ti2 mined to completion under both lanes: identical
-    observation sets, both wall-clocks recorded."""
+def _record(benchmark, test, lanes, **extra):
+    benchmark.extra_info["incremental_lanes"] = {
+        "test": test,
+        "solves": {name: spec.solver_iterations for name, spec in lanes.items()},
+        "seconds": {name: spec.mining_seconds for name, spec in lanes.items()},
+        **extra,
+    }
+
+
+def test_internal_vs_persistent_full_mining(benchmark):
+    """msn/Ti2 mined to completion on both lanes: identical observation
+    sets and solve counts, both wall-clocks recorded."""
     compiled = _compiled(*FULL_TEST)
 
     def run_both():
-        restart = _mine(
-            compiled, lambda: DimacsBackend(command=_CLI_COMMAND)
-        )
-        persistent = _mine(compiled, IncrementalPipeBackend)
-        return restart, persistent
+        return {
+            "internal": _mine(compiled, InternalBackend),
+            "persistent": _mine(compiled, IncrementalPipeBackend),
+        }
 
-    restart, persistent = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    benchmark.extra_info["incremental_ab"] = {
-        "test": "/".join(FULL_TEST),
-        "observations": len(restart),
-        "solves": restart.solver_iterations,
-        "restart_seconds": restart.mining_seconds,
-        "persistent_seconds": persistent.mining_seconds,
-        "speedup": (
-            restart.mining_seconds / persistent.mining_seconds
-            if persistent.mining_seconds > 0 else None
-        ),
-    }
-    assert restart.observations == persistent.observations
-    assert restart.solver_iterations == persistent.solver_iterations
+    lanes = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    _record(benchmark, "/".join(FULL_TEST), lanes,
+            observations=len(lanes["internal"]))
+    assert lanes["internal"].observations == lanes["persistent"].observations
+    assert (
+        lanes["internal"].solver_iterations
+        == lanes["persistent"].solver_iterations
+    )
 
 
-def test_restart_vs_persistent_capped_large(benchmark):
+def test_internal_vs_persistent_capped_large(benchmark):
     """lazylist/Saaarr for a fixed number of solve/block iterations: the
-    per-solve cost of re-export + cold start vs one warm solver."""
+    per-solve cost of the pipe protocol vs the in-process solver."""
     compiled = _compiled(*CAPPED_TEST)
 
     def run_both():
-        restart = _mine(
-            compiled, lambda: DimacsBackend(command=_CLI_COMMAND),
-            max_observations=CAPPED_SOLVES,
-        )
-        persistent = _mine(
-            compiled, IncrementalPipeBackend,
-            max_observations=CAPPED_SOLVES,
-        )
-        return restart, persistent
+        return {
+            name: _mine(compiled, factory, max_observations=CAPPED_SOLVES)
+            for name, factory in (
+                ("internal", InternalBackend),
+                ("persistent", IncrementalPipeBackend),
+            )
+        }
 
-    restart, persistent = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    benchmark.extra_info["incremental_ab"] = {
-        "test": "/".join(CAPPED_TEST),
-        "capped_solves": CAPPED_SOLVES,
-        "restart_seconds": restart.mining_seconds,
-        "restart_seconds_per_solve": (
-            restart.mining_seconds / restart.solver_iterations
-        ),
-        "persistent_seconds": persistent.mining_seconds,
-        "persistent_seconds_per_solve": (
-            persistent.mining_seconds / persistent.solver_iterations
-        ),
-    }
-    assert restart.solver_iterations == persistent.solver_iterations
+    lanes = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    _record(benchmark, "/".join(CAPPED_TEST), lanes,
+            capped_solves=CAPPED_SOLVES)
+    assert (
+        lanes["internal"].solver_iterations
+        == lanes["persistent"].solver_iterations
+    )
 
 
 @pytest.mark.skipif(
     find_ipasir_library() is None,
     reason="no IPASIR shared library installed",
 )
-def test_ipasir_library_vs_restart(benchmark):
-    """With a real IPASIR library (CI's cadical job): the acceptance gate
-    of the issue — persistent library mining at least 2x faster than the
-    restart-per-solve DIMACS path on the full msn/Ti2 loop, verdicts
-    identical."""
+def test_ipasir_library_full_mining(benchmark):
+    """With a real IPASIR library (CI's cadical job): the full msn/Ti2
+    loop on the library is verdict-identical to the internal solver."""
     compiled = _compiled(*FULL_TEST)
     library = find_ipasir_library()
 
     def run_both():
-        restart = _mine(
-            compiled, lambda: DimacsBackend(command=_CLI_COMMAND)
-        )
-        incremental = _mine(compiled, lambda: IpasirBackend(library))
-        return restart, incremental
+        return {
+            "internal": _mine(compiled, InternalBackend),
+            "library": _mine(compiled, lambda: IpasirBackend(library)),
+        }
 
-    restart, incremental = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
-    )
-    speedup = (
-        restart.mining_seconds / incremental.mining_seconds
-        if incremental.mining_seconds > 0 else float("inf")
-    )
-    benchmark.extra_info["incremental_ab"] = {
-        "test": "/".join(FULL_TEST),
-        "library": library,
-        "observations": len(restart),
-        "restart_seconds": restart.mining_seconds,
-        "ipasir_seconds": incremental.mining_seconds,
-        "speedup": speedup,
-    }
-    assert restart.observations == incremental.observations
-    assert speedup >= 2.0, (
-        f"persistent IPASIR mining was only {speedup:.1f}x faster than "
-        "restart-per-solve"
-    )
+    lanes = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    _record(benchmark, "/".join(FULL_TEST), lanes, library=library)
+    assert lanes["internal"].observations == lanes["library"].observations
 
 
 @pytest.mark.skipif(
     find_ipasir_library() is None,
     reason="no IPASIR shared library installed",
 )
-def test_ipasir_library_vs_restart_capped_tpc6(benchmark):
-    """The issue's headline workload, msn/Tpc6, capped to a fixed number
-    of solve/block iterations (full restart-per-solve mining on it takes
-    many minutes): persistent library solving must average at least 2x
-    faster per solve, with identical per-iteration verdicts."""
+def test_ipasir_library_capped_tpc6(benchmark):
+    """msn/Tpc6 capped to a fixed number of solve/block iterations on the
+    library and the internal solver: identical solve counts, per-solve
+    timings recorded."""
     compiled = _compiled("msn", "Tpc6")
     library = find_ipasir_library()
 
     def run_both():
-        restart = _mine(
-            compiled, lambda: DimacsBackend(command=_CLI_COMMAND),
-            max_observations=CAPPED_SOLVES,
-        )
-        incremental = _mine(
-            compiled, lambda: IpasirBackend(library),
-            max_observations=CAPPED_SOLVES,
-        )
-        return restart, incremental
+        return {
+            name: _mine(compiled, factory, max_observations=CAPPED_SOLVES)
+            for name, factory in (
+                ("internal", InternalBackend),
+                ("library", lambda: IpasirBackend(library)),
+            )
+        }
 
-    restart, incremental = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
-    )
-    speedup = (
-        restart.mining_seconds / incremental.mining_seconds
-        if incremental.mining_seconds > 0 else float("inf")
-    )
-    benchmark.extra_info["incremental_ab"] = {
-        "test": "msn/Tpc6",
-        "library": library,
-        "capped_solves": CAPPED_SOLVES,
-        "restart_seconds": restart.mining_seconds,
-        "ipasir_seconds": incremental.mining_seconds,
-        "speedup": speedup,
-    }
-    assert restart.solver_iterations == incremental.solver_iterations
-    assert speedup >= 2.0, (
-        f"persistent IPASIR mining was only {speedup:.1f}x faster than "
-        "restart-per-solve on msn/Tpc6"
+    lanes = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    _record(benchmark, "msn/Tpc6", lanes, library=library,
+            capped_solves=CAPPED_SOLVES)
+    assert (
+        lanes["internal"].solver_iterations
+        == lanes["library"].solver_iterations
     )

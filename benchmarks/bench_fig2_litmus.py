@@ -19,7 +19,7 @@ from repro.litmus import (
 _MODELS = ["sc", "tso", "pso", "relaxed"]
 
 # Backend selection follows CHECKFENCE_SOLVER (the backend layer's own env
-# fallback); set it to e.g. "dimacs" to attribute the numbers and the JSON
+# fallback); set it to e.g. "ipasir" to attribute the numbers and the JSON
 # solver counters to an external solver.
 
 #: Expected verdicts (allowed?) per litmus test and model.

@@ -1,6 +1,6 @@
 """CNF preprocessing benchmark: reduction gates + simplify on/off stats.
 
-Two gates ride along (mirroring ``bench_encoding_size`` for the encoder):
+Two gates ride along:
 
 * on the **two largest** Fig. 8 tests (lazylist/Saaarr and msn/Tpc6 by
   post-pruning clause count) the SatELite-style preprocessor
@@ -25,6 +25,7 @@ from repro.encoding import compile_test, encode_test
 from repro.harness.catalog import get_test
 from repro.harness.runner import inclusion_row
 from repro.memorymodel.base import get_model
+from repro.sat.backend import make_backend_factory
 from repro.sat.simplify import simplify_cnf
 
 #: The two largest Fig. 8 catalog tests by post-pruning CNF size
@@ -40,7 +41,7 @@ def _preprocess_stats(implementation_name: str, test_name: str):
     implementation = get_implementation(implementation_name)
     test = get_test(category_of(implementation_name), test_name)
     compiled = compile_test(implementation, test)
-    encoded = encode_test(compiled, get_model("relaxed"), simplify=False)
+    encoded = encode_test(compiled, get_model("relaxed"))
     _, simplifier = simplify_cnf(
         encoded.cnf, frozen=encoded.frozen_variables()
     )
@@ -94,7 +95,8 @@ def test_check_solver_stats_simplify_on_vs_off(benchmark, monkeypatch):
         **off.solver_dict(),
     }
     assert on.passed == off.passed
-    assert on.simplify and not off.simplify
+    assert on.solver_backend.startswith("simplify+")
+    assert not off.solver_backend.startswith("simplify+")
     assert on.solver_vars_eliminated > 0
     assert on.solver_preprocess_seconds > 0.0
     assert off.solver_vars_eliminated == 0
@@ -110,8 +112,12 @@ def test_outcome_mining_simplify_on_vs_off(benchmark, monkeypatch):
     compiled = compile_test(implementation, test)
 
     def mine_both():
-        on = SatSpecificationMiner(compiled, simplify=True).mine()
-        off = SatSpecificationMiner(compiled, simplify=False).mine()
+        on = SatSpecificationMiner(
+            compiled, backend_factory=make_backend_factory(simplify=True)
+        ).mine()
+        off = SatSpecificationMiner(
+            compiled, backend_factory=make_backend_factory(simplify=False)
+        ).mine()
         return on, off
 
     on, off = benchmark.pedantic(mine_both, rounds=1, iterations=1)

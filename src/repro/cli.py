@@ -4,7 +4,7 @@ Examples::
 
     checkfence list
     checkfence check --impl msn-unfenced --test T0 --model relaxed
-    checkfence check --impl msn --test T0 --solver dimacs:kissat
+    checkfence check --impl msn --test T0 --solver ipasir
     checkfence sweep --impl msn --test T0 --models serial,sc,tso,pso,relaxed
     checkfence spec --impl msn --test T0
     checkfence litmus --model relaxed
@@ -44,44 +44,33 @@ from repro.harness.matrix import (
 from repro.harness.reporting import format_table
 from repro.litmus.catalog import available_litmus_tests
 from repro.memorymodel.base import available_models, get_model
+from repro.sat.backend import make_backend_factory
 
 
-def _dense_order(args) -> bool | None:
-    """The --dense-order flag as a CheckOptions value: True when given,
-    None otherwise so the CHECKFENCE_DENSE_ORDER fallback stays reachable."""
-    return True if args.dense_order else None
+def _check_options(args, **fields) -> CheckOptions:
+    """CheckOptions from the shared flags a subcommand carries, plus
+    command-specific ``fields``.  A flag left unset maps to None, so its
+    ``CHECKFENCE_*`` environment fallback stays reachable."""
+    values = {}
+    if hasattr(args, "solver"):
+        values["solver_backend"] = args.solver
+        values["simplify"] = False if args.no_simplify else None
+    if hasattr(args, "store"):
+        values["store"] = (
+            False if args.no_store else True if args.store else None
+        )
+    if hasattr(args, "timeout"):
+        values["timeout"] = args.timeout
+        values["memory_limit_mb"] = args.memory_limit
+    if hasattr(args, "spec_method"):
+        values["specification_method"] = args.spec_method
+    values.update(fields)
+    return CheckOptions(**values)
 
 
-def _simplify(args) -> bool | None:
-    """The --no-simplify flag as a CheckOptions value: False when given,
-    None otherwise so the CHECKFENCE_SIMPLIFY fallback stays reachable."""
-    return False if args.no_simplify else None
-
-
-def _share_encode(args) -> bool | None:
-    """The --no-share-encode flag as a CheckOptions value: False when
-    given, None otherwise so CHECKFENCE_SHARE_ENCODE stays reachable."""
-    return False if getattr(args, "no_share_encode", False) else None
-
-
-def _store(args) -> bool | None:
-    """The --store / --no-store flags as a CheckOptions value; None leaves
-    the CHECKFENCE_STORE fallback (default: off) reachable."""
-    if getattr(args, "no_store", False):
-        return False
-    if getattr(args, "store", False):
-        return True
-    return None
-
-
-def _budget(args) -> dict:
-    """The --timeout / --memory-limit flags as CheckOptions kwargs; None
-    leaves the CHECKFENCE_TIMEOUT / CHECKFENCE_MEMORY_LIMIT env fallbacks
-    reachable."""
-    return {
-        "timeout": getattr(args, "timeout", None),
-        "memory_limit_mb": getattr(args, "memory_limit", None),
-    }
+def _backend_factory(options: CheckOptions):
+    """The solver stack of commands that solve outside a CheckSession."""
+    return make_backend_factory(options.solver_backend, options.simplify)
 
 
 def _degraded_exit(results) -> int:
@@ -121,17 +110,11 @@ def _cmd_check(args) -> int:
     implementation = get_implementation(args.impl)
     category = category_of(args.impl)
     test = get_test(category, args.test)
-    options = CheckOptions(
-        specification_method=args.spec_method,
+    options = _check_options(
+        args,
         use_range_analysis=not args.no_range_analysis,
         lazy_loop_bounds=args.lazy_bounds,
         default_loop_bound=args.bound,
-        solver_backend=args.solver,
-        dense_order=_dense_order(args),
-        simplify=_simplify(args),
-        share_encode=_share_encode(args),
-        store=_store(args),
-        **_budget(args),
     )
     checker = CheckFence(implementation, options)
     result = checker.check(test, get_model(args.model))
@@ -158,16 +141,7 @@ def _cmd_sweep(args) -> int:
     implementation = get_implementation(args.impl)
     category = category_of(args.impl)
     test = get_test(category, args.test)
-    options = CheckOptions(
-        specification_method=args.spec_method,
-        solver_backend=args.solver,
-        dense_order=_dense_order(args),
-        simplify=_simplify(args),
-        share_encode=_share_encode(args),
-        store=_store(args),
-        **_budget(args),
-    )
-    session = CheckSession(implementation, options)
+    session = CheckSession(implementation, _check_options(args))
     models = [get_model(name.strip()) for name in args.models.split(",")]
     results = session.sweep(test, models)
     rows = [
@@ -197,9 +171,7 @@ def _cmd_spec(args) -> int:
     implementation = get_implementation(args.impl)
     category = category_of(args.impl)
     test = get_test(category, args.test)
-    checker = CheckFence(
-        implementation, CheckOptions(specification_method=args.spec_method)
-    )
+    checker = CheckFence(implementation, _check_options(args))
     compiled = checker.compile(test, "serial")
     spec = checker.specification(test, compiled)
     print(
@@ -215,14 +187,8 @@ def _cmd_spec(args) -> int:
 def _cmd_litmus(args) -> int:
     model = get_model(args.model)
     matrix = run_matrix(
-        litmus_cells([model.name]),
-        jobs=args.jobs,
-        options=CheckOptions(
-            solver_backend=args.solver,
-            dense_order=_dense_order(args),
-            simplify=_simplify(args),
-            **_budget(args),
-        ),
+        litmus_cells([model.name]), jobs=args.jobs,
+        options=_check_options(args),
     )
     catalog = available_litmus_tests()
     rows = [
@@ -233,7 +199,7 @@ def _cmd_litmus(args) -> int:
     print(format_table(["test", "observation", "verdict"], rows))
     for failed in matrix.errors:
         print(f"error in {failed.cell.key}: {failed.error}", file=sys.stderr)
-    return 0 if not matrix.errors else 2
+    return 2 if matrix.errors else _degraded_exit(matrix.results)
 
 
 def _matrix_progress(done: int, total: int, result) -> None:
@@ -257,15 +223,7 @@ def _emit_json(payload: dict, target: str, label: str):
 
 def _cmd_matrix(args) -> int:
     models = [name.strip() for name in args.models.split(",") if name.strip()]
-    options = CheckOptions(
-        specification_method=args.spec_method,
-        solver_backend=args.solver,
-        dense_order=_dense_order(args),
-        simplify=_simplify(args),
-        share_encode=_share_encode(args),
-        store=_store(args),
-        **_budget(args),
-    )
+    options = _check_options(args)
     if args.litmus:
         cells = litmus_cells(models)
     else:
@@ -359,9 +317,8 @@ def _cmd_oracle(args) -> int:
             return 2
         name = args.spec
     report = differential_check(
-        compiled, model, backend_spec=args.solver, name=name,
-        dense_order=_dense_order(args), simplify=_simplify(args),
-        engines=engines,
+        compiled, model, backend_factory=_backend_factory(_check_options(args)),
+        name=name, engines=engines,
     )
     labels = compiled.observation_labels()
     print(f"{name} @ {model.name}: observation slots "
@@ -401,6 +358,18 @@ def _cmd_oracle(args) -> int:
     return 1 if report.diverged else 0
 
 
+#: Flags (argparse destinations) that each ``synthesize`` mode, named by
+#: the flag selecting it, would ignore; combining them is a usage error.
+_SYNTHESIZE_IGNORED = {
+    "--fuzz-budget": (
+        "test", "solver", "no_simplify", "store", "no_store", "timeout",
+        "memory_limit", "json", "no_exact", "budget",
+    ),
+    "--spec": ("test", "store", "no_store", "timeout", "memory_limit", "seed"),
+    "--impl": ("seed",),
+}
+
+
 def _cmd_synthesize(args) -> int:
     models = [
         name.strip()
@@ -412,24 +381,43 @@ def _cmd_synthesize(args) -> int:
             print("synthesize: --fuzz-budget excludes --impl/--spec",
                   file=sys.stderr)
             return 2
+        mode = "--fuzz-budget"
+    elif bool(args.impl) == bool(args.spec):
+        print("synthesize: pass exactly one of --impl or --spec",
+              file=sys.stderr)
+        return 2
+    elif args.impl and not args.test:
+        print("synthesize: --impl requires --test", file=sys.stderr)
+        return 2
+    else:
+        mode = "--spec" if args.spec else "--impl"
+    # Unset flags hold None (valued) or False (store_true); a given value
+    # may be 0, which ``in (None, False)`` would mistake for unset.
+    ignored = [
+        "--" + name.replace("_", "-")
+        for name in _SYNTHESIZE_IGNORED[mode]
+        if getattr(args, name) is not None and getattr(args, name) is not False
+    ]
+    if ignored:
+        print(f"synthesize: {', '.join(ignored)} has no effect with {mode}",
+              file=sys.stderr)
+        return 2
+    budget = (
+        args.budget if args.budget is not None
+        else CheckOptions.synthesis_budget
+    )
+    if mode == "--fuzz-budget":
         from repro.core.synthesize import fuzz_synthesis_smoke
 
-        report = fuzz_synthesis_smoke(args.fuzz_budget, args.seed, models)
+        seed = args.seed if args.seed is not None else 1
+        report = fuzz_synthesis_smoke(args.fuzz_budget, seed, models)
         for failure in report.failures:
             print(f"FAIL {failure}")
         print(report.describe())
         return 0 if report.ok else 1
-    if bool(args.impl) == bool(args.spec):
-        print("synthesize: pass exactly one of --impl or --spec",
-              file=sys.stderr)
-        return 2
-    if args.impl and not args.test:
-        print("synthesize: --impl requires --test", file=sys.stderr)
-        return 2
-    if args.spec:
+    if mode == "--spec":
         from repro.core.synthesize import synthesize_litmus
         from repro.fuzz.generator import FuzzProgram, FuzzSpecError
-        from repro.sat.backend import make_backend_factory
 
         try:
             program = FuzzProgram.parse(args.spec)
@@ -439,26 +427,17 @@ def _cmd_synthesize(args) -> int:
         result = synthesize_litmus(
             program,
             models,
-            backend_factory=make_backend_factory(args.solver),
-            dense_order=_dense_order(args),
-            simplify=_simplify(args),
+            backend_factory=_backend_factory(_check_options(args)),
             exact=not args.no_exact,
-            exact_budget=args.budget,
+            exact_budget=budget,
         )
         target = f"{args.spec!r}"
     else:
         implementation = get_implementation(args.impl)
         category = category_of(args.impl)
         test = get_test(category, args.test)
-        options = CheckOptions(
-            solver_backend=args.solver,
-            dense_order=_dense_order(args),
-            simplify=_simplify(args),
-            share_encode=_share_encode(args),
-            store=_store(args),
-            **_budget(args),
-            synthesis_exact=not args.no_exact,
-            synthesis_budget=args.budget,
+        options = _check_options(
+            args, synthesis_exact=not args.no_exact, synthesis_budget=budget,
         )
         session = CheckSession(implementation, options)
         result = session.synthesize(test, models)
@@ -532,14 +511,7 @@ def _cmd_fuzz(args) -> int:
             config=config,
             jobs=args.jobs,
             shard_by=args.shard_by,
-            options=CheckOptions(
-                solver_backend=args.solver,
-                dense_order=_dense_order(args),
-                simplify=_simplify(args),
-                share_encode=_share_encode(args),
-                store=_store(args),
-                **_budget(args),
-            ),
+            options=_check_options(args),
             progress=None if args.quiet else _matrix_progress,
             shrink=not args.no_shrink,
             engines=engines,
@@ -594,6 +566,106 @@ def _cmd_cache(args) -> int:
     return 0
 
 
+def _flag_group(*arguments) -> argparse.ArgumentParser:
+    """A parent parser carrying ``arguments`` — (flags, kwargs) pairs — so
+    a subcommand attaches only the shared flags it honors."""
+    group = argparse.ArgumentParser(add_help=False)
+    for flags, kwargs in arguments:
+        group.add_argument(*flags, **kwargs)
+    return group
+
+
+def _shared_flags() -> dict[str, argparse.ArgumentParser]:
+    """The parent parsers of the flags several subcommands share."""
+    return {
+        "solver": _flag_group(
+            (("--solver",), dict(
+                default=None,
+                help="SAT backend: auto, internal, ipasir, ipasir:cli, or "
+                "ipasir:<path-to-shared-library> "
+                "(default: CHECKFENCE_SOLVER or auto)",
+            )),
+            (("--no-simplify",), dict(
+                action="store_true",
+                help="disable the in-process CNF preprocessor (unit "
+                "propagation, equivalent literals, subsumption, bounded "
+                "variable elimination) that runs between lowering and "
+                "solving; same verdicts — the escape hatch "
+                "(default: CHECKFENCE_SIMPLIFY or on)",
+            )),
+        ),
+        "store": _flag_group(
+            (("--store",), dict(
+                action="store_true",
+                help="consult and populate the persistent on-disk result "
+                "store (verdicts + mined observation sets under "
+                "~/.cache/checkfence or CHECKFENCE_CACHE_DIR, keyed by "
+                "content hash of source, test, model, options, and checker "
+                "code version; see 'checkfence cache')",
+            )),
+            (("--no-store",), dict(
+                action="store_true",
+                help="never touch the persistent store, overriding "
+                "CHECKFENCE_STORE=1",
+            )),
+        ),
+        "budget": _flag_group(
+            (("--timeout",), dict(
+                type=float, default=None, metavar="SECONDS",
+                help="per-check wall-clock budget; an expired check reports "
+                "the first-class TIMEOUT verdict (exit code 3) instead of "
+                "hanging (env fallback: CHECKFENCE_TIMEOUT)",
+            )),
+            (("--memory-limit",), dict(
+                type=float, default=None, metavar="MB",
+                help="per-check resident-memory budget in megabytes; a "
+                "breach reports the OOM verdict "
+                "(env fallback: CHECKFENCE_MEMORY_LIMIT)",
+            )),
+        ),
+        "spec_method": _flag_group(
+            (("--spec-method",), dict(
+                default="auto", choices=["auto", "reference", "sat"],
+                help="specification mining method (default: auto)",
+            )),
+        ),
+        "jobs": _flag_group(
+            (("--jobs",), dict(
+                type=int, default=None,
+                help="worker processes (default: CHECKFENCE_JOBS or 1; "
+                "1 = deterministic serial path)",
+            )),
+        ),
+        "json": _flag_group(
+            (("--json",), dict(
+                default=None, metavar="FILE",
+                help="write the command's result as JSON to FILE, or '-' "
+                "for stdout",
+            )),
+        ),
+        "quiet": _flag_group(
+            (("--quiet",), dict(
+                action="store_true",
+                help="suppress the per-cell progress stream on stderr",
+            )),
+        ),
+        "journal": _flag_group(
+            (("--journal",), dict(
+                default=None, metavar="FILE",
+                help="append one JSON line per completed cell to FILE as "
+                "the run progresses, so a killed run can be picked up with "
+                "--resume",
+            )),
+            (("--resume",), dict(
+                action="store_true",
+                help="read the --journal file first and re-run only cells "
+                "it does not already record a verdict for (ERROR/CRASHED "
+                "cells are retried)",
+            )),
+        ),
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="checkfence",
@@ -601,80 +673,28 @@ def build_parser() -> argparse.ArgumentParser:
         "relaxed memory models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = _shared_flags()
 
-    sub.add_parser(
+    def command(name, help, *groups):
+        return sub.add_parser(
+            name, help=help, parents=[shared[group] for group in groups]
+        )
+
+    command(
         "list",
-        help="list implementations (with descriptions), memory models, "
+        "list implementations (with descriptions), memory models, "
         "and Fig. 8 tests",
     )
-    sub.add_parser(
+    command(
         "table1",
-        help="print Table 1 of the paper plus every checkable variant",
+        "print Table 1 of the paper plus every checkable variant",
     )
 
-    solver_help = (
-        "SAT backend: auto, internal, dimacs, dimacs:<command>, ipasir, "
-        "ipasir:cli, or ipasir:<path-to-shared-library> "
-        "(default: CHECKFENCE_SOLVER or auto)"
-    )
-    dense_help = (
-        "use the dense memory-order construction (every access pair gets an "
-        "order variable, full O(n^3) transitivity) instead of the pruned "
-        "conflict-aware one; same verdicts, bigger formulas — the "
-        "differential baseline (default: CHECKFENCE_DENSE_ORDER or pruned)"
-    )
-    simplify_help = (
-        "disable the in-process CNF preprocessor (unit propagation, "
-        "equivalent literals, subsumption, bounded variable elimination) "
-        "that runs between lowering and solving; same verdicts, bigger "
-        "formulas — the differential baseline "
-        "(default: CHECKFENCE_SIMPLIFY or on)"
-    )
-
-    share_help = (
-        "rebuild the full encoding from scratch for every memory model "
-        "instead of reusing the memoized model-independent skeleton; same "
-        "formulas, slower sweeps — the differential baseline "
-        "(default: CHECKFENCE_SHARE_ENCODE or shared)"
-    )
-    store_help = (
-        "consult and populate the persistent on-disk result store "
-        "(verdicts + mined observation sets under ~/.cache/checkfence or "
-        "CHECKFENCE_CACHE_DIR, keyed by content hash of source, test, "
-        "model, options, and checker code version; see 'checkfence cache')"
-    )
-    no_store_help = (
-        "never touch the persistent store, overriding CHECKFENCE_STORE=1"
-    )
-
-    def add_dense_flag(sub_parser):
-        sub_parser.add_argument("--dense-order", action="store_true",
-                                help=dense_help)
-        sub_parser.add_argument("--no-simplify", action="store_true",
-                                help=simplify_help)
-        sub_parser.add_argument("--no-share-encode", action="store_true",
-                                help=share_help)
-        sub_parser.add_argument("--store", action="store_true",
-                                help=store_help)
-        sub_parser.add_argument("--no-store", action="store_true",
-                                help=no_store_help)
-        sub_parser.add_argument(
-            "--timeout", type=float, default=None, metavar="SECONDS",
-            help="per-check wall-clock budget; an expired check reports "
-            "the first-class TIMEOUT verdict (exit code 3) instead of "
-            "hanging (env fallback: CHECKFENCE_TIMEOUT)",
-        )
-        sub_parser.add_argument(
-            "--memory-limit", type=float, default=None, metavar="MB",
-            help="per-check resident-memory budget in megabytes; a "
-            "breach reports the OOM verdict "
-            "(env fallback: CHECKFENCE_MEMORY_LIMIT)",
-        )
-
-    check_parser = sub.add_parser(
+    check_parser = command(
         "check",
-        help="run one check: one implementation, one Fig. 8 test, one "
+        "run one check: one implementation, one Fig. 8 test, one "
         "memory model (exit code 1 on FAIL)",
+        "solver", "store", "budget", "spec_method",
     )
     check_parser.add_argument("--impl", required=True,
                               help="implementation variant (see 'list')")
@@ -682,24 +702,20 @@ def build_parser() -> argparse.ArgumentParser:
                               help="Fig. 8 test name, e.g. T0")
     check_parser.add_argument("--model", default="relaxed",
                               help="memory model (default: relaxed)")
-    check_parser.add_argument("--spec-method", default="auto",
-                              choices=["auto", "reference", "sat"],
-                              help="specification mining method (default: auto)")
     check_parser.add_argument("--bound", type=int, default=None,
                               help="default loop bound")
     check_parser.add_argument("--lazy-bounds", action="store_true",
                               help="refine loop bounds lazily (Section 3.3)")
     check_parser.add_argument("--no-range-analysis", action="store_true",
                               help="disable the range analysis (Fig. 11c)")
-    check_parser.add_argument("--solver", default=None, help=solver_help)
-    add_dense_flag(check_parser)
 
-    sweep_parser = sub.add_parser(
+    sweep_parser = command(
         "sweep",
-        help="check ONE implementation/test pair under several memory models "
+        "check ONE implementation/test pair under several memory models "
         "in one warm session (compiles and mines the specification once); "
         "for many implementations or tests, or to use several cores, see "
         "'matrix'",
+        "solver", "store", "budget", "spec_method",
     )
     sweep_parser.add_argument("--impl", required=True,
                               help="implementation variant (see 'list')")
@@ -710,54 +726,34 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated memory models "
         "(default: serial,sc,tso,pso,relaxed)",
     )
-    sweep_parser.add_argument("--spec-method", default="auto",
-                              choices=["auto", "reference", "sat"],
-                              help="specification mining method (default: auto)")
-    sweep_parser.add_argument("--solver", default=None, help=solver_help)
-    add_dense_flag(sweep_parser)
 
-    spec_parser = sub.add_parser(
+    spec_parser = command(
         "spec",
-        help="mine and print a test's observation set (the specification "
+        "mine and print a test's observation set (the specification "
         "of Section 3.2)",
+        "spec_method",
     )
     spec_parser.add_argument("--impl", required=True,
                              help="implementation variant (see 'list')")
     spec_parser.add_argument("--test", required=True,
                              help="Fig. 8 test name, e.g. T0")
-    spec_parser.add_argument("--spec-method", default="auto",
-                             choices=["auto", "reference", "sat"],
-                             help="specification mining method (default: auto)")
 
-    jobs_help = (
-        "worker processes (default: CHECKFENCE_JOBS or 1; "
-        "1 = deterministic serial path)"
-    )
-    journal_help = (
-        "append one JSON line per completed cell to FILE as the run "
-        "progresses, so a killed run can be picked up with --resume"
-    )
-    resume_help = (
-        "read the --journal file first and re-run only cells it does not "
-        "already record a verdict for (ERROR/CRASHED cells are retried)"
-    )
-
-    litmus_parser = sub.add_parser(
+    litmus_parser = command(
         "litmus",
-        help="evaluate the Fig. 2 litmus catalog under one memory model",
+        "evaluate the Fig. 2 litmus catalog under one memory model",
+        "solver", "budget", "jobs",
     )
     litmus_parser.add_argument(
         "--model", default="relaxed",
         help="memory model to evaluate under (default: relaxed)",
     )
-    litmus_parser.add_argument("--solver", default=None, help=solver_help)
-    litmus_parser.add_argument("--jobs", type=int, default=None, help=jobs_help)
-    add_dense_flag(litmus_parser)
 
-    matrix_parser = sub.add_parser(
+    matrix_parser = command(
         "matrix",
-        help="run a (implementation x test x model) check matrix, sharded "
+        "run a (implementation x test x model) check matrix, sharded "
         "across a multiprocessing worker pool",
+        "solver", "store", "budget", "spec_method", "jobs", "json", "quiet",
+        "journal",
     )
     matrix_parser.add_argument(
         "--impls", default="base",
@@ -784,7 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--litmus", action="store_true",
         help="check the litmus catalog instead of data type implementations",
     )
-    matrix_parser.add_argument("--jobs", type=int, default=None, help=jobs_help)
     matrix_parser.add_argument(
         "--shard-by", default="test", choices=list(SHARD_AXES),
         help="how to batch cells into shards: 'test' batches by compiled-test "
@@ -792,38 +787,21 @@ def build_parser() -> argparse.ArgumentParser:
         "'impl' batches whole implementations, 'model' batches by memory "
         "model (default: test)",
     )
-    matrix_parser.add_argument("--spec-method", default="auto",
-                               choices=["auto", "reference", "sat"],
-                               help="specification mining method (default: auto)")
-    matrix_parser.add_argument("--solver", default=None, help=solver_help)
-    add_dense_flag(matrix_parser)
-    matrix_parser.add_argument(
-        "--json", default=None, metavar="FILE",
-        help="write the matrix (cells, verdicts, per-shard cache stats) as "
-        "JSON to FILE, or '-' for stdout",
-    )
-    matrix_parser.add_argument(
-        "--quiet", action="store_true",
-        help="suppress the per-cell progress stream on stderr",
-    )
-    matrix_parser.add_argument("--journal", default=None, metavar="FILE",
-                               help=journal_help)
-    matrix_parser.add_argument("--resume", action="store_true",
-                               help=resume_help)
 
     engines_help = (
         "comma-separated consistency engines to compare — any of "
         "enumerator, rfcheck, sat — or 'all' (default: enumerator,sat)"
     )
 
-    oracle_parser = sub.add_parser(
+    oracle_parser = command(
         "oracle",
-        help="enumerate a litmus-shaped program's outcome set with the "
+        "enumerate a litmus-shaped program's outcome set with the "
         "selected consistency engines (operational enumerator, reads-from "
         "closure engine, SAT mining) and cross-check them pairwise "
         "(exit codes: 0 agreement or no verdict — INCONCLUSIVE engines "
         "skip the comparison, they never fail it — 1 proven divergence, "
         "2 usage error)",
+        "solver",
     )
     oracle_parser.add_argument(
         "--litmus", default=None, metavar="NAME",
@@ -836,15 +814,15 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_parser.add_argument("--model", default="relaxed",
                                help="memory model (default: relaxed)")
     oracle_parser.add_argument("--engines", default=None, help=engines_help)
-    oracle_parser.add_argument("--solver", default=None, help=solver_help)
-    add_dense_flag(oracle_parser)
 
-    synth_parser = sub.add_parser(
+    synth_parser = command(
         "synthesize",
-        help="synthesize a minimal fence set that turns a FAILing "
+        "synthesize a minimal fence set that turns a FAILing "
         "(implementation, test, model) cell into PASS, printing placements "
         "as LSL source locations (exit code 1 when infeasible or the "
-        "independent re-check fails)",
+        "independent re-check fails; 2 when a flag is combined with a "
+        "mode that ignores it)",
+        "solver", "store", "budget", "json",
     )
     synth_parser.add_argument("--impl", default=None,
                               help="implementation variant (see 'list')")
@@ -868,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
         "escalating to the exact minimal-correction search",
     )
     synth_parser.add_argument(
-        "--budget", type=int, default=60,
+        "--budget", type=int, default=None,
         help="solve budget of the exact escalation (default: 60)",
     )
     synth_parser.add_argument(
@@ -878,22 +856,16 @@ def build_parser() -> argparse.ArgumentParser:
         "unrepaired or oracle-refuted program)",
     )
     synth_parser.add_argument(
-        "--seed", type=int, default=1,
+        "--seed", type=int, default=None,
         help="generator seed for --fuzz-budget (default: 1)",
     )
-    synth_parser.add_argument("--solver", default=None, help=solver_help)
-    add_dense_flag(synth_parser)
-    synth_parser.add_argument(
-        "--json", default=None, metavar="FILE",
-        help="write the result (fences, cost, verification, search stats) "
-        "as JSON to FILE, or '-' for stdout",
-    )
 
-    fuzz_parser = sub.add_parser(
+    fuzz_parser = command(
         "fuzz",
-        help="differential fuzzing: generate random litmus programs and "
+        "differential fuzzing: generate random litmus programs and "
         "compare the operational oracle against the SAT encoding on every "
         "memory model (exit code 1 on divergence)",
+        "solver", "budget", "jobs", "json", "quiet", "journal",
     )
     fuzz_parser.add_argument("--budget", type=int, default=100,
                              help="number of distinct programs (default: 100)")
@@ -912,33 +884,17 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument("--addrs", type=int, default=2,
                              help="shared addresses (default: 2)")
     fuzz_parser.add_argument("--engines", default=None, help=engines_help)
-    fuzz_parser.add_argument("--jobs", type=int, default=None, help=jobs_help)
     fuzz_parser.add_argument(
         "--shard-by", default="test", choices=list(SHARD_AXES),
         help="matrix sharding axis; 'test' compiles each program once for "
         "all models (default: test)",
     )
-    fuzz_parser.add_argument("--solver", default=None, help=solver_help)
-    add_dense_flag(fuzz_parser)
     fuzz_parser.add_argument("--no-shrink", action="store_true",
                              help="report divergences without minimizing them")
-    fuzz_parser.add_argument(
-        "--json", default=None, metavar="FILE",
-        help="write the campaign (programs, divergences, throughput) as "
-        "JSON to FILE, or '-' for stdout",
-    )
-    fuzz_parser.add_argument(
-        "--quiet", action="store_true",
-        help="suppress the per-cell progress stream on stderr",
-    )
-    fuzz_parser.add_argument("--journal", default=None, metavar="FILE",
-                             help=journal_help)
-    fuzz_parser.add_argument("--resume", action="store_true",
-                             help=resume_help)
 
-    cache_parser = sub.add_parser(
+    cache_parser = command(
         "cache",
-        help="inspect (default) or clear the persistent on-disk result "
+        "inspect (default) or clear the persistent on-disk result "
         "store populated by --store / CHECKFENCE_STORE=1",
     )
     cache_parser.add_argument("--clear", action="store_true",

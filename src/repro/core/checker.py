@@ -51,30 +51,17 @@ class CheckOptions:
     use_range_analysis: bool = True
     #: Also search for assertion violations (Section 4.1 bugs).
     check_assertions: bool = True
-    #: SAT backend spec: "auto"/"internal", "dimacs", or "dimacs:<command>"
-    #: (see :mod:`repro.sat.backend`).  None uses CHECKFENCE_SOLVER or auto.
+    #: SAT backend spec: "auto"/"internal", "ipasir", "ipasir:cli" or
+    #: "ipasir:<path>" (see :mod:`repro.sat.backend`).  None uses
+    #: CHECKFENCE_SOLVER or auto.
     solver_backend: str | None = None
-    #: Use the original dense memory-order construction (every pair gets a
-    #: variable, full O(n^3) transitivity) instead of the conflict-aware
-    #: pruned one.  None defers to CHECKFENCE_DENSE_ORDER (default: pruned).
-    #: The two constructions produce identical outcome sets; the dense one
-    #: exists as a differential baseline and escape hatch.
-    dense_order: bool | None = None
     #: Run the in-process CNF preprocessor (unit propagation, equivalent
     #: literals, subsumption, bounded variable elimination — see
     #: :mod:`repro.sat.simplify`) between lowering and solving.  None
     #: defers to CHECKFENCE_SIMPLIFY (default: on; ``0`` / ``--no-simplify``
     #: disables).  Both settings produce identical verdicts and outcome
-    #: sets; off exists as a differential baseline and escape hatch.
+    #: sets; off is an escape hatch.
     simplify: bool | None = None
-    #: Reuse the memoized model-independent encoding skeleton of a compiled
-    #: test and run only the per-model layer on a fork of it (see
-    #: :func:`repro.encoding.formula.encode_test`).  None defers to
-    #: CHECKFENCE_SHARE_ENCODE (default: on; ``0`` / ``--no-share-encode``
-    #: disables).  Shared and scratch encoding run the identical
-    #: construction sequence and produce the same formula; scratch exists
-    #: as a differential baseline and escape hatch.
-    share_encode: bool | None = None
     #: Consult (and populate) the persistent on-disk result store
     #: (:mod:`repro.core.store`): verdicts and mined observation sets keyed
     #: by a content hash of implementation source, test, model, options,

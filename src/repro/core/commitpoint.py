@@ -52,18 +52,13 @@ def run_commit_point_check(
     model: MemoryModel,
     max_iterations: int = 100_000,
     backend_factory: BackendFactory | None = None,
-    dense_order: bool | None = None,
-    simplify: bool | None = None,
 ) -> CommitPointResult:
     """Check the test with the lazy validation baseline."""
     start = time.perf_counter()
     miner = ReferenceSpecificationMiner(compiled)
     labels = compiled.observation_labels()
     validated = ObservationSet(labels=labels, method="commit-point")
-    encoded = encode_test(
-        compiled, model, backend_factory=backend_factory,
-        dense_order=dense_order, simplify=simplify,
-    )
+    encoded = encode_test(compiled, model, backend_factory=backend_factory)
     encoded.expect_enumeration()
     solver_calls = 0
     counterexample = None

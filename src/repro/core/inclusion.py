@@ -37,8 +37,6 @@ def run_inclusion_check(
     specification: ObservationSet,
     encoded: EncodedTest | None = None,
     backend_factory: BackendFactory | None = None,
-    dense_order: bool | None = None,
-    simplify: bool | None = None,
 ) -> InclusionOutcome:
     """Check ``obs(E_{T,I,Y}) ⊆ S``; returns a counterexample if it fails.
 
@@ -52,10 +50,7 @@ def run_inclusion_check(
     the guard assumption instead.
     """
     if encoded is None:
-        encoded = encode_test(
-            compiled, model, backend_factory=backend_factory,
-            dense_order=dense_order, simplify=simplify,
-        )
+        encoded = encode_test(compiled, model, backend_factory=backend_factory)
     encoded.require_not_in(specification.observations)
     start = time.perf_counter()
     satisfiable = encoded.solve()
@@ -72,15 +67,10 @@ def run_assertion_check(
     labels: list[str],
     encoded: EncodedTest | None = None,
     backend_factory: BackendFactory | None = None,
-    dense_order: bool | None = None,
-    simplify: bool | None = None,
 ) -> InclusionOutcome:
     """Search for an execution that violates an ``assert`` statement."""
     if encoded is None:
-        encoded = encode_test(
-            compiled, model, backend_factory=backend_factory,
-            dense_order=dense_order, simplify=simplify,
-        )
+        encoded = encode_test(compiled, model, backend_factory=backend_factory)
     if not encoded.assertions:
         return InclusionOutcome(True, None, 0.0, encoded)
     some_violation = encoded.ctx.circuit.or_many(

@@ -41,8 +41,6 @@ def refine_loop_bounds(
     program: Program | None = None,
     use_range_analysis: bool = True,
     backend_factory: BackendFactory | None = None,
-    dense_order: bool | None = None,
-    simplify: bool | None = None,
 ) -> LoopBoundResult:
     """Find loop bounds sufficient for all executions of ``test``."""
     start = time.perf_counter()
@@ -61,10 +59,7 @@ def refine_loop_bounds(
             use_range_analysis=use_range_analysis,
             program=program,
         )
-        encoded = encode_test(
-            compiled, model, backend_factory=backend_factory,
-            dense_order=dense_order, simplify=simplify,
-        )
+        encoded = encode_test(compiled, model, backend_factory=backend_factory)
         if not encoded.overflow_handles:
             converged = True
             break

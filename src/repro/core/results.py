@@ -27,7 +27,6 @@ class CheckStatistics:
     order_vars: int = 0
     order_pairs_static: int = 0
     transitivity_clauses: int = 0
-    dense_order: bool = False
     observation_set_size: int = 0
     #: Per-phase wall-clock breakdown of one check.  ``compile_seconds``
     #: and ``mining_seconds`` are near-zero on session-cache hits;
@@ -53,19 +52,16 @@ class CheckStatistics:
     solver_restarts: int = 0
     solver_learned_clauses: int = 0
     solver_deleted_clauses: int = 0
-    #: In-process CNF preprocessing (repro.sat.simplify): whether the
-    #: knob was resolved on for this check.  The backend may still bypass
-    #: itself on formulas below the engagement threshold — zero
-    #: ``solver_vars_eliminated``/``solver_preprocess_seconds`` with
-    #: ``simplify=True`` means exactly that.
-    simplify: bool = False
+    #: In-process CNF preprocessing counters (repro.sat.simplify); zero
+    #: when the preprocessor was off or bypassed itself on a formula below
+    #: its engagement threshold.
     solver_vars_eliminated: int = 0
     solver_clauses_subsumed: int = 0
     solver_equiv_merged: int = 0
     solver_preprocess_seconds: float = 0.0
     solver_backend: str = ""
-    #: False when the backend cannot report counters (external DIMACS
-    #: solvers), so zeros are not mistaken for a trivially easy instance.
+    #: False when the backend cannot report counters, so zeros are not
+    #: mistaken for a trivially easy instance.
     solver_counters_available: bool = True
     #: "" for a completed check; "TIMEOUT" / "OOM" when a resource budget
     #: (:mod:`repro.core.limits`) expired mid-check.  Degraded checks keep
@@ -119,7 +115,6 @@ class CheckStatistics:
         self.order_vars = stats.order_vars
         self.order_pairs_static = stats.order_pairs_static
         self.transitivity_clauses = stats.transitivity_clauses
-        self.dense_order = stats.dense_order
         self.encode_seconds = stats.encode_seconds
         self.skeleton_seconds = stats.skeleton_seconds
         self.layer_seconds = stats.layer_seconds

@@ -35,19 +35,23 @@ from repro.core.loop_bounds import refine_loop_bounds
 from repro.core.results import CheckResult, CheckStatistics, profile_enabled
 from repro.core.specification import ObservationSet, mine_specification
 from repro.datatypes.spec import DataTypeImplementation
-from repro.encoding.formula import EncodedTest, encode_test, share_encode_enabled
-from repro.encoding.memory import dense_order_enabled
-from repro.sat.simplify import simplify_enabled
+from repro.encoding.formula import EncodedTest, encode_test
 from repro.encoding.testprogram import CompiledTest, compile_test
 from repro.lang.lower import compile_c
 from repro.lsl.program import Program, SymbolicTest
 from repro.memorymodel.base import MemoryModel, get_model
 from repro.sat.backend import make_backend_factory
+from repro.sat.simplify import simplify_enabled
 from repro.sat.solver import SolverStats
 
 
 class CheckSession:
     """Caches and incremental solver state for checking one implementation."""
+
+    #: The memory-order construction and skeleton reuse are fixed; these
+    #: constants remain because ``perfbench/run.py`` prints them.
+    dense_order = False
+    share_encode = True
 
     def __init__(
         self,
@@ -62,16 +66,13 @@ class CheckSession:
         self.program: Program = compile_c(
             implementation.source, implementation.name
         )
-        self.backend_factory = make_backend_factory(self.options.solver_backend)
-        #: Memory-order construction, resolved once (option wins, then the
-        #: CHECKFENCE_DENSE_ORDER environment variable) so every encoding
-        #: and cache key of this session agrees.
-        self.dense_order = dense_order_enabled(self.options.dense_order)
         #: CNF preprocessing, resolved once (option wins, then the
-        #: CHECKFENCE_SIMPLIFY environment variable) for the same reason.
+        #: CHECKFENCE_SIMPLIFY environment variable) so every backend stack
+        #: and store key of this session agrees.
         self.simplify = simplify_enabled(self.options.simplify)
-        #: Encoding-skeleton reuse, resolved once like the knobs above.
-        self.share_encode = share_encode_enabled(self.options.share_encode)
+        self.backend_factory = make_backend_factory(
+            self.options.solver_backend, self.simplify
+        )
         #: Persistent on-disk store (None when disabled — the default).
         self.store = result_store.open_store(self.options.store)
         self._compiled: dict[tuple, CompiledTest] = {}
@@ -102,10 +103,10 @@ class CheckSession:
     def _options_fingerprint(self) -> list:
         """The option values a verdict (or mined specification) depends on.
 
-        The solver backend and the encode-sharing knob are deliberately
-        excluded: both are verdict-preserving by construction and gated so
-        differentially in CI, and keying on them would make a store
-        populated under one backend useless under another.  The resource
+        The solver backend is deliberately excluded: it is
+        verdict-preserving by construction and gated so differentially in
+        CI, and keying on it would make a store populated under one backend
+        useless under another.  The resource
         budgets (``timeout`` / ``memory_limit_mb``) are excluded too: a
         completed verdict does not depend on the budget it ran under, and
         degraded results are never stored in the first place.
@@ -118,7 +119,6 @@ class CheckSession:
             options.lazy_loop_bounds,
             options.use_range_analysis,
             options.check_assertions,
-            self.dense_order,
             self.simplify,
         ]
 
@@ -166,8 +166,6 @@ class CheckSession:
                 program=self.program,
                 use_range_analysis=self.options.use_range_analysis,
                 backend_factory=self.backend_factory,
-                dense_order=self.dense_order,
-                simplify=self.simplify,
             )
             merged = dict(refined.bounds)
             if self.options.loop_bounds:
@@ -222,8 +220,6 @@ class CheckSession:
             compiled,
             self.options.specification_method,
             backend_factory=self.backend_factory,
-            dense_order=self.dense_order,
-            simplify=self.simplify,
         )
         self._specifications[key] = spec
         if store_key is not None:
@@ -244,25 +240,15 @@ class CheckSession:
         self.cache_stats["encode"] += 1
         compiled = self.compile(test, model)
         encoded = encode_test(
-            compiled,
-            model,
-            backend_factory=self.backend_factory,
-            dense_order=self.dense_order,
-            simplify=self.simplify,
-            share_encode=self.share_encode,
+            compiled, model, backend_factory=self.backend_factory
         )
         self._encoded[key] = encoded
         return encoded
 
     def _encoded_key(self, test: SymbolicTest, model: MemoryModel) -> tuple:
-        """Cache key of an encoded formula: the order construction, the
-        simplification knob, and the encode-sharing knob are part of the
-        key, so encodings built under different settings never alias even
-        if the environment flips mid-session."""
-        return (
-            self._test_key(test), model.name, self.dense_order, self.simplify,
-            self.share_encode,
-        )
+        """Cache key of an encoded formula.  Every setting the formula and
+        its backend stack depend on is fixed for the session's lifetime."""
+        return (self._test_key(test), model.name)
 
     # ---------------------------------------------------------------- check
 
@@ -358,7 +344,6 @@ class CheckSession:
         )
         stats.compile_seconds = compile_seconds
         stats.merge_encoding(encoded.stats)
-        stats.simplify = self.simplify
         stats.observation_set_size = len(specification)
         stats.mining_seconds = specification.mining_seconds
         solver_before = (

@@ -66,22 +66,17 @@ class SatSpecificationMiner:
         compiled: CompiledTest,
         max_observations: int = 100_000,
         backend_factory: BackendFactory | None = None,
-        dense_order: bool | None = None,
-        simplify: bool | None = None,
     ):
         self.compiled = compiled
         self.max_observations = max_observations
         self.backend_factory = backend_factory
-        self.dense_order = dense_order
-        self.simplify = simplify
 
     def mine(self) -> ObservationSet:
         start = time.perf_counter()
         # One incremental backend serves the whole blocking-clause loop:
         # learned clauses survive across the repeated solve() calls.
         encoded: EncodedTest = encode_test(
-            self.compiled, SERIAL, backend_factory=self.backend_factory,
-            dense_order=self.dense_order, simplify=self.simplify,
+            self.compiled, SERIAL, backend_factory=self.backend_factory
         )
         spec = ObservationSet(
             labels=self.compiled.observation_labels(), method="sat"
@@ -292,8 +287,6 @@ def mine_specification(
     compiled: CompiledTest,
     method: str = "auto",
     backend_factory: BackendFactory | None = None,
-    dense_order: bool | None = None,
-    simplify: bool | None = None,
 ) -> ObservationSet:
     """Mine the observation set with the requested method.
 
@@ -308,7 +301,6 @@ def mine_specification(
         return ReferenceSpecificationMiner(compiled).mine()
     if method == "sat":
         return SatSpecificationMiner(
-            compiled, backend_factory=backend_factory, dense_order=dense_order,
-            simplify=simplify,
+            compiled, backend_factory=backend_factory
         ).mine()
     raise ValueError(f"unknown specification mining method {method!r}")

@@ -630,11 +630,7 @@ def synthesize_fences(
     probe_seconds = 0.0
     for model in models:
         encoded = encode_test(
-            compiled,
-            model,
-            backend_factory=session.backend_factory,
-            dense_order=session.dense_order,
-            simplify=session.simplify,
+            compiled, model, backend_factory=session.backend_factory
         )
         encoded.expect_enumeration()  # many solves on one formula
         candidate_queries: list[_Query] = []
@@ -757,17 +753,9 @@ def synthesize_fences(
 # ------------------------------------------------------------- litmus driver
 
 
-def _mine_outcomes(
-    compiled, model, backend_factory, dense_order, simplify
-) -> set[tuple[int, ...]]:
+def _mine_outcomes(compiled, model, backend_factory) -> set[tuple[int, ...]]:
     """All reachable observation vectors, by the solve/block loop."""
-    encoded = encode_test(
-        compiled,
-        model,
-        backend_factory=backend_factory,
-        dense_order=dense_order,
-        simplify=simplify,
-    )
+    encoded = encode_test(compiled, model, backend_factory=backend_factory)
     encoded.expect_enumeration()
     outcomes: set[tuple[int, ...]] = set()
     while encoded.solve():
@@ -811,8 +799,6 @@ def synthesize_litmus(
     models,
     kinds=None,
     backend_factory=None,
-    dense_order=None,
-    simplify=None,
     exact: bool = True,
     exact_budget: int = 60,
 ) -> SynthesisResult:
@@ -829,8 +815,7 @@ def synthesize_litmus(
         for k in (kinds or CANDIDATE_KINDS)
     )
     sc_outcomes = _mine_outcomes(
-        program.compile(), get_model("sc"),
-        backend_factory, dense_order, simplify,
+        program.compile(), get_model("sc"), backend_factory
     )
     candidates = litmus_candidates(program, kinds)
     compiled = program.compile(candidate_kinds=kinds)
@@ -839,13 +824,7 @@ def synthesize_litmus(
     probes = 0
     probe_seconds = 0.0
     for model in models:
-        encoded = encode_test(
-            compiled,
-            model,
-            backend_factory=backend_factory,
-            dense_order=dense_order,
-            simplify=simplify,
-        )
+        encoded = encode_test(compiled, model, backend_factory=backend_factory)
         encoded.expect_enumeration()
         guard = encoded.not_in_guard(sc_outcomes)
         query = _Query(f"{model.name}/inclusion", encoded, [guard])
@@ -927,9 +906,8 @@ def synthesize_litmus(
     # Independent re-check: real fences, fresh compile, outcome subset.
     fenced = program.with_fences(placements_of(fences))
     verified_sufficient = all(
-        _mine_outcomes(
-            fenced.compile(), model, backend_factory, dense_order, simplify
-        ) <= sc_outcomes
+        _mine_outcomes(fenced.compile(), model, backend_factory)
+        <= sc_outcomes
         for model in models
     )
     verified_minimal = all(
@@ -975,11 +953,7 @@ def _verify_concrete(session, test, models, fences, specification) -> bool:
     )
     for model in models:
         encoded = encode_test(
-            compiled,
-            model,
-            backend_factory=session.backend_factory,
-            dense_order=session.dense_order,
-            simplify=session.simplify,
+            compiled, model, backend_factory=session.backend_factory
         )
         if options.check_assertions:
             outcome = run_assertion_check(

@@ -17,23 +17,18 @@ the compiled test itself.  Each per-model encode then *forks* the skeleton
 (an array-level CNF snapshot plus shallow circuit/dict copies) and runs
 only ``Theta`` — the :class:`repro.encoding.memory.MemoryModelEncoder`
 layer — on top.  A five-model sweep therefore executes symbolic execution
-and base lowering once instead of five times.  ``CHECKFENCE_SHARE_ENCODE=0``
-(or ``share_encode=False``) restores scratch encoding; both paths run the
-identical construction sequence, so they produce identical formulas.
+and base lowering once instead of five times.  A per-model layer on a
+reused skeleton builds exactly the formula it would build on a freshly
+compiled one (``tests/encoding/test_share_equivalence.py``).
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.encoding.memory import (
-    MemoryModelEncoder,
-    MemoryOrderEncoding,
-    dense_order_enabled,
-)
+from repro.encoding.memory import MemoryModelEncoder, MemoryOrderEncoding
 from repro.encoding.symbolic import (
     EncodingError,
     MemoryAccess,
@@ -44,14 +39,10 @@ from repro.encoding.testprogram import INIT_THREAD, CompiledInvocation, Compiled
 from repro.lsl.instructions import Alloc
 from repro.lsl.values import is_undef
 from repro.memorymodel.base import MemoryModel
-from repro.sat.backend import BackendFactory, InternalBackend, SolverBackend
+from repro.sat.backend import BackendFactory, SolverBackend, make_backend_factory
 from repro.sat.bitvec import BitVec, BitVecBuilder
 from repro.sat.circuit import Circuit, CnfLowering
-from repro.sat.simplify import (
-    ENUMERATION_MIN_CLAUSES,
-    SimplifyingBackend,
-    simplify_enabled,
-)
+from repro.sat.simplify import ENUMERATION_MIN_CLAUSES, SimplifyingBackend
 
 
 class EncodingContext:
@@ -82,13 +73,6 @@ class EncodingContext:
         self._addr_eq: dict[tuple[int, int], int] = {}
         self._value_eq: dict[tuple[int, int], int] = {}
         self._init_terms: dict[int, int] = {}
-        #: Memoized model-independent enumerations (sorted access lists,
-        #: same-thread pairs, fence pairs, atomic-exclusion triples, value
-        #: candidates).  Forks share the dict *by reference*: whichever
-        #: per-model layer runs first fills it and the other four models of
-        #: a sweep reuse it, while scratch encoding (a fresh context per
-        #: model) recomputes it five times.
-        self.shared_streams: dict = {}
 
     # -------------------------------------------------------------- snapshot
 
@@ -116,7 +100,6 @@ class EncodingContext:
         out._addr_eq = dict(self._addr_eq)
         out._value_eq = dict(self._value_eq)
         out._init_terms = dict(self._init_terms)
-        out.shared_streams = self.shared_streams
         return out
 
     # ------------------------------------------------------------- plumbing
@@ -252,7 +235,6 @@ class ObservationSlot:
 #: truth: ``EncodingStatistics``, ``CheckStatistics`` and ``InclusionRow``
 #: all carry fields with these names and build their ``order_dict`` from it.
 ORDER_COUNTER_FIELDS = (
-    "dense_order",
     "accesses",
     "order_pairs",
     "order_vars",
@@ -276,8 +258,7 @@ class EncodingStatistics:
     The ``order_*`` / ``transitivity_clauses`` counters describe the memory
     order relation: how many access pairs exist, how many were statically
     resolved (constant-folded, no variable), how many got a SAT variable,
-    and how many transitivity clauses were asserted.  ``dense_order`` marks
-    whether the dense fallback construction was used.
+    and how many transitivity clauses were asserted.
     """
 
     instructions: int = 0
@@ -299,7 +280,6 @@ class EncodingStatistics:
     order_vars: int = 0
     order_pairs_static: int = 0
     transitivity_clauses: int = 0
-    dense_order: bool = False
 
     def order_dict(self) -> dict:
         """The order-encoding counters, for benchmark JSON output."""
@@ -321,7 +301,6 @@ class EncodedTest:
         overflow_handles: dict[str, int],
         stats: EncodingStatistics,
         backend_factory: BackendFactory | None = None,
-        simplify: bool = False,
     ) -> None:
         self.ctx = context
         self.model = model
@@ -332,10 +311,10 @@ class EncodedTest:
         self.assertions = assertions
         self.overflow_handles = overflow_handles
         self.stats = stats
-        self.backend_factory = backend_factory
-        #: Run the SatELite-style CNF preprocessor between lowering and
-        #: solving (see :mod:`repro.sat.simplify`).
-        self.simplify = simplify
+        #: Builds the solver stack on first use (see
+        #: :func:`repro.sat.backend.make_backend_factory`); the default
+        #: resolves ``CHECKFENCE_SOLVER`` and ``CHECKFENCE_SIMPLIFY``.
+        self.backend_factory = backend_factory or make_backend_factory()
         self._backend: SolverBackend | None = None
         self._synced_clauses = 0
         self._not_in_guards: dict[frozenset, int] = {}
@@ -360,14 +339,11 @@ class EncodedTest:
 
     def _ensure_backend(self) -> SolverBackend:
         if self._backend is None:
-            factory = self.backend_factory or InternalBackend
-            backend = factory()
-            if self.simplify:
-                backend = SimplifyingBackend(backend)
-                # The frozen set must be in place before any clause reaches
-                # the preprocessor; computing it is a non-forcing peek and
-                # never grows the formula.
-                backend.freeze(self.frozen_variables())
+            backend = self.backend_factory()
+            # The frozen set must be in place before any clause reaches a
+            # preprocessing backend (the others ignore it); computing it is
+            # a non-forcing peek and never grows the formula.
+            backend.freeze(self.frozen_variables())
             self._backend = backend
         cnf = self.cnf
         self._backend.ensure_vars(cnf.num_vars)
@@ -479,8 +455,6 @@ class EncodedTest:
     @property
     def backend_name(self) -> str | None:
         """Name of the backend once one has been instantiated."""
-        if self._backend is None and self.backend_factory is None:
-            return InternalBackend.name
         return self._backend.name if self._backend else None
 
     # ---------------------------------------------------------- observations
@@ -644,9 +618,7 @@ class EncodedTest:
         Under the pruned encoding some pairs carry no order information at
         all (they were proven order-irrelevant), so the model only fixes a
         partial order; a deterministic topological sort (ties broken by
-        access position) produces a total order consistent with it.  Under
-        the dense encoding every pair is resolved and the result is exactly
-        the model's total order.
+        access position) produces a total order consistent with it.
         """
         executed = [
             a for a in self.order.accesses if self._evaluate(a.guard, model)
@@ -688,15 +660,6 @@ class EncodedTest:
             for handle, description in self.assertions
             if not self._evaluate(handle, model)
         ]
-
-
-def share_encode_enabled(flag: bool | None = None) -> bool:
-    """Resolve the encode-sharing knob: an explicit flag wins, otherwise the
-    ``CHECKFENCE_SHARE_ENCODE`` environment variable (default: enabled;
-    like every repo env flag, only the literal ``"0"`` disables it)."""
-    if flag is not None:
-        return bool(flag)
-    return os.environ.get("CHECKFENCE_SHARE_ENCODE", "1") != "0"
 
 
 @dataclass
@@ -1020,40 +983,21 @@ def encode_test(
     compiled: CompiledTest,
     model: MemoryModel,
     backend_factory: BackendFactory | None = None,
-    dense_order: bool | None = None,
-    simplify: bool | None = None,
-    share_encode: bool | None = None,
 ) -> EncodedTest:
     """Build the formula ``Phi`` for a compiled test under a memory model.
 
-    ``dense_order`` selects the memory-order construction: ``False`` (the
-    default) uses the conflict-aware pruned encoding, ``True`` the original
-    dense one; ``None`` defers to ``CHECKFENCE_DENSE_ORDER``.
-
-    ``simplify`` runs the in-process CNF preprocessor between lowering and
-    solving (``True`` by default); ``None`` defers to
-    ``CHECKFENCE_SIMPLIFY`` (``0`` disables).
-
-    ``share_encode`` reuses the memoized model-independent skeleton of the
-    compiled test and runs only the per-model layer on a fork of it
-    (``True`` by default); ``None`` defers to ``CHECKFENCE_SHARE_ENCODE``
-    (``0`` disables).  Both paths run the identical construction sequence,
-    so shared and scratch encodes produce the same formula.
+    Reuses the memoized model-independent skeleton of the compiled test
+    and runs only the per-model layer on a fork of it.  ``backend_factory``
+    builds the solver stack on the first solve (default:
+    :func:`repro.sat.backend.make_backend_factory` with no arguments).
     """
-    dense = dense_order_enabled(dense_order)
-    simplify_flag = simplify_enabled(simplify)
-    if share_encode_enabled(share_encode):
-        skeleton, reused = skeleton_for(compiled)
-        layer_start = time.perf_counter()
-        # Fork even a freshly built skeleton: it must stay pristine for the
-        # next model (and the next check after an inclusion query).
-        context = skeleton.context.fork()
-    else:
-        skeleton, reused = build_skeleton(compiled), False
-        layer_start = time.perf_counter()
-        context = skeleton.context  # consumed in place; never reused
+    skeleton, reused = skeleton_for(compiled)
+    layer_start = time.perf_counter()
+    # Fork even a freshly built skeleton: it must stay pristine for the
+    # next model (and the next check after an inclusion query).
+    context = skeleton.context.fork()
 
-    encoder = MemoryModelEncoder(context, model, skeleton.threads, dense=dense)
+    encoder = MemoryModelEncoder(context, model, skeleton.threads)
     order = encoder.encode()
 
     stats = EncodingStatistics()
@@ -1068,7 +1012,6 @@ def encode_test(
     stats.order_vars = encoder.order_var_count
     stats.order_pairs_static = encoder.static_pair_count
     stats.transitivity_clauses = encoder.transitivity_clause_count
-    stats.dense_order = dense
     stats.skeleton_shared = reused
     stats.skeleton_seconds = 0.0 if reused else skeleton.build_seconds
     stats.layer_seconds = time.perf_counter() - layer_start
@@ -1085,5 +1028,4 @@ def encode_test(
         overflow_handles=skeleton.overflow_handles,
         stats=stats,
         backend_factory=backend_factory,
-        simplify=simplify_flag,
     )

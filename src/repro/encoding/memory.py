@@ -12,9 +12,9 @@ transitivity by explicit clauses), and asserts
 * for the Seriality model, the operation-atomicity constraints used to mine
   the specification.
 
-Two constructions are available:
-
-**Pruned (default).**  A *static order resolver* first decides every pair
+The paper's construction gives every pair of accesses an order variable
+and asserts full O(n^3) transitivity.  This module builds a pruned
+equivalent instead.  A *static order resolver* first decides every pair
 whose direction is forced unconditionally — preserved program order,
 init-first, atomic-block-internal order, always-executed fences, constant
 same-address store pairs — and takes the transitive closure.
@@ -32,19 +32,14 @@ cycle in a chordal graph has a chord, so acyclic triangles imply an acyclic
 — hence linearizable — order).  Pairs that appear in no constraint get no
 variable at all; counterexample decoding topologically sorts the remaining
 partial order (:meth:`repro.encoding.formula.EncodedTest
-.decode_memory_order`).
-
-**Dense (fallback).**  The original construction — one variable for every
-pair and the full O(n^3) transitivity axiom — is kept behind
-``CheckOptions.dense_order`` / ``CHECKFENCE_DENSE_ORDER=1`` so differential
-harnesses (tests, ``benchmarks/bench_encoding_size.py``, the fuzz CI smoke)
-can prove the pruned construction produces identical outcome sets.
+.decode_memory_order`).  The operational enumerator
+(:mod:`repro.oracle.enumerator`) and the reads-from engine
+(:mod:`repro.rfcheck`) check the resulting outcome sets independently.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -52,15 +47,6 @@ from repro.encoding.symbolic import MemoryAccess, ThreadEncoding
 from repro.encoding.testprogram import INIT_THREAD
 from repro.memorymodel.base import MemoryModel
 from repro.sat.circuit import Circuit
-
-
-def dense_order_enabled(flag: bool | None = None) -> bool:
-    """Resolve the dense-order knob: an explicit flag wins, otherwise the
-    ``CHECKFENCE_DENSE_ORDER`` environment variable (default: pruned).
-    Like every repo env flag, only the literal ``"1"`` enables it."""
-    if flag is not None:
-        return bool(flag)
-    return os.environ.get("CHECKFENCE_DENSE_ORDER", "0") == "1"
 
 
 @dataclass
@@ -76,8 +62,6 @@ class MemoryOrderEncoding:
     * **dead** (neither): no constraint ever mentions the pair; it has no
       variable, and :meth:`order` raises.  :meth:`resolved` returns ``None``
       so decoders can treat the pair as unordered.
-
-    Under the dense construction every pair is live.
     """
 
     accesses: list[MemoryAccess]
@@ -119,55 +103,38 @@ class MemoryModelEncoder:
         context,
         model: MemoryModel,
         threads: list[ThreadEncoding],
-        dense: bool = False,
     ) -> None:
         self.ctx = context
         self.model = model
         self.threads = threads
-        self.dense = dense
-        # Model-independent enumerations are memoized on the context's
-        # shared-streams dict: in a shared-skeleton sweep the first model
-        # computes them and the rest reuse them, while scratch encoding
-        # recomputes them per model.
-        self._streams: dict = getattr(context, "shared_streams", None) or {}
-        base = self._streams.get("base")
-        if base is None:
-            accesses = sorted(
-                (a for t in threads for a in t.accesses), key=lambda a: a.index
+        # Enumerations several axioms walk, memoized for this layer.
+        self._streams: dict = {}
+        self.accesses = sorted(
+            (a for t in threads for a in t.accesses), key=lambda a: a.index
+        )
+        # Re-index accesses densely (their global indices may have gaps if
+        # other structures were encoded in between).
+        self._position = {a.index: i for i, a in enumerate(self.accesses)}
+        self._alias_sets: dict[int, frozenset | None] = {
+            a.index: (
+                frozenset(a.addr_candidates)
+                if a.addr_candidates is not None
+                else None
             )
-            # Re-index accesses densely (their global indices may have gaps
-            # if other structures were encoded in between).
-            position = {a.index: i for i, a in enumerate(accesses)}
-            alias_sets: dict[int, frozenset | None] = {
-                a.index: (
-                    frozenset(a.addr_candidates)
-                    if a.addr_candidates is not None
-                    else None
-                )
-                for a in accesses
-            }
-            by_thread = {
-                t.thread: sorted(t.accesses, key=lambda a: a.seq)
-                for t in threads
-            }
-            same_thread_pairs = [
-                (first, second)
-                for thread_accesses in by_thread.values()
-                for i, first in enumerate(thread_accesses)
-                for second in thread_accesses[i + 1:]
-            ]
-            base = (accesses, position, alias_sets, by_thread, same_thread_pairs)
-            self._streams["base"] = base
-        (
-            self.accesses,
-            self._position,
-            self._alias_sets,
-            self._by_thread,
-            self._same_thread_pair_list,
-        ) = base
+            for a in self.accesses
+        }
+        self._by_thread = {
+            t.thread: sorted(t.accesses, key=lambda a: a.seq) for t in threads
+        }
+        self._same_thread_pair_list = [
+            (first, second)
+            for thread_accesses in self._by_thread.values()
+            for i, first in enumerate(thread_accesses)
+            for second in thread_accesses[i + 1:]
+        ]
         self.encoding = MemoryOrderEncoding(accesses=self.accesses)
-        #: Candidate stores per load (visibility-pruned under the pruned
-        #: construction), filled by :meth:`_compute_value_candidates`.
+        #: Candidate stores per load (visibility-pruned), filled by
+        #: :meth:`_compute_value_candidates`.
         self._value_candidates: list[tuple[MemoryAccess, list[MemoryAccess]]] = []
         #: Handle of every resolvable pair, doubly keyed by global access
         #: index; built by :meth:`_build_order_handle_map` after variable
@@ -180,13 +147,9 @@ class MemoryModelEncoder:
 
     def encode(self) -> MemoryOrderEncoding:
         self._compute_value_candidates()
-        if self.dense:
-            self._create_order_variables()
-            self._assert_transitivity()
-        else:
-            self._resolve_static_orders()
-            self._prune_value_candidates()
-            self._create_live_order_variables()
+        self._resolve_static_orders()
+        self._prune_value_candidates()
+        self._create_live_order_variables()
         self._build_order_handle_map()
         self._assert_program_order()
         self._assert_same_address_order()
@@ -213,30 +176,6 @@ class MemoryModelEncoder:
     def static_pair_count(self) -> int:
         return len(self.encoding.static_pairs)
 
-    # ------------------------------------------------------ dense structure
-
-    def _create_order_variables(self) -> None:
-        circuit = self.ctx.circuit
-        n = len(self.accesses)
-        for i in range(n):
-            for j in range(i + 1, n):
-                self.encoding.order_vars[(i, j)] = circuit.var(f"M[{i},{j}]")
-
-    def _assert_transitivity(self) -> None:
-        n = len(self.accesses)
-        assert_clause = self.ctx.assert_clause
-        for i in range(n):
-            for j in range(n):
-                if j == i:
-                    continue
-                order_ij = self._order(i, j)
-                for k in range(n):
-                    if k == i or k == j:
-                        continue
-                    # i <M j and j <M k implies i <M k
-                    assert_clause([-order_ij, -self._order(j, k), self._order(i, k)])
-                    self.transitivity_clause_count += 1
-
     # ----------------------------------------------------- static resolution
 
     def _resolve_static_orders(self) -> None:
@@ -249,56 +188,42 @@ class MemoryModelEncoder:
         """
         n = len(self.accesses)
         position = self._position
-        # The edge set splits into a model-independent *core* — init-thread
-        # order, atomic-block-internal order, always-executed fences, and
-        # constant same-address store pairs (conditional only on the
-        # model's same-address axiom being on, which is part of the cache
-        # key) — plus the model's preserved program-order pairs.  The core
-        # masks are memoized on the shared streams, so a sweep computes
-        # them once; edges are idempotent under ``|=``, so unioning the
-        # core with the preserves pass yields exactly the edge set the
-        # single combined walk used to produce.
-        core_key = ("core_successors", self.model.same_address_store_order)
-        core = self._streams.get(core_key)
-        if core is None:
-            core = [0] * n
+        # Static edges: init-thread order, atomic-block-internal order,
+        # constant same-address store pairs, always-executed fences, the
+        # init thread before every other, and the model's preserved
+        # program-order pairs.
+        successors = [0] * n
 
-            def add_edge(first: MemoryAccess, second: MemoryAccess) -> None:
-                core[position[first.index]] |= 1 << position[second.index]
+        def add_edge(first: MemoryAccess, second: MemoryAccess) -> None:
+            successors[position[first.index]] |= 1 << position[second.index]
 
-            circuit_true = self.ctx.circuit.TRUE
-            for first, second in self._same_thread_pairs():
-                if first.thread == INIT_THREAD:
-                    add_edge(first, second)
-                elif (
-                    first.atomic_group is not None
-                    and first.atomic_group == second.atomic_group
-                ):
-                    add_edge(first, second)
-                elif self._same_address_static_edge(first, second):
-                    # Axiom 1 with a constant address comparison: the guard
-                    # of the implication is always true, so the order is
-                    # forced.
-                    add_edge(first, second)
-            for first, second, guard in self._fence_pairs():
-                if guard == circuit_true:
-                    add_edge(first, second)
-            init_accesses = [a for a in self.accesses if a.thread == INIT_THREAD]
-            others = [a for a in self.accesses if a.thread != INIT_THREAD]
-            for first in init_accesses:
-                for second in others:
-                    add_edge(first, second)
-            self._streams[core_key] = core
-
-        successors = list(core)
+        circuit_true = self.ctx.circuit.TRUE
+        for first, second in self._same_thread_pairs():
+            if first.thread == INIT_THREAD:
+                add_edge(first, second)
+            elif (
+                first.atomic_group is not None
+                and first.atomic_group == second.atomic_group
+            ):
+                add_edge(first, second)
+            elif self._same_address_static_edge(first, second):
+                # Axiom 1 with a constant address comparison: the guard of
+                # the implication is always true, so the order is forced.
+                add_edge(first, second)
+        for first, second, guard in self._fence_pairs():
+            if guard == circuit_true:
+                add_edge(first, second)
+        init_accesses = [a for a in self.accesses if a.thread == INIT_THREAD]
+        others = [a for a in self.accesses if a.thread != INIT_THREAD]
+        for first in init_accesses:
+            for second in others:
+                add_edge(first, second)
         preserves = self.model.preserves
         for first, second in self._same_thread_pairs():
             if first.thread != INIT_THREAD and preserves(
                 first.kind, second.kind
             ):
-                successors[position[first.index]] |= (
-                    1 << position[second.index]
-                )
+                add_edge(first, second)
 
         topo = sorted(
             range(n),
@@ -345,8 +270,7 @@ class MemoryModelEncoder:
         triangles = self._triangulate(seeds, init_positions)
         # Order variables are minted unnamed: no decoder reads them back by
         # name, and the f-string plus two name-table inserts per variable
-        # were a measurable slice of the per-model layer.  The dense
-        # (debugging) construction keeps its names.
+        # were a measurable slice of the per-model layer.
         var = self.ctx.circuit.var
         order_vars = self.encoding.order_vars
         for key in sorted(seeds):
@@ -555,9 +479,6 @@ class MemoryModelEncoder:
 
     # ---------------------------------------------------------- pair streams
 
-    def _order(self, i: int, j: int) -> int:
-        return self.encoding.order(i, j)
-
     def _build_order_handle_map(self) -> None:
         """Resolve every live/static pair to its handle once, keyed by
         global access index in both orientations, so the axiom emitters
@@ -617,14 +538,14 @@ class MemoryModelEncoder:
             addr_eq = self._addr_eq(first, second)
             if addr_eq == circuit.FALSE:
                 continue  # can never be the same address
-            if addr_eq == circuit.TRUE and not self.dense:
+            if addr_eq == circuit.TRUE:
                 continue  # statically resolved instead
             yield first, second
 
     def _fence_pairs(self) -> list[tuple[MemoryAccess, MemoryAccess, int]]:
         """(before, after, guard) for every fence-ordered pair, materialized
-        once per test (the pruned construction walks the list three times
-        per model: static resolution, seeding, assertion)."""
+        once per layer (static resolution, seeding and assertion each walk
+        the list)."""
         pairs = self._streams.get("fence_pairs")
         if pairs is None:
             pairs = list(self._enumerate_fence_pairs())
@@ -669,9 +590,9 @@ class MemoryModelEncoder:
     def _atomic_exclusion_triples(self):
         """(first, second, other) triples for atomic non-interleaving: no
         ``other`` of a different thread lands between two block members.
-        Materialized once per test — the triple count is quadratic in block
+        Materialized once per layer — the triple count is quadratic in block
         size times the outside accesses, and both the seeder and the
-        assertion pass walk it for every model."""
+        assertion pass walk it."""
         triples = self._streams.get("exclusion_triples")
         if triples is None:
             triples = []
@@ -856,14 +777,10 @@ class MemoryModelEncoder:
 
         Stores are indexed by their (frozen) alias sets once; each load then
         gathers the stores of its own candidate locations instead of testing
-        every (load, store) pair.  Under the pruned construction, stores
-        whose visibility is statically impossible (ordered after the load
-        with no forwarding) are dropped here, before any term is built.
+        every (load, store) pair.  Stores whose visibility is statically
+        impossible (ordered after the load with no forwarding) are dropped
+        by :meth:`_prune_value_candidates`, before any term is built.
         """
-        cached = self._streams.get("value_candidates")
-        if cached is not None:
-            self._value_candidates = cached
-            return
         stores = [a for a in self.accesses if a.is_store]
         by_location: dict[int, list[MemoryAccess]] = {}
         wildcard: list[MemoryAccess] = []
@@ -889,7 +806,6 @@ class MemoryModelEncoder:
                         merged[store.index] = store
                 candidates = [merged[index] for index in sorted(merged)]
             self._value_candidates.append((load, candidates))
-        self._streams["value_candidates"] = self._value_candidates
 
     def _prune_value_candidates(self) -> None:
         """Drop statically invisible stores from every candidate list (the
@@ -916,8 +832,8 @@ class MemoryModelEncoder:
         # The hottest axiom of the per-model layer: quadratic in the
         # candidate stores of every load.  Bind the circuit constructors
         # once and read order handles straight from the prebuilt map
-        # (:meth:`_order_of` and :meth:`_visibility_order` per pair were
-        # measured to cost as much as the term construction itself).
+        # (a method call per pair was measured to cost as much as the term
+        # construction itself).
         circuit = self.ctx.circuit
         and_ = circuit.and_
         and_many = circuit.and_many
@@ -969,12 +885,6 @@ class MemoryModelEncoder:
             and store.thread == load.thread
             and store.seq < load.seq
         )
-
-    def _visibility_order(self, store: MemoryAccess, load: MemoryAccess) -> int:
-        """The ordering part of ``store in S(load)``."""
-        if self._forwarded(store, load):
-            return self.ctx.circuit.TRUE
-        return self._order_of(store, load)
 
     def _initial_value_term(self, load: MemoryAccess) -> int:
         # Model-independent, so built (and cached) on the shared context.

@@ -35,6 +35,7 @@ from repro.oracle.differ import (
     differential_check,
     parse_engines,
 )
+from repro.sat.backend import BackendFactory, make_backend_factory
 
 #: Memory models a campaign covers by default (all five of the paper).
 DEFAULT_MODELS = ("serial", "sc", "tso", "pso", "relaxed")
@@ -97,10 +98,11 @@ def run_fuzz_cell(cell: MatrixCell, options) -> "CellResult":
     started = time.perf_counter()
     compiled = compiled_fuzz_program(cell.test)
     report = differential_check(
-        compiled, cell.model, backend_spec=options.solver_backend,
+        compiled, cell.model,
+        backend_factory=make_backend_factory(
+            options.solver_backend, options.simplify
+        ),
         name=cell.test,
-        dense_order=getattr(options, "dense_order", None),
-        simplify=getattr(options, "simplify", None),
         engines=cell_engines(cell),
     )
     notes = []
@@ -112,14 +114,6 @@ def run_fuzz_cell(cell: MatrixCell, options) -> "CellResult":
             for name, result in report.engine_results.items()
         },
     }
-    if report.oracle is not None:
-        stats.update({
-            "oracle_status": report.oracle.status,
-            "oracle_outcomes": len(report.oracle.outcomes),
-            "sat_outcomes": len(report.sat_outcomes),
-            "oracle_nodes": report.oracle.nodes,
-            "oracle_traces": report.oracle.traces,
-        })
     return CellResult(
         cell=cell,
         passed=report.ok,
@@ -136,10 +130,8 @@ def run_fuzz_cell(cell: MatrixCell, options) -> "CellResult":
 def shrink_divergence(
     program: FuzzProgram,
     model: str,
-    backend_spec: str | None = None,
+    backend_factory: BackendFactory | None = None,
     max_rounds: int = 100,
-    dense_order: bool | None = None,
-    simplify: bool | None = None,
     engines=None,
 ) -> tuple[FuzzProgram, DifferentialReport]:
     """Greedily minimize a diverging program, keeping the divergence.
@@ -148,9 +140,8 @@ def shrink_divergence(
     """
     def report_for(candidate: FuzzProgram) -> DifferentialReport:
         return differential_check(
-            candidate.compile(), model, backend_spec=backend_spec,
-            name=candidate.spec(), dense_order=dense_order,
-            simplify=simplify, engines=engines,
+            candidate.compile(), model, backend_factory=backend_factory,
+            name=candidate.spec(), engines=engines,
         )
 
     current = report_for(program)
@@ -177,16 +168,13 @@ def shrink_divergence(
 class FuzzDivergence:
     """One confirmed engine disagreement, in replayable form.
 
-    ``missing_from_sat``/``missing_from_oracle`` keep the historical
-    enumerator-vs-SAT view; ``pairs`` carries every diverging engine pair
-    with direction (see :meth:`DifferentialReport.pair_divergences`).
+    ``pairs`` carries every diverging engine pair with direction (see
+    :meth:`DifferentialReport.pair_divergences`).
     """
 
     spec: str
     model: str
     shrunk_spec: str
-    missing_from_sat: list[tuple[int, ...]]
-    missing_from_oracle: list[tuple[int, ...]]
     description: str
     pairs: list[dict] = field(default_factory=list)
 
@@ -195,8 +183,6 @@ class FuzzDivergence:
             "spec": self.spec,
             "model": self.model,
             "shrunk_spec": self.shrunk_spec,
-            "missing_from_sat": [list(o) for o in self.missing_from_sat],
-            "missing_from_oracle": [list(o) for o in self.missing_from_oracle],
             "description": self.description,
             "pairs": [
                 {
@@ -413,22 +399,19 @@ def run_fuzz(
         # Re-confirm in-process (the worker only shipped a description)
         # and shrink to a minimal reproducer.
         program = FuzzProgram.parse(cell_result.cell.test)
-        dense_order = getattr(options, "dense_order", None)
-        simplify = getattr(options, "simplify", None)
+        backend_factory = make_backend_factory(
+            options.solver_backend, options.simplify
+        )
         if shrink:
             program, report = shrink_divergence(
                 program, cell_result.cell.model,
-                backend_spec=options.solver_backend,
-                dense_order=dense_order,
-                simplify=simplify,
+                backend_factory=backend_factory,
                 engines=engine_names,
             )
         else:
             report = differential_check(
                 program.compile(), cell_result.cell.model,
-                backend_spec=options.solver_backend, name=program.spec(),
-                dense_order=dense_order,
-                simplify=simplify,
+                backend_factory=backend_factory, name=program.spec(),
                 engines=engine_names,
             )
         if report.diverged:
@@ -446,8 +429,6 @@ def run_fuzz(
             spec=cell_result.cell.test,
             model=cell_result.cell.model,
             shrunk_spec=program.spec(),
-            missing_from_sat=sorted(report.missing_from_sat),
-            missing_from_oracle=sorted(report.missing_from_oracle),
             description=description,
             pairs=report.pair_divergences(),
         ))

@@ -42,9 +42,7 @@ Fault tolerance (the robustness layer):
   SIGTERM-ignoring state (hung solver, masked signals) is never leaked.
 
 Fault *injection* for all of the above lives in
-:mod:`repro.core.faults` (``CHECKFENCE_FAULT=worker-crash:<key>,...``);
-the legacy ``CHECKFENCE_MATRIX_CRASH`` / ``CHECKFENCE_MATRIX_INTERRUPT``
-hooks keep working through it.
+:mod:`repro.core.faults` (``CHECKFENCE_FAULT=worker-crash:<key>,...``).
 
 The CLI surface is ``checkfence matrix`` (``--jobs``, ``--shard-by``,
 ``--solver``, ``--json``, ``--timeout``, ``--journal``/``--resume``);
@@ -70,6 +68,7 @@ from repro.core.session import CheckSession
 from repro.datatypes.registry import category_of, get_implementation
 from repro.harness.catalog import get_test, test_names
 from repro.memorymodel.base import get_model
+from repro.sat.backend import make_backend_factory
 
 #: Kinds of matrix cells.
 CATALOG_KIND = "catalog"
@@ -86,14 +85,6 @@ ENGINES_KIND = "engines"
 
 #: Valid ``shard_by`` axes.
 SHARD_AXES = ("test", "model", "impl")
-
-#: Legacy fault-injection hooks, now folded into the unified
-#: ``CHECKFENCE_FAULT`` framework (:mod:`repro.core.faults`): a
-#: comma-separated list of cell keys that makes a worker holding one of
-#: them hard-exit (CRASH_ENV) or the parent raise KeyboardInterrupt the
-#: moment the cell's result is recorded (INTERRUPT_ENV).
-CRASH_ENV = faults.LEGACY_CRASH_ENV
-INTERRUPT_ENV = faults.LEGACY_INTERRUPT_ENV
 
 #: Extra attempts granted to the unfinished cells of a crashed or hung
 #: worker before they are quarantined as ``CRASHED`` (so the total
@@ -518,9 +509,10 @@ def _run_cell_inner(
 
         litmus = available_litmus_tests()[cell.test]
         outcome = observation_outcome(
-            litmus, cell.model, backend_spec=options.solver_backend,
-            dense_order=getattr(options, "dense_order", None),
-            simplify=getattr(options, "simplify", None),
+            litmus, cell.model,
+            backend_factory=make_backend_factory(
+                options.solver_backend, options.simplify
+            ),
         )
         return CellResult(
             cell=cell,

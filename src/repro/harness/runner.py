@@ -71,8 +71,6 @@ class InclusionRow:
     order_vars: int = 0
     order_pairs_static: int = 0
     transitivity_clauses: int = 0
-    dense_order: bool = False
-    simplify: bool = False
     solver_backend: str = ""
     solver_counters_available: bool = True
     solver_decisions: int = 0
@@ -233,8 +231,6 @@ def inclusion_row(
         order_vars=stats.order_vars,
         order_pairs_static=stats.order_pairs_static,
         transitivity_clauses=stats.transitivity_clauses,
-        dense_order=stats.dense_order,
-        simplify=stats.simplify,
         # One source of truth for the counter set: CheckStatistics.
         **{f"solver_{key}": value for key, value in stats.solver_dict().items()},
     )
@@ -380,11 +376,9 @@ def method_comparison(
     observation_seconds = time.perf_counter() - start
 
     compiled = checker.compile(test, model)
-    # Same order construction and preprocessing on both sides of the
-    # Fig. 12 comparison.
+    # The same backend stack on both sides of the Fig. 12 comparison.
     commit_result = run_commit_point_check(
-        compiled, model, dense_order=checker.session.dense_order,
-        simplify=checker.session.simplify,
+        compiled, model, backend_factory=checker.session.backend_factory
     )
     return MethodComparison(
         implementation=implementation_name,

@@ -24,7 +24,7 @@ from repro.encoding import compile_test, encode_test
 from repro.encoding.testprogram import CompiledTest
 from repro.lsl.program import Invocation, SymbolicTest
 from repro.memorymodel.base import MemoryModel, get_model
-from repro.sat.backend import make_backend_factory
+from repro.sat.backend import BackendFactory
 from repro.sat.solver import SolverStats
 
 
@@ -289,25 +289,20 @@ def observation_outcome(
     litmus: LitmusTest,
     model: MemoryModel | str,
     observation: tuple[int, ...] | None = None,
-    backend_spec: str | None = None,
-    dense_order: bool | None = None,
-    simplify: bool | None = None,
+    backend_factory: BackendFactory | None = None,
 ) -> LitmusOutcome:
     """Like :func:`observation_allowed`, but also reports which backend ran
     and its solver counters (for the benchmark JSON trajectories)."""
     model = get_model(model)
     compiled = compiled_litmus(litmus)
-    encoded = encode_test(
-        compiled, model, backend_factory=make_backend_factory(backend_spec),
-        dense_order=dense_order, simplify=simplify,
-    )
+    encoded = encode_test(compiled, model, backend_factory=backend_factory)
     target = observation if observation is not None else litmus.observation
     handles = encoded.observation_equals(target)
     allowed = bool(encoded.solve(assumptions=handles))
     stats = encoded.solver_stats
     return LitmusOutcome(
         allowed=allowed,
-        backend=encoded.backend_name or "internal",
+        backend=encoded.backend_name,
         solver_stats=stats.copy() if stats is not None else None,
         order=encoded.stats.order_dict(),
     )
@@ -317,22 +312,17 @@ def observation_allowed(
     litmus: LitmusTest,
     model: MemoryModel | str,
     observation: tuple[int, ...] | None = None,
-    backend_spec: str | None = None,
-    dense_order: bool | None = None,
-    simplify: bool | None = None,
+    backend_factory: BackendFactory | None = None,
 ) -> bool:
     """Is the litmus observation reachable under the given memory model?"""
     return observation_outcome(
-        litmus, model, observation, backend_spec=backend_spec,
-        dense_order=dense_order, simplify=simplify,
+        litmus, model, observation, backend_factory=backend_factory
     ).allowed
 
 
 def iriw_allowed(
     model: MemoryModel | str,
-    backend_spec: str | None = None,
-    dense_order: bool | None = None,
-    simplify: bool | None = None,
+    backend_factory: BackendFactory | None = None,
 ) -> bool:
     """Fig. 2: can the two readers observe the writes in opposite orders?
 
@@ -343,10 +333,7 @@ def iriw_allowed(
     litmus = _iriw()
     model = get_model(model)
     compiled = compiled_litmus(litmus)
-    encoded = encode_test(
-        compiled, model, backend_factory=make_backend_factory(backend_spec),
-        dense_order=dense_order, simplify=simplify,
-    )
+    encoded = encode_test(compiled, model, backend_factory=backend_factory)
     # Locate the r1a/r1b/r2a/r2b cells by their global layout position:
     # globals are x, y, r1a, r1b, r2a, r2b -> indices 1..6.
     layout = compiled.layout

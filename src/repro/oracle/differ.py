@@ -24,17 +24,12 @@ from dataclasses import dataclass, field
 from repro.encoding import encode_test
 from repro.encoding.testprogram import CompiledTest
 from repro.memorymodel.base import MemoryModel, get_model
-from repro.oracle.enumerator import (
-    INCONCLUSIVE,
-    OK,
-    OracleResult,
-    enumerate_outcomes,
-)
-from repro.sat.backend import make_backend_factory
+from repro.oracle.enumerator import INCONCLUSIVE, OK, enumerate_outcomes
+from repro.sat.backend import BackendFactory
 
 #: Canonical engine order: cheap operational engines first, SAT last (so
-#: the legacy "skip SAT when nothing conclusive to compare it against"
-#: gate keeps working).
+#: the "skip SAT when nothing conclusive to compare it against" gate can
+#: look at every other engine's result).
 ENGINES = ("enumerator", "rfcheck", "sat")
 
 #: What runs when no ``--engines`` is given: the historical two-way check.
@@ -72,10 +67,8 @@ class SatMiningOverflow(RuntimeError):
 def mine_sat_outcomes(
     compiled: CompiledTest,
     model: MemoryModel | str,
-    backend_spec: str | None = None,
+    backend_factory: BackendFactory | None = None,
     max_outcomes: int = 4096,
-    dense_order: bool | None = None,
-    simplify: bool | None = None,
 ) -> set[tuple[int, ...]]:
     """Enumerate every reachable observation vector from the SAT encoding.
 
@@ -84,10 +77,7 @@ def mine_sat_outcomes(
     exercises clause addition mid-solve.
     """
     model = get_model(model)
-    encoded = encode_test(
-        compiled, model, backend_factory=make_backend_factory(backend_spec),
-        dense_order=dense_order, simplify=simplify,
-    )
+    encoded = encode_test(compiled, model, backend_factory=backend_factory)
     outcomes: set[tuple[int, ...]] = set()
     encoded.expect_enumeration()
     while True:
@@ -134,21 +124,11 @@ class EngineResult:
 
 @dataclass
 class DifferentialReport:
-    """Result of one multi-engine comparison.
-
-    The legacy two-way surface (``oracle``, ``sat_outcomes``,
-    ``sat_overflow``, ``missing_from_sat``, ``missing_from_oracle``) is
-    preserved for existing callers; the general surface is
-    ``engine_results`` plus :meth:`pair_divergences`.
-    """
+    """Result of one multi-engine comparison: one :class:`EngineResult`
+    per selected engine, compared pairwise by :meth:`pair_divergences`."""
 
     name: str
     model: str
-    oracle: OracleResult | None = None
-    sat_outcomes: set[tuple[int, ...]] = field(default_factory=set)
-    #: Non-empty when SAT mining blew its outcome budget — the SAT-side
-    #: analogue of the oracle's budgets, equally inconclusive.
-    sat_overflow: str = ""
     engine_results: dict[str, EngineResult] = field(default_factory=dict)
 
     def _ordered(self) -> list[EngineResult]:
@@ -197,32 +177,6 @@ class DifferentialReport:
                         "only_in_second": sorted(only_second),
                     })
         return out
-
-    def _pair(self, a: str, b: str) -> tuple[EngineResult, EngineResult] | None:
-        first = self.engine_results.get(a)
-        second = self.engine_results.get(b)
-        if first is None or second is None or not (first.ok and second.ok):
-            return None
-        return first, second
-
-    @property
-    def missing_from_sat(self) -> set[tuple[int, ...]]:
-        """Outcomes the enumerator reaches but the encoding forbids
-        (an over-constrained / unsound-for-completeness encoder)."""
-        pair = self._pair("enumerator", "sat")
-        if pair is None:
-            return set()
-        return pair[0].outcomes - pair[1].outcomes
-
-    @property
-    def missing_from_oracle(self) -> set[tuple[int, ...]]:
-        """Outcomes the encoding allows but the enumerator never reaches
-        (an under-constrained encoder — the dangerous direction: FAIL
-        verdicts could be spurious, PASS verdicts silent misses)."""
-        pair = self._pair("enumerator", "sat")
-        if pair is None:
-            return set()
-        return pair[1].outcomes - pair[0].outcomes
 
     @property
     def diverged(self) -> bool:
@@ -279,13 +233,11 @@ def _run_rfcheck(compiled, model, *, max_steps, max_checks):
 def differential_check(
     compiled: CompiledTest,
     model: MemoryModel | str,
-    backend_spec: str | None = None,
+    backend_factory: BackendFactory | None = None,
     name: str | None = None,
     max_steps: int = 100_000,
     max_nodes: int = 400_000,
     max_outcomes: int = 4096,
-    dense_order: bool | None = None,
-    simplify: bool | None = None,
     engines=None,
     max_checks: int = 250_000,
 ) -> DifferentialReport:
@@ -310,7 +262,6 @@ def differential_check(
         oracle = enumerate_outcomes(
             compiled, model, max_steps=max_steps, max_nodes=max_nodes
         )
-        report.oracle = oracle
         report.engine_results["enumerator"] = EngineResult(
             engine="enumerator",
             status=oracle.status,
@@ -344,7 +295,7 @@ def differential_check(
             if key != "sat"
         ]
         if others and not any(result.ok for result in others):
-            # Nothing conclusive to compare against; the legacy gate.
+            # Nothing conclusive to compare against.
             report.engine_results["sat"] = EngineResult(
                 engine="sat",
                 status=INCONCLUSIVE,
@@ -354,11 +305,9 @@ def differential_check(
             started = time.perf_counter()
             try:
                 mined = mine_sat_outcomes(
-                    compiled, model, backend_spec=backend_spec,
-                    max_outcomes=max_outcomes, dense_order=dense_order,
-                    simplify=simplify,
+                    compiled, model, backend_factory=backend_factory,
+                    max_outcomes=max_outcomes,
                 )
-                report.sat_outcomes = mined
                 report.engine_results["sat"] = EngineResult(
                     engine="sat",
                     status=OK,
@@ -367,11 +316,10 @@ def differential_check(
                 )
             except SatMiningOverflow as exc:
                 # A budget breach, like the oracle's own: skip, don't error.
-                report.sat_overflow = f"SAT mining overflow: {exc}"
                 report.engine_results["sat"] = EngineResult(
                     engine="sat",
                     status=INCONCLUSIVE,
-                    reason=report.sat_overflow,
+                    reason=f"SAT mining overflow: {exc}",
                     seconds=time.perf_counter() - started,
                 )
     return report

@@ -5,8 +5,8 @@ Public surface:
 * :class:`repro.sat.cnf.CNF` — clause database.
 * :class:`repro.sat.solver.Solver` — incremental CDCL solver.
 * :class:`repro.sat.backend.SolverBackend` — pluggable solving backends
-  (:class:`repro.sat.backend.InternalBackend`,
-  :class:`repro.sat.backend.DimacsBackend`) plus the spec resolver
+  (:class:`repro.sat.backend.InternalBackend`, the IPASIR backends of
+  :mod:`repro.sat.ipasir`) plus the backend-stack factory
   :func:`repro.sat.backend.make_backend_factory`.
 * :class:`repro.sat.circuit.Circuit` / :class:`repro.sat.circuit.CnfLowering`
   — boolean circuits with Tseitin conversion.
@@ -22,13 +22,10 @@ Public surface:
 from repro.sat.cnf import CNF
 from repro.sat.solver import Solver, SolverStats, solve_cnf
 from repro.sat.backend import (
-    BackendError,
     BackendFactory,
-    DimacsBackend,
     InternalBackend,
     SolverBackend,
     default_backend_spec,
-    find_dimacs_solver,
     make_backend_factory,
 )
 from repro.sat.circuit import Circuit, CnfLowering
@@ -48,13 +45,10 @@ __all__ = [
     "Solver",
     "SolverStats",
     "solve_cnf",
-    "BackendError",
     "BackendFactory",
-    "DimacsBackend",
     "InternalBackend",
     "SolverBackend",
     "default_backend_spec",
-    "find_dimacs_solver",
     "make_backend_factory",
     "Circuit",
     "CnfLowering",

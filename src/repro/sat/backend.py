@@ -3,26 +3,16 @@
 The checker never talks to :class:`repro.sat.solver.Solver` directly any
 more; it goes through the :class:`SolverBackend` protocol, which captures
 the small solving surface the pipeline needs (grow variables, add clauses,
-solve under assumptions, read the model and statistics).  Two
-implementations are provided:
-
-* :class:`InternalBackend` — wraps the in-tree incremental CDCL solver;
-* :class:`DimacsBackend` — shells out to an external DIMACS solver found on
-  PATH (kissat, cadical, minisat, ...), re-exporting the clause database per
-  call; when no external solver is installed it falls back to the internal
-  solver (the fallback is visible in :attr:`DimacsBackend.name`).
+solve under assumptions, read the model and statistics).
+:class:`InternalBackend` wraps the in-tree incremental CDCL solver; the
+IPASIR backends of :mod:`repro.sat.ipasir` keep an external solver warm
+across calls.
 
 Backend choice is a string *spec* threaded through
 :class:`repro.core.checker.CheckOptions`, the CLI (``--solver``) and the
 ``CHECKFENCE_SOLVER`` environment variable:
 
 * ``auto`` / ``internal`` — the internal CDCL solver (deterministic default);
-* ``dimacs`` — the first external DIMACS solver found on PATH, internal
-  fallback when none is installed;
-* ``dimacs:<command>`` — a specific solver command, e.g.
-  ``dimacs:kissat -q`` or
-  ``dimacs:python -m repro.sat.dimacs_cli`` (the in-tree solver behind a
-  subprocess/DIMACS pipe, useful for differential testing);
 * ``ipasir`` — a persistent incremental external solver loaded as an
   IPASIR shared library (:mod:`repro.sat.ipasir`), auto-discovered via
   ``CHECKFENCE_IPASIR_LIB`` / known sonames, internal fallback when none
@@ -30,30 +20,25 @@ Backend choice is a string *spec* threaded through
 * ``ipasir:cli`` — the in-tree solver behind a persistent incremental
   subprocess pipe (``python -m repro.sat.dimacs_cli --incremental``);
 * ``ipasir:<path>`` — a specific IPASIR shared library file.
+
+:func:`make_backend_factory` turns a spec into a factory of fresh backend
+*stacks*: it also decides whether the CNF preprocessor
+(:class:`repro.sat.simplify.SimplifyingBackend`) wraps the chosen backend,
+so that decision is made once, where the factory is built, and every
+layer below only ever receives the factory.
 """
 
 from __future__ import annotations
 
 import os
-import shlex
-import shutil
-import subprocess
-import tempfile
 from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
-from repro.core import faults, limits
+from repro.core import faults
 from repro.sat.cnf import CNF
+from repro.sat.simplify import SimplifyingBackend, simplify_enabled
 from repro.sat.solver import Solver, SolverStats
 
 BackendFactory = Callable[[], "SolverBackend"]
-
-SAT_EXIT_CODE = 10
-UNSAT_EXIT_CODE = 20
-
-
-class BackendError(RuntimeError):
-    """An external solver failed or produced unparseable output."""
-
 
 @runtime_checkable
 class SolverBackend(Protocol):
@@ -145,276 +130,6 @@ class InternalBackend:
         return self.solver.total_stats
 
 
-#: External solvers probed on PATH, in order of preference, with their
-#: output style: "stdout" solvers print ``s``/``v`` lines, "minisat" style
-#: solvers write the result into an output file given as a second argument.
-_KNOWN_SOLVERS: tuple[tuple[str, str], ...] = (
-    ("kissat", "stdout"),
-    ("cadical", "stdout"),
-    ("cryptominisat5", "stdout"),
-    ("picosat", "stdout"),
-    ("minisat", "minisat"),
-)
-
-
-def find_dimacs_solver() -> tuple[list[str], str] | None:
-    """Locate an external DIMACS solver on PATH; ``(command, style)``."""
-    for name, style in _KNOWN_SOLVERS:
-        path = shutil.which(name)
-        if path is not None:
-            return [path], style
-    return None
-
-
-class DimacsBackend:
-    """Solve by exporting DIMACS to an external solver process.
-
-    The external process is stateless, so every :meth:`solve` re-exports the
-    clause database (assumptions become temporary unit clauses).  When no
-    command is given and nothing suitable is on PATH, the backend degrades
-    to :class:`InternalBackend` so callers never have to special-case
-    missing solvers; the degradation is visible in :attr:`name`.
-    """
-
-    def __init__(
-        self,
-        command: Sequence[str] | None = None,
-        style: str | None = None,
-        fallback: bool = True,
-    ) -> None:
-        self._fallback: InternalBackend | None = None
-        if command is None:
-            found = find_dimacs_solver()
-            if found is None:
-                if not fallback:
-                    raise BackendError(
-                        "no external DIMACS solver found on PATH "
-                        f"(tried {', '.join(n for n, _ in _KNOWN_SOLVERS)})"
-                    )
-                self._fallback = InternalBackend()
-                self.name = "dimacs(fallback:internal)"
-                return
-            command, detected_style = found
-            style = style or detected_style
-        self._command = list(command)
-        self._style = style or "stdout"
-        self.name = f"dimacs({os.path.basename(self._command[0])})"
-        self._num_vars = 0
-        self._clauses: list[tuple[int, ...]] = []
-        self._unsat = False
-        self._model: dict[int, bool] = {}
-        self._failed: list[int] = []
-        self._last_result: bool | None = None
-
-    # ----------------------------------------------------------- clause I/O
-
-    def ensure_vars(self, num_vars: int) -> None:
-        if self._fallback is not None:
-            self._fallback.ensure_vars(num_vars)
-            return
-        self._num_vars = max(self._num_vars, num_vars)
-
-    def add_clause(self, literals: Iterable[int]) -> bool:
-        if self._fallback is not None:
-            return self._fallback.add_clause(literals)
-        clause = tuple(literals)
-        for lit in clause:
-            if lit == 0:
-                raise BackendError("0 is not a valid literal")
-            self._num_vars = max(self._num_vars, abs(lit))
-        if not clause:
-            self._unsat = True
-            return False
-        self._clauses.append(clause)
-        return True
-
-    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> bool:
-        if self._fallback is not None:
-            return self._fallback.add_clauses(clauses)
-        ok = True
-        for clause in clauses:
-            ok = self.add_clause(clause) and ok
-        return ok
-
-    def add_cnf(self, cnf: CNF) -> None:
-        self.ensure_vars(cnf.num_vars)
-        self.add_clauses(cnf.clauses)
-
-    def freeze(self, variables: Iterable[int]) -> None:
-        """No-op: the DIMACS export keeps every variable (see
-        :meth:`InternalBackend.freeze`)."""
-        if self._fallback is not None:
-            self._fallback.freeze(variables)
-
-    # -------------------------------------------------------------- solving
-
-    def solve(
-        self,
-        assumptions: Sequence[int] = (),
-        conflict_limit: int | None = None,
-    ) -> bool | None:
-        if self._fallback is not None:
-            return self._fallback.solve(
-                assumptions=assumptions, conflict_limit=conflict_limit
-            )
-        # conflict_limit is a budget hint for the internal solver; external
-        # solvers run to completion — unless a deadline is in scope, in
-        # which case the subprocess gets the remaining wall-clock as its
-        # timeout and is killed on expiry.
-        self._model = {}
-        self._failed = []
-        self._last_result = None
-        if self._unsat:
-            self._last_result = False
-            return False
-        deadline = limits.active_deadline()
-        remaining = None
-        if deadline is not None:
-            deadline.check()
-            remaining = deadline.remaining()
-        with tempfile.TemporaryDirectory(prefix="checkfence-dimacs-") as tmp:
-            problem = os.path.join(tmp, "problem.cnf")
-            self._write_problem(problem, assumptions)
-            command = self._command + [problem]
-            result_file = None
-            if self._style == "minisat":
-                result_file = os.path.join(tmp, "result.txt")
-                command.append(result_file)
-            try:
-                proc = subprocess.run(
-                    command, capture_output=True, text=True, check=False,
-                    timeout=remaining,
-                )
-            except subprocess.TimeoutExpired as exc:
-                # subprocess.run has already killed the solver process.
-                raise limits.TimeoutExceeded(
-                    f"external solver {self._command[0]!r} killed after "
-                    f"{exc.timeout:.1f}s (deadline expired)"
-                ) from exc
-            except FileNotFoundError as exc:
-                raise BackendError(
-                    f"solver binary {self._command[0]!r} not found "
-                    f"(searched PATH: {os.environ.get('PATH', '')!r}); "
-                    "install it, use --solver dimacs:<command> with a "
-                    "command that exists, or fall back to --solver internal"
-                ) from exc
-            except OSError as exc:
-                raise BackendError(
-                    f"failed to run {self._command[0]!r}: {exc}"
-                ) from exc
-            output = proc.stdout
-            from_result_file = False
-            if result_file is not None and os.path.exists(result_file):
-                with open(result_file, "r", encoding="utf-8") as handle:
-                    output = handle.read()
-                from_result_file = True
-            result = self._parse_result(
-                proc.returncode, output, proc.stderr, from_result_file
-            )
-            if result is False:
-                # The DIMACS interchange carries no failed-assumption
-                # information, so the whole assumption set is the
-                # (conservative but sound) core.
-                self._failed = list(assumptions)
-            self._last_result = result
-            return result
-
-    def _write_problem(self, path: str, assumptions: Sequence[int]) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(
-                f"p cnf {self._num_vars} "
-                f"{len(self._clauses) + len(assumptions)}\n"
-            )
-            for clause in self._clauses:
-                handle.write(" ".join(str(lit) for lit in clause) + " 0\n")
-            for lit in assumptions:
-                handle.write(f"{lit} 0\n")
-
-    def _parse_result(
-        self,
-        returncode: int,
-        output: str,
-        stderr: str,
-        from_result_file: bool = False,
-    ) -> bool:
-        status: bool | None = None
-        literals: list[int] = []
-        for line in output.splitlines():
-            line = line.strip()
-            if line.startswith("s "):
-                verdict = line[2:].strip().upper()
-                if verdict == "SATISFIABLE":
-                    status = True
-                elif verdict == "UNSATISFIABLE":
-                    status = False
-            elif line == "SAT":  # minisat result-file format
-                status = True
-            elif line == "UNSAT":
-                status = False
-            elif line.startswith("v "):
-                literals.extend(int(tok) for tok in line[2:].split())
-            elif (
-                from_result_file
-                and status is True
-                and line
-                and line[0] in "-0123456789"
-            ):
-                # Only minisat result files put the model on a bare line;
-                # stdout solvers may print digit-leading stats lines that
-                # must not be mistaken for a model.
-                literals.extend(int(tok) for tok in line.split())
-        if status is None:
-            if returncode == SAT_EXIT_CODE:
-                status = True
-            elif returncode == UNSAT_EXIT_CODE:
-                status = False
-            else:
-                raise BackendError(
-                    f"solver {self._command[0]!r} produced no verdict "
-                    f"(exit code {returncode}): {stderr.strip() or output.strip()!r}"
-                )
-        if status:
-            model = {var: False for var in range(1, self._num_vars + 1)}
-            for lit in literals:
-                if lit != 0:
-                    model[abs(lit)] = lit > 0
-            self._model = model
-        return status
-
-    def failed_assumptions(self) -> list[int]:
-        """Conservative core: the DIMACS interchange format carries no
-        failed-assumption information, so after an UNSAT solve this is the
-        full assumption set of that solve (a sound over-approximation).
-        The internal fallback reports its real (smaller) core.  Empty
-        unless the most recent solve actually returned UNSAT — guarded by
-        the recorded result, not just the reset-on-solve, so a solver-error
-        path can never leak a stale core."""
-        if self._fallback is not None:
-            return self._fallback.failed_assumptions()
-        if self._last_result is not False:
-            return []
-        return list(self._failed)
-
-    def model(self) -> dict[int, bool]:
-        if self._fallback is not None:
-            return self._fallback.model()
-        return dict(self._model)
-
-    def values_of(self, variables: Iterable[int]) -> dict[int, bool]:
-        if self._fallback is not None:
-            return self._fallback.values_of(variables)
-        model = self._model
-        return {var: model.get(var, False) for var in variables}
-
-    def stats(self) -> SolverStats | None:
-        """External solvers do not report counters in a common format, so
-        this is None (counters unavailable) unless the internal fallback is
-        active, which reports its real numbers."""
-        if self._fallback is not None:
-            return self._fallback.stats()
-        return None
-
-
 # ----------------------------------------------------------- spec resolution
 
 
@@ -423,16 +138,30 @@ def default_backend_spec() -> str:
     return os.environ.get("CHECKFENCE_SOLVER", "auto")
 
 
-def make_backend_factory(spec: str | None = None) -> BackendFactory:
-    """Turn a backend spec string into a factory of fresh backends.
+def make_backend_factory(
+    spec: str | None = None, simplify: bool | None = None
+) -> BackendFactory:
+    """Turn a backend spec string into a factory of fresh backend stacks.
 
-    When the ``solver-raise`` fault (:mod:`repro.core.faults`) is armed,
-    every produced backend is wrapped in a counting proxy that raises on
-    the injected solve calls; the hot path pays nothing otherwise.
+    Each produced stack is, innermost first: the backend ``spec`` names;
+    the counting proxy of the ``solver-raise`` fault
+    (:mod:`repro.core.faults`) when that fault is armed, so the hot path
+    pays nothing otherwise; and the CNF preprocessor unless ``simplify``
+    resolves off (``None`` defers to ``CHECKFENCE_SIMPLIFY``, see
+    :func:`repro.sat.simplify.simplify_enabled`).
     """
-    factory = _resolve_backend_factory(spec)
-    if faults.solver_raise_counts():
-        return lambda: faults.FaultySolverProxy(factory())
+    resolve = _resolve_backend_factory(spec)
+    inject_faults = bool(faults.solver_raise_counts())
+    preprocess = simplify_enabled(simplify)
+
+    def factory() -> SolverBackend:
+        backend = resolve()
+        if inject_faults:
+            backend = faults.FaultySolverProxy(backend)
+        if preprocess:
+            backend = SimplifyingBackend(backend)
+        return backend
+
     return factory
 
 
@@ -441,13 +170,6 @@ def _resolve_backend_factory(spec: str | None = None) -> BackendFactory:
     spec = spec.strip()
     if spec in ("", "auto", "internal"):
         return InternalBackend
-    if spec == "dimacs":
-        return DimacsBackend
-    if spec.startswith("dimacs:"):
-        command = shlex.split(spec[len("dimacs:"):])
-        if not command:
-            raise ValueError(f"empty solver command in spec {spec!r}")
-        return lambda: DimacsBackend(command=command)
     if spec == "ipasir" or spec.startswith("ipasir:"):
         # Imported lazily: repro.sat.ipasir imports from this module's
         # sibling (solver stats) and is only needed for these specs.
@@ -470,6 +192,5 @@ def _resolve_backend_factory(spec: str | None = None) -> BackendFactory:
         return lambda: ipasir_module.IpasirBackend(argument)
     raise ValueError(
         f"unknown solver backend spec {spec!r} "
-        "(expected auto, internal, dimacs, dimacs:<command>, "
-        "ipasir, ipasir:cli, or ipasir:<path>)"
+        "(expected auto, internal, ipasir, ipasir:cli, or ipasir:<path>)"
     )

@@ -15,11 +15,8 @@ solver (and therefore its learned clauses) across queries:
   ``f <lit> ... 0`` failed-assumption core line (UNSAT);
 * ``q`` — quit.
 
-This gives :class:`repro.sat.backend.DimacsBackend` a solver process that is
-always available, so the subprocess/DIMACS interchange path can be exercised
-(and differentially tested) even on machines without minisat/kissat/cadical —
-and gives :class:`repro.sat.ipasir.IncrementalPipeBackend` an incremental
-subprocess solver that works without any system SAT library installed.
+The incremental mode gives :class:`repro.sat.ipasir.IncrementalPipeBackend`
+a subprocess solver that works without any system SAT library installed.
 """
 
 from __future__ import annotations

@@ -52,8 +52,9 @@ solver never sees a literal the preprocessor already resolved.
 :class:`SimplifyingBackend` wraps any :class:`repro.sat.backend`
 backend with this machinery and additionally *compacts* the variable
 space: surviving variables are renumbered densely for the inner solver,
-which shrinks both the internal solver's per-variable structures and the
-DIMACS files shipped to external solvers.
+which shrinks the inner solver's per-variable structures.
+:func:`repro.sat.backend.make_backend_factory` decides whether a backend
+stack includes it.
 
 Economics: the pipeline is pure Python, so on small formulas it costs
 more than the solver work it saves.  The backend therefore *engages* only

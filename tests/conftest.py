@@ -3,33 +3,12 @@
 from __future__ import annotations
 
 import os
-import sys
 from pathlib import Path
 
 import pytest
 
 #: Absolute path of the in-tree package root.
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-
-#: The always-available DIMACS solver command: the in-tree solver behind a
-#: competition-format subprocess pipe.
-DIMACS_CLI_COMMAND = [sys.executable, "-m", "repro.sat.dimacs_cli"]
-
-#: The same command as a ``--solver`` / backend spec string.
-DIMACS_CLI_SPEC = "dimacs:" + " ".join(DIMACS_CLI_COMMAND)
-
-
-@pytest.fixture
-def dimacs_cli_command():
-    """The in-tree DIMACS solver command, for DimacsBackend(command=...)."""
-    return list(DIMACS_CLI_COMMAND)
-
-
-@pytest.fixture
-def dimacs_cli_spec():
-    """The in-tree DIMACS solver as a backend spec string."""
-    return DIMACS_CLI_SPEC
-
 
 @pytest.fixture
 def drop_same_address_axiom(monkeypatch):

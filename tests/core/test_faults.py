@@ -57,28 +57,12 @@ class TestActiveFaults:
         monkeypatch.delenv(faults.FAULT_ENV)
         assert not faults.store_io_active()
 
-    def test_legacy_crash_env_folds_to_always_crash(self, monkeypatch):
-        monkeypatch.delenv(faults.FAULT_ENV, raising=False)
-        monkeypatch.setenv(faults.LEGACY_CRASH_ENV, "a/b@c,d/e@f")
-        attempts = faults.crash_attempts()
-        assert set(attempts) == {"a/b@c", "d/e@f"}
-        # Big enough to out-last any retry budget: legacy semantics are
-        # "crash every attempt".
-        assert all(bound > 100 for bound in attempts.values())
-
-    def test_legacy_interrupt_env_folds_in(self, monkeypatch):
-        monkeypatch.delenv(faults.FAULT_ENV, raising=False)
-        monkeypatch.setenv(faults.LEGACY_INTERRUPT_ENV, "a/b@c")
-        assert faults.interrupt_cells() == {"a/b@c"}
-
     def test_helpers_filter_by_kind(self, monkeypatch):
         monkeypatch.setenv(
             faults.FAULT_ENV,
             "worker-crash:x/y@z:2,worker-hang:p/q@r,cell-timeout:t/u@v,"
             "solver-raise:3,solver-raise:7",
         )
-        monkeypatch.delenv(faults.LEGACY_CRASH_ENV, raising=False)
-        monkeypatch.delenv(faults.LEGACY_INTERRUPT_ENV, raising=False)
         assert faults.crash_attempts() == {"x/y@z": 2}
         assert faults.hang_attempts() == {"p/q@r": 1}
         assert faults.timeout_cells() == {"t/u@v"}

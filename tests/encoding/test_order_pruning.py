@@ -1,15 +1,13 @@
 """The conflict-aware (pruned) memory-order encoding.
 
-Three layers of protection for the rewrite of ``repro.encoding.memory``:
+Two layers of protection for ``repro.encoding.memory`` (the outcome sets
+themselves are checked against the operational enumerator in
+``tests/oracle/test_catalog_oracle.py``):
 
 * **size regression ceilings** — order-variable and transitivity-clause
   counts of representative catalog tests are pinned to ceilings, so the
   static resolution / conflict restriction / pruned transitivity cannot
-  silently regress back toward the dense construction;
-* **dense-vs-pruned differential** — the mined outcome set of every litmus
-  catalog test under every memory model must be identical under both
-  constructions (the operational oracle covers the same ground in
-  ``tests/oracle/``; this covers the dense encoder directly);
+  silently regress back toward the paper's dense construction;
 * **mechanics** — static resolution facts, constant-folded ``order()``,
   dead pairs, topological counterexample decoding, and the
   assumption-lowering/backend-sync ordering fix in ``EncodedTest.solve``.
@@ -19,16 +17,12 @@ import pytest
 
 from repro.datatypes.registry import category_of, get_implementation
 from repro.encoding import compile_test, encode_test
-from repro.encoding.memory import dense_order_enabled
 from repro.encoding.testprogram import INIT_THREAD
 from repro.harness.catalog import get_test
 from repro.litmus.catalog import available_litmus_tests, compiled_litmus
 from repro.lsl import Invocation, SymbolicTest
-from repro.memorymodel.base import available_models, get_model
+from repro.memorymodel.base import get_model
 from repro.sat.circuit import Circuit
-
-MODELS = ["serial", "sc", "tso", "pso", "relaxed"]
-
 
 def _compiled_catalog(implementation_name: str, test_name: str):
     implementation = get_implementation(implementation_name)
@@ -36,21 +30,10 @@ def _compiled_catalog(implementation_name: str, test_name: str):
     return compile_test(implementation, test)
 
 
-def _mine(encoded, limit=512):
-    outcomes = set()
-    while encoded.solve():
-        observation = encoded.decode_observation(encoded.model_values())
-        assert observation not in outcomes, "solver returned a blocked obs"
-        outcomes.add(observation)
-        encoded.block_observation(observation)
-        assert len(outcomes) <= limit
-    return outcomes
-
-
 class TestSizeCeilings:
     """Pinned ceilings (~15% above the current values) so pruning quality
-    cannot silently regress; the dense construction would blow every one
-    of them by a wide margin."""
+    cannot silently regress; the paper's dense construction would blow
+    every one of them by a wide margin."""
 
     #: (implementation, test, model) -> (max order vars, max transitivity
     #: clauses, max total CNF clauses).  Dense values for comparison:
@@ -72,7 +55,6 @@ class TestSizeCeilings:
         encoded = encode_test(
             _compiled_catalog(implementation, test_name),
             get_model(model),
-            dense_order=False,
         )
         stats = encoded.stats
         assert stats.order_vars <= max_vars
@@ -87,62 +69,28 @@ class TestSizeCeilings:
         variables, yet totality still forbids the Fig. 2 outcome (checked
         functionally in tests/litmus)."""
         compiled = compiled_litmus(available_litmus_tests()["iriw-fenced"])
-        encoded = encode_test(compiled, get_model("relaxed"), dense_order=False)
+        encoded = encode_test(compiled, get_model("relaxed"))
         assert encoded.stats.order_pairs == 45
         assert encoded.stats.order_vars <= 10
         assert encoded.stats.cnf_clauses <= 100
 
     def test_transitivity_never_exceeds_a_third_of_dense(self):
-        """Two clauses per unordered triangle vs six per ordered triple:
-        even a fully live support graph stays under dense/3."""
-        compiled = _compiled_catalog("msn", "T0")
-        model = get_model("relaxed")
-        pruned = encode_test(compiled, model, dense_order=False)
-        dense = encode_test(compiled, model, dense_order=True)
-        assert pruned.stats.transitivity_clauses * 3 <= (
-            dense.stats.transitivity_clauses
+        """Two clauses per unordered triangle vs the dense construction's
+        one per ordered triple of distinct accesses, n(n-1)(n-2): even a
+        fully live support graph stays under a third of that."""
+        encoded = encode_test(
+            _compiled_catalog("msn", "T0"), get_model("relaxed")
         )
-
-
-class TestDenseVsPrunedDifferential:
-    """Identical mined outcome sets across the litmus catalog x all models."""
-
-    @pytest.mark.parametrize("model", MODELS)
-    def test_litmus_catalog_outcome_sets_match(self, model):
-        for name, litmus in available_litmus_tests().items():
-            compiled = compiled_litmus(litmus)
-            dense = _mine(encode_test(compiled, get_model(model),
-                                      dense_order=True))
-            pruned = _mine(encode_test(compiled, get_model(model),
-                                       dense_order=False))
-            assert dense == pruned, (
-                f"{name} @ {model}: dense-only {sorted(dense - pruned)}, "
-                f"pruned-only {sorted(pruned - dense)}"
-            )
-
-    def test_catalog_check_verdict_matches(self):
-        """A full checker run (spec mining + assertion + inclusion) agrees
-        on a known-failing cell: msn-unfenced/T0 fails Relaxed both ways."""
-        from repro.core.checker import CheckFence, CheckOptions
-
-        verdicts = {}
-        for dense in (False, True):
-            checker = CheckFence(
-                get_implementation("msn-unfenced"),
-                CheckOptions(dense_order=dense),
-            )
-            result = checker.check(get_test("queue", "T0"), "relaxed")
-            verdicts[dense] = result.passed
-            assert result.stats.dense_order == dense
-        assert verdicts[False] == verdicts[True] == False  # noqa: E712
+        n = encoded.stats.accesses
+        assert encoded.stats.transitivity_clauses * 3 <= n * (n - 1) * (n - 2)
 
 
 class TestStaticResolution:
-    def _encoded(self, model_name, dense=False):
+    def _encoded(self, model_name):
         compiled = compiled_litmus(
             available_litmus_tests()["message-passing"]
         )
-        return encode_test(compiled, get_model(model_name), dense_order=dense)
+        return encode_test(compiled, get_model(model_name))
 
     def test_preserved_program_order_is_constant(self):
         encoded = self._encoded("sc")
@@ -160,8 +108,7 @@ class TestStaticResolution:
     def test_init_accesses_are_statically_first(self):
         # msn/T0 initializes the queue on the init thread.
         encoded = encode_test(
-            _compiled_catalog("msn", "T0"), get_model("relaxed"),
-            dense_order=False,
+            _compiled_catalog("msn", "T0"), get_model("relaxed")
         )
         order = encoded.order
         position = {a.index: i for i, a in enumerate(order.accesses)}
@@ -203,8 +150,7 @@ class TestStaticResolution:
             threads=[[Invocation("sx")], [Invocation("sy")]],
         )
         encoded = encode_test(
-            compile_test(implementation, test), get_model("relaxed"),
-            dense_order=False,
+            compile_test(implementation, test), get_model("relaxed")
         )
         order = encoded.order
         position = {a.index: i for i, a in enumerate(order.accesses)}
@@ -214,25 +160,6 @@ class TestStaticResolution:
         assert order.resolved(i, j) is None
         with pytest.raises(KeyError):
             order.order(i, j)
-        # Dense mode keeps a variable for the same pair.
-        dense = encode_test(
-            compile_test(implementation, test), get_model("relaxed"),
-            dense_order=True,
-        )
-        positions = {
-            a.index: k for k, a in enumerate(dense.order.accesses)
-        }
-        i, j = (positions[a.index] for a in dense.order.accesses
-                if a.thread != INIT_THREAD)
-        assert dense.order.resolved(i, j) is not None
-
-    def test_dense_order_env_fallback(self, monkeypatch):
-        monkeypatch.delenv("CHECKFENCE_DENSE_ORDER", raising=False)
-        assert dense_order_enabled(None) is False
-        assert dense_order_enabled(True) is True
-        monkeypatch.setenv("CHECKFENCE_DENSE_ORDER", "1")
-        assert dense_order_enabled(None) is True
-        assert dense_order_enabled(False) is False
 
 
 class TestCounterexampleDecoding:
@@ -250,8 +177,7 @@ class TestCounterexampleDecoding:
         assert trace is not None and trace.steps
         # Re-encode and re-solve to get a model + decoding we can inspect.
         compiled = checker.compile(get_test("queue", "T0"), "relaxed")
-        encoded = encode_test(compiled, get_model("relaxed"),
-                              dense_order=False)
+        encoded = encode_test(compiled, get_model("relaxed"))
         assert encoded.solve()
         model = encoded.model_values()
         decoded = encoded.decode_memory_order(model)
@@ -270,27 +196,16 @@ class TestCounterexampleDecoding:
                 if ordered_before:
                     assert rank[x.index] < rank[y.index]
 
-    def test_dense_and_pruned_traces_have_same_step_multiset(self):
+    def test_trace_positions_are_contiguous(self):
         from repro.core.inclusion import run_inclusion_check
         from repro.core.specification import mine_specification
 
         compiled = _compiled_catalog("msn-unfenced", "T0")
-        model = get_model("relaxed")
         spec = mine_specification(compiled)
-        labels = {}
-        for dense in (False, True):
-            outcome = run_inclusion_check(
-                compiled, model, spec, dense_order=dense
-            )
-            assert not outcome.passed
-            trace = outcome.counterexample
-            labels[dense] = sorted(
-                (step.kind, step.location) for step in trace.steps
-            )
-            # Positions are contiguous whatever the construction.
-            assert [step.position for step in trace.steps] == list(
-                range(len(trace.steps))
-            )
+        outcome = run_inclusion_check(compiled, get_model("relaxed"), spec)
+        assert not outcome.passed
+        steps = outcome.counterexample.steps
+        assert [step.position for step in steps] == list(range(len(steps)))
 
 
 class TestSolveSyncRegression:
@@ -300,9 +215,7 @@ class TestSolveSyncRegression:
 
     def _encoded(self):
         litmus = available_litmus_tests()["store-buffering"]
-        return encode_test(
-            compiled_litmus(litmus), get_model("serial"), dense_order=False
-        )
+        return encode_test(compiled_litmus(litmus), get_model("serial"))
 
     def test_fresh_composite_assumption_after_first_solve(self):
         encoded = self._encoded()
@@ -336,61 +249,3 @@ class TestSolveSyncRegression:
         assert observed and observed[0] is True
         # ...and whatever it appended was synced again before solving.
         assert encoded._synced_clauses == len(encoded.cnf.clauses)
-
-
-class TestSessionDenseKnob:
-    def test_session_resolves_and_keys_on_the_knob(self):
-        from repro.core.checker import CheckOptions
-        from repro.core.session import CheckSession
-
-        implementation = get_implementation("msn")
-        test = get_test("queue", "T0")
-        dense_session = CheckSession(
-            implementation, CheckOptions(dense_order=True)
-        )
-        pruned_session = CheckSession(implementation, CheckOptions())
-        assert dense_session.dense_order is True
-        assert pruned_session.dense_order is False
-        dense_encoded = dense_session.encoded(test, "relaxed")
-        pruned_encoded = pruned_session.encoded(test, "relaxed")
-        assert dense_encoded.stats.dense_order is True
-        assert pruned_encoded.stats.dense_order is False
-        assert (
-            pruned_encoded.stats.cnf_clauses < dense_encoded.stats.cnf_clauses
-        )
-        key_dense = dense_session._encoded_key(test, get_model("relaxed"))
-        key_pruned = pruned_session._encoded_key(test, get_model("relaxed"))
-        assert key_dense != key_pruned
-
-    def test_litmus_matrix_forwards_the_knob(self):
-        """`checkfence litmus --dense-order` really runs the dense
-        construction (the knob is forwarded through the matrix cells)."""
-        from repro.core.checker import CheckOptions
-        from repro.harness.matrix import litmus_cells, run_matrix
-
-        cells = litmus_cells(["sc"])[:2]
-        dense = run_matrix(cells, options=CheckOptions(dense_order=True))
-        pruned = run_matrix(cells, options=CheckOptions())
-        assert dense.ok and pruned.ok
-        for dense_cell, pruned_cell in zip(dense.results, pruned.results):
-            assert dense_cell.stats["order"]["dense_order"] is True
-            assert pruned_cell.stats["order"]["dense_order"] is False
-            assert dense_cell.verdict == pruned_cell.verdict
-            assert (
-                pruned_cell.stats["order"]["cnf_clauses"]
-                <= dense_cell.stats["order"]["cnf_clauses"]
-            )
-
-    def test_all_models_agree_between_sessions(self):
-        """Full sweep verdicts match between a dense and a pruned session."""
-        from repro.core.checker import CheckOptions
-        from repro.core.session import CheckSession
-
-        implementation = get_implementation("msn")
-        test = get_test("queue", "T0")
-        models = [m for m in available_models()]
-        dense = CheckSession(implementation, CheckOptions(dense_order=True))
-        pruned = CheckSession(implementation, CheckOptions(dense_order=False))
-        dense_verdicts = [r.passed for r in dense.sweep(test, models)]
-        pruned_verdicts = [r.passed for r in pruned.sweep(test, models)]
-        assert dense_verdicts == pruned_verdicts

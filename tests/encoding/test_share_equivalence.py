@@ -1,11 +1,11 @@
-"""Encode-sharing preserves formulas, outcome sets, and verdicts.
+"""Skeleton reuse preserves formulas, outcome sets, and verdicts.
 
-The acceptance property of the shared-skeleton optimization: for any
-program and any memory model, encoding on a fork of the memoized
-model-independent skeleton produces exactly the same formula — clause for
-clause — as rebuilding from scratch, hence the same outcome sets and
-check verdicts.  Sharing and scratch run the identical construction
-sequence; these tests are the differential gate that keeps that true.
+The acceptance property of the shared-skeleton encoding: a per-model
+layer built on a fork of a skeleton that already served another memory
+model produces exactly the same formula — clause for clause — as the same
+layer on a freshly compiled test, hence the same outcome sets and check
+verdicts.  Every test here encodes model B after model A on one compiled
+test and compares it with model B alone on a fresh compile.
 """
 
 from __future__ import annotations
@@ -16,23 +16,34 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
+from repro.encoding import compile_test
 from repro.encoding.formula import encode_test
-from repro.fuzz import FuzzProgram, generate_program
+from repro.fuzz import generate_program
 from repro.memorymodel.base import get_model
 from repro.oracle.differ import mine_sat_outcomes
 
 MODELS = ["serial", "sc", "tso", "pso", "relaxed"]
 
 
-def _mine(compiled, model, share, monkeypatch):
-    monkeypatch.setenv("CHECKFENCE_SHARE_ENCODE", "1" if share else "0")
-    return mine_sat_outcomes(compiled, model)
+def _previous(model: str) -> str:
+    """The model encoded first on the reused skeleton."""
+    return MODELS[MODELS.index(model) - 1]
 
 
-def test_catalog_outcome_sets_identical_with_sharing(monkeypatch):
+def _mine_reused_and_fresh(compile_fresh, model):
+    """Outcome sets of ``model`` on a skeleton that already served another
+    model, and on a freshly compiled test."""
+    reused = compile_fresh()
+    mine_sat_outcomes(reused, _previous(model))
+    return mine_sat_outcomes(reused, model), mine_sat_outcomes(
+        compile_fresh(), model
+    )
+
+
+def test_catalog_outcome_sets_identical_on_reused_skeleton():
     """Real litmus shapes (fences, atomic blocks): the mined outcome set
-    under every model is identical shared vs scratch."""
-    from repro.litmus.catalog import available_litmus_tests, compiled_litmus
+    under every model is identical on a reused and a fresh skeleton."""
+    from repro.litmus.catalog import available_litmus_tests
 
     catalog = available_litmus_tests()
     for name in [
@@ -40,86 +51,76 @@ def test_catalog_outcome_sets_identical_with_sharing(monkeypatch):
         "message-passing+fences",
         "load-buffering",
     ]:
-        compiled = compiled_litmus(catalog[name])
+        litmus = catalog[name]
+
+        def compile_fresh():
+            return compile_test(litmus.implementation, litmus.symbolic_test())
+
         for model in MODELS:
-            scratch = _mine(compiled, model, False, monkeypatch)
-            shared = _mine(compiled, model, True, monkeypatch)
-            assert shared == scratch, f"{name} @ {model}"
+            reused, fresh = _mine_reused_and_fresh(compile_fresh, model)
+            assert reused == fresh, f"{name} @ {model}"
 
 
-def test_shared_and_scratch_formulas_have_identical_sizes():
-    """Clause and variable counts agree exactly — sharing replays the same
-    construction, it does not approximate it."""
+def test_reused_and_fresh_formulas_are_identical():
+    """Clause lists and variable counts agree exactly — the layer replays
+    the same construction on the fork, it does not approximate it."""
     from repro.datatypes.registry import get_implementation
-    from repro.core.session import CheckSession
     from repro.harness.catalog import get_test
 
-    session = CheckSession(get_implementation("msn"))
+    implementation = get_implementation("msn")
     test = get_test("queue", "T0")
     for model_name in MODELS:
         model = get_model(model_name)
-        compiled = session.compile(test, model)
-        scratch = encode_test(compiled, model, share_encode=False)
-        shared = encode_test(compiled, model, share_encode=True)
-        assert shared.cnf.num_clauses == scratch.cnf.num_clauses, model_name
-        assert shared.cnf.num_vars == scratch.cnf.num_vars, model_name
-        assert shared.stats.cnf_clauses == scratch.stats.cnf_clauses
-        assert shared.stats.order_pairs == scratch.stats.order_pairs
+        compiled = compile_test(implementation, test)
+        encode_test(compiled, get_model(_previous(model_name)))
+        reused = encode_test(compiled, model)
+        fresh = encode_test(compile_test(implementation, test), model)
+        assert reused.stats.skeleton_shared and not fresh.stats.skeleton_shared
+        assert reused.cnf.num_vars == fresh.cnf.num_vars, model_name
+        assert list(reused.cnf.clauses) == list(fresh.cnf.clauses), model_name
+        assert reused.stats.cnf_clauses == fresh.stats.cnf_clauses
+        assert reused.stats.order_pairs == fresh.stats.order_pairs
 
 
-def test_session_verdicts_identical_with_sharing():
+def test_session_verdicts_identical_with_reused_skeleton():
     """Full checks (assertion + inclusion query, counterexample decoding)
-    are verdict-identical shared vs scratch, including the FAIL direction."""
-    from repro.core.checker import CheckOptions, check
+    are verdict-identical between a session sweeping every model on one
+    skeleton and a fresh session per model, including the FAIL direction."""
+    from repro.core.session import CheckSession
     from repro.datatypes.registry import get_implementation
     from repro.harness.catalog import get_test
 
-    cases = [("msn", "T0"), ("msn-unfenced", "T0")]
-    for impl_name, test_name in cases:
+    test = get_test("queue", "T0")
+    for impl_name in ("msn", "msn-unfenced"):
         implementation = get_implementation(impl_name)
-        test = get_test("queue", test_name)
-        for model in MODELS:
-            scratch = check(
-                implementation, test, model,
-                CheckOptions(share_encode=False),
-            )
-            shared = check(
-                implementation, test, model,
-                CheckOptions(share_encode=True),
-            )
-            assert shared.passed == scratch.passed, (impl_name, model)
+        swept = CheckSession(implementation).sweep(test, MODELS)
+        for model, reused in zip(MODELS, swept):
+            fresh = CheckSession(implementation).check(test, model)
+            assert reused.passed == fresh.passed, (impl_name, model)
             assert (
-                shared.stats.cnf_clauses == scratch.stats.cnf_clauses
+                reused.stats.cnf_clauses == fresh.stats.cnf_clauses
             ), (impl_name, model)
             assert (
-                shared.specification.observations
-                == scratch.specification.observations
+                reused.specification.observations
+                == fresh.specification.observations
             )
-            if not scratch.passed:
-                assert shared.counterexample is not None
+            if not fresh.passed:
+                assert reused.counterexample is not None
                 assert (
-                    shared.counterexample.observation
-                    not in scratch.specification
+                    reused.counterexample.observation
+                    not in fresh.specification
                 )
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
-def test_sharing_preserves_outcome_sets_on_fuzz_programs(seed):
+def test_reuse_preserves_outcome_sets_on_fuzz_programs(seed):
     """Property form over generated litmus programs (relaxed model — the
     one where every reordering axiom is live)."""
-    import os
-
     program = generate_program(random.Random(seed))
-    compiled = program.compile()
     for model in ("sc", "relaxed"):
-        os.environ["CHECKFENCE_SHARE_ENCODE"] = "0"
-        try:
-            scratch = mine_sat_outcomes(compiled, model)
-        finally:
-            os.environ["CHECKFENCE_SHARE_ENCODE"] = "1"
-        shared = mine_sat_outcomes(compiled, model)
-        assert shared == scratch, f"{program.spec()} @ {model}"
+        reused, fresh = _mine_reused_and_fresh(program.compile, model)
+        assert reused == fresh, f"{program.spec()} @ {model}"
 
 
 _DETERMINISM_SNIPPET = """\
@@ -134,7 +135,7 @@ test = get_test("queue", "T0")
 for model_name in ["sc", "tso", "relaxed"]:
     model = get_model(model_name)
     compiled = session.compile(test, model)
-    encoded = encode_test(compiled, model, share_encode=True)
+    encoded = encode_test(compiled, model)
     print(model_name, encoded.cnf.num_vars, encoded.cnf.num_clauses,
           encoded.stats.skeleton_shared)
 """

@@ -121,8 +121,9 @@ class TestFuzzCells:
         matrix = run_matrix(fuzz_cells(["x=1 r0=y | y=1 r1=x"], ["sc"]))
         assert matrix.ok
         assert matrix.results[0].verdict == "agree"
-        assert matrix.results[0].stats["oracle_outcomes"] == 3
-        assert matrix.results[0].stats["sat_outcomes"] == 3
+        engines = matrix.results[0].stats["engines"]
+        assert engines["enumerator"]["outcomes"] == 3
+        assert engines["sat"]["outcomes"] == 3
 
 
 class TestMutationDetection:
@@ -140,7 +141,11 @@ class TestMutationDetection:
         for divergence in result.divergences:
             # Shrunk reproducers stay replayable and still diverge.
             assert FuzzProgram.parse(divergence.shrunk_spec)
-            assert divergence.missing_from_oracle or divergence.missing_from_sat
+            assert divergence.pairs
+            assert all(
+                pair["only_in_first"] or pair["only_in_second"]
+                for pair in divergence.pairs
+            )
 
     def test_shrinker_minimizes(self, drop_same_address_axiom):
         program = FuzzProgram.parse("y=2 x=1 x=2 f(ss) | r0=x f(ll) r1=x r2=y")

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.fuzz import FuzzProgram, generate_program
 from repro.oracle.differ import mine_sat_outcomes
+from repro.sat.backend import make_backend_factory
 
 MODELS = ["serial", "sc", "tso", "pso", "relaxed"]
 
@@ -43,15 +44,23 @@ def random_program(seed: int) -> FuzzProgram:
     return generate_program(random.Random(seed))
 
 
+def mine(compiled, model, simplify: bool):
+    """Mine ``compiled`` with the preprocessor on or off in the stack."""
+    return mine_sat_outcomes(
+        compiled, model,
+        backend_factory=make_backend_factory(simplify=simplify),
+    )
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_simplification_preserves_outcome_sets(seed):
     program = random_program(seed)
     compiled = program.compile()
     for model in MODELS:
-        plain = mine_sat_outcomes(compiled, model, simplify=False)
+        plain = mine(compiled, model, simplify=False)
         with forced_simplification():
-            simplified = mine_sat_outcomes(compiled, model, simplify=True)
+            simplified = mine(compiled, model, simplify=True)
         assert simplified == plain, (
             f"{program.spec()} @ {model}: simplify-on mined {simplified}, "
             f"simplify-off mined {plain}"
@@ -66,11 +75,9 @@ def test_catalog_outcome_sets_identical_under_simplification():
     for name in ["store-buffering", "message-passing+fences", "load-buffering"]:
         compiled = compiled_litmus(catalog[name])
         for model in MODELS:
-            plain = mine_sat_outcomes(compiled, model, simplify=False)
+            plain = mine(compiled, model, simplify=False)
             with forced_simplification():
-                simplified = mine_sat_outcomes(
-                    compiled, model, simplify=True
-                )
+                simplified = mine(compiled, model, simplify=True)
             assert simplified == plain, f"{name} @ {model}"
 
 

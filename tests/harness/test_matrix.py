@@ -5,10 +5,9 @@ import json
 import pytest
 
 from repro.core.checker import CheckOptions
+from repro.core.faults import FAULT_ENV
 from repro.harness.matrix import (
     CATALOG_KIND,
-    CRASH_ENV,
-    INTERRUPT_ENV,
     LITMUS_KIND,
     CellResult,
     MatrixCell,
@@ -23,6 +22,12 @@ from repro.harness.runner import catalog_matrix, model_sweep
 
 def _verdicts(matrix):
     return [(r.cell.key, r.verdict) for r in matrix.results]
+
+
+def _crash_every_attempt(cells) -> str:
+    """A CHECKFENCE_FAULT value crashing the workers holding ``cells`` on
+    every attempt the default retry budget allows."""
+    return ",".join(f"worker-crash:{cell.key}:99" for cell in cells)
 
 
 class TestCells:
@@ -116,6 +121,26 @@ class TestLitmusMatrix:
         assert by_name["store-buffering"] == "forbidden"
         assert matrix.ok  # litmus cells never "fail"
 
+    def test_cells_forward_the_solver_stack(self, monkeypatch):
+        """Litmus and catalog cells build their backend from the matrix
+        options, so ``--no-simplify`` reaches both; the recorded backend
+        names the stack that ran, and the verdicts do not depend on it."""
+        monkeypatch.setenv("CHECKFENCE_SIMPLIFY_MIN_CLAUSES", "0")
+        cells = litmus_cells(["sc", "relaxed"])[:4] + catalog_cells(
+            ["msn"], models=["sc"], tests=["T0"]
+        )
+        on, off = [
+            run_matrix(cells, jobs=1, options=CheckOptions(
+                solver_backend="internal", simplify=flag
+            ))
+            for flag in (True, False)
+        ]
+        assert {r.stats["backend"] for r in on.results} == {
+            "simplify+internal"
+        }
+        assert {r.stats["backend"] for r in off.results} == {"internal"}
+        assert _verdicts(on) == _verdicts(off)
+
 
 class TestCatalogMatrix:
     def test_serial_matches_parallel_on_catalog_cells(self):
@@ -185,12 +210,12 @@ class TestWorkerCrash:
     ):
         cells = litmus_cells(["relaxed"])
         victim = cells[2]
-        monkeypatch.setenv(CRASH_ENV, victim.key)
+        monkeypatch.setenv(FAULT_ENV, _crash_every_attempt([victim]))
         matrix = run_matrix(cells, jobs=2)
         assert not matrix.ok
         by_key = {r.cell.key: r for r in matrix.results}
         crashed = by_key[victim.key]
-        # The legacy env crashes every attempt, so the cell exhausts its
+        # The fault crashes every attempt, so the cell exhausts its
         # retries and is quarantined with the first-class CRASHED verdict
         # (not ERROR: the harness ran fine, the worker died).
         assert crashed.verdict == "CRASHED"
@@ -204,7 +229,7 @@ class TestWorkerCrash:
         """When every worker dies, remaining shards are reported as lost
         instead of the run hanging on a queue that will never fill."""
         cells = litmus_cells(["sc", "tso", "pso", "relaxed"])
-        monkeypatch.setenv(CRASH_ENV, ",".join(cell.key for cell in cells))
+        monkeypatch.setenv(FAULT_ENV, _crash_every_attempt(cells))
         matrix = run_matrix(cells, jobs=2)
         assert not matrix.ok
         assert len(matrix.degraded) == len(cells)
@@ -217,16 +242,16 @@ class TestWorkerCrash:
 class TestInterrupt:
     """Ctrl-C during a matrix run must tear the pool down, not orphan it.
 
-    The INTERRUPT_ENV hook raises KeyboardInterrupt in the parent the
-    moment the chosen cell's result is recorded — the deterministic stand-
-    in for a user interrupt mid-run.
+    The ``interrupt:<key>`` fault raises KeyboardInterrupt in the parent
+    the moment the chosen cell's result is recorded — the deterministic
+    stand-in for a user interrupt mid-run.
     """
 
     def test_parallel_interrupt_terminates_workers(self, monkeypatch):
         import multiprocessing
 
         cells = litmus_cells(["sc", "relaxed"])
-        monkeypatch.setenv(INTERRUPT_ENV, cells[1].key)
+        monkeypatch.setenv(FAULT_ENV, f"interrupt:{cells[1].key}")
         before = {id(p) for p in multiprocessing.active_children()}
         with pytest.raises(KeyboardInterrupt):
             run_matrix(cells, jobs=2)
@@ -242,7 +267,7 @@ class TestInterrupt:
 
     def test_serial_interrupt_propagates(self, monkeypatch):
         cells = litmus_cells(["sc"])
-        monkeypatch.setenv(INTERRUPT_ENV, cells[0].key)
+        monkeypatch.setenv(FAULT_ENV, f"interrupt:{cells[0].key}")
         with pytest.raises(KeyboardInterrupt):
             run_matrix(cells, jobs=1)
 
@@ -251,7 +276,7 @@ class TestInterrupt:
         from repro.fuzz.generator import generate_corpus
 
         spec = generate_corpus(seed=5, budget=1)[0].spec()
-        monkeypatch.setenv(INTERRUPT_ENV, f"fuzz/{spec}@sc")
+        monkeypatch.setenv(FAULT_ENV, f"interrupt:fuzz/{spec}@sc")
         code = main([
             "fuzz", "--budget", "1", "--seed", "5", "--models", "sc",
             "--jobs", "1", "--quiet",

@@ -13,6 +13,7 @@ from repro.memorymodel import (
     get_model,
     is_stronger,
 )
+from repro.sat.backend import make_backend_factory
 
 
 class TestModelRegistry:
@@ -90,31 +91,30 @@ class TestLitmusOutcomes:
 
 class TestBackendEquivalence:
     """The litmus verdict matrix must be bit-identical across solver
-    backends (internal CDCL vs the DIMACS subprocess path)."""
+    stacks (the bare internal CDCL vs the CNF preprocessor forced on in
+    front of it)."""
 
-    @pytest.fixture(autouse=True)
-    def _subprocess_path(self, src_on_subprocess_path):
-        """The DIMACS side of the comparison spawns solver subprocesses."""
-
-    def test_matrix_identical_across_backends(self, dimacs_cli_spec):
-        dimacs_spec = dimacs_cli_spec
+    def test_matrix_identical_across_backends(self, monkeypatch):
+        monkeypatch.setenv("CHECKFENCE_SIMPLIFY_MIN_CLAUSES", "0")
+        bare = make_backend_factory("internal", simplify=False)
+        preprocessed = make_backend_factory("internal", simplify=True)
         models = ["sc", "tso", "pso", "relaxed"]
-        internal_matrix = {}
-        dimacs_matrix = {}
+        bare_matrix = {}
+        preprocessed_matrix = {}
         for name, litmus in available_litmus_tests().items():
             if not litmus.observation:
                 continue
             for model in models:
-                internal_matrix[(name, model)] = observation_allowed(
-                    litmus, model, backend_spec="internal"
+                bare_matrix[(name, model)] = observation_allowed(
+                    litmus, model, backend_factory=bare
                 )
-                dimacs_matrix[(name, model)] = observation_allowed(
-                    litmus, model, backend_spec=dimacs_spec
+                preprocessed_matrix[(name, model)] = observation_allowed(
+                    litmus, model, backend_factory=preprocessed
                 )
-        assert internal_matrix == dimacs_matrix
+        assert bare_matrix == preprocessed_matrix
         # Sanity: the matrix separates the models (not all-equal verdicts).
-        assert True in internal_matrix.values()
-        assert False in internal_matrix.values()
+        assert True in bare_matrix.values()
+        assert False in bare_matrix.values()
 
 
 class TestCompiledCache:

@@ -77,8 +77,9 @@ class TestEncoderMutationIsCaught:
         # The mutated encoder *allows* executions the axioms forbid
         # (reading the first store after the second): the dangerous,
         # under-constrained direction.
-        assert report.missing_from_oracle
-        assert (2, 1) in report.missing_from_oracle
+        [pair] = report.pair_divergences()
+        assert (pair["first"], pair["second"]) == ("enumerator", "sat")
+        assert (2, 1) in pair["only_in_second"]
 
     def test_three_way_isolates_the_mutated_engine(
         self, drop_same_address_axiom

@@ -1,42 +1,25 @@
 """Tests for the pluggable solver backend layer.
 
-The differential suite checks random small CNFs three ways:
-
-* :class:`InternalBackend` against brute-force truth-table enumeration;
-* :class:`DimacsBackend` driving the in-tree solver through a real
-  subprocess + DIMACS pipe (``python -m repro.sat.dimacs_cli``), which is
-  always available;
-* :class:`DimacsBackend` driving an external solver (kissat/cadical/...),
-  skipped when none is installed.
+The differential suite checks :class:`InternalBackend` against brute-force
+truth-table enumeration on random small CNFs; the spec tests pin how
+:func:`make_backend_factory` resolves a spec and stacks the preprocessor
+and the fault proxy around the chosen backend.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
-import sys
 
 import pytest
 
+from repro.core import faults
+from repro.encoding import encode_test
+from repro.litmus.catalog import available_litmus_tests, compiled_litmus
+from repro.memorymodel.base import get_model
 from repro.sat import CNF
-from repro.sat.backend import (
-    BackendError,
-    DimacsBackend,
-    InternalBackend,
-    find_dimacs_solver,
-    make_backend_factory,
-)
-
-
-#: DimacsBackend command that is always runnable: the in-tree solver behind
-#: a DIMACS pipe (see also the dimacs_cli_command fixture in tests/conftest).
-_CLI_COMMAND = [sys.executable, "-m", "repro.sat.dimacs_cli"]
-
-
-@pytest.fixture(autouse=True)
-def _subprocess_path(src_on_subprocess_path):
-    """Every test here may spawn the DIMACS CLI subprocess."""
+from repro.sat.backend import InternalBackend, make_backend_factory
+from repro.sat.simplify import SimplifyingBackend
 
 
 def brute_force_satisfiable(cnf: CNF) -> bool:
@@ -107,111 +90,73 @@ class TestInternalBackend:
         assert backend.name == "internal"
 
 
-class TestDimacsBackendViaCli:
-    """The subprocess/DIMACS path, exercised with the in-tree solver CLI."""
-
-    def test_differential_vs_brute_force(self):
-        run_differential(
-            lambda: DimacsBackend(command=_CLI_COMMAND), count=25
-        )
-
-    def test_assumptions_are_temporary(self):
-        cnf = CNF()
-        a, b = cnf.new_vars(2)
-        cnf.add_clause([a, b])
-        backend = DimacsBackend(command=_CLI_COMMAND)
-        backend.add_cnf(cnf)
-        assert backend.solve(assumptions=[-a, -b]) is False
-        # The assumptions must not have become permanent clauses.
-        assert backend.solve() is True
-        assert backend.solve(assumptions=[-a]) is True
-        assert backend.model()[b] is True
-
-    def test_name_reflects_command(self):
-        backend = DimacsBackend(command=_CLI_COMMAND)
-        assert backend.name.startswith("dimacs(")
-
-    def test_empty_clause_is_unsat_without_subprocess(self):
-        backend = DimacsBackend(command=["/nonexistent-solver"])
-        assert backend.add_clause([]) is False
-        assert backend.solve() is False
-
-    def test_broken_command_raises(self):
-        backend = DimacsBackend(command=["/nonexistent-solver-binary"])
-        backend.add_clause([1])
-        with pytest.raises(BackendError):
-            backend.solve()
-
-    def test_missing_binary_error_is_actionable(self):
-        """A missing solver binary must name the binary, show the PATH
-        that was searched, and point at the ways out."""
-        backend = DimacsBackend(command=["no-such-solver-xyz"])
-        backend.add_clause([1])
-        with pytest.raises(BackendError) as excinfo:
-            backend.solve()
-        message = str(excinfo.value)
-        assert "no-such-solver-xyz" in message
-        assert "PATH" in message
-        assert os.environ.get("PATH", "") in message
-        assert "--solver internal" in message
-
-
-@pytest.mark.skipif(
-    find_dimacs_solver() is None,
-    reason="no external DIMACS solver (kissat/cadical/minisat/...) on PATH",
-)
-class TestDimacsBackendExternal:
-    def test_differential_vs_brute_force(self):
-        run_differential(DimacsBackend, count=25)
-
-    def test_reports_external_name(self):
-        backend = DimacsBackend()
-        assert backend.name.startswith("dimacs(")
-        assert "fallback" not in backend.name
-
-
-class TestFallback:
-    def test_fallback_when_nothing_on_path(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.sat.backend.find_dimacs_solver", lambda: None
-        )
-        backend = DimacsBackend()
-        assert backend.name == "dimacs(fallback:internal)"
-        cnf = CNF()
-        v = cnf.new_var()
-        cnf.add_unit(v)
-        backend.add_cnf(cnf)
-        assert backend.solve() is True
-        assert backend.model()[v] is True
-
-    def test_no_fallback_raises(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.sat.backend.find_dimacs_solver", lambda: None
-        )
-        with pytest.raises(BackendError):
-            DimacsBackend(fallback=False)
-
-
 class TestBackendSpecs:
     def test_internal_specs(self):
         for spec in ("auto", "internal", ""):
-            assert isinstance(make_backend_factory(spec)(), InternalBackend)
-
-    def test_dimacs_spec_with_command(self):
-        factory = make_backend_factory(
-            "dimacs:" + " ".join(_CLI_COMMAND)
-        )
-        backend = factory()
-        assert isinstance(backend, DimacsBackend)
-        backend.add_clause([1])
-        assert backend.solve() is True
+            backend = make_backend_factory(spec, simplify=False)()
+            assert isinstance(backend, InternalBackend)
 
     def test_env_default(self, monkeypatch):
         monkeypatch.setenv("CHECKFENCE_SOLVER", "internal")
-        assert isinstance(make_backend_factory(None)(), InternalBackend)
+        backend = make_backend_factory(None, simplify=False)()
+        assert isinstance(backend, InternalBackend)
 
     def test_unknown_spec_rejected(self):
-        with pytest.raises(ValueError):
-            make_backend_factory("zchaff")
-        with pytest.raises(ValueError):
-            make_backend_factory("dimacs:")
+        for spec in ("zchaff", "dimacs", "dimacs:kissat", "ipasir:"):
+            with pytest.raises(ValueError):
+                make_backend_factory(spec)
+
+
+class TestBackendStack:
+    """The factory owns the one remaining solver-stack decision."""
+
+    def test_preprocessor_wraps_by_default(self, monkeypatch):
+        monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
+        backend = make_backend_factory("internal")()
+        assert isinstance(backend, SimplifyingBackend)
+        assert isinstance(backend.inner, InternalBackend)
+        assert backend.name == "simplify+internal"
+
+    def test_simplify_flag_and_env(self, monkeypatch):
+        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "0")
+        assert isinstance(make_backend_factory("internal")(), InternalBackend)
+        assert isinstance(
+            make_backend_factory("internal", simplify=True)(),
+            SimplifyingBackend,
+        )
+        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
+        assert isinstance(
+            make_backend_factory("internal", simplify=False)(),
+            InternalBackend,
+        )
+
+    def test_fault_proxy_sits_inside_the_preprocessor(self, monkeypatch):
+        monkeypatch.setenv(faults.FAULT_ENV, "solver-raise:1000000")
+        backend = make_backend_factory("internal", simplify=True)()
+        assert isinstance(backend, SimplifyingBackend)
+        assert isinstance(backend.inner, faults.FaultySolverProxy)
+        bare = make_backend_factory("internal", simplify=False)()
+        assert isinstance(bare, faults.FaultySolverProxy)
+
+    def test_encoded_test_freezes_every_stack_before_its_clauses(self):
+        """``EncodedTest`` hands its frozen set to whatever stack the
+        factory built, bare backends included: once, before any clause."""
+        events = []
+
+        class RecordingBackend(InternalBackend):
+            def freeze(self, variables):
+                events.append(frozenset(variables))
+
+            def add_clauses(self, clauses):
+                events.append("add_clauses")
+                return super().add_clauses(clauses)
+
+        litmus = available_litmus_tests()["store-buffering"]
+        encoded = encode_test(
+            compiled_litmus(litmus), get_model("sc"),
+            backend_factory=RecordingBackend,
+        )
+        assert encoded.solve()
+        frozen, *rest = events
+        assert frozen and frozen <= encoded.frozen_variables()
+        assert rest and all(event == "add_clauses" for event in rest)

@@ -1,12 +1,16 @@
 """Shared conformance suite for every SolverBackend implementation.
 
-Each backend family — internal CDCL, DIMACS subprocess (over the in-tree
-CLI, so no system solver is needed), IPASIR shared library (a C stub
-compiled on the fly with gcc), the incremental pipe, and the simplifying
-wrapper — must satisfy the same observable contract: solving under
-temporary assumptions, failed-assumption cores after UNSAT, incremental
-clause addition after both SAT and UNSAT verdicts, and ``values_of``
-agreement with ``model``.
+Each backend family — internal CDCL, IPASIR shared library (a C stub
+compiled on the fly with gcc), the incremental pipe (over the in-tree CLI,
+so no system solver is needed), and the simplifying wrapper — must satisfy
+the same observable contract: solving under temporary assumptions,
+failed-assumption cores after UNSAT, incremental clause addition after
+both SAT and UNSAT verdicts, and ``values_of`` agreement with ``model``.
+
+The stacks :func:`repro.sat.backend.make_backend_factory` builds run it
+too: the default stack (the preprocessor bypassing itself on formulas
+below its threshold), the preprocessor in front of the pipe, and the
+preprocessor over the armed ``solver-raise`` fault proxy.
 """
 
 from __future__ import annotations
@@ -14,26 +18,16 @@ from __future__ import annotations
 import os
 import shutil
 import subprocess
-import sys
 
 import pytest
 
-from repro.sat.backend import DimacsBackend, InternalBackend
+from repro.core import faults
+from repro.sat.backend import InternalBackend, make_backend_factory
 from repro.sat.ipasir import IncrementalPipeBackend, IpasirBackend
 from repro.sat.simplify import SimplifyingBackend
 
-_CLI_COMMAND = [sys.executable, "-m", "repro.sat.dimacs_cli"]
-
-
-@pytest.fixture(autouse=True)
-def src_on_subprocess_path(monkeypatch):
-    """Subprocess backends must find the repro package."""
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    src = os.path.abspath(src)
-    existing = os.environ.get("PYTHONPATH")
-    monkeypatch.setenv(
-        "PYTHONPATH", src + os.pathsep + existing if existing else src
-    )
+#: Subprocess backends must find the repro package.
+pytestmark = pytest.mark.usefixtures("src_on_subprocess_path")
 
 
 @pytest.fixture(scope="session")
@@ -55,24 +49,43 @@ def ipasir_stub_library(tmp_path_factory):
     return library
 
 
-BACKENDS = ["internal", "dimacs", "ipasir-lib", "ipasir-pipe", "simplify"]
+#: Factory-built lanes: lane -> (spec, environment).  The fault is armed
+#: far beyond any solve count reached here, so the proxy only forwards.
+FACTORY_LANES = {
+    "default-stack": ("internal", {}),
+    "simplify-pipe": ("ipasir:cli", {"CHECKFENCE_SIMPLIFY_MIN_CLAUSES": "0"}),
+    "fault-proxy": ("internal", {"CHECKFENCE_SIMPLIFY_MIN_CLAUSES": "0",
+                                 faults.FAULT_ENV: "solver-raise:1000000000"}),
+}
+BACKENDS = ["internal", "ipasir-lib", "ipasir-pipe", "simplify", *FACTORY_LANES]
+#: Lanes whose innermost solver is the internal CDCL (exact cores).
+EXACT_CORE_LANES = ("internal", "simplify", "default-stack", "fault-proxy")
 
 
 @pytest.fixture(params=BACKENDS)
-def backend(request):
+def backend(request, monkeypatch):
     kind = request.param
     if kind == "internal":
         made = InternalBackend()
-    elif kind == "dimacs":
-        made = DimacsBackend(command=_CLI_COMMAND)
     elif kind == "ipasir-lib":
         library = request.getfixturevalue("ipasir_stub_library")
         made = IpasirBackend(library)
     elif kind == "ipasir-pipe":
         made = IncrementalPipeBackend()
-    else:
+    elif kind == "simplify":
         made = SimplifyingBackend(InternalBackend(), min_clauses=0)
+    else:
+        spec, env = FACTORY_LANES[kind]
+        for name in ("CHECKFENCE_SIMPLIFY", "CHECKFENCE_SIMPLIFY_MIN_CLAUSES",
+                     faults.FAULT_ENV):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        made = make_backend_factory(spec)()
     yield made
+    # The wrappers hold no resources; the innermost backend may.
+    while isinstance(made, SimplifyingBackend):
+        made = made.inner
     close = getattr(made, "close", None)
     if close is not None:
         close()
@@ -109,10 +122,10 @@ def test_formula_level_unsat_core_is_sound(backend, request):
     core = backend.failed_assumptions()
     # Every backend must stay within the assumption set; the precise
     # backends additionally report the empty core (= the formula alone is
-    # unsatisfiable).  DIMACS and simple IPASIR solvers may
-    # over-approximate with the full assumption set, which is sound.
+    # unsatisfiable).  Simple IPASIR solvers may over-approximate with the
+    # full assumption set, which is sound.
     assert set(core) <= {1}
-    if request.node.callspec.params["backend"] in ("internal", "simplify"):
+    if request.node.callspec.params["backend"] in EXACT_CORE_LANES:
         assert core == []
 
 
@@ -177,7 +190,7 @@ def test_core_driven_deletion_search_parity(backend):
     deletion (fixed order) minimizes it.  Every backend must converge to
     the same minimal set — exact cores (internal, IPASIR, simplify with
     its substitution-origin mapping) just get there with fewer solves than
-    conservative full-set cores (DIMACS restart).
+    conservative full-set cores would.
 
     The formula routes the selectors through equivalence chains, so under
     the simplifying backend the core literals come back through the

@@ -72,8 +72,7 @@ def test_litmus_synthesis_agrees_across_lanes(spec, models):
         result = synthesize_litmus(
             program,
             models,
-            backend_factory=make_backend_factory(solver),
-            simplify=simplify,
+            backend_factory=make_backend_factory(solver, simplify=simplify),
         )
         assert result.feasible and not result.already_passes
         assert result.verified_sufficient

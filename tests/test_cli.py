@@ -178,3 +178,59 @@ class TestFuzzCommand:
         out = capsys.readouterr().out
         assert "DIVERGENCE" in out
         assert "replay: checkfence oracle" in out
+
+
+class TestIgnoredFlagsAreRejected:
+    """A flag a subcommand would silently ignore is a usage error: argparse
+    rejects flags the subcommand does not carry (exit 2), and
+    ``synthesize`` exits 2 when a flag does not apply to its mode."""
+
+    SPEC = "x=1 r0=y | y=1 r1=x"
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--litmus", "store-buffering", "--model", "tso",
+         "--timeout", "0.000001"],
+        ["litmus", "--model", "sc", "--store"],
+        ["fuzz", "--budget", "1", "--models", "sc", "--store"],
+    ], ids=["oracle-timeout", "litmus-store", "fuzz-store"])
+    def test_argparse_rejects_flags_the_command_does_not_honor(
+        self, argv, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_synthesize_spec_rejects_store_and_budget(self, capsys):
+        code = main([
+            "synthesize", "--spec", self.SPEC, "--model", "tso",
+            "--timeout", "0.000001", "--store",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--store" in err and "--timeout" in err
+        assert "no effect with --spec" in err
+
+    @pytest.mark.parametrize("extra", [
+        ["--solver", "internal"], ["--no-simplify"], ["--json", "-"],
+    ], ids=["solver", "no-simplify", "json"])
+    def test_synthesize_fuzz_budget_rejects_ignored_flags(self, extra, capsys):
+        code = main(["synthesize", "--fuzz-budget", "1"] + extra)
+        assert code == 2
+        assert "no effect with --fuzz-budget" in capsys.readouterr().err
+
+    def test_synthesize_impl_rejects_seed(self, capsys):
+        code = main([
+            "synthesize", "--impl", "msn-unfenced", "--test", "T0",
+            "--seed", "0",
+        ])
+        assert code == 2
+        assert "--seed has no effect with --impl" in capsys.readouterr().err
+
+    def test_synthesize_spec_honors_its_flags(self, capsys):
+        code = main([
+            "synthesize", "--spec", self.SPEC, "--model", "tso",
+            "--solver", "internal", "--no-simplify", "--budget", "30",
+        ])
+        assert code == 0
+        assert "fence(s)" in capsys.readouterr().out
