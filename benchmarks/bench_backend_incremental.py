@@ -6,10 +6,9 @@ whole solve/block mining loop (the heaviest enumeration loop in the
 pipeline), so learned clauses from one query prune the next.  This module
 runs that loop on each lane:
 
-* **internal** — ``InternalBackend``: the in-tree CDCL solver, in process;
-* **persistent** — ``IncrementalPipeBackend``: the same in-tree solver
-  behind one long-lived ``--incremental`` process (clauses shipped once,
-  learned clauses preserved);
+* **internal** — ``InternalBackend`` over the pure-Python CDCL kernel;
+* **native** — ``InternalBackend`` over the native C kernel (skipped when
+  it cannot be built);
 * **library** — ``IpasirBackend`` over a real IPASIR shared library,
   when one is installed (skipped otherwise).
 
@@ -18,12 +17,9 @@ and, on the uncapped test, the observation sets too — the verdict-identity
 gate of the incremental paths.  Results land in the BENCH trend JSON via
 ``extra_info``.
 
-Not in the default ``bench_trend`` set (the pipe lane spawns solver
-processes); run via ``tools/bench_trend.py --benchmarks
-backend_incremental`` or directly with pytest.
+Not in the default ``bench_trend`` set; run via ``tools/bench_trend.py
+--benchmarks backend_incremental`` or directly with pytest.
 """
-
-import os
 
 import pytest
 
@@ -31,12 +27,9 @@ from repro.core.specification import SatSpecificationMiner
 from repro.datatypes.registry import category_of, get_implementation
 from repro.encoding import compile_test
 from repro.harness.catalog import get_test
-from repro.sat.backend import InternalBackend
-from repro.sat.ipasir import (
-    IncrementalPipeBackend,
-    IpasirBackend,
-    find_ipasir_library,
-)
+from repro.sat import native
+from repro.sat.backend import InternalBackend, make_backend_factory
+from repro.sat.ipasir import IpasirBackend, find_ipasir_library
 
 #: A small queue test mined to completion (verdict identity asserted) and
 #: the largest catalog test capped to a fixed number of solve/block
@@ -46,15 +39,14 @@ CAPPED_TEST = ("lazylist", "Saaarr")
 CAPPED_SOLVES = 6
 
 
-@pytest.fixture(autouse=True)
-def src_on_subprocess_path(monkeypatch):
-    src = os.path.abspath(
-        os.path.join(os.path.dirname(__file__), "..", "src")
-    )
-    existing = os.environ.get("PYTHONPATH")
-    monkeypatch.setenv(
-        "PYTHONPATH", src + os.pathsep + existing if existing else src
-    )
+
+
+@pytest.fixture
+def native_backend():
+    """Factory of bare native-kernel backends (skips when unavailable)."""
+    if native.load() is None:
+        pytest.skip(f"native kernel unavailable: {native.unavailable_reason()}")
+    return make_backend_factory("auto", simplify=False)
 
 
 def _mine(compiled, factory, max_observations=100_000):
@@ -80,30 +72,30 @@ def _record(benchmark, test, lanes, **extra):
     }
 
 
-def test_internal_vs_persistent_full_mining(benchmark):
-    """msn/Ti2 mined to completion on both lanes: identical observation
+def test_internal_vs_native_full_mining(benchmark, native_backend):
+    """msn/Ti2 mined to completion on both kernels: identical observation
     sets and solve counts, both wall-clocks recorded."""
     compiled = _compiled(*FULL_TEST)
 
     def run_both():
         return {
             "internal": _mine(compiled, InternalBackend),
-            "persistent": _mine(compiled, IncrementalPipeBackend),
+            "native": _mine(compiled, native_backend),
         }
 
     lanes = benchmark.pedantic(run_both, rounds=1, iterations=1)
     _record(benchmark, "/".join(FULL_TEST), lanes,
             observations=len(lanes["internal"]))
-    assert lanes["internal"].observations == lanes["persistent"].observations
+    assert lanes["internal"].observations == lanes["native"].observations
     assert (
         lanes["internal"].solver_iterations
-        == lanes["persistent"].solver_iterations
+        == lanes["native"].solver_iterations
     )
 
 
-def test_internal_vs_persistent_capped_large(benchmark):
+def test_internal_vs_native_capped_large(benchmark, native_backend):
     """lazylist/Saaarr for a fixed number of solve/block iterations: the
-    per-solve cost of the pipe protocol vs the in-process solver."""
+    per-solve cost of the two kernels."""
     compiled = _compiled(*CAPPED_TEST)
 
     def run_both():
@@ -111,7 +103,7 @@ def test_internal_vs_persistent_capped_large(benchmark):
             name: _mine(compiled, factory, max_observations=CAPPED_SOLVES)
             for name, factory in (
                 ("internal", InternalBackend),
-                ("persistent", IncrementalPipeBackend),
+                ("native", native_backend),
             )
         }
 
@@ -120,7 +112,7 @@ def test_internal_vs_persistent_capped_large(benchmark):
             capped_solves=CAPPED_SOLVES)
     assert (
         lanes["internal"].solver_iterations
-        == lanes["persistent"].solver_iterations
+        == lanes["native"].solver_iterations
     )
 
 

@@ -7,12 +7,11 @@ persistent incremental backend exists for.  Two groups:
 
 * per catalog pair — one synthesis run per ``*-unfenced`` cell under
   Relaxed, with the search statistics embedded in the benchmark JSON;
-* **solver lanes** — the identical search driven by the in-process
-  solver and by one long-lived ``--incremental`` pipe solver, required to
-  return the identical canonical fence set.
+* **solver lanes** — the identical search driven by the pure-Python
+  kernel and by the native one, required to return the identical
+  canonical fence set.
 """
 
-import os
 import time
 
 import pytest
@@ -21,6 +20,7 @@ from repro.core.checker import CheckOptions
 from repro.core.session import CheckSession
 from repro.datatypes.registry import get_implementation
 from repro.harness.catalog import get_test
+from repro.sat import native
 
 _PAIRS = [
     ("msn-unfenced", "queue", "T0"),
@@ -28,17 +28,6 @@ _PAIRS = [
     ("lazylist-unfenced", "set", "Sac"),
     ("harris-unfenced", "set", "Sac"),
 ]
-
-
-@pytest.fixture(autouse=True)
-def src_on_subprocess_path(monkeypatch):
-    src = os.path.abspath(
-        os.path.join(os.path.dirname(__file__), "..", "src")
-    )
-    existing = os.environ.get("PYTHONPATH")
-    monkeypatch.setenv(
-        "PYTHONPATH", src + os.pathsep + existing if existing else src
-    )
 
 
 def _synthesize(implementation, category, test, options):
@@ -66,11 +55,12 @@ def test_synthesize_catalog_pair(
     }
 
 
-def test_internal_vs_persistent_pipe_search(benchmark):
-    """The core-guided search on the in-process solver and on one warm
-    ``--incremental`` pipe solver finds the identical canonical set on
-    msn-unfenced/T0/relaxed; both solve counts and wall-clocks are
-    recorded."""
+def test_internal_vs_native_search(benchmark):
+    """The core-guided search on the pure-Python kernel and on the native
+    one finds the identical canonical set on msn-unfenced/T0/relaxed;
+    both solve counts and wall-clocks are recorded."""
+    if native.load() is None:
+        pytest.skip(f"native kernel unavailable: {native.unavailable_reason()}")
 
     def run_lane(solver):
         start = time.perf_counter()
@@ -81,18 +71,18 @@ def test_internal_vs_persistent_pipe_search(benchmark):
         return result, time.perf_counter() - start
 
     def run_both():
-        return {solver: run_lane(solver) for solver in ("internal", "ipasir:cli")}
+        return {solver: run_lane(solver) for solver in ("internal", "auto")}
 
     lanes = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    (internal, internal_seconds), (pipe, pipe_seconds) = (
-        lanes["internal"], lanes["ipasir:cli"]
+    (internal, internal_seconds), (fast, native_seconds) = (
+        lanes["internal"], lanes["auto"]
     )
-    assert internal.labels == pipe.labels
-    assert internal.cost == pipe.cost
+    assert internal.labels == fast.labels
+    assert internal.cost == fast.cost
     benchmark.extra_info["synthesize_lanes"] = {
         "cell": "msn-unfenced/T0/relaxed",
         "internal_solves": internal.stats.solves,
-        "pipe_solves": pipe.stats.solves,
+        "native_solves": fast.stats.solves,
         "internal_seconds": internal_seconds,
-        "pipe_seconds": pipe_seconds,
+        "native_seconds": native_seconds,
     }

@@ -132,6 +132,9 @@ def _cmd_check(args) -> int:
                 f"solver: {result.stats.solver_backend} "
                 "(external backend; counters unavailable)"
             )
+    fallback = checker.session.backend_factory.fallback_reason
+    if fallback:
+        print(f"note: {fallback}")
     if result.passed:
         return 0
     return 3 if result.degraded else 1
@@ -581,7 +584,9 @@ def _shared_flags() -> dict[str, argparse.ArgumentParser]:
         "solver": _flag_group(
             (("--solver",), dict(
                 default=None,
-                help="SAT backend: auto, internal, ipasir, ipasir:cli, or "
+                help="SAT backend: auto (the native C kernel, built on "
+                "first use; the pure-Python kernel when it cannot be "
+                "built), internal (the pure-Python kernel), ipasir, or "
                 "ipasir:<path-to-shared-library> "
                 "(default: CHECKFENCE_SOLVER or auto)",
             )),
@@ -590,8 +595,8 @@ def _shared_flags() -> dict[str, argparse.ArgumentParser]:
                 help="disable the in-process CNF preprocessor (unit "
                 "propagation, equivalent literals, subsumption, bounded "
                 "variable elimination) that runs between lowering and "
-                "solving; same verdicts — the escape hatch "
-                "(default: CHECKFENCE_SIMPLIFY or on)",
+                "solving; same verdicts (default: CHECKFENCE_SIMPLIFY, "
+                "else on over the pure-Python kernel only)",
             )),
         ),
         "store": _flag_group(

@@ -51,16 +51,17 @@ class CheckOptions:
     use_range_analysis: bool = True
     #: Also search for assertion violations (Section 4.1 bugs).
     check_assertions: bool = True
-    #: SAT backend spec: "auto"/"internal", "ipasir", "ipasir:cli" or
-    #: "ipasir:<path>" (see :mod:`repro.sat.backend`).  None uses
-    #: CHECKFENCE_SOLVER or auto.
+    #: SAT backend spec: "auto" (the native kernel), "internal" (the
+    #: pure-Python kernel), "ipasir" or "ipasir:<path>" (see
+    #: :mod:`repro.sat.backend`).  None uses CHECKFENCE_SOLVER or auto.
     solver_backend: str | None = None
     #: Run the in-process CNF preprocessor (unit propagation, equivalent
     #: literals, subsumption, bounded variable elimination — see
     #: :mod:`repro.sat.simplify`) between lowering and solving.  None
-    #: defers to CHECKFENCE_SIMPLIFY (default: on; ``0`` / ``--no-simplify``
-    #: disables).  Both settings produce identical verdicts and outcome
-    #: sets; off is an escape hatch.
+    #: defers to CHECKFENCE_SIMPLIFY (``1`` forces it, ``0`` /
+    #: ``--no-simplify`` removes it), and without that to the kernel: on
+    #: over the pure-Python kernel only.  Both settings produce identical
+    #: verdicts and outcome sets.
     simplify: bool | None = None
     #: Consult (and populate) the persistent on-disk result store
     #: (:mod:`repro.core.store`): verdicts and mined observation sets keyed

@@ -41,7 +41,6 @@ from repro.lang.lower import compile_c
 from repro.lsl.program import Program, SymbolicTest
 from repro.memorymodel.base import MemoryModel, get_model
 from repro.sat.backend import make_backend_factory
-from repro.sat.simplify import simplify_enabled
 from repro.sat.solver import SolverStats
 
 
@@ -66,12 +65,10 @@ class CheckSession:
         self.program: Program = compile_c(
             implementation.source, implementation.name
         )
-        #: CNF preprocessing, resolved once (option wins, then the
-        #: CHECKFENCE_SIMPLIFY environment variable) so every backend stack
-        #: and store key of this session agrees.
-        self.simplify = simplify_enabled(self.options.simplify)
+        #: Builds every backend stack of this session; the kernel (and
+        #: with it the CNF preprocessor decision) is resolved on first use.
         self.backend_factory = make_backend_factory(
-            self.options.solver_backend, self.simplify
+            self.options.solver_backend, self.options.simplify
         )
         #: Persistent on-disk store (None when disabled — the default).
         self.store = result_store.open_store(self.options.store)
@@ -89,6 +86,12 @@ class CheckSession:
             "store_hits": 0, "store_misses": 0,
         }
 
+    @property
+    def simplify(self) -> bool:
+        """Whether this session's backend stacks include the CNF
+        preprocessor (resolves the solver kernel on first read)."""
+        return self.backend_factory.preprocess
+
     # ------------------------------------------------------------- pipeline
 
     @staticmethod
@@ -103,10 +106,12 @@ class CheckSession:
     def _options_fingerprint(self) -> list:
         """The option values a verdict (or mined specification) depends on.
 
-        The solver backend is deliberately excluded: it is
-        verdict-preserving by construction and gated so differentially in
-        CI, and keying on it would make a store populated under one backend
-        useless under another.  The resource
+        The solver stack is deliberately excluded — the backend and the
+        CNF preprocessor alike: both are verdict-preserving by construction
+        and gated so differentially in CI, and keying on them would make a
+        store populated under one stack useless under another (the default
+        stack itself depends on whether the native kernel could be built
+        on the machine).  The resource
         budgets (``timeout`` / ``memory_limit_mb``) are excluded too: a
         completed verdict does not depend on the budget it ran under, and
         degraded results are never stored in the first place.
@@ -119,7 +124,6 @@ class CheckSession:
             options.lazy_loop_bounds,
             options.use_range_analysis,
             options.check_assertions,
-            self.simplify,
         ]
 
     def _store_key(self, kind: str, test: SymbolicTest, model_name) -> str:

@@ -13,7 +13,8 @@ depends on —
   use),
 * the memory model name,
 * the resolved check options (specification method, loop bounds, range
-  analysis, assertion checking, order construction, CNF preprocessing),
+  analysis, assertion checking; not the solver stack, which cannot
+  change a verdict),
 * and a fingerprint of the checker's own code (every ``src/repro``
   Python file), plus :data:`CACHE_VERSION`.
 
@@ -171,6 +172,13 @@ class VerdictStore:
         self._conn = conn
         self._pid = pid
         return conn
+
+    def __del__(self) -> None:
+        # A sqlite3 connection sits in a reference cycle (its statement
+        # cache) and would stay open until the cyclic collector runs; a
+        # later connection to the same file in this process would then
+        # share its stale WAL index, so close it with the store.
+        self.close()
 
     def close(self) -> None:
         if self._conn is not None and self._pid == os.getpid():

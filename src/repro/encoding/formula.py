@@ -347,10 +347,11 @@ class EncodedTest:
             self._backend = backend
         cnf = self.cnf
         self._backend.ensure_vars(cnf.num_vars)
-        if self._synced_clauses < len(cnf.clauses):
-            # CNF clauses are already normalized, so the bulk path applies.
-            self._backend.add_clauses(cnf.clauses[self._synced_clauses:])
-            self._synced_clauses = len(cnf.clauses)
+        if self._synced_clauses < len(cnf):
+            # The backend reads the new clauses straight out of the CNF's
+            # buffers (the native kernel without copying them).
+            self._backend.add_cnf(cnf, self._synced_clauses)
+            self._synced_clauses = len(cnf)
         return self._backend
 
     def frozen_variables(self) -> set[int]:

@@ -3,20 +3,21 @@
 Public surface:
 
 * :class:`repro.sat.cnf.CNF` — clause database.
-* :class:`repro.sat.solver.Solver` — incremental CDCL solver.
+* :mod:`repro.sat.native` — the default CDCL kernel, in C, built with the
+  system compiler on first use and driven through ctypes.
+* :class:`repro.sat.solver.Solver` — the pure-Python incremental CDCL
+  kernel, the fallback when the native one cannot be built.
 * :class:`repro.sat.backend.SolverBackend` — pluggable solving backends
-  (:class:`repro.sat.backend.InternalBackend`, the IPASIR backends of
-  :mod:`repro.sat.ipasir`) plus the backend-stack factory
-  :func:`repro.sat.backend.make_backend_factory`.
+  (:class:`repro.sat.backend.InternalBackend` over either kernel, the
+  IPASIR backend of :mod:`repro.sat.ipasir`) plus the backend-stack
+  factory :func:`repro.sat.backend.make_backend_factory`.
 * :class:`repro.sat.circuit.Circuit` / :class:`repro.sat.circuit.CnfLowering`
   — boolean circuits with Tseitin conversion.
 * :mod:`repro.sat.simplify` — in-process SatELite-style CNF preprocessing
   (:class:`repro.sat.simplify.SimplifyingBackend`) between lowering and
   solving, with model reconstruction and a frozen-variable contract.
 * :class:`repro.sat.bitvec.BitVecBuilder` — fixed-width bit-vector terms.
-* :mod:`repro.sat.dimacs` — DIMACS import/export (and
-  :mod:`repro.sat.dimacs_cli`, a competition-style CLI around the internal
-  solver).
+* :mod:`repro.sat.dimacs` — DIMACS import/export.
 """
 
 from repro.sat.cnf import CNF
@@ -36,7 +37,7 @@ from repro.sat.simplify import (
     SimplifyingBackend,
     SimplifyStats,
     simplify_cnf,
-    simplify_enabled,
+    simplify_setting,
     simplify_min_clauses,
 )
 
@@ -61,6 +62,6 @@ __all__ = [
     "SimplifyingBackend",
     "SimplifyStats",
     "simplify_cnf",
-    "simplify_enabled",
+    "simplify_setting",
     "simplify_min_clauses",
 ]

@@ -1,24 +1,27 @@
 """Pluggable SAT solver backends.
 
-The checker never talks to :class:`repro.sat.solver.Solver` directly any
-more; it goes through the :class:`SolverBackend` protocol, which captures
-the small solving surface the pipeline needs (grow variables, add clauses,
-solve under assumptions, read the model and statistics).
-:class:`InternalBackend` wraps the in-tree incremental CDCL solver; the
-IPASIR backends of :mod:`repro.sat.ipasir` keep an external solver warm
-across calls.
+The checker never talks to a solver kernel directly; it goes through the
+:class:`SolverBackend` protocol, which captures the small solving surface
+the pipeline needs (grow variables, add clauses, solve under assumptions,
+read the model and statistics).  :class:`InternalBackend` wraps an
+in-tree incremental CDCL kernel: the native C kernel
+(:class:`repro.sat.native.NativeSolver`) or the pure-Python one
+(:class:`repro.sat.solver.Solver`).  The IPASIR backend of
+:mod:`repro.sat.ipasir` keeps an external solver library warm across
+calls.
 
 Backend choice is a string *spec* threaded through
 :class:`repro.core.checker.CheckOptions`, the CLI (``--solver``) and the
 ``CHECKFENCE_SOLVER`` environment variable:
 
-* ``auto`` / ``internal`` — the internal CDCL solver (deterministic default);
+* ``auto`` — the native kernel, built on first use
+  (:mod:`repro.sat.native`); the pure-Python kernel when it cannot be
+  built or loaded (:func:`repro.sat.native.unavailable_reason` says why);
+* ``internal`` — the pure-Python kernel;
 * ``ipasir`` — a persistent incremental external solver loaded as an
   IPASIR shared library (:mod:`repro.sat.ipasir`), auto-discovered via
-  ``CHECKFENCE_IPASIR_LIB`` / known sonames, internal fallback when none
-  is installed;
-* ``ipasir:cli`` — the in-tree solver behind a persistent incremental
-  subprocess pipe (``python -m repro.sat.dimacs_cli --incremental``);
+  ``CHECKFENCE_IPASIR_LIB`` / known sonames, pure-Python fallback when
+  none is installed;
 * ``ipasir:<path>`` — a specific IPASIR shared library file.
 
 :func:`make_backend_factory` turns a spec into a factory of fresh backend
@@ -35,7 +38,7 @@ from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.core import faults
 from repro.sat.cnf import CNF
-from repro.sat.simplify import SimplifyingBackend, simplify_enabled
+from repro.sat.simplify import SimplifyingBackend, simplify_setting
 from repro.sat.solver import Solver, SolverStats
 
 BackendFactory = Callable[[], "SolverBackend"]
@@ -52,7 +55,9 @@ class SolverBackend(Protocol):
 
     def add_clauses(self, clauses: Iterable[Sequence[int]]) -> bool: ...
 
-    def add_cnf(self, cnf: CNF) -> None: ...
+    def add_cnf(self, cnf: CNF, start: int = 0) -> bool:
+        """Add clauses ``start`` through ``len(cnf) - 1`` of ``cnf``."""
+        ...
 
     def freeze(self, variables: Iterable[int]) -> None: ...
 
@@ -79,12 +84,16 @@ class SolverBackend(Protocol):
 
 
 class InternalBackend:
-    """The in-tree incremental CDCL solver behind the backend protocol."""
+    """An in-tree incremental CDCL kernel behind the backend protocol: the
+    pure-Python :class:`repro.sat.solver.Solver` by default, or any object
+    with its surface (the native kernel's binding)."""
 
     name = "internal"
 
-    def __init__(self, solver: Solver | None = None) -> None:
+    def __init__(self, solver: Solver | None = None, name: str = "") -> None:
         self.solver = solver if solver is not None else Solver()
+        if name:
+            self.name = name
 
     def ensure_vars(self, num_vars: int) -> None:
         self.solver.ensure_vars(num_vars)
@@ -97,8 +106,8 @@ class InternalBackend:
         tautologies), e.g. straight from a :class:`CNF` database."""
         return self.solver.add_clauses_trusted(clauses)
 
-    def add_cnf(self, cnf: CNF) -> None:
-        self.solver.add_cnf(cnf)
+    def add_cnf(self, cnf: CNF, start: int = 0) -> bool:
+        return self.solver.add_cnf(cnf, start)
 
     def freeze(self, variables: Iterable[int]) -> None:
         """No-op: the plain solver never removes variables.  Preprocessing
@@ -140,57 +149,110 @@ def default_backend_spec() -> str:
 
 def make_backend_factory(
     spec: str | None = None, simplify: bool | None = None
-) -> BackendFactory:
+) -> "BackendStackFactory":
     """Turn a backend spec string into a factory of fresh backend stacks.
 
     Each produced stack is, innermost first: the backend ``spec`` names;
     the counting proxy of the ``solver-raise`` fault
     (:mod:`repro.core.faults`) when that fault is armed, so the hot path
-    pays nothing otherwise; and the CNF preprocessor unless ``simplify``
-    resolves off (``None`` defers to ``CHECKFENCE_SIMPLIFY``, see
-    :func:`repro.sat.simplify.simplify_enabled`).
-    """
-    resolve = _resolve_backend_factory(spec)
-    inject_faults = bool(faults.solver_raise_counts())
-    preprocess = simplify_enabled(simplify)
+    pays nothing otherwise; and the CNF preprocessor when ``simplify``
+    resolves on.  ``None`` defers to ``CHECKFENCE_SIMPLIFY`` (``1`` forces
+    the preprocessor over any kernel, ``0`` removes it); when neither is
+    set, the preprocessor is stacked only over the pure-Python kernel,
+    which is the one kernel it pays for.
 
-    def factory() -> SolverBackend:
-        backend = resolve()
-        if inject_faults:
+    The spec is checked here; the kernel is resolved (and the native one
+    built) only when the first stack is made.
+    """
+    return BackendStackFactory(spec, simplify)
+
+
+class BackendStackFactory:
+    """A callable that builds fresh backend stacks for one spec (see
+    :func:`make_backend_factory`)."""
+
+    def __init__(self, spec: str | None, simplify: bool | None) -> None:
+        self._spec = _parse_spec(spec)
+        self._simplify = simplify_setting(simplify)
+        self._inject_faults = bool(faults.solver_raise_counts())
+        self._kernel: tuple[BackendFactory, bool] | None = None
+
+    def _resolve(self) -> tuple[BackendFactory, bool]:
+        """(backend constructor, whether its kernel is the Python one)."""
+        if self._kernel is None:
+            self._kernel = _resolve_kernel(*self._spec)
+        return self._kernel
+
+    @property
+    def fallback_reason(self) -> str | None:
+        """Why ``auto`` fell back to the pure-Python kernel (None when it
+        did not, or for any other spec)."""
+        if self._spec[0] != "auto" or not self._resolve()[1]:
+            return None
+        from repro.sat import native
+
+        stack = "simplify+internal" if self.preprocess else "internal"
+        return (
+            f"native kernel unavailable ({native.unavailable_reason()}); "
+            f"solving with {stack}"
+        )
+
+    @property
+    def preprocess(self) -> bool:
+        """Whether the stacks include the CNF preprocessor (resolves the
+        kernel when the setting leaves the choice to it)."""
+        if self._simplify is not None:
+            return self._simplify
+        return self._resolve()[1]
+
+    def __call__(self) -> SolverBackend:
+        make, _ = self._resolve()
+        backend = make()
+        if self._inject_faults:
             backend = faults.FaultySolverProxy(backend)
-        if preprocess:
+        if self.preprocess:
             backend = SimplifyingBackend(backend)
         return backend
 
-    return factory
 
-
-def _resolve_backend_factory(spec: str | None = None) -> BackendFactory:
-    spec = spec if spec is not None else default_backend_spec()
-    spec = spec.strip()
-    if spec in ("", "auto", "internal"):
-        return InternalBackend
-    if spec == "ipasir" or spec.startswith("ipasir:"):
-        # Imported lazily: repro.sat.ipasir imports from this module's
-        # sibling (solver stats) and is only needed for these specs.
-        from repro.sat import ipasir as ipasir_module
-
-        if spec == "ipasir":
-            def factory() -> SolverBackend:
-                library = ipasir_module.find_ipasir_library()
-                if library is None:
-                    backend = InternalBackend()
-                    backend.name = "ipasir(fallback:internal)"
-                    return backend
-                return ipasir_module.IpasirBackend(library)
-            return factory
+def _parse_spec(spec: str | None) -> tuple[str, str]:
+    """(kind, argument) of a backend spec; raises ValueError when unknown."""
+    spec = (spec if spec is not None else default_backend_spec()).strip()
+    if spec in ("", "auto"):
+        return "auto", ""
+    if spec in ("internal", "ipasir"):
+        return spec, ""
+    if spec.startswith("ipasir:"):
         argument = spec[len("ipasir:"):].strip()
         if not argument:
             raise ValueError(f"empty IPASIR library path in spec {spec!r}")
-        if argument == "cli":
-            return ipasir_module.IncrementalPipeBackend
-        return lambda: ipasir_module.IpasirBackend(argument)
+        return "ipasir", argument
     raise ValueError(
         f"unknown solver backend spec {spec!r} "
-        "(expected auto, internal, ipasir, ipasir:cli, or ipasir:<path>)"
+        "(expected auto, internal, ipasir, or ipasir:<path>)"
     )
+
+
+def _resolve_kernel(kind: str, argument: str) -> tuple[BackendFactory, bool]:
+    if kind == "auto":
+        # Imported lazily, like repro.sat.ipasir below: only this spec
+        # needs the kernel's build and load machinery.
+        from repro.sat import native
+
+        if native.load() is not None:
+            return (
+                lambda: InternalBackend(native.NativeSolver(), "native"),
+                False,
+            )
+        return InternalBackend, True
+    if kind == "internal":
+        return InternalBackend, True
+    from repro.sat import ipasir
+
+    library = argument or ipasir.find_ipasir_library()
+    if library is None:
+        return (
+            lambda: InternalBackend(name="ipasir(fallback:internal)"),
+            True,
+        )
+    return lambda: ipasir.IpasirBackend(library), False

@@ -17,20 +17,19 @@ restarted zChaff from scratch, an IPASIR solver *persists* across the
 hundreds of solve/block iterations the specification miner and the fence
 inference loop issue, so learned clauses from one query prune the next.
 
-Two backends are provided:
-
-* :class:`IpasirBackend` — loads an IPASIR shared library via
-  :mod:`ctypes` (``CHECKFENCE_IPASIR_LIB``, or auto-discovery of
-  ``libcadical``/``libcryptominisat5``/``libpicosat``/``liblingeling``);
-* :class:`IncrementalPipeBackend` — the same persistent-solver protocol
-  over a line-based pipe to ``python -m repro.sat.dimacs_cli
-  --incremental``, so the incremental subprocess path stays testable on
-  machines with no system SAT library at all.
-
-Both register under the ``ipasir`` backend spec (see
+:class:`IpasirBackend` loads an IPASIR shared library via :mod:`ctypes`
+(``CHECKFENCE_IPASIR_LIB``, or auto-discovery of
+``libcadical``/``libcryptominisat5``/``libpicosat``/``liblingeling``).  It
+registers under the ``ipasir`` backend spec (see
 :func:`repro.sat.backend.make_backend_factory`): ``ipasir`` auto-discovers
-a library and falls back to the internal solver, ``ipasir:cli`` forces the
-pipe backend, and ``ipasir:<path>`` loads a specific shared library.
+a library and falls back to the pure-Python kernel, and ``ipasir:<path>``
+loads a specific shared library.  The in-tree native kernel
+(:mod:`repro.sat.native`) exports the same interface, so
+``ipasir:<path-of-the-kernel>`` also works.
+
+Each library is loaded once per process (:func:`load_ipasir_library`), and
+a backend factory resolves the auto-discovered library once, not once per
+backend.
 """
 
 from __future__ import annotations
@@ -38,10 +37,7 @@ from __future__ import annotations
 import ctypes
 import ctypes.util
 import os
-import subprocess
-import sys
-import threading
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.core import limits
 from repro.sat.cnf import CNF
@@ -167,6 +163,17 @@ class IpasirLibrary:
             )
 
 
+_LOADED: dict[str, IpasirLibrary] = {}
+
+
+def load_ipasir_library(path: str) -> IpasirLibrary:
+    """The :class:`IpasirLibrary` at ``path``, loaded once per process."""
+    library = _LOADED.get(path)
+    if library is None:
+        library = _LOADED[path] = IpasirLibrary(path)
+    return library
+
+
 def find_ipasir_library() -> str | None:
     """Locate an IPASIR shared library: ``CHECKFENCE_IPASIR_LIB`` first,
     then :func:`ctypes.util.find_library` and common soname spellings of
@@ -182,7 +189,7 @@ def find_ipasir_library() -> str | None:
         candidates.append(f"lib{base}.so")
     for candidate in candidates:
         try:
-            IpasirLibrary(candidate)
+            load_ipasir_library(candidate)
         except IpasirError:
             continue
         return candidate
@@ -211,7 +218,7 @@ class IpasirBackend:
                 )
             library = found
         if isinstance(library, str):
-            library = IpasirLibrary(library)
+            library = load_ipasir_library(library)
         self._library = library
         self._handle = library.init()
         self.name = f"ipasir({library.signature()})"
@@ -279,9 +286,9 @@ class IpasirBackend:
         self._num_vars = num_vars
         return ok
 
-    def add_cnf(self, cnf: CNF) -> None:
+    def add_cnf(self, cnf: CNF, start: int = 0) -> bool:
         self.ensure_vars(cnf.num_vars)
-        self.add_clauses(cnf.clauses)
+        return self.add_clauses(cnf.clauses[start:])
 
     def freeze(self, variables: Iterable[int]) -> None:
         """No-op: IPASIR solvers manage frozen/melted state internally
@@ -374,247 +381,4 @@ class IpasirBackend:
 
     def stats(self) -> SolverStats | None:
         """IPASIR exposes no counter API; None means unavailable."""
-        return None
-
-
-class IncrementalPipeBackend:
-    """Persistent incremental solving over a line-based subprocess pipe.
-
-    Speaks the ``--incremental`` protocol of :mod:`repro.sat.dimacs_cli`
-    (``a``/``s`` command lines in, ``s``/``v``/``f`` result lines out) to a
-    single long-lived solver process, so the subprocess path gets the same
-    learned-clause persistence as a real IPASIR library — with no system
-    solver installed.  Clause lines are buffered and flushed right before
-    each solve to keep pipe round-trips off the add_clause hot path.
-    """
-
-    def __init__(self, command: Sequence[str] | None = None) -> None:
-        if command is None:
-            command = [sys.executable, "-m", "repro.sat.dimacs_cli",
-                       "--incremental"]
-        self._command = list(command)
-        self.name = f"ipasir(cli:{os.path.basename(self._command[0])})"
-        self._process: subprocess.Popen[str] | None = None
-        self._pending: list[str] = []
-        self._num_vars = 0
-        self._unsat = False
-        self._model: dict[int, bool] = {}
-        self._failed: list[int] = []
-        self._last_result: bool | None = None
-
-    # ------------------------------------------------------------- process
-
-    def _ensure_process(self) -> subprocess.Popen:
-        if self._process is None or self._process.poll() is not None:
-            if self._process is not None:
-                raise IpasirError(
-                    f"incremental solver process {self._command!r} exited "
-                    f"with status {self._process.returncode}"
-                )
-            try:
-                self._process = subprocess.Popen(
-                    self._command,
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    text=True,
-                )
-            except OSError as exc:
-                raise IpasirError(
-                    f"failed to start incremental solver "
-                    f"{self._command!r}: {exc}"
-                ) from exc
-        return self._process
-
-    def close(self) -> None:
-        """Shut the solver process down (idempotent).
-
-        Escalates: ask nicely (the ``q`` command), then SIGTERM, then
-        SIGKILL — a solver stuck in a long propagation (or a misbehaving
-        one that ignores SIGTERM) must never be leaked, only the final
-        kill is unconditional.
-        """
-        process = self._process
-        self._process = None
-        if process is None or process.poll() is not None:
-            return
-        try:
-            if process.stdin is not None:
-                process.stdin.write("q\n")
-                process.stdin.flush()
-                process.stdin.close()
-        except OSError:
-            pass
-        try:
-            process.wait(timeout=2)
-            return
-        except subprocess.TimeoutExpired:
-            pass
-        process.terminate()
-        try:
-            process.wait(timeout=2)
-            return
-        except subprocess.TimeoutExpired:
-            pass
-        process.kill()
-        process.wait()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    # ----------------------------------------------------------- clause I/O
-
-    def ensure_vars(self, num_vars: int) -> None:
-        if num_vars > self._num_vars:
-            self._num_vars = num_vars
-
-    def add_clause(self, literals: Iterable[int]) -> bool:
-        clause = list(literals)
-        for lit in clause:
-            if lit == 0:
-                raise IpasirError("0 is not a valid literal")
-            var = lit if lit > 0 else -lit
-            if var > self._num_vars:
-                self._num_vars = var
-        self._pending.append(
-            "a " + " ".join(str(lit) for lit in clause) + " 0\n"
-        )
-        if not clause:
-            self._unsat = True
-            return False
-        return True
-
-    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> bool:
-        ok = True
-        for clause in clauses:
-            ok = self.add_clause(clause) and ok
-        return ok
-
-    def add_cnf(self, cnf: CNF) -> None:
-        self.ensure_vars(cnf.num_vars)
-        self.add_clauses(cnf.clauses)
-
-    def freeze(self, variables: Iterable[int]) -> None:
-        """No-op: the pipe solver keeps every variable."""
-
-    # -------------------------------------------------------------- solving
-
-    def solve(
-        self,
-        assumptions: Sequence[int] = (),
-        conflict_limit: int | None = None,
-    ) -> bool | None:
-        self._model = {}
-        self._failed = []
-        self._last_result = None
-        process = self._ensure_process()
-        assert process.stdin is not None and process.stdout is not None
-        # A deadline in scope arms a watchdog that kills the solver
-        # process on expiry; the resulting EOF on stdout is then reported
-        # as TimeoutExceeded rather than a protocol error.
-        deadline = limits.active_deadline()
-        watchdog: threading.Timer | None = None
-        if deadline is not None:
-            deadline.check()
-            remaining = deadline.remaining()
-            if remaining is not None:
-                watchdog = threading.Timer(remaining, process.kill)
-                watchdog.daemon = True
-                watchdog.start()
-        try:
-            return self._solve_over_pipe(process, assumptions, deadline)
-        finally:
-            if watchdog is not None:
-                watchdog.cancel()
-
-    def _solve_over_pipe(
-        self,
-        process: subprocess.Popen,
-        assumptions: Sequence[int],
-        deadline,
-    ) -> bool | None:
-        def _gone(exc: Exception | None = None) -> Exception:
-            if deadline is not None and (
-                deadline.expired() or deadline.memory_exceeded()
-            ):
-                process.wait()  # the watchdog killed it; reap
-                deadline.check()
-            error = IpasirError(
-                f"incremental solver process {self._command!r} went away"
-                + (f": {exc}" if exc is not None else " mid-query")
-            )
-            if exc is not None:
-                error.__cause__ = exc
-            return error
-
-        try:
-            if self._pending:
-                process.stdin.writelines(self._pending)
-                self._pending.clear()
-            process.stdin.write(
-                "s " + " ".join(str(lit) for lit in assumptions) + " 0\n"
-            )
-            process.stdin.flush()
-        except OSError as exc:
-            raise _gone(exc)
-        status: bool | None = None
-        literals: list[int] = []
-        while True:
-            line = process.stdout.readline()
-            if not line:
-                raise _gone()
-            line = line.strip()
-            if line.startswith("s "):
-                verdict = line[2:].strip().upper()
-                if verdict == "SATISFIABLE":
-                    status = True
-                elif verdict == "UNSATISFIABLE":
-                    status = False
-                else:
-                    raise IpasirError(f"unexpected status line {line!r}")
-            elif line.startswith("v "):
-                chunk = [int(token) for token in line[2:].split()]
-                if chunk and chunk[-1] == 0:
-                    literals.extend(chunk[:-1])
-                    break
-                literals.extend(chunk)
-            elif line.startswith("f "):
-                chunk = [int(token) for token in line[2:].split()]
-                if chunk and chunk[-1] == 0:
-                    chunk.pop()
-                self._failed = chunk
-                break
-            # other lines (comments) are ignored
-        if status is None:
-            raise IpasirError(
-                f"incremental solver process {self._command!r} "
-                "produced no verdict"
-            )
-        if status:
-            model = {var: False for var in range(1, self._num_vars + 1)}
-            for lit in literals:
-                model[abs(lit)] = lit > 0
-            self._model = model
-        self._last_result = status
-        return status
-
-    def failed_assumptions(self) -> list[int]:
-        """Failed-assumption core reported by the subprocess (``f`` line);
-        empty unless the most recent solve returned UNSAT (guarded by the
-        recorded result, so an error path never leaks a core)."""
-        if self._last_result is not False:
-            return []
-        return list(self._failed)
-
-    def model(self) -> dict[int, bool]:
-        return dict(self._model)
-
-    def values_of(self, variables: Iterable[int]) -> dict[int, bool]:
-        model = self._model
-        return {var: model.get(var, False) for var in variables}
-
-    def stats(self) -> SolverStats | None:
-        """The pipe protocol does not carry counters; None (unavailable)."""
         return None

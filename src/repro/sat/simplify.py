@@ -64,6 +64,12 @@ when the formula at first solve has at least
 backend untouched.  Setting the variable to ``0`` forces preprocessing on
 every formula — the differential tests and ``benchmarks/bench_simplify``
 do exactly that.
+
+Against the native C kernel the pass no longer pays on the formulas the
+checker builds (it is pure Python, the kernel is not), so
+:func:`repro.sat.backend.make_backend_factory` stacks this backend only
+over the pure-Python kernel unless ``CHECKFENCE_SIMPLIFY=1`` or an
+explicit ``simplify=True`` forces it.
 """
 
 from __future__ import annotations
@@ -77,24 +83,29 @@ from typing import Iterable, Sequence
 from repro.core import limits
 
 
-def simplify_enabled(flag: bool | None = None) -> bool:
-    """Resolve the simplification knob: an explicit flag wins, otherwise
-    the ``CHECKFENCE_SIMPLIFY`` environment variable.  Unlike the other
-    repo env flags this one is *default-on*: only the literal ``"0"``
-    disables it (``--no-simplify`` / ``CHECKFENCE_SIMPLIFY=0``)."""
+def simplify_setting(flag: bool | None = None) -> bool | None:
+    """Resolve the preprocessor setting: an explicit flag wins, then the
+    ``CHECKFENCE_SIMPLIFY`` environment variable (``0`` removes the
+    preprocessor, any other value forces it).  None leaves the choice to
+    :func:`repro.sat.backend.make_backend_factory`, which stacks it over
+    the pure-Python kernel only."""
     if flag is not None:
         return bool(flag)
-    return os.environ.get("CHECKFENCE_SIMPLIFY", "1") != "0"
+    raw = os.environ.get("CHECKFENCE_SIMPLIFY", "").strip()
+    if not raw:
+        return None
+    return raw != "0"
 
 
 #: Below this many clauses the preprocessing pass costs more wall-clock
 #: than the solver work it saves (the pipeline is pure Python while the
 #: CDCL hot loop is already tuned), so :class:`SimplifyingBackend`
 #: bypasses itself and delegates straight to the inner backend.  The
-#: threshold was measured on the Fig. 10 catalog: 20-35k-clause instances
-#: solve in ~0.1-0.5s, which a ~0.3s preprocessing pass cannot repay,
-#: while the largest tests (lazylist/Saaarr, msn/Tpc6: 100k+ clauses)
-#: gain more solving time than the pass costs.
+#: threshold was measured on the Fig. 10 catalog with the pure-Python
+#: kernel: 20-35k-clause instances solve in ~0.1-0.5s, which a ~0.3s
+#: preprocessing pass cannot repay, while the largest tests
+#: (lazylist/Saaarr, msn/Tpc6: 100k+ clauses) gain more solving time than
+#: the pass costs.
 _DEFAULT_MIN_CLAUSES = 50_000
 
 #: Engagement threshold for formulas known to feed a solve/block
@@ -965,9 +976,11 @@ class SimplifyingBackend:
             ok = self.add_clause(clause) and ok
         return ok
 
-    def add_cnf(self, cnf) -> None:
+    def add_cnf(self, cnf, start: int = 0) -> bool:
+        if self._bypass:
+            return self.inner.add_cnf(cnf, start)
         self.ensure_vars(cnf.num_vars)
-        self.add_clauses(cnf.clauses)
+        return self.add_clauses(cnf.clauses[start:])
 
     # -------------------------------------------------------- inner mapping
 

@@ -334,9 +334,10 @@ class Solver:
             self._order.grow(self._num_vars)
             self._order.insert(self._num_vars)
 
-    def add_cnf(self, cnf: CNF) -> None:
+    def add_cnf(self, cnf: CNF, start: int = 0) -> bool:
+        """Add clauses ``start`` onwards of ``cnf``."""
         self.ensure_vars(cnf.num_vars)
-        self.add_clauses_trusted(cnf.clauses)
+        return self.add_clauses_trusted(cnf.clauses[start:])
 
     def add_clauses_trusted(self, clauses: Iterable[Sequence[int]]) -> bool:
         """Bulk-add clauses that are already free of duplicate literals and

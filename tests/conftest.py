@@ -1,4 +1,5 @@
-"""Shared fixtures for test suites that spawn solver subprocesses."""
+"""Shared fixtures: solver subprocesses, the native kernel, and the
+injected encoder bug of the mutation-detection tests."""
 
 from __future__ import annotations
 
@@ -37,3 +38,14 @@ def src_on_subprocess_path(monkeypatch):
         monkeypatch.setenv(
             "PYTHONPATH", SRC + (os.pathsep + existing if existing else "")
         )
+
+
+@pytest.fixture(scope="session")
+def native_solver():
+    """The native kernel's solver class; skips with the reason when the
+    kernel cannot be built or loaded here."""
+    from repro.sat import native
+
+    if native.load() is None:
+        pytest.skip(f"native kernel unavailable: {native.unavailable_reason()}")
+    return native.NativeSolver

@@ -160,6 +160,22 @@ class TestSimplifyKnob:
         session = CheckSession(get_implementation("msn"), CheckOptions())
         assert session.simplify is False
 
+    def test_default_stack_over_the_native_kernel_has_no_preprocessor(
+        self, native_solver, monkeypatch
+    ):
+        for name in ("CHECKFENCE_SIMPLIFY", "CHECKFENCE_SOLVER"):
+            monkeypatch.delenv(name, raising=False)
+        session = CheckSession(get_implementation("msn"), CheckOptions())
+        assert session.simplify is False
+        assert session.backend_factory().name == "native"
+        result = session.check(get_test("queue", "T0"), "sc")
+        assert result.passed and result.stats.solver_backend == "native"
+        forced = CheckSession(
+            get_implementation("msn"), CheckOptions(simplify=True)
+        )
+        assert forced.simplify is True
+        assert forced.backend_factory().name == "simplify+native"
+
     def test_check_verdict_independent_of_the_knob(self, monkeypatch):
         monkeypatch.setenv("CHECKFENCE_SIMPLIFY_MIN_CLAUSES", "0")
         session = CheckSession(

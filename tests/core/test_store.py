@@ -139,6 +139,15 @@ class TestKeySensitivity:
         _, warm = _check("msn", "T0", "sc", store=True, solver_backend="ipasir")
         assert warm.stats.store_hit is True
 
+    def test_preprocessor_does_not_change_key(self, cache_dir):
+        """The CNF preprocessor is verdict-preserving like the backend, and
+        the default stack includes it only where the native kernel could
+        not be built, so a cell is shared across the two settings."""
+        _, cold = _check("msn", "T0", "sc", store=True, simplify=True)
+        assert cold.stats.store_hit is False
+        _, warm = _check("msn", "T0", "sc", store=True, simplify=False)
+        assert warm.stats.store_hit is True
+
     def test_content_key_is_deterministic(self):
         parts = ["impl", "source", ["T0", "init", "threads"], "sc", [2, True]]
         assert content_key(VERDICT_KIND, parts) == content_key(
@@ -161,6 +170,17 @@ class TestRobustness:
         checker, result = _check("msn", "T0", "sc", store=True)
         assert result.passed is True
         assert result.stats.store_hit is False
+
+    def test_dropping_a_store_closes_its_connection(self, cache_dir):
+        """sqlite3 keeps a connection in a reference cycle, so without an
+        explicit close it outlives its store until the cyclic collector
+        runs, and a later store on the same file could read through it."""
+        store = VerdictStore()
+        store.put("k", VERDICT_KIND, {"passed": True})
+        connection = store._conn
+        del store
+        with pytest.raises(sqlite3.ProgrammingError):
+            connection.execute("SELECT 1")
 
     def test_clear_resets_broken_flag(self, cache_dir):
         store = VerdictStore()

@@ -91,30 +91,34 @@ class TestLitmusOutcomes:
 
 class TestBackendEquivalence:
     """The litmus verdict matrix must be bit-identical across solver
-    stacks (the bare internal CDCL vs the CNF preprocessor forced on in
-    front of it)."""
+    stacks: the bare pure-Python kernel, the native kernel, and the CNF
+    preprocessor forced on in front of either."""
 
-    def test_matrix_identical_across_backends(self, monkeypatch):
+    def test_matrix_identical_across_backends(self, native_solver, monkeypatch):
         monkeypatch.setenv("CHECKFENCE_SIMPLIFY_MIN_CLAUSES", "0")
-        bare = make_backend_factory("internal", simplify=False)
-        preprocessed = make_backend_factory("internal", simplify=True)
+        stacks = {
+            "python": make_backend_factory("internal", simplify=False),
+            "native": make_backend_factory("auto", simplify=False),
+            "simplify+python": make_backend_factory("internal", simplify=True),
+            "simplify+native": make_backend_factory("auto", simplify=True),
+        }
+        assert stacks["native"]().name == "native"
         models = ["sc", "tso", "pso", "relaxed"]
-        bare_matrix = {}
-        preprocessed_matrix = {}
+        matrices = {name: {} for name in stacks}
         for name, litmus in available_litmus_tests().items():
             if not litmus.observation:
                 continue
             for model in models:
-                bare_matrix[(name, model)] = observation_allowed(
-                    litmus, model, backend_factory=bare
-                )
-                preprocessed_matrix[(name, model)] = observation_allowed(
-                    litmus, model, backend_factory=preprocessed
-                )
-        assert bare_matrix == preprocessed_matrix
+                for stack, factory in stacks.items():
+                    matrices[stack][(name, model)] = observation_allowed(
+                        litmus, model, backend_factory=factory
+                    )
+        reference = matrices["python"]
+        for stack, matrix in matrices.items():
+            assert matrix == reference, stack
         # Sanity: the matrix separates the models (not all-equal verdicts).
-        assert True in bare_matrix.values()
-        assert False in bare_matrix.values()
+        assert True in reference.values()
+        assert False in reference.values()
 
 
 class TestCompiledCache:

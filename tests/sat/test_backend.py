@@ -1,13 +1,14 @@
 """Tests for the pluggable solver backend layer.
 
-The differential suite checks :class:`InternalBackend` against brute-force
-truth-table enumeration on random small CNFs; the spec tests pin how
-:func:`make_backend_factory` resolves a spec and stacks the preprocessor
-and the fault proxy around the chosen backend.
+The differential suite checks :class:`InternalBackend` over both kernels
+against brute-force truth-table enumeration on random small CNFs; the
+spec tests pin how :func:`make_backend_factory` resolves a spec and
+stacks the preprocessor and the fault proxy around the chosen backend.
 """
 
 from __future__ import annotations
 
+import ctypes.util
 import itertools
 import random
 
@@ -17,7 +18,7 @@ from repro.core import faults
 from repro.encoding import encode_test
 from repro.litmus.catalog import available_litmus_tests, compiled_litmus
 from repro.memorymodel.base import get_model
-from repro.sat import CNF
+from repro.sat import CNF, ipasir, native
 from repro.sat.backend import InternalBackend, make_backend_factory
 from repro.sat.simplify import SimplifyingBackend
 
@@ -75,6 +76,32 @@ class TestInternalBackend:
     def test_differential_vs_brute_force(self):
         run_differential(InternalBackend, count=120)
 
+    def test_native_differential_vs_brute_force(self, native_solver):
+        run_differential(
+            lambda: InternalBackend(native_solver(), "native"), count=120
+        )
+
+    @pytest.mark.parametrize("kernel", ["python", "native"])
+    def test_add_cnf_from_an_offset(self, kernel, request):
+        """``add_cnf(cnf, start)`` adds exactly clauses ``start`` onwards."""
+        if kernel == "python":
+            backend = InternalBackend()
+        else:
+            backend = InternalBackend(
+                request.getfixturevalue("native_solver")(), "native"
+            )
+        cnf = CNF()
+        a, b = cnf.new_vars(2)
+        cnf.add_clause([a])
+        cnf.add_clause([-a, b])
+        assert backend.add_cnf(cnf, 1) is True
+        assert backend.solve([-a]) is True
+        assert backend.values_of([a]) == {a: False}
+        cnf.add_clause([-b])
+        assert backend.add_cnf(cnf, 2) is True
+        assert backend.solve([a]) is False
+        assert backend.failed_assumptions() == [a]
+
     def test_assumptions_and_stats(self):
         cnf = CNF()
         a, b = cnf.new_vars(2)
@@ -102,20 +129,70 @@ class TestBackendSpecs:
         assert isinstance(backend, InternalBackend)
 
     def test_unknown_spec_rejected(self):
-        for spec in ("zchaff", "dimacs", "dimacs:kissat", "ipasir:"):
+        for spec in ("zchaff", "dimacs", "dimacs:kissat", "ipasir:", "native"):
             with pytest.raises(ValueError):
                 make_backend_factory(spec)
+
+    def test_ipasir_discovery_runs_once_per_factory(self, monkeypatch):
+        """``--solver ipasir`` used to probe the system (four
+        ``find_library`` lookups, each shelling out when it misses) for
+        every backend it built; a factory now resolves the library once."""
+        calls = []
+
+        def find_library(name):
+            calls.append(name)
+            return None
+
+        monkeypatch.delenv(ipasir.IPASIR_LIB_ENV, raising=False)
+        monkeypatch.setattr(ctypes.util, "find_library", find_library)
+        factory = make_backend_factory("ipasir", simplify=False)
+        backends = [factory() for _ in range(5)]
+        assert {backend.name for backend in backends} == {
+            "ipasir(fallback:internal)"
+        }
+        assert len(calls) == len(ipasir._KNOWN_LIBRARIES)
+
+    def test_ipasir_library_loads_once_per_path(self, native_solver):
+        path = native.library_path()
+        factory = make_backend_factory(f"ipasir:{path}")
+        first, second = factory(), factory()
+        assert first._library is second._library
+        assert ipasir.load_ipasir_library(path) is first._library
+        assert first.name == "ipasir(repro-cdcl)"
 
 
 class TestBackendStack:
     """The factory owns the one remaining solver-stack decision."""
 
-    def test_preprocessor_wraps_by_default(self, monkeypatch):
+    def test_preprocessor_wraps_the_python_kernel_by_default(self, monkeypatch):
         monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
-        backend = make_backend_factory("internal")()
+        factory = make_backend_factory("internal")
+        backend = factory()
+        assert factory.preprocess is True
         assert isinstance(backend, SimplifyingBackend)
         assert isinstance(backend.inner, InternalBackend)
         assert backend.name == "simplify+internal"
+        assert factory.fallback_reason is None
+
+    def test_native_kernel_runs_bare_by_default(
+        self, native_solver, monkeypatch
+    ):
+        monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
+        monkeypatch.delenv("CHECKFENCE_SOLVER", raising=False)
+        factory = make_backend_factory()
+        backend = factory()
+        assert factory.preprocess is False
+        assert isinstance(backend, InternalBackend)
+        assert isinstance(backend.solver, native_solver)
+        assert backend.name == "native"
+        assert factory.fallback_reason is None
+        # The preprocessor is still forced over the native kernel by the
+        # environment or an explicit flag, and removed by "0".
+        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
+        assert make_backend_factory()().name == "simplify+native"
+        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "0")
+        assert make_backend_factory(simplify=True)().name == "simplify+native"
+        assert make_backend_factory()().name == "native"
 
     def test_simplify_flag_and_env(self, monkeypatch):
         monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "0")
@@ -147,9 +224,9 @@ class TestBackendStack:
             def freeze(self, variables):
                 events.append(frozenset(variables))
 
-            def add_clauses(self, clauses):
-                events.append("add_clauses")
-                return super().add_clauses(clauses)
+            def add_cnf(self, cnf, start=0):
+                events.append(("add_cnf", start))
+                return super().add_cnf(cnf, start)
 
         litmus = available_litmus_tests()["store-buffering"]
         encoded = encode_test(
@@ -159,4 +236,6 @@ class TestBackendStack:
         assert encoded.solve()
         frozen, *rest = events
         assert frozen and frozen <= encoded.frozen_variables()
-        assert rest and all(event == "add_clauses" for event in rest)
+        assert rest and all(event[0] == "add_cnf" for event in rest)
+        # Each sync starts where the previous one stopped.
+        assert rest[0] == ("add_cnf", 0)

@@ -1,77 +1,62 @@
 """Shared conformance suite for every SolverBackend implementation.
 
-Each backend family — internal CDCL, IPASIR shared library (a C stub
-compiled on the fly with gcc), the incremental pipe (over the in-tree CLI,
-so no system solver is needed), and the simplifying wrapper — must satisfy
-the same observable contract: solving under temporary assumptions,
+Each backend family — the two in-tree CDCL kernels behind
+``InternalBackend`` (pure Python and native C), an IPASIR shared library
+(the native kernel's own IPASIR exports, loaded through
+``IpasirBackend``), and the simplifying wrapper — must satisfy the same
+observable contract: solving under temporary assumptions,
 failed-assumption cores after UNSAT, incremental clause addition after
 both SAT and UNSAT verdicts, and ``values_of`` agreement with ``model``.
 
 The stacks :func:`repro.sat.backend.make_backend_factory` builds run it
-too: the default stack (the preprocessor bypassing itself on formulas
-below its threshold), the preprocessor in front of the pipe, and the
-preprocessor over the armed ``solver-raise`` fault proxy.
+too: the default Python stack (the preprocessor bypassing itself on
+formulas below its threshold), the preprocessor forced over the native
+kernel, and the preprocessor over the armed ``solver-raise`` fault proxy.
+Lanes that need the native kernel skip, with the reason, when it cannot
+be built.
 """
 
 from __future__ import annotations
 
-import os
-import shutil
-import subprocess
-
 import pytest
 
 from repro.core import faults
+from repro.sat import native
 from repro.sat.backend import InternalBackend, make_backend_factory
-from repro.sat.ipasir import IncrementalPipeBackend, IpasirBackend
+from repro.sat.ipasir import IpasirBackend
 from repro.sat.simplify import SimplifyingBackend
-
-#: Subprocess backends must find the repro package.
-pytestmark = pytest.mark.usefixtures("src_on_subprocess_path")
-
-
-@pytest.fixture(scope="session")
-def ipasir_stub_library(tmp_path_factory):
-    """Compile tests/sat/ipasir_stub.c into a shared library once per
-    session; skip the IPASIR-library lane when no C compiler is around."""
-    compiler = shutil.which("cc") or shutil.which("gcc")
-    if compiler is None:
-        pytest.skip("no C compiler available to build the IPASIR stub")
-    source = os.path.join(os.path.dirname(__file__), "ipasir_stub.c")
-    out_dir = tmp_path_factory.mktemp("ipasir-stub")
-    library = str(out_dir / "libipasirstub.so")
-    build = subprocess.run(
-        [compiler, "-shared", "-fPIC", "-O1", "-o", library, source],
-        capture_output=True, text=True,
-    )
-    if build.returncode != 0:
-        pytest.skip(f"IPASIR stub build failed: {build.stderr.strip()}")
-    return library
-
 
 #: Factory-built lanes: lane -> (spec, environment).  The fault is armed
 #: far beyond any solve count reached here, so the proxy only forwards.
 FACTORY_LANES = {
     "default-stack": ("internal", {}),
-    "simplify-pipe": ("ipasir:cli", {"CHECKFENCE_SIMPLIFY_MIN_CLAUSES": "0"}),
+    "simplify-native": ("auto", {"CHECKFENCE_SIMPLIFY": "1",
+                                 "CHECKFENCE_SIMPLIFY_MIN_CLAUSES": "0"}),
     "fault-proxy": ("internal", {"CHECKFENCE_SIMPLIFY_MIN_CLAUSES": "0",
                                  faults.FAULT_ENV: "solver-raise:1000000000"}),
 }
-BACKENDS = ["internal", "ipasir-lib", "ipasir-pipe", "simplify", *FACTORY_LANES]
-#: Lanes whose innermost solver is the internal CDCL (exact cores).
-EXACT_CORE_LANES = ("internal", "simplify", "default-stack", "fault-proxy")
+BACKENDS = ["internal", "native", "ipasir-lib", "simplify", *FACTORY_LANES]
+#: Lanes whose innermost solver is an in-tree kernel (exact cores).
+EXACT_CORE_LANES = (
+    "internal", "native", "simplify", "default-stack", "simplify-native",
+    "fault-proxy",
+)
+#: Lanes that run the native kernel.
+NATIVE_LANES = ("native", "ipasir-lib", "simplify-native")
 
 
 @pytest.fixture(params=BACKENDS)
 def backend(request, monkeypatch):
     kind = request.param
+    if kind in NATIVE_LANES:
+        request.getfixturevalue("native_solver")
     if kind == "internal":
         made = InternalBackend()
+    elif kind == "native":
+        made = make_backend_factory("auto", simplify=False)()
+        assert made.name == "native"
     elif kind == "ipasir-lib":
-        library = request.getfixturevalue("ipasir_stub_library")
-        made = IpasirBackend(library)
-    elif kind == "ipasir-pipe":
-        made = IncrementalPipeBackend()
+        made = IpasirBackend(native.library_path())
     elif kind == "simplify":
         made = SimplifyingBackend(InternalBackend(), min_clauses=0)
     else:
@@ -82,13 +67,7 @@ def backend(request, monkeypatch):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         made = make_backend_factory(spec)()
-    yield made
-    # The wrappers hold no resources; the innermost backend may.
-    while isinstance(made, SimplifyingBackend):
-        made = made.inner
-    close = getattr(made, "close", None)
-    if close is not None:
-        close()
+    return made
 
 
 def test_solve_under_assumptions_is_temporary(backend):

@@ -21,8 +21,8 @@ from repro.sat.simplify import (
     Simplifier,
     SimplifyingBackend,
     simplify_cnf,
-    simplify_enabled,
     simplify_min_clauses,
+    simplify_setting,
 )
 
 
@@ -274,15 +274,16 @@ class TestBypass:
         with pytest.raises(ValueError):
             simplify_min_clauses()
 
-    def test_simplify_enabled_env(self, monkeypatch):
+    def test_simplify_setting_env(self, monkeypatch):
+        # Unset leaves the choice to the backend factory (the kernel).
         monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
-        assert simplify_enabled() is True
+        assert simplify_setting() is None
         monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "0")
-        assert simplify_enabled() is False
-        assert simplify_enabled(True) is True
+        assert simplify_setting() is False
+        assert simplify_setting(True) is True
         monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
-        assert simplify_enabled() is True
-        assert simplify_enabled(False) is False
+        assert simplify_setting() is True
+        assert simplify_setting(False) is False
 
 
 class TestSimplifierUnit:

@@ -1,11 +1,43 @@
-"""Unit and property tests for the CDCL solver."""
+"""Unit and property tests for the CDCL kernels.
+
+Every test that takes the ``kernel`` fixture runs against both kernels:
+the pure-Python :class:`repro.sat.solver.Solver` and the native C one
+(:class:`repro.sat.native.NativeSolver`, skipped with the reason when it
+cannot be built).  The ``VarOrderHeap`` tests cover a Python-only part.
+"""
 
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sat import CNF, Solver, solve_cnf
+from repro.sat import CNF, Solver
+
+
+@pytest.fixture(scope="module", params=["python", "native"])
+def kernel(request):
+    """A solver class: ``kernel(cnf)`` builds a solver over ``cnf``."""
+    if request.param == "python":
+        return Solver
+    return request.getfixturevalue("native_solver")
+
+
+def solve_cnf(kernel, cnf):
+    """One-shot solve: a model, or None when UNSAT."""
+    solver = kernel(cnf)
+    return solver.model() if solver.solve() else None
+
+
+def pigeonhole(cnf: CNF, pigeons: int, holes: int) -> list[list[int]]:
+    """Add the pigeonhole constraints; returns the variable grid."""
+    grid = [[cnf.new_var() for _ in range(holes)] for _ in range(pigeons)]
+    for p in range(pigeons):
+        cnf.add_clause(grid[p])
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                cnf.add_clause([-grid[p1][h], -grid[p2][h]])
+    return grid
 
 
 def brute_force_satisfiable(cnf: CNF) -> bool:
@@ -29,53 +61,53 @@ def check_model(cnf: CNF, model: dict[int, bool]) -> bool:
 
 
 class TestBasics:
-    def test_empty_formula_is_sat(self):
-        solver = Solver()
+    def test_empty_formula_is_sat(self, kernel):
+        solver = kernel()
         assert solver.solve() is True
 
-    def test_single_unit_clause(self):
+    def test_single_unit_clause(self, kernel):
         cnf = CNF()
         v = cnf.new_var()
         cnf.add_unit(v)
-        model = solve_cnf(cnf)
+        model = solve_cnf(kernel, cnf)
         assert model is not None
         assert model[v] is True
 
-    def test_contradictory_units_unsat(self):
+    def test_contradictory_units_unsat(self, kernel):
         cnf = CNF()
         v = cnf.new_var()
         cnf.add_unit(v)
         cnf.add_unit(-v)
-        assert solve_cnf(cnf) is None
+        assert solve_cnf(kernel, cnf) is None
 
-    def test_simple_sat_instance(self):
+    def test_simple_sat_instance(self, kernel):
         cnf = CNF()
         a, b, c = cnf.new_vars(3)
         cnf.add_clause([a, b])
         cnf.add_clause([-a, c])
         cnf.add_clause([-b, c])
-        model = solve_cnf(cnf)
+        model = solve_cnf(kernel, cnf)
         assert model is not None
         assert check_model(cnf, model)
 
-    def test_implication_chain_propagates(self):
+    def test_implication_chain_propagates(self, kernel):
         cnf = CNF()
         variables = cnf.new_vars(20)
         cnf.add_unit(variables[0])
         for x, y in zip(variables, variables[1:]):
             cnf.add_clause([-x, y])
-        model = solve_cnf(cnf)
+        model = solve_cnf(kernel, cnf)
         assert model is not None
         assert all(model[v] for v in variables)
 
-    def test_unsat_chain(self):
+    def test_unsat_chain(self, kernel):
         cnf = CNF()
         variables = cnf.new_vars(10)
         cnf.add_unit(variables[0])
         for x, y in zip(variables, variables[1:]):
             cnf.add_clause([-x, y])
         cnf.add_unit(-variables[-1])
-        assert solve_cnf(cnf) is None
+        assert solve_cnf(kernel, cnf) is None
 
     def test_tautology_is_dropped(self):
         cnf = CNF()
@@ -88,53 +120,39 @@ class TestBasics:
         with pytest.raises(ValueError):
             cnf.add_clause([0])
 
-    def test_xor_constraints(self):
+    def test_xor_constraints(self, kernel):
         # x1 xor x2 = 1, x2 xor x3 = 1, x1 xor x3 = 1 is unsatisfiable.
         cnf = CNF()
         x1, x2, x3 = cnf.new_vars(3)
         for a, b in [(x1, x2), (x2, x3), (x1, x3)]:
             cnf.add_clause([a, b])
             cnf.add_clause([-a, -b])
-        assert solve_cnf(cnf) is None
+        assert solve_cnf(kernel, cnf) is None
 
 
 class TestPigeonhole:
     @pytest.mark.parametrize("holes", [2, 3, 4])
-    def test_pigeonhole_unsat(self, holes):
+    def test_pigeonhole_unsat(self, kernel, holes):
         """n+1 pigeons cannot fit in n holes — classic hard UNSAT family."""
-        pigeons = holes + 1
         cnf = CNF()
-        grid = [[cnf.new_var() for _ in range(holes)] for _ in range(pigeons)]
-        for p in range(pigeons):
-            cnf.add_clause(grid[p])
-        for h in range(holes):
-            for p1 in range(pigeons):
-                for p2 in range(p1 + 1, pigeons):
-                    cnf.add_clause([-grid[p1][h], -grid[p2][h]])
-        assert solve_cnf(cnf) is None
+        pigeonhole(cnf, holes + 1, holes)
+        assert solve_cnf(kernel, cnf) is None
 
     @pytest.mark.parametrize("holes", [3, 4, 5])
-    def test_exact_fit_sat(self, holes):
-        pigeons = holes
+    def test_exact_fit_sat(self, kernel, holes):
         cnf = CNF()
-        grid = [[cnf.new_var() for _ in range(holes)] for _ in range(pigeons)]
-        for p in range(pigeons):
-            cnf.add_clause(grid[p])
-        for h in range(holes):
-            for p1 in range(pigeons):
-                for p2 in range(p1 + 1, pigeons):
-                    cnf.add_clause([-grid[p1][h], -grid[p2][h]])
-        model = solve_cnf(cnf)
+        pigeonhole(cnf, holes, holes)
+        model = solve_cnf(kernel, cnf)
         assert model is not None
         assert check_model(cnf, model)
 
 
 class TestIncremental:
-    def test_blocking_clauses_enumerate_all_models(self):
+    def test_blocking_clauses_enumerate_all_models(self, kernel):
         cnf = CNF()
         a, b = cnf.new_vars(2)
         cnf.add_clause([a, b])
-        solver = Solver(cnf)
+        solver = kernel(cnf)
         models = []
         while solver.solve():
             model = solver.model()
@@ -144,11 +162,11 @@ class TestIncremental:
             )
         assert sorted(models) == [(False, True), (True, False), (True, True)]
 
-    def test_assumptions_sat_and_unsat(self):
+    def test_assumptions_sat_and_unsat(self, kernel):
         cnf = CNF()
         a, b = cnf.new_vars(2)
         cnf.add_clause([-a, b])
-        solver = Solver(cnf)
+        solver = kernel(cnf)
         assert solver.solve(assumptions=[a]) is True
         assert solver.model()[b] is True
         solver.add_clause([-b])
@@ -157,10 +175,10 @@ class TestIncremental:
         assert solver.solve() is True
         assert solver.model()[a] is False
 
-    def test_adding_clauses_between_solves(self):
+    def test_adding_clauses_between_solves(self, kernel):
         cnf = CNF()
         variables = cnf.new_vars(4)
-        solver = Solver(cnf)
+        solver = kernel(cnf)
         assert solver.solve() is True
         solver.add_clause([variables[0]])
         solver.add_clause([-variables[0], variables[1]])
@@ -170,7 +188,7 @@ class TestIncremental:
         solver.add_clause([-variables[1]])
         assert solver.solve() is False
 
-    def test_unsat_under_assumptions_leaves_solver_reusable(self):
+    def test_unsat_under_assumptions_leaves_solver_reusable(self, kernel):
         """Regression test: an UNSAT-under-assumptions result must not poison
         the solver — later solves (with other assumptions or none) must still
         work and produce valid models."""
@@ -179,7 +197,7 @@ class TestIncremental:
         cnf.add_clause([-a, b])
         cnf.add_clause([-b, c])
         cnf.add_clause([-a, -c])  # a -> b -> c but a forbids c: a must be False
-        solver = Solver(cnf)
+        solver = kernel(cnf)
         assert solver.solve(assumptions=[a]) is False
         # The solver is still usable: plain solve, solve under the opposite
         # assumption, and incremental clause addition all behave.
@@ -195,7 +213,7 @@ class TestIncremental:
         assert solver.solve(assumptions=[a]) is False
         assert solver.solve(assumptions=[c]) is True
 
-    def test_unsat_under_assumptions_many_rounds(self):
+    def test_unsat_under_assumptions_many_rounds(self, kernel):
         """Alternating UNSAT/SAT assumption queries on one solver instance
         (the shape of the session's assertion + inclusion query reuse)."""
         cnf = CNF()
@@ -203,40 +221,32 @@ class TestIncremental:
         cnf.add_unit(variables[0])
         for x, y in zip(variables, variables[1:]):
             cnf.add_clause([-x, y])
-        solver = Solver(cnf)
+        solver = kernel(cnf)
         for _ in range(5):
             assert solver.solve(assumptions=[-variables[-1]]) is False
             assert solver.solve(assumptions=[variables[-1]]) is True
             assert solver.solve() is True
             assert check_model(cnf, solver.model())
 
-    def test_conflict_limit_returns_none_or_result(self):
+    def test_conflict_limit_returns_none_or_result(self, kernel):
         cnf = CNF()
-        holes = 5
-        pigeons = holes + 1
-        grid = [[cnf.new_var() for _ in range(holes)] for _ in range(pigeons)]
-        for p in range(pigeons):
-            cnf.add_clause(grid[p])
-        for h in range(holes):
-            for p1 in range(pigeons):
-                for p2 in range(p1 + 1, pigeons):
-                    cnf.add_clause([-grid[p1][h], -grid[p2][h]])
-        solver = Solver(cnf)
+        pigeonhole(cnf, 6, 5)
+        solver = kernel(cnf)
         result = solver.solve(conflict_limit=3)
         assert result in (None, False)
 
 
 class TestStats:
-    def test_stats_populated(self):
+    def test_stats_populated(self, kernel):
         cnf = CNF()
         variables = cnf.new_vars(8)
         for i in range(0, 8, 2):
             cnf.add_clause([variables[i], variables[i + 1]])
             cnf.add_clause([-variables[i], -variables[i + 1]])
-        solver = Solver(cnf)
+        solver = kernel(cnf)
         assert solver.solve() is True
-        assert solver.stats.decisions >= 1
-        assert solver.stats.propagations >= 1
+        assert solver.total_stats.decisions >= 1
+        assert solver.total_stats.propagations >= 1
 
 
 class TestVarOrderHeap:
@@ -287,23 +297,23 @@ class TestVarOrderHeap:
 
 
 class TestTrustedBulkAdd:
-    def test_matches_per_clause_add(self):
+    def test_matches_per_clause_add(self, kernel):
         cnf = CNF()
         a, b, c = cnf.new_vars(3)
         cnf.add_clause([a, b])
         cnf.add_clause([-a, c])
         cnf.add_clause([-b, -c])
-        bulk = Solver()
+        bulk = kernel()
         bulk.ensure_vars(cnf.num_vars)
         assert bulk.add_clauses_trusted(cnf.clauses) is True
-        single = Solver(cnf)
+        single = kernel(cnf)
         assert bulk.solve() == single.solve() is True
         assert check_model(cnf, bulk.model())
 
-    def test_bulk_unit_conflict_is_unsat(self):
+    def test_bulk_unit_conflict_is_unsat(self, kernel):
         cnf = CNF()
         v = cnf.new_var()
-        solver = Solver()
+        solver = kernel()
         solver.ensure_vars(1)
         assert solver.add_clauses_trusted([(v,), (-v,)]) is False
         assert solver.solve() is False
@@ -329,9 +339,9 @@ def random_cnf(draw):
 class TestAgainstBruteForce:
     @settings(max_examples=60, deadline=None)
     @given(random_cnf())
-    def test_matches_brute_force(self, cnf):
+    def test_matches_brute_force(self, kernel, cnf):
         expected = brute_force_satisfiable(cnf)
-        model = solve_cnf(cnf)
+        model = solve_cnf(kernel, cnf)
         if expected:
             assert model is not None
             assert check_model(cnf, model)
@@ -340,7 +350,7 @@ class TestAgainstBruteForce:
 
     @settings(max_examples=30, deadline=None)
     @given(random_cnf())
-    def test_model_satisfies_formula(self, cnf):
-        model = solve_cnf(cnf)
+    def test_model_satisfies_formula(self, kernel, cnf):
+        model = solve_cnf(kernel, cnf)
         if model is not None:
             assert check_model(cnf, model)

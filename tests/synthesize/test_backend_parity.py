@@ -3,9 +3,10 @@
 The low-level core/deletion contract lives in
 ``tests/sat/test_backend_contract.py``; this file asserts the end-to-end
 consequence: the *synthesized fence set* is identical whichever solver
-lane drives the search — internal CDCL, the external IPASIR-over-pipe
-solver, or the simplifying preprocessor wrapped around either (whose
-UNSAT cores must round-trip through its substitution-origin map).
+lane drives the search — the pure-Python CDCL kernel, the native one, or
+the simplifying preprocessor wrapped around the Python kernel (whose
+UNSAT cores must round-trip through its substitution-origin map).  The
+native lane is left out when the kernel cannot be built.
 
 Different lanes produce different SAT witnesses and different (equally
 sound) UNSAT cores, so they can reach *different equal-cost optima*;
@@ -24,14 +25,23 @@ from repro.core.synthesize import synthesize_litmus
 from repro.datatypes.registry import get_implementation
 from repro.fuzz import FuzzProgram
 from repro.harness.catalog import get_test
+from repro.sat import native
 from repro.sat.backend import make_backend_factory
 
 #: lane name -> (solver backend spec, simplify)
 LANES = {
     "internal": ("internal", False),
-    "ipasir-cli": ("ipasir:cli", False),
+    "native": ("auto", False),
     "simplify": ("internal", True),
 }
+
+
+def lanes() -> dict[str, tuple[str, bool]]:
+    """The lanes that can run: the native one only when its kernel builds."""
+    if native.load() is None:
+        return {lane: setting for lane, setting in LANES.items()
+                if lane != "native"}
+    return LANES
 
 CATALOG_CELLS = [
     ("msn-unfenced", "queue", "T0", "relaxed"),
@@ -47,7 +57,7 @@ CATALOG_CELLS = [
 )
 def test_catalog_synthesis_agrees_across_lanes(impl, category, test, model):
     outcomes = {}
-    for lane, (solver, simplify) in LANES.items():
+    for lane, (solver, simplify) in lanes().items():
         session = CheckSession(
             get_implementation(impl),
             CheckOptions(solver_backend=solver, simplify=simplify),
@@ -68,7 +78,7 @@ def test_catalog_synthesis_agrees_across_lanes(impl, category, test, model):
 def test_litmus_synthesis_agrees_across_lanes(spec, models):
     program = FuzzProgram.parse(spec)
     outcomes = {}
-    for lane, (solver, simplify) in LANES.items():
+    for lane, (solver, simplify) in lanes().items():
         result = synthesize_litmus(
             program,
             models,
