@@ -59,22 +59,20 @@ def run_commit_point_check(
     labels = compiled.observation_labels()
     validated = ObservationSet(labels=labels, method="commit-point")
     encoded = encode_test(compiled, model, backend_factory=backend_factory)
-    encoded.expect_enumeration()
     solver_calls = 0
     counterexample = None
     passed = True
-    while solver_calls < max_iterations:
+    for observation in encoded.observations():
         solver_calls += 1
-        if not encoded.solve():
+        if not miner.contains(observation):
+            counterexample = build_trace(encoded, "observation", labels)
+            passed = False
             break
-        observation = encoded.decode_current_observation()
-        if miner.contains(observation):
-            validated.add(observation)
-            encoded.block_observation(observation)
-            continue
-        counterexample = build_trace(encoded, "observation", labels)
-        passed = False
-        break
+        validated.add(observation)
+        if solver_calls >= max_iterations:
+            break
+    else:
+        solver_calls += 1  # the final solve, which found nothing new
     return CommitPointResult(
         passed=passed,
         counterexample=counterexample,

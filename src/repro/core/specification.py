@@ -81,21 +81,19 @@ class SatSpecificationMiner:
         spec = ObservationSet(
             labels=self.compiled.observation_labels(), method="sat"
         )
-        encoded.expect_enumeration()
-        iterations = 0
-        while iterations < self.max_observations:
+        solves = 0
+        for observation in encoded.observations():
+            solves += 1
+            spec.add(observation)
+            if solves >= self.max_observations:
+                break
             # The solve itself polls inside the backend; this covers the
             # decode/block bookkeeping between iterations of a long
             # enumeration.
             limits.check_deadline()
-            result = encoded.solve()
-            iterations += 1
-            if not result:
-                break
-            observation = encoded.decode_current_observation()
-            spec.add(observation)
-            encoded.block_observation(observation)
-        spec.solver_iterations = iterations
+        else:
+            solves += 1  # the final solve, which found nothing new
+        spec.solver_iterations = solves
         spec.mining_seconds = time.perf_counter() - start
         return spec
 

@@ -756,13 +756,7 @@ def synthesize_fences(
 def _mine_outcomes(compiled, model, backend_factory) -> set[tuple[int, ...]]:
     """All reachable observation vectors, by the solve/block loop."""
     encoded = encode_test(compiled, model, backend_factory=backend_factory)
-    encoded.expect_enumeration()
-    outcomes: set[tuple[int, ...]] = set()
-    while encoded.solve():
-        observation = encoded.decode_current_observation()
-        outcomes.add(observation)
-        encoded.block_observation(observation)
-    return outcomes
+    return set(encoded.observations())
 
 
 def litmus_candidates(program, kinds=CANDIDATE_KINDS) -> list[CandidateFence]:

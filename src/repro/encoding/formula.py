@@ -16,10 +16,12 @@ per :class:`CompiledTest` as an :class:`EncodingSkeleton` and memoized on
 the compiled test itself.  Each per-model encode then *forks* the skeleton
 (an array-level CNF snapshot plus shallow circuit/dict copies) and runs
 only ``Theta`` — the :class:`repro.encoding.memory.MemoryModelEncoder`
-layer — on top.  A five-model sweep therefore executes symbolic execution
-and base lowering once instead of five times.  A per-model layer on a
-reused skeleton builds exactly the formula it would build on a freshly
-compiled one (``tests/encoding/test_share_equivalence.py``).
+layer — on top.  The model-independent facts of ``Theta`` (the
+:class:`repro.encoding.memory.AccessTable` and the equality terms built
+from it) live on the skeleton too, so a five-model sweep executes symbolic
+execution, base lowering and access analysis once instead of five times.
+A per-model layer on a reused skeleton builds exactly the formula it would
+build on a freshly compiled one (``tests/encoding/test_share_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,11 @@ import heapq
 import time
 from dataclasses import dataclass
 
-from repro.encoding.memory import MemoryModelEncoder, MemoryOrderEncoding
+from repro.encoding.memory import (
+    AccessTable,
+    MemoryModelEncoder,
+    MemoryOrderEncoding,
+)
 from repro.encoding.symbolic import (
     EncodingError,
     MemoryAccess,
@@ -294,7 +300,6 @@ class EncodedTest:
         context: EncodingContext,
         model: MemoryModel,
         threads: list[ThreadEncoding],
-        executors: dict[int, ThreadSymbolicExecutor],
         order: MemoryOrderEncoding,
         observation_slots: list[ObservationSlot],
         assertions: list[tuple[int, str]],
@@ -305,7 +310,6 @@ class EncodedTest:
         self.ctx = context
         self.model = model
         self.threads = threads
-        self.executors = executors
         self.order = order
         self.observation_slots = observation_slots
         self.assertions = assertions
@@ -405,6 +409,17 @@ class EncodedTest:
             backend.min_clauses = min(
                 backend.min_clauses, ENUMERATION_MIN_CLAUSES
             )
+
+    def observations(self):
+        """The reachable observation vectors, by solve -> decode -> yield
+        -> block until a solve is not SAT.  An observation is blocked only
+        when the next one is asked for, so a caller that stops early still
+        reads the last model; caps and deadline polls are the caller's."""
+        self.expect_enumeration()
+        while self.solve():
+            observation = self.decode_current_observation()
+            yield observation
+            self.block_observation(observation)
 
     def solve(self, assumptions=()):
         """Solve the current formula; returns True/False (or None on limit).
@@ -621,18 +636,18 @@ class EncodedTest:
         partial order; a deterministic topological sort (ties broken by
         access position) produces a total order consistent with it.
         """
-        executed = [
-            a for a in self.order.accesses if self._evaluate(a.guard, model)
+        accesses = self.order.accesses
+        positions = [
+            p for p, a in enumerate(accesses)
+            if self._evaluate(a.guard, model)
         ]
-        position = {a.index: i for i, a in enumerate(self.order.accesses)}
+        executed = [accesses[p] for p in positions]
         count = len(executed)
         successors: list[list[int]] = [[] for _ in range(count)]
         indegree = [0] * count
         for x in range(count):
             for y in range(x + 1, count):
-                handle = self.order.resolved(
-                    position[executed[x].index], position[executed[y].index]
-                )
+                handle = self.order.resolved(positions[x], positions[y])
                 if handle is None:
                     continue
                 if self._evaluate(handle, model):
@@ -669,18 +684,19 @@ class EncodingSkeleton:
 
     Holds the pristine :class:`EncodingContext` after symbolic execution of
     every thread, the observation slots / assertions / overflow handles,
-    and the base CNF with every thread formula already Tseitin-lowered.
-    Per-model layers must never mutate it: they run on
-    :meth:`EncodingContext.fork` snapshots (see :func:`encode_test`).
+    the base CNF with every thread formula already Tseitin-lowered, and the
+    access table every memory-model layer reads.  Per-model layers must
+    never mutate it: they run on :meth:`EncodingContext.fork` snapshots
+    (see :func:`encode_test`).
     """
 
     compiled: CompiledTest
     context: EncodingContext
     threads: list[ThreadEncoding]
-    executors: dict[int, ThreadSymbolicExecutor]
     observation_slots: list[ObservationSlot]
     assertions: list[tuple[int, str]]
     overflow_handles: dict[str, int]
+    table: AccessTable
     build_seconds: float = 0.0
 
 
@@ -739,7 +755,8 @@ def build_skeleton(compiled: CompiledTest) -> EncodingSkeleton:
             handle = -context.bvb.is_zero(executor.register_value(flag_reg))
             overflow_handles[f"{invocation.label}:{tag}"] = handle
 
-    prelower = _prewarm_shared_terms(context, thread_encodings)
+    table = AccessTable(thread_encodings)
+    prelower = _prewarm_shared_terms(context, table)
     _lower_base_cnf(
         context, thread_encodings, observation_slots, assertions,
         overflow_handles, prelower,
@@ -748,105 +765,16 @@ def build_skeleton(compiled: CompiledTest) -> EncodingSkeleton:
         compiled=compiled,
         context=context,
         threads=thread_encodings,
-        executors=executors,
         observation_slots=observation_slots,
         assertions=assertions,
         overflow_handles=overflow_handles,
+        table=table,
         build_seconds=time.perf_counter() - start,
     )
 
 
-def _core_static_reach(
-    context: EncodingContext,
-    threads: list[ThreadEncoding],
-    accesses,
-    position: dict[int, int],
-    extra_edges,
-) -> list[int]:
-    """Reachability bitmasks of the *model-independent core* of the static
-    order: edges every memory model resolves identically — init-thread
-    accesses before every other thread, init-thread and atomic-block
-    program order, always-executed fences, and the caller-supplied
-    ``extra_edges`` (constant same-address store order, which every
-    registered model enforces).  The per-model static resolver
-    (:meth:`MemoryModelEncoder._resolve_static_orders`) produces a superset
-    of this relation, so a (load, store) pair the core orders load-first is
-    invisible under every model and its equality terms need never exist.
-    (Were a model ever to drop one of these axioms, its layer would simply
-    build the skipped terms lazily on its fork — prewarm narrowing can
-    cost per-model time, never correctness.)
-    """
-    n = len(accesses)
-    successors = [0] * n
-    for first, second in extra_edges:
-        successors[position[first.index]] |= 1 << position[second.index]
-    circuit_true = context.circuit.TRUE
-    by_thread: dict[int, list] = {}
-    for access in accesses:
-        by_thread.setdefault(access.thread, []).append(access)
-    for thread_accesses in by_thread.values():
-        thread_accesses.sort(key=lambda a: a.seq)
-        for i, first in enumerate(thread_accesses):
-            for second in thread_accesses[i + 1:]:
-                if first.thread == INIT_THREAD or (
-                    first.atomic_group is not None
-                    and first.atomic_group == second.atomic_group
-                ):
-                    successors[position[first.index]] |= (
-                        1 << position[second.index]
-                    )
-    for thread in threads:
-        fences = [f for f in thread.fences if f.guard == circuit_true]
-        if not fences:
-            continue
-        thread_accesses = by_thread.get(thread.thread, [])
-        for fence in fences:
-            before = [
-                a for a in thread_accesses
-                if a.seq < fence.seq and a.kind in fence.kind.orders_before
-            ]
-            after = [
-                a for a in thread_accesses
-                if a.seq > fence.seq and a.kind in fence.kind.orders_after
-            ]
-            for first in before:
-                for second in after:
-                    successors[position[first.index]] |= (
-                        1 << position[second.index]
-                    )
-    for access in accesses:
-        if access.thread == INIT_THREAD:
-            bit = 0
-            for other in accesses:
-                if other.thread != INIT_THREAD:
-                    bit |= 1 << position[other.index]
-            successors[position[access.index]] |= bit
-    # Closure: core edges go init -> non-init or follow seq within one
-    # thread, so (non-init, thread, seq) sorts topologically (the same
-    # argument as the per-model resolver's sweep).
-    topo = sorted(
-        range(n),
-        key=lambda p: (
-            accesses[p].thread != INIT_THREAD,
-            accesses[p].thread,
-            accesses[p].seq,
-            p,
-        ),
-    )
-    reach = [0] * n
-    for p in reversed(topo):
-        result = successors[p]
-        pending = successors[p]
-        while pending:
-            low = pending & -pending
-            result |= reach[low.bit_length() - 1]
-            pending ^= low
-        reach[p] = result
-    return reach
-
-
 def _prewarm_shared_terms(
-    context: EncodingContext, threads: list[ThreadEncoding]
+    context: EncodingContext, table: AccessTable
 ) -> list[int]:
     """Build the model-independent equality terms into the skeleton.
 
@@ -860,25 +788,9 @@ def _prewarm_shared_terms(
     compared symbolically) are skipped — prewarming is an optimization,
     and any term a future model does need is still built lazily on its
     fork.  Cross-thread store pairs never compare addresses at all: the
-    <M-maximality terms reuse the load's own visibility conjuncts.
+    <M-maximality terms reuse the load's own visibility conjuncts.  The
+    construction order fixes circuit numbering, hence every CNF.
     """
-    accesses = sorted(
-        (a for t in threads for a in t.accesses), key=lambda a: a.index
-    )
-    position = {a.index: i for i, a in enumerate(accesses)}
-    alias = {
-        a.index: (
-            frozenset(a.addr_candidates)
-            if a.addr_candidates is not None
-            else None
-        )
-        for a in accesses
-    }
-
-    def may_alias(x, y) -> bool:
-        sx, sy = alias[x.index], alias[y.index]
-        return sx is None or sy is None or not sx.isdisjoint(sy)
-
     # The same-thread (earlier, store) pairs of the same-address axiom
     # compare addresses symbolically — except on the init thread and inside
     # one atomic block, where every model orders them statically.  Pairs
@@ -887,49 +799,39 @@ def _prewarm_shared_terms(
     # Pairs already ordered by the fence/atomic/init core are built (so
     # every fork shares the construction) but not marked for pre-lowering:
     # the same-address axiom folds their order handle to TRUE and never
-    # references the comparison.
+    # references the comparison.  Constant pairs go to table.const_edges.
     prelower: list[int] = []
-    const_edges: list[tuple] = []
-    circuit_true = context.circuit.TRUE
-    base_reach = _core_static_reach(context, threads, accesses, position, ())
-    for thread in threads:
-        if thread.thread == INIT_THREAD:
+    position = table.position
+    core_reach = table.closure(table.core_successors)
+    for first, second in table.same_thread_pairs:
+        if first.thread == INIT_THREAD or not second.is_store:
             continue
-        ordered = sorted(thread.accesses, key=lambda a: a.seq)
-        for i, first in enumerate(ordered):
-            for second in ordered[i + 1:]:
-                if not second.is_store:
-                    continue
-                if (
-                    first.atomic_group is not None
-                    and first.atomic_group == second.atomic_group
-                ):
-                    continue
-                if may_alias(first, second):
-                    term = context.addr_eq(first, second)
-                    if term == circuit_true:
-                        const_edges.append((first, second))
-                    elif not (
-                        (base_reach[position[first.index]]
-                         >> position[second.index]) & 1
-                    ):
-                        prelower.append(term)
+        if (
+            first.atomic_group is not None
+            and first.atomic_group == second.atomic_group
+        ):
+            continue
+        if table.may_alias(first, second):
+            term = context.addr_eq(first, second)
+            if term == Circuit.TRUE:
+                table.const_edges.append((first, second))
+            elif not (
+                (core_reach[position[first.index]]
+                 >> position[second.index]) & 1
+            ):
+                prelower.append(term)
 
-    reach = _core_static_reach(
-        context, threads, accesses, position, const_edges
-    )
-    stores = [a for a in accesses if a.is_store]
-    for load in accesses:
-        if not load.is_load:
-            continue
+    successors = list(table.core_successors)
+    table.add_edges(successors, table.const_edges)
+    reach = table.closure(successors)
+    for load, stores in table.candidates:
         prelower.append(context.initial_value_term(load))
         load_reach = reach[position[load.index]]
         for store in stores:
             if (load_reach >> position[store.index]) & 1:
                 continue  # store after load in every model: invisible
-            if may_alias(load, store):
-                prelower.append(context.addr_eq(load, store))
-                prelower.append(context.value_eq(load, store))
+            prelower.append(context.addr_eq(load, store))
+            prelower.append(context.value_eq(load, store))
     return prelower
 
 
@@ -998,7 +900,7 @@ def encode_test(
     # next model (and the next check after an inclusion query).
     context = skeleton.context.fork()
 
-    encoder = MemoryModelEncoder(context, model, skeleton.threads)
+    encoder = MemoryModelEncoder(context, model, skeleton.table)
     order = encoder.encode()
 
     stats = EncodingStatistics()
@@ -1022,7 +924,6 @@ def encode_test(
         context=context,
         model=model,
         threads=skeleton.threads,
-        executors=skeleton.executors,
         order=order,
         observation_slots=skeleton.observation_slots,
         assertions=skeleton.assertions,

@@ -17,7 +17,12 @@ and asserts full O(n^3) transitivity.  This module builds a pruned
 equivalent instead.  A *static order resolver* first decides every pair
 whose direction is forced unconditionally — preserved program order,
 init-first, atomic-block-internal order, always-executed fences, constant
-same-address store pairs — and takes the transitive closure.
+same-address store pairs — and takes the transitive closure.  Everything
+about the accesses that no memory model changes (their dense positions,
+alias sets, per-thread order, fence pairs, atomic groups, may-alias
+candidate stores and the *core* of that static order) lives in one
+:class:`AccessTable`, built once per encoding skeleton; a per-model layer
+starts from the core and adds only its own model's edges.
 :meth:`MemoryOrderEncoding.order` constant-folds those pairs to
 ``TRUE``/``FALSE`` instead of minting a variable plus a unit clause.  Order
 variables are minted only for pairs that can influence outcomes: pairs
@@ -95,27 +100,28 @@ class MemoryOrderEncoding:
         return var if forward else -var
 
 
-class MemoryModelEncoder:
-    """Builds ``Theta`` for one memory model."""
+class AccessTable:
+    """The model-independent facts about a test's memory accesses.
 
-    def __init__(
-        self,
-        context,
-        model: MemoryModel,
-        threads: list[ThreadEncoding],
-    ) -> None:
-        self.ctx = context
-        self.model = model
-        self.threads = threads
-        # Enumerations several axioms walk, memoized for this layer.
-        self._streams: dict = {}
+    Built once per encoding skeleton (:func:`repro.encoding.formula
+    .build_skeleton`) and read by the skeleton's term prewarm and by every
+    :class:`MemoryModelEncoder` layer, none of which may mutate it.  Pairs
+    are keyed by *dense positions*: an access's index in :attr:`accesses`
+    (global access indices may have gaps).
+
+    The *core* order (:attr:`core_successors`) holds the static edges the
+    encoder asserts for every model without consulting it: init-thread
+    program order, the init thread before every other, atomic-block
+    program order and always-executed fences.
+    """
+
+    def __init__(self, threads: list[ThreadEncoding]) -> None:
+        #: Every access, in index order.
         self.accesses = sorted(
             (a for t in threads for a in t.accesses), key=lambda a: a.index
         )
-        # Re-index accesses densely (their global indices may have gaps if
-        # other structures were encoded in between).
-        self._position = {a.index: i for i, a in enumerate(self.accesses)}
-        self._alias_sets: dict[int, frozenset | None] = {
+        self.position = {a.index: p for p, a in enumerate(self.accesses)}
+        self.alias_sets: dict[int, frozenset | None] = {
             a.index: (
                 frozenset(a.addr_candidates)
                 if a.addr_candidates is not None
@@ -123,19 +129,194 @@ class MemoryModelEncoder:
             )
             for a in self.accesses
         }
-        self._by_thread = {
+        #: Per-thread program order (seq-sorted), in thread order.
+        self.by_thread = {
             t.thread: sorted(t.accesses, key=lambda a: a.seq) for t in threads
         }
-        self._same_thread_pair_list = [
+        #: (earlier, later) pairs of accesses of one thread.
+        self.same_thread_pairs = [
             (first, second)
-            for thread_accesses in self._by_thread.values()
+            for thread_accesses in self.by_thread.values()
             for i, first in enumerate(thread_accesses)
             for second in thread_accesses[i + 1:]
         ]
-        self.encoding = MemoryOrderEncoding(accesses=self.accesses)
-        #: Candidate stores per load (visibility-pruned), filled by
-        #: :meth:`_compute_value_candidates`.
+        self.init_accesses = [
+            a for a in self.accesses if a.thread == INIT_THREAD
+        ]
+        self.other_accesses = [
+            a for a in self.accesses if a.thread != INIT_THREAD
+        ]
+        #: (before, after, guard) of every fence-ordered pair whose fence
+        #: can execute (guard not FALSE).
+        self.fence_pairs = list(self._enumerate_fence_pairs(threads))
+        #: Members of every atomic block, seq-sorted.
+        self.atomic_groups = self._collect_atomic_groups()
+        #: (accesses of invocation A, accesses of invocation B) for every
+        #: unordered pair of invocations (Seriality).
+        self.invocation_group_pairs = self._pair_invocation_groups()
+        #: (load, may-alias candidate stores in index order), loads in
+        #: index order.
+        self.candidates = self._may_alias_candidates()
+        self.core_successors = self._core_successors()
+        #: Same-thread (earlier, store) pairs whose address comparison is
+        #: the constant TRUE — static edges of every model that orders
+        #: same-address stores.  Filled by the skeleton's term prewarm,
+        #: which builds those comparisons.
+        self.const_edges: list[tuple[MemoryAccess, MemoryAccess]] = []
+        # Static edges go from the init thread into the others or, within
+        # one thread, to a higher seq, so this order is topological.
+        accesses = self.accesses
+        self._topo = sorted(
+            range(len(accesses)),
+            key=lambda p: (
+                accesses[p].thread != INIT_THREAD,
+                accesses[p].thread,
+                accesses[p].seq,
+                p,
+            ),
+        )
+
+    def may_alias(self, first: MemoryAccess, second: MemoryAccess) -> bool:
+        first_set = self.alias_sets[first.index]
+        second_set = self.alias_sets[second.index]
+        if first_set is None or second_set is None:
+            return True
+        return not first_set.isdisjoint(second_set)
+
+    def add_edges(self, successors: list[int], pairs) -> None:
+        """Add ``first -> second`` for every pair to the successor masks."""
+        position = self.position
+        for first, second in pairs:
+            successors[position[first.index]] |= 1 << position[second.index]
+
+    def closure(self, successors: list[int]) -> list[int]:
+        """Reachability bitmasks of a static edge relation (one successor
+        mask per dense position), by one reverse topological sweep."""
+        reach = [0] * len(successors)
+        for p in reversed(self._topo):
+            result = successors[p]
+            pending = successors[p]
+            while pending:
+                low = pending & -pending
+                result |= reach[low.bit_length() - 1]
+                pending ^= low
+            reach[p] = result
+        return reach
+
+    def _enumerate_fence_pairs(self, threads: list[ThreadEncoding]):
+        for thread in threads:
+            accesses = self.by_thread[thread.thread]
+            for fence in thread.fences:
+                if fence.guard == Circuit.FALSE:
+                    continue
+                before = [
+                    a for a in accesses
+                    if a.seq < fence.seq and a.kind in fence.kind.orders_before
+                ]
+                after = [
+                    a for a in accesses
+                    if a.seq > fence.seq and a.kind in fence.kind.orders_after
+                ]
+                for first in before:
+                    for second in after:
+                        yield first, second, fence.guard
+
+    def _collect_atomic_groups(self) -> list[list[MemoryAccess]]:
+        groups: dict[int, list[MemoryAccess]] = {}
+        # Iterating threads in seq order keeps every group seq-sorted
+        # without re-sorting (atomic blocks never span threads).
+        for accesses in self.by_thread.values():
+            for access in accesses:
+                if access.atomic_group is not None:
+                    groups.setdefault(access.atomic_group, []).append(access)
+        return list(groups.values())
+
+    def _pair_invocation_groups(self):
+        by_invocation: dict[int, list[MemoryAccess]] = {}
+        for access in self.accesses:
+            by_invocation.setdefault(access.invocation, []).append(access)
+        invocations = sorted(by_invocation)
+        return [
+            (by_invocation[first_inv], by_invocation[second_inv])
+            for index, first_inv in enumerate(invocations)
+            for second_inv in invocations[index + 1:]
+        ]
+
+    def _may_alias_candidates(self):
+        """Stores are indexed by their alias sets once; each load then
+        gathers the stores of its own candidate locations instead of
+        testing every (load, store) pair."""
+        stores = [a for a in self.accesses if a.is_store]
+        by_location: dict[int, list[MemoryAccess]] = {}
+        wildcard: list[MemoryAccess] = []
+        for store in stores:
+            alias = self.alias_sets[store.index]
+            if alias is None:
+                wildcard.append(store)
+            else:
+                for location in alias:
+                    by_location.setdefault(location, []).append(store)
+        out: list[tuple[MemoryAccess, list[MemoryAccess]]] = []
+        for load in self.accesses:
+            if not load.is_load:
+                continue
+            alias = self.alias_sets[load.index]
+            if alias is None:
+                out.append((load, stores))
+                continue
+            merged = {s.index: s for s in wildcard}
+            for location in alias:
+                for store in by_location.get(location, ()):
+                    merged[store.index] = store
+            out.append((load, [merged[index] for index in sorted(merged)]))
+        return out
+
+    def _core_successors(self) -> list[int]:
+        successors = [0] * len(self.accesses)
+        self.add_edges(successors, (
+            (first, second)
+            for first, second in self.same_thread_pairs
+            if first.thread == INIT_THREAD
+            or (
+                first.atomic_group is not None
+                and first.atomic_group == second.atomic_group
+            )
+        ))
+        self.add_edges(successors, (
+            (first, second)
+            for first, second, guard in self.fence_pairs
+            if guard == Circuit.TRUE
+        ))
+        others = 0
+        for access in self.other_accesses:
+            others |= 1 << self.position[access.index]
+        for access in self.init_accesses:
+            successors[self.position[access.index]] |= others
+        return successors
+
+
+class MemoryModelEncoder:
+    """Builds ``Theta`` for one memory model over a skeleton's
+    :class:`AccessTable`."""
+
+    def __init__(
+        self,
+        context,
+        model: MemoryModel,
+        table: AccessTable,
+    ) -> None:
+        self.ctx = context
+        self.model = model
+        self.table = table
+        self.accesses = table.accesses
+        self.encoding = MemoryOrderEncoding(accesses=table.accesses)
+        #: Candidate stores per load, visibility-pruned by
+        #: :meth:`_prune_value_candidates`.
         self._value_candidates: list[tuple[MemoryAccess, list[MemoryAccess]]] = []
+        #: Atomic non-interleaving triples: walked by the seeder and the
+        #: assertion pass, and quadratic, so built per layer rather than
+        #: kept alive on the skeleton.
+        self._exclusion_triples = self._atomic_exclusion_triples()
         #: Handle of every resolvable pair, doubly keyed by global access
         #: index; built by :meth:`_build_order_handle_map` after variable
         #: creation.
@@ -146,7 +327,6 @@ class MemoryModelEncoder:
     # --------------------------------------------------------------- public
 
     def encode(self) -> MemoryOrderEncoding:
-        self._compute_value_candidates()
         self._resolve_static_orders()
         self._prune_value_candidates()
         self._create_live_order_variables()
@@ -179,74 +359,21 @@ class MemoryModelEncoder:
     # ----------------------------------------------------- static resolution
 
     def _resolve_static_orders(self) -> None:
-        """Precompute every unconditionally ordered pair and its closure.
-
-        Static edges always point from the init thread into the others and,
-        within a thread, from lower to higher ``seq``, so sorting by
-        ``(non-init, thread, seq)`` is a topological order and the closure
-        is one reverse sweep over bitmask reachability sets.
-        """
-        n = len(self.accesses)
-        position = self._position
-        # Static edges: init-thread order, atomic-block-internal order,
-        # constant same-address store pairs, always-executed fences, the
-        # init thread before every other, and the model's preserved
-        # program-order pairs.
-        successors = [0] * n
-
-        def add_edge(first: MemoryAccess, second: MemoryAccess) -> None:
-            successors[position[first.index]] |= 1 << position[second.index]
-
-        circuit_true = self.ctx.circuit.TRUE
-        for first, second in self._same_thread_pairs():
-            if first.thread == INIT_THREAD:
-                add_edge(first, second)
-            elif (
-                first.atomic_group is not None
-                and first.atomic_group == second.atomic_group
-            ):
-                add_edge(first, second)
-            elif self._same_address_static_edge(first, second):
-                # Axiom 1 with a constant address comparison: the guard of
-                # the implication is always true, so the order is forced.
-                add_edge(first, second)
-        for first, second, guard in self._fence_pairs():
-            if guard == circuit_true:
-                add_edge(first, second)
-        init_accesses = [a for a in self.accesses if a.thread == INIT_THREAD]
-        others = [a for a in self.accesses if a.thread != INIT_THREAD]
-        for first in init_accesses:
-            for second in others:
-                add_edge(first, second)
+        """Precompute every unconditionally ordered pair and its closure:
+        the skeleton's core order plus this model's constant same-address
+        store pairs and preserved program-order pairs."""
+        table = self.table
+        successors = list(table.core_successors)
+        table.add_edges(successors, self._same_address_static_edges())
         preserves = self.model.preserves
-        for first, second in self._same_thread_pairs():
-            if first.thread != INIT_THREAD and preserves(
-                first.kind, second.kind
-            ):
-                add_edge(first, second)
-
-        topo = sorted(
-            range(n),
-            key=lambda p: (
-                self.accesses[p].thread != INIT_THREAD,
-                self.accesses[p].thread,
-                self.accesses[p].seq,
-                p,
-            ),
-        )
-        reach = [0] * n
-        for p in reversed(topo):
-            result = successors[p]
-            pending = successors[p]
-            while pending:
-                low = pending & -pending
-                result |= reach[low.bit_length() - 1]
-                pending ^= low
-            reach[p] = result
-
+        table.add_edges(successors, (
+            (first, second)
+            for first, second in table.same_thread_pairs
+            if first.thread != INIT_THREAD
+            and preserves(first.kind, second.kind)
+        ))
         static = self.encoding.static_pairs
-        for i in range(n):
-            mask = reach[i]
+        for i, mask in enumerate(table.closure(successors)):
             while mask:
                 low = mask & -mask
                 j = low.bit_length() - 1
@@ -262,12 +389,7 @@ class MemoryModelEncoder:
         """Mint variables only for pairs that can influence outcomes, then
         assert pruned transitivity over the triangulated support graph."""
         seeds = self._seed_pairs()
-        init_positions = {
-            self._position[a.index]
-            for a in self.accesses
-            if a.thread == INIT_THREAD
-        }
-        triangles = self._triangulate(seeds, init_positions)
+        triangles = self._triangulate(seeds)
         # Order variables are minted unnamed: no decoder reads them back by
         # name, and the f-string plus two name-table inserts per variable
         # were a measurable slice of the per-model layer.
@@ -280,7 +402,7 @@ class MemoryModelEncoder:
     def _seed_pairs(self) -> set[tuple[int, int]]:
         """Every non-static pair some constraint will mention."""
         seeds: set[tuple[int, int]] = set()
-        position = self._position
+        position = self.table.position
         resolved = self.encoding.resolved
 
         def need(first: MemoryAccess, second: MemoryAccess) -> None:
@@ -292,11 +414,11 @@ class MemoryModelEncoder:
         circuit = self.ctx.circuit
         for first, second in self._same_address_pairs():
             need(first, second)
-        for first, second, guard in self._fence_pairs():
-            if guard != circuit.TRUE and guard != circuit.FALSE:
+        for first, second, guard in self.table.fence_pairs:
+            if guard != circuit.TRUE:
                 if not self.model.preserves(first.kind, second.kind):
                     need(first, second)
-        for first, second, other in self._atomic_exclusion_triples():
+        for first, second, other in self._exclusion_triples:
             first_other = resolved(
                 position[first.index], position[other.index]
             )
@@ -312,7 +434,7 @@ class MemoryModelEncoder:
             if other_second is None:
                 need(other, second)
         if self.model.operation_atomicity:
-            for group_a, group_b in self._invocation_group_pairs():
+            for group_a, group_b in self.table.invocation_group_pairs:
                 for x in group_a:
                     for y in group_b:
                         need(x, y)
@@ -325,9 +447,7 @@ class MemoryModelEncoder:
         return seeds
 
     def _triangulate(
-        self,
-        seeds: set[tuple[int, int]],
-        excluded: set[int],
+        self, seeds: set[tuple[int, int]]
     ) -> list[tuple[int, int, int]]:
         """Chordalize the support graph by min-degree elimination.
 
@@ -340,7 +460,8 @@ class MemoryModelEncoder:
         total order.
         """
         n = len(self.accesses)
-        vertices = [p for p in range(n) if p not in excluded]
+        position = self.table.position
+        vertices = [position[a.index] for a in self.table.other_accesses]
         # Adjacency as one bitmask per vertex: membership tests, edge
         # updates and degree counts (popcount) all beat set operations in
         # this loop, and iterating set bits in ascending order gives the
@@ -501,23 +622,14 @@ class MemoryModelEncoder:
             handles[(xj, xi)] = -var
         self._order_handles = handles
 
-    def _same_thread_pairs(self):
-        """(earlier, later) pairs of accesses of the same thread, memoized
-        (several axioms walk the list per model)."""
-        return self._same_thread_pair_list
-
-    def _same_address_static_edge(
-        self, first: MemoryAccess, second: MemoryAccess
-    ) -> bool:
+    def _same_address_static_edges(self):
         """Same-address store order with a *constant* address comparison —
         the static half of axiom 1 (the symbolic half is emitted by
-        :meth:`_assert_same_address_order`)."""
-        return (
-            self.model.same_address_store_order
-            and second.is_store
-            and self._may_alias(first, second)
-            and self._addr_eq(first, second) == self.ctx.circuit.TRUE
-        )
+        :meth:`_assert_same_address_order`): the skeleton's constant pairs,
+        under a model that orders same-address stores."""
+        if not self.model.same_address_store_order:
+            return ()
+        return self.table.const_edges
 
     def _same_address_pairs(self):
         """Pairs the same-address store-order axiom constrains with a
@@ -526,108 +638,40 @@ class MemoryModelEncoder:
         if not self.model.same_address_store_order:
             return
         circuit = self.ctx.circuit
-        for first, second in self._same_thread_pairs():
+        for first, second in self.table.same_thread_pairs:
             if not second.is_store:
                 continue
             if first.thread == INIT_THREAD:
                 continue  # already totally ordered
             if self.model.preserves(first.kind, second.kind):
                 continue  # already ordered unconditionally
-            if not self._may_alias(first, second):
+            if not self.table.may_alias(first, second):
                 continue
-            addr_eq = self._addr_eq(first, second)
+            addr_eq = self.ctx.addr_eq(first, second)
             if addr_eq == circuit.FALSE:
                 continue  # can never be the same address
             if addr_eq == circuit.TRUE:
                 continue  # statically resolved instead
             yield first, second
 
-    def _fence_pairs(self) -> list[tuple[MemoryAccess, MemoryAccess, int]]:
-        """(before, after, guard) for every fence-ordered pair, materialized
-        once per layer (static resolution, seeding and assertion each walk
-        the list)."""
-        pairs = self._streams.get("fence_pairs")
-        if pairs is None:
-            pairs = list(self._enumerate_fence_pairs())
-            self._streams["fence_pairs"] = pairs
-        return pairs
-
-    def _enumerate_fence_pairs(self):
-        circuit = self.ctx.circuit
-        for thread in self.threads:
-            if not thread.fences:
-                continue
-            accesses = self._by_thread[thread.thread]
-            for fence in thread.fences:
-                if fence.guard == circuit.FALSE:
-                    continue
-                before = [
-                    a for a in accesses
-                    if a.seq < fence.seq and a.kind in fence.kind.orders_before
-                ]
-                after = [
-                    a for a in accesses
-                    if a.seq > fence.seq and a.kind in fence.kind.orders_after
-                ]
-                for first in before:
-                    for second in after:
-                        yield first, second, fence.guard
-
-    def _atomic_groups(self) -> list[list[MemoryAccess]]:
-        groups_list = self._streams.get("atomic_groups")
-        if groups_list is None:
-            groups: dict[int, list[MemoryAccess]] = {}
-            # Iterating threads in seq order keeps every group seq-sorted
-            # without re-sorting (atomic blocks never span threads).
-            for accesses in self._by_thread.values():
-                for access in accesses:
-                    if access.atomic_group is not None:
-                        groups.setdefault(access.atomic_group, []).append(access)
-            groups_list = list(groups.values())
-            self._streams["atomic_groups"] = groups_list
-        return groups_list
-
     def _atomic_exclusion_triples(self):
         """(first, second, other) triples for atomic non-interleaving: no
-        ``other`` of a different thread lands between two block members.
-        Materialized once per layer — the triple count is quadratic in block
-        size times the outside accesses, and both the seeder and the
-        assertion pass walk it."""
-        triples = self._streams.get("exclusion_triples")
-        if triples is None:
-            triples = []
-            for members in self._atomic_groups():
-                thread = members[0].thread
-                outside = [a for a in self.accesses if a.thread != thread]
-                for i, first in enumerate(members):
-                    for second in members[i + 1:]:
-                        for other in outside:
-                            triples.append((first, second, other))
-            self._streams["exclusion_triples"] = triples
+        ``other`` of a different thread lands between two block members."""
+        triples = []
+        for members in self.table.atomic_groups:
+            thread = members[0].thread
+            outside = [a for a in self.accesses if a.thread != thread]
+            for i, first in enumerate(members):
+                for second in members[i + 1:]:
+                    for other in outside:
+                        triples.append((first, second, other))
         return triples
-
-    def _invocation_group_pairs(self):
-        """(accesses of invocation A, accesses of invocation B) for every
-        unordered pair of invocations (Seriality)."""
-        pairs = self._streams.get("invocation_group_pairs")
-        if pairs is None:
-            by_invocation: dict[int, list[MemoryAccess]] = {}
-            for access in self.accesses:
-                by_invocation.setdefault(access.invocation, []).append(access)
-            invocations = sorted(by_invocation)
-            pairs = [
-                (by_invocation[first_inv], by_invocation[second_inv])
-                for index, first_inv in enumerate(invocations)
-                for second_inv in invocations[index + 1:]
-            ]
-            self._streams["invocation_group_pairs"] = pairs
-        return pairs
 
     # ------------------------------------------------------------ the axioms
 
     def _assert_program_order(self) -> None:
         circuit_true = self.ctx.circuit.TRUE
-        for first, second in self._same_thread_pairs():
+        for first, second in self.table.same_thread_pairs:
             enforce = (
                 first.thread == INIT_THREAD
                 or self.model.preserves(first.kind, second.kind)
@@ -647,12 +691,12 @@ class MemoryModelEncoder:
             if handle == circuit.TRUE:
                 continue
             self.ctx.assert_clause(
-                [-self._addr_eq(first, second), handle]
+                [-self.ctx.addr_eq(first, second), handle]
             )
 
     def _assert_fences(self) -> None:
         circuit = self.ctx.circuit
-        for first, second, guard in self._fence_pairs():
+        for first, second, guard in self.table.fence_pairs:
             if self.model.preserves(first.kind, second.kind):
                 continue
             handle = self._order_of(first, second)
@@ -663,7 +707,7 @@ class MemoryModelEncoder:
     def _assert_atomic_blocks(self) -> None:
         circuit_true = self.ctx.circuit.TRUE
         # (a) program order inside the atomic block
-        for members in self._atomic_groups():
+        for members in self.table.atomic_groups:
             for i, first in enumerate(members):
                 for second in members[i + 1:]:
                     handle = self._order_of(first, second)
@@ -686,7 +730,7 @@ class MemoryModelEncoder:
         lengths: list[int] = []
         push = buf.append
         push_len = lengths.append
-        for first, second, other in self._atomic_exclusion_triples():
+        for first, second, other in self._exclusion_triples:
             first_other = handles.get((first.index, other.index))
             other_second = handles.get((other.index, second.index))
             if first_other == false_handle or other_second == false_handle:
@@ -715,10 +759,8 @@ class MemoryModelEncoder:
 
     def _assert_init_first(self) -> None:
         circuit_true = self.ctx.circuit.TRUE
-        init_accesses = [a for a in self.accesses if a.thread == INIT_THREAD]
-        others = [a for a in self.accesses if a.thread != INIT_THREAD]
-        for first in init_accesses:
-            for second in others:
+        for first in self.table.init_accesses:
+            for second in self.table.other_accesses:
                 handle = self._order_of(first, second)
                 if handle != circuit_true:  # statically resolved otherwise
                     self.ctx.assert_true(handle)
@@ -742,7 +784,7 @@ class MemoryModelEncoder:
         lengths: list[int] = []
         push = buf.append
         push_len = lengths.append
-        for group_a, group_b in self._invocation_group_pairs():
+        for group_a, group_b in self.table.invocation_group_pairs:
             first_inv = group_a[0].invocation
             second_inv = group_b[0].invocation
             op_lit = literal(circuit.var(f"OP[{first_inv},{second_inv}]"))
@@ -772,41 +814,6 @@ class MemoryModelEncoder:
 
     # ---------------------------------------------------------- value axioms
 
-    def _compute_value_candidates(self) -> None:
-        """Candidate stores per load, grouped by location up front.
-
-        Stores are indexed by their (frozen) alias sets once; each load then
-        gathers the stores of its own candidate locations instead of testing
-        every (load, store) pair.  Stores whose visibility is statically
-        impossible (ordered after the load with no forwarding) are dropped
-        by :meth:`_prune_value_candidates`, before any term is built.
-        """
-        stores = [a for a in self.accesses if a.is_store]
-        by_location: dict[int, list[MemoryAccess]] = {}
-        wildcard: list[MemoryAccess] = []
-        for store in stores:
-            alias = self._alias_sets[store.index]
-            if alias is None:
-                wildcard.append(store)
-            else:
-                for location in alias:
-                    by_location.setdefault(location, []).append(store)
-        for load in self.accesses:
-            if not load.is_load:
-                continue
-            alias = self._alias_sets[load.index]
-            if alias is None:
-                candidates = list(stores)
-            else:
-                merged: dict[int, MemoryAccess] = {
-                    s.index: s for s in wildcard
-                }
-                for location in alias:
-                    for store in by_location.get(location, ()):
-                        merged[store.index] = store
-                candidates = [merged[index] for index in sorted(merged)]
-            self._value_candidates.append((load, candidates))
-
     def _prune_value_candidates(self) -> None:
         """Drop statically invisible stores from every candidate list (the
         store is ordered after the load and forwarding does not apply).
@@ -814,7 +821,7 @@ class MemoryModelEncoder:
         value-axiom emitter consume the exact same lists."""
         self._value_candidates = [
             (load, [s for s in candidates if self._visible(s, load)])
-            for load, candidates in self._value_candidates
+            for load, candidates in self.table.candidates
         ]
 
     def _visible(self, store: MemoryAccess, load: MemoryAccess) -> bool:
@@ -823,8 +830,9 @@ class MemoryModelEncoder:
         forwarding does not apply."""
         if self._forwarded(store, load):
             return True
+        position = self.table.position
         handle = self.encoding.resolved(
-            self._position[store.index], self._position[load.index]
+            position[store.index], position[load.index]
         )
         return handle != self.ctx.circuit.FALSE
 
@@ -839,6 +847,7 @@ class MemoryModelEncoder:
         and_many = circuit.and_many
         addr_eq = self.ctx.addr_eq
         value_eq = self.ctx.value_eq
+        initial_value_term = self.ctx.initial_value_term
         handles = self._order_handles
         true_handle = Circuit.TRUE
         forwarding = self.model.store_forwarding
@@ -859,7 +868,7 @@ class MemoryModelEncoder:
                 )
             # Case 1: no visible store -> the load reads the initial value.
             no_store = and_many([-v for v in visibility])
-            terms = [and_(no_store, self._initial_value_term(load))]
+            terms = [and_(no_store, initial_value_term(load))]
             # Case 2: the load reads the <M-maximal visible store.
             count = len(candidates)
             for i in range(count):
@@ -886,23 +895,7 @@ class MemoryModelEncoder:
             and store.seq < load.seq
         )
 
-    def _initial_value_term(self, load: MemoryAccess) -> int:
-        # Model-independent, so built (and cached) on the shared context.
-        return self.ctx.initial_value_term(load)
-
     # ------------------------------------------------------------ utilities
 
     def _order_of(self, first: MemoryAccess, second: MemoryAccess) -> int:
         return self._order_handles[(first.index, second.index)]
-
-    def _may_alias(self, first: MemoryAccess, second: MemoryAccess) -> bool:
-        first_set = self._alias_sets[first.index]
-        second_set = self._alias_sets[second.index]
-        if first_set is None or second_set is None:
-            return True
-        return not first_set.isdisjoint(second_set)
-
-    def _addr_eq(self, first: MemoryAccess, second: MemoryAccess) -> int:
-        # The context cache is prewarmed by the skeleton build, so every
-        # memory model shares one set of address-equality terms.
-        return self.ctx.addr_eq(first, second)

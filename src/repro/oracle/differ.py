@@ -79,21 +79,17 @@ def mine_sat_outcomes(
     model = get_model(model)
     encoded = encode_test(compiled, model, backend_factory=backend_factory)
     outcomes: set[tuple[int, ...]] = set()
-    encoded.expect_enumeration()
-    while True:
-        if len(outcomes) > max_outcomes:
-            raise SatMiningOverflow(
-                f"more than {max_outcomes} distinct observations"
-            )
-        if not encoded.solve():
-            return outcomes
-        observation = encoded.decode_current_observation()
+    for observation in encoded.observations():
         if observation in outcomes:  # pragma: no cover - solver bug guard
             raise RuntimeError(
                 f"solver returned blocked observation {observation!r}"
             )
         outcomes.add(observation)
-        encoded.block_observation(observation)
+        if len(outcomes) > max_outcomes:
+            raise SatMiningOverflow(
+                f"more than {max_outcomes} distinct observations"
+            )
+    return outcomes
 
 
 @dataclass

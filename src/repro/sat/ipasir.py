@@ -174,13 +174,23 @@ def load_ipasir_library(path: str) -> IpasirLibrary:
     return library
 
 
+#: Discovery results by ``CHECKFENCE_IPASIR_LIB`` value.  Fuzz and litmus
+#: runs build a backend factory per cell, and every probe shells out once
+#: per missing library, so a process probes once.
+_DISCOVERED: dict[str, str | None] = {}
+
+
 def find_ipasir_library() -> str | None:
     """Locate an IPASIR shared library: ``CHECKFENCE_IPASIR_LIB`` first,
     then :func:`ctypes.util.find_library` and common soname spellings of
     the known solvers.  Returns a loadable path/soname or None."""
-    configured = os.environ.get(IPASIR_LIB_ENV)
-    if configured:
-        return configured
+    configured = os.environ.get(IPASIR_LIB_ENV, "")
+    if configured not in _DISCOVERED:
+        _DISCOVERED[configured] = configured or _probe_known_libraries()
+    return _DISCOVERED[configured]
+
+
+def _probe_known_libraries() -> str | None:
     candidates: list[str] = []
     for base in _KNOWN_LIBRARIES:
         found = ctypes.util.find_library(base)

@@ -14,9 +14,10 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 @pytest.fixture
 def drop_same_address_axiom(monkeypatch):
     """Disable BOTH halves of the same-address store-order axiom (the
-    statically resolved constant-address pairs and the symbolic
-    implication) — the injected encoder bug the mutation-detection tests
-    expect the differential oracle / fuzzer to catch."""
+    constant-address pairs a layer adds to its static order and the
+    symbolic implication) — the injected encoder bug the
+    mutation-detection tests expect the differential oracle / fuzzer to
+    catch."""
     from repro.encoding.memory import MemoryModelEncoder
 
     monkeypatch.setattr(
@@ -24,8 +25,8 @@ def drop_same_address_axiom(monkeypatch):
         lambda self: None,
     )
     monkeypatch.setattr(
-        MemoryModelEncoder, "_same_address_static_edge",
-        lambda self, first, second: False,
+        MemoryModelEncoder, "_same_address_static_edges",
+        lambda self: (),
     )
 
 

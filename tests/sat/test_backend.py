@@ -35,6 +35,21 @@ def brute_force_satisfiable(cnf: CNF) -> bool:
     return not cnf.clauses
 
 
+def _count_library_probes(monkeypatch) -> list[str]:
+    """Record every ``find_library`` lookup (each misses) from an empty
+    discovery memo with ``CHECKFENCE_IPASIR_LIB`` unset."""
+    calls: list[str] = []
+
+    def find_library(name):
+        calls.append(name)
+        return None
+
+    monkeypatch.delenv(ipasir.IPASIR_LIB_ENV, raising=False)
+    monkeypatch.setattr(ipasir, "_DISCOVERED", {})
+    monkeypatch.setattr(ctypes.util, "find_library", find_library)
+    return calls
+
+
 def check_model(cnf: CNF, model: dict[int, bool]) -> bool:
     return all(
         any(model.get(abs(l), False) == (l > 0) for l in clause)
@@ -137,19 +152,26 @@ class TestBackendSpecs:
         """``--solver ipasir`` used to probe the system (four
         ``find_library`` lookups, each shelling out when it misses) for
         every backend it built; a factory now resolves the library once."""
-        calls = []
-
-        def find_library(name):
-            calls.append(name)
-            return None
-
-        monkeypatch.delenv(ipasir.IPASIR_LIB_ENV, raising=False)
-        monkeypatch.setattr(ctypes.util, "find_library", find_library)
+        calls = _count_library_probes(monkeypatch)
         factory = make_backend_factory("ipasir", simplify=False)
         backends = [factory() for _ in range(5)]
         assert {backend.name for backend in backends} == {
             "ipasir(fallback:internal)"
         }
+        assert len(calls) == len(ipasir._KNOWN_LIBRARIES)
+
+    def test_ipasir_discovery_runs_once_per_fuzz_run(self, monkeypatch):
+        """Fuzz cells each build their own backend factory; the system is
+        still probed only once per run, not once per cell."""
+        from repro.core.checker import CheckOptions
+        from repro.fuzz import run_fuzz
+
+        calls = _count_library_probes(monkeypatch)
+        result = run_fuzz(
+            4, seed=1, models=("sc", "relaxed"), jobs=1,
+            options=CheckOptions(solver_backend="ipasir"),
+        )
+        assert len(result.matrix.results) == 8
         assert len(calls) == len(ipasir._KNOWN_LIBRARIES)
 
     def test_ipasir_library_loads_once_per_path(self, native_solver):
