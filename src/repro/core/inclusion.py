@@ -61,6 +61,13 @@ def run_inclusion_check(
     return InclusionOutcome(False, trace, elapsed, encoded)
 
 
+def assertion_violation(encoded: EncodedTest) -> int:
+    """Circuit handle for "some ``assert`` statement fails"."""
+    return encoded.ctx.circuit.or_many(
+        -handle for handle, _ in encoded.assertions
+    )
+
+
 def run_assertion_check(
     compiled: CompiledTest,
     model: MemoryModel,
@@ -73,11 +80,8 @@ def run_assertion_check(
         encoded = encode_test(compiled, model, backend_factory=backend_factory)
     if not encoded.assertions:
         return InclusionOutcome(True, None, 0.0, encoded)
-    some_violation = encoded.ctx.circuit.or_many(
-        -handle for handle, _ in encoded.assertions
-    )
     start = time.perf_counter()
-    satisfiable = encoded.solve(assumptions=[some_violation])
+    satisfiable = encoded.solve(assumptions=[assertion_violation(encoded)])
     elapsed = time.perf_counter() - start
     if not satisfiable:
         return InclusionOutcome(True, None, elapsed, encoded)

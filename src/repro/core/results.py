@@ -143,7 +143,8 @@ class CheckStatistics:
 
     def profile_line(self) -> str:
         """One-line per-cell phase report (the ``CHECKFENCE_PROFILE=1``
-        output)."""
+        output).  Solve time includes CNF preprocessing, which is shown
+        inside it, as encode shows its skeleton and layer parts."""
         label = f"{self.implementation}/{self.test}@{self.memory_model}"
         if self.store_hit:
             return f"[profile] {label} store-hit total={self.total_seconds:.3f}s"
@@ -158,8 +159,8 @@ class CheckStatistics:
             f"mine={self.mining_seconds:.3f}s "
             f"encode={self.encode_seconds:.3f}s"
             f"(skeleton {skeleton} + layer {self.layer_seconds:.3f}s) "
-            f"simplify={self.solver_preprocess_seconds:.3f}s "
-            f"solve={self.solve_seconds:.3f}s "
+            f"solve={self.solve_seconds:.3f}s"
+            f"(preprocess {self.solver_preprocess_seconds:.3f}s) "
             f"total={self.total_seconds:.3f}s"
         )
 

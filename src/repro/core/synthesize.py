@@ -32,6 +32,12 @@ backend:
    solve budget runs out (then the deletion result stands, ``optimal`` is
    False).
 
+Catalog data types (:func:`synthesize_fences`, specified by the session's
+mined observation set) and fuzz litmus programs (:func:`synthesize_litmus`,
+specified by their SC outcomes) share one code path: probe, search,
+1-minimality certificate, and a re-check of the program rebuilt with the
+chosen fences as real fences by the plain assertion and inclusion checks.
+
 Costs are per fence kind — ``store-store``/``load-load``/``load-store``
 are cheap, ``store-load`` and ``full`` are the expensive barriers on real
 hardware — so the search prefers e.g. two store-store fences over one
@@ -41,8 +47,14 @@ store-load when both repair the cell.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, replace
 
+from repro.core.inclusion import (
+    assertion_violation,
+    run_assertion_check,
+    run_inclusion_check,
+)
 from repro.core.specification import ObservationSet
 from repro.encoding.formula import EncodedTest, encode_test
 from repro.encoding.testprogram import CompiledTest, compile_test
@@ -56,7 +68,7 @@ from repro.lsl.instructions import (
     Statement,
     Store,
 )
-from repro.lsl.program import Procedure, Program
+from repro.lsl.program import Program
 from repro.memorymodel.base import MemoryModel, get_model
 
 #: Relative cost of enabling one fence of each kind (store-load and full
@@ -175,6 +187,20 @@ def _instrument_body(
     return out
 
 
+def _rebuild(program: Program, body_of) -> Program:
+    """A copy of ``program`` whose procedures (in name order) get the body
+    ``body_of(name, body)``; the original is not mutated."""
+    rebuilt = Program(
+        name=program.name,
+        structs=dict(program.structs),
+        globals=list(program.globals),
+    )
+    for name in sorted(program.procedures):
+        proc = program.procedures[name]
+        rebuilt.add_procedure(replace(proc, body=body_of(name, proc.body)))
+    return rebuilt
+
+
 def instrument_program(
     program: Program, kinds=CANDIDATE_KINDS
 ) -> tuple[Program, list[CandidateFence]]:
@@ -187,23 +213,12 @@ def instrument_program(
     locations.
     """
     candidates: list[CandidateFence] = []
-    instrumented = Program(
-        name=program.name,
-        structs=dict(program.structs),
-        globals=list(program.globals),
+    instrumented = _rebuild(
+        program,
+        lambda name, body: _instrument_body(
+            body, name, kinds, [0], candidates
+        ),
     )
-    for name in sorted(program.procedures):
-        proc = program.procedures[name]
-        counter = [0]
-        body = _instrument_body(proc.body, name, kinds, counter, candidates)
-        instrumented.add_procedure(
-            Procedure(
-                name=proc.name,
-                params=proc.params,
-                returns=proc.returns,
-                body=body,
-            )
-        )
     return instrumented, candidates
 
 
@@ -211,7 +226,6 @@ def apply_fences(program: Program, fences) -> Program:
     """A copy of ``program`` with the chosen candidate fences made
     unconditional (real) fences — the independent re-check artifact."""
     chosen = {fence.label for fence in fences}
-    instrumented, _ = instrument_program(program)
 
     def strip(body: list[Statement]) -> list[Statement]:
         out: list[Statement] = []
@@ -228,21 +242,8 @@ def apply_fences(program: Program, fences) -> Program:
                 out.append(stmt)
         return out
 
-    fenced = Program(
-        name=program.name,
-        structs=dict(instrumented.structs),
-        globals=list(instrumented.globals),
-    )
-    for name, proc in instrumented.procedures.items():
-        fenced.add_procedure(
-            Procedure(
-                name=proc.name,
-                params=proc.params,
-                returns=proc.returns,
-                body=strip(proc.body),
-            )
-        )
-    return fenced
+    instrumented, _ = instrument_program(program)
+    return _rebuild(instrumented, lambda _name, body: strip(body))
 
 
 # -------------------------------------------------------------------- queries
@@ -274,16 +275,7 @@ class SynthesisStatistics:
     correction_sets: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "candidates": self.candidates,
-            "solves": self.solves,
-            "solve_seconds": self.solve_seconds,
-            "core_size": self.core_size,
-            "deletion_solves": self.deletion_solves,
-            "exact_solves": self.exact_solves,
-            "canonical_solves": self.canonical_solves,
-            "correction_sets": self.correction_sets,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -474,9 +466,7 @@ class CoreGuidedSearch:
                 ok, core = self._sufficient(trial)
                 self.stats.deletion_solves += self.stats.solves - before
                 if ok:
-                    shrunk = core if core and core <= trial else trial
-                    changed = changed or shrunk != working
-                    working = shrunk
+                    working = core if core and core <= trial else trial
                     changed = True
         return working
 
@@ -576,7 +566,168 @@ class CoreGuidedSearch:
         return best
 
 
-# ------------------------------------------------------------ catalog driver
+# --------------------------------------------------- shared by both front ends
+
+
+def _model_list(models) -> list[MemoryModel]:
+    if isinstance(models, (str, MemoryModel)):
+        models = [models]
+    return [get_model(model) for model in models]
+
+
+def _kind_tuple(kinds) -> tuple[FenceKind, ...]:
+    return tuple(
+        FenceKind.from_string(k) if isinstance(k, str) else k
+        for k in (kinds or CANDIDATE_KINDS)
+    )
+
+
+def _synthesize(
+    implementation: str,
+    test: str,
+    models: list[MemoryModel],
+    specification: ObservationSet,
+    instrumented: CompiledTest,
+    candidates: list[CandidateFence],
+    fenced: Callable[[list[CandidateFence]], CompiledTest],
+    backend_factory,
+    check_assertions: bool,
+    exact: bool,
+    exact_budget: int,
+) -> SynthesisResult:
+    """The search both front ends share: probe the assertion and inclusion
+    queries of ``instrumented`` under every model, search a fence set that
+    turns the FAILing ones UNSAT, certify it 1-minimal on the warm
+    formulas, and re-check ``fenced(fences)`` — the program rebuilt with
+    the chosen fences as real fences — with the plain checks."""
+    queries: list[_Query] = []
+    stats = SynthesisStatistics(candidates=len(candidates))
+    for model in models:
+        encoded = encode_test(
+            instrumented, model, backend_factory=backend_factory
+        )
+        encoded.expect_enumeration()  # many solves on one formula
+        probes: list[_Query] = []
+        if check_assertions and encoded.assertions:
+            violation = assertion_violation(encoded)
+            probes.append(
+                _Query(f"{model.name}/assertion", encoded, [violation])
+            )
+        guard = encoded.not_in_guard(specification.observations)
+        probes.append(_Query(f"{model.name}/inclusion", encoded, [guard]))
+        # Baseline: with no selector assumed the solver switches every
+        # candidate off, so this is exactly the plain check.  Fences only
+        # remove executions, so queries that PASS bare stay PASSing under
+        # any fence set and never need re-solving.
+        for query in probes:
+            start = time.perf_counter()
+            if encoded.solve(query.assumptions):
+                queries.append(query)
+            stats.solve_seconds += time.perf_counter() - start
+            stats.solves += 1
+
+    model_names = [model.name for model in models]
+    failing = [query.name for query in queries]
+    if not queries:
+        return SynthesisResult(
+            implementation, test, model_names,
+            feasible=True,
+            already_passes=True,
+            fences=[],
+            cost=0,
+            optimal=True,
+            verified_sufficient=True,
+            verified_minimal=True,
+            failing_queries=[],
+            stats=stats,
+            notes=["every query already passes; no fences needed"],
+        )
+
+    feasible = False
+    if candidates:
+        search = CoreGuidedSearch(
+            queries, candidates, exact=exact, exact_budget=exact_budget
+        )
+        search.stats = stats  # the probe solves count toward the search
+        feasible, labels, optimal = search.run()
+    if not feasible:
+        return SynthesisResult(
+            implementation, test, model_names,
+            feasible=False,
+            already_passes=False,
+            fences=[],
+            cost=0,
+            optimal=False,
+            verified_sufficient=False,
+            verified_minimal=False,
+            failing_queries=failing,
+            stats=stats,
+            notes=[
+                "even enabling every candidate fence leaves a FAILing "
+                "query: the failure is not a fence-repairable reordering "
+                "(e.g. an algorithmic bug)"
+                if candidates else "no candidate fence slots"
+            ],
+        )
+
+    fences = sorted(
+        (search.by_label[label] for label in labels), key=lambda c: c.label
+    )
+    verified_sufficient = _verify_concrete(
+        fenced(fences), models, specification, backend_factory,
+        check_assertions,
+    )
+    # 1-minimality certificate on the warm formulas: dropping any single
+    # fence must re-FAIL some query.
+    verified_minimal = all(
+        not search._sufficient(labels - {fence.label})[0] for fence in fences
+    )
+    notes = []
+    if not optimal:
+        notes.append(
+            "exact search exhausted its budget; the set is 1-minimal but "
+            "may not be cost-optimal"
+        )
+    return SynthesisResult(
+        implementation, test, model_names,
+        feasible=True,
+        already_passes=False,
+        fences=fences,
+        cost=sum(fence.cost for fence in fences),
+        optimal=optimal,
+        verified_sufficient=verified_sufficient,
+        verified_minimal=verified_minimal,
+        failing_queries=failing,
+        stats=stats,
+        notes=notes,
+    )
+
+
+def _verify_concrete(
+    compiled: CompiledTest,
+    models: list[MemoryModel],
+    specification: ObservationSet,
+    backend_factory,
+    check_assertions: bool,
+) -> bool:
+    """Re-check a program compiled with the synthesized fences as
+    unconditional fences — entirely independent of the selector
+    machinery: the plain assertion and inclusion checks, on a fresh
+    formula per model."""
+    for model in models:
+        encoded = encode_test(compiled, model, backend_factory=backend_factory)
+        if check_assertions and not run_assertion_check(
+            compiled, model, specification.labels, encoded=encoded
+        ).passed:
+            return False
+        if not run_inclusion_check(
+            compiled, model, specification, encoded=encoded
+        ).passed:
+            return False
+    return True
+
+
+# --------------------------------------------------------- catalog front end
 
 
 def synthesize_fences(
@@ -593,16 +744,11 @@ def synthesize_fences(
     compiled instrumented test; each model gets its own incremental
     backend).
     """
-    if isinstance(models, (str, MemoryModel)):
-        models = [models]
-    models = [get_model(model) for model in models]
+    models = _model_list(models)
     if not models:
         raise SynthesisError("synthesize_fences needs at least one model")
     options = session.options
-    kinds = tuple(
-        FenceKind.from_string(k) if isinstance(k, str) else k
-        for k in (kinds or options.synthesis_kinds or CANDIDATE_KINDS)
-    )
+    kinds = _kind_tuple(kinds or options.synthesis_kinds)
 
     # The specification comes from the *uninstrumented* program (fences are
     # no-ops under the serial model, so it would be identical anyway, but
@@ -615,148 +761,33 @@ def synthesize_fences(
             f"no candidate fence slots in {session.implementation.name!r} "
             "(no two accesses share a thread)"
         )
-    compiled = compile_test(
-        session.implementation,
-        test,
-        loop_bounds=options.loop_bounds,
-        default_bound=options.default_loop_bound,
-        use_range_analysis=options.use_range_analysis,
-        program=instrumented,
-    )
 
-    queries: list[_Query] = []
-    failing: list[str] = []
-    probes = 0
-    probe_seconds = 0.0
-    for model in models:
-        encoded = encode_test(
-            compiled, model, backend_factory=session.backend_factory
-        )
-        encoded.expect_enumeration()  # many solves on one formula
-        candidate_queries: list[_Query] = []
-        if options.check_assertions and encoded.assertions:
-            violation = encoded.ctx.circuit.or_many(
-                -handle for handle, _ in encoded.assertions
-            )
-            candidate_queries.append(
-                _Query(f"{model.name}/assertion", encoded, [violation])
-            )
-        guard = encoded.not_in_guard(specification.observations)
-        candidate_queries.append(
-            _Query(f"{model.name}/inclusion", encoded, [guard])
-        )
-        # Baseline: with no selector assumed the solver switches every
-        # candidate off, so this is exactly the plain check.  Fences only
-        # remove executions, so queries that PASS bare stay PASSing under
-        # any fence set and never need re-solving.
-        for query in candidate_queries:
-            start = time.perf_counter()
-            satisfiable = query.encoded.solve(query.assumptions)
-            probe_seconds += time.perf_counter() - start
-            probes += 1
-            if satisfiable:
-                queries.append(query)
-                failing.append(query.name)
-
-    implementation = session.implementation.name
-    model_names = [model.name for model in models]
-    if not queries:
-        stats = SynthesisStatistics(candidates=len(candidates))
-        stats.solves = probes
-        stats.solve_seconds = probe_seconds
-        return SynthesisResult(
-            implementation=implementation,
-            test=test.name,
-            models=model_names,
-            feasible=True,
-            already_passes=True,
-            fences=[],
-            cost=0,
-            optimal=True,
-            verified_sufficient=True,
-            verified_minimal=True,
-            failing_queries=[],
-            stats=stats,
-            notes=["every query already passes; no fences needed"],
+    def compile_program(program: Program) -> CompiledTest:
+        return compile_test(
+            session.implementation,
+            test,
+            loop_bounds=options.loop_bounds,
+            default_bound=options.default_loop_bound,
+            use_range_analysis=options.use_range_analysis,
+            program=program,
         )
 
-    search = CoreGuidedSearch(
-        queries,
+    return _synthesize(
+        session.implementation.name,
+        test.name,
+        models,
+        specification,
+        compile_program(instrumented),
         candidates,
+        lambda fences: compile_program(apply_fences(session.program, fences)),
+        backend_factory=session.backend_factory,
+        check_assertions=options.check_assertions,
         exact=options.synthesis_exact,
         exact_budget=options.synthesis_budget,
     )
-    search.stats.solves += probes
-    search.stats.solve_seconds += probe_seconds
-    feasible, labels, optimal = search.run()
-    stats = search.stats
-
-    if not feasible:
-        return SynthesisResult(
-            implementation=implementation,
-            test=test.name,
-            models=model_names,
-            feasible=False,
-            already_passes=False,
-            fences=[],
-            cost=0,
-            optimal=False,
-            verified_sufficient=False,
-            verified_minimal=False,
-            failing_queries=failing,
-            stats=stats,
-            notes=[
-                "even enabling every candidate fence leaves a FAILing "
-                "query: the failure is not a fence-repairable reordering "
-                "(e.g. an algorithmic bug)"
-            ],
-        )
-
-    fences = sorted(
-        (search.by_label[label] for label in labels), key=lambda c: c.label
-    )
-
-    # Independent re-check: insert the chosen fences as *real* fences into
-    # a fresh program (no selectors anywhere) and re-run both checks.
-    verified_sufficient = _verify_concrete(
-        session, test, models, fences, specification
-    )
-    # 1-minimality certificate on the warm formulas: dropping any single
-    # fence must re-FAIL some query.
-    verified_minimal = all(
-        not search._sufficient(labels - {fence.label})[0] for fence in fences
-    )
-
-    notes = []
-    if not optimal:
-        notes.append(
-            "exact search exhausted its budget; the set is 1-minimal but "
-            "may not be cost-optimal"
-        )
-    return SynthesisResult(
-        implementation=implementation,
-        test=test.name,
-        models=model_names,
-        feasible=True,
-        already_passes=False,
-        fences=fences,
-        cost=sum(fence.cost for fence in fences),
-        optimal=optimal,
-        verified_sufficient=verified_sufficient,
-        verified_minimal=verified_minimal,
-        failing_queries=failing,
-        stats=search.stats,
-        notes=notes,
-    )
 
 
-# ------------------------------------------------------------- litmus driver
-
-
-def _mine_outcomes(compiled, model, backend_factory) -> set[tuple[int, ...]]:
-    """All reachable observation vectors, by the solve/block loop."""
-    encoded = encode_test(compiled, model, backend_factory=backend_factory)
-    return set(encoded.observations())
+# ---------------------------------------------------------- litmus front end
 
 
 def litmus_candidates(program, kinds=CANDIDATE_KINDS) -> list[CandidateFence]:
@@ -801,166 +832,30 @@ def synthesize_litmus(
     given model: the specification is the program's outcome set under
     ``sc``, and a fence set is sufficient when no execution under the
     model produces an outcome outside it."""
-    if isinstance(models, (str, MemoryModel)):
-        models = [models]
-    models = [get_model(model) for model in models]
-    kinds = tuple(
-        FenceKind.from_string(k) if isinstance(k, str) else k
-        for k in (kinds or CANDIDATE_KINDS)
+    models = _model_list(models)
+    kinds = _kind_tuple(kinds)
+    compiled = program.compile()
+    specification = ObservationSet(
+        labels=compiled.observation_labels(),
+        observations=set(
+            encode_test(
+                compiled, get_model("sc"), backend_factory=backend_factory
+            ).observations()
+        ),
     )
-    sc_outcomes = _mine_outcomes(
-        program.compile(), get_model("sc"), backend_factory
+    return _synthesize(
+        "fuzz",
+        program.spec(),
+        models,
+        specification,
+        program.compile(candidate_kinds=kinds),
+        litmus_candidates(program, kinds),
+        lambda fences: program.with_fences(placements_of(fences)).compile(),
+        backend_factory=backend_factory,
+        check_assertions=True,
+        exact=exact,
+        exact_budget=exact_budget,
     )
-    candidates = litmus_candidates(program, kinds)
-    compiled = program.compile(candidate_kinds=kinds)
-    queries: list[_Query] = []
-    failing: list[str] = []
-    probes = 0
-    probe_seconds = 0.0
-    for model in models:
-        encoded = encode_test(compiled, model, backend_factory=backend_factory)
-        encoded.expect_enumeration()
-        guard = encoded.not_in_guard(sc_outcomes)
-        query = _Query(f"{model.name}/inclusion", encoded, [guard])
-        start = time.perf_counter()
-        satisfiable = encoded.solve([guard])
-        probe_seconds += time.perf_counter() - start
-        probes += 1
-        if satisfiable:
-            queries.append(query)
-            failing.append(query.name)
-
-    name = program.spec()
-    model_names = [model.name for model in models]
-    if not queries:
-        stats = SynthesisStatistics(candidates=len(candidates))
-        stats.solves = probes
-        stats.solve_seconds = probe_seconds
-        return SynthesisResult(
-            implementation="fuzz",
-            test=name,
-            models=model_names,
-            feasible=True,
-            already_passes=True,
-            fences=[],
-            cost=0,
-            optimal=True,
-            verified_sufficient=True,
-            verified_minimal=True,
-            failing_queries=[],
-            stats=stats,
-            notes=["already SC-equivalent; no fences needed"],
-        )
-    if not candidates:
-        stats = SynthesisStatistics()
-        stats.solves = probes
-        stats.solve_seconds = probe_seconds
-        return SynthesisResult(
-            implementation="fuzz",
-            test=name,
-            models=model_names,
-            feasible=False,
-            already_passes=False,
-            fences=[],
-            cost=0,
-            optimal=False,
-            verified_sufficient=False,
-            verified_minimal=False,
-            failing_queries=failing,
-            stats=stats,
-            notes=["no candidate fence slots"],
-        )
-
-    search = CoreGuidedSearch(
-        queries, candidates, exact=exact, exact_budget=exact_budget
-    )
-    search.stats.solves += probes
-    search.stats.solve_seconds += probe_seconds
-    feasible, labels, optimal = search.run()
-    if not feasible:
-        return SynthesisResult(
-            implementation="fuzz",
-            test=name,
-            models=model_names,
-            feasible=False,
-            already_passes=False,
-            fences=[],
-            cost=0,
-            optimal=False,
-            verified_sufficient=False,
-            verified_minimal=False,
-            failing_queries=failing,
-            stats=search.stats,
-            notes=["even all candidate fences leave a non-SC outcome"],
-        )
-    fences = sorted(
-        (search.by_label[label] for label in labels), key=lambda c: c.label
-    )
-
-    # Independent re-check: real fences, fresh compile, outcome subset.
-    fenced = program.with_fences(placements_of(fences))
-    verified_sufficient = all(
-        _mine_outcomes(fenced.compile(), model, backend_factory)
-        <= sc_outcomes
-        for model in models
-    )
-    verified_minimal = all(
-        not search._sufficient(labels - {fence.label})[0] for fence in fences
-    )
-    notes = []
-    if not optimal:
-        notes.append(
-            "exact search exhausted its budget; the set is 1-minimal but "
-            "may not be cost-optimal"
-        )
-    return SynthesisResult(
-        implementation="fuzz",
-        test=name,
-        models=model_names,
-        feasible=True,
-        already_passes=False,
-        fences=fences,
-        cost=sum(fence.cost for fence in fences),
-        optimal=optimal,
-        verified_sufficient=verified_sufficient,
-        verified_minimal=verified_minimal,
-        failing_queries=failing,
-        stats=search.stats,
-        notes=notes,
-    )
-
-
-def _verify_concrete(session, test, models, fences, specification) -> bool:
-    """Re-check with the synthesized fences inserted as unconditional
-    fences — entirely independent of the selector machinery."""
-    from repro.core.inclusion import run_assertion_check, run_inclusion_check
-
-    fenced_program = apply_fences(session.program, fences)
-    options = session.options
-    compiled = compile_test(
-        session.implementation,
-        test,
-        loop_bounds=options.loop_bounds,
-        default_bound=options.default_loop_bound,
-        use_range_analysis=options.use_range_analysis,
-        program=fenced_program,
-    )
-    for model in models:
-        encoded = encode_test(
-            compiled, model, backend_factory=session.backend_factory
-        )
-        if options.check_assertions:
-            outcome = run_assertion_check(
-                compiled, model, specification.labels, encoded=encoded
-            )
-            if not outcome.passed:
-                return False
-        outcome = run_inclusion_check(
-            compiled, model, specification, encoded=encoded
-        )
-        if not outcome.passed:
-            return False
-    return True
 
 
 # ------------------------------------------------------------- fuzz smoke

@@ -4,9 +4,11 @@ Given the per-thread symbolic encodings, this module introduces the memory
 order variables ``Mxy`` (with antisymmetry by sharing the variable and
 transitivity by explicit clauses), and asserts
 
-* the program-order axioms of the chosen memory model,
-* the fence and atomic-block ordering rules,
-* "initialization happens first" for the init thread,
+* the program-order axioms of the chosen memory model, "initialization
+  happens first" for the init thread and program order inside atomic
+  blocks — all static edges (below), so they fold to constants and emit
+  no clause,
+* the same-address store order, fence and atomic non-interleaving rules,
 * the value axioms (via the ``Init_l`` / ``Flows_{s,l}`` style construction
   described in the paper), and
 * for the Seriality model, the operation-atomicity constraints used to mine
@@ -331,11 +333,9 @@ class MemoryModelEncoder:
         self._prune_value_candidates()
         self._create_live_order_variables()
         self._build_order_handle_map()
-        self._assert_program_order()
         self._assert_same_address_order()
         self._assert_fences()
         self._assert_atomic_blocks()
-        self._assert_init_first()
         if self.model.operation_atomicity:
             self._assert_operation_atomicity()
         self._assert_value_axioms()
@@ -669,18 +669,6 @@ class MemoryModelEncoder:
 
     # ------------------------------------------------------------ the axioms
 
-    def _assert_program_order(self) -> None:
-        circuit_true = self.ctx.circuit.TRUE
-        for first, second in self.table.same_thread_pairs:
-            enforce = (
-                first.thread == INIT_THREAD
-                or self.model.preserves(first.kind, second.kind)
-            )
-            if enforce:
-                handle = self._order_of(first, second)
-                if handle != circuit_true:  # statically resolved otherwise
-                    self.ctx.assert_true(handle)
-
     def _assert_same_address_order(self) -> None:
         # addr_eq -> ordered, asserted as one clause directly (routing it
         # through an implies() node would Tseitin-lower an OR gate per pair
@@ -705,22 +693,15 @@ class MemoryModelEncoder:
             self.ctx.assert_clause([-guard, handle])
 
     def _assert_atomic_blocks(self) -> None:
-        circuit_true = self.ctx.circuit.TRUE
-        # (a) program order inside the atomic block
-        for members in self.table.atomic_groups:
-            for i, first in enumerate(members):
-                for second in members[i + 1:]:
-                    handle = self._order_of(first, second)
-                    if handle != circuit_true:
-                        self.ctx.assert_true(handle)
-        # (b) no access of another thread interleaves with the block.  The
-        # triple count is the layer's largest clause source after
-        # transitivity, so handles come straight from the prebuilt map (a
-        # pair whose order is statically impossible was never seeded, so a
-        # missing entry means the clause is vacuous), literals are memoized
-        # locally (the same order variables recur across triples), and the
-        # clauses go out through the trusted bulk path — at most two
-        # distinct order literals each, so no normalization is needed.
+        # No access of another thread interleaves with an atomic block
+        # (program order inside the block is a static edge).  The triple
+        # count is the layer's largest clause source after transitivity,
+        # so handles come straight from the prebuilt map (a pair whose
+        # order is statically impossible was never seeded, so a missing
+        # entry means the clause is vacuous), literals are memoized locally
+        # (the same order variables recur across triples), and the clauses
+        # go out through the trusted bulk path — at most two distinct order
+        # literals each, so no normalization is needed.
         handles = self._order_handles
         literal = self.ctx.lowering.literal
         true_handle = Circuit.TRUE
@@ -756,14 +737,6 @@ class MemoryModelEncoder:
             push_len(count)
         if lengths:
             self.ctx.lowering.cnf.add_clauses_trusted_flat(buf, lengths)
-
-    def _assert_init_first(self) -> None:
-        circuit_true = self.ctx.circuit.TRUE
-        for first in self.table.init_accesses:
-            for second in self.table.other_accesses:
-                handle = self._order_of(first, second)
-                if handle != circuit_true:  # statically resolved otherwise
-                    self.ctx.assert_true(handle)
 
     def _assert_operation_atomicity(self) -> None:
         """Seriality: accesses of different invocations never interleave.

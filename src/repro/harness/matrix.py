@@ -31,10 +31,9 @@ Fault tolerance (the robustness layer):
   ``options.memory_limit_mb``), degrading to first-class ``TIMEOUT`` /
   ``OOM`` verdicts instead of hanging a worker;
 * a crashed (or hung) worker's unfinished cells are *re-queued* to a
-  replacement worker with capped retries
-  (``CHECKFENCE_MATRIX_RETRIES``, default 2) and a small backoff; cells
-  still unfinished after the attempt cap are quarantined as explicit
-  ``CRASHED`` verdicts;
+  replacement worker with capped retries (:data:`MATRIX_RETRIES`) and a
+  small backoff; cells still unfinished after the attempt cap are
+  quarantined as explicit ``CRASHED`` verdicts;
 * ``journal=`` writes one JSON line per completed cell as it finishes,
   and ``resume=True`` reads the journal back, records the finished
   cells verdict-identically, and reruns only the rest;
@@ -89,38 +88,14 @@ SHARD_AXES = ("test", "model", "impl")
 #: Extra attempts granted to the unfinished cells of a crashed or hung
 #: worker before they are quarantined as ``CRASHED`` (so the total
 #: attempt cap is retries + 1).
-RETRIES_ENV = "CHECKFENCE_MATRIX_RETRIES"
+MATRIX_RETRIES = 2
 #: Seconds slept (scaled by the attempt number) before re-queuing a
 #: crashed worker's shard.
-BACKOFF_ENV = "CHECKFENCE_MATRIX_BACKOFF"
+MATRIX_BACKOFF = 0.05
 #: Parent-side hung-worker watchdog: a worker with an in-flight shard
 #: that has produced no message for this many seconds is killed and its
 #: shard re-queued like a crash.  Unset/empty disables the watchdog.
 WORKER_TIMEOUT_ENV = "CHECKFENCE_MATRIX_WORKER_TIMEOUT"
-
-
-def matrix_retries() -> int:
-    value = os.environ.get(RETRIES_ENV, "").strip()
-    if not value:
-        return 2
-    try:
-        return max(0, int(value))
-    except ValueError as exc:
-        raise ValueError(
-            f"{RETRIES_ENV} must be an integer, got {value!r}"
-        ) from exc
-
-
-def matrix_backoff() -> float:
-    value = os.environ.get(BACKOFF_ENV, "").strip()
-    if not value:
-        return 0.05
-    try:
-        return max(0.0, float(value))
-    except ValueError as exc:
-        raise ValueError(
-            f"{BACKOFF_ENV} must be a number, got {value!r}"
-        ) from exc
 
 
 def matrix_worker_timeout() -> float | None:
@@ -814,7 +789,7 @@ def run_matrix(
     warm sessions exactly like one worker would.  ``jobs>1`` starts worker
     processes and streams results back as cells finish.  A crashed or hung
     worker's unfinished cells are re-queued to a replacement worker with
-    capped retries (``CHECKFENCE_MATRIX_RETRIES``) and quarantined as
+    capped retries (:data:`MATRIX_RETRIES`) and quarantined as
     ``CRASHED`` verdicts when the cap is exhausted — the run always
     completes.  ``progress`` (if given) is called as
     ``progress(done, total, cell_result)`` from the parent process, in
@@ -924,8 +899,7 @@ def _run_matrix_pool(
     retry crashed/hung workers' shards, quarantine after the attempt cap,
     and always reap every worker on the way out."""
     jobs = min(jobs, len(shards))
-    max_attempts = 1 + matrix_retries()
-    backoff = matrix_backoff()
+    max_attempts = 1 + MATRIX_RETRIES
     worker_timeout = matrix_worker_timeout()
     ctx = _mp_context()
     task_queue = ctx.Queue()
@@ -1054,8 +1028,7 @@ def _run_matrix_pool(
             attempt=shard.attempt + 1,
         )
         shards_by_index[shard_index] = retry
-        if backoff > 0:
-            time.sleep(backoff * shard.attempt)
+        time.sleep(MATRIX_BACKOFF * shard.attempt)
         task_queue.put(retry)
         # Replace the lost capacity (and guarantee at least one live
         # worker exists to pick the retry up).

@@ -188,25 +188,6 @@ class CNF:
     def add_unit(self, literal: int) -> None:
         self.add_clause([literal])
 
-    def add_implies(self, antecedent: int, consequent: int) -> None:
-        """Add ``antecedent -> consequent``."""
-        self.add_clause([-antecedent, consequent])
-
-    def add_iff(self, a: int, b: int) -> None:
-        """Add ``a <-> b``."""
-        self.add_clause([-a, b])
-        self.add_clause([a, -b])
-
-    def add_at_most_one(self, literals: Sequence[int]) -> None:
-        """Pairwise at-most-one constraint."""
-        for i in range(len(literals)):
-            for j in range(i + 1, len(literals)):
-                self.add_clause([-literals[i], -literals[j]])
-
-    def add_exactly_one(self, literals: Sequence[int]) -> None:
-        self.add_clause(list(literals))
-        self.add_at_most_one(literals)
-
     # -- statistics ----------------------------------------------------------
 
     @property

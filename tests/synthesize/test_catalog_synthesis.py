@@ -18,6 +18,10 @@ import pytest
 from repro.core.checker import CheckOptions
 from repro.core.session import CheckSession
 from repro.datatypes.registry import get_implementation
+from repro.harness.bugtests import (
+    deque_double_pop_test,
+    lazylist_missing_init_test,
+)
 from repro.harness.catalog import get_test
 from repro.harness.runner import count_hand_fences
 
@@ -131,3 +135,27 @@ def test_statistics_are_populated(synthesis_results):
         payload = result.as_dict()
         assert payload["stats"]["solves"] == stats.solves
         assert [f["label"] for f in payload["fences"]] == result.labels
+
+
+@pytest.mark.parametrize(
+    "implementation,make_test,solves",
+    [
+        ("snark-buggy", deque_double_pop_test, 2),
+        ("lazylist-buggy", lazylist_missing_init_test, 3),
+    ],
+    ids=["snark-buggy", "lazylist-buggy"],
+)
+def test_algorithmic_bug_is_infeasible(implementation, make_test, solves):
+    """The Section 4.1 bugs FAIL even under ``sc``: enabling every
+    candidate fence cannot repair them, and the search stops right after
+    that all-on solve (the probe's solves plus one)."""
+    session = CheckSession(get_implementation(implementation), CheckOptions())
+    result = session.synthesize(make_test(), ["sc"])
+    assert not result.feasible
+    assert not result.already_passes
+    assert result.fences == []
+    assert result.failing_queries == ["sc/inclusion"]
+    assert result.stats.core_size == 0
+    assert result.stats.solves == solves
+    assert len(result.notes) == 1
+    assert "not a fence-repairable reordering" in result.notes[0]
