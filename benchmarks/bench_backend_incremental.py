@@ -10,7 +10,8 @@ runs that loop on each lane:
 * **native** — ``InternalBackend`` over the native C kernel (skipped when
   it cannot be built);
 * **library** — ``IpasirBackend`` over a real IPASIR shared library,
-  when one is installed (skipped otherwise).
+  when ``CHECKFENCE_SOLVER`` names one as ``ipasir:<path>`` (skipped
+  otherwise).
 
 Every lane runs the identical mining loop, so the solve counts must agree
 and, on the uncapped test, the observation sets too — the verdict-identity
@@ -28,8 +29,8 @@ from repro.datatypes.registry import category_of, get_implementation
 from repro.encoding import compile_test
 from repro.harness.catalog import get_test
 from repro.sat import native
-from repro.sat.backend import InternalBackend, make_backend_factory
-from repro.sat.ipasir import IpasirBackend, find_ipasir_library
+from repro.sat.backend import InternalBackend, default_backend_spec
+from repro.sat.ipasir import IpasirBackend
 
 #: A small queue test mined to completion (verdict identity asserted) and
 #: the largest catalog test capped to a fixed number of solve/block
@@ -38,7 +39,15 @@ FULL_TEST = ("msn", "Ti2")
 CAPPED_TEST = ("lazylist", "Saaarr")
 CAPPED_SOLVES = 6
 
-
+#: The IPASIR library of the library lanes: the path of an
+#: ``ipasir:<path>`` ``CHECKFENCE_SOLVER`` spec, else None (lanes skip).
+_SPEC = default_backend_spec().strip()
+LIBRARY = (
+    _SPEC[len("ipasir:"):].strip() if _SPEC.startswith("ipasir:") else None
+)
+needs_library = pytest.mark.skipif(
+    not LIBRARY, reason="CHECKFENCE_SOLVER names no ipasir:<path> library"
+)
 
 
 @pytest.fixture
@@ -46,7 +55,7 @@ def native_backend():
     """Factory of bare native-kernel backends (skips when unavailable)."""
     if native.load() is None:
         pytest.skip(f"native kernel unavailable: {native.unavailable_reason()}")
-    return make_backend_factory("auto", simplify=False)
+    return lambda: InternalBackend(native.NativeSolver(), "native")
 
 
 def _mine(compiled, factory, max_observations=100_000):
@@ -116,49 +125,41 @@ def test_internal_vs_native_capped_large(benchmark, native_backend):
     )
 
 
-@pytest.mark.skipif(
-    find_ipasir_library() is None,
-    reason="no IPASIR shared library installed",
-)
+@needs_library
 def test_ipasir_library_full_mining(benchmark):
     """With a real IPASIR library (CI's cadical job): the full msn/Ti2
     loop on the library is verdict-identical to the internal solver."""
     compiled = _compiled(*FULL_TEST)
-    library = find_ipasir_library()
 
     def run_both():
         return {
             "internal": _mine(compiled, InternalBackend),
-            "library": _mine(compiled, lambda: IpasirBackend(library)),
+            "library": _mine(compiled, lambda: IpasirBackend(LIBRARY)),
         }
 
     lanes = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    _record(benchmark, "/".join(FULL_TEST), lanes, library=library)
+    _record(benchmark, "/".join(FULL_TEST), lanes, library=LIBRARY)
     assert lanes["internal"].observations == lanes["library"].observations
 
 
-@pytest.mark.skipif(
-    find_ipasir_library() is None,
-    reason="no IPASIR shared library installed",
-)
+@needs_library
 def test_ipasir_library_capped_tpc6(benchmark):
     """msn/Tpc6 capped to a fixed number of solve/block iterations on the
     library and the internal solver: identical solve counts, per-solve
     timings recorded."""
     compiled = _compiled("msn", "Tpc6")
-    library = find_ipasir_library()
 
     def run_both():
         return {
             name: _mine(compiled, factory, max_observations=CAPPED_SOLVES)
             for name, factory in (
                 ("internal", InternalBackend),
-                ("library", lambda: IpasirBackend(library)),
+                ("library", lambda: IpasirBackend(LIBRARY)),
             )
         }
 
     lanes = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    _record(benchmark, "msn/Tpc6", lanes, library=library,
+    _record(benchmark, "msn/Tpc6", lanes, library=LIBRARY,
             capped_solves=CAPPED_SOLVES)
     assert (
         lanes["internal"].solver_iterations

@@ -70,17 +70,15 @@ def test_two_largest_lose_at_least_30_percent_of_clauses(
 
 def test_check_solver_stats_simplify_on_vs_off(benchmark, monkeypatch):
     """One full check (msn/Ti2 on Relaxed) with the preprocessor forced on
-    vs off: verdict-identical, with both solver-counter sets embedded in
-    the benchmark JSON."""
-    monkeypatch.setenv("CHECKFENCE_SIMPLIFY_MIN_CLAUSES", "0")
+    (``CHECKFENCE_SIMPLIFY=1``) vs the default native stack:
+    verdict-identical, with both solver-counter sets embedded in the
+    benchmark JSON."""
 
     def run_both():
-        on = inclusion_row(
-            "msn", "Ti2", "relaxed", CheckOptions(simplify=True)
-        )
-        off = inclusion_row(
-            "msn", "Ti2", "relaxed", CheckOptions(simplify=False)
-        )
+        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
+        on = inclusion_row("msn", "Ti2", "relaxed", CheckOptions())
+        monkeypatch.delenv("CHECKFENCE_SIMPLIFY")
+        off = inclusion_row("msn", "Ti2", "relaxed", CheckOptions())
         return on, off
 
     on, off = benchmark.pedantic(run_both, rounds=1, iterations=1)
@@ -106,18 +104,17 @@ def test_outcome_mining_simplify_on_vs_off(benchmark, monkeypatch):
     """The solve/block enumeration loop (SAT specification mining on
     msn/Ti2) — the workload projected blocking + preprocessing targets:
     identical observation sets, both timings recorded."""
-    monkeypatch.setenv("CHECKFENCE_SIMPLIFY_MIN_CLAUSES", "0")
+    monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
+    forced = make_backend_factory()
+    monkeypatch.delenv("CHECKFENCE_SIMPLIFY")
+    default = make_backend_factory()
     implementation = get_implementation("msn")
     test = get_test("queue", "Ti2")
     compiled = compile_test(implementation, test)
 
     def mine_both():
-        on = SatSpecificationMiner(
-            compiled, backend_factory=make_backend_factory(simplify=True)
-        ).mine()
-        off = SatSpecificationMiner(
-            compiled, backend_factory=make_backend_factory(simplify=False)
-        ).mine()
+        on = SatSpecificationMiner(compiled, backend_factory=forced).mine()
+        off = SatSpecificationMiner(compiled, backend_factory=default).mine()
         return on, off
 
     on, off = benchmark.pedantic(mine_both, rounds=1, iterations=1)

@@ -66,7 +66,7 @@ def test_internal_vs_native_search(benchmark):
         start = time.perf_counter()
         result = _synthesize(
             "msn-unfenced", "queue", "T0",
-            CheckOptions(solver_backend=solver, simplify=False),
+            CheckOptions(solver_backend=solver),
         )
         return result, time.perf_counter() - start
 

@@ -90,11 +90,6 @@ class RangeInfo:
         valid = [v for v in values if 0 <= v < self.layout.num_locations]
         return sorted(valid)
 
-    def possible_values(self, reg: str) -> set[int] | None:
-        if not self.enabled:
-            return None
-        return self.reg_values.get(reg, set())
-
     def location_domain(self, index: int) -> set[int] | None:
         """Domain of values that may legitimately sit in a havoc'd cell."""
         if not self.enabled:

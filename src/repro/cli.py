@@ -4,7 +4,7 @@ Examples::
 
     checkfence list
     checkfence check --impl msn-unfenced --test T0 --model relaxed
-    checkfence check --impl msn --test T0 --solver ipasir
+    checkfence check --impl msn --test T0 --solver ipasir:libcadical.so
     checkfence sweep --impl msn --test T0 --models serial,sc,tso,pso,relaxed
     checkfence spec --impl msn --test T0
     checkfence litmus --model relaxed
@@ -54,7 +54,6 @@ def _check_options(args, **fields) -> CheckOptions:
     values = {}
     if hasattr(args, "solver"):
         values["solver_backend"] = args.solver
-        values["simplify"] = False if args.no_simplify else None
     if hasattr(args, "store"):
         values["store"] = (
             False if args.no_store else True if args.store else None
@@ -70,7 +69,7 @@ def _check_options(args, **fields) -> CheckOptions:
 
 def _backend_factory(options: CheckOptions):
     """The solver stack of commands that solve outside a CheckSession."""
-    return make_backend_factory(options.solver_backend, options.simplify)
+    return make_backend_factory(options.solver_backend)
 
 
 def _degraded_exit(results) -> int:
@@ -365,8 +364,8 @@ def _cmd_oracle(args) -> int:
 #: the flag selecting it, would ignore; combining them is a usage error.
 _SYNTHESIZE_IGNORED = {
     "--fuzz-budget": (
-        "test", "solver", "no_simplify", "store", "no_store", "timeout",
-        "memory_limit", "json", "no_exact", "budget",
+        "test", "solver", "store", "no_store", "timeout", "memory_limit",
+        "json", "budget",
     ),
     "--spec": ("test", "store", "no_store", "timeout", "memory_limit", "seed"),
     "--impl": ("seed",),
@@ -431,7 +430,6 @@ def _cmd_synthesize(args) -> int:
             program,
             models,
             backend_factory=_backend_factory(_check_options(args)),
-            exact=not args.no_exact,
             exact_budget=budget,
         )
         target = f"{args.spec!r}"
@@ -439,9 +437,7 @@ def _cmd_synthesize(args) -> int:
         implementation = get_implementation(args.impl)
         category = category_of(args.impl)
         test = get_test(category, args.test)
-        options = _check_options(
-            args, synthesis_exact=not args.no_exact, synthesis_budget=budget,
-        )
+        options = _check_options(args, synthesis_budget=budget)
         session = CheckSession(implementation, options)
         result = session.synthesize(test, models)
         target = f"{args.impl} / {args.test}"
@@ -586,17 +582,9 @@ def _shared_flags() -> dict[str, argparse.ArgumentParser]:
                 default=None,
                 help="SAT backend: auto (the native C kernel, built on "
                 "first use; the pure-Python kernel when it cannot be "
-                "built), internal (the pure-Python kernel), ipasir, or "
-                "ipasir:<path-to-shared-library> "
-                "(default: CHECKFENCE_SOLVER or auto)",
-            )),
-            (("--no-simplify",), dict(
-                action="store_true",
-                help="disable the in-process CNF preprocessor (unit "
-                "propagation, equivalent literals, subsumption, bounded "
-                "variable elimination) that runs between lowering and "
-                "solving; same verdicts (default: CHECKFENCE_SIMPLIFY, "
-                "else on over the pure-Python kernel only)",
+                "built), internal (the pure-Python kernel), or "
+                "ipasir:<path-to-shared-library> (a file or a soname such "
+                "as libcadical.so) (default: CHECKFENCE_SOLVER or auto)",
             )),
         ),
         "store": _flag_group(
@@ -846,13 +834,10 @@ def build_parser() -> argparse.ArgumentParser:
         "that repairs ALL of them (overrides --model)",
     )
     synth_parser.add_argument(
-        "--no-exact", action="store_true",
-        help="stop after destructive deletion (1-minimal) instead of "
-        "escalating to the exact minimal-correction search",
-    )
-    synth_parser.add_argument(
         "--budget", type=int, default=None,
-        help="solve budget of the exact escalation (default: 60)",
+        help="solve budget of the escalation from destructive deletion to "
+        "the exact minimal-correction search; 0 stops at the 1-minimal set "
+        "(default: 60)",
     )
     synth_parser.add_argument(
         "--fuzz-budget", type=int, default=None, metavar="N",
@@ -911,6 +896,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "solver"):
+        # A bad solver spec is a usage error, reported before any work.
+        try:
+            make_backend_factory(args.solver)
+        except ValueError as exc:
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return 2
     handlers = {
         "list": _cmd_list,
         "table1": _cmd_table1,

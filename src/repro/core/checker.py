@@ -52,17 +52,10 @@ class CheckOptions:
     #: Also search for assertion violations (Section 4.1 bugs).
     check_assertions: bool = True
     #: SAT backend spec: "auto" (the native kernel), "internal" (the
-    #: pure-Python kernel), "ipasir" or "ipasir:<path>" (see
-    #: :mod:`repro.sat.backend`).  None uses CHECKFENCE_SOLVER or auto.
+    #: pure-Python kernel) or "ipasir:<path>" (see
+    #: :mod:`repro.sat.backend`, which also decides whether the CNF
+    #: preprocessor runs).  None uses CHECKFENCE_SOLVER or auto.
     solver_backend: str | None = None
-    #: Run the in-process CNF preprocessor (unit propagation, equivalent
-    #: literals, subsumption, bounded variable elimination — see
-    #: :mod:`repro.sat.simplify`) between lowering and solving.  None
-    #: defers to CHECKFENCE_SIMPLIFY (``1`` forces it, ``0`` /
-    #: ``--no-simplify`` removes it), and without that to the kernel: on
-    #: over the pure-Python kernel only.  Both settings produce identical
-    #: verdicts and outcome sets.
-    simplify: bool | None = None
     #: Consult (and populate) the persistent on-disk result store
     #: (:mod:`repro.core.store`): verdicts and mined observation sets keyed
     #: by a content hash of implementation source, test, model, options,
@@ -84,11 +77,10 @@ class CheckOptions:
     #: Fence kinds offered at every candidate slot during synthesis
     #: (``checkfence synthesize``).  None: the four partial kinds.
     synthesis_kinds: tuple | None = None
-    #: Escalate from destructive deletion to the exact (implicit hitting
-    #: set) search, proving cost-optimality of the synthesized set.
-    synthesis_exact: bool = True
-    #: Solve budget of the exact escalation; when exhausted the 1-minimal
-    #: deletion result is returned with ``optimal=False``.
+    #: Solve budget of the escalation from destructive deletion to the
+    #: exact (implicit hitting set) search, which proves cost-optimality
+    #: of the synthesized set; when exhausted (at once for 0) the
+    #: 1-minimal deletion result is returned with ``optimal=False``.
     synthesis_budget: int = 60
 
 

@@ -68,7 +68,7 @@ class CheckSession:
         #: Builds every backend stack of this session; the kernel (and
         #: with it the CNF preprocessor decision) is resolved on first use.
         self.backend_factory = make_backend_factory(
-            self.options.solver_backend, self.options.simplify
+            self.options.solver_backend
         )
         #: Persistent on-disk store (None when disabled — the default).
         self.store = result_store.open_store(self.options.store)

@@ -342,13 +342,11 @@ class CoreGuidedSearch:
         self,
         queries: list[_Query],
         candidates: list[CandidateFence],
-        exact: bool = True,
         exact_budget: int = 60,
     ) -> None:
         self.queries = queries
         self.candidates = sorted(candidates, key=lambda c: c.label)
         self.by_label = {c.label: c for c in self.candidates}
-        self.exact = exact
         self.exact_budget = exact_budget
         self.stats = SynthesisStatistics(candidates=len(self.candidates))
         #: Correction sets: every sufficient set must intersect each.
@@ -440,9 +438,7 @@ class CoreGuidedSearch:
             else:
                 working = boosted
         working = self._destructive_deletion(working)
-        optimal = False
-        if self.exact:
-            working, optimal = self._exact_search(working)
+        working, optimal = self._exact_search(working)
         canonical = self._canonicalize(working)
         if canonical != working and not optimal:
             # A swap can only make another element redundant when the set
@@ -514,7 +510,8 @@ class CoreGuidedSearch:
         self, upper: frozenset[str]
     ) -> tuple[frozenset[str], bool]:
         """Implicit-hitting-set escalation: prove (or improve to) the
-        cheapest sufficient set, within the solve budget."""
+        cheapest sufficient set, within the solve budget (a budget of 0
+        returns the 1-minimal ``upper`` unproven)."""
         upper_cost = self._cost(upper)
         budget = self.exact_budget
         while budget > 0:
@@ -592,7 +589,6 @@ def _synthesize(
     fenced: Callable[[list[CandidateFence]], CompiledTest],
     backend_factory,
     check_assertions: bool,
-    exact: bool,
     exact_budget: int,
 ) -> SynthesisResult:
     """The search both front ends share: probe the assertion and inclusion
@@ -645,9 +641,7 @@ def _synthesize(
 
     feasible = False
     if candidates:
-        search = CoreGuidedSearch(
-            queries, candidates, exact=exact, exact_budget=exact_budget
-        )
+        search = CoreGuidedSearch(queries, candidates, exact_budget)
         search.stats = stats  # the probe solves count toward the search
         feasible, labels, optimal = search.run()
     if not feasible:
@@ -782,7 +776,6 @@ def synthesize_fences(
         lambda fences: compile_program(apply_fences(session.program, fences)),
         backend_factory=session.backend_factory,
         check_assertions=options.check_assertions,
-        exact=options.synthesis_exact,
         exact_budget=options.synthesis_budget,
     )
 
@@ -824,7 +817,6 @@ def synthesize_litmus(
     models,
     kinds=None,
     backend_factory=None,
-    exact: bool = True,
     exact_budget: int = 60,
 ) -> SynthesisResult:
     """Synthesize a minimal fence set making a fuzz litmus program
@@ -853,7 +845,6 @@ def synthesize_litmus(
         lambda fences: program.with_fences(placements_of(fences)).compile(),
         backend_factory=backend_factory,
         check_assertions=True,
-        exact=exact,
         exact_budget=exact_budget,
     )
 

@@ -460,15 +460,6 @@ class EncodedTest:
         return self._backend.stats() if self._backend else None
 
     @property
-    def simplify_stats(self):
-        """The preprocessing counters (:class:`repro.sat.simplify
-        .SimplifyStats`) when simplification is active and a backend
-        exists; None otherwise."""
-        if isinstance(self._backend, SimplifyingBackend):
-            return self._backend.simplify_stats
-        return None
-
-    @property
     def backend_name(self) -> str | None:
         """Name of the backend once one has been instantiated."""
         return self._backend.name if self._backend else None

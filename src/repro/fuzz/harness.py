@@ -99,9 +99,7 @@ def run_fuzz_cell(cell: MatrixCell, options) -> "CellResult":
     compiled = compiled_fuzz_program(cell.test)
     report = differential_check(
         compiled, cell.model,
-        backend_factory=make_backend_factory(
-            options.solver_backend, options.simplify
-        ),
+        backend_factory=make_backend_factory(options.solver_backend),
         name=cell.test,
         engines=cell_engines(cell),
     )
@@ -399,9 +397,7 @@ def run_fuzz(
         # Re-confirm in-process (the worker only shipped a description)
         # and shrink to a minimal reproducer.
         program = FuzzProgram.parse(cell_result.cell.test)
-        backend_factory = make_backend_factory(
-            options.solver_backend, options.simplify
-        )
+        backend_factory = make_backend_factory(options.solver_backend)
         if shrink:
             program, report = shrink_divergence(
                 program, cell_result.cell.model,

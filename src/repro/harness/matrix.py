@@ -485,9 +485,7 @@ def _run_cell_inner(
         litmus = available_litmus_tests()[cell.test]
         outcome = observation_outcome(
             litmus, cell.model,
-            backend_factory=make_backend_factory(
-                options.solver_backend, options.simplify
-            ),
+            backend_factory=make_backend_factory(options.solver_backend),
         )
         return CellResult(
             cell=cell,

@@ -61,9 +61,6 @@ class Parser:
             )
         return self._advance()
 
-    def _error(self, message: str) -> ParseError:
-        return ParseError(message, self._peek().location)
-
     # ------------------------------------------------------------ type tests
 
     def _is_type_start(self, offset: int = 0) -> bool:

@@ -100,10 +100,6 @@ class TypeEnv:
             base = alias.base
         return ast.TypeExpr(base, depth)
 
-    def is_struct(self, type_expr: ast.TypeExpr) -> bool:
-        resolved = self.resolve(type_expr)
-        return resolved.pointer_depth == 0 and resolved.base in self._structs
-
     def struct_info(self, type_expr: ast.TypeExpr | str) -> StructInfo:
         if isinstance(type_expr, str):
             name = self.resolve(ast.TypeExpr(type_expr, 0)).base

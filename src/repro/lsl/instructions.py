@@ -297,31 +297,3 @@ def count_memory_accesses(body: Iterable[Statement]) -> tuple[int, int]:
         elif isinstance(stmt, Store):
             stores += 1
     return loads, stores
-
-
-def defined_registers(stmt: Statement) -> tuple[str, ...]:
-    """Registers written by a statement (not recursing into blocks)."""
-    if isinstance(stmt, (ConstAssign, PrimOp, Load, Alloc, Choose)):
-        return (stmt.dst,)
-    if isinstance(stmt, Call):
-        return tuple(stmt.rets)
-    return ()
-
-
-def used_registers(stmt: Statement) -> tuple[str, ...]:
-    """Registers read by a statement (not recursing into blocks)."""
-    if isinstance(stmt, PrimOp):
-        return tuple(stmt.args)
-    if isinstance(stmt, Load):
-        return (stmt.addr,)
-    if isinstance(stmt, Store):
-        return (stmt.addr, stmt.src)
-    if isinstance(stmt, Call):
-        return tuple(stmt.args)
-    if isinstance(stmt, (BreakIf, ContinueIf, Assert, Assume)):
-        return (stmt.cond,)
-    if isinstance(stmt, Free):
-        return (stmt.addr,)
-    if isinstance(stmt, Observe):
-        return tuple(stmt.regs)
-    return ()

@@ -96,9 +96,6 @@ class MemoryLayout:
     def global_base(self, name: str) -> int:
         return self._globals[name]
 
-    def has_global(self, name: str) -> bool:
-        return name in self._globals
-
     @property
     def num_locations(self) -> int:
         """Number of locations including the null slot."""

@@ -93,9 +93,6 @@ class Program:
                 f"program {self.name!r} has no procedure {name!r}"
             ) from exc
 
-    def global_names(self) -> list[str]:
-        return [decl.name for decl in self.globals]
-
 
 @dataclass
 class Invocation:

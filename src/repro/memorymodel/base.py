@@ -48,10 +48,6 @@ class MemoryModel:
     def preserves(self, first_kind: str, second_kind: str) -> bool:
         return (first_kind, second_kind) in self.preserved_program_order
 
-    @property
-    def is_serial(self) -> bool:
-        return self.operation_atomicity
-
     def __str__(self) -> str:
         return self.name
 

@@ -10,14 +10,14 @@ Public surface:
 * :class:`repro.sat.backend.SolverBackend` — pluggable solving backends
   (:class:`repro.sat.backend.InternalBackend` over either kernel, the
   IPASIR backend of :mod:`repro.sat.ipasir`) plus the backend-stack
-  factory :func:`repro.sat.backend.make_backend_factory`.
+  factory :func:`repro.sat.backend.make_backend_factory`, the one place
+  a solver stack is chosen.
 * :class:`repro.sat.circuit.Circuit` / :class:`repro.sat.circuit.CnfLowering`
   — boolean circuits with Tseitin conversion.
 * :mod:`repro.sat.simplify` — in-process SatELite-style CNF preprocessing
   (:class:`repro.sat.simplify.SimplifyingBackend`) between lowering and
   solving, with model reconstruction and a frozen-variable contract.
 * :class:`repro.sat.bitvec.BitVecBuilder` — fixed-width bit-vector terms.
-* :mod:`repro.sat.dimacs` — DIMACS import/export.
 """
 
 from repro.sat.cnf import CNF
@@ -31,14 +31,11 @@ from repro.sat.backend import (
 )
 from repro.sat.circuit import Circuit, CnfLowering
 from repro.sat.bitvec import BitVec, BitVecBuilder, width_for
-from repro.sat.dimacs import read_dimacs, write_dimacs
 from repro.sat.simplify import (
     Simplifier,
     SimplifyingBackend,
     SimplifyStats,
     simplify_cnf,
-    simplify_setting,
-    simplify_min_clauses,
 )
 
 __all__ = [
@@ -56,12 +53,8 @@ __all__ = [
     "BitVec",
     "BitVecBuilder",
     "width_for",
-    "read_dimacs",
-    "write_dimacs",
     "Simplifier",
     "SimplifyingBackend",
     "SimplifyStats",
     "simplify_cnf",
-    "simplify_setting",
-    "simplify_min_clauses",
 ]

@@ -18,17 +18,15 @@ Backend choice is a string *spec* threaded through
   (:mod:`repro.sat.native`); the pure-Python kernel when it cannot be
   built or loaded (:func:`repro.sat.native.unavailable_reason` says why);
 * ``internal`` — the pure-Python kernel;
-* ``ipasir`` — a persistent incremental external solver loaded as an
-  IPASIR shared library (:mod:`repro.sat.ipasir`), auto-discovered via
-  ``CHECKFENCE_IPASIR_LIB`` / known sonames, pure-Python fallback when
-  none is installed;
-* ``ipasir:<path>`` — a specific IPASIR shared library file.
+* ``ipasir:<path>`` — a persistent incremental external solver loaded
+  from an IPASIR shared library (:mod:`repro.sat.ipasir`); the path may
+  be a loader soname such as ``libcadical.so``.
 
 :func:`make_backend_factory` turns a spec into a factory of fresh backend
-*stacks*: it also decides whether the CNF preprocessor
-(:class:`repro.sat.simplify.SimplifyingBackend`) wraps the chosen backend,
-so that decision is made once, where the factory is built, and every
-layer below only ever receives the factory.
+*stacks*: it alone decides whether the CNF preprocessor
+(:class:`repro.sat.simplify.SimplifyingBackend`) wraps the chosen backend
+(``CHECKFENCE_SIMPLIFY``), so that decision is made once, where the
+factory is built, and every layer below only ever receives the factory.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.core import faults
 from repro.sat.cnf import CNF
-from repro.sat.simplify import SimplifyingBackend, simplify_setting
+from repro.sat.simplify import SimplifyingBackend
 from repro.sat.solver import Solver, SolverStats
 
 BackendFactory = Callable[[], "SolverBackend"]
@@ -147,33 +145,35 @@ def default_backend_spec() -> str:
     return os.environ.get("CHECKFENCE_SOLVER", "auto")
 
 
-def make_backend_factory(
-    spec: str | None = None, simplify: bool | None = None
-) -> "BackendStackFactory":
+def make_backend_factory(spec: str | None = None) -> "BackendStackFactory":
     """Turn a backend spec string into a factory of fresh backend stacks.
 
-    Each produced stack is, innermost first: the backend ``spec`` names;
+    Each produced stack is, innermost first: the kernel ``spec`` names;
     the counting proxy of the ``solver-raise`` fault
     (:mod:`repro.core.faults`) when that fault is armed, so the hot path
-    pays nothing otherwise; and the CNF preprocessor when ``simplify``
-    resolves on.  ``None`` defers to ``CHECKFENCE_SIMPLIFY`` (``1`` forces
-    the preprocessor over any kernel, ``0`` removes it); when neither is
-    set, the preprocessor is stacked only over the pure-Python kernel,
-    which is the one kernel it pays for.
+    pays nothing otherwise; and the CNF preprocessor.  By default the
+    preprocessor sits over the pure-Python kernel only, the one kernel it
+    pays for, at its measured engagement thresholds.  When
+    ``CHECKFENCE_SIMPLIFY`` is set to anything but ``0`` it sits over any
+    kernel and engages on every formula: the escape hatch for formulas the
+    native kernel finds hard, and the differential lanes.
 
-    The spec is checked here; the kernel is resolved (and the native one
-    built) only when the first stack is made.
+    The spec is checked here (a ValueError names the valid ones); the
+    kernel is resolved (and the native one built) only when the first
+    stack is made.
     """
-    return BackendStackFactory(spec, simplify)
+    return BackendStackFactory(spec)
 
 
 class BackendStackFactory:
     """A callable that builds fresh backend stacks for one spec (see
     :func:`make_backend_factory`)."""
 
-    def __init__(self, spec: str | None, simplify: bool | None) -> None:
+    def __init__(self, spec: str | None) -> None:
         self._spec = _parse_spec(spec)
-        self._simplify = simplify_setting(simplify)
+        self._forced = os.environ.get(
+            "CHECKFENCE_SIMPLIFY", ""
+        ).strip() not in ("", "0")
         self._inject_faults = bool(faults.solver_raise_counts())
         self._kernel: tuple[BackendFactory, bool] | None = None
 
@@ -191,49 +191,45 @@ class BackendStackFactory:
             return None
         from repro.sat import native
 
-        stack = "simplify+internal" if self.preprocess else "internal"
         return (
             f"native kernel unavailable ({native.unavailable_reason()}); "
-            f"solving with {stack}"
+            "solving with simplify+internal"
         )
 
     @property
     def preprocess(self) -> bool:
         """Whether the stacks include the CNF preprocessor (resolves the
-        kernel when the setting leaves the choice to it)."""
-        if self._simplify is not None:
-            return self._simplify
-        return self._resolve()[1]
+        kernel unless ``CHECKFENCE_SIMPLIFY`` forces it)."""
+        return self._forced or self._resolve()[1]
 
     def __call__(self) -> SolverBackend:
-        make, _ = self._resolve()
+        make, python_kernel = self._resolve()
         backend = make()
         if self._inject_faults:
             backend = faults.FaultySolverProxy(backend)
-        if self.preprocess:
+        if self._forced:
+            backend = SimplifyingBackend(backend, min_clauses=0)
+        elif python_kernel:
             backend = SimplifyingBackend(backend)
         return backend
 
 
 def _parse_spec(spec: str | None) -> tuple[str, str]:
-    """(kind, argument) of a backend spec; raises ValueError when unknown."""
+    """(kind, library path) of a backend spec; raises ValueError naming the
+    valid specs when it is not one of them."""
     spec = (spec if spec is not None else default_backend_spec()).strip()
-    if spec in ("", "auto"):
-        return "auto", ""
-    if spec in ("internal", "ipasir"):
-        return spec, ""
-    if spec.startswith("ipasir:"):
-        argument = spec[len("ipasir:"):].strip()
-        if not argument:
-            raise ValueError(f"empty IPASIR library path in spec {spec!r}")
-        return "ipasir", argument
+    if spec in ("", "auto", "internal"):
+        return spec or "auto", ""
+    kind, _, library = spec.partition(":")
+    if kind == "ipasir" and library.strip():
+        return kind, library.strip()
     raise ValueError(
         f"unknown solver backend spec {spec!r} "
-        "(expected auto, internal, ipasir, or ipasir:<path>)"
+        "(expected auto, internal, or ipasir:<path-to-shared-library>)"
     )
 
 
-def _resolve_kernel(kind: str, argument: str) -> tuple[BackendFactory, bool]:
+def _resolve_kernel(kind: str, library: str) -> tuple[BackendFactory, bool]:
     if kind == "auto":
         # Imported lazily, like repro.sat.ipasir below: only this spec
         # needs the kernel's build and load machinery.
@@ -249,10 +245,4 @@ def _resolve_kernel(kind: str, argument: str) -> tuple[BackendFactory, bool]:
         return InternalBackend, True
     from repro.sat import ipasir
 
-    library = argument or ipasir.find_ipasir_library()
-    if library is None:
-        return (
-            lambda: InternalBackend(name="ipasir(fallback:internal)"),
-            True,
-        )
     return lambda: ipasir.IpasirBackend(library), False

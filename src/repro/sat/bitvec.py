@@ -57,9 +57,6 @@ class BitVecBuilder:
         bits = tuple(self.circuit.var(f"{name}.{i}") for i in range(width))
         return BitVec(bits)
 
-    def from_bits(self, bits: Sequence[int]) -> BitVec:
-        return BitVec(tuple(bits))
-
     def from_bool(self, handle: int, width: int = 1) -> BitVec:
         """Embed a single boolean as a bit-vector (zero-extended)."""
         bits = [handle] + [self.circuit.FALSE] * (width - 1)
@@ -152,21 +149,6 @@ class BitVecBuilder:
             for t, e in zip(then_vec.bits, else_vec.bits)
         )
         return BitVec(bits)
-
-    def bitwise_and(self, a: BitVec, b: BitVec) -> BitVec:
-        a, b = self.match_widths(a, b)
-        return BitVec(tuple(self.circuit.and_(x, y) for x, y in zip(a, b)))
-
-    def bitwise_or(self, a: BitVec, b: BitVec) -> BitVec:
-        a, b = self.match_widths(a, b)
-        return BitVec(tuple(self.circuit.or_(x, y) for x, y in zip(a, b)))
-
-    def bitwise_xor(self, a: BitVec, b: BitVec) -> BitVec:
-        a, b = self.match_widths(a, b)
-        return BitVec(tuple(self.circuit.xor(x, y) for x, y in zip(a, b)))
-
-    def bitwise_not(self, a: BitVec) -> BitVec:
-        return BitVec(tuple(-bit for bit in a.bits))
 
     # ------------------------------------------------------------- decoding
 

@@ -182,9 +182,6 @@ class Circuit:
     def num_nodes(self) -> int:
         return len(self._nodes) - 1
 
-    def is_input(self, handle: int) -> bool:
-        return self._nodes[abs(handle)][0] == "var"
-
     # -------------------------------------------------------------- lowering
 
     def node(self, handle: int) -> tuple:

@@ -27,16 +27,6 @@ def neg(literal: int) -> int:
     return -literal
 
 
-def var_of(literal: int) -> int:
-    """Return the variable of a literal (a positive integer)."""
-    return literal if literal > 0 else -literal
-
-
-def sign_of(literal: int) -> bool:
-    """Return True if the literal is positive."""
-    return literal > 0
-
-
 class ClauseView(Sequence):
     """Read-only sequence of clauses over the flat literal buffers.
 
@@ -193,9 +183,6 @@ class CNF:
     @property
     def num_clauses(self) -> int:
         return len(self._ends)
-
-    def num_literals(self) -> int:
-        return len(self._lits)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.clauses)

@@ -17,25 +17,19 @@ restarted zChaff from scratch, an IPASIR solver *persists* across the
 hundreds of solve/block iterations the specification miner and the fence
 inference loop issue, so learned clauses from one query prune the next.
 
-:class:`IpasirBackend` loads an IPASIR shared library via :mod:`ctypes`
-(``CHECKFENCE_IPASIR_LIB``, or auto-discovery of
-``libcadical``/``libcryptominisat5``/``libpicosat``/``liblingeling``).  It
-registers under the ``ipasir`` backend spec (see
-:func:`repro.sat.backend.make_backend_factory`): ``ipasir`` auto-discovers
-a library and falls back to the pure-Python kernel, and ``ipasir:<path>``
-loads a specific shared library.  The in-tree native kernel
+:class:`IpasirBackend` loads an IPASIR shared library via :mod:`ctypes`.
+It registers under the ``ipasir:<path>`` backend spec (see
+:func:`repro.sat.backend.make_backend_factory`); the path may be a file or
+a loader soname such as ``libcadical.so``.  The in-tree native kernel
 (:mod:`repro.sat.native`) exports the same interface, so
 ``ipasir:<path-of-the-kernel>`` also works.
 
-Each library is loaded once per process (:func:`load_ipasir_library`), and
-a backend factory resolves the auto-discovered library once, not once per
-backend.
+Each library is loaded once per process (:func:`load_ipasir_library`).
 """
 
 from __future__ import annotations
 
 import ctypes
-import ctypes.util
 import os
 from typing import Iterable, Sequence
 
@@ -50,18 +44,6 @@ IPASIR_INTERRUPTED = 0
 #: C type of the optional ``ipasir_set_terminate`` callback: called
 #: periodically by the solver; a non-zero return aborts the solve.
 TERMINATE_CALLBACK = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_void_p)
-
-#: Environment variable naming the shared library to load for ``ipasir``.
-IPASIR_LIB_ENV = "CHECKFENCE_IPASIR_LIB"
-
-#: Library base names probed (via ctypes.util.find_library and common
-#: soname spellings) when no explicit path is configured.
-_KNOWN_LIBRARIES: tuple[str, ...] = (
-    "cadical",
-    "cryptominisat5",
-    "picosat",
-    "lingeling",
-)
 
 #: The symbols every IPASIR implementation must export.
 _REQUIRED_SYMBOLS = (
@@ -174,38 +156,6 @@ def load_ipasir_library(path: str) -> IpasirLibrary:
     return library
 
 
-#: Discovery results by ``CHECKFENCE_IPASIR_LIB`` value.  Fuzz and litmus
-#: runs build a backend factory per cell, and every probe shells out once
-#: per missing library, so a process probes once.
-_DISCOVERED: dict[str, str | None] = {}
-
-
-def find_ipasir_library() -> str | None:
-    """Locate an IPASIR shared library: ``CHECKFENCE_IPASIR_LIB`` first,
-    then :func:`ctypes.util.find_library` and common soname spellings of
-    the known solvers.  Returns a loadable path/soname or None."""
-    configured = os.environ.get(IPASIR_LIB_ENV, "")
-    if configured not in _DISCOVERED:
-        _DISCOVERED[configured] = configured or _probe_known_libraries()
-    return _DISCOVERED[configured]
-
-
-def _probe_known_libraries() -> str | None:
-    candidates: list[str] = []
-    for base in _KNOWN_LIBRARIES:
-        found = ctypes.util.find_library(base)
-        if found:
-            candidates.append(found)
-        candidates.append(f"lib{base}.so")
-    for candidate in candidates:
-        try:
-            load_ipasir_library(candidate)
-        except IpasirError:
-            continue
-        return candidate
-    return None
-
-
 class IpasirBackend:
     """A persistent incremental solver behind the SolverBackend protocol.
 
@@ -216,17 +166,7 @@ class IpasirBackend:
     of the mining loops.
     """
 
-    def __init__(self, library: IpasirLibrary | str | None = None) -> None:
-        if library is None:
-            found = find_ipasir_library()
-            if found is None:
-                raise IpasirError(
-                    "no IPASIR shared library found (set "
-                    f"{IPASIR_LIB_ENV} or install one of: "
-                    + ", ".join(f"lib{b}.so" for b in _KNOWN_LIBRARIES)
-                    + ")"
-                )
-            library = found
+    def __init__(self, library: IpasirLibrary | str) -> None:
         if isinstance(library, str):
             library = load_ipasir_library(library)
         self._library = library

@@ -58,43 +58,27 @@ stack includes it.
 
 Economics: the pipeline is pure Python, so on small formulas it costs
 more than the solver work it saves.  The backend therefore *engages* only
-when the formula at first solve has at least
-``CHECKFENCE_SIMPLIFY_MIN_CLAUSES`` clauses (default
-:data:`_DEFAULT_MIN_CLAUSES`); below that it delegates to the inner
-backend untouched.  Setting the variable to ``0`` forces preprocessing on
-every formula — the differential tests and ``benchmarks/bench_simplify``
-do exactly that.
+when the formula at first solve has at least ``min_clauses`` clauses
+(default :data:`_DEFAULT_MIN_CLAUSES`); below that it delegates to the
+inner backend untouched.  ``min_clauses=0`` forces preprocessing on every
+formula — the differential tests and ``benchmarks/bench_simplify`` do
+exactly that.
 
 Against the native C kernel the pass no longer pays on the formulas the
 checker builds (it is pure Python, the kernel is not), so
 :func:`repro.sat.backend.make_backend_factory` stacks this backend only
-over the pure-Python kernel unless ``CHECKFENCE_SIMPLIFY=1`` or an
-explicit ``simplify=True`` forces it.
+over the pure-Python kernel, unless ``CHECKFENCE_SIMPLIFY`` forces it over
+any kernel with ``min_clauses=0``.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.core import limits
-
-
-def simplify_setting(flag: bool | None = None) -> bool | None:
-    """Resolve the preprocessor setting: an explicit flag wins, then the
-    ``CHECKFENCE_SIMPLIFY`` environment variable (``0`` removes the
-    preprocessor, any other value forces it).  None leaves the choice to
-    :func:`repro.sat.backend.make_backend_factory`, which stacks it over
-    the pure-Python kernel only."""
-    if flag is not None:
-        return bool(flag)
-    raw = os.environ.get("CHECKFENCE_SIMPLIFY", "").strip()
-    if not raw:
-        return None
-    return raw != "0"
 
 
 #: Below this many clauses the preprocessing pass costs more wall-clock
@@ -114,25 +98,6 @@ _DEFAULT_MIN_CLAUSES = 50_000
 #: one-or-two-query check does.  See
 #: :meth:`repro.encoding.formula.EncodedTest.expect_enumeration`.
 ENUMERATION_MIN_CLAUSES = 20_000
-
-
-def simplify_min_clauses(value: int | None = None) -> int:
-    """Resolve the engagement threshold: an explicit value wins, then the
-    ``CHECKFENCE_SIMPLIFY_MIN_CLAUSES`` environment variable (``0`` forces
-    preprocessing on every formula — what the equivalence tests and
-    ``bench_simplify`` use), then the measured default."""
-    if value is not None:
-        return max(0, value)
-    raw = os.environ.get("CHECKFENCE_SIMPLIFY_MIN_CLAUSES", "").strip()
-    if not raw:
-        return _DEFAULT_MIN_CLAUSES
-    try:
-        return max(0, int(raw))
-    except ValueError as exc:
-        raise ValueError(
-            "CHECKFENCE_SIMPLIFY_MIN_CLAUSES must be an integer, "
-            f"got {raw!r}"
-        ) from exc
 
 
 @dataclass
@@ -899,13 +864,13 @@ class SimplifyingBackend:
     original variable space.
     """
 
-    def __init__(self, inner, min_clauses: int | None = None) -> None:
+    def __init__(self, inner, min_clauses: int = _DEFAULT_MIN_CLAUSES) -> None:
         self.inner = inner
         self.simplifier = Simplifier()
         #: Engagement threshold: formulas smaller than this at first solve
         #: are delegated to the inner backend untouched (see
         #: :data:`_DEFAULT_MIN_CLAUSES` for the economics).
-        self.min_clauses = simplify_min_clauses(min_clauses)
+        self.min_clauses = min_clauses
         self._bypass = False
         self._pending: list[tuple[int, ...]] = []
         #: Original var -> inner (dense) var, and its inverse.

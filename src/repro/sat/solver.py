@@ -510,9 +510,6 @@ class Solver:
         self._trail.append(ilit)
         return True
 
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
     def _backtrack(self, level: int) -> None:
         if len(self._trail_lim) <= level:
             return

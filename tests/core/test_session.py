@@ -8,6 +8,7 @@ from repro.core.session import CheckSession
 from repro.datatypes.registry import get_implementation
 from repro.harness.catalog import get_test
 from repro.harness.runner import model_sweep
+from repro.sat import native
 from repro.sat.backend import InternalBackend
 from repro.sat.simplify import SimplifyingBackend
 
@@ -111,20 +112,19 @@ class TestCheckFenceFacade:
         assert checker.implementation.name == "msn"
         assert checker.program is checker.session.program
 
-    def test_ipasir_fallback_backend_matches_internal(self, monkeypatch):
-        """The ``ipasir`` spec (internal fallback when no library is found)
-        must produce the same verdict as InternalBackend."""
-        monkeypatch.setattr(
-            "repro.sat.ipasir.find_ipasir_library", lambda: None
-        )
+    def test_ipasir_backend_matches_internal(self, native_solver):
+        """The ``ipasir:<path>`` spec (here over the native kernel's own
+        IPASIR exports) must produce the same verdict and specification
+        as the pure-Python kernel."""
         test = get_test("queue", "T0")
         internal = CheckFence(
             get_implementation("msn"), CheckOptions(solver_backend="internal")
         ).check(test, "relaxed")
         ipasir = CheckFence(
-            get_implementation("msn"), CheckOptions(solver_backend="ipasir")
+            get_implementation("msn"),
+            CheckOptions(solver_backend=f"ipasir:{native.library_path()}"),
         ).check(test, "relaxed")
-        assert ipasir.stats.solver_backend.endswith("ipasir(fallback:internal)")
+        assert ipasir.stats.solver_backend.endswith("ipasir(repro-cdcl)")
         assert internal.passed == ipasir.passed
         assert (
             sorted(internal.specification.observations)
@@ -139,26 +139,34 @@ class TestSimplifyKnob:
         monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
         monkeypatch.delenv("CHECKFENCE_STORE", raising=False)
         implementation = get_implementation("msn")
-        on_session = CheckSession(
+        session = CheckSession(
             implementation, CheckOptions(solver_backend="internal")
         )
-        off_session = CheckSession(
-            implementation,
-            CheckOptions(solver_backend="internal", simplify=False),
+        assert session.simplify is True
+        backend = session.backend_factory()
+        assert isinstance(backend, SimplifyingBackend)
+        assert isinstance(backend.inner, InternalBackend)
+        assert backend.min_clauses > 0
+        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
+        forced = CheckSession(
+            implementation, CheckOptions(solver_backend="internal")
         )
-        assert on_session.simplify is True
-        assert off_session.simplify is False
-        assert isinstance(on_session.backend_factory(), SimplifyingBackend)
-        assert isinstance(off_session.backend_factory(), InternalBackend)
+        assert forced.simplify is True
+        assert forced.backend_factory().min_clauses == 0
         # perfbench/run.py prints these after it has measured; a missing
         # attribute would crash the benchmark.
-        assert on_session.store is None
-        assert (on_session.dense_order, on_session.share_encode) == (False, True)
+        assert session.store is None
+        assert (session.dense_order, session.share_encode) == (False, True)
 
     def test_env_fallback(self, monkeypatch):
+        """``CHECKFENCE_SIMPLIFY=0`` reads as unset: the Python stack keeps
+        its preprocessor at the measured threshold."""
         monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "0")
-        session = CheckSession(get_implementation("msn"), CheckOptions())
-        assert session.simplify is False
+        session = CheckSession(
+            get_implementation("msn"), CheckOptions(solver_backend="internal")
+        )
+        assert session.simplify is True
+        assert session.backend_factory().min_clauses > 0
 
     def test_default_stack_over_the_native_kernel_has_no_preprocessor(
         self, native_solver, monkeypatch
@@ -170,23 +178,23 @@ class TestSimplifyKnob:
         assert session.backend_factory().name == "native"
         result = session.check(get_test("queue", "T0"), "sc")
         assert result.passed and result.stats.solver_backend == "native"
-        forced = CheckSession(
-            get_implementation("msn"), CheckOptions(simplify=True)
-        )
+        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
+        forced = CheckSession(get_implementation("msn"), CheckOptions())
         assert forced.simplify is True
         assert forced.backend_factory().name == "simplify+native"
 
     def test_check_verdict_independent_of_the_knob(self, monkeypatch):
-        monkeypatch.setenv("CHECKFENCE_SIMPLIFY_MIN_CLAUSES", "0")
+        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
         session = CheckSession(
-            get_implementation("msn"),
-            CheckOptions(solver_backend="internal", simplify=True),
+            get_implementation("msn"), CheckOptions(solver_backend="internal")
         )
         result = session.check(get_test("queue", "T0"), "sc")
         assert result.stats.solver_backend == "simplify+internal"
+        monkeypatch.delenv("CHECKFENCE_SIMPLIFY")
+        # Below its threshold the default preprocessor bypasses itself and
+        # reports the bare kernel.
         off = CheckSession(
-            get_implementation("msn"),
-            CheckOptions(solver_backend="internal", simplify=False),
+            get_implementation("msn"), CheckOptions(solver_backend="internal")
         ).check(get_test("queue", "T0"), "sc")
         assert off.stats.solver_backend == "internal"
         assert off.passed == result.passed

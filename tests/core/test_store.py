@@ -137,16 +137,18 @@ class TestKeySensitivity:
         (differentially gated in CI), so cells are shared across backends
         — the point of a content-addressed cache."""
         _check("msn", "T0", "sc", store=True, solver_backend="internal")
-        _, warm = _check("msn", "T0", "sc", store=True, solver_backend="ipasir")
+        _, warm = _check("msn", "T0", "sc", store=True, solver_backend="auto")
         assert warm.stats.store_hit is True
 
-    def test_preprocessor_does_not_change_key(self, cache_dir):
+    def test_preprocessor_does_not_change_key(self, cache_dir, monkeypatch):
         """The CNF preprocessor is verdict-preserving like the backend, and
         the default stack includes it only where the native kernel could
         not be built, so a cell is shared across the two settings."""
-        _, cold = _check("msn", "T0", "sc", store=True, simplify=True)
+        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
+        _, cold = _check("msn", "T0", "sc", store=True)
         assert cold.stats.store_hit is False
-        _, warm = _check("msn", "T0", "sc", store=True, simplify=False)
+        monkeypatch.delenv("CHECKFENCE_SIMPLIFY")
+        _, warm = _check("msn", "T0", "sc", store=True)
         assert warm.stats.store_hit is True
 
     def test_content_key_is_deterministic(self):

@@ -2,8 +2,9 @@
 
 The acceptance property of the CNF preprocessor: for any program and any
 memory model, mining the SAT encoding with simplification *forced on*
-(engagement threshold 0, so even tiny formulas run the full pipeline)
-yields exactly the outcome set of the unsimplified encoding.  Generated
+(``CHECKFENCE_SIMPLIFY=1``: engagement threshold 0, so even tiny formulas
+run the full pipeline) yields exactly the outcome set of the default
+stack, which leaves such formulas unsimplified.  Generated
 litmus programs exercise unit propagation, equivalence merging,
 subsumption, variable elimination, model reconstruction, projected
 blocking clauses and the incremental post-solve clause path all at once.
@@ -23,21 +24,22 @@ from repro.sat.backend import make_backend_factory
 
 MODELS = ["serial", "sc", "tso", "pso", "relaxed"]
 
-_MIN_KEY = "CHECKFENCE_SIMPLIFY_MIN_CLAUSES"
+_SIMPLIFY_KEY = "CHECKFENCE_SIMPLIFY"
 
 
 @contextmanager
-def forced_simplification():
-    """Force the preprocessor to engage on every formula size."""
-    previous = os.environ.get(_MIN_KEY)
-    os.environ[_MIN_KEY] = "0"
+def simplification(forced: bool):
+    """Build solver stacks with the preprocessor forced to engage on every
+    formula size, or with the default stack."""
+    previous = os.environ.pop(_SIMPLIFY_KEY, None)
+    if forced:
+        os.environ[_SIMPLIFY_KEY] = "1"
     try:
         yield
     finally:
-        if previous is None:
-            del os.environ[_MIN_KEY]
-        else:
-            os.environ[_MIN_KEY] = previous
+        os.environ.pop(_SIMPLIFY_KEY, None)
+        if previous is not None:
+            os.environ[_SIMPLIFY_KEY] = previous
 
 
 def random_program(seed: int) -> FuzzProgram:
@@ -45,11 +47,11 @@ def random_program(seed: int) -> FuzzProgram:
 
 
 def mine(compiled, model, simplify: bool):
-    """Mine ``compiled`` with the preprocessor on or off in the stack."""
-    return mine_sat_outcomes(
-        compiled, model,
-        backend_factory=make_backend_factory(simplify=simplify),
-    )
+    """Mine ``compiled`` with the preprocessor forced on, or with the
+    default stack."""
+    with simplification(simplify):
+        factory = make_backend_factory()
+    return mine_sat_outcomes(compiled, model, backend_factory=factory)
 
 
 @settings(max_examples=20, deadline=None)
@@ -59,8 +61,7 @@ def test_simplification_preserves_outcome_sets(seed):
     compiled = program.compile()
     for model in MODELS:
         plain = mine(compiled, model, simplify=False)
-        with forced_simplification():
-            simplified = mine(compiled, model, simplify=True)
+        simplified = mine(compiled, model, simplify=True)
         assert simplified == plain, (
             f"{program.spec()} @ {model}: simplify-on mined {simplified}, "
             f"simplify-off mined {plain}"
@@ -76,8 +77,7 @@ def test_catalog_outcome_sets_identical_under_simplification():
         compiled = compiled_litmus(catalog[name])
         for model in MODELS:
             plain = mine(compiled, model, simplify=False)
-            with forced_simplification():
-                simplified = mine(compiled, model, simplify=True)
+            simplified = mine(compiled, model, simplify=True)
             assert simplified == plain, f"{name} @ {model}"
 
 
@@ -94,13 +94,10 @@ def test_catalog_check_verdicts_identical_under_simplification():
     for impl_name, test_name, model in cases:
         implementation = get_implementation(impl_name)
         test = get_test("queue", test_name)
-        plain = check(
-            implementation, test, model, CheckOptions(simplify=False)
-        )
-        with forced_simplification():
-            simplified = check(
-                implementation, test, model, CheckOptions(simplify=True)
-            )
+        with simplification(False):
+            plain = check(implementation, test, model, CheckOptions())
+        with simplification(True):
+            simplified = check(implementation, test, model, CheckOptions())
         assert simplified.passed == plain.passed, impl_name
         if not plain.passed:
             assert simplified.counterexample is not None

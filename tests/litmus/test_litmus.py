@@ -13,7 +13,7 @@ from repro.memorymodel import (
     get_model,
     is_stronger,
 )
-from repro.sat.backend import make_backend_factory
+from repro.sat.backend import InternalBackend, make_backend_factory
 
 
 class TestModelRegistry:
@@ -95,14 +95,16 @@ class TestBackendEquivalence:
     preprocessor forced on in front of either."""
 
     def test_matrix_identical_across_backends(self, native_solver, monkeypatch):
-        monkeypatch.setenv("CHECKFENCE_SIMPLIFY_MIN_CLAUSES", "0")
+        monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
         stacks = {
-            "python": make_backend_factory("internal", simplify=False),
-            "native": make_backend_factory("auto", simplify=False),
-            "simplify+python": make_backend_factory("internal", simplify=True),
-            "simplify+native": make_backend_factory("auto", simplify=True),
+            "python": InternalBackend,
+            "native": make_backend_factory("auto"),
         }
+        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
+        stacks["simplify+python"] = make_backend_factory("internal")
+        stacks["simplify+native"] = make_backend_factory("auto")
         assert stacks["native"]().name == "native"
+        assert stacks["simplify+native"]().min_clauses == 0
         models = ["sc", "tso", "pso", "relaxed"]
         matrices = {name: {} for name in stacks}
         for name, litmus in available_litmus_tests().items():

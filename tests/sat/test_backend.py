@@ -8,7 +8,6 @@ stacks the preprocessor and the fault proxy around the chosen backend.
 
 from __future__ import annotations
 
-import ctypes.util
 import itertools
 import random
 
@@ -33,21 +32,6 @@ def brute_force_satisfiable(cnf: CNF) -> bool:
         ):
             return True
     return not cnf.clauses
-
-
-def _count_library_probes(monkeypatch) -> list[str]:
-    """Record every ``find_library`` lookup (each misses) from an empty
-    discovery memo with ``CHECKFENCE_IPASIR_LIB`` unset."""
-    calls: list[str] = []
-
-    def find_library(name):
-        calls.append(name)
-        return None
-
-    monkeypatch.delenv(ipasir.IPASIR_LIB_ENV, raising=False)
-    monkeypatch.setattr(ipasir, "_DISCOVERED", {})
-    monkeypatch.setattr(ctypes.util, "find_library", find_library)
-    return calls
 
 
 def check_model(cnf: CNF, model: dict[int, bool]) -> bool:
@@ -132,47 +116,34 @@ class TestInternalBackend:
         assert backend.name == "internal"
 
 
+def innermost(backend):
+    """The kernel backend under any preprocessor layer."""
+    return getattr(backend, "inner", backend)
+
+
 class TestBackendSpecs:
-    def test_internal_specs(self):
+    def test_internal_specs(self, monkeypatch):
+        monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
         for spec in ("auto", "internal", ""):
-            backend = make_backend_factory(spec, simplify=False)()
-            assert isinstance(backend, InternalBackend)
+            backend = make_backend_factory(spec)()
+            assert isinstance(innermost(backend), InternalBackend)
 
     def test_env_default(self, monkeypatch):
+        monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
         monkeypatch.setenv("CHECKFENCE_SOLVER", "internal")
-        backend = make_backend_factory(None, simplify=False)()
-        assert isinstance(backend, InternalBackend)
+        backend = make_backend_factory(None)()
+        assert innermost(backend).name == "internal"
 
     def test_unknown_spec_rejected(self):
         for spec in ("zchaff", "dimacs", "dimacs:kissat", "ipasir:", "native"):
             with pytest.raises(ValueError):
                 make_backend_factory(spec)
 
-    def test_ipasir_discovery_runs_once_per_factory(self, monkeypatch):
-        """``--solver ipasir`` used to probe the system (four
-        ``find_library`` lookups, each shelling out when it misses) for
-        every backend it built; a factory now resolves the library once."""
-        calls = _count_library_probes(monkeypatch)
-        factory = make_backend_factory("ipasir", simplify=False)
-        backends = [factory() for _ in range(5)]
-        assert {backend.name for backend in backends} == {
-            "ipasir(fallback:internal)"
-        }
-        assert len(calls) == len(ipasir._KNOWN_LIBRARIES)
-
-    def test_ipasir_discovery_runs_once_per_fuzz_run(self, monkeypatch):
-        """Fuzz cells each build their own backend factory; the system is
-        still probed only once per run, not once per cell."""
-        from repro.core.checker import CheckOptions
-        from repro.fuzz import run_fuzz
-
-        calls = _count_library_probes(monkeypatch)
-        result = run_fuzz(
-            4, seed=1, models=("sc", "relaxed"), jobs=1,
-            options=CheckOptions(solver_backend="ipasir"),
-        )
-        assert len(result.matrix.results) == 8
-        assert len(calls) == len(ipasir._KNOWN_LIBRARIES)
+    def test_bare_ipasir_names_the_library_spec(self):
+        """The bare ``ipasir`` spec names no library: it is rejected, and
+        the error names the spec that does."""
+        with pytest.raises(ValueError, match="ipasir:<path"):
+            make_backend_factory("ipasir")
 
     def test_ipasir_library_loads_once_per_path(self, native_solver):
         path = native.library_path()
@@ -208,34 +179,64 @@ class TestBackendStack:
         assert isinstance(backend.solver, native_solver)
         assert backend.name == "native"
         assert factory.fallback_reason is None
-        # The preprocessor is still forced over the native kernel by the
-        # environment or an explicit flag, and removed by "0".
+        # The environment still forces the preprocessor over the native
+        # kernel.
         monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
         assert make_backend_factory()().name == "simplify+native"
-        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "0")
-        assert make_backend_factory(simplify=True)().name == "simplify+native"
-        assert make_backend_factory()().name == "native"
 
-    def test_simplify_flag_and_env(self, monkeypatch):
-        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "0")
-        assert isinstance(make_backend_factory("internal")(), InternalBackend)
-        assert isinstance(
-            make_backend_factory("internal", simplify=True)(),
-            SimplifyingBackend,
-        )
+    @pytest.mark.parametrize("kernel", ["python", "native"])
+    def test_forced_preprocessor_engages_on_every_formula(
+        self, kernel, request, monkeypatch
+    ):
+        """``CHECKFENCE_SIMPLIFY=1`` stacks the preprocessor over either
+        kernel with engagement threshold 0."""
+        if kernel == "native":
+            request.getfixturevalue("native_solver")
         monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
-        assert isinstance(
-            make_backend_factory("internal", simplify=False)(),
-            InternalBackend,
+        factory = make_backend_factory(
+            "internal" if kernel == "python" else "auto"
         )
+        backend = factory()
+        assert factory.preprocess is True
+        assert isinstance(backend, SimplifyingBackend)
+        assert backend.min_clauses == 0
+        assert backend.inner.name == (
+            "internal" if kernel == "python" else "native"
+        )
+
+    def test_simplify_zero_reads_as_unset(self, monkeypatch):
+        """``CHECKFENCE_SIMPLIFY=0`` builds the same stack as no setting:
+        the preprocessor over the Python kernel at its measured threshold,
+        none over the native kernel (checked when it builds)."""
+        specs = ["internal"] + (["auto"] if native.load() is not None else [])
+
+        def stacks():
+            built = [make_backend_factory(spec)() for spec in specs]
+            return [
+                (type(backend), backend.name,
+                 getattr(backend, "min_clauses", None),
+                 type(innermost(backend)))
+                for backend in built
+            ]
+
+        monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
+        unset = stacks()
+        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "0")
+        assert stacks() == unset
+        assert [stack[0] is SimplifyingBackend for stack in unset] == [
+            spec == "internal" for spec in specs
+        ]
 
     def test_fault_proxy_sits_inside_the_preprocessor(self, monkeypatch):
         monkeypatch.setenv(faults.FAULT_ENV, "solver-raise:1000000")
-        backend = make_backend_factory("internal", simplify=True)()
+        monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
+        backend = make_backend_factory("internal")()
         assert isinstance(backend, SimplifyingBackend)
         assert isinstance(backend.inner, faults.FaultySolverProxy)
-        bare = make_backend_factory("internal", simplify=False)()
-        assert isinstance(bare, faults.FaultySolverProxy)
+        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
+        forced = make_backend_factory("internal")()
+        assert forced.min_clauses == 0
+        assert isinstance(forced.inner, faults.FaultySolverProxy)
 
     def test_encoded_test_freezes_every_stack_before_its_clauses(self):
         """``EncodedTest`` hands its frozen set to whatever stack the

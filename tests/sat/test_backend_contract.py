@@ -10,8 +10,9 @@ both SAT and UNSAT verdicts, and ``values_of`` agreement with ``model``.
 
 The stacks :func:`repro.sat.backend.make_backend_factory` builds run it
 too: the default Python stack (the preprocessor bypassing itself on
-formulas below its threshold), the preprocessor forced over the native
-kernel, and the preprocessor over the armed ``solver-raise`` fault proxy.
+formulas below its threshold), and, with ``CHECKFENCE_SIMPLIFY=1``, the
+preprocessor engaged over the native kernel and over the armed
+``solver-raise`` fault proxy.
 Lanes that need the native kernel skip, with the reason, when it cannot
 be built.
 """
@@ -30,9 +31,8 @@ from repro.sat.simplify import SimplifyingBackend
 #: far beyond any solve count reached here, so the proxy only forwards.
 FACTORY_LANES = {
     "default-stack": ("internal", {}),
-    "simplify-native": ("auto", {"CHECKFENCE_SIMPLIFY": "1",
-                                 "CHECKFENCE_SIMPLIFY_MIN_CLAUSES": "0"}),
-    "fault-proxy": ("internal", {"CHECKFENCE_SIMPLIFY_MIN_CLAUSES": "0",
+    "simplify-native": ("auto", {"CHECKFENCE_SIMPLIFY": "1"}),
+    "fault-proxy": ("internal", {"CHECKFENCE_SIMPLIFY": "1",
                                  faults.FAULT_ENV: "solver-raise:1000000000"}),
 }
 BACKENDS = ["internal", "native", "ipasir-lib", "simplify", *FACTORY_LANES]
@@ -50,10 +50,12 @@ def backend(request, monkeypatch):
     kind = request.param
     if kind in NATIVE_LANES:
         request.getfixturevalue("native_solver")
+    for name in ("CHECKFENCE_SIMPLIFY", faults.FAULT_ENV):
+        monkeypatch.delenv(name, raising=False)
     if kind == "internal":
         made = InternalBackend()
     elif kind == "native":
-        made = make_backend_factory("auto", simplify=False)()
+        made = make_backend_factory("auto")()
         assert made.name == "native"
     elif kind == "ipasir-lib":
         made = IpasirBackend(native.library_path())
@@ -61,9 +63,6 @@ def backend(request, monkeypatch):
         made = SimplifyingBackend(InternalBackend(), min_clauses=0)
     else:
         spec, env = FACTORY_LANES[kind]
-        for name in ("CHECKFENCE_SIMPLIFY", "CHECKFENCE_SIMPLIFY_MIN_CLAUSES",
-                     faults.FAULT_ENV):
-            monkeypatch.delenv(name, raising=False)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         made = make_backend_factory(spec)()

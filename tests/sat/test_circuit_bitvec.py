@@ -198,18 +198,3 @@ class TestBitVec:
         assert value < (1 << width)
         if value > 1:
             assert value >= (1 << (width - 1))
-
-
-class TestDimacs:
-    def test_roundtrip(self, tmp_path):
-        from repro.sat import CNF, read_dimacs, write_dimacs
-
-        cnf = CNF()
-        a, b, c = cnf.new_vars(3)
-        cnf.add_clause([a, -b])
-        cnf.add_clause([b, c])
-        path = tmp_path / "out.cnf"
-        write_dimacs(cnf, path, comments=["test formula"])
-        loaded = read_dimacs(path)
-        assert loaded.num_vars == 3
-        assert sorted(loaded.clauses) == sorted(cnf.clauses)

@@ -21,8 +21,6 @@ from repro.sat.simplify import (
     Simplifier,
     SimplifyingBackend,
     simplify_cnf,
-    simplify_min_clauses,
-    simplify_setting,
 )
 
 
@@ -265,25 +263,6 @@ class TestBypass:
         assert backend.name == "simplify+internal"
         assert backend.simplify_stats.clauses_before == 2
         assert backend.model()[a] is True
-
-    def test_min_clauses_env(self, monkeypatch):
-        monkeypatch.setenv("CHECKFENCE_SIMPLIFY_MIN_CLAUSES", "123")
-        assert simplify_min_clauses() == 123
-        assert simplify_min_clauses(0) == 0
-        monkeypatch.setenv("CHECKFENCE_SIMPLIFY_MIN_CLAUSES", "bogus")
-        with pytest.raises(ValueError):
-            simplify_min_clauses()
-
-    def test_simplify_setting_env(self, monkeypatch):
-        # Unset leaves the choice to the backend factory (the kernel).
-        monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
-        assert simplify_setting() is None
-        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "0")
-        assert simplify_setting() is False
-        assert simplify_setting(True) is True
-        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
-        assert simplify_setting() is True
-        assert simplify_setting(False) is False
 
 
 class TestSimplifierUnit:

@@ -3,10 +3,10 @@
 The low-level core/deletion contract lives in
 ``tests/sat/test_backend_contract.py``; this file asserts the end-to-end
 consequence: the *synthesized fence set* is identical whichever solver
-lane drives the search — the pure-Python CDCL kernel, the native one, or
-the simplifying preprocessor wrapped around the Python kernel (whose
-UNSAT cores must round-trip through its substitution-origin map).  The
-native lane is left out when the kernel cannot be built.
+lane drives the search — the bare pure-Python CDCL kernel, the native
+one, or the simplifying preprocessor forced on around the Python kernel
+(whose UNSAT cores must round-trip through its substitution-origin map).
+The native lane is left out when the kernel cannot be built.
 
 Different lanes produce different SAT witnesses and different (equally
 sound) UNSAT cores, so they can reach *different equal-cost optima*;
@@ -19,29 +19,33 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.checker import CheckOptions
 from repro.core.session import CheckSession
 from repro.core.synthesize import synthesize_litmus
 from repro.datatypes.registry import get_implementation
 from repro.fuzz import FuzzProgram
 from repro.harness.catalog import get_test
 from repro.sat import native
-from repro.sat.backend import make_backend_factory
-
-#: lane name -> (solver backend spec, simplify)
-LANES = {
-    "internal": ("internal", False),
-    "native": ("auto", False),
-    "simplify": ("internal", True),
-}
+from repro.sat.backend import InternalBackend, make_backend_factory
 
 
-def lanes() -> dict[str, tuple[str, bool]]:
-    """The lanes that can run: the native one only when its kernel builds."""
-    if native.load() is None:
-        return {lane: setting for lane, setting in LANES.items()
-                if lane != "native"}
-    return LANES
+@pytest.fixture
+def lanes(monkeypatch):
+    """Lane name -> backend factory; the native lane only when its kernel
+    builds."""
+    monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
+    factories = {"internal": InternalBackend}
+    if native.load() is not None:
+        factories["native"] = make_backend_factory("auto")
+    monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
+    factories["simplify"] = make_backend_factory("internal")
+    monkeypatch.delenv("CHECKFENCE_SIMPLIFY")
+    return factories
+
+
+def session_on(impl: str, factory) -> CheckSession:
+    session = CheckSession(get_implementation(impl))
+    session.backend_factory = factory
+    return session
 
 CATALOG_CELLS = [
     ("msn-unfenced", "queue", "T0", "relaxed"),
@@ -55,13 +59,12 @@ CATALOG_CELLS = [
     CATALOG_CELLS,
     ids=[f"{impl}-{model}" for impl, _, _, model in CATALOG_CELLS],
 )
-def test_catalog_synthesis_agrees_across_lanes(impl, category, test, model):
+def test_catalog_synthesis_agrees_across_lanes(
+    impl, category, test, model, lanes
+):
     outcomes = {}
-    for lane, (solver, simplify) in lanes().items():
-        session = CheckSession(
-            get_implementation(impl),
-            CheckOptions(solver_backend=solver, simplify=simplify),
-        )
+    for lane, factory in lanes.items():
+        session = session_on(impl, factory)
         result = session.synthesize(get_test(category, test), [model])
         assert result.feasible and not result.already_passes
         assert result.verified_sufficient
@@ -75,34 +78,27 @@ def test_catalog_synthesis_agrees_across_lanes(impl, category, test, model):
     ("x=1 r0=y | y=1 r1=x", ["tso"]),
     ("x=1 y=1 | r0=y r1=x", ["tso", "pso", "relaxed"]),
 ])
-def test_litmus_synthesis_agrees_across_lanes(spec, models):
+def test_litmus_synthesis_agrees_across_lanes(spec, models, lanes):
     program = FuzzProgram.parse(spec)
     outcomes = {}
-    for lane, (solver, simplify) in lanes().items():
-        result = synthesize_litmus(
-            program,
-            models,
-            backend_factory=make_backend_factory(solver, simplify=simplify),
-        )
+    for lane, factory in lanes.items():
+        result = synthesize_litmus(program, models, backend_factory=factory)
         assert result.feasible and not result.already_passes
         assert result.verified_sufficient
         outcomes[lane] = (tuple(result.labels), result.cost)
     assert len(set(outcomes.values())) == 1, f"lanes disagree: {outcomes}"
 
 
-def test_simplify_lane_actually_preprocesses():
+def test_simplify_lane_actually_preprocesses(lanes):
     """Guard against the parity test silently degenerating: the simplify
     lane must have run the preprocessor (CHECKFENCE_SIMPLIFY plumbed all
     the way down), otherwise it is just the internal lane twice."""
-    session = CheckSession(
-        get_implementation("msn-unfenced"),
-        CheckOptions(solver_backend="internal", simplify=True),
-    )
+    assert lanes["simplify"]().min_clauses == 0
+    session = session_on("msn-unfenced", lanes["simplify"])
     result = session.synthesize(get_test("queue", "T0"), ["relaxed"])
-    baseline = CheckSession(
-        get_implementation("msn-unfenced"),
-        CheckOptions(solver_backend="internal", simplify=False),
-    ).synthesize(get_test("queue", "T0"), ["relaxed"])
+    baseline = session_on("msn-unfenced", lanes["internal"]).synthesize(
+        get_test("queue", "T0"), ["relaxed"]
+    )
     assert result.labels == baseline.labels
     # Both lanes certify the same canonical repair independently.
     assert result.verified_minimal and baseline.verified_minimal

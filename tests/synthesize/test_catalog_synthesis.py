@@ -137,6 +137,22 @@ def test_statistics_are_populated(synthesis_results):
         assert [f["label"] for f in payload["fences"]] == result.labels
 
 
+def test_zero_budget_stops_at_the_one_minimal_set(synthesis_results):
+    """``synthesis_budget=0`` skips the exact escalation: the destructive
+    deletion result comes back re-checked sufficient and 1-minimal, with
+    no exact-search solve and no optimality claim."""
+    session = CheckSession(
+        get_implementation("msn-unfenced"), CheckOptions(synthesis_budget=0)
+    )
+    result = session.synthesize(get_test("queue", "T0"), ["relaxed"])
+    assert result.feasible and not result.already_passes
+    assert result.optimal is False
+    assert result.stats.exact_solves == 0
+    assert result.verified_sufficient and result.verified_minimal
+    assert result.cost >= synthesis_results[("msn", "relaxed")].cost
+    assert any("exhausted its budget" in note for note in result.notes)
+
+
 @pytest.mark.parametrize(
     "implementation,make_test,solves",
     [

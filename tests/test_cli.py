@@ -76,6 +76,39 @@ class TestCli:
         assert "solver: internal" in out
 
 
+class TestSolverSpecValidation:
+    """A bad solver spec, from ``--solver`` or ``CHECKFENCE_SOLVER``, is a
+    usage error in every command: one stderr line naming the valid specs
+    and exit 2, before any work."""
+
+    ARGV = {
+        "check": ["check", "--impl", "msn", "--test", "T0"],
+        "matrix": ["matrix", "--impls", "msn", "--tests", "T0",
+                   "--models", "sc", "--quiet"],
+        "fuzz": ["fuzz", "--budget", "2", "--models", "sc", "--quiet"],
+    }
+
+    @pytest.mark.parametrize("spec", ["zchaff", "ipasir"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_bad_spec_is_a_usage_error(
+        self, command, source, spec, capsys, monkeypatch
+    ):
+        argv = list(self.ARGV[command])
+        if source == "flag":
+            argv += ["--solver", spec]
+        else:
+            monkeypatch.setenv("CHECKFENCE_SOLVER", spec)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"{command}: ")
+        assert repr(spec) in lines[0]
+        assert "auto, internal, or ipasir:<path" in lines[0]
+
+
 class TestOracleCommand:
     def test_litmus_agreement(self, capsys):
         code = main(["oracle", "--litmus", "store-buffering", "--model", "tso"])
@@ -212,8 +245,8 @@ class TestIgnoredFlagsAreRejected:
         assert "no effect with --spec" in err
 
     @pytest.mark.parametrize("extra", [
-        ["--solver", "internal"], ["--no-simplify"], ["--json", "-"],
-    ], ids=["solver", "no-simplify", "json"])
+        ["--solver", "internal"], ["--budget", "5"], ["--json", "-"],
+    ], ids=["solver", "budget", "json"])
     def test_synthesize_fuzz_budget_rejects_ignored_flags(self, extra, capsys):
         code = main(["synthesize", "--fuzz-budget", "1"] + extra)
         assert code == 2
@@ -230,7 +263,7 @@ class TestIgnoredFlagsAreRejected:
     def test_synthesize_spec_honors_its_flags(self, capsys):
         code = main([
             "synthesize", "--spec", self.SPEC, "--model", "tso",
-            "--solver", "internal", "--no-simplify", "--budget", "30",
+            "--solver", "internal", "--budget", "30",
         ])
         assert code == 0
         assert "fence(s)" in capsys.readouterr().out

@@ -349,8 +349,8 @@ def main(argv: list[str] | None = None) -> int:
         "environment": {
             key: os.environ.get(key, "")
             for key in ("CHECKFENCE_SOLVER", "CHECKFENCE_SIMPLIFY",
-                        "CHECKFENCE_SIMPLIFY_MIN_CLAUSES", "CHECKFENCE_STORE",
-                        "CHECKFENCE_JOBS", "CHECKFENCE_LARGE")
+                        "CHECKFENCE_STORE", "CHECKFENCE_JOBS",
+                        "CHECKFENCE_LARGE")
         },
         "benchmarks": records,
     }
