@@ -14,7 +14,7 @@ import pytest
 # out the module under a bare ``test_names`` import).
 from repro.harness.catalog import test_names as catalog_test_names
 from repro.harness.reporting import ascii_scatter, format_table
-from repro.harness.runner import inclusion_row, large_tests_enabled
+from repro.harness.runner import check_catalog_test, large_tests_enabled
 
 _ROWS = []
 
@@ -37,13 +37,14 @@ _FLAT = [(impl, test) for impl, tests in _CASES for test in tests]
 
 @pytest.mark.parametrize("implementation,test_name", _FLAT)
 def test_inclusion_check_row(benchmark, attach_solver_stats, implementation, test_name):
-    row = benchmark.pedantic(
-        inclusion_row, args=(implementation, test_name, "relaxed"),
+    result = benchmark.pedantic(
+        check_catalog_test, args=(implementation, test_name, "relaxed"),
         rounds=1, iterations=1,
     )
+    row = result.stats
     attach_solver_stats(row.solver_dict())
     benchmark.extra_info["order"] = row.order_dict()
-    assert row.passed, f"{implementation}/{test_name} unexpectedly failed"
+    assert result.passed, f"{implementation}/{test_name} unexpectedly failed"
     assert row.cnf_clauses > 0
     _ROWS.append(row)
 

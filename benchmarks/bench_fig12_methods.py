@@ -2,8 +2,9 @@
 
 The paper reports an average 2.61x speedup of the observation-set method
 over the earlier commit-point method.  We compare against the lazy
-validation baseline described in DESIGN.md on the small catalog tests, and
-check that the two methods agree on every verdict.
+validation baseline (:mod:`repro.core.commitpoint`; see "Substitutions" in
+docs/paper-map.md) on the small catalog tests, and check that the two
+methods agree on every verdict.
 """
 
 import pytest

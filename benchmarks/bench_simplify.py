@@ -23,7 +23,7 @@ from repro.core.specification import SatSpecificationMiner
 from repro.datatypes.registry import category_of, get_implementation
 from repro.encoding import compile_test, encode_test
 from repro.harness.catalog import get_test
-from repro.harness.runner import inclusion_row
+from repro.harness.runner import check_catalog_test
 from repro.memorymodel.base import get_model
 from repro.sat.backend import make_backend_factory
 from repro.sat.simplify import simplify_cnf
@@ -76,12 +76,15 @@ def test_check_solver_stats_simplify_on_vs_off(benchmark, monkeypatch):
 
     def run_both():
         monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
-        on = inclusion_row("msn", "Ti2", "relaxed", CheckOptions())
+        on = check_catalog_test("msn", "Ti2", "relaxed", CheckOptions())
         monkeypatch.delenv("CHECKFENCE_SIMPLIFY")
-        off = inclusion_row("msn", "Ti2", "relaxed", CheckOptions())
+        off = check_catalog_test("msn", "Ti2", "relaxed", CheckOptions())
         return on, off
 
-    on, off = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    on_result, off_result = benchmark.pedantic(
+        run_both, rounds=1, iterations=1
+    )
+    on, off = on_result.stats, off_result.stats
     benchmark.extra_info["simplify_on"] = {
         "total_seconds": on.total_seconds,
         "solve_seconds": on.solve_seconds,
@@ -92,7 +95,7 @@ def test_check_solver_stats_simplify_on_vs_off(benchmark, monkeypatch):
         "solve_seconds": off.solve_seconds,
         **off.solver_dict(),
     }
-    assert on.passed == off.passed
+    assert on_result.passed == off_result.passed
     assert on.solver_backend.startswith("simplify+")
     assert not off.solver_backend.startswith("simplify+")
     assert on.solver_vars_eliminated > 0

@@ -33,9 +33,8 @@ def attach_solver_stats(benchmark):
     (``--benchmark-json``), giving perf work a trajectory to compare
     against: decisions, conflicts, restarts, learned/deleted clauses.
 
-    Accepts a dict (e.g. ``CheckStatistics.solver_dict()`` /
-    ``InclusionRow.solver_dict()``) or a backend name plus a
-    :class:`repro.sat.solver.SolverStats`.
+    Accepts a dict (e.g. ``CheckStatistics.solver_dict()``) or a backend
+    name plus a :class:`repro.sat.solver.SolverStats`.
     """
 
     def attach(stats, backend=None):

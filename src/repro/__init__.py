@@ -10,7 +10,7 @@ Quickstart::
     if result.failed:
         print(result.counterexample.format())
 
-The package layers (see DESIGN.md for the full inventory):
+The package layers (docs/architecture.md has the full map):
 
 * :mod:`repro.sat` — CDCL SAT solver, circuits, bit-vectors (zChaff stand-in)
 * :mod:`repro.lang` — C-subset front-end (CIL stand-in)

@@ -4,7 +4,8 @@ The bounded, unrolled test program contains a fixed number of ``Alloc``
 statements; each one is mapped to a distinct heap object in the memory
 layout.  (The paper lets the allocator choose addresses nondeterministically,
 which multiplies the number of distinct serial executions without changing
-the observation set; we use a deterministic layout — see DESIGN.md.)
+the observation set; we use a deterministic layout — see "Substitutions"
+in docs/paper-map.md.)
 """
 
 from __future__ import annotations

@@ -149,7 +149,7 @@ def _cmd_sweep(args) -> int:
     rows = [
         (
             r.memory_model,
-            "PASS" if r.passed else "FAIL",
+            r.verdict,
             r.stats.observation_set_size,
             r.stats.cnf_clauses,
             r.stats.solver_backend,
@@ -166,7 +166,9 @@ def _cmd_sweep(args) -> int:
     print(format_table(
         ["model", "verdict", "spec size", "clauses", "backend", "total"], rows
     ))
-    return 0 if all(r.passed for r in results) else 1
+    if any(r.failed for r in results):
+        return 1
+    return _degraded_exit(results)
 
 
 def _cmd_spec(args) -> int:
@@ -363,11 +365,8 @@ def _cmd_oracle(args) -> int:
 #: Flags (argparse destinations) that each ``synthesize`` mode, named by
 #: the flag selecting it, would ignore; combining them is a usage error.
 _SYNTHESIZE_IGNORED = {
-    "--fuzz-budget": (
-        "test", "solver", "store", "no_store", "timeout", "memory_limit",
-        "json", "budget",
-    ),
-    "--spec": ("test", "store", "no_store", "timeout", "memory_limit", "seed"),
+    "--fuzz-budget": ("test", "solver", "store", "no_store", "json", "budget"),
+    "--spec": ("test", "store", "no_store", "seed"),
     "--impl": ("seed",),
 }
 
@@ -815,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
         "as LSL source locations (exit code 1 when infeasible or the "
         "independent re-check fails; 2 when a flag is combined with a "
         "mode that ignores it)",
-        "solver", "store", "budget", "json",
+        "solver", "store", "json",
     )
     synth_parser.add_argument("--impl", default=None,
                               help="implementation variant (see 'list')")

@@ -19,7 +19,8 @@ module implements a baseline with the same *cost structure*:
 The method therefore performs one solver call and one (lazy) serial-search
 per *distinct observation of the concurrent model*, whereas the observation
 set method performs one solver call per *serial observation* plus one final
-refutation.  DESIGN.md discusses the substitution.
+refutation.  "Substitutions" in docs/paper-map.md records the
+substitution.
 """
 
 from __future__ import annotations

@@ -3,58 +3,50 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from repro.core.counterexample import CounterexampleTrace
 from repro.core.specification import ObservationSet
-from repro.encoding.formula import EncodingStatistics, order_counter_dict
+from repro.encoding.formula import EncodingStatistics
+from repro.sat.solver import SolverStats
 
 
 @dataclass
-class CheckStatistics:
-    """Timing and size statistics for one check (one row of Fig. 10)."""
+class CheckStatistics(EncodingStatistics):
+    """Timing and size statistics for one check (one row of Fig. 10): the
+    formula's :class:`EncodingStatistics` plus the check's own counters.
+
+    ``encode_seconds`` splits into the model-independent skeleton build
+    (zero when a memoized skeleton was reused — ``skeleton_shared``) and
+    the per-model layer; CNF preprocessing time is the separate
+    ``solver_preprocess_seconds`` counter below.
+    """
 
     implementation: str = ""
     test: str = ""
     memory_model: str = ""
-    instructions: int = 0
-    loads: int = 0
-    stores: int = 0
-    accesses: int = 0
-    cnf_variables: int = 0
-    cnf_clauses: int = 0
-    order_pairs: int = 0
-    order_vars: int = 0
-    order_pairs_static: int = 0
-    transitivity_clauses: int = 0
     observation_set_size: int = 0
     #: Per-phase wall-clock breakdown of one check.  ``compile_seconds``
-    #: and ``mining_seconds`` are near-zero on session-cache hits;
-    #: ``encode_seconds`` splits into the model-independent skeleton build
-    #: (zero when a memoized skeleton was reused — ``skeleton_shared``)
-    #: and the per-model layer; CNF preprocessing time is the separate
-    #: ``solver_preprocess_seconds`` counter below.
+    #: and ``mining_seconds`` are near-zero on session-cache hits.
     compile_seconds: float = 0.0
     mining_seconds: float = 0.0
-    encode_seconds: float = 0.0
-    skeleton_seconds: float = 0.0
-    layer_seconds: float = 0.0
-    skeleton_shared: bool = False
     solve_seconds: float = 0.0
     total_seconds: float = 0.0
     #: True when this result was served from the persistent on-disk store
     #: (:mod:`repro.core.store`) — the other phase timings then describe
     #: the original run that populated the cell, not this one.
     store_hit: bool = False
-    solver_conflicts: int = 0
+    #: ``solver_<name>`` holds the check's ``SolverStats.<name>`` (see
+    #: :meth:`merge_solver`); every ``SolverStats`` field has one.
+    #: The preprocessing counters are zero when the preprocessor was off
+    #: or bypassed itself on a formula below its engagement threshold.
     solver_decisions: int = 0
     solver_propagations: int = 0
+    solver_conflicts: int = 0
     solver_restarts: int = 0
     solver_learned_clauses: int = 0
     solver_deleted_clauses: int = 0
-    #: In-process CNF preprocessing counters (repro.sat.simplify); zero
-    #: when the preprocessor was off or bypassed itself on a formula below
-    #: its engagement threshold.
+    solver_max_decision_level: int = 0
     solver_vars_eliminated: int = 0
     solver_clauses_subsumed: int = 0
     solver_equiv_merged: int = 0
@@ -68,20 +60,14 @@ class CheckStatistics:
     #: whatever phase counters were accumulated before the breach.
     degraded: str = ""
 
-    def merge_solver(self, stats, backend_name: str | None = None) -> None:
-        """Record the solver counters of one check (a SolverStats delta);
-        ``stats=None`` marks the counters as unavailable."""
+    def merge_solver(
+        self, stats: SolverStats | None, backend_name: str | None = None
+    ) -> None:
+        """Record one check's solver counters; ``stats=None`` marks them
+        as unavailable."""
         if stats is not None:
-            self.solver_conflicts = stats.conflicts
-            self.solver_decisions = stats.decisions
-            self.solver_propagations = stats.propagations
-            self.solver_restarts = stats.restarts
-            self.solver_learned_clauses = stats.learned_clauses
-            self.solver_deleted_clauses = stats.deleted_clauses
-            self.solver_vars_eliminated = stats.vars_eliminated
-            self.solver_clauses_subsumed = stats.clauses_subsumed
-            self.solver_equiv_merged = stats.equiv_merged
-            self.solver_preprocess_seconds = stats.preprocess_seconds
+            for f in fields(stats):
+                setattr(self, f"solver_{f.name}", getattr(stats, f.name))
         else:
             self.solver_counters_available = False
         if backend_name:
@@ -92,38 +78,20 @@ class CheckStatistics:
         return {
             "backend": self.solver_backend,
             "counters_available": self.solver_counters_available,
-            "decisions": self.solver_decisions,
-            "propagations": self.solver_propagations,
-            "conflicts": self.solver_conflicts,
-            "restarts": self.solver_restarts,
-            "learned_clauses": self.solver_learned_clauses,
-            "deleted_clauses": self.solver_deleted_clauses,
-            "vars_eliminated": self.solver_vars_eliminated,
-            "clauses_subsumed": self.solver_clauses_subsumed,
-            "equiv_merged": self.solver_equiv_merged,
-            "preprocess_seconds": self.solver_preprocess_seconds,
+            **{
+                f.name: getattr(self, f"solver_{f.name}")
+                for f in fields(SolverStats)
+            },
         }
 
-    def merge_encoding(self, stats: EncodingStatistics) -> None:
-        self.instructions = stats.instructions
-        self.loads = stats.loads
-        self.stores = stats.stores
-        self.accesses = stats.accesses
-        self.cnf_variables = stats.cnf_variables
-        self.cnf_clauses = stats.cnf_clauses
-        self.order_pairs = stats.order_pairs
-        self.order_vars = stats.order_vars
-        self.order_pairs_static = stats.order_pairs_static
-        self.transitivity_clauses = stats.transitivity_clauses
-        self.encode_seconds = stats.encode_seconds
-        self.skeleton_seconds = stats.skeleton_seconds
-        self.layer_seconds = stats.layer_seconds
-        self.skeleton_shared = stats.skeleton_shared
-
-    def order_dict(self) -> dict:
-        """The memory-order encoding counters, for benchmark JSON output
-        (the shared :data:`~repro.encoding.formula.ORDER_COUNTER_FIELDS`)."""
-        return order_counter_dict(self)
+    def as_dict(self) -> dict:
+        """Every field plus the phase breakdown, for ``matrix --json``
+        cells (``backend`` names the solver stack, as in litmus cells)."""
+        return {
+            "backend": self.solver_backend,
+            **asdict(self),
+            **self.phase_dict(),
+        }
 
     def phase_dict(self) -> dict:
         """The per-phase timing breakdown, for ``matrix --json`` cells."""

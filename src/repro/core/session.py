@@ -7,13 +7,13 @@ profitable to share across checks of one implementation:
 * compiled tests (inline + unroll + analyze), keyed so that a sweep of the
   same test over several memory models compiles once;
 * mined specifications (one observation set per test, regardless of how
-  many models the test is later checked under);
-* encoded tests and their solver backend, keyed by (test, model), so the
-  assertion query and the inclusion query of one check share one
-  incremental solver and its learned clauses.  The inclusion query adds
-  permanent blocking clauses (measurably stronger than guard-literal
-  variants), so the session evicts the encoding afterwards rather than let
-  a later assertion query run on the contaminated formula.
+  many models the test is later checked under).
+
+Each check encodes its formula once and hands it to both queries, so the
+assertion query and the inclusion query share one incremental solver and
+its learned clauses.  The inclusion query adds permanent blocking clauses
+(measurably stronger than guard-literal variants), so the formula never
+outlives its check.
 
 :class:`repro.core.checker.CheckFence` is now a thin facade over a session;
 use a session directly (or :meth:`CheckSession.sweep`) when checking one
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import sys
 import time
+from dataclasses import asdict
 
 from repro.core import limits
 from repro.core import store as result_store
@@ -35,13 +36,12 @@ from repro.core.loop_bounds import refine_loop_bounds
 from repro.core.results import CheckResult, CheckStatistics, profile_enabled
 from repro.core.specification import ObservationSet, mine_specification
 from repro.datatypes.spec import DataTypeImplementation
-from repro.encoding.formula import EncodedTest, encode_test
+from repro.encoding.formula import encode_test
 from repro.encoding.testprogram import CompiledTest, compile_test
 from repro.lang.lower import compile_c
 from repro.lsl.program import Program, SymbolicTest
 from repro.memorymodel.base import MemoryModel, get_model
 from repro.sat.backend import make_backend_factory
-from repro.sat.solver import SolverStats
 
 
 class CheckSession:
@@ -74,15 +74,16 @@ class CheckSession:
         self.store = result_store.open_store(self.options.store)
         self._compiled: dict[tuple, CompiledTest] = {}
         self._specifications: dict[tuple, ObservationSet] = {}
-        self._encoded: dict[tuple, EncodedTest] = {}
         #: How often each cacheable stage actually ran (observability for
-        #: sweeps and tests of the reuse behavior).  ``store_hits`` /
-        #: ``store_misses`` count persistent-store lookups (verdict and
-        #: specification cells) and stay zero while the store is off.
+        #: sweeps and tests of the reuse behavior).  ``encode`` counts
+        #: formulas, one per check that reached the encoder.
+        #: ``store_hits`` / ``store_misses`` count persistent-store lookups
+        #: (verdict and specification cells) and stay zero while the store
+        #: is off.
         self.cache_stats = {
             "compile": 0, "compile_hits": 0,
             "mine": 0, "mine_hits": 0,
-            "encode": 0, "encode_hits": 0,
+            "encode": 0,
             "store_hits": 0, "store_misses": 0,
         }
 
@@ -233,27 +234,6 @@ class CheckSession:
             )
         return spec
 
-    def encoded(self, test: SymbolicTest, model: MemoryModel | str) -> EncodedTest:
-        """The encoded formula (and its live solver backend) for a pair."""
-        model = get_model(model)
-        key = self._encoded_key(test, model)
-        cached = self._encoded.get(key)
-        if cached is not None:
-            self.cache_stats["encode_hits"] += 1
-            return cached
-        self.cache_stats["encode"] += 1
-        compiled = self.compile(test, model)
-        encoded = encode_test(
-            compiled, model, backend_factory=self.backend_factory
-        )
-        self._encoded[key] = encoded
-        return encoded
-
-    def _encoded_key(self, test: SymbolicTest, model: MemoryModel) -> tuple:
-        """Cache key of an encoded formula.  Every setting the formula and
-        its backend stack depend on is fixed for the session's lifetime."""
-        return (self._test_key(test), model.name)
-
     # ---------------------------------------------------------------- check
 
     def check(self, test: SymbolicTest, memory_model: MemoryModel | str) -> CheckResult:
@@ -292,10 +272,6 @@ class CheckSession:
             try:
                 result = self._check_pipeline(test, model, total_start)
             except limits.LimitExceeded as exc:
-                # The encoding (and its backend, possibly a killed external
-                # process) is contaminated mid-query; evict so a retry
-                # rebuilds from scratch.
-                self._encoded.pop(self._encoded_key(test, model), None)
                 result = self._degraded_result(test, model, exc, total_start)
         if store_key is not None and not result.degraded:
             self.store.put(
@@ -313,9 +289,9 @@ class CheckSession:
             implementation=self.implementation.name,
             test=test.name,
             memory_model=model.name,
+            total_seconds=time.perf_counter() - total_start,
+            degraded=exc.kind,
         )
-        stats.degraded = exc.kind
-        stats.total_seconds = time.perf_counter() - total_start
         return CheckResult(
             passed=False,
             implementation=self.implementation.name,
@@ -338,22 +314,20 @@ class CheckSession:
         limits.check_deadline()
         specification = self.specification(test, compiled=compiled)
         limits.check_deadline()
-        encoded = self.encoded(test, model)
+        self.cache_stats["encode"] += 1
+        encoded = encode_test(
+            compiled, model, backend_factory=self.backend_factory
+        )
         limits.check_deadline()
 
         stats = CheckStatistics(
             implementation=self.implementation.name,
             test=test.name,
             memory_model=model.name,
-        )
-        stats.compile_seconds = compile_seconds
-        stats.merge_encoding(encoded.stats)
-        stats.observation_set_size = len(specification)
-        stats.mining_seconds = specification.mining_seconds
-        solver_before = (
-            encoded.solver_stats.copy()
-            if encoded.solver_stats is not None
-            else SolverStats()
+            observation_set_size=len(specification),
+            compile_seconds=compile_seconds,
+            mining_seconds=specification.mining_seconds,
+            **asdict(encoded.stats),
         )
 
         counterexample = None
@@ -371,15 +345,9 @@ class CheckSession:
                 notes.append("an assertion in the implementation can fail")
 
         if passed:
-            # The inclusion check adds permanent blocking clauses, so this
-            # encoding must not serve another assertion query: evict it even
-            # if the solve fails mid-way (e.g. an external backend error).
-            try:
-                inclusion_outcome = run_inclusion_check(
-                    compiled, model, specification, encoded=encoded
-                )
-            finally:
-                self._encoded.pop(self._encoded_key(test, model), None)
+            inclusion_outcome = run_inclusion_check(
+                compiled, model, specification, encoded=encoded
+            )
             stats.solve_seconds += inclusion_outcome.solve_seconds
             if not inclusion_outcome.passed:
                 passed = False
@@ -389,13 +357,9 @@ class CheckSession:
                     "serial execution"
                 )
 
-        final_solver_stats = encoded.solver_stats
-        stats.merge_solver(
-            final_solver_stats.since(solver_before)
-            if final_solver_stats is not None
-            else None,
-            encoded.backend_name,
-        )
+        # The formula is this check's own, so its backend's cumulative
+        # counters are the check's.
+        stats.merge_solver(encoded.solver_stats, encoded.backend_name)
         stats.total_seconds = time.perf_counter() - total_start
 
         return CheckResult(

@@ -7,7 +7,8 @@ packs the mark bit into the ``next`` pointer so that a single-word CAS
 covers both; the paper notes that CheckFence supports such packed structures
 by treating them as atomically accessed units.  We model the packed word as
 two fields (``next``, ``marked``) updated inside an ``atomic`` block, which
-has the same semantics as the single-word CAS (see DESIGN.md).
+has the same semantics as the single-word CAS (see "Substitutions" in
+docs/paper-map.md).
 
 Traversals do not help/physically remove marked nodes (the bounded tests the
 paper uses never need more than one unlink); remove performs the physical

@@ -9,8 +9,8 @@ with DCAS on a pair of links) and ships a ``buggy`` variant whose pop
 operations update only one of the two links with a single CAS.  The buggy
 variant exhibits the snark failure mode on the paper's test D0: when the
 deque holds a single element, concurrent pops from both ends can both return
-that element — an observation no serial execution produces.  DESIGN.md
-records this substitution.
+that element — an observation no serial execution produces.  The
+"Substitutions" section of docs/paper-map.md records this substitution.
 
 ``EMPTY`` (2) is returned by pops on an empty deque.  Retries are modeled
 with ``assume(false)`` (the paper's primed-operation restriction).

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.encoding.memory import (
     AccessTable,
@@ -237,26 +237,6 @@ class ObservationSlot:
     value: BitVec
 
 
-#: The memory-order counter set embedded in benchmark JSON.  One source of
-#: truth: ``EncodingStatistics``, ``CheckStatistics`` and ``InclusionRow``
-#: all carry fields with these names and build their ``order_dict`` from it.
-ORDER_COUNTER_FIELDS = (
-    "accesses",
-    "order_pairs",
-    "order_vars",
-    "order_pairs_static",
-    "transitivity_clauses",
-    "cnf_variables",
-    "cnf_clauses",
-)
-
-
-def order_counter_dict(stats) -> dict:
-    """The order-encoding counters of any stats object that carries the
-    :data:`ORDER_COUNTER_FIELDS` attributes, for benchmark JSON output."""
-    return {name: getattr(stats, name) for name in ORDER_COUNTER_FIELDS}
-
-
 @dataclass
 class EncodingStatistics:
     """Size and timing information reported in Fig. 10.
@@ -288,8 +268,14 @@ class EncodingStatistics:
     transitivity_clauses: int = 0
 
     def order_dict(self) -> dict:
-        """The order-encoding counters, for benchmark JSON output."""
-        return order_counter_dict(self)
+        """The encoding's size counters (every integer field: the Fig. 10
+        size columns and the order-encoding counters), for benchmark JSON
+        output; the fields a subclass adds are not part of it."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(EncodingStatistics)
+            if type(f.default) is int
+        }
 
 
 class EncodedTest:

@@ -4,8 +4,9 @@ The paper found the snark bugs on tests D0/Dq and the lazylist
 initialization bug on its set tests; those tests leave all operation
 arguments symbolic, which lets the nondeterministic arguments "explain away"
 some wrong answers on the smallest tests.  The two tests below are the
-minimal scenarios that pin each bug down (DESIGN.md discusses the
-difference); they are used by the Section 4.1 experiment and benchmarks.
+minimal scenarios that pin each bug down, with concrete arguments (see
+"Substitutions" in docs/paper-map.md); they are used by the Section 4.1
+experiment and benchmarks.
 """
 
 from __future__ import annotations

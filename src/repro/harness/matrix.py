@@ -45,7 +45,7 @@ Fault *injection* for all of the above lives in
 
 The CLI surface is ``checkfence matrix`` (``--jobs``, ``--shard-by``,
 ``--solver``, ``--json``, ``--timeout``, ``--journal``/``--resume``);
-``checkfence litmus`` and :func:`repro.harness.runner.model_sweep` are
+``checkfence litmus`` and :func:`repro.harness.runner.catalog_matrix` are
 built on top of this module.
 """
 
@@ -215,8 +215,9 @@ class CellResult:
     :class:`CheckResult` for catalog cells; workers blank its
     ``specification`` before queue transport (the mined observation set is
     the heavy part and would be pickled once per model otherwise — on the
-    serial path it survives intact, which ``model_sweep`` relies on).
-    ``stats`` is a JSON-safe subset for reporting.
+    serial path it survives intact).  ``stats`` is the JSON-safe view for
+    reporting (for catalog cells,
+    :meth:`repro.core.results.CheckStatistics.as_dict`).
     """
 
     cell: MatrixCell
@@ -510,8 +511,7 @@ def _run_cell_inner(
             seconds=time.perf_counter() - started,
             degraded=result.degraded,
             notes=list(result.notes),
-            stats={"backend": result.stats.solver_backend,
-                   **result.stats.phase_dict()},
+            stats=result.stats.as_dict(),
         )
     return CellResult(
         cell=cell,
@@ -523,18 +523,7 @@ def _run_cell_inner(
             else ""
         ),
         notes=list(result.notes),
-        stats={
-            "backend": result.stats.solver_backend,
-            "cnf_clauses": result.stats.cnf_clauses,
-            "cnf_variables": result.stats.cnf_variables,
-            "observation_set_size": result.stats.observation_set_size,
-            "solver_decisions": result.stats.solver_decisions,
-            "solver_conflicts": result.stats.solver_conflicts,
-            # Per-phase wall-clock breakdown (compile / mine / encode
-            # split into skeleton+layer / simplify / solve), plus the
-            # persistent-store hit marker.
-            **result.stats.phase_dict(),
-        },
+        stats=result.stats.as_dict(),
         result=result,
     )
 

@@ -3,8 +3,10 @@
 The runner wraps the checker with bookkeeping so that each experiment
 (benchmark module) can produce the same rows/series the paper reports:
 
-* :func:`inclusion_row` — one row of the Fig. 10 table (unrolled size,
-  encoding time, CNF size, solver time, total time);
+* :func:`check_catalog_test` — one check; its
+  :class:`~repro.core.results.CheckResult` ``stats`` are one row of the
+  Fig. 10 table (unrolled size, encoding time, CNF size, solver time,
+  total time);
 * :func:`mining_point` — one data point of Fig. 11a (observation set size vs
   enumeration time, for both the SAT miner and the reference miner);
 * :func:`breakdown` — the Fig. 11b average time breakdown;
@@ -14,18 +16,18 @@ The runner wraps the checker with bookkeeping so that each experiment
 * :func:`fence_experiment` — the Section 4.2 experiment (unfenced fails,
   fenced passes).
 
-Matrix-shaped experiments (a whole catalog, or one test under several
-models) go through :mod:`repro.harness.matrix`: :func:`catalog_matrix`
-runs Fig. 8 x models across a worker pool, and :func:`model_sweep` is the
-one-test-many-models special case.  :func:`fuzz_campaign` runs the
-differential litmus fuzzer (oracle vs SAT encoding) through the same pool.
+Matrix-shaped experiments go through :mod:`repro.harness.matrix`:
+:func:`catalog_matrix` runs Fig. 8 x models across a worker pool, and
+:func:`fuzz_campaign` runs the differential litmus fuzzer (oracle vs SAT
+encoding) through the same pool.  One test under several models is
+:meth:`repro.core.session.CheckSession.sweep`.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.core.checker import CheckFence, CheckOptions
 from repro.core.commitpoint import run_commit_point_check
@@ -34,74 +36,19 @@ from repro.core.specification import (
     ReferenceSpecificationMiner,
     SatSpecificationMiner,
 )
-from repro.encoding.formula import order_counter_dict
 from repro.datatypes.registry import (
     base_implementations,
     category_of,
     get_implementation,
 )
 from repro.harness.catalog import get_test
-from repro.harness.matrix import MatrixCell, MatrixResult, catalog_cells, run_matrix
+from repro.harness.matrix import MatrixResult, catalog_cells, run_matrix
 from repro.memorymodel.base import get_model
 
 
 def large_tests_enabled() -> bool:
     """Large catalog tests are only run when CHECKFENCE_LARGE=1."""
     return os.environ.get("CHECKFENCE_LARGE", "0") == "1"
-
-
-@dataclass
-class InclusionRow:
-    """One row of the Fig. 10 statistics table."""
-
-    implementation: str
-    test: str
-    memory_model: str
-    instructions: int
-    loads: int
-    stores: int
-    accesses: int
-    encode_seconds: float
-    cnf_variables: int
-    cnf_clauses: int
-    solve_seconds: float
-    total_seconds: float
-    passed: bool
-    order_pairs: int = 0
-    order_vars: int = 0
-    order_pairs_static: int = 0
-    transitivity_clauses: int = 0
-    solver_backend: str = ""
-    solver_counters_available: bool = True
-    solver_decisions: int = 0
-    solver_conflicts: int = 0
-    solver_propagations: int = 0
-    solver_restarts: int = 0
-    solver_learned_clauses: int = 0
-    solver_deleted_clauses: int = 0
-    solver_vars_eliminated: int = 0
-    solver_clauses_subsumed: int = 0
-    solver_equiv_merged: int = 0
-    solver_preprocess_seconds: float = 0.0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    def solver_dict(self) -> dict:
-        """Per-backend solver counters (embedded in benchmark JSON); the
-        same key set as :meth:`CheckStatistics.solver_dict`, derived
-        mechanically from the ``solver_*`` fields."""
-        prefix = "solver_"
-        return {
-            key[len(prefix):]: value
-            for key, value in asdict(self).items()
-            if key.startswith(prefix)
-        }
-
-    def order_dict(self) -> dict:
-        """Memory-order encoding counters (embedded in benchmark JSON);
-        the same key set as :meth:`CheckStatistics.order_dict`."""
-        return order_counter_dict(self)
 
 
 def check_catalog_test(
@@ -116,37 +63,6 @@ def check_catalog_test(
     test = get_test(category, test_name)
     checker = CheckFence(implementation, options)
     return checker.check(test, get_model(memory_model))
-
-
-def model_sweep(
-    implementation_name: str,
-    test_name: str,
-    memory_models,
-    options: CheckOptions | None = None,
-    jobs: int | None = None,
-    shard_by: str = "test",
-) -> list[CheckResult]:
-    """Check one catalog test under several memory models.
-
-    Routed through :func:`repro.harness.matrix.run_matrix`.  With the
-    default ``shard_by="test"`` every model lands in one shard, so one
-    :class:`~repro.core.session.CheckSession` compiles the test once and
-    mines its specification once (the deterministic serial path, whatever
-    ``jobs`` says).  Pass ``shard_by="model"`` with ``jobs>1`` to trade
-    that reuse for wall-clock parallelism across models.
-    """
-    cells = [
-        MatrixCell(implementation_name, test_name, get_model(m).name)
-        for m in memory_models
-    ]
-    matrix = run_matrix(cells, jobs=jobs, shard_by=shard_by, options=options)
-    for cell_result in matrix.results:
-        if cell_result.error:
-            raise RuntimeError(
-                f"model_sweep cell {cell_result.cell.key} failed: "
-                f"{cell_result.error}"
-            )
-    return [cell_result.result for cell_result in matrix.results]
 
 
 def catalog_matrix(
@@ -199,40 +115,6 @@ def fuzz_campaign(
         jobs=jobs,
         options=options,
         progress=progress,
-    )
-
-
-def inclusion_row(
-    implementation_name: str,
-    test_name: str,
-    memory_model: str = "relaxed",
-    options: CheckOptions | None = None,
-) -> InclusionRow:
-    """Produce one Fig. 10 row."""
-    result = check_catalog_test(
-        implementation_name, test_name, memory_model, options
-    )
-    stats = result.stats
-    return InclusionRow(
-        implementation=implementation_name,
-        test=test_name,
-        memory_model=memory_model,
-        instructions=stats.instructions,
-        loads=stats.loads,
-        stores=stats.stores,
-        accesses=stats.accesses,
-        encode_seconds=stats.encode_seconds,
-        cnf_variables=stats.cnf_variables,
-        cnf_clauses=stats.cnf_clauses,
-        solve_seconds=stats.solve_seconds,
-        total_seconds=stats.total_seconds,
-        passed=result.passed,
-        order_pairs=stats.order_pairs,
-        order_vars=stats.order_vars,
-        order_pairs_static=stats.order_pairs_static,
-        transitivity_clauses=stats.transitivity_clauses,
-        # One source of truth for the counter set: CheckStatistics.
-        **{f"solver_{key}": value for key, value in stats.solver_dict().items()},
     )
 
 

@@ -75,10 +75,11 @@ from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Iterable, Sequence
 
 from repro.core import limits
+from repro.sat.solver import SolverStats
 
 
 #: Below this many clauses the preprocessing pass costs more wall-clock
@@ -126,20 +127,7 @@ class SimplifyStats:
     preprocess_seconds: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "vars_eliminated": self.vars_eliminated,
-            "clauses_subsumed": self.clauses_subsumed,
-            "equiv_merged": self.equiv_merged,
-            "units_fixed": self.units_fixed,
-            "pure_literals": self.pure_literals,
-            "literals_strengthened": self.literals_strengthened,
-            "vars_reinstated": self.vars_reinstated,
-            "clauses_before": self.clauses_before,
-            "clauses_after": self.clauses_after,
-            "vars_before": self.vars_before,
-            "vars_after": self.vars_after,
-            "preprocess_seconds": self.preprocess_seconds,
-        }
+        return asdict(self)
 
     @property
     def clause_reduction(self) -> float:
@@ -148,6 +136,14 @@ class SimplifyStats:
         if self.clauses_before <= 0:
             return 0.0
         return 1.0 - self.clauses_after / self.clauses_before
+
+
+#: The preprocessing counters a :class:`~repro.sat.solver.SolverStats`
+#: also carries: every field the two records share.
+_SOLVER_STATS_SHARED = tuple(
+    f.name for f in fields(SimplifyStats)
+    if f.name in {g.name for g in fields(SolverStats)}
+)
 
 
 class SimplifyError(RuntimeError):
@@ -1132,13 +1128,10 @@ class SimplifyingBackend:
         inner_stats = self.inner.stats()
         if self._bypass or inner_stats is None:
             return inner_stats
-        merged = inner_stats.copy()
         stats = self.simplifier.stats
-        merged.vars_eliminated = stats.vars_eliminated
-        merged.clauses_subsumed = stats.clauses_subsumed
-        merged.equiv_merged = stats.equiv_merged
-        merged.preprocess_seconds = stats.preprocess_seconds
-        return merged
+        return replace(inner_stats, **{
+            name: getattr(stats, name) for name in _SOLVER_STATS_SHARED
+        })
 
 
 def simplify_cnf(

@@ -43,7 +43,7 @@ decisions/assumptions, a positive arena offset for long clauses, and
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields, replace
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
@@ -78,7 +78,9 @@ class SolverStats:
     The ``vars_eliminated`` / ``clauses_subsumed`` / ``equiv_merged`` /
     ``preprocess_seconds`` counters are zero for a bare solver; they are
     filled in by :class:`repro.sat.simplify.SimplifyingBackend` when
-    in-process CNF preprocessing runs in front of the solver.
+    in-process CNF preprocessing runs in front of the solver.  The native
+    kernel builds this record positionally from its first seven counters,
+    so those keep their order.
     """
 
     decisions: int = 0
@@ -87,75 +89,39 @@ class SolverStats:
     restarts: int = 0
     learned_clauses: int = 0
     deleted_clauses: int = 0
-    max_decision_level: int = 0
+    #: A high-water mark: :meth:`merge` keeps the max, and :meth:`since`
+    #: reports it as-is.
+    max_decision_level: int = field(default=0, metadata={"high_water": True})
     vars_eliminated: int = 0
     clauses_subsumed: int = 0
     equiv_merged: int = 0
     preprocess_seconds: float = 0.0
 
     def merge(self, other: "SolverStats") -> None:
-        self.decisions += other.decisions
-        self.propagations += other.propagations
-        self.conflicts += other.conflicts
-        self.restarts += other.restarts
-        self.learned_clauses += other.learned_clauses
-        self.deleted_clauses += other.deleted_clauses
-        self.max_decision_level = max(
-            self.max_decision_level, other.max_decision_level
-        )
-        self.vars_eliminated += other.vars_eliminated
-        self.clauses_subsumed += other.clauses_subsumed
-        self.equiv_merged += other.equiv_merged
-        self.preprocess_seconds += other.preprocess_seconds
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            setattr(
+                self, f.name,
+                max(mine, theirs) if "high_water" in f.metadata
+                else mine + theirs,
+            )
 
     def copy(self) -> "SolverStats":
-        return SolverStats(
-            decisions=self.decisions,
-            propagations=self.propagations,
-            conflicts=self.conflicts,
-            restarts=self.restarts,
-            learned_clauses=self.learned_clauses,
-            deleted_clauses=self.deleted_clauses,
-            max_decision_level=self.max_decision_level,
-            vars_eliminated=self.vars_eliminated,
-            clauses_subsumed=self.clauses_subsumed,
-            equiv_merged=self.equiv_merged,
-            preprocess_seconds=self.preprocess_seconds,
-        )
+        return replace(self)
 
     def since(self, earlier: "SolverStats") -> "SolverStats":
         """Counter delta between two cumulative snapshots (for attributing
         solver work to one query when a backend is shared across queries)."""
-        return SolverStats(
-            decisions=self.decisions - earlier.decisions,
-            propagations=self.propagations - earlier.propagations,
-            conflicts=self.conflicts - earlier.conflicts,
-            restarts=self.restarts - earlier.restarts,
-            learned_clauses=self.learned_clauses - earlier.learned_clauses,
-            deleted_clauses=self.deleted_clauses - earlier.deleted_clauses,
-            max_decision_level=self.max_decision_level,
-            vars_eliminated=self.vars_eliminated - earlier.vars_eliminated,
-            clauses_subsumed=self.clauses_subsumed - earlier.clauses_subsumed,
-            equiv_merged=self.equiv_merged - earlier.equiv_merged,
-            preprocess_seconds=(
-                self.preprocess_seconds - earlier.preprocess_seconds
-            ),
-        )
+        return SolverStats(**{
+            f.name: (
+                getattr(self, f.name) if "high_water" in f.metadata
+                else getattr(self, f.name) - getattr(earlier, f.name)
+            )
+            for f in fields(self)
+        })
 
     def as_dict(self) -> dict:
-        return {
-            "decisions": self.decisions,
-            "propagations": self.propagations,
-            "conflicts": self.conflicts,
-            "restarts": self.restarts,
-            "learned_clauses": self.learned_clauses,
-            "deleted_clauses": self.deleted_clauses,
-            "max_decision_level": self.max_decision_level,
-            "vars_eliminated": self.vars_eliminated,
-            "clauses_subsumed": self.clauses_subsumed,
-            "equiv_merged": self.equiv_merged,
-            "preprocess_seconds": self.preprocess_seconds,
-        }
+        return asdict(self)
 
 
 class SolverError(RuntimeError):

@@ -1,5 +1,7 @@
 """Tests for the CheckFence driver, counterexamples, and the baselines."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core import (
@@ -9,10 +11,13 @@ from repro.core import (
     refine_loop_bounds,
     run_commit_point_check,
 )
+from repro.core.results import CheckStatistics
 from repro.datatypes import get_implementation
 from repro.encoding import compile_test
+from repro.encoding.formula import EncodingStatistics
 from repro.harness.catalog import get_test
 from repro.memorymodel import RELAXED, SEQUENTIAL_CONSISTENCY, get_model
+from repro.sat.solver import SolverStats
 
 
 class TestCheckerOnNonblockingQueue:
@@ -143,3 +148,30 @@ class TestCommitPointBaseline:
         )
         outcome = run_commit_point_check(compiled, SEQUENTIAL_CONSISTENCY)
         assert outcome.passed
+
+
+class TestCheckStatistics:
+    def test_encoding_counters_are_inherited_not_redeclared(self):
+        assert issubclass(CheckStatistics, EncodingStatistics)
+        own = set(CheckStatistics.__annotations__)
+        assert not own & {f.name for f in fields(EncodingStatistics)}
+
+    def test_every_solver_counter_has_a_flat_field(self):
+        names = {f.name for f in fields(CheckStatistics)}
+        for f in fields(SolverStats):
+            assert f"solver_{f.name}" in names
+
+    def test_merge_solver_round_trips_through_solver_dict(self):
+        solver = SolverStats(*range(1, 11), preprocess_seconds=0.5)
+        stats = CheckStatistics()
+        stats.merge_solver(solver, "native")
+        assert stats.solver_conflicts == solver.conflicts
+        assert stats.solver_dict() == {
+            "backend": "native", "counters_available": True,
+            **solver.as_dict(),
+        }
+
+    def test_missing_counters_are_marked_unavailable(self):
+        stats = CheckStatistics()
+        stats.merge_solver(None, "ipasir(x)")
+        assert not stats.solver_dict()["counters_available"]

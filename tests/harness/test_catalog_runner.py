@@ -10,7 +10,6 @@ from repro.harness import (
     format_seconds,
     format_table,
     get_test,
-    inclusion_row,
     method_comparison,
     mining_point,
     operation_count,
@@ -90,13 +89,15 @@ class TestCatalog:
 
 
 class TestRunner:
-    def test_inclusion_row_fields(self):
-        row = inclusion_row("msn", "T0", "relaxed")
+    def test_fig10_row_fields(self):
+        result = check_catalog_test("msn", "T0", "relaxed")
+        row = result.stats
         assert row.loads > 0 and row.stores > 0
         assert row.cnf_clauses > 0
-        assert row.passed
+        assert result.passed
         assert row.total_seconds > 0
-        assert set(row.as_dict()) >= {"implementation", "test", "cnf_clauses"}
+        assert (row.implementation, row.test) == ("msn", "T0")
+        assert row.order_dict()["cnf_clauses"] == row.cnf_clauses
 
     def test_fence_experiment_reproduces_section_42(self):
         outcome = fence_experiment("msn", "T0")

@@ -17,7 +17,7 @@ from repro.harness.matrix import (
     run_matrix,
     shard_cells,
 )
-from repro.harness.runner import catalog_matrix, model_sweep
+from repro.harness.runner import catalog_matrix
 
 
 def _verdicts(matrix):
@@ -286,17 +286,14 @@ class TestInterrupt:
         assert "interrupted" in capsys.readouterr().err
 
 
-class TestModelSweepViaMatrix:
-    def test_model_sweep_returns_full_check_results(self):
-        results = model_sweep("msn", "T0", ["sc", "relaxed"])
+class TestSerialCellResults:
+    def test_serial_cells_carry_full_check_results(self):
+        cells = catalog_cells(["msn"], models=["sc", "relaxed"], tests=["T0"])
+        results = [c.result for c in run_matrix(cells, jobs=1).results]
         assert [r.memory_model for r in results] == ["sc", "relaxed"]
         assert all(r.passed for r in results)
         # Same session across models: one shared specification object.
         assert len({id(r.specification) for r in results}) == 1
-
-    def test_model_sweep_surfaces_errors(self):
-        with pytest.raises(RuntimeError, match="no-such-impl"):
-            model_sweep("no-such-impl", "T0", ["sc"])
 
 
 class TestCliMatrix:

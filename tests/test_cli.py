@@ -236,13 +236,35 @@ class TestIgnoredFlagsAreRejected:
 
     def test_synthesize_spec_rejects_store_and_budget(self, capsys):
         code = main([
-            "synthesize", "--spec", self.SPEC, "--model", "tso",
-            "--timeout", "0.000001", "--store",
+            "synthesize", "--spec", self.SPEC, "--model", "tso", "--store",
         ])
         assert code == 2
-        err = capsys.readouterr().err
-        assert "--store" in err and "--timeout" in err
-        assert "no effect with --spec" in err
+        assert "--store has no effect with --spec" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "synthesize", "--spec", self.SPEC, "--model", "tso",
+                "--timeout", "0.000001",
+            ])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [
+        ["--impl", "msn-unfenced", "--test", "T0"],
+        ["--spec", SPEC],
+        ["--fuzz-budget", "1"],
+    ], ids=["impl", "spec", "fuzz-budget"])
+    @pytest.mark.parametrize("budget", [
+        ["--timeout", "0.0000001"], ["--memory-limit", "1"],
+    ], ids=["timeout", "memory-limit"])
+    def test_synthesize_rejects_budget_flags_in_every_mode(
+        self, mode, budget, capsys
+    ):
+        """No synthesis mode opens a deadline scope, so none takes the
+        per-check budget flags."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["synthesize", "--model", "relaxed"] + mode + budget)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [
         ["--solver", "internal"], ["--budget", "5"], ["--json", "-"],

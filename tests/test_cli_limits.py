@@ -44,6 +44,30 @@ class TestCheckBudget:
         assert "[PASS]" in capsys.readouterr().out
 
 
+class TestSweepBudget:
+    def test_timed_out_models_report_timeout_and_exit_3(self, capsys):
+        """A sweep whose every model runs out of budget is degraded, not a
+        FAIL: the rows say TIMEOUT and the exit code is 3, as for check."""
+        code = main([
+            "sweep", "--impl", "msn", "--test", "T0", "--models",
+            "sc,relaxed", "--timeout", "0.0000001",
+        ])
+        out = capsys.readouterr().out
+        assert code == 3
+        rows = [line.split()[:2] for line in out.splitlines()
+                if line.split()[:1] in (["sc"], ["relaxed"])]
+        assert rows == [["sc", "TIMEOUT"], ["relaxed", "TIMEOUT"]]
+        assert "FAIL" not in out
+
+    def test_real_failure_still_exits_1(self, capsys):
+        code = main([
+            "sweep", "--impl", "msn-unfenced", "--test", "T0", "--models",
+            "sc,relaxed",
+        ])
+        assert code == 1
+        assert "FAIL" in capsys.readouterr().out
+
+
 class TestMatrixDegradedExit:
     def test_timed_out_cell_exits_3_not_1(self, capsys, monkeypatch):
         """Exit 3 (budget ran out) must be distinguishable from exit 1
