@@ -13,7 +13,9 @@ pairs carry no variable at all), so
 deterministic linear extension of that partial order; ``TraceStep.position``
 numbers the accesses along that extension.  Every ordered fact the solver
 committed to is preserved, and the positions of mutually unordered accesses
-are an arbitrary-but-deterministic tie-break.
+are an arbitrary-but-deterministic tie-break.  Each load also names the
+store it read (``TraceStep.source``), straight from the model's reads-from
+selectors (:meth:`~repro.encoding.formula.EncodedTest.decode_sources`).
 """
 
 from __future__ import annotations
@@ -35,13 +37,20 @@ class TraceStep:
     address: int
     value: int
     label: str
+    #: For a load, the position of the store it read, or ``None`` when it
+    #: read the initial value; always ``None`` for a store.
+    source: int | None = None
 
     def format(self) -> str:
         action = "ld" if self.kind == "load" else "st"
-        return (
+        line = (
             f"#{self.position:<3} {self.invocation_label:<22} "
             f"{action} {self.location:<24} value={self.value}"
         )
+        if self.kind != "load":
+            return line
+        origin = "init" if self.source is None else f"#{self.source}"
+        return f"{line:<70} <- {origin}"
 
 
 @dataclass
@@ -90,9 +99,21 @@ def build_trace(
         for invocation in encoded.ctx.compiled.invocations
     }
     layout = encoded.ctx.layout
+    executed = encoded.decode_memory_order(model)
+    dense = {a.index: p for p, a in enumerate(encoded.order.accesses)}
+    trace_position = {
+        dense[access.index]: position
+        for position, access in enumerate(executed)
+    }
+    sources = encoded.decode_sources(model)
     steps: list[TraceStep] = []
-    for position, access in enumerate(encoded.decode_memory_order(model)):
+    for position, access in enumerate(executed):
         decoded = encoded.decode_access(access, model)
+        source = None
+        if access.is_load:
+            source = sources[dense[access.index]]
+            if source is not None:
+                source = trace_position[source]
         steps.append(
             TraceStep(
                 position=position,
@@ -105,6 +126,7 @@ def build_trace(
                 address=decoded["address"],
                 value=decoded["value"],
                 label=access.label,
+                source=source,
             )
         )
     return CounterexampleTrace(

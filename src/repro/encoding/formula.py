@@ -72,12 +72,11 @@ class EncodingContext:
         #: carries it (inlining/unrolling duplicates the statement but not
         #: the label).
         self.fence_selectors: dict[str, int] = {}
-        # Model-independent equality terms, shared across per-model layers:
-        # address/value equality by unordered access-index pair and the
-        # initial-value term of each load.  Prewarmed by the skeleton build
-        # so no memory model pays to reconstruct them.
+        # Model-independent terms, shared across per-model layers: address
+        # equality by unordered access-index pair and the initial-value term
+        # of each load.  Prewarmed by the skeleton build so no memory model
+        # pays to reconstruct them.
         self._addr_eq: dict[tuple[int, int], int] = {}
-        self._value_eq: dict[tuple[int, int], int] = {}
         self._init_terms: dict[int, int] = {}
 
     # -------------------------------------------------------------- snapshot
@@ -104,7 +103,6 @@ class EncodingContext:
         out._heap_policies = dict(self._heap_policies)
         out.fence_selectors = dict(self.fence_selectors)
         out._addr_eq = dict(self._addr_eq)
-        out._value_eq = dict(self._value_eq)
         out._init_terms = dict(self._init_terms)
         return out
 
@@ -191,18 +189,6 @@ class EncodingContext:
             self._addr_eq[key] = cached
         return cached
 
-    def value_eq(self, load, store) -> int:
-        """Value-equality handle between a load and a candidate store."""
-        if load.index < store.index:
-            key = (load.index, store.index)
-        else:
-            key = (store.index, load.index)
-        cached = self._value_eq.get(key)
-        if cached is None:
-            cached = self.bvb.eq(load.value, store.value)
-            self._value_eq[key] = cached
-        return cached
-
     def initial_value_term(self, load) -> int:
         """The "load reads the initial value of its address" disjunct of the
         value axiom — model-independent, so built once per load."""
@@ -244,7 +230,8 @@ class EncodingStatistics:
     The ``order_*`` / ``transitivity_clauses`` counters describe the memory
     order relation: how many access pairs exist, how many were statically
     resolved (constant-folded, no variable), how many got a SAT variable,
-    and how many transitivity clauses were asserted.
+    and how many transitivity clauses were asserted.  ``value_clauses``
+    counts the clauses the layer's value axioms emitted.
     """
 
     instructions: int = 0
@@ -266,6 +253,7 @@ class EncodingStatistics:
     order_vars: int = 0
     order_pairs_static: int = 0
     transitivity_clauses: int = 0
+    value_clauses: int = 0
 
     def order_dict(self) -> dict:
         """The encoding's size counters (every integer field: the Fig. 10
@@ -356,13 +344,14 @@ class EncodedTest:
           later are fresh variables and need no protection), and
         * the constant-TRUE variable.
 
-        Memory-order variables are deliberately *not* frozen: no later
-        clause or assumption is ever built over them, and counterexample
-        decoding reads them out of the *reconstructed* model, which the
-        elimination stack rebuilds to satisfy every original clause
-        (including the order axioms).  Leaving them eliminable is what
-        lets the preprocessor cut the order-axiom-heavy formulas (e.g.
-        msn/Tpc6) by half instead of 15%.
+        Memory-order variables and reads-from selectors are deliberately
+        *not* frozen: no later clause or assumption is ever built over
+        them, and counterexample decoding reads them out of the
+        *reconstructed* model, which the elimination stack rebuilds to
+        satisfy every original clause (including the order and value
+        axioms).  Leaving them eliminable is what lets the preprocessor cut
+        the order-axiom-heavy formulas (e.g. msn/Tpc6) by half instead of
+        15%.
 
         Only *already-lowered* nodes contribute (a non-forcing peek, so
         computing the set never grows the formula); anything lowered later
@@ -647,6 +636,18 @@ class EncodedTest:
             raise RuntimeError("memory order of the model contains a cycle")
         return result
 
+    def decode_sources(self, model: dict[int, bool]) -> dict[int, int | None]:
+        """The store each load read, from its reads-from selectors: load
+        position -> store position, or ``None`` for the initial value.
+        Every load the model executes has exactly one entry."""
+        out: dict[int, int | None] = {}
+        for load, selectors in self.order.sources.items():
+            for source, lit in selectors:
+                if model.get(lit, False):
+                    out[load] = source
+                    break
+        return out
+
     def violated_assertions(self, model: dict[int, bool]) -> list[str]:
         return [
             description
@@ -753,9 +754,9 @@ def build_skeleton(compiled: CompiledTest) -> EncodingSkeleton:
 def _prewarm_shared_terms(
     context: EncodingContext, table: AccessTable
 ) -> list[int]:
-    """Build the model-independent equality terms into the skeleton.
+    """Build the model-independent terms into the skeleton.
 
-    Address/value equalities and initial-value terms are what the value and
+    Address equalities and initial-value terms are what the value and
     same-address axioms consume; constructing them here (into the context
     caches every fork inherits) means no per-model layer re-walks the
     bit-vector builders for them.  Only terms some model can actually
@@ -765,8 +766,10 @@ def _prewarm_shared_terms(
     compared symbolically) are skipped — prewarming is an optimization,
     and any term a future model does need is still built lazily on its
     fork.  Cross-thread store pairs never compare addresses at all: the
-    <M-maximality terms reuse the load's own visibility conjuncts.  The
-    construction order fixes circuit numbering, hence every CNF.
+    <M-maximality clauses reuse the load's own visibility conjuncts.  Value
+    equality needs no term: the value axioms compare the already-lowered
+    value bits one by one under a reads-from selector.  The construction
+    order fixes circuit numbering, hence every CNF.
     """
     # The same-thread (earlier, store) pairs of the same-address axiom
     # compare addresses symbolically — except on the init thread and inside
@@ -808,7 +811,6 @@ def _prewarm_shared_terms(
             if (load_reach >> position[store.index]) & 1:
                 continue  # store after load in every model: invisible
             prelower.append(context.addr_eq(load, store))
-            prelower.append(context.value_eq(load, store))
     return prelower
 
 
@@ -849,9 +851,9 @@ def _lower_base_cnf(
                 literal(bit)
         for fence in thread.fences:
             literal(fence.guard)
-    # The prewarmed equality/initial-value cones marked for pre-lowering
-    # are consumed by every model's axioms — the gates themselves appear
-    # as children of each layer's conjunctions — so lowering them (cone
+    # The prewarmed address-equality/initial-value cones marked for
+    # pre-lowering are consumed by every model's axioms — their top gates
+    # appear as literals of each layer's clauses — so lowering them (cone
     # and top gate) here emits exactly the Tseitin definitions every
     # per-model layer would otherwise re-derive.
     for handle in prelower:
@@ -892,6 +894,7 @@ def encode_test(
     stats.order_vars = encoder.order_var_count
     stats.order_pairs_static = encoder.static_pair_count
     stats.transitivity_clauses = encoder.transitivity_clause_count
+    stats.value_clauses = encoder.value_clause_count
     stats.skeleton_shared = reused
     stats.skeleton_seconds = 0.0 if reused else skeleton.build_seconds
     stats.layer_seconds = time.perf_counter() - layer_start

@@ -9,8 +9,12 @@ transitivity by explicit clauses), and asserts
   blocks — all static edges (below), so they fold to constants and emit
   no clause,
 * the same-address store order, fence and atomic non-interleaving rules,
-* the value axioms (via the ``Init_l`` / ``Flows_{s,l}`` style construction
-  described in the paper), and
+* the value axioms — a load reads the ``<M``-maximal visible store, or the
+  initial value — through one reads-from selector per load and possible
+  source instead of the paper's ``Init_l`` / ``Flows_{s,l}`` terms, as
+  direct clauses with bitwise value equality
+  (:meth:`MemoryModelEncoder._assert_value_axioms`), so the model names
+  the store every load read (:attr:`MemoryOrderEncoding.sources`), and
 * for the Seriality model, the operation-atomicity constraints used to mine
   the specification.
 
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 from repro.encoding.symbolic import MemoryAccess, ThreadEncoding
 from repro.encoding.testprogram import INIT_THREAD
@@ -76,6 +80,14 @@ class MemoryOrderEncoding:
     #: Statically resolved pairs, keyed ``(i, j)`` with ``i < j``; the value
     #: is ``True`` when ``accesses[i] <M accesses[j]``.
     static_pairs: dict[tuple[int, int], bool] = field(default_factory=dict)
+    #: Reads-from selectors of every load that can execute, keyed by the
+    #: load's position: ``(source, literal)`` per possible source, where
+    #: ``source`` is the position of a store, or ``None`` for the initial
+    #: value, and ``literal`` is the selector's CNF literal.  Exactly one
+    #: selector is true in a model that executes the load.
+    sources: dict[int, list[tuple[int | None, int]]] = field(
+        default_factory=dict
+    )
 
     def order(self, first: int, second: int) -> int:
         """Circuit handle for ``access[first] <M access[second]``."""
@@ -325,6 +337,7 @@ class MemoryModelEncoder:
         self._order_handles: dict[tuple[int, int], int] = {}
         # Size counters surfaced through EncodingStatistics.
         self.transitivity_clause_count = 0
+        self.value_clause_count = 0
 
     # --------------------------------------------------------------- public
 
@@ -810,54 +823,155 @@ class MemoryModelEncoder:
         return handle != self.ctx.circuit.FALSE
 
     def _assert_value_axioms(self) -> None:
-        # The hottest axiom of the per-model layer: quadratic in the
-        # candidate stores of every load.  Bind the circuit constructors
-        # once and read order handles straight from the prebuilt map
-        # (a method call per pair was measured to cost as much as the term
-        # construction itself).
-        circuit = self.ctx.circuit
-        and_ = circuit.and_
-        and_many = circuit.and_many
+        """An executed load reads the ``<M``-maximal visible store, or the
+        initial value of its address when no store is visible.
+
+        A candidate store ``s`` is *visible* to load ``l`` when
+        ``vis(s) = guard(s) & addr_eq(l, s) & s <M l`` holds (the order
+        conjunct is dropped for a forwarded store).  Each load gets one
+        fresh reads-from selector ``rf(s)`` per candidate that can be its
+        source, plus ``rf(init)``, and the axiom goes out as direct
+        clauses (partial-order BMC style, Alglave et al., CAV 2013):
+
+        * ``guard(l) -> rf(init) | OR rf(s)``;
+        * ``rf(s) -> vis(s)``, and ``rf(s) -> (v_l[b] <-> v_s[b])`` for
+          every value bit;
+        * ``rf(s) & vis(s') -> s' <M s`` for every other candidate ``s'``;
+        * ``rf(init) -> ~vis(s)`` for every candidate, and
+          ``rf(init) -> initial_value_term(l)``.
+
+        No at-most-one clauses are needed: two true selectors of one load
+        would force both orders of one pair, which share a variable.
+
+        The literals are clause-ready by construction — every candidate's
+        visibility conjuncts are normalized once (constants folded,
+        duplicates merged, a candidate with a FALSE or complementary
+        conjunct is never visible and dropped), selectors are fresh, and
+        a maximality clause's order literal names a pair of stores, which
+        no visibility conjunct does — so the clauses go through the
+        trusted bulk path.
+        """
+        lowering = self.ctx.lowering
+        literal = lowering.literal
+        new_var = lowering.cnf.new_var
         addr_eq = self.ctx.addr_eq
-        value_eq = self.ctx.value_eq
         initial_value_term = self.ctx.initial_value_term
         handles = self._order_handles
+        position = self.table.position
+        sources = self.encoding.sources
         true_handle = Circuit.TRUE
-        forwarding = self.model.store_forwarding
+        false_handle = Circuit.FALSE
+        # Value bits as CNF literals; the constants map to +-1, the
+        # lowering's constant-TRUE variable.
+        value_lits = {
+            a.index: [literal(bit) for bit in a.value.bits]
+            for a in self.accesses
+        }
+        buf: list[int] = []
+        lengths: list[int] = []
+        push = buf.append
+        extend = buf.extend
+        push_len = lengths.append
         for load, candidates in self._value_candidates:
+            if load.guard == false_handle:
+                continue
             load_index = load.index
-            visibility: list[int] = []
+            # (store, negated visibility literals) of every candidate that
+            # can be visible; an empty list means "always visible".
+            visible: list[tuple[MemoryAccess, list[int]]] = []
             for store in candidates:
-                if (
-                    forwarding
-                    and store.thread == load.thread
-                    and store.seq < load.seq
-                ):
+                if self._forwarded(store, load):
                     order = true_handle
                 else:
                     order = handles[(store.index, load_index)]
-                visibility.append(
-                    and_(store.guard, addr_eq(load, store), order)
-                )
-            # Case 1: no visible store -> the load reads the initial value.
-            no_store = and_many([-v for v in visibility])
-            terms = [and_(no_store, initial_value_term(load))]
-            # Case 2: the load reads the <M-maximal visible store.
-            count = len(candidates)
-            for i in range(count):
-                store = candidates[i]
+                negated: list[int] = []
+                for handle in (store.guard, addr_eq(load, store), order):
+                    if handle == true_handle:
+                        continue
+                    if handle == false_handle:
+                        break
+                    lit = -literal(handle)
+                    if -lit in negated:
+                        break
+                    if lit not in negated:
+                        negated.append(lit)
+                else:
+                    visible.append((store, negated))
+
+            load_bits = value_lits[load_index]
+            selectors: list[tuple[int | None, int]] = []
+            for store, negated in visible:
+                # Bitwise value equality as clause tails under rf(store);
+                # None when the two values can never be equal.
+                tails: list[tuple[int, ...]] | None = []
+                # A missing high bit of the narrower value is FALSE (-1).
+                for a, s in zip_longest(
+                    load_bits, value_lits[store.index], fillvalue=-1
+                ):
+                    if a == s:
+                        continue
+                    if a == -s:
+                        tails = None
+                        break
+                    if abs(a) == 1:
+                        tails.append((s if a > 0 else -s,))
+                    elif abs(s) == 1:
+                        tails.append((a if s > 0 else -a,))
+                    else:
+                        tails.append((-a, s))
+                        tails.append((a, -s))
+                if tails is None:
+                    continue
+                rf = new_var()
+                selectors.append((position[store.index], rf))
+                for lit in negated:
+                    push(-rf)
+                    push(-lit)
+                    push_len(2)
+                for tail in tails:
+                    push(-rf)
+                    extend(tail)
+                    push_len(len(tail) + 1)
+                # Maximality: every other visible candidate precedes store.
                 store_index = store.index
-                is_maximal = and_many(
-                    [
-                        -and_(visibility[j], handles[(store_index, candidates[j].index)])
-                        for j in range(count)
-                        if j != i
-                    ]
-                )
-                terms.append(
-                    and_(visibility[i], is_maximal, value_eq(load, store))
-                )
-            self.ctx.assert_clause([-load.guard, circuit.or_many(terms)])
+                for other, other_negated in visible:
+                    if other is store:
+                        continue
+                    order = handles[(other.index, store_index)]
+                    if order == true_handle:
+                        continue
+                    push(-rf)
+                    extend(other_negated)
+                    if order == false_handle:
+                        push_len(len(other_negated) + 1)
+                    else:
+                        push(literal(order))
+                        push_len(len(other_negated) + 2)
+
+            # No rf(init) when the initial value can never match or some
+            # candidate is always visible.
+            init_term = initial_value_term(load)
+            if init_term != false_handle and all(n for _, n in visible):
+                rf = new_var()
+                selectors.insert(0, (None, rf))
+                for _, negated in visible:
+                    push(-rf)
+                    extend(negated)
+                    push_len(len(negated) + 1)
+                if init_term != true_handle:
+                    push(-rf)
+                    push(literal(init_term))
+                    push_len(2)
+
+            sources[position[load_index]] = selectors
+            count = len(selectors)
+            if load.guard != true_handle:
+                push(-literal(load.guard))
+                count += 1
+            extend(rf for _, rf in selectors)
+            push_len(count)
+        lowering.cnf.add_clauses_trusted_flat(buf, lengths)
+        self.value_clause_count += len(lengths)
 
     def _forwarded(self, store: MemoryAccess, load: MemoryAccess) -> bool:
         """Store-queue forwarding: a program-order-earlier store of the

@@ -36,7 +36,7 @@ SOLVER_DICT_KEYS = {
 
 ORDER_DICT_KEYS = {
     "accesses", "order_pairs", "order_vars", "order_pairs_static",
-    "transitivity_clauses", "cnf_variables", "cnf_clauses",
+    "transitivity_clauses", "value_clauses", "cnf_variables", "cnf_clauses",
 }
 
 PHASE_DICT_KEYS = {
