@@ -10,3 +10,10 @@ from pathlib import Path
 _SRC = Path(__file__).resolve().parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "slow: a long-running check (still part of the default run)",
+    )

@@ -79,6 +79,40 @@ def _degraded_exit(results) -> int:
     return 3 if any(r.degraded for r in results) else 0
 
 
+def _names(text: str) -> list[str]:
+    """The names of a comma-separated flag value, blanks dropped."""
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
+def _matrix_implementations(impls: str) -> list[str]:
+    """The implementations ``matrix --impls`` selects."""
+    if impls == "base":
+        return base_implementations()
+    if impls == "all":
+        return available_implementations()
+    return _names(impls)
+
+
+def _resolve_names(args) -> None:
+    """Look up every implementation, test and model name the command was
+    given, so an unknown one is a usage error before any work; raises
+    the lookup's KeyError.  ``matrix --tests`` is left to the cells: a
+    test missing from one implementation's category is that cell's
+    ERROR."""
+    models = [args.model] if getattr(args, "model", None) else []
+    models += _names(getattr(args, "models", None) or "")
+    for model in models:
+        get_model(model)
+    impl = getattr(args, "impl", None)
+    implementations = [impl] if impl else []
+    if getattr(args, "impls", None) and not args.litmus:
+        implementations += _matrix_implementations(args.impls)
+    for implementation in implementations:
+        get_implementation(implementation)
+    if impl and getattr(args, "test", None):
+        get_test(category_of(impl), args.test)
+
+
 def _cmd_list(_args) -> int:
     print("Implementations (Table 1 plus variants):")
     rows = []
@@ -144,7 +178,7 @@ def _cmd_sweep(args) -> int:
     category = category_of(args.impl)
     test = get_test(category, args.test)
     session = CheckSession(implementation, _check_options(args))
-    models = [get_model(name.strip()) for name in args.models.split(",")]
+    models = [get_model(name) for name in _names(args.models)]
     results = session.sweep(test, models)
     rows = [
         (
@@ -226,24 +260,16 @@ def _emit_json(payload: dict, target: str, label: str):
 
 
 def _cmd_matrix(args) -> int:
-    models = [name.strip() for name in args.models.split(",") if name.strip()]
+    models = _names(args.models)
     options = _check_options(args)
     if args.litmus:
         cells = litmus_cells(models)
     else:
-        if args.impls == "base":
-            implementations = base_implementations()
-        elif args.impls == "all":
-            implementations = available_implementations()
-        else:
-            implementations = [
-                name.strip() for name in args.impls.split(",") if name.strip()
-            ]
-        tests = None
-        if args.tests:
-            tests = [name.strip() for name in args.tests.split(",") if name.strip()]
         cells = catalog_cells(
-            implementations, models=models, tests=tests, size=args.size
+            _matrix_implementations(args.impls),
+            models=models,
+            tests=_names(args.tests) if args.tests else None,
+            size=args.size,
         )
     if not cells:
         print("matrix: no cells selected", file=sys.stderr)
@@ -372,11 +398,7 @@ _SYNTHESIZE_IGNORED = {
 
 
 def _cmd_synthesize(args) -> int:
-    models = [
-        name.strip()
-        for name in (args.models.split(",") if args.models else [args.model])
-        if name.strip()
-    ]
+    models = _names(args.models) if args.models else [args.model]
     if args.fuzz_budget is not None:
         if args.impl or args.spec:
             print("synthesize: --fuzz-budget excludes --impl/--spec",
@@ -481,7 +503,7 @@ def _cmd_fuzz(args) -> int:
     from repro.fuzz import FuzzConfig, run_fuzz
     from repro.oracle import parse_engines
 
-    models = [name.strip() for name in args.models.split(",") if name.strip()]
+    models = _names(args.models)
     if not models or args.budget <= 0:
         # Mirror the matrix command's guard: a campaign with no cells
         # would "pass" having compared nothing.
@@ -895,13 +917,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "solver"):
-        # A bad solver spec is a usage error, reported before any work.
-        try:
+    # A bad solver spec or an unknown name is a usage error, reported
+    # before any work.
+    try:
+        if hasattr(args, "solver"):
             make_backend_factory(args.solver)
-        except ValueError as exc:
-            print(f"{args.command}: {exc}", file=sys.stderr)
-            return 2
+        _resolve_names(args)
+    except (ValueError, KeyError) as exc:
+        # args[0]: str() of a KeyError would quote the message.
+        print(f"{args.command}: {exc.args[0]}", file=sys.stderr)
+        return 2
     handlers = {
         "list": _cmd_list,
         "table1": _cmd_table1,

@@ -74,9 +74,6 @@ class CheckOptions:
     #: sites as ``timeout`` and degrading to an ``OOM`` verdict.  None
     #: defers to CHECKFENCE_MEMORY_LIMIT (default: unlimited).
     memory_limit_mb: float | None = None
-    #: Fence kinds offered at every candidate slot during synthesis
-    #: (``checkfence synthesize``).  None: the four partial kinds.
-    synthesis_kinds: tuple | None = None
     #: Solve budget of the escalation from destructive deletion to the
     #: exact (implicit hitting set) search, which proves cost-optimality
     #: of the synthesized set; when exhausted (at once for 0) the
@@ -127,10 +124,10 @@ class CheckFence:
         test and the mined specification across them."""
         return self.session.sweep(test, memory_models)
 
-    def synthesize(self, test: SymbolicTest, memory_models, kinds=None):
+    def synthesize(self, test: SymbolicTest, memory_models):
         """Synthesize a minimal fence set making the test PASS under every
         given model (see :func:`repro.core.synthesize.synthesize_fences`)."""
-        return self.session.synthesize(test, memory_models, kinds=kinds)
+        return self.session.synthesize(test, memory_models)
 
 
 def check(

@@ -7,13 +7,14 @@ test suite use to exercise the failure paths deterministically:
 ``worker-crash:<cell-key>[:<n>]``
     A matrix worker handed a shard containing the cell hard-exits
     (``os._exit``) instead of checking it — but only while the shard's
-    attempt number is below *n* (default 1), so with the default retry
+    attempt number is at most *n* (default 1), so with the default retry
     budget the parent re-queues the shard and the retried run succeeds,
     which is exactly the verdict-identity property the chaos job gates.
 ``worker-hang:<cell-key>[:<n>]``
     The worker ignores SIGTERM and sleeps instead of checking the
-    shard, again only below attempt *n*.  Exercises the parent's hung-
-    worker watchdog and the terminate→kill teardown escalation.
+    shard, again only while the attempt is at most *n*.  Exercises the
+    parent's hung-worker watchdog and the terminate→kill teardown
+    escalation.
 ``interrupt:<cell-key>``
     The *parent* raises :class:`KeyboardInterrupt` the moment the
     cell's result is recorded, exactly as if the user hit Ctrl-C then.
@@ -113,12 +114,12 @@ def _attempt_map(kind: str) -> dict[str, int]:
 
 
 def crash_attempts() -> dict[str, int]:
-    """Cell key -> crash while ``shard.attempt <`` this bound."""
+    """Cell key -> crash while ``shard.attempt <=`` this bound."""
     return _attempt_map("worker-crash")
 
 
 def hang_attempts() -> dict[str, int]:
-    """Cell key -> hang while ``shard.attempt <`` this bound."""
+    """Cell key -> hang while ``shard.attempt <=`` this bound."""
     return _attempt_map("worker-hang")
 
 

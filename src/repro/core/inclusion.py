@@ -43,11 +43,10 @@ def run_inclusion_check(
     The "observation not in S" constraint is added as permanent clauses —
     deliberately, because root-level blocking clauses propagate much more
     strongly than guard-literal variants and the inclusion query is the last
-    query of a check.  The encoded test is contaminated afterwards (the
-    assertion query must not run on it again); callers that cache encodings,
-    like :class:`repro.core.session.CheckSession`, evict it.  For a fully
-    reusable formula use :meth:`EncodedTest.not_in_guard` and solve under
-    the guard assumption instead.
+    query of a check.  The encoded test is contaminated afterwards: no
+    other query may run on it again.  For a fully reusable formula use
+    :meth:`EncodedTest.not_in_guard` and solve under the guard assumption
+    instead.
     """
     if encoded is None:
         encoded = encode_test(compiled, model, backend_factory=backend_factory)

@@ -388,7 +388,7 @@ class CheckSession:
 
     # ----------------------------------------------------------- synthesis
 
-    def synthesize(self, test: SymbolicTest, memory_models, kinds=None):
+    def synthesize(self, test: SymbolicTest, memory_models):
         """Synthesize a minimal fence set that makes ``test`` PASS under
         every model in ``memory_models`` (see
         :func:`repro.core.synthesize.synthesize_fences`).  Runs warm: the
@@ -398,4 +398,4 @@ class CheckSession:
         # Imported here to avoid a cycle: synthesize drives sessions.
         from repro.core.synthesize import synthesize_fences
 
-        return synthesize_fences(self, test, memory_models, kinds=kinds)
+        return synthesize_fences(self, test, memory_models)

@@ -16,7 +16,7 @@ depends on —
   analysis, assertion checking; not the solver stack, which cannot
   change a verdict),
 * and a fingerprint of the checker's own code (every ``src/repro``
-  Python file), plus :data:`CACHE_VERSION`.
+  Python and C file), plus :data:`CACHE_VERSION`.
 
 Because the key is a content hash, invalidation is automatic: editing an
 implementation, a test, an option, or the checker itself changes the key
@@ -77,14 +77,16 @@ _code_fingerprint: str | None = None
 
 
 def code_fingerprint() -> str:
-    """Hash of every Python source file under ``src/repro``, computed once
-    per process.  Any checker change — encoder, solver, model semantics —
-    moves every cell key, so a stale verdict can never be served."""
+    """Hash of every Python and C source file under ``src/repro``,
+    computed once per process.  Any checker change — encoder, solver
+    (the native kernel included), model semantics — moves every cell
+    key, so a stale verdict can never be served."""
     global _code_fingerprint
     if _code_fingerprint is None:
         digest = hashlib.sha256()
         root = Path(__file__).resolve().parent.parent
-        for path in sorted(root.rglob("*.py")):
+        sources = [*root.rglob("*.py"), *root.rglob("*.c")]
+        for path in sorted(sources):
             digest.update(str(path.relative_to(root)).encode("utf-8"))
             digest.update(b"\0")
             try:

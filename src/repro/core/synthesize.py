@@ -137,7 +137,6 @@ def _contains_access(stmt: Statement) -> bool:
 def _instrument_body(
     body: list[Statement],
     procedure: str,
-    kinds,
     counter: list[int],
     candidates: list[CandidateFence],
 ) -> list[Statement]:
@@ -153,7 +152,7 @@ def _instrument_body(
                 Block(
                     stmt.tag,
                     _instrument_body(
-                        stmt.body, procedure, kinds, counter, candidates
+                        stmt.body, procedure, counter, candidates
                     ),
                 )
             )
@@ -173,7 +172,7 @@ def _instrument_body(
         ):
             slot = counter[0]
             counter[0] += 1
-            for kind in kinds:
+            for kind in CANDIDATE_KINDS:
                 candidate = CandidateFence(
                     label=f"{procedure}@{slot}:{kind.value}",
                     procedure=procedure,
@@ -202,7 +201,7 @@ def _rebuild(program: Program, body_of) -> Program:
 
 
 def instrument_program(
-    program: Program, kinds=CANDIDATE_KINDS
+    program: Program,
 ) -> tuple[Program, list[CandidateFence]]:
     """A copy of ``program`` with candidate fences at every slot.
 
@@ -215,9 +214,7 @@ def instrument_program(
     candidates: list[CandidateFence] = []
     instrumented = _rebuild(
         program,
-        lambda name, body: _instrument_body(
-            body, name, kinds, [0], candidates
-        ),
+        lambda name, body: _instrument_body(body, name, [0], candidates),
     )
     return instrumented, candidates
 
@@ -572,13 +569,6 @@ def _model_list(models) -> list[MemoryModel]:
     return [get_model(model) for model in models]
 
 
-def _kind_tuple(kinds) -> tuple[FenceKind, ...]:
-    return tuple(
-        FenceKind.from_string(k) if isinstance(k, str) else k
-        for k in (kinds or CANDIDATE_KINDS)
-    )
-
-
 def _synthesize(
     implementation: str,
     test: str,
@@ -728,7 +718,6 @@ def synthesize_fences(
     session,
     test,
     models,
-    kinds=None,
 ) -> SynthesisResult:
     """Synthesize a minimal fence set turning FAILing (impl, test, model)
     cells into PASS, on a warm :class:`~repro.core.session.CheckSession`.
@@ -742,14 +731,13 @@ def synthesize_fences(
     if not models:
         raise SynthesisError("synthesize_fences needs at least one model")
     options = session.options
-    kinds = _kind_tuple(kinds or options.synthesis_kinds)
 
     # The specification comes from the *uninstrumented* program (fences are
     # no-ops under the serial model, so it would be identical anyway, but
     # the session cache makes this free across synthesize/check calls).
     specification: ObservationSet = session.specification(test)
 
-    instrumented, candidates = instrument_program(session.program, kinds)
+    instrumented, candidates = instrument_program(session.program)
     if not candidates:
         raise SynthesisError(
             f"no candidate fence slots in {session.implementation.name!r} "
@@ -783,13 +771,13 @@ def synthesize_fences(
 # ---------------------------------------------------------- litmus front end
 
 
-def litmus_candidates(program, kinds=CANDIDATE_KINDS) -> list[CandidateFence]:
+def litmus_candidates(program) -> list[CandidateFence]:
     """The candidate fences of a fuzz litmus program, with labels matching
     :meth:`repro.fuzz.generator.FuzzProgram.compile` instrumentation."""
     candidates: list[CandidateFence] = []
     for thread_index, position in program.fence_slots():
         thread = program.threads[thread_index]
-        for kind in kinds:
+        for kind in CANDIDATE_KINDS:
             candidates.append(
                 CandidateFence(
                     label=f"t{thread_index}@{position}:{kind.value}",
@@ -815,7 +803,6 @@ def placements_of(fences) -> list[tuple[int, int, FenceKind]]:
 def synthesize_litmus(
     program,
     models,
-    kinds=None,
     backend_factory=None,
     exact_budget: int = 60,
 ) -> SynthesisResult:
@@ -825,7 +812,6 @@ def synthesize_litmus(
     ``sc``, and a fence set is sufficient when no execution under the
     model produces an outcome outside it."""
     models = _model_list(models)
-    kinds = _kind_tuple(kinds)
     compiled = program.compile()
     specification = ObservationSet(
         labels=compiled.observation_labels(),
@@ -840,8 +826,8 @@ def synthesize_litmus(
         program.spec(),
         models,
         specification,
-        program.compile(candidate_kinds=kinds),
-        litmus_candidates(program, kinds),
+        program.compile(candidate_kinds=CANDIDATE_KINDS),
+        litmus_candidates(program),
         lambda fences: program.with_fences(placements_of(fences)).compile(),
         backend_factory=backend_factory,
         check_assertions=True,

@@ -17,12 +17,13 @@ into *shards*, and runs the shards either serially or across a
   models;
 * :func:`run_matrix` is the orchestrator.  With ``jobs=1`` it runs the
   shards in order in-process (the deterministic serial path).  With
-  ``jobs>1`` it starts worker processes that pull shards from a task
-  queue — each worker keeps warm ``CheckSession`` objects per
-  implementation — and streams :class:`CellResult` messages back through a
-  result queue, so progress is reported as cells finish.  Results are
-  merged back into the original cell order, so serial and parallel runs
-  produce the same sequence of verdicts.
+  ``jobs>1`` it starts worker processes, each with its own duplex pipe,
+  and sends each idle worker the next shard.  Workers keep warm
+  ``CheckSession`` objects per implementation across shards and stream
+  :class:`CellResult` messages back over their pipes as cells finish, so
+  progress is reported live.  Results are merged back into the original
+  cell order, so serial and parallel runs produce the same sequence of
+  verdicts.
 
 Fault tolerance (the robustness layer):
 
@@ -30,10 +31,13 @@ Fault tolerance (the robustness layer):
   :mod:`repro.core.limits` (``options.timeout`` /
   ``options.memory_limit_mb``), degrading to first-class ``TIMEOUT`` /
   ``OOM`` verdicts instead of hanging a worker;
-* a crashed (or hung) worker's unfinished cells are *re-queued* to a
-  replacement worker with capped retries (:data:`MATRIX_RETRIES`) and a
-  small backoff; cells still unfinished after the attempt cap are
-  quarantined as explicit ``CRASHED`` verdicts;
+* the parent always knows which shard each worker holds, because it
+  sent it: a crashed worker (its pipe closes) or a hung one (busy and
+  silent for ``CHECKFENCE_MATRIX_WORKER_TIMEOUT`` seconds) is stopped and
+  its shard's unfinished cells are *re-queued* with capped retries
+  (:data:`MATRIX_RETRIES`) and a small backoff; cells still unfinished
+  after the attempt cap are quarantined as explicit ``CRASHED``
+  verdicts, and a worker that dies while idle costs no shard an attempt;
 * ``journal=`` writes one JSON line per completed cell as it finishes,
   and ``resume=True`` reads the journal back, records the finished
   cells verdict-identically, and reruns only the rest;
@@ -51,15 +55,18 @@ built on top of this module.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
-import queue as queue_module
 import signal
 import time
 import traceback
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import Connection, wait
 
 from repro.core import faults, limits
 from repro.core.results import CheckResult
@@ -90,11 +97,11 @@ SHARD_AXES = ("test", "model", "impl")
 #: attempt cap is retries + 1).
 MATRIX_RETRIES = 2
 #: Seconds slept (scaled by the attempt number) before re-queuing a
-#: crashed worker's shard.
+#: crashed or hung worker's shard.
 MATRIX_BACKOFF = 0.05
-#: Parent-side hung-worker watchdog: a worker with an in-flight shard
-#: that has produced no message for this many seconds is killed and its
-#: shard re-queued like a crash.  Unset/empty disables the watchdog.
+#: Parent-side hung-worker watchdog: a worker holding a shard that has
+#: sent no message for this many seconds is killed and its shard
+#: re-queued like a crash.  Unset/empty disables the watchdog.
 WORKER_TIMEOUT_ENV = "CHECKFENCE_MATRIX_WORKER_TIMEOUT"
 
 
@@ -676,62 +683,51 @@ def _load_journal(path: str, fingerprint: str, cells) -> dict[int, CellResult]:
 # ------------------------------------------------------------- orchestrator
 
 
-def _worker_main(worker_id, task_queue, result_queue, options) -> None:
-    """Worker process: pull shards until the ``None`` sentinel.
+def _fault_fires(shard: _Shard, attempts: dict[str, int]) -> bool:
+    """Whether an attempt-bounded fault directive covers this run of
+    ``shard`` (``attempts`` maps cell keys to the last faulty attempt)."""
+    return any(
+        shard.attempt <= attempts.get(cell.key, 0) for _, cell in shard.cells
+    )
+
+
+def _worker_main(worker_id, conn, options) -> None:
+    """Worker process: check the shards the parent sends over ``conn``
+    until it sends ``None`` (or is gone).
 
     Sessions stay warm across shards, so a worker that processes several
     shards of one implementation compiles its C source once.  Messages:
-    ``("start", worker, shard)`` before a shard (so the parent knows what
-    was in flight if this process dies), ``("cell", worker, shard,
-    position, result)`` per cell, ``("shard", worker, stats)`` after, and
-    ``("done", worker)`` on clean exit.
+    ``("cell", position, result)`` per cell and ``("shard", stats)`` after
+    the shard.
     """
     sessions: dict = {}
-    crash_attempts = faults.crash_attempts()
-    hang_attempts = faults.hang_attempts()
-    while True:
-        shard = task_queue.get()
-        if shard is None:
-            result_queue.put(("done", worker_id))
-            return
-        result_queue.put(("start", worker_id, shard.index))
-        if crash_attempts and any(
-            shard.attempt <= crash_attempts.get(cell.key, 0)
-            for _, cell in shard.cells
-        ):
-            # Fault injection for the worker-crash tests: die mid-shard
-            # without cleanup, like a segfaulting or OOM-killed solver
-            # would.  Flush the queue first so the "start" message is on
-            # the wire (a crash during the solve, not during the put); a
-            # crash that loses even that is covered by the stall detection
-            # in run_matrix.  Attempt-bounded injections crash the first
-            # n attempts and let the retry succeed, which is how the chaos
-            # tests prove retried cells are verdict-identical.
-            result_queue.close()
-            result_queue.join_thread()
-            os._exit(3)
-        if hang_attempts and any(
-            shard.attempt <= hang_attempts.get(cell.key, 0)
-            for _, cell in shard.cells
-        ):
-            # Fault injection for the hung-worker paths: ignore SIGTERM
-            # (so only the parent's kill() escalation can reap us) and
-            # sleep forever instead of checking the shard.
-            signal.signal(signal.SIGTERM, signal.SIG_IGN)
-            while True:
-                time.sleep(3600)
 
-        def emit(position, result, _wid=worker_id, _shard=shard.index):
-            result.worker = _wid
-            if result.result is not None:
-                # Don't pickle the shared observation set once per cell;
-                # spec size and counterexample text are already in the
-                # JSON-safe fields.
-                result.result = replace(result.result, specification=None)
-            result_queue.put(("cell", _wid, _shard, position, result))
+    def emit(position, result):
+        result.worker = worker_id
+        if result.result is not None:
+            # Don't pickle the shared observation set once per cell;
+            # spec size and counterexample text are already in the
+            # JSON-safe fields.
+            result.result = replace(result.result, specification=None)
+        conn.send(("cell", position, result))
 
-        stats = _run_shard(shard, sessions, options, emit)
-        result_queue.put(("shard", worker_id, stats))
+    with contextlib.suppress(EOFError):
+        for shard in iter(conn.recv, None):
+            if _fault_fires(shard, faults.crash_attempts()):
+                # Fault injection for the worker-crash tests: die mid-shard
+                # without cleanup, like a segfaulting or OOM-killed solver
+                # would.  Attempt-bounded injections crash the first n
+                # attempts and let the retry succeed, which is how the
+                # chaos tests prove retried cells are verdict-identical.
+                os._exit(3)
+            if _fault_fires(shard, faults.hang_attempts()):
+                # Fault injection for the hung-worker paths: ignore SIGTERM
+                # (so only the parent's kill() escalation can reap us) and
+                # sleep forever instead of checking the shard.
+                signal.signal(signal.SIGTERM, signal.SIG_IGN)
+                while True:
+                    time.sleep(3600)
+            conn.send(("shard", _run_shard(shard, sessions, options, emit)))
 
 
 def _mp_context():
@@ -744,12 +740,9 @@ def _mp_context():
 
 
 def _stop_worker(process) -> None:
-    """Tear one worker down, escalating terminate → kill.
-
-    A worker stuck in a SIGTERM-ignoring state (a hung solver call, a
-    signal-masked C extension) used to be joined with a timeout and then
-    leaked; the final ``kill()`` + join guarantees the process is reaped.
-    """
+    """Reap one worker, escalating terminate → kill, so even one stuck in
+    a SIGTERM-ignoring state (a hung solver call, a signal-masked C
+    extension) is never leaked."""
     if not process.is_alive():
         process.join(timeout=1)
         return
@@ -775,8 +768,8 @@ def run_matrix(
     deterministic serial path: shards run in order, in-process, sharing
     warm sessions exactly like one worker would.  ``jobs>1`` starts worker
     processes and streams results back as cells finish.  A crashed or hung
-    worker's unfinished cells are re-queued to a replacement worker with
-    capped retries (:data:`MATRIX_RETRIES`) and quarantined as
+    worker's unfinished cells are re-queued, to a live worker or a new
+    one, with capped retries (:data:`MATRIX_RETRIES`) and quarantined as
     ``CRASHED`` verdicts when the cap is exhausted — the run always
     completes.  ``progress`` (if given) is called as
     ``progress(done, total, cell_result)`` from the parent process, in
@@ -879,248 +872,133 @@ def run_matrix(
             journal_handle.close()
 
 
+@dataclass
+class _Worker:
+    """A pool worker as the parent sees it: the shard it holds (``None``
+    while idle) and which of that shard's cells it has not reported."""
+
+    id: int
+    process: multiprocessing.process.BaseProcess
+    conn: Connection
+    shard: _Shard | None = None
+    pending: set[int] = field(default_factory=set)
+    last_heard: float = 0.0
+
+
 def _run_matrix_pool(
     shards, jobs, options, record, finish, shard_stats
 ) -> MatrixResult:
-    """The multiprocess orchestrator: dispatch shards, stream results,
-    retry crashed/hung workers' shards, quarantine after the attempt cap,
-    and always reap every worker on the way out."""
+    """The multiprocess orchestrator: send each worker one shard at a
+    time over its own pipe, stream results, retry a dead or hung worker's
+    shard, quarantine after the attempt cap, and always reap every worker.
+
+    The parent knows the shard each worker holds because it sent it.  A
+    dead worker is the end of its pipe (``recv`` raises ``EOFError``); a
+    hung one is a busy worker silent for :data:`WORKER_TIMEOUT_ENV`
+    seconds.  A worker that dies while idle costs no shard an attempt."""
     jobs = min(jobs, len(shards))
-    max_attempts = 1 + MATRIX_RETRIES
     worker_timeout = matrix_worker_timeout()
     ctx = _mp_context()
-    task_queue = ctx.Queue()
-    result_queue = ctx.Queue()
-    for shard in shards:
-        task_queue.put(shard)
-    # No shutdown sentinels yet: a retried shard must never queue behind
-    # them, so they are sent only once every cell is accounted for.
+    todo = collections.deque(shards)
+    workers: dict[Connection, _Worker] = {}  # by the parent's end
+    worker_ids = itertools.count()
 
-    workers: dict[int, object] = {}
-    last_heard: dict[int, float] = {}
-    next_worker_id = 0
-    spawned = 0
-    # Bound respawns: each crash with an in-flight shard consumes one of
-    # that shard's attempts, so this cap is unreachable in sane runs and
-    # only guards against a pathological crash-on-startup loop.
-    max_spawns = jobs + len(shards) * max_attempts
-
-    def spawn_worker() -> bool:
-        nonlocal next_worker_id, spawned
-        if spawned >= max_spawns:
-            return False
-        worker_id = next_worker_id
-        next_worker_id += 1
-        spawned += 1
+    def spawn() -> _Worker:
+        conn, child_conn = ctx.Pipe()
+        worker_id = next(worker_ids)
         process = ctx.Process(
-            target=_worker_main,
-            args=(worker_id, task_queue, result_queue, options),
+            target=_worker_main, args=(worker_id, child_conn, options),
             daemon=True,
         )
         process.start()
-        workers[worker_id] = process
-        last_heard[worker_id] = time.monotonic()
-        return True
+        child_conn.close()  # so the worker's death closes the pipe
+        workers[conn] = _Worker(worker_id, process, conn)
+        return workers[conn]
 
-    #: positions of each shard's cells not yet reported back.
-    pending: dict[int, set[int]] = {
-        shard.index: {position for position, _ in shard.cells}
-        for shard in shards
-    }
-    shards_by_index = {shard.index: shard for shard in shards}
-    in_flight: dict[int, int] = {}   # worker id -> shard index
-    finished_workers: set[int] = set()
-    crashed_workers: dict[int, object] = {}
-    stalled_since: float | None = None
+    def retire(worker: _Worker) -> None:
+        del workers[worker.conn]
+        worker.conn.close()
+        _stop_worker(worker.process)
 
-    def live_worker_ids() -> list[int]:
-        return [
-            worker_id for worker_id in workers
-            if worker_id not in finished_workers
-            and worker_id not in crashed_workers
-        ]
-
-    def handle(message) -> None:
-        kind = message[0]
-        worker_id = message[1]
-        last_heard[worker_id] = time.monotonic()
-        if kind == "start":
-            _, _, shard_index = message
-            if worker_id in crashed_workers:
-                # The worker's death was detected before this (flushed
-                # but not yet drained) message arrived.  Recording it
-                # into in_flight would orphan the shard forever — the
-                # death check skips already-crashed workers — so route
-                # it straight to the retry path instead.
-                retry_or_quarantine(
-                    shard_index,
-                    f"worker {worker_id} crashed (exit code "
-                    f"{crashed_workers[worker_id]})",
-                )
-            else:
-                in_flight[worker_id] = shard_index
-        elif kind == "cell":
-            _, _, shard_index, position, result = message
-            record(position, result)
-            remaining = pending.get(shard_index)
-            if remaining is not None:
-                remaining.discard(position)
-                if not remaining:
-                    pending.pop(shard_index, None)
-                    in_flight.pop(worker_id, None)
-        elif kind == "shard":
-            _, _, stats = message
-            shard_stats.append(stats)
-        elif kind == "done":
-            finished_workers.add(worker_id)
-            in_flight.pop(worker_id, None)
-
-    def drain() -> None:
-        while True:
+    def dispatch() -> None:
+        """Hand queued shards to idle workers, spawning up to ``jobs``."""
+        while todo:
+            worker = next(
+                (w for w in workers.values() if w.shard is None), None
+            )
+            if worker is None:
+                if len(workers) >= jobs:
+                    return
+                worker = spawn()
             try:
-                handle(result_queue.get_nowait())
-            except queue_module.Empty:
-                return
+                worker.conn.send(todo[0])
+            except OSError:
+                retire(worker)  # died while idle: no shard is charged
+                continue
+            worker.shard = todo.popleft()
+            worker.pending = {position for position, _ in worker.shard.cells}
+            worker.last_heard = time.monotonic()
 
-    def quarantine(shard_index: int, reason: str) -> None:
-        remaining = pending.pop(shard_index, None)
-        if not remaining:
-            return
-        shard = shards_by_index[shard_index]
-        for position, cell in shard.cells:
-            if position in remaining:
+    def lost(worker: _Worker, hung: bool = False) -> None:
+        """Stop a dead or hung worker, then re-queue the unfinished cells
+        of the shard it held or quarantine them at the attempt cap."""
+        retire(worker)
+        shard = worker.shard
+        if shard is None or not worker.pending:
+            return  # nothing unfinished, so no shard is charged
+        cells = [(p, c) for p, c in shard.cells if p in worker.pending]
+        reason = f"worker {worker.id} " + (
+            f"hung (no progress for {worker_timeout:g}s)" if hung
+            else f"crashed (exit code {worker.process.exitcode})"
+        )
+        if shard.attempt > MATRIX_RETRIES:
+            reason = f"{reason}; giving up after {shard.attempt} attempts"
+            for position, cell in cells:
                 record(position, CellResult(
-                    cell=cell,
-                    degraded=limits.CRASHED,
-                    error=reason,
+                    cell=cell, degraded=limits.CRASHED, error=reason,
                     notes=[reason],
                 ))
-
-    def retry_or_quarantine(shard_index: int, reason: str) -> None:
-        remaining = pending.get(shard_index)
-        if not remaining:
-            pending.pop(shard_index, None)
-            return
-        shard = shards_by_index[shard_index]
-        if shard.attempt >= max_attempts:
-            quarantine(
-                shard_index,
-                f"{reason}; giving up after {shard.attempt} attempts",
-            )
-            return
-        retry = _Shard(
-            index=shard.index,
-            key=shard.key,
-            cells=[(p, c) for p, c in shard.cells if p in remaining],
-            attempt=shard.attempt + 1,
-        )
-        shards_by_index[shard_index] = retry
-        time.sleep(MATRIX_BACKOFF * shard.attempt)
-        task_queue.put(retry)
-        # Replace the lost capacity (and guarantee at least one live
-        # worker exists to pick the retry up).
-        spawn_worker()
+        else:
+            time.sleep(MATRIX_BACKOFF * shard.attempt)
+            todo.append(replace(shard, cells=cells, attempt=shard.attempt + 1))
 
     try:
-        for _ in range(jobs):
-            spawn_worker()
-        while pending:
-            try:
-                handle(result_queue.get(timeout=0.2))
-                stalled_since = None
-                continue
-            except queue_module.Empty:
-                pass
-            drain()
-            # Workers that died without saying goodbye.
-            for worker_id, worker in list(workers.items()):
-                if (
-                    worker.is_alive()
-                    or worker_id in finished_workers
-                    or worker_id in crashed_workers
-                ):
+        dispatch()
+        while busy := [w for w in workers.values() if w.shard is not None]:
+            timeout = None
+            if worker_timeout is not None:
+                timeout = max(0.0, min(w.last_heard for w in busy)
+                              + worker_timeout - time.monotonic())
+            for conn in wait(list(workers), timeout):
+                worker = workers[conn]
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):  # a torn message is a death too
+                    lost(worker)
                     continue
-                crashed_workers[worker_id] = worker.exitcode
-                shard_index = in_flight.pop(worker_id, None)
-                if shard_index is not None:
-                    retry_or_quarantine(
-                        shard_index,
-                        f"worker {worker_id} crashed "
-                        f"(exit code {worker.exitcode})",
-                    )
-            # Hung workers: an in-flight shard with no message for too
-            # long.  Kill (terminate is not enough for a SIGTERM-ignoring
-            # worker) and treat like a crash.
+                worker.last_heard = time.monotonic()
+                if message[0] == "cell":
+                    _, position, result = message
+                    worker.pending.discard(position)
+                    record(position, result)
+                else:
+                    shard_stats.append(message[1])
+                    worker.shard = None
             if worker_timeout is not None:
                 now = time.monotonic()
-                for worker_id in list(in_flight):
-                    if (
-                        worker_id in finished_workers
-                        or worker_id in crashed_workers
-                    ):
-                        continue
-                    if now - last_heard.get(worker_id, now) <= worker_timeout:
-                        continue
-                    worker = workers[worker_id]
-                    _stop_worker(worker)
-                    crashed_workers[worker_id] = "hung"
-                    shard_index = in_flight.pop(worker_id)
-                    retry_or_quarantine(
-                        shard_index,
-                        f"worker {worker_id} hung (no progress for "
-                        f"{worker_timeout:g}s)",
-                    )
-            if pending and not live_worker_ids():
-                # Every worker is gone (e.g. crashes with no in-flight
-                # shard consumed no retry): bring capacity back, or give
-                # the remaining shards up if the spawn budget is gone.
-                if not spawn_worker():
-                    drain()
-                    for shard_index in list(pending):
-                        quarantine(
-                            shard_index,
-                            "no live workers left and respawn budget "
-                            "exhausted",
-                        )
-                    task_queue.cancel_join_thread()
-                    break
-            # Stall detection: live workers, nothing in flight, nothing
-            # arriving, but cells still pending — a shard was lost with
-            # its "start" message (a crash can lose the queue tail).
-            if pending and not in_flight and task_queue.empty():
-                now = time.monotonic()
-                if stalled_since is None:
-                    stalled_since = now
-                elif now - stalled_since > 5.0:
-                    drain()
-                    if pending and not in_flight and task_queue.empty():
-                        for shard_index in list(pending):
-                            quarantine(
-                                shard_index,
-                                "shard lost in transit (worker crashed "
-                                "before reporting it)",
-                            )
-                    stalled_since = None
-            else:
-                stalled_since = None
-
-        for worker_id in live_worker_ids():
-            task_queue.put(None)
+                for worker in list(workers.values()):
+                    silent = now - worker.last_heard
+                    if worker.shard is not None and silent > worker_timeout:
+                        lost(worker, hung=True)
+            dispatch()
         for worker in workers.values():
-            worker.join(timeout=5)
-            if worker.is_alive():
-                _stop_worker(worker)
-        drain()  # trailing "shard"/"done" messages sent after the last cell
-    except KeyboardInterrupt:
-        # Ctrl-C (or the interrupt fault injection): tear the pool down
-        # instead of leaving orphaned workers grinding on solver calls,
-        # then re-raise so the caller (the CLI maps it to exit code 130)
-        # still sees the interrupt.  _stop_worker escalates terminate →
-        # kill, so even a SIGTERM-ignoring worker is reaped.
+            with contextlib.suppress(OSError):
+                worker.conn.send(None)
         for worker in workers.values():
-            _stop_worker(worker)
-        task_queue.cancel_join_thread()
-        result_queue.cancel_join_thread()
-        raise
-
+            worker.process.join(timeout=5)
+    finally:
+        # Also on Ctrl-C (or the interrupt fault), which then propagates
+        # (the CLI maps it to exit code 130): no worker is left behind.
+        for worker in list(workers.values()):
+            retire(worker)
     return finish(jobs, len(shards))

@@ -334,18 +334,13 @@ def iriw_allowed(
     model = get_model(model)
     compiled = compiled_litmus(litmus)
     encoded = encode_test(compiled, model, backend_factory=backend_factory)
-    # Locate the r1a/r1b/r2a/r2b cells by their global layout position:
-    # globals are x, y, r1a, r1b, r2a, r2b -> indices 1..6.
+    # Each reader stores what it saw into r1a/r1b/r2a/r2b unconditionally,
+    # so the outcome is "every such store writes the wanted value".
     layout = compiled.layout
     wanted = {"r1a": 1, "r1b": 0, "r2a": 1, "r2b": 0}
     handles = []
     for name, value in wanted.items():
         base = layout.global_base(name)
-        # Find the last store to that global (the reader writes it) and
-        # constrain the *final* memory value instead; simpler: constrain via
-        # a load we add?  Easiest is to constrain the stores' values: the
-        # readers store their observations unconditionally, so require the
-        # stored value to equal the wanted one.
         for thread in encoded.threads:
             for access in thread.accesses:
                 if access.is_store and access.addr_candidates == [base]:

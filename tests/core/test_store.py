@@ -151,6 +151,24 @@ class TestKeySensitivity:
         _, warm = _check("msn", "T0", "sc", store=True)
         assert warm.stats.store_hit is True
 
+    def test_native_kernel_source_changes_key(self, tmp_path, monkeypatch):
+        """The default solver is C: editing ``cdcl.c`` must move every
+        key, like editing any Python file of the checker."""
+        package = tmp_path / "repro"
+        (package / "core").mkdir(parents=True)
+        (package / "core" / "store.py").write_text("# store\n")
+        kernel = package / "sat" / "native" / "cdcl.c"
+        kernel.parent.mkdir(parents=True)
+        kernel.write_text("int solve(void) { return 0; }\n")
+        monkeypatch.setattr(
+            store_module, "__file__", str(package / "core" / "store.py")
+        )
+        monkeypatch.setattr(store_module, "_code_fingerprint", None)
+        before = store_module.code_fingerprint()
+        kernel.write_text("int solve(void) { return 1; }\n")
+        monkeypatch.setattr(store_module, "_code_fingerprint", None)
+        assert store_module.code_fingerprint() != before
+
     def test_content_key_is_deterministic(self):
         parts = ["impl", "source", ["T0", "init", "threads"], "sc", [2, True]]
         assert content_key(VERDICT_KIND, parts) == content_key(

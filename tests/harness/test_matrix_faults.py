@@ -93,6 +93,44 @@ class TestHangWatchdog:
         )
 
 
+class TestExternalKill:
+    def test_sigkilled_workers_are_replaced_and_idle_deaths_cost_nothing(
+        self, monkeypatch
+    ):
+        """Workers SIGKILLed from outside, as the OOM killer would: one
+        worker hangs on its shard (no watchdog), and once every other cell
+        is recorded the progress callback kills every live worker.  The
+        hung shard is retried once and the run ends verdict-identical;
+        the other worker died holding no unfinished cell, so no shard is
+        charged for it."""
+        cells = litmus_cells(["sc", "relaxed"])
+        clean = run_matrix(cells, jobs=2)
+        victim = cells[0]
+        hung = [cell for cell in cells if cell.test == victim.test]
+        monkeypatch.setenv(FAULT_ENV, f"worker-hang:{victim.key}")
+        monkeypatch.delenv(WORKER_TIMEOUT_ENV, raising=False)
+        before = {id(p) for p in multiprocessing.active_children()}
+
+        def kill_all_workers(done, total, _result):
+            if done == total - len(hung):
+                for process in _spawned_since(before):
+                    process.kill()
+                    process.join(timeout=10)
+
+        matrix = run_matrix(cells, jobs=2, progress=kill_all_workers)
+        assert _verdicts(matrix) == _verdicts(clean)
+        assert matrix.ok
+        attempts = {}
+        for stats in matrix.shard_stats:
+            assert stats["shard"] not in attempts
+            attempts[stats["shard"]] = stats["attempt"]
+        assert attempts.pop(0) == 2
+        assert attempts and all(a == 1 for a in attempts.values())
+        for process in _spawned_since(before):
+            process.join(timeout=10)
+        assert not any(p.is_alive() for p in _spawned_since(before))
+
+
 class TestCellTimeout:
     def test_cell_timeout_fault_degrades_to_timeout_verdict(self, monkeypatch):
         cells = litmus_cells(["sc"])

@@ -109,6 +109,54 @@ class TestSolverSpecValidation:
         assert "auto, internal, or ipasir:<path" in lines[0]
 
 
+class TestUnknownNames:
+    """An unknown implementation, test or model name is a usage error in
+    every command that takes one: one stderr line and exit 2 (not exit 1,
+    which is FAIL), before any work."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["check", "--impl", "nosuch", "--test", "T0"], "nosuch"),
+        (["check", "--impl", "msn", "--test", "T99"], "T99"),
+        (["check", "--impl", "msn", "--test", "T0", "--model", "weird"],
+         "weird"),
+        (["sweep", "--impl", "msn", "--test", "T0", "--models", "sc,weird"],
+         "weird"),
+        (["spec", "--impl", "msn", "--test", "T99"], "T99"),
+        (["litmus", "--model", "weird"], "weird"),
+        (["matrix", "--impls", "msn,nosuch", "--models", "sc", "--quiet"],
+         "nosuch"),
+        (["matrix", "--impls", "msn-nosuch", "--models", "sc", "--quiet"],
+         "msn-nosuch"),
+        (["matrix", "--impls", "msn", "--models", "sc,weird", "--quiet"],
+         "weird"),
+        (["oracle", "--litmus", "store-buffering", "--model", "weird"],
+         "weird"),
+        (["synthesize", "--impl", "nosuch", "--test", "T0"], "nosuch"),
+        (["synthesize", "--spec", "x=1 r0=y | y=1 r1=x", "--models",
+          "tso,weird"], "weird"),
+        (["fuzz", "--budget", "1", "--models", "sc,weird", "--quiet"],
+         "weird"),
+    ])
+    def test_unknown_name_is_a_usage_error(self, argv, name, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"{argv[0]}: unknown ")
+        assert repr(name) in lines[0]
+
+    def test_matrix_tests_stay_per_cell_errors(self, capsys):
+        """``matrix --tests`` is not resolved up front: a test missing
+        from an implementation's category is that cell's ERROR."""
+        code = main([
+            "matrix", "--impls", "msn", "--tests", "T99", "--models", "sc",
+            "--quiet",
+        ])
+        assert code == 1
+        assert "ERROR" in capsys.readouterr().out
+
+
 class TestOracleCommand:
     def test_litmus_agreement(self, capsys):
         code = main(["oracle", "--litmus", "store-buffering", "--model", "tso"])
