@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 
+from repro.core import limits
 from repro.core.checker import CheckFence, CheckOptions
 from repro.core.session import CheckSession
 from repro.datatypes.registry import (
@@ -36,8 +37,10 @@ from repro.datatypes.registry import (
 from repro.harness.catalog import get_test, test_names
 from repro.harness.matrix import (
     SHARD_AXES,
+    WORKER_TIMEOUT_ENV,
     JournalError,
     catalog_cells,
+    default_jobs,
     litmus_cells,
     run_matrix,
 )
@@ -237,7 +240,7 @@ def _cmd_litmus(args) -> int:
     print(format_table(["test", "observation", "verdict"], rows))
     for failed in matrix.errors:
         print(f"error in {failed.cell.key}: {failed.error}", file=sys.stderr)
-    return 2 if matrix.errors else _degraded_exit(matrix.results)
+    return 1 if matrix.errors else _degraded_exit(matrix.results)
 
 
 def _matrix_progress(done: int, total: int, result) -> None:
@@ -558,9 +561,7 @@ def _cmd_fuzz(args) -> int:
               f"{'; '.join(entry['notes'])}", file=sys.stderr)
     for failed in result.matrix.errors:
         print(f"error in {failed.cell.key}: {failed.error}", file=sys.stderr)
-    if result.matrix.errors:
-        return 2
-    if not result.ok:
+    if result.matrix.errors or not result.ok:
         return 1
     # Divergence-free but incomplete: degraded cells exit 3, never 0.
     return _degraded_exit(result.matrix.results)
@@ -917,12 +918,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # A bad solver spec or an unknown name is a usage error, reported
-    # before any work.
+    # A bad solver spec, an unknown name or a malformed CHECKFENCE_*
+    # number is a usage error, reported before any work.
     try:
         if hasattr(args, "solver"):
             make_backend_factory(args.solver)
         _resolve_names(args)
+        default_jobs()
+        for variable in (
+            limits.TIMEOUT_ENV, limits.MEMORY_LIMIT_ENV, WORKER_TIMEOUT_ENV,
+        ):
+            limits.env_float(variable)
     except (ValueError, KeyError) as exc:
         # args[0]: str() of a KeyError would quote the message.
         print(f"{args.command}: {exc.args[0]}", file=sys.stderr)

@@ -49,8 +49,6 @@ class CheckOptions:
     lazy_loop_bounds: bool = False
     #: Apply the range analysis of Section 3.4 (Fig. 11c turns it off).
     use_range_analysis: bool = True
-    #: Also search for assertion violations (Section 4.1 bugs).
-    check_assertions: bool = True
     #: SAT backend spec: "auto" (the native kernel), "internal" (the
     #: pure-Python kernel) or "ipasir:<path>" (see
     #: :mod:`repro.sat.backend`, which also decides whether the CNF

@@ -100,10 +100,8 @@ def build_trace(
     }
     layout = encoded.ctx.layout
     executed = encoded.decode_memory_order(model)
-    dense = {a.index: p for p, a in enumerate(encoded.order.accesses)}
     trace_position = {
-        dense[access.index]: position
-        for position, access in enumerate(executed)
+        access.index: position for position, access in enumerate(executed)
     }
     sources = encoded.decode_sources(model)
     steps: list[TraceStep] = []
@@ -111,7 +109,7 @@ def build_trace(
         decoded = encoded.decode_access(access, model)
         source = None
         if access.is_load:
-            source = sources[dense[access.index]]
+            source = sources[access.index]
             if source is not None:
                 source = trace_position[source]
         steps.append(

@@ -86,14 +86,17 @@ def current_rss_bytes() -> Optional[int]:
         return None
 
 
-def _env_float(name: str) -> Optional[float]:
+def env_float(name: str) -> Optional[float]:
+    """The positive number in environment variable ``name``; ``None``
+    when it is unset, empty or not positive.  A value that is not a
+    number raises :class:`ValueError` naming the variable."""
     raw = os.environ.get(name, "").strip()
     if not raw:
         return None
     try:
         value = float(raw)
     except ValueError:
-        return None
+        raise ValueError(f"{name} must be a number, got {raw!r}") from None
     return value if value > 0 else None
 
 
@@ -202,10 +205,10 @@ def deadline_from_options(options) -> Optional[Deadline]:
     """Build a Deadline from CheckOptions + environment fallbacks."""
     timeout = getattr(options, "timeout", None)
     if timeout is None:
-        timeout = _env_float(TIMEOUT_ENV)
+        timeout = env_float(TIMEOUT_ENV)
     memory = getattr(options, "memory_limit_mb", None)
     if memory is None:
-        memory = _env_float(MEMORY_LIMIT_ENV)
+        memory = env_float(MEMORY_LIMIT_ENV)
     if timeout is None and memory is None:
         return None
     return Deadline(timeout_seconds=timeout, memory_limit_mb=memory)

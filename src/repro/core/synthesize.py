@@ -578,7 +578,6 @@ def _synthesize(
     candidates: list[CandidateFence],
     fenced: Callable[[list[CandidateFence]], CompiledTest],
     backend_factory,
-    check_assertions: bool,
     exact_budget: int,
 ) -> SynthesisResult:
     """The search both front ends share: probe the assertion and inclusion
@@ -594,7 +593,7 @@ def _synthesize(
         )
         encoded.expect_enumeration()  # many solves on one formula
         probes: list[_Query] = []
-        if check_assertions and encoded.assertions:
+        if encoded.assertions:
             violation = assertion_violation(encoded)
             probes.append(
                 _Query(f"{model.name}/assertion", encoded, [violation])
@@ -658,8 +657,7 @@ def _synthesize(
         (search.by_label[label] for label in labels), key=lambda c: c.label
     )
     verified_sufficient = _verify_concrete(
-        fenced(fences), models, specification, backend_factory,
-        check_assertions,
+        fenced(fences), models, specification, backend_factory
     )
     # 1-minimality certificate on the warm formulas: dropping any single
     # fence must re-FAIL some query.
@@ -692,7 +690,6 @@ def _verify_concrete(
     models: list[MemoryModel],
     specification: ObservationSet,
     backend_factory,
-    check_assertions: bool,
 ) -> bool:
     """Re-check a program compiled with the synthesized fences as
     unconditional fences — entirely independent of the selector
@@ -700,7 +697,7 @@ def _verify_concrete(
     formula per model."""
     for model in models:
         encoded = encode_test(compiled, model, backend_factory=backend_factory)
-        if check_assertions and not run_assertion_check(
+        if not run_assertion_check(
             compiled, model, specification.labels, encoded=encoded
         ).passed:
             return False
@@ -763,7 +760,6 @@ def synthesize_fences(
         candidates,
         lambda fences: compile_program(apply_fences(session.program, fences)),
         backend_factory=session.backend_factory,
-        check_assertions=options.check_assertions,
         exact_budget=options.synthesis_budget,
     )
 
@@ -830,7 +826,6 @@ def synthesize_litmus(
         litmus_candidates(program),
         lambda fences: program.with_fences(placements_of(fences)).compile(),
         backend_factory=backend_factory,
-        check_assertions=True,
         exact_budget=exact_budget,
     )
 

@@ -111,9 +111,6 @@ class EncodingContext:
     def assert_true(self, handle: int) -> None:
         self.lowering.assert_true(handle)
 
-    def assert_clause(self, handles) -> None:
-        self.lowering.assert_clause(list(handles))
-
     def fresh_value(self, name: str) -> BitVec:
         return self.bvb.fresh(self.width, name)
 
@@ -126,8 +123,12 @@ class EncodingContext:
         return self.bvb.const(value, self.width)
 
     def new_access_index(self) -> int:
+        """The next access's index: accesses count 0, 1, ... in creation
+        order, so an index is the access's position in the test's access
+        list (:class:`repro.encoding.memory.AccessTable`)."""
+        index = self._access_counter
         self._access_counter += 1
-        return self._access_counter
+        return index
 
     def new_atomic_group(self) -> int:
         self._atomic_counter += 1
@@ -597,26 +598,26 @@ class EncodedTest:
     def decode_memory_order(self, model: dict[int, bool]) -> list[MemoryAccess]:
         """The executed accesses in a linear extension of the memory order.
 
-        Under the pruned encoding some pairs carry no order information at
-        all (they were proven order-irrelevant), so the model only fixes a
+        Reads each pair's literal out of the order table
+        (:attr:`repro.encoding.memory.MemoryOrderEncoding.table`).  Under
+        the pruned encoding some pairs carry no order information at all
+        (they were proven order-irrelevant), so the model only fixes a
         partial order; a deterministic topological sort (ties broken by
-        access position) produces a total order consistent with it.
+        access index) produces a total order consistent with it.
         """
-        accesses = self.order.accesses
-        positions = [
-            p for p, a in enumerate(accesses)
-            if self._evaluate(a.guard, model)
+        resolved = self.order.resolved
+        executed = [
+            a for a in self.order.accesses if self._evaluate(a.guard, model)
         ]
-        executed = [accesses[p] for p in positions]
         count = len(executed)
         successors: list[list[int]] = [[] for _ in range(count)]
         indegree = [0] * count
         for x in range(count):
             for y in range(x + 1, count):
-                handle = self.order.resolved(positions[x], positions[y])
-                if handle is None:
+                lit = resolved(executed[x].index, executed[y].index)
+                if lit is None:
                     continue
-                if self._evaluate(handle, model):
+                if model.get(abs(lit), False) == (lit > 0):
                     successors[x].append(y)
                     indegree[y] += 1
                 else:
@@ -638,7 +639,7 @@ class EncodedTest:
 
     def decode_sources(self, model: dict[int, bool]) -> dict[int, int | None]:
         """The store each load read, from its reads-from selectors: load
-        position -> store position, or ``None`` for the initial value.
+        index -> store index, or ``None`` for the initial value.
         Every load the model executes has exactly one entry."""
         out: dict[int, int | None] = {}
         for load, selectors in self.order.sources.items():
@@ -778,10 +779,10 @@ def _prewarm_shared_terms(
     # under every registered model and feed the core relation below.
     # Pairs already ordered by the fence/atomic/init core are built (so
     # every fork shares the construction) but not marked for pre-lowering:
-    # the same-address axiom folds their order handle to TRUE and never
-    # references the comparison.  Constant pairs go to table.const_edges.
+    # their order-table entry is the constant TRUE, so the same-address
+    # axiom never references the comparison.  Constant pairs go to
+    # table.const_edges.
     prelower: list[int] = []
-    position = table.position
     core_reach = table.closure(table.core_successors)
     for first, second in table.same_thread_pairs:
         if first.thread == INIT_THREAD or not second.is_store:
@@ -795,10 +796,7 @@ def _prewarm_shared_terms(
             term = context.addr_eq(first, second)
             if term == Circuit.TRUE:
                 table.const_edges.append((first, second))
-            elif not (
-                (core_reach[position[first.index]]
-                 >> position[second.index]) & 1
-            ):
+            elif not (core_reach[first.index] >> second.index) & 1:
                 prelower.append(term)
 
     successors = list(table.core_successors)
@@ -806,9 +804,9 @@ def _prewarm_shared_terms(
     reach = table.closure(successors)
     for load, stores in table.candidates:
         prelower.append(context.initial_value_term(load))
-        load_reach = reach[position[load.index]]
+        load_reach = reach[load.index]
         for store in stores:
-            if (load_reach >> position[store.index]) & 1:
+            if (load_reach >> store.index) & 1:
                 continue  # store after load in every model: invisible
             prelower.append(context.addr_eq(load, store))
     return prelower

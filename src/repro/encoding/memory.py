@@ -1,8 +1,8 @@
 """The memory-model formula ``Theta`` (Section 3.2.1).
 
 Given the per-thread symbolic encodings, this module introduces the memory
-order variables ``Mxy`` (with antisymmetry by sharing the variable and
-transitivity by explicit clauses), and asserts
+order ``<M`` — one variable per access pair, with antisymmetry by sharing the
+variable and transitivity by explicit clauses — and asserts
 
 * the program-order axioms of the chosen memory model, "initialization
   happens first" for the init thread and program order inside atomic
@@ -18,34 +18,38 @@ transitivity by explicit clauses), and asserts
 * for the Seriality model, the operation-atomicity constraints used to mine
   the specification.
 
+The whole relation lives in one place, :attr:`MemoryOrderEncoding.table`: a
+flat list indexed ``i * n + j`` by access index (an access's ``index`` is
+its position in the test's access list) holding the CNF literal of
+``accesses[i] <M accesses[j]``.
+
 The paper's construction gives every pair of accesses an order variable
 and asserts full O(n^3) transitivity.  This module builds a pruned
 equivalent instead.  A *static order resolver* first decides every pair
 whose direction is forced unconditionally — preserved program order,
 init-first, atomic-block-internal order, always-executed fences, constant
 same-address store pairs — and takes the transitive closure.  Everything
-about the accesses that no memory model changes (their dense positions,
-alias sets, per-thread order, fence pairs, atomic groups, may-alias
-candidate stores and the *core* of that static order) lives in one
-:class:`AccessTable`, built once per encoding skeleton; a per-model layer
-starts from the core and adds only its own model's edges.
-:meth:`MemoryOrderEncoding.order` constant-folds those pairs to
-``TRUE``/``FALSE`` instead of minting a variable plus a unit clause.  Order
-variables are minted only for pairs that can influence outcomes: pairs
-queried by the value axioms (a load and its may-alias candidate stores, and
-those stores among each other), by conditional fence/same-address/atomic/
-seriality constraints, plus the *fill* pairs produced by triangulating the
-resulting constraint graph (min-degree elimination).  Transitivity is
-asserted as two no-3-cycle clauses per elimination triangle, with statically
-known edges folded into binary implications; triangulating the support
-graph makes the triangle constraints equivalent to full transitivity (every
-cycle in a chordal graph has a chord, so acyclic triangles imply an acyclic
-— hence linearizable — order).  Pairs that appear in no constraint get no
-variable at all; counterexample decoding topologically sorts the remaining
-partial order (:meth:`repro.encoding.formula.EncodedTest
-.decode_memory_order`).  The operational enumerator
-(:mod:`repro.oracle.enumerator`) and the reads-from engine
-(:mod:`repro.rfcheck`) check the resulting outcome sets independently.
+about the accesses that no memory model changes (alias sets, per-thread
+order, fence pairs, atomic groups, may-alias candidate stores and the
+*core* of that static order) lives in one :class:`AccessTable`, built once
+per encoding skeleton; a per-model layer starts from the core and adds only
+its own model's edges.  Those pairs hold the lowering's constant literals
+``1``/``-1`` instead of a variable plus a unit clause.  Order variables are
+minted only for pairs that can influence outcomes: pairs queried by the
+value axioms (a load and its may-alias candidate stores, and those stores
+among each other), by conditional fence/same-address/atomic/seriality
+constraints, plus the *fill* pairs produced by triangulating the resulting
+constraint graph (min-degree elimination).  Transitivity is asserted as two
+no-3-cycle clauses per elimination triangle, with statically known edges
+folded into binary implications; triangulating the support graph makes the
+triangle constraints equivalent to full transitivity (every cycle in a
+chordal graph has a chord, so acyclic triangles imply an acyclic — hence
+linearizable — order).  Pairs that appear in no constraint get no variable
+at all; counterexample decoding topologically sorts the remaining partial
+order (:meth:`repro.encoding.formula.EncodedTest.decode_memory_order`).
+The operational enumerator (:mod:`repro.oracle.enumerator`) and the
+reads-from engine (:mod:`repro.rfcheck`) check the resulting outcome sets
+independently.
 """
 
 from __future__ import annotations
@@ -62,56 +66,41 @@ from repro.sat.circuit import Circuit
 
 @dataclass
 class MemoryOrderEncoding:
-    """The order relation, for the axioms and for decoding counterexamples.
+    """The memory order of one layer, for the axioms and for decoding
+    counterexamples.
 
-    A pair of accesses is in exactly one of three states:
+    ``table[i * n + j]`` (``n = len(accesses)``) is the CNF literal of
+    ``accesses[i] <M accesses[j]``, so a pair's two entries are negations
+    of each other, and it is in exactly one of three states:
 
-    * **statically resolved** (``static_pairs``): the direction is forced by
-      the model regardless of the solver's choices; :meth:`order` returns
-      the constant ``TRUE``/``FALSE`` handle.
-    * **live** (``order_vars``): a SAT variable decides the direction.
-    * **dead** (neither): no constraint ever mentions the pair; it has no
-      variable, and :meth:`order` raises.  :meth:`resolved` returns ``None``
-      so decoders can treat the pair as unordered.
+    * **statically resolved**: the direction is forced by the model
+      regardless of the solver's choices; the entry is ``1`` or ``-1``,
+      the lowering's constant TRUE/FALSE (equal to :attr:`Circuit.TRUE`
+      and :attr:`Circuit.FALSE`).
+    * **live**: an order variable (or its negation) decides the direction.
+    * **dead**: no constraint ever mentions the pair; the entry is
+      ``None``, so decoders treat the pair as unordered.  So is the
+      diagonal.
+
+    An entry is a CNF literal, not a circuit handle: read it under a model
+    as ``model[abs(lit)] == (lit > 0)``.
     """
 
     accesses: list[MemoryAccess]
-    order_vars: dict[tuple[int, int], int] = field(default_factory=dict)
-    #: Statically resolved pairs, keyed ``(i, j)`` with ``i < j``; the value
-    #: is ``True`` when ``accesses[i] <M accesses[j]``.
-    static_pairs: dict[tuple[int, int], bool] = field(default_factory=dict)
+    table: list[int | None]
     #: Reads-from selectors of every load that can execute, keyed by the
-    #: load's position: ``(source, literal)`` per possible source, where
-    #: ``source`` is the position of a store, or ``None`` for the initial
+    #: load's index: ``(source, literal)`` per possible source, where
+    #: ``source`` is the index of a store, or ``None`` for the initial
     #: value, and ``literal`` is the selector's CNF literal.  Exactly one
     #: selector is true in a model that executes the load.
     sources: dict[int, list[tuple[int | None, int]]] = field(
         default_factory=dict
     )
 
-    def order(self, first: int, second: int) -> int:
-        """Circuit handle for ``access[first] <M access[second]``."""
-        handle = self.resolved(first, second)
-        if handle is None:
-            raise KeyError(
-                f"no order constraint between accesses {first} and {second} "
-                "(the pruned encoding proved the pair order-irrelevant)"
-            )
-        return handle
-
     def resolved(self, first: int, second: int) -> int | None:
-        """Like :meth:`order`, but ``None`` for dead pairs."""
-        if first == second:
-            raise ValueError("an access is never ordered before itself")
-        forward = first < second
-        key = (first, second) if forward else (second, first)
-        static = self.static_pairs.get(key)
-        if static is not None:
-            return Circuit.TRUE if static == forward else Circuit.FALSE
-        var = self.order_vars.get(key)
-        if var is None:
-            return None
-        return var if forward else -var
+        """The literal of ``accesses[first] <M accesses[second]``, or
+        ``None`` for a dead pair."""
+        return self.table[first * len(self.accesses) + second]
 
 
 class AccessTable:
@@ -119,9 +108,10 @@ class AccessTable:
 
     Built once per encoding skeleton (:func:`repro.encoding.formula
     .build_skeleton`) and read by the skeleton's term prewarm and by every
-    :class:`MemoryModelEncoder` layer, none of which may mutate it.  Pairs
-    are keyed by *dense positions*: an access's index in :attr:`accesses`
-    (global access indices may have gaps).
+    :class:`MemoryModelEncoder` layer, none of which may mutate it.  An
+    access's ``index`` is its position in :attr:`accesses`: the encoder
+    numbers accesses 0, 1, ... in creation order, and every thread's
+    accesses are here.
 
     The *core* order (:attr:`core_successors`) holds the static edges the
     encoder asserts for every model without consulting it: init-thread
@@ -134,7 +124,6 @@ class AccessTable:
         self.accesses = sorted(
             (a for t in threads for a in t.accesses), key=lambda a: a.index
         )
-        self.position = {a.index: p for p, a in enumerate(self.accesses)}
         self.alias_sets: dict[int, frozenset | None] = {
             a.index: (
                 frozenset(a.addr_candidates)
@@ -199,13 +188,12 @@ class AccessTable:
 
     def add_edges(self, successors: list[int], pairs) -> None:
         """Add ``first -> second`` for every pair to the successor masks."""
-        position = self.position
         for first, second in pairs:
-            successors[position[first.index]] |= 1 << position[second.index]
+            successors[first.index] |= 1 << second.index
 
     def closure(self, successors: list[int]) -> list[int]:
         """Reachability bitmasks of a static edge relation (one successor
-        mask per dense position), by one reverse topological sweep."""
+        mask per access index), by one reverse topological sweep."""
         reach = [0] * len(successors)
         for p in reversed(self._topo):
             result = successors[p]
@@ -303,9 +291,9 @@ class AccessTable:
         ))
         others = 0
         for access in self.other_accesses:
-            others |= 1 << self.position[access.index]
+            others |= 1 << access.index
         for access in self.init_accesses:
-            successors[self.position[access.index]] |= others
+            successors[access.index] |= others
         return successors
 
 
@@ -323,7 +311,10 @@ class MemoryModelEncoder:
         self.model = model
         self.table = table
         self.accesses = table.accesses
-        self.encoding = MemoryOrderEncoding(accesses=table.accesses)
+        n = len(table.accesses)
+        self.encoding = MemoryOrderEncoding(
+            accesses=table.accesses, table=[None] * (n * n)
+        )
         #: Candidate stores per load, visibility-pruned by
         #: :meth:`_prune_value_candidates`.
         self._value_candidates: list[tuple[MemoryAccess, list[MemoryAccess]]] = []
@@ -331,11 +322,11 @@ class MemoryModelEncoder:
         #: assertion pass, and quadratic, so built per layer rather than
         #: kept alive on the skeleton.
         self._exclusion_triples = self._atomic_exclusion_triples()
-        #: Handle of every resolvable pair, doubly keyed by global access
-        #: index; built by :meth:`_build_order_handle_map` after variable
-        #: creation.
-        self._order_handles: dict[tuple[int, int], int] = {}
+        #: Reachability masks of the static order, per access index.
+        self._static_reach: list[int] = []
         # Size counters surfaced through EncodingStatistics.
+        self.static_pair_count = 0
+        self.order_var_count = 0
         self.transitivity_clause_count = 0
         self.value_clause_count = 0
 
@@ -345,7 +336,6 @@ class MemoryModelEncoder:
         self._resolve_static_orders()
         self._prune_value_candidates()
         self._create_live_order_variables()
-        self._build_order_handle_map()
         self._assert_same_address_order()
         self._assert_fences()
         self._assert_atomic_blocks()
@@ -354,27 +344,18 @@ class MemoryModelEncoder:
         self._assert_value_axioms()
         return self.encoding
 
-    # ----------------------------------------------------------- statistics
-
     @property
     def order_pair_count(self) -> int:
         n = len(self.accesses)
         return n * (n - 1) // 2
-
-    @property
-    def order_var_count(self) -> int:
-        return len(self.encoding.order_vars)
-
-    @property
-    def static_pair_count(self) -> int:
-        return len(self.encoding.static_pairs)
 
     # ----------------------------------------------------- static resolution
 
     def _resolve_static_orders(self) -> None:
         """Precompute every unconditionally ordered pair and its closure:
         the skeleton's core order plus this model's constant same-address
-        store pairs and preserved program-order pairs."""
+        store pairs and preserved program-order pairs.  Each closure edge
+        fills its two table entries with the constant literals."""
         table = self.table
         successors = list(table.core_successors)
         table.add_edges(successors, self._same_address_static_edges())
@@ -385,16 +366,18 @@ class MemoryModelEncoder:
             if first.thread != INIT_THREAD
             and preserves(first.kind, second.kind)
         ))
-        static = self.encoding.static_pairs
-        for i, mask in enumerate(table.closure(successors)):
+        reach = table.closure(successors)
+        self._static_reach = reach
+        order = self.encoding.table
+        n = len(self.accesses)
+        for i, mask in enumerate(reach):
+            self.static_pair_count += mask.bit_count()
             while mask:
                 low = mask & -mask
                 j = low.bit_length() - 1
                 mask ^= low
-                if i < j:
-                    static[(i, j)] = True
-                else:
-                    static[(j, i)] = False
+                order[i * n + j] = 1
+                order[j * n + i] = -1
 
     # ------------------------------------------------- conflict restriction
 
@@ -403,44 +386,41 @@ class MemoryModelEncoder:
         assert pruned transitivity over the triangulated support graph."""
         seeds = self._seed_pairs()
         triangles = self._triangulate(seeds)
-        # Order variables are minted unnamed: no decoder reads them back by
-        # name, and the f-string plus two name-table inserts per variable
-        # were a measurable slice of the per-model layer.
-        var = self.ctx.circuit.var
-        order_vars = self.encoding.order_vars
-        for key in sorted(seeds):
-            order_vars[key] = var()
+        # Order variables come straight from the CNF, unnamed: no decoder
+        # reads them back by name.
+        new_var = self.ctx.lowering.cnf.new_var
+        order = self.encoding.table
+        n = len(self.accesses)
+        for i, j in sorted(seeds):
+            var = new_var()
+            order[i * n + j] = var
+            order[j * n + i] = -var
+        self.order_var_count = len(seeds)
         self._assert_transitivity_pruned(triangles)
 
     def _seed_pairs(self) -> set[tuple[int, int]]:
         """Every non-static pair some constraint will mention."""
         seeds: set[tuple[int, int]] = set()
-        position = self.table.position
-        resolved = self.encoding.resolved
+        order = self.encoding.table
+        n = len(self.accesses)
 
         def need(first: MemoryAccess, second: MemoryAccess) -> None:
-            i, j = position[first.index], position[second.index]
-            key = (i, j) if i < j else (j, i)
-            if key not in self.encoding.static_pairs:
-                seeds.add(key)
+            i, j = first.index, second.index
+            if order[i * n + j] is None:
+                seeds.add((i, j) if i < j else (j, i))
 
-        circuit = self.ctx.circuit
         for first, second in self._same_address_pairs():
             need(first, second)
         for first, second, guard in self.table.fence_pairs:
-            if guard != circuit.TRUE:
+            if guard != Circuit.TRUE:
                 if not self.model.preserves(first.kind, second.kind):
                     need(first, second)
         for first, second, other in self._exclusion_triples:
-            first_other = resolved(
-                position[first.index], position[other.index]
-            )
-            other_second = resolved(
-                position[other.index], position[second.index]
-            )
+            first_other = order[first.index * n + other.index]
+            other_second = order[other.index * n + second.index]
             # The clause (not first<other) or (not other<second) is
             # trivially true when either order is statically impossible.
-            if first_other == circuit.FALSE or other_second == circuit.FALSE:
+            if first_other == -1 or other_second == -1:
                 continue
             if first_other is None:
                 need(first, other)
@@ -473,8 +453,8 @@ class MemoryModelEncoder:
         total order.
         """
         n = len(self.accesses)
-        position = self.table.position
-        vertices = [position[a.index] for a in self.table.other_accesses]
+        order = self.encoding.table
+        vertices = [a.index for a in self.table.other_accesses]
         # Adjacency as one bitmask per vertex: membership tests, edge
         # updates and degree counts (popcount) all beat set operations in
         # this loop, and iterating set bits in ascending order gives the
@@ -483,14 +463,19 @@ class MemoryModelEncoder:
         allowed = 0
         for p in vertices:
             allowed |= 1 << p
-        for pairs in (seeds, self.encoding.static_pairs):
-            for i, j in pairs:
-                if (allowed >> i) & 1 and (allowed >> j) & 1:
-                    adjacency[i] |= 1 << j
-                    adjacency[j] |= 1 << i
+        for i, j in seeds:
+            if (allowed >> i) & 1 and (allowed >> j) & 1:
+                adjacency[i] |= 1 << j
+                adjacency[j] |= 1 << i
+        for i in vertices:
+            mask = self._static_reach[i] & allowed
+            adjacency[i] |= mask
+            while mask:
+                low = mask & -mask
+                adjacency[low.bit_length() - 1] |= 1 << i
+                mask ^= low
 
         triangles: list[tuple[int, int, int]] = []
-        static_pairs = self.encoding.static_pairs
         append = triangles.append
         alive = set(vertices)
         # Lazy min-degree heap: entries go stale when a neighbor's degree
@@ -528,7 +513,7 @@ class MemoryModelEncoder:
                         adjacency[a] |= b_bit
                         adjacency[b] |= a_bit
                         # a < b by construction (ascending bit order).
-                        if (a, b) not in static_pairs:
+                        if order[a * n + b] is None:
                             seeds.add((a, b))
             adjacency[vertex] = 0
             for a in neighbors:
@@ -545,28 +530,14 @@ class MemoryModelEncoder:
         already statically impossible emits nothing.
 
         This is the hottest loop of the per-model layer (hundreds of
-        thousands of triangles on the larger tests), so every support-graph
-        edge is resolved to its SAT literal (or static truth value) exactly
-        once up front and the clauses go through the trusted CNF path — the
-        three literals of a triangle clause are distinct order variables by
-        construction, so no per-clause normalization is needed.
+        thousands of triangles on the larger tests), so it reads the order
+        table directly and the clauses go through the trusted CNF path —
+        the three literals of a triangle clause are distinct order
+        variables by construction, so no per-clause normalization is
+        needed.
         """
-        # ``i*n + j`` in *both* orientations -> True/False when statically
-        # resolved, else the SAT literal of "i <M j".  A flat list indexed
-        # arithmetically beats a tuple-keyed dict in the triangle loop;
-        # booleans and literals share the slots: literals always have
-        # |lit| >= 2 (variable 1 is the lowering's constant), so identity
-        # checks against True/False are unambiguous.
         n_acc = len(self.accesses)
-        edges: list = [None] * (n_acc * n_acc)
-        for (i, j), forced in self.encoding.static_pairs.items():
-            edges[i * n_acc + j] = forced
-            edges[j * n_acc + i] = not forced
-        order_vars = self.encoding.order_vars
-        lits = self.ctx.lowering.var_literals(order_vars.values())
-        for (i, j), lit in zip(order_vars, lits):
-            edges[i * n_acc + j] = lit
-            edges[j * n_acc + i] = -lit
+        order = self.encoding.table
         # Clauses are batched into flat buffers and installed in one go;
         # `append` is bound once — this loop dominates layer time on the
         # larger tests.
@@ -577,33 +548,33 @@ class MemoryModelEncoder:
         count = 0
         for v, a, b in triangles:
             row = v * n_acc
-            e1 = edges[row + a]  # v <M a
-            e2 = edges[a * n_acc + b]  # a <M b
-            e3 = edges[row + b]  # v <M b
+            e1 = order[row + a]  # v <M a
+            e2 = order[a * n_acc + b]  # a <M b
+            e3 = order[row + b]  # v <M b
             # cycle v -> a -> b -> v: not(e1 and e2 and not e3)
-            if not (e1 is False or e2 is False or e3 is True):
+            if not (e1 == -1 or e2 == -1 or e3 == 1):
                 n = 0
-                if e1 is not True:
+                if e1 != 1:
                     push(-e1)
                     n += 1
-                if e2 is not True:
+                if e2 != 1:
                     push(-e2)
                     n += 1
-                if e3 is not False:
+                if e3 != -1:
                     push(e3)
                     n += 1
                 push_len(n)
                 count += 1
             # cycle v -> b -> a -> v: not(e3 and not e2 and not e1)
-            if not (e3 is False or e2 is True or e1 is True):
+            if not (e3 == -1 or e2 == 1 or e1 == 1):
                 n = 0
-                if e3 is not True:
+                if e3 != 1:
                     push(-e3)
                     n += 1
-                if e2 is not False:
+                if e2 != -1:
                     push(e2)
                     n += 1
-                if e1 is not False:
+                if e1 != -1:
                     push(e1)
                     n += 1
                 push_len(n)
@@ -612,28 +583,6 @@ class MemoryModelEncoder:
         self.transitivity_clause_count += count
 
     # ---------------------------------------------------------- pair streams
-
-    def _build_order_handle_map(self) -> None:
-        """Resolve every live/static pair to its handle once, keyed by
-        global access index in both orientations, so the axiom emitters
-        (the value axioms in particular call :meth:`_order_of` once per
-        candidate-store pair) skip the position lookup and the per-call
-        key normalization of :meth:`MemoryOrderEncoding.resolved`."""
-        accesses = self.accesses
-        handles: dict[tuple[int, int], int] = {}
-        for (i, j), forced in self.encoding.static_pairs.items():
-            xi, xj = accesses[i].index, accesses[j].index
-            if forced:
-                handles[(xi, xj)] = Circuit.TRUE
-                handles[(xj, xi)] = Circuit.FALSE
-            else:
-                handles[(xi, xj)] = Circuit.FALSE
-                handles[(xj, xi)] = Circuit.TRUE
-        for (i, j), var in self.encoding.order_vars.items():
-            xi, xj = accesses[i].index, accesses[j].index
-            handles[(xi, xj)] = var
-            handles[(xj, xi)] = -var
-        self._order_handles = handles
 
     def _same_address_static_edges(self):
         """Same-address store order with a *constant* address comparison —
@@ -683,70 +632,68 @@ class MemoryModelEncoder:
     # ------------------------------------------------------------ the axioms
 
     def _assert_same_address_order(self) -> None:
-        # addr_eq -> ordered, asserted as one clause directly (routing it
-        # through an implies() node would Tseitin-lower an OR gate per pair
-        # just to assert its output true).
-        circuit = self.ctx.circuit
-        for first, second in self._same_address_pairs():
-            handle = self._order_of(first, second)
-            if handle == circuit.TRUE:
-                continue
-            self.ctx.assert_clause(
-                [-self.ctx.addr_eq(first, second), handle]
-            )
+        addr_eq = self.ctx.addr_eq
+        self._assert_ordered_when(
+            (first, second, addr_eq(first, second))
+            for first, second in self._same_address_pairs()
+        )
 
     def _assert_fences(self) -> None:
-        circuit = self.ctx.circuit
-        for first, second, guard in self.table.fence_pairs:
-            if self.model.preserves(first.kind, second.kind):
-                continue
-            handle = self._order_of(first, second)
-            if handle == circuit.TRUE:
-                continue  # statically resolved (always-executed fence)
-            self.ctx.assert_clause([-guard, handle])
+        # An always-executed fence is a static edge, so it emits nothing.
+        self._assert_ordered_when(
+            (first, second, guard)
+            for first, second, guard in self.table.fence_pairs
+            if not self.model.preserves(first.kind, second.kind)
+        )
+
+    def _assert_ordered_when(self, triples) -> None:
+        """``condition -> first <M second`` for every ``(first, second,
+        condition)`` triple, as one binary clause each through the trusted
+        path (an implies() node would Tseitin-lower an OR gate per pair
+        just to assert its output true).  The condition is a symbolic
+        address comparison or fence guard, never an order variable, so
+        the two literals are distinct."""
+        literal = self.ctx.lowering.literal
+        order = self.encoding.table
+        n = len(self.accesses)
+        buf: list[int] = []
+        for first, second, condition in triples:
+            lit = order[first.index * n + second.index]
+            if lit != 1:
+                buf += (-literal(condition), lit)
+        self.ctx.lowering.cnf.add_clauses_trusted_flat(
+            buf, [2] * (len(buf) // 2)
+        )
 
     def _assert_atomic_blocks(self) -> None:
         # No access of another thread interleaves with an atomic block
         # (program order inside the block is a static edge).  The triple
         # count is the layer's largest clause source after transitivity,
-        # so handles come straight from the prebuilt map (a pair whose
-        # order is statically impossible was never seeded, so a missing
-        # entry means the clause is vacuous), literals are memoized locally
-        # (the same order variables recur across triples), and the clauses
-        # go out through the trusted bulk path — at most two distinct order
-        # literals each, so no normalization is needed.
-        handles = self._order_handles
-        literal = self.ctx.lowering.literal
-        true_handle = Circuit.TRUE
-        false_handle = Circuit.FALSE
-        lit_of: dict[int, int] = {}
+        # so the literals come straight from the order table (a pair whose
+        # order is statically impossible was never seeded, and its clause
+        # is vacuous), and the clauses go out through the trusted bulk
+        # path — at most two distinct order literals each, so no
+        # normalization is needed.
+        order = self.encoding.table
+        n = len(self.accesses)
         buf: list[int] = []
         lengths: list[int] = []
         push = buf.append
         push_len = lengths.append
         for first, second, other in self._exclusion_triples:
-            first_other = handles.get((first.index, other.index))
-            other_second = handles.get((other.index, second.index))
-            if first_other == false_handle or other_second == false_handle:
+            first_other = order[first.index * n + other.index]
+            other_second = order[other.index * n + second.index]
+            if first_other == -1 or other_second == -1:
                 continue  # one of the two orders is statically impossible
             count = 0
-            if first_other != true_handle:
-                lit = lit_of.get(first_other)
-                if lit is None:
-                    lit = literal(first_other)
-                    lit_of[first_other] = lit
-                push(-lit)
+            if first_other != 1:
+                push(-first_other)
                 count += 1
-            if other_second != true_handle:
-                lit = lit_of.get(other_second)
-                if lit is None:
-                    lit = literal(other_second)
-                    lit_of[other_second] = lit
-                push(-lit)
+            if other_second != 1:
+                push(-other_second)
                 count += 1
             # count == 0 (both orders statically forced) appends the empty
-            # clause, marking the formula unsatisfiable exactly as the
-            # generic path did.
+            # clause, marking the formula unsatisfiable.
             push_len(count)
         if lengths:
             self.ctx.lowering.cnf.add_clauses_trusted_flat(buf, lengths)
@@ -760,12 +707,9 @@ class MemoryModelEncoder:
         its output).  Clauses are batched through the trusted path — every
         clause pairs the OP literal with a distinct order literal.
         """
-        circuit = self.ctx.circuit
-        literal = self.ctx.lowering.literal
-        handles = self._order_handles
-        true_handle = Circuit.TRUE
-        false_handle = Circuit.FALSE
-        lit_of: dict[int, int] = {}
+        new_var = self.ctx.lowering.cnf.new_var
+        order = self.encoding.table
+        n = len(self.accesses)
         buf: list[int] = []
         lengths: list[int] = []
         push = buf.append
@@ -773,22 +717,18 @@ class MemoryModelEncoder:
         for group_a, group_b in self.table.invocation_group_pairs:
             first_inv = group_a[0].invocation
             second_inv = group_b[0].invocation
-            op_lit = literal(circuit.var(f"OP[{first_inv},{second_inv}]"))
+            op_lit = new_var(f"OP[{first_inv},{second_inv}]")
             for x in group_a:
-                x_index = x.index
+                row = x.index * n
                 for y in group_b:
-                    handle = handles[(x_index, y.index)]
-                    if handle == true_handle:
+                    lit = order[row + y.index]
+                    if lit == 1:
                         push(op_lit)
                         push_len(1)
-                    elif handle == false_handle:
+                    elif lit == -1:
                         push(-op_lit)
                         push_len(1)
                     else:
-                        lit = lit_of.get(handle)
-                        if lit is None:
-                            lit = literal(handle)
-                            lit_of[handle] = lit
                         push(-lit)
                         push(op_lit)
                         push_len(2)
@@ -816,11 +756,7 @@ class MemoryModelEncoder:
         forwarding does not apply."""
         if self._forwarded(store, load):
             return True
-        position = self.table.position
-        handle = self.encoding.resolved(
-            position[store.index], position[load.index]
-        )
-        return handle != self.ctx.circuit.FALSE
+        return self.encoding.resolved(store.index, load.index) != -1
 
     def _assert_value_axioms(self) -> None:
         """An executed load reads the ``<M``-maximal visible store, or the
@@ -856,24 +792,21 @@ class MemoryModelEncoder:
         new_var = lowering.cnf.new_var
         addr_eq = self.ctx.addr_eq
         initial_value_term = self.ctx.initial_value_term
-        handles = self._order_handles
-        position = self.table.position
+        order = self.encoding.table
+        n = len(self.accesses)
         sources = self.encoding.sources
-        true_handle = Circuit.TRUE
-        false_handle = Circuit.FALSE
         # Value bits as CNF literals; the constants map to +-1, the
         # lowering's constant-TRUE variable.
-        value_lits = {
-            a.index: [literal(bit) for bit in a.value.bits]
-            for a in self.accesses
-        }
+        value_lits = [
+            [literal(bit) for bit in a.value.bits] for a in self.accesses
+        ]
         buf: list[int] = []
         lengths: list[int] = []
         push = buf.append
         extend = buf.extend
         push_len = lengths.append
         for load, candidates in self._value_candidates:
-            if load.guard == false_handle:
+            if load.guard == Circuit.FALSE:
                 continue
             load_index = load.index
             # (store, negated visibility literals) of every candidate that
@@ -881,20 +814,19 @@ class MemoryModelEncoder:
             visible: list[tuple[MemoryAccess, list[int]]] = []
             for store in candidates:
                 if self._forwarded(store, load):
-                    order = true_handle
+                    before = 1
                 else:
-                    order = handles[(store.index, load_index)]
+                    before = order[store.index * n + load_index]
                 negated: list[int] = []
-                for handle in (store.guard, addr_eq(load, store), order):
-                    if handle == true_handle:
+                for lit in (
+                    literal(store.guard), literal(addr_eq(load, store)), before
+                ):
+                    if lit == 1:
                         continue
-                    if handle == false_handle:
-                        break
-                    lit = -literal(handle)
-                    if -lit in negated:
-                        break
-                    if lit not in negated:
-                        negated.append(lit)
+                    if lit == -1 or lit in negated:
+                        break  # FALSE, or complementary to another conjunct
+                    if -lit not in negated:
+                        negated.append(-lit)
                 else:
                     visible.append((store, negated))
 
@@ -923,7 +855,7 @@ class MemoryModelEncoder:
                 if tails is None:
                     continue
                 rf = new_var()
-                selectors.append((position[store.index], rf))
+                selectors.append((store.index, rf))
                 for lit in negated:
                     push(-rf)
                     push(-lit)
@@ -937,35 +869,35 @@ class MemoryModelEncoder:
                 for other, other_negated in visible:
                     if other is store:
                         continue
-                    order = handles[(other.index, store_index)]
-                    if order == true_handle:
+                    lit = order[other.index * n + store_index]
+                    if lit == 1:
                         continue
                     push(-rf)
                     extend(other_negated)
-                    if order == false_handle:
+                    if lit == -1:
                         push_len(len(other_negated) + 1)
                     else:
-                        push(literal(order))
+                        push(lit)
                         push_len(len(other_negated) + 2)
 
             # No rf(init) when the initial value can never match or some
             # candidate is always visible.
             init_term = initial_value_term(load)
-            if init_term != false_handle and all(n for _, n in visible):
+            if init_term != Circuit.FALSE and all(n for _, n in visible):
                 rf = new_var()
                 selectors.insert(0, (None, rf))
                 for _, negated in visible:
                     push(-rf)
                     extend(negated)
                     push_len(len(negated) + 1)
-                if init_term != true_handle:
+                if init_term != Circuit.TRUE:
                     push(-rf)
                     push(literal(init_term))
                     push_len(2)
 
-            sources[position[load_index]] = selectors
+            sources[load_index] = selectors
             count = len(selectors)
-            if load.guard != true_handle:
+            if load.guard != Circuit.TRUE:
                 push(-literal(load.guard))
                 count += 1
             extend(rf for _, rf in selectors)
@@ -981,8 +913,3 @@ class MemoryModelEncoder:
             and store.thread == load.thread
             and store.seq < load.seq
         )
-
-    # ------------------------------------------------------------ utilities
-
-    def _order_of(self, first: MemoryAccess, second: MemoryAccess) -> int:
-        return self._order_handles[(first.index, second.index)]

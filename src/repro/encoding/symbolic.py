@@ -44,7 +44,7 @@ class EncodingError(RuntimeError):
 class MemoryAccess:
     """One dynamic load or store instance."""
 
-    index: int                  # global index across the whole test
+    index: int                  # position in the test's access list
     kind: str                   # "load" or "store"
     thread: int
     invocation: int             # global invocation index (seriality groups)

@@ -105,19 +105,6 @@ MATRIX_BACKOFF = 0.05
 WORKER_TIMEOUT_ENV = "CHECKFENCE_MATRIX_WORKER_TIMEOUT"
 
 
-def matrix_worker_timeout() -> float | None:
-    value = os.environ.get(WORKER_TIMEOUT_ENV, "").strip()
-    if not value:
-        return None
-    try:
-        parsed = float(value)
-    except ValueError as exc:
-        raise ValueError(
-            f"{WORKER_TIMEOUT_ENV} must be a number, got {value!r}"
-        ) from exc
-    return parsed if parsed > 0 else None
-
-
 def default_jobs() -> int:
     """Worker count used when ``jobs`` is not given.
 
@@ -220,10 +207,10 @@ class CellResult:
     harness mis-ran): a degraded cell produced *no* verdict and must never
     be conflated with either.  ``result`` carries the full
     :class:`CheckResult` for catalog cells; workers blank its
-    ``specification`` before queue transport (the mined observation set is
-    the heavy part and would be pickled once per model otherwise — on the
-    serial path it survives intact).  ``stats`` is the JSON-safe view for
-    reporting (for catalog cells,
+    ``specification`` before sending it down their pipe (the mined
+    observation set is the heavy part and would be pickled once per model
+    otherwise — on the serial path it survives intact).  ``stats`` is the
+    JSON-safe view for reporting (for catalog cells,
     :meth:`repro.core.results.CheckStatistics.as_dict`).
     """
 
@@ -897,7 +884,7 @@ def _run_matrix_pool(
     hung one is a busy worker silent for :data:`WORKER_TIMEOUT_ENV`
     seconds.  A worker that dies while idle costs no shard an attempt."""
     jobs = min(jobs, len(shards))
-    worker_timeout = matrix_worker_timeout()
+    worker_timeout = limits.env_float(WORKER_TIMEOUT_ENV)
     ctx = _mp_context()
     todo = collections.deque(shards)
     workers: dict[Connection, _Worker] = {}  # by the parent's end

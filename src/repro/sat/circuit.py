@@ -15,7 +15,7 @@ then flattened for the SAT solver, and it lets us share common subterms
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.sat.cnf import CNF
 
@@ -229,24 +229,6 @@ class CnfLowering:
             var = self._lower_node(index)
         return var if handle > 0 else -var
 
-    def var_literals(self, handles: Iterable[int]) -> list[int]:
-        """Map positive *input-variable* handles to SAT literals in bulk.
-
-        A variable node lowers to a fresh SAT variable and no clauses, so
-        this skips the generic cone walk of :meth:`literal` — the per-model
-        layer mints thousands of order variables and resolves each exactly
-        once here."""
-        n2v = self._node_to_var
-        cnf = self.cnf
-        out = []
-        for handle in handles:
-            var = n2v.get(handle)
-            if var is None:
-                var = cnf.new_var(self.circuit.node(handle)[1])
-                n2v[handle] = var
-            out.append(var)
-        return out
-
     def lowered_var(self, handle: int) -> int | None:
         """The SAT variable of ``handle`` if the node was already lowered,
         ``None`` otherwise — a non-forcing peek (no clauses are emitted),
@@ -312,10 +294,6 @@ class CnfLowering:
     def assert_true(self, handle: int) -> None:
         """Constrain the formula so that ``handle`` is true."""
         self.cnf.add_unit(self.literal(handle))
-
-    def assert_clause(self, handles: Sequence[int]) -> None:
-        """Constrain the disjunction of the given handles to be true."""
-        self.cnf.add_clause([self.literal(h) for h in handles])
 
     def evaluate(self, handle: int, model: dict[int, bool]) -> bool:
         """Evaluate a handle under a SAT model (for decoding solutions)."""

@@ -32,11 +32,14 @@ clauses during outcome mining, guard definitions, lazily lowered
 assumption terms).  Two mechanisms keep that sound:
 
 * a **frozen set** of variables that outside code will mention again
-  (observation-slot bits, memory-order variables needed for counterexample
-  decoding, assumption/guard handles).  Frozen variables are never
-  eliminated, never pure-literal assigned and never substituted away; they
-  may still be *fixed* by unit propagation, which is a root-level
-  consequence and therefore survives any future clause additions.
+  (observation-slot bits, assumption/guard handles; memory-order variables
+  and reads-from selectors stay out: counterexample decoding reads them
+  from the reconstructed model, see
+  :meth:`repro.encoding.formula.EncodedTest.frozen_variables`).  Frozen
+  variables are never eliminated, never pure-literal assigned and never
+  substituted away; they may still be *fixed* by unit propagation, which
+  is a root-level consequence and therefore survives any future clause
+  additions.
 * **reinstatement**: if an incoming clause or assumption mentions an
   eliminated variable anyway, the clauses removed at its elimination are
   replayed back into the solver (recursively, since they may mention

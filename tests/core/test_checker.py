@@ -100,13 +100,6 @@ class TestCheckerOptions:
         )
         assert with_ranges.stats.cnf_clauses < without_ranges.stats.cnf_clauses
 
-    def test_disable_assertion_check(self):
-        options = CheckOptions(check_assertions=False)
-        result = check(
-            get_implementation("ms2"), get_test("queue", "T0"), "relaxed", options
-        )
-        assert result.passed
-
 
 class TestLoopBounds:
     def test_refinement_converges_on_t0(self):

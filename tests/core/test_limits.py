@@ -118,8 +118,13 @@ class TestOptionsPlumbing:
         deadline = limits.deadline_from_options(CheckOptions(timeout=2.0))
         assert deadline.timeout_seconds == 2.0
 
-    def test_garbage_env_ignored(self, monkeypatch):
+    def test_garbage_env_raises_naming_the_variable(self, monkeypatch):
         monkeypatch.setenv(limits.TIMEOUT_ENV, "not-a-number")
+        with pytest.raises(ValueError, match=limits.TIMEOUT_ENV):
+            limits.deadline_from_options(CheckOptions())
+
+    def test_non_positive_env_ignored(self, monkeypatch):
+        monkeypatch.delenv(limits.TIMEOUT_ENV, raising=False)
         monkeypatch.setenv(limits.MEMORY_LIMIT_ENV, "-3")
         assert limits.deadline_from_options(CheckOptions()) is None
 

@@ -62,6 +62,23 @@ class TestCrossModelReuse:
                 independent_result
             )
 
+    def test_phase_times_fit_inside_each_rows_total(self):
+        """Every row's phase times describe its own check: a row served by
+        the session's specification cache reports the lookup, never the
+        original mining again."""
+        session = CheckSession(
+            get_implementation("msn"), CheckOptions(specification_method="sat")
+        )
+        rows = session.sweep(get_test("queue", "T0"), ["sc", "tso", "relaxed"])
+        assert session.cache_stats["mine_hits"] == 2
+        for result in rows:
+            stats = result.stats
+            phases = (
+                stats.compile_seconds + stats.mining_seconds
+                + stats.encode_seconds + stats.solve_seconds
+            )
+            assert phases <= stats.total_seconds, stats.memory_model
+
     def test_sweep_detects_bug_same_as_independent_checks(self):
         """Reuse must not mask failures: the unfenced queue still fails on
         relaxed and passes on sc within one session."""

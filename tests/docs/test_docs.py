@@ -1,4 +1,5 @@
-"""Docs stay honest: links resolve and the tutorial's commands parse.
+"""Docs stay honest: links resolve, quoted code names exist and the
+tutorial's commands parse.
 
 The full tutorial smoke run (executing every code block) lives in the CI
 docs job (``python tools/docs_check.py --tutorial``); tier-1 keeps the
@@ -43,6 +44,32 @@ def test_link_checker_detects_breakage(tmp_path, docs_check, monkeypatch):
     monkeypatch.setattr(docs_check, "REPO_ROOT", str(tmp_path))
     problems = docs_check.check_links()
     assert len(problems) == 1 and "no/such/file.md" in problems[0]
+
+
+def test_docs_code_names_resolve(docs_check):
+    assert docs_check.check_symbols() == []
+
+
+def test_symbol_checker_reports_stale_names(tmp_path, docs_check, monkeypatch):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "README.md").write_text(
+        "`repro.encoding.memory.MemoryOrderEncoding.order` is stale, "
+        "`repro.encoding.memory.AccessTable.accesses` is an instance "
+        "attribute, `repro.sat.native.load()` a function.\n"
+    )
+    (tmp_path / "docs" / "guide.md").write_text(
+        "`MemoryOrderEncoding.order(i, j)` is stale, "
+        "`MemoryOrderEncoding.resolved(i, j)` and `CheckOptions.timeout` "
+        "exist, `Path.exists` is not ours.\n"
+        "```python\n`AccessTable.nosuch` in a code block is not prose\n```\n"
+    )
+    monkeypatch.setattr(docs_check, "REPO_ROOT", str(tmp_path))
+    problems = docs_check.check_symbols()
+    assert problems == [
+        "README.md: unknown name "
+        "`repro.encoding.memory.MemoryOrderEncoding.order`",
+        "docs/guide.md: unknown name `MemoryOrderEncoding.order(i, j)`",
+    ]
 
 
 def test_tutorial_commands_extracted(docs_check):

@@ -59,11 +59,11 @@ def test_five_layers_share_one_unchanged_table(case, monkeypatch):
     core = table.closure(table.core_successors)
 
     for model in MODELS:
-        static = encode_test(compiled, get_model(model)).order.static_pairs
+        order = encode_test(compiled, get_model(model)).order
         for i, mask in enumerate(core):
             for j in _bits(mask):
-                key = (i, j) if i < j else (j, i)
-                assert static[key] is (i < j), (model, i, j)
+                assert order.resolved(i, j) == Circuit.TRUE, (model, i, j)
+                assert order.resolved(j, i) == Circuit.FALSE, (model, i, j)
 
     assert built == [table]
     assert skeleton_for(compiled)[0].table is table
@@ -97,7 +97,6 @@ def test_unconditional_pairs_are_forward_static_edges(case):
     assert init_pairs and init_first
     assert block_pairs or implementation != "snark"
 
-    position = table.position
     for name in MODELS:
         model = get_model(name)
         preserved = [
@@ -107,8 +106,8 @@ def test_unconditional_pairs_are_forward_static_edges(case):
             and model.preserves(first.kind, second.kind)
         ]
         assert preserved or name == "relaxed"
-        static = encode_test(compiled, model).order.static_pairs
+        order = encode_test(compiled, model).order
         for first, second in init_pairs + init_first + block_pairs + preserved:
-            i, j = position[first.index], position[second.index]
-            key = (i, j) if i < j else (j, i)
-            assert static.get(key) is (i < j), (name, first, second)
+            assert order.resolved(first.index, second.index) == Circuit.TRUE, (
+                name, first, second,
+            )

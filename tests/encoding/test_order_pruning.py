@@ -8,7 +8,7 @@ themselves are checked against the operational enumerator in
   counts of representative catalog tests are pinned to ceilings, so the
   static resolution / conflict restriction / pruned transitivity cannot
   silently regress back toward the paper's dense construction;
-* **mechanics** — static resolution facts, constant-folded ``order()``,
+* **mechanics** — static resolution facts, constant-folded table entries,
   dead pairs, topological counterexample decoding, the store each
   counterexample load read, and the assumption-lowering/backend-sync
   ordering fix in ``EncodedTest.solve``.
@@ -96,15 +96,12 @@ class TestStaticResolution:
     def test_preserved_program_order_is_constant(self):
         encoded = self._encoded("sc")
         order = encoded.order
-        position = {a.index: i for i, a in enumerate(order.accesses)}
         for thread_encoding in encoded.threads:
             accesses = sorted(thread_encoding.accesses, key=lambda a: a.seq)
             for i, first in enumerate(accesses):
                 for second in accesses[i + 1:]:
-                    handle = order.order(
-                        position[first.index], position[second.index]
-                    )
-                    assert handle == Circuit.TRUE
+                    lit = order.resolved(first.index, second.index)
+                    assert lit == Circuit.TRUE
 
     def test_init_accesses_are_statically_first(self):
         # msn/T0 initializes the queue on the init thread.
@@ -112,19 +109,14 @@ class TestStaticResolution:
             _compiled_catalog("msn", "T0"), get_model("relaxed")
         )
         order = encoded.order
-        position = {a.index: i for i, a in enumerate(order.accesses)}
         init = [a for a in order.accesses if a.thread == INIT_THREAD]
         rest = [a for a in order.accesses if a.thread != INIT_THREAD]
         assert init and rest
         for first in init:
             for second in rest:
-                assert order.order(
-                    position[first.index], position[second.index]
-                ) == Circuit.TRUE
+                assert order.resolved(first.index, second.index) == Circuit.TRUE
                 # ... and the reverse direction folds to FALSE.
-                assert order.order(
-                    position[second.index], position[first.index]
-                ) == Circuit.FALSE
+                assert order.resolved(second.index, first.index) == Circuit.FALSE
 
     def test_dead_pairs_raise_and_resolve_to_none(self):
         # Two threads touching distinct locations with no fences: the
@@ -154,13 +146,11 @@ class TestStaticResolution:
             compile_test(implementation, test), get_model("relaxed")
         )
         order = encoded.order
-        position = {a.index: i for i, a in enumerate(order.accesses)}
         non_init = [a for a in order.accesses if a.thread != INIT_THREAD]
         assert len(non_init) == 2
-        i, j = (position[a.index] for a in non_init)
+        i, j = (a.index for a in non_init)
         assert order.resolved(i, j) is None
-        with pytest.raises(KeyError):
-            order.order(i, j)
+        assert order.resolved(j, i) is None
 
 
 class TestCounterexampleDecoding:
@@ -182,19 +172,15 @@ class TestCounterexampleDecoding:
         assert encoded.solve()
         model = encoded.model_values()
         decoded = encoded.decode_memory_order(model)
-        position = {a.index: i for i, a in enumerate(encoded.order.accesses)}
         rank = {a.index: i for i, a in enumerate(decoded)}
         for x in decoded:
             for y in decoded:
                 if x.index == y.index:
                     continue
-                handle = encoded.order.resolved(
-                    position[x.index], position[y.index]
-                )
-                if handle is None:
+                lit = encoded.order.resolved(x.index, y.index)
+                if lit is None:
                     continue
-                ordered_before = encoded.ctx.lowering.evaluate(handle, model)
-                if ordered_before:
+                if model.get(abs(lit), False) == (lit > 0):
                     assert rank[x.index] < rank[y.index]
 
     def test_trace_positions_are_contiguous(self):
@@ -226,14 +212,13 @@ class TestCounterexampleDecoding:
         trace = build_trace(encoded, "observation", labels)
         assert trace.observation not in spec
 
-        position = {a.index: p for p, a in enumerate(encoded.order.accesses)}
         evaluate = encoded.ctx.lowering.evaluate
         executed_loads = [
             a for a in encoded.order.accesses
             if a.is_load and evaluate(a.guard, model)
         ]
         for load in executed_loads:
-            selectors = encoded.order.sources[position[load.index]]
+            selectors = encoded.order.sources[load.index]
             assert sum(model.get(lit, False) for _, lit in selectors) == 1
 
         loads = [step for step in trace.steps if step.kind == "load"]

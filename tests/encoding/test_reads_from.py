@@ -42,9 +42,9 @@ def _assert_selector_invariants(encoded, model: dict[int, bool]) -> None:
         return BitVecBuilder.decode(vec, lambda bit: evaluate(bit, model))
 
     def before(first: int, second: int) -> bool:
-        handle = order.resolved(first, second)
-        assert handle is not None, "a value-axiom pair has no order"
-        return evaluate(handle, model)
+        lit = order.resolved(first, second)
+        assert lit is not None, "a value-axiom pair has no order"
+        return model.get(abs(lit), False) == (lit > 0)
 
     accesses = order.accesses
     decoded = encoded.decode_sources(model)

@@ -62,7 +62,7 @@ def test_recheck_agrees_with_outcome_mining(models):
             fenced = program.with_fences(placements_of(fences)).compile()
             recheck = _verify_concrete(
                 fenced, [get_model(m) for m in models], specification,
-                backend_factory=None, check_assertions=True,
+                backend_factory=None,
             )
             mined = all(
                 _mined(fenced, model) <= sc_outcomes for model in models

@@ -157,6 +157,50 @@ class TestUnknownNames:
         assert "ERROR" in capsys.readouterr().out
 
 
+class TestMalformedEnvironmentNumbers:
+    """A ``CHECKFENCE_*`` variable that must hold a number but does not is
+    a usage error: one stderr line naming the variable and exit 2, before
+    any work — never a traceback, and never silently ignored."""
+
+    @pytest.mark.parametrize("variable, argv", [
+        ("CHECKFENCE_JOBS", ["litmus", "--model", "sc"]),
+        ("CHECKFENCE_MATRIX_WORKER_TIMEOUT",
+         ["matrix", "--litmus", "--models", "sc", "--jobs", "2", "--quiet"]),
+        ("CHECKFENCE_TIMEOUT", ["check", "--impl", "msn", "--test", "T0"]),
+        ("CHECKFENCE_MEMORY_LIMIT",
+         ["check", "--impl", "msn", "--test", "T0"]),
+    ])
+    def test_malformed_number_is_a_usage_error(
+        self, variable, argv, capsys, monkeypatch
+    ):
+        monkeypatch.setenv(variable, "abc")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"{argv[0]}: {variable} ")
+        assert "'abc'" in lines[0]
+
+
+class TestErrorCellExit:
+    """A cell that errors (here: an injected solver exception) makes every
+    cell-running command exit 1; exit 2 is reserved for usage errors."""
+
+    @pytest.mark.parametrize("argv", [
+        ["matrix", "--litmus", "--models", "sc", "--quiet"],
+        ["litmus", "--model", "sc"],
+        ["fuzz", "--budget", "3", "--models", "sc", "--quiet"],
+    ], ids=lambda argv: argv[0])
+    def test_error_cell_exits_1(self, argv, capsys, monkeypatch):
+        from repro.core import faults
+
+        monkeypatch.setenv(faults.FAULT_ENV, "solver-raise:1")
+        faults.reset_solver_counter()
+        assert main(argv) == 1
+        assert "error in " in capsys.readouterr().err
+
+
 class TestOracleCommand:
     def test_litmus_agreement(self, capsys):
         code = main(["oracle", "--litmus", "store-buffering", "--model", "tso"])

@@ -1,11 +1,16 @@
-"""Documentation checks: markdown link integrity and tutorial smoke runs.
+"""Documentation checks: markdown links, code names and tutorial smoke runs.
 
-Two modes, combinable (the CI docs job runs both):
+Three modes, combinable (the CI docs job runs all three):
 
 * ``--links`` — every inline markdown link in the repo's ``*.md`` files
   that points inside the repo must resolve to an existing file or
   directory (fragments are stripped; external ``http(s)``/``mailto``
   links and pure-anchor links are skipped).
+* ``--symbols`` — the code names README.md and ``docs/*.md`` quote in
+  backticks must exist: a dotted ``repro.…`` name must import and
+  resolve, and a ``Class.attr`` (optionally followed by a call) whose
+  class is defined under ``src/repro`` must name a method, property,
+  field or attribute of that class or of a base class.
 * ``--tutorial`` — executes the fenced ``sh`` and ``python`` code blocks
   of ``docs/tutorial.md`` as a smoke test.  In ``sh`` blocks each line is
   one command; a leading ``checkfence`` is translated to ``python -m
@@ -21,11 +26,17 @@ file's directory).
 from __future__ import annotations
 
 import argparse
+import ast
+import dataclasses
+import importlib
+import inspect
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
 import sys
+import textwrap
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -34,6 +45,12 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE_RE = re.compile(r"^```(\w*)\s*$")
 _EXIT_RE = re.compile(r"^(?P<cmd>.*?)(?:\s*#\s*exit:\s*(?P<code>\d+))?\s*$")
+
+#: A backticked span, and the two code-name shapes ``--symbols`` checks:
+#: ``repro.a.b`` and ``Class.attr``, each optionally followed by a call.
+_CODE_RE = re.compile(r"`([^`\n]+)`")
+_DOTTED_RE = re.compile(r"^(repro(?:\.\w+)+)(?:\(.*\))?$")
+_CLASS_ATTR_RE = re.compile(r"^([A-Z]\w*)\.(\w+)(?:\(.*\))?$")
 
 #: Directories never scanned for markdown files.
 _SKIP_DIRS = {".git", ".claude", ".pytest_cache", ".hypothesis", ".benchmarks",
@@ -65,6 +82,118 @@ def check_links() -> list[str]:
             if not os.path.exists(resolved):
                 rel = os.path.relpath(path, REPO_ROOT)
                 problems.append(f"{rel}: broken link -> {target}")
+    return problems
+
+
+def _instance_attributes(cls) -> set[str]:
+    """Names assigned as ``self.<name>`` anywhere in the class body."""
+    try:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+    except (OSError, TypeError, SyntaxError):
+        return set()
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    }
+
+
+def _has_attribute(cls, name: str) -> bool:
+    """A method, property, field or attribute of ``cls`` or a base."""
+    if hasattr(cls, name):
+        return True
+    if dataclasses.is_dataclass(cls) and name in {
+        f.name for f in dataclasses.fields(cls)
+    }:
+        return True
+    return any(
+        name in getattr(base, "__annotations__", {})
+        or name in _instance_attributes(base)
+        for base in cls.__mro__
+    )
+
+
+def _repro_classes() -> dict[str, list[type]]:
+    """Every class defined under ``src/repro``, by name."""
+    src = os.path.join(REPO_ROOT, "src")
+    if os.path.isdir(src) and src not in sys.path:
+        sys.path.insert(0, src)
+    import repro
+
+    classes: dict[str, list[type]] = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if inspect.isclass(value) and value.__module__ == info.name:
+                classes.setdefault(name, []).append(value)
+    return classes
+
+
+def _resolve_dotted(name: str) -> bool:
+    """Import the longest module prefix of ``name``, then look the rest
+    up attribute by attribute."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            value = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for part in parts[cut:]:
+            if inspect.isclass(value):
+                if not _has_attribute(value, part):
+                    return False
+                value = getattr(value, part, None)
+            elif hasattr(value, part):
+                value = getattr(value, part)
+            else:
+                return False
+        return True
+    return False
+
+
+def check_symbols() -> list[str]:
+    """Return a "file: unknown name" problem string per backticked code
+    name in README.md and docs/*.md that does not exist in the code."""
+    classes = _repro_classes()
+    paths = [os.path.join(REPO_ROOT, "README.md")]
+    docs = os.path.join(REPO_ROOT, "docs")
+    if os.path.isdir(docs):
+        paths += sorted(
+            os.path.join(docs, name) for name in os.listdir(docs)
+            if name.endswith(".md")
+        )
+    problems = []
+    for path in paths:
+        if not os.path.exists(path):
+            continue
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        # Fenced blocks are code the tutorial run covers, not prose.
+        fenced = False
+        prose = []
+        for line in lines:
+            if _FENCE_RE.match(line):
+                fenced = not fenced
+            elif not fenced:
+                prose.append(line)
+        for span in _CODE_RE.findall("\n".join(prose)):
+            span = span.strip()
+            dotted = _DOTTED_RE.match(span)
+            class_attr = _CLASS_ATTR_RE.match(span)
+            if dotted:
+                ok = _resolve_dotted(dotted.group(1))
+            elif class_attr and class_attr.group(1) in classes:
+                ok = any(
+                    _has_attribute(cls, class_attr.group(2))
+                    for cls in classes[class_attr.group(1)]
+                )
+            else:
+                continue
+            if not ok:
+                rel = os.path.relpath(path, REPO_ROOT)
+                problems.append(f"{rel}: unknown name `{span}`")
     return problems
 
 
@@ -140,14 +269,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--links", action="store_true",
                         help="check intra-repo markdown links resolve")
+    parser.add_argument("--symbols", action="store_true",
+                        help="check backticked code names in README.md and "
+                        "docs/*.md exist")
     parser.add_argument("--tutorial", action="store_true",
                         help="run docs/tutorial.md code blocks as a smoke test")
     args = parser.parse_args(argv)
-    if not (args.links or args.tutorial):
-        parser.error("nothing to do: pass --links and/or --tutorial")
+    if not (args.links or args.symbols or args.tutorial):
+        parser.error(
+            "nothing to do: pass --links, --symbols and/or --tutorial"
+        )
     problems = []
     if args.links:
         problems += check_links()
+    if args.symbols:
+        problems += check_symbols()
     if args.tutorial:
         problems += run_tutorial()
     for problem in problems:
