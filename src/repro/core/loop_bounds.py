@@ -70,10 +70,10 @@ def refine_loop_bounds(
             converged = True
             break
         # Increase the bound of every loop whose flag is set in the model.
-        model_values = encoded.model_values()
+        overflowed = encoded.current_values(encoded.overflow_handles.values())
         grew = False
         for key, handle in encoded.overflow_handles.items():
-            if encoded.ctx.lowering.evaluate(handle, model_values):
+            if overflowed[handle]:
                 tag = key.split(":", 1)[1]
                 current = bounds.get(tag, initial_bound)
                 if current < max_bound:

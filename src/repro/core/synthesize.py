@@ -252,7 +252,7 @@ class _Query:
 
     name: str                   # "<model>/assertion" or "<model>/inclusion"
     encoded: EncodedTest
-    assumptions: list[int]      # circuit handles asserted alongside selectors
+    assumptions: list[int]      # literals assumed alongside selectors
 
     def selector(self, label: str) -> int | None:
         return self.encoded.fence_selectors.get(label)
@@ -390,26 +390,16 @@ class CoreGuidedSearch:
         """From a SAT witness: the candidates whose selectors the witness
         runs *without*.  Any sufficient set must enable at least one of
         them (else the witness survives that set too)."""
-        lowering = query.encoded.ctx.lowering
-        handles = {
+        selectors = {
             label: query.selector(label) for label in self.by_label
         }
-        literals = {
-            label: lowering.literal(handle)
-            for label, handle in handles.items()
-            if handle is not None
-        }
-        values = query.encoded._backend.values_of(
-            {abs(lit) for lit in literals.values()}
+        values = query.encoded.current_values(
+            lit for lit in selectors.values() if lit is not None
         )
         off = frozenset(
             label
-            for label, lit in literals.items()
-            if label not in assumed
-            and not (
-                values.get(abs(lit), False) if lit > 0
-                else not values.get(abs(lit), False)
-            )
+            for label, lit in selectors.items()
+            if lit is not None and label not in assumed and not values[lit]
         )
         if off and off not in self._correction_sets:
             self._correction_sets.append(off)

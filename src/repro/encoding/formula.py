@@ -8,18 +8,25 @@ incrementally (specification mining) and "not in the observation set"
 constraints (inclusion check), and decodes SAT models back into execution
 traces.
 
+The formula lives in one literal space: the gate builder
+(:class:`repro.sat.circuit.Circuit`) returns CNF literals and writes each
+gate's Tseitin clauses when the gate is built, so every handle below (an
+access guard, a value bit, an assertion, an observation bit) can go into a
+clause, an assumption or a model lookup as it is.
+
 The build is split along the paper's own formula structure.  The
 ``/\\_k Delta_k`` half — symbolic execution of every thread, observation
-slots, assertions, overflow handles, and their Tseitin lowering — depends
-only on the compiled test, never on the memory model, so it is built once
-per :class:`CompiledTest` as an :class:`EncodingSkeleton` and memoized on
-the compiled test itself.  Each per-model encode then *forks* the skeleton
-(an array-level CNF snapshot plus shallow circuit/dict copies) and runs
-only ``Theta`` — the :class:`repro.encoding.memory.MemoryModelEncoder`
-layer — on top.  The model-independent facts of ``Theta`` (the
+slots, assertions and overflow handles, with the clauses of their gates —
+depends only on the compiled test, never on the memory model, so it is
+built once per :class:`CompiledTest` as an :class:`EncodingSkeleton` and
+memoized on the compiled test itself.  Each per-model encode then *forks*
+the skeleton (an array-level CNF snapshot plus dict copies) and runs only
+``Theta`` — the :class:`repro.encoding.memory.MemoryModelEncoder` layer —
+on top.  The model-independent facts of ``Theta`` (the
 :class:`repro.encoding.memory.AccessTable` and the equality terms built
 from it) live on the skeleton too, so a five-model sweep executes symbolic
-execution, base lowering and access analysis once instead of five times.
+execution, the shared terms' clauses and access analysis once instead of
+five times.
 A per-model layer on a reused skeleton builds exactly the formula it would
 build on a freshly compiled one (``tests/encoding/test_share_equivalence.py``).
 """
@@ -47,7 +54,7 @@ from repro.lsl.values import is_undef
 from repro.memorymodel.base import MemoryModel
 from repro.sat.backend import BackendFactory, SolverBackend, make_backend_factory
 from repro.sat.bitvec import BitVec, BitVecBuilder
-from repro.sat.circuit import Circuit, CnfLowering
+from repro.sat.circuit import Circuit
 from repro.sat.simplify import ENUMERATION_MIN_CLAUSES, SimplifyingBackend
 
 
@@ -58,7 +65,6 @@ class EncodingContext:
         self.compiled = compiled
         self.circuit = Circuit()
         self.bvb = BitVecBuilder(self.circuit)
-        self.lowering = CnfLowering(self.circuit)
         self.layout = compiled.layout
         self.ranges = compiled.ranges
         self.allocation = compiled.allocation
@@ -84,15 +90,15 @@ class EncodingContext:
     def fork(self) -> "EncodingContext":
         """An independent continuation of this context.
 
-        Circuit handles minted before the fork stay valid in the copy, and
-        the CNF snapshot is an array-level memcpy, so a per-model encoding
-        layer can grow on the fork without disturbing the shared skeleton.
+        Copies the gate builder (:meth:`repro.sat.circuit.Circuit.copy`):
+        literals minted before the fork stay valid in the copy, and a
+        per-model encoding layer can grow on the fork without disturbing
+        the shared skeleton.
         """
         out = EncodingContext.__new__(EncodingContext)
         out.compiled = self.compiled
         out.circuit = self.circuit.copy()
         out.bvb = BitVecBuilder(out.circuit)
-        out.lowering = self.lowering.fork(out.circuit)
         out.layout = self.layout
         out.ranges = self.ranges
         out.allocation = self.allocation
@@ -109,7 +115,7 @@ class EncodingContext:
     # ------------------------------------------------------------- plumbing
 
     def assert_true(self, handle: int) -> None:
-        self.lowering.assert_true(handle)
+        self.circuit.cnf.add_unit(handle)
 
     def fresh_value(self, name: str) -> BitVec:
         return self.bvb.fresh(self.width, name)
@@ -297,18 +303,12 @@ class EncodedTest:
         self._backend: SolverBackend | None = None
         self._synced_clauses = 0
         self._not_in_guards: dict[frozenset, int] = {}
-        #: Assumption literal -> circuit handle of the most recent solve,
-        #: for mapping failed-assumption cores back to handles.
-        self._assumed_handles: dict[int, int] = {}
-        #: Per-slot observation bit plan (constants and CNF literals),
-        #: built lazily for the projected enumeration paths.
-        self._obs_plan: list[list[bool | int]] | None = None
 
     # ------------------------------------------------------------ solver use
 
     @property
     def cnf(self):
-        return self.ctx.lowering.cnf
+        return self.ctx.circuit.cnf
 
     @property
     def fence_selectors(self) -> dict[str, int]:
@@ -320,8 +320,7 @@ class EncodedTest:
         if self._backend is None:
             backend = self.backend_factory()
             # The frozen set must be in place before any clause reaches a
-            # preprocessing backend (the others ignore it); computing it is
-            # a non-forcing peek and never grows the formula.
+            # preprocessing backend (the others ignore it).
             backend.freeze(self.frozen_variables())
             self._backend = backend
         cnf = self.cnf
@@ -345,6 +344,10 @@ class EncodedTest:
           later are fresh variables and need no protection), and
         * the constant-TRUE variable.
 
+        Every handle is a CNF literal, so the set is the handles'
+        variables.  A gate built later that touches an eliminated variable
+        is caught by the preprocessor's reinstatement path.
+
         Memory-order variables and reads-from selectors are deliberately
         *not* frozen: no later clause or assumption is ever built over
         them, and counterexample decoding reads them out of the
@@ -353,14 +356,7 @@ class EncodedTest:
         axioms).  Leaving them eliminable is what lets the preprocessor cut
         the order-axiom-heavy formulas (e.g. msn/Tpc6) by half instead of
         15%.
-
-        Only *already-lowered* nodes contribute (a non-forcing peek, so
-        computing the set never grows the formula); anything lowered later
-        that touches an eliminated variable is caught by the
-        preprocessor's reinstatement path instead.
         """
-        lowered = self.ctx.lowering.lowered_var
-        frozen: set[int] = set()
         handles: list[int] = [Circuit.TRUE]
         for slot in self.observation_slots:
             handles.extend(slot.value.bits)
@@ -368,11 +364,7 @@ class EncodedTest:
         handles.extend(self.overflow_handles.values())
         handles.extend(self._not_in_guards.values())
         handles.extend(self.fence_selectors.values())
-        for handle in handles:
-            var = lowered(handle)
-            if var is not None:
-                frozen.add(var)
-        return frozen
+        return {abs(handle) for handle in handles}
 
     def expect_enumeration(self) -> None:
         """Hint that this formula feeds a solve/block enumeration loop
@@ -398,33 +390,22 @@ class EncodedTest:
             self.block_observation(observation)
 
     def solve(self, assumptions=()):
-        """Solve the current formula; returns True/False (or None on limit).
+        """Solve the current formula under assumption literals; returns
+        True/False (or None on limit).
 
-        Lowering an assumption handle can itself append the Tseitin clauses
-        of a not-yet-lowered node, so the backend is synced *after* the
-        assumptions are lowered — an assumption literal must never reach
-        the solver ahead of the clauses that define it.  The sync before
-        lowering is belt-and-braces (lowering never reads the backend); it
-        keeps the invariant "the backend is behind only by what this call
-        just lowered", which the regression tests pin.
+        A gate's clauses are written when the gate is built, so every
+        clause an assumption depends on is already in the CNF: one sync at
+        the start is enough.
         """
-        self._ensure_backend()
-        assumption_lits = [self.ctx.lowering.literal(h) for h in assumptions]
-        self._assumed_handles = dict(zip(assumption_lits, assumptions))
-        backend = self._ensure_backend()
-        return backend.solve(assumptions=assumption_lits)
+        return self._ensure_backend().solve(assumptions=list(assumptions))
 
     def failed_assumption_handles(self) -> list[int]:
-        """The failed-assumption core of the last (UNSAT) solve, mapped back
-        to the circuit handles that were passed to :meth:`solve`.  Empty
-        after a SAT solve, or when the formula alone is unsatisfiable."""
+        """The failed-assumption core of the last (UNSAT) solve: a subset of
+        the literals passed to :meth:`solve`.  Empty after a SAT solve, or
+        when the formula alone is unsatisfiable."""
         if self._backend is None:
             return []
-        return [
-            self._assumed_handles[lit]
-            for lit in self._backend.failed_assumptions()
-            if lit in self._assumed_handles
-        ]
+        return self._backend.failed_assumptions()
 
     def model_values(self) -> dict[int, bool]:
         if self._backend is None:
@@ -452,50 +433,32 @@ class EncodedTest:
             for slot, value in zip(self.observation_slots, observation)
         ]
 
-    def _observation_bit_plan(self) -> list[list[bool | int]]:
-        """Per-slot observation bits as constants (bool) or CNF literals.
-
-        This is the *projection*: every blocking clause and every decoded
-        outcome is expressed over exactly these literals, so the
-        enumeration loops never touch the non-observable part of the
-        formula."""
-        if self._obs_plan is None:
-            literal = self.ctx.lowering.literal
-            plan: list[list[bool | int]] = []
-            for slot in self.observation_slots:
-                bits: list[bool | int] = []
-                for bit in slot.value.bits:
-                    if abs(bit) == Circuit.TRUE:
-                        bits.append(bit > 0)
-                    else:
-                        bits.append(literal(bit))
-                plan.append(bits)
-            self._obs_plan = plan
-        return self._obs_plan
-
     def projected_blocking_clause(
         self, observation: tuple[int, ...]
     ) -> list[int] | None:
-        """The clause (over observation literals only) satisfied exactly by
-        executions whose observation *differs* from ``observation``.
+        """The clause (over observation-slot bits only) satisfied exactly
+        by executions whose observation *differs* from ``observation``.
 
-        Returns ``None`` when no execution can produce the observation at
-        all (a constant bit mismatches, or a value exceeds its slot width)
-        — blocking it would be a tautology.  Unlike the circuit route this
-        mints no Tseitin variables, so a solve/block enumeration loop grows
-        the formula by one pure clause per outcome.
+        This is the *projection*: every blocking clause and every decoded
+        outcome is expressed over the slot bits, so the enumeration loops
+        never touch the non-observable part of the formula.  Returns
+        ``None`` when no execution can produce the observation at all (a
+        constant bit mismatches, or a value exceeds its slot width) —
+        blocking it would be a tautology.  Unlike :meth:`observation_equals`
+        this mints no gate, so a solve/block enumeration loop grows the
+        formula by one pure clause per outcome.
         """
-        plan = self._observation_bit_plan()
-        if len(observation) != len(plan):
+        if len(observation) != len(self.observation_slots):
             raise ValueError("observation arity mismatch")
         literals: list[int] = []
-        for bits, value in zip(plan, observation):
+        for slot, value in zip(self.observation_slots, observation):
+            bits = slot.value.bits
             if value >> len(bits):
                 return None  # value does not fit the slot: unreachable
             for position, bit in enumerate(bits):
                 want = (value >> position) & 1
-                if isinstance(bit, bool):
-                    if bit != bool(want):
+                if abs(bit) == Circuit.TRUE:
+                    if (bit > 0) != bool(want):
                         return None  # constant bit mismatch: unreachable
                     continue
                 literals.append(-bit if want else bit)
@@ -535,12 +498,11 @@ class EncodedTest:
         if cached is not None:
             return cached
         guard = self.ctx.circuit.var(f"not_in_guard{len(self._not_in_guards)}")
-        guard_literal = self.ctx.lowering.literal(guard)
         for observation in observations:
             literals = self.projected_blocking_clause(observation)
             if literals is None:
                 continue  # unreachable observation: guard need not block it
-            self.cnf.add_clause([-guard_literal] + literals)
+            self.cnf.add_clause([-guard] + literals)
         self._not_in_guards[key] = guard
         return guard
 
@@ -549,37 +511,34 @@ class EncodedTest:
             self._decode_vec(slot.value, model) for slot in self.observation_slots
         )
 
-    def decode_current_observation(self) -> tuple[int, ...]:
-        """The observation vector of the most recent SAT result, read
+    def current_values(self, literals) -> dict[int, bool]:
+        """The truth of each literal in the most recent SAT result, read
         through the backend's narrow :meth:`values_of` accessor instead of
-        materializing the full model dict — the hot path of the
-        solve/block outcome-enumeration loops."""
+        materializing the full model dict."""
         if self._backend is None:
             raise RuntimeError("solve() has not produced a model yet")
-        plan = self._observation_bit_plan()
-        wanted = {
-            abs(bit) for bits in plan for bit in bits
-            if not isinstance(bit, bool)
+        literals = list(literals)
+        values = self._backend.values_of({abs(lit) for lit in literals})
+        return {
+            lit: values.get(abs(lit), False) == (lit > 0) for lit in literals
         }
-        values = self._backend.values_of(wanted)
-        out: list[int] = []
-        for bits in plan:
-            value = 0
-            for position, bit in enumerate(bits):
-                if isinstance(bit, bool):
-                    bit_value = bit
-                else:
-                    raw = values.get(abs(bit), False)
-                    bit_value = raw if bit > 0 else not raw
-                if bit_value:
-                    value |= 1 << position
-            out.append(value)
-        return tuple(out)
+
+    def decode_current_observation(self) -> tuple[int, ...]:
+        """The observation vector of the most recent SAT result — the hot
+        path of the solve/block outcome-enumeration loops."""
+        truth = self.current_values(
+            {bit for slot in self.observation_slots for bit in slot.value.bits}
+        )
+        return tuple(
+            BitVecBuilder.decode(slot.value, truth.__getitem__)
+            for slot in self.observation_slots
+        )
 
     # ------------------------------------------------------------- decoding
 
-    def _evaluate(self, handle: int, model: dict[int, bool]) -> bool:
-        return self.ctx.lowering.evaluate(handle, model)
+    @staticmethod
+    def _evaluate(handle: int, model: dict[int, bool]) -> bool:
+        return model.get(abs(handle), False) == (handle > 0)
 
     def _decode_vec(self, vec: BitVec, model: dict[int, bool]) -> int:
         return BitVecBuilder.decode(vec, lambda h: self._evaluate(h, model))
@@ -617,7 +576,7 @@ class EncodedTest:
                 lit = resolved(executed[x].index, executed[y].index)
                 if lit is None:
                     continue
-                if model.get(abs(lit), False) == (lit > 0):
+                if self._evaluate(lit, model):
                     successors[x].append(y)
                     indegree[y] += 1
                 else:
@@ -662,11 +621,11 @@ class EncodingSkeleton:
     """The model-independent half of ``Phi`` for one compiled test.
 
     Holds the pristine :class:`EncodingContext` after symbolic execution of
-    every thread, the observation slots / assertions / overflow handles,
-    the base CNF with every thread formula already Tseitin-lowered, and the
-    access table every memory-model layer reads.  Per-model layers must
-    never mutate it: they run on :meth:`EncodingContext.fork` snapshots
-    (see :func:`encode_test`).
+    every thread (its builder's CNF holds the clauses of every thread
+    formula and shared term), the observation slots / assertions /
+    overflow handles, and the access table every memory-model layer reads.
+    Per-model layers must never mutate it: they run on
+    :meth:`EncodingContext.fork` snapshots (see :func:`encode_test`).
     """
 
     compiled: CompiledTest
@@ -702,7 +661,7 @@ def skeleton_for(compiled: CompiledTest) -> tuple[EncodingSkeleton, bool]:
 
 
 def build_skeleton(compiled: CompiledTest) -> EncodingSkeleton:
-    """Symbolically execute every thread and lower the base CNF."""
+    """Symbolically execute every thread and build the shared terms."""
     start = time.perf_counter()
     context = EncodingContext(compiled)
     threads_by_index = compiled.threads()
@@ -735,11 +694,7 @@ def build_skeleton(compiled: CompiledTest) -> EncodingSkeleton:
             overflow_handles[f"{invocation.label}:{tag}"] = handle
 
     table = AccessTable(thread_encodings)
-    prelower = _prewarm_shared_terms(context, table)
-    _lower_base_cnf(
-        context, thread_encodings, observation_slots, assertions,
-        overflow_handles, prelower,
-    )
+    _prewarm_shared_terms(context, table)
     return EncodingSkeleton(
         compiled=compiled,
         context=context,
@@ -754,35 +709,35 @@ def build_skeleton(compiled: CompiledTest) -> EncodingSkeleton:
 
 def _prewarm_shared_terms(
     context: EncodingContext, table: AccessTable
-) -> list[int]:
+) -> None:
     """Build the model-independent terms into the skeleton.
 
     Address equalities and initial-value terms are what the value and
-    same-address axioms consume; constructing them here (into the context
-    caches every fork inherits) means no per-model layer re-walks the
-    bit-vector builders for them.  Only terms some model can actually
-    reference are built: pairs the model-independent core order proves
-    invisible (store after load under every model), init-thread pairs and
-    atomic-block-internal pairs (statically ordered everywhere, so never
-    compared symbolically) are skipped — prewarming is an optimization,
-    and any term a future model does need is still built lazily on its
-    fork.  Cross-thread store pairs never compare addresses at all: the
-    <M-maximality clauses reuse the load's own visibility conjuncts.  Value
-    equality needs no term: the value axioms compare the already-lowered
-    value bits one by one under a reads-from selector.  The construction
-    order fixes circuit numbering, hence every CNF.
+    same-address axioms consume; building them here writes their clauses
+    into the skeleton's CNF, which every fork inherits, so no per-model
+    layer re-walks the bit-vector builders for them.  Every gate built is
+    in the CNF, so only terms some model references are built.  Skipped
+    are load/store pairs the model-independent core order proves
+    invisible (store after load under every model), same-address pairs it
+    already orders, and init-thread and atomic-block-internal pairs
+    (statically ordered everywhere, so never compared symbolically); a
+    term a model still needs is built on its fork.  Cross-thread store
+    pairs never compare addresses at all: the <M-maximality clauses reuse
+    the load's own visibility conjuncts.  Value equality needs no term:
+    the value axioms compare the value bits one by one under a reads-from
+    selector.  The construction order fixes the variable numbering, hence
+    every CNF.
     """
     # The same-thread (earlier, store) pairs of the same-address axiom
     # compare addresses symbolically — except on the init thread and inside
-    # one atomic block, where every model orders them statically.  Pairs
-    # whose comparison folds to a constant TRUE are static order edges
-    # under every registered model and feed the core relation below.
-    # Pairs already ordered by the fence/atomic/init core are built (so
-    # every fork shares the construction) but not marked for pre-lowering:
-    # their order-table entry is the constant TRUE, so the same-address
-    # axiom never references the comparison.  Constant pairs go to
-    # table.const_edges.
-    prelower: list[int] = []
+    # one atomic block, where every model orders them statically.  A pair
+    # whose comparison would fold to the constant TRUE is a static order
+    # edge under every registered model and feeds the core relation below
+    # through table.const_edges.  BitVecBuilder.eq folds to TRUE exactly
+    # when the zero-extended bits are equal, so those pairs are found
+    # without building a comparison.  A pair the core already orders has
+    # the order-table entry TRUE in every model, so the same-address axiom
+    # never references its comparison.
     core_reach = table.closure(table.core_successors)
     for first, second in table.same_thread_pairs:
         if first.thread == INIT_THREAD or not second.is_store:
@@ -792,71 +747,25 @@ def _prewarm_shared_terms(
             and first.atomic_group == second.atomic_group
         ):
             continue
-        if table.may_alias(first, second):
-            term = context.addr_eq(first, second)
-            if term == Circuit.TRUE:
-                table.const_edges.append((first, second))
-            elif not (core_reach[first.index] >> second.index) & 1:
-                prelower.append(term)
+        if not table.may_alias(first, second):
+            continue
+        first_addr, second_addr = context.bvb.match_widths(
+            first.addr, second.addr
+        )
+        if first_addr == second_addr:
+            table.const_edges.append((first, second))
+        elif not (core_reach[first.index] >> second.index) & 1:
+            context.addr_eq(first, second)
 
     successors = list(table.core_successors)
     table.add_edges(successors, table.const_edges)
     reach = table.closure(successors)
     for load, stores in table.candidates:
-        prelower.append(context.initial_value_term(load))
+        context.initial_value_term(load)
         load_reach = reach[load.index]
         for store in stores:
-            if (load_reach >> store.index) & 1:
-                continue  # store after load in every model: invisible
-            prelower.append(context.addr_eq(load, store))
-    return prelower
-
-
-def _lower_base_cnf(
-    context: EncodingContext,
-    threads: list[ThreadEncoding],
-    observation_slots: list[ObservationSlot],
-    assertions: list[tuple[int, str]],
-    overflow_handles: dict[str, int],
-    prelower: list[int],
-) -> None:
-    """Tseitin-lower the model-independent formula into the base CNF.
-
-    Every observable bit, assertion condition and overflow handle needs a
-    SAT variable so models can always be decoded; every access guard,
-    address and value bit is referenced by the value axioms of *every*
-    memory model, so lowering their cones here emits the thread-formula
-    clauses once instead of once per model.  Candidate-fence selectors are
-    assumed (and appear in cores) after the first solve, so they too need
-    CNF variables — and protection from the preprocessor — up front.
-    """
-    literal = context.lowering.literal
-    for slot in observation_slots:
-        for bit in slot.value.bits:
-            literal(bit)
-    for handle, _ in assertions:
-        literal(handle)
-    for handle in overflow_handles.values():
-        literal(handle)
-    for handle in context.fence_selectors.values():
-        literal(handle)
-    for thread in threads:
-        for access in thread.accesses:
-            literal(access.guard)
-            for bit in access.addr.bits:
-                literal(bit)
-            for bit in access.value.bits:
-                literal(bit)
-        for fence in thread.fences:
-            literal(fence.guard)
-    # The prewarmed address-equality/initial-value cones marked for
-    # pre-lowering are consumed by every model's axioms — their top gates
-    # appear as literals of each layer's clauses — so lowering them (cone
-    # and top gate) here emits exactly the Tseitin definitions every
-    # per-model layer would otherwise re-derive.
-    for handle in prelower:
-        if abs(handle) != Circuit.TRUE:
-            literal(handle)
+            if not (load_reach >> store.index) & 1:
+                context.addr_eq(load, store)
 
 
 def encode_test(
@@ -886,8 +795,8 @@ def encode_test(
     stats.loads = size["loads"]
     stats.stores = size["stores"]
     stats.accesses = len(order.accesses)
-    stats.cnf_variables = context.lowering.cnf.num_vars
-    stats.cnf_clauses = context.lowering.cnf.num_clauses
+    stats.cnf_variables = context.circuit.cnf.num_vars
+    stats.cnf_clauses = context.circuit.cnf.num_clauses
     stats.order_pairs = encoder.order_pair_count
     stats.order_vars = encoder.order_var_count
     stats.order_pairs_static = encoder.static_pair_count

@@ -21,7 +21,10 @@ variable and transitivity by explicit clauses — and asserts
 The whole relation lives in one place, :attr:`MemoryOrderEncoding.table`: a
 flat list indexed ``i * n + j`` by access index (an access's ``index`` is
 its position in the test's access list) holding the CNF literal of
-``accesses[i] <M accesses[j]``.
+``accesses[i] <M accesses[j]``.  The layer writes its clauses into the
+CNF of the skeleton fork's gate builder (:class:`repro.sat.circuit.Circuit`),
+whose handles are literals of that same CNF: an access guard, an address
+comparison or a value bit goes into a clause as it is.
 
 The paper's construction gives every pair of accesses an order variable
 and asserts full O(n^3) transitivity.  This module builds a pruned
@@ -33,8 +36,8 @@ about the accesses that no memory model changes (alias sets, per-thread
 order, fence pairs, atomic groups, may-alias candidate stores and the
 *core* of that static order) lives in one :class:`AccessTable`, built once
 per encoding skeleton; a per-model layer starts from the core and adds only
-its own model's edges.  Those pairs hold the lowering's constant literals
-``1``/``-1`` instead of a variable plus a unit clause.  Order variables are
+its own model's edges.  Those pairs hold the constant literals ``1``/``-1``
+instead of a variable plus a unit clause.  Order variables are
 minted only for pairs that can influence outcomes: pairs queried by the
 value axioms (a load and its may-alias candidate stores, and those stores
 among each other), by conditional fence/same-address/atomic/seriality
@@ -75,15 +78,15 @@ class MemoryOrderEncoding:
 
     * **statically resolved**: the direction is forced by the model
       regardless of the solver's choices; the entry is ``1`` or ``-1``,
-      the lowering's constant TRUE/FALSE (equal to :attr:`Circuit.TRUE`
-      and :attr:`Circuit.FALSE`).
+      the constant TRUE/FALSE (:attr:`Circuit.TRUE` and
+      :attr:`Circuit.FALSE`).
     * **live**: an order variable (or its negation) decides the direction.
     * **dead**: no constraint ever mentions the pair; the entry is
       ``None``, so decoders treat the pair as unordered.  So is the
       diagonal.
 
-    An entry is a CNF literal, not a circuit handle: read it under a model
-    as ``model[abs(lit)] == (lit > 0)``.
+    An entry is a CNF literal, like every handle of the encoder: read it
+    under a model as ``model[abs(lit)] == (lit > 0)``.
     """
 
     accesses: list[MemoryAccess]
@@ -388,7 +391,7 @@ class MemoryModelEncoder:
         triangles = self._triangulate(seeds)
         # Order variables come straight from the CNF, unnamed: no decoder
         # reads them back by name.
-        new_var = self.ctx.lowering.cnf.new_var
+        new_var = self.ctx.circuit.cnf.new_var
         order = self.encoding.table
         n = len(self.accesses)
         for i, j in sorted(seeds):
@@ -579,7 +582,7 @@ class MemoryModelEncoder:
                     n += 1
                 push_len(n)
                 count += 1
-        self.ctx.lowering.cnf.add_clauses_trusted_flat(buf, lengths)
+        self.ctx.circuit.cnf.add_clauses_trusted_flat(buf, lengths)
         self.transitivity_clause_count += count
 
     # ---------------------------------------------------------- pair streams
@@ -600,6 +603,8 @@ class MemoryModelEncoder:
         if not self.model.same_address_store_order:
             return
         circuit = self.ctx.circuit
+        order = self.encoding.table
+        n = len(self.accesses)
         for first, second in self.table.same_thread_pairs:
             if not second.is_store:
                 continue
@@ -608,6 +613,10 @@ class MemoryModelEncoder:
             if self.model.preserves(first.kind, second.kind):
                 continue  # already ordered unconditionally
             if not self.table.may_alias(first, second):
+                continue
+            if order[first.index * n + second.index] == 1:
+                # Statically ordered: the clause is vacuous, so build no
+                # comparison (its gates would be written into the CNF).
                 continue
             addr_eq = self.ctx.addr_eq(first, second)
             if addr_eq == circuit.FALSE:
@@ -649,19 +658,18 @@ class MemoryModelEncoder:
     def _assert_ordered_when(self, triples) -> None:
         """``condition -> first <M second`` for every ``(first, second,
         condition)`` triple, as one binary clause each through the trusted
-        path (an implies() node would Tseitin-lower an OR gate per pair
-        just to assert its output true).  The condition is a symbolic
-        address comparison or fence guard, never an order variable, so
-        the two literals are distinct."""
-        literal = self.ctx.lowering.literal
+        path (an implies() gate would write an OR gate per pair just to
+        assert its output true).  The condition is a symbolic address
+        comparison or fence guard, never an order variable, so the two
+        literals are distinct."""
         order = self.encoding.table
         n = len(self.accesses)
         buf: list[int] = []
         for first, second, condition in triples:
             lit = order[first.index * n + second.index]
             if lit != 1:
-                buf += (-literal(condition), lit)
-        self.ctx.lowering.cnf.add_clauses_trusted_flat(
+                buf += (-condition, lit)
+        self.ctx.circuit.cnf.add_clauses_trusted_flat(
             buf, [2] * (len(buf) // 2)
         )
 
@@ -696,18 +704,18 @@ class MemoryModelEncoder:
             # clause, marking the formula unsatisfiable.
             push_len(count)
         if lengths:
-            self.ctx.lowering.cnf.add_clauses_trusted_flat(buf, lengths)
+            self.ctx.circuit.cnf.add_clauses_trusted_flat(buf, lengths)
 
     def _assert_operation_atomicity(self) -> None:
         """Seriality: accesses of different invocations never interleave.
 
         ``order <-> OP`` goes out as two clauses directly; a static pair
         degenerates to a unit constraint on the OP variable (an ``iff()``
-        node would Tseitin-lower an XOR cone per access pair just to assert
-        its output).  Clauses are batched through the trusted path — every
+        gate would write an XOR cone per access pair just to assert its
+        output).  Clauses are batched through the trusted path — every
         clause pairs the OP literal with a distinct order literal.
         """
-        new_var = self.ctx.lowering.cnf.new_var
+        new_var = self.ctx.circuit.cnf.new_var
         order = self.encoding.table
         n = len(self.accesses)
         buf: list[int] = []
@@ -736,7 +744,7 @@ class MemoryModelEncoder:
                         push(-op_lit)
                         push_len(2)
         if lengths:
-            self.ctx.lowering.cnf.add_clauses_trusted_flat(buf, lengths)
+            self.ctx.circuit.cnf.add_clauses_trusted_flat(buf, lengths)
 
     # ---------------------------------------------------------- value axioms
 
@@ -787,19 +795,13 @@ class MemoryModelEncoder:
         no visibility conjunct does — so the clauses go through the
         trusted bulk path.
         """
-        lowering = self.ctx.lowering
-        literal = lowering.literal
-        new_var = lowering.cnf.new_var
+        cnf = self.ctx.circuit.cnf
+        new_var = cnf.new_var
         addr_eq = self.ctx.addr_eq
         initial_value_term = self.ctx.initial_value_term
         order = self.encoding.table
         n = len(self.accesses)
         sources = self.encoding.sources
-        # Value bits as CNF literals; the constants map to +-1, the
-        # lowering's constant-TRUE variable.
-        value_lits = [
-            [literal(bit) for bit in a.value.bits] for a in self.accesses
-        ]
         buf: list[int] = []
         lengths: list[int] = []
         push = buf.append
@@ -818,9 +820,7 @@ class MemoryModelEncoder:
                 else:
                     before = order[store.index * n + load_index]
                 negated: list[int] = []
-                for lit in (
-                    literal(store.guard), literal(addr_eq(load, store)), before
-                ):
+                for lit in (store.guard, addr_eq(load, store), before):
                     if lit == 1:
                         continue
                     if lit == -1 or lit in negated:
@@ -830,7 +830,7 @@ class MemoryModelEncoder:
                 else:
                     visible.append((store, negated))
 
-            load_bits = value_lits[load_index]
+            load_bits = load.value.bits
             selectors: list[tuple[int | None, int]] = []
             for store, negated in visible:
                 # Bitwise value equality as clause tails under rf(store);
@@ -838,7 +838,7 @@ class MemoryModelEncoder:
                 tails: list[tuple[int, ...]] | None = []
                 # A missing high bit of the narrower value is FALSE (-1).
                 for a, s in zip_longest(
-                    load_bits, value_lits[store.index], fillvalue=-1
+                    load_bits, store.value.bits, fillvalue=-1
                 ):
                     if a == s:
                         continue
@@ -892,17 +892,17 @@ class MemoryModelEncoder:
                     push_len(len(negated) + 1)
                 if init_term != Circuit.TRUE:
                     push(-rf)
-                    push(literal(init_term))
+                    push(init_term)
                     push_len(2)
 
             sources[load_index] = selectors
             count = len(selectors)
             if load.guard != Circuit.TRUE:
-                push(-literal(load.guard))
+                push(-load.guard)
                 count += 1
             extend(rf for _, rf in selectors)
             push_len(count)
-        lowering.cnf.add_clauses_trusted_flat(buf, lengths)
+        cnf.add_clauses_trusted_flat(buf, lengths)
         self.value_clause_count += len(lengths)
 
     def _forwarded(self, store: MemoryAccess, load: MemoryAccess) -> bool:

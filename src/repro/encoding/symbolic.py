@@ -49,7 +49,7 @@ class MemoryAccess:
     thread: int
     invocation: int             # global invocation index (seriality groups)
     seq: int                    # program-order position within the thread
-    guard: int                  # circuit handle: does this access execute?
+    guard: int                  # literal: does this access execute?
     addr: BitVec
     value: BitVec
     addr_candidates: list[int] | None

@@ -70,7 +70,7 @@ class CompiledTest:
 
     # The encoder memoizes its model-independent skeleton on this object
     # (see repro.encoding.formula.skeleton_for); the skeleton holds live
-    # circuit/CNF state and must never travel across process boundaries.
+    # gate-builder/CNF state and must never travel across process boundaries.
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_encoding_skeleton", None)

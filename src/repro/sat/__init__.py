@@ -12,11 +12,13 @@ Public surface:
   IPASIR backend of :mod:`repro.sat.ipasir`) plus the backend-stack
   factory :func:`repro.sat.backend.make_backend_factory`, the one place
   a solver stack is chosen.
-* :class:`repro.sat.circuit.Circuit` / :class:`repro.sat.circuit.CnfLowering`
-  — boolean circuits with Tseitin conversion.
+* :class:`repro.sat.circuit.Circuit` — the gate builder: every handle is
+  a literal of its own CNF, and each gate's Tseitin clauses are written
+  when the gate is built.
 * :mod:`repro.sat.simplify` — in-process SatELite-style CNF preprocessing
-  (:class:`repro.sat.simplify.SimplifyingBackend`) between lowering and
-  solving, with model reconstruction and a frozen-variable contract.
+  (:class:`repro.sat.simplify.SimplifyingBackend`) between the encoder's
+  CNF and the solver, with model reconstruction and a frozen-variable
+  contract.
 * :class:`repro.sat.bitvec.BitVecBuilder` — fixed-width bit-vector terms.
 """
 
@@ -29,7 +31,7 @@ from repro.sat.backend import (
     default_backend_spec,
     make_backend_factory,
 )
-from repro.sat.circuit import Circuit, CnfLowering
+from repro.sat.circuit import Circuit
 from repro.sat.bitvec import BitVec, BitVecBuilder, width_for
 from repro.sat.simplify import (
     Simplifier,
@@ -49,7 +51,6 @@ __all__ = [
     "default_backend_spec",
     "make_backend_factory",
     "Circuit",
-    "CnfLowering",
     "BitVec",
     "BitVecBuilder",
     "width_for",

@@ -4,7 +4,9 @@ The back-end encodes every LSL value as an unsigned bit-vector whose width is
 chosen by the range analysis (Section 3.4 of the paper).  This module
 provides the small arithmetic vocabulary the encoder needs: constants, fresh
 symbolic vectors, equality, multiplexers, addition/subtraction by constants,
-and unsigned comparisons.
+and unsigned comparisons.  Every bit is a handle of the gate builder, so a
+CNF literal, with the constants as ``1`` / ``-1``; the builder writes each
+gate's clauses as the terms are built.
 
 Bit order is least-significant-bit first.
 """
@@ -19,7 +21,7 @@ from repro.sat.circuit import Circuit
 
 @dataclass(frozen=True)
 class BitVec:
-    """A vector of circuit handles, LSB first."""
+    """A vector of bit literals, LSB first."""
 
     bits: tuple[int, ...]
 
@@ -35,7 +37,7 @@ class BitVec:
 
 
 class BitVecBuilder:
-    """Constructs bit-vector terms in a given circuit."""
+    """Constructs bit-vector terms with a given gate builder."""
 
     def __init__(self, circuit: Circuit) -> None:
         self.circuit = circuit

@@ -140,7 +140,7 @@ class CNF:
 
         The caller guarantees: no zero literal, no duplicate literals, not
         a tautology, and every variable already allocated.  Hot emitters
-        (Tseitin lowering, the transitivity triangles) satisfy all four by
+        (the gate builder, the transitivity triangles) satisfy all four by
         construction, and skipping the per-literal checks roughly halves
         their clause-emission cost.
         """

@@ -1,11 +1,11 @@
 """In-process CNF simplification (SatELite-style preprocessing).
 
-The Tseitin lowering in :mod:`repro.sat.circuit` mints a fresh variable per
-AND gate, so a large fraction of the variables that reach the solver are
+The gate builder :class:`repro.sat.circuit.Circuit` mints a fresh variable
+per AND gate, so a large fraction of the variables that reach the solver are
 *functionally defined*: they occur in exactly the clauses that define them
 plus a handful of uses, which is the textbook target of the
 SatELite/MiniSat preprocessing lineage.  This module implements that
-preprocessing between lowering and solving:
+preprocessing between the encoder's CNF and the solver:
 
 * **unit propagation** to fixpoint (root-level facts are applied and
   removed from every clause);
@@ -28,8 +28,8 @@ Incrementality and the frozen-set contract
 ------------------------------------------
 
 The checking pipeline keeps adding clauses after the first solve (blocking
-clauses during outcome mining, guard definitions, lazily lowered
-assumption terms).  Two mechanisms keep that sound:
+clauses during outcome mining, guard definitions, the clauses of gates
+built for later assumptions).  Two mechanisms keep that sound:
 
 * a **frozen set** of variables that outside code will mention again
   (observation-slot bits, assumption/guard handles; memory-order variables

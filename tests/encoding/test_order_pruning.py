@@ -10,8 +10,7 @@ themselves are checked against the operational enumerator in
   silently regress back toward the paper's dense construction;
 * **mechanics** — static resolution facts, constant-folded table entries,
   dead pairs, topological counterexample decoding, the store each
-  counterexample load read, and the assumption-lowering/backend-sync
-  ordering fix in ``EncodedTest.solve``.
+  counterexample load read, and the backend sync in ``EncodedTest.solve``.
 """
 
 import pytest
@@ -212,7 +211,9 @@ class TestCounterexampleDecoding:
         trace = build_trace(encoded, "observation", labels)
         assert trace.observation not in spec
 
-        evaluate = encoded.ctx.lowering.evaluate
+        def evaluate(lit: int, model: dict[int, bool]) -> bool:
+            return model.get(abs(lit), False) == (lit > 0)
+
         executed_loads = [
             a for a in encoded.order.accesses
             if a.is_load and evaluate(a.guard, model)
@@ -241,8 +242,8 @@ class TestCounterexampleDecoding:
 
 class TestSolveSyncRegression:
     """EncodedTest.solve must never hand the backend an assumption literal
-    whose defining clauses have not been synced (the assumption handles are
-    lowered between two backend syncs)."""
+    whose defining clauses have not been synced (a gate built after the
+    first solve writes its clauses into the CNF, not into the backend)."""
 
     def _encoded(self):
         litmus = available_litmus_tests()["store-buffering"]
@@ -251,32 +252,37 @@ class TestSolveSyncRegression:
     def test_fresh_composite_assumption_after_first_solve(self):
         encoded = self._encoded()
         assert encoded.solve() is True
-        # Build a *new* composite node after the backend has synced: its
-        # Tseitin clauses do not exist yet when solve() is entered.
+        # Build a *new* composite gate after the backend has synced: its
+        # clauses are in the CNF but not yet in the backend when solve()
+        # is entered.
         circuit = encoded.ctx.circuit
         handles = encoded.observation_equals((0, 1))
         both = circuit.and_many(handles)
         contradiction = circuit.and_(both, -handles[0])
         assert encoded.solve(assumptions=[contradiction]) is False
-        # Every clause the lowering produced is in the backend.
+        # Every clause of the CNF is in the backend.
         assert encoded._synced_clauses == len(encoded.cnf.clauses)
         # The formula itself is untouched by the failed assumption.
         assert encoded.solve() is True
 
-    def test_backend_is_synced_before_and_after_lowering(self, monkeypatch):
+    def test_gate_built_after_first_solve_is_synced_before_its_solve(
+        self, monkeypatch
+    ):
         encoded = self._encoded()
-        observed = []
-        original = encoded.ctx.lowering.literal
-
-        def recording_literal(handle):
-            observed.append(encoded._synced_clauses == len(encoded.cnf.clauses))
-            return original(handle)
-
-        monkeypatch.setattr(encoded.ctx.lowering, "literal", recording_literal)
+        assert encoded.solve() is True
         handles = encoded.observation_equals((1, 0))
         composite = encoded.ctx.circuit.and_many(handles)
+        # The gate's clauses were written into the CNF when it was built.
+        assert encoded._synced_clauses < len(encoded.cnf.clauses)
+        backend = encoded._backend
+        observed = []
+        original = backend.solve
+
+        def recording_solve(*args, **kwargs):
+            observed.append(encoded._synced_clauses == len(encoded.cnf.clauses))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(backend, "solve", recording_solve)
         assert encoded.solve(assumptions=[composite]) is True
-        # The first lowering call ran against a fully synced backend...
-        assert observed and observed[0] is True
-        # ...and whatever it appended was synced again before solving.
-        assert encoded._synced_clauses == len(encoded.cnf.clauses)
+        # When the backend's solve started, every CNF clause was in it.
+        assert observed == [True]

@@ -35,8 +35,10 @@ SOLUTIONS_PER_FORMULA = 4
 
 
 def _assert_selector_invariants(encoded, model: dict[int, bool]) -> None:
-    evaluate = encoded.ctx.lowering.evaluate
     order = encoded.order
+
+    def evaluate(lit: int, model: dict[int, bool]) -> bool:
+        return model.get(abs(lit), False) == (lit > 0)
 
     def decode(vec) -> int:
         return BitVecBuilder.decode(vec, lambda bit: evaluate(bit, model))
@@ -44,7 +46,7 @@ def _assert_selector_invariants(encoded, model: dict[int, bool]) -> None:
     def before(first: int, second: int) -> bool:
         lit = order.resolved(first, second)
         assert lit is not None, "a value-axiom pair has no order"
-        return model.get(abs(lit), False) == (lit > 0)
+        return evaluate(lit, model)
 
     accesses = order.accesses
     decoded = encoded.decode_sources(model)

@@ -1,14 +1,19 @@
-"""Hash-consing and constant-folding guarantees of the circuit layer.
+"""Hash-consing and constant-folding guarantees of the gate builder.
 
 The encoder leans on these structural identities for the shared-skeleton
-optimization: because equal subformulas get equal handles, the per-model
+optimization: because equal subformulas get equal literals, the per-model
 encoding layer re-deriving a constraint the skeleton already built costs
-zero new nodes.  These tests pin the folding rules down and — the point
-of the exercise — assert that *node counts* stay flat when redundant
-structure is rebuilt.
+no new variable or clause.  These tests pin the folding rules down and —
+the point of the exercise — assert that the *CNF size* stays flat when
+redundant structure is rebuilt.
 """
 
 from repro.sat import Circuit
+
+
+def size(c: Circuit) -> tuple[int, int]:
+    """Variables and clauses the builder has written so far."""
+    return c.cnf.num_vars, c.cnf.num_clauses
 
 
 class TestConstantFolding:
@@ -94,38 +99,49 @@ class TestCanonicalization:
         assert c.and_(a, b) == -c.or_(-a, -b)
 
 
-class TestNodeCounts:
-    """Folding must show up as *fewer nodes*, not just equal handles."""
+class TestCnfSize:
+    """Folding must show up as *a smaller CNF*, not just equal literals."""
 
-    def test_rebuilding_same_expression_adds_no_nodes(self):
+    def test_rebuilding_same_expression_adds_no_clauses(self):
         c = Circuit()
         a, b, x = c.var("a"), c.var("b"), c.var("x")
         first = c.ite(x, c.and_(a, b), c.or_(a, b))
-        before = c.num_nodes
+        before = size(c)
         second = c.ite(x, c.and_(a, b), c.or_(a, b))
         assert second == first
-        assert c.num_nodes == before
+        assert size(c) == before
 
-    def test_commuted_rebuild_adds_no_nodes(self):
+    def test_commuted_rebuild_adds_no_clauses(self):
         c = Circuit()
         a, b = c.var("a"), c.var("b")
         first = c.and_(a, b)
-        before = c.num_nodes
+        before = size(c)
         assert c.and_(b, a) == first
         assert c.or_(-b, -a) == -first
-        assert c.num_nodes == before
+        assert size(c) == before
 
-    def test_constant_folds_add_no_nodes(self):
+    def test_constant_folds_add_no_clauses(self):
         c = Circuit()
         a, b = c.var("a"), c.var("b")
         c.and_(a, b)
-        before = c.num_nodes
+        before = size(c)
         c.and_(a, c.TRUE)
         c.and_(a, -a)
         c.or_(a, c.TRUE)
         c.ite(c.TRUE, a, b)
         c.and_(c.and_(a, b), c.TRUE)
-        assert c.num_nodes == before
+        assert size(c) == before
+
+    def test_each_gate_writes_its_clauses_once(self):
+        # A binary AND gate is one variable and three clauses; an n-ary
+        # one is one variable and n + 1 clauses.
+        c = Circuit()
+        a, b, x = c.var("a"), c.var("b"), c.var("x")
+        before = size(c)
+        c.and_(a, b)
+        assert size(c) == (before[0] + 1, before[1] + 3)
+        c.and_many([a, b, x])
+        assert size(c) == (before[0] + 2, before[1] + 7)
 
     def test_redundant_input_shares_structure(self):
         # Re-conjoining duplicate operands reuses the consed canonical
@@ -133,35 +149,55 @@ class TestNodeCounts:
         c = Circuit()
         a, b, x = c.var("a"), c.var("b"), c.var("x")
         abx = c.and_(a, b, x)
-        before = c.num_nodes
+        before = size(c)
         assert c.and_(abx, abx) == abx
         assert c.and_(x, b, a) == abx
         assert c.and_(a, b, x, a, b) == abx
-        assert c.num_nodes == before
+        assert size(c) == before
 
     def test_accumulation_loop_is_linear(self):
-        # g = and_(g, step_i) over n steps must create O(n) nodes, not the
+        # g = and_(g, step_i) over n steps must write O(n) clauses, not the
         # O(n^2) a naive re-expansion of ever-wider children would.
         c = Circuit()
-        steps = c.vars(64, "s")
-        base = c.num_nodes
+        steps = [c.var(f"s{i}") for i in range(64)]
+        base_vars, base_clauses = size(c)
         g = c.TRUE
         for s in steps:
             g = c.and_(g, s)
-        grown = c.num_nodes - base
-        assert grown <= 4 * len(steps)
+        assert c.cnf.num_vars - base_vars <= len(steps)
+        assert c.cnf.num_clauses - base_clauses <= 3 * len(steps)
 
-    def test_copy_preserves_consing(self):
-        # The skeleton/layer split copies the circuit; handles minted before
-        # the copy must keep folding against nodes built after it.
+
+class TestFork:
+    def test_fork_reuses_skeleton_gates(self):
+        # The skeleton/layer split forks the builder; a gate the skeleton
+        # built keeps its literal on the fork, and rebuilding it there
+        # writes nothing.
         c = Circuit()
         a, b = c.var("a"), c.var("b")
         ab = c.and_(a, b)
         layer = c.copy()
-        before = layer.num_nodes
+        assert list(layer.cnf.clauses) == list(c.cnf.clauses)
+        before = size(layer)
         assert layer.and_(a, b) == ab
         assert layer.and_(b, a) == ab
-        assert layer.num_nodes == before
-        # ...and growing the copy never disturbs the original.
-        layer.and_(ab, layer.var("m"))
-        assert c.num_nodes == before
+        assert layer.or_(-a, -b) == -ab
+        assert size(layer) == before
+
+    def test_fork_gates_never_reach_the_original(self):
+        c = Circuit()
+        a, b = c.var("a"), c.var("b")
+        ab = c.and_(a, b)
+        before = size(c)
+        layer = c.copy()
+        m = layer.var("m")
+        gate = layer.and_(ab, m)
+        assert size(layer) == (before[0] + 2, before[1] + 3)
+        assert size(c) == before
+        # The original's next variable gets the number the fork gave m.
+        # Had the fork's hash entry for (ab, m) leaked, and_ would return
+        # the fork's gate without writing its clauses here.
+        other = c.var("other")
+        assert other == m
+        assert c.and_(ab, other) == gate
+        assert size(c) == (before[0] + 2, before[1] + 3)
