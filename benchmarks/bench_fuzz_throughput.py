@@ -9,7 +9,7 @@ The JSON (``--benchmark-json``) embeds the campaign numbers under
 hardware for the scaled figure.
 """
 
-from repro.harness.runner import fuzz_campaign
+from repro.fuzz import run_fuzz
 
 _BUDGET = 60
 _SEED = 1
@@ -17,7 +17,7 @@ _SEED = 1
 
 def test_fuzz_throughput(benchmark):
     result = benchmark.pedantic(
-        fuzz_campaign,
+        run_fuzz,
         kwargs={"budget": _BUDGET, "seed": _SEED},
         rounds=1,
         iterations=1,

@@ -38,7 +38,6 @@ from repro.harness.catalog import get_test, test_names
 from repro.harness.matrix import (
     SHARD_AXES,
     WORKER_TIMEOUT_ENV,
-    JournalError,
     catalog_cells,
     default_jobs,
     litmus_cells,
@@ -277,22 +276,13 @@ def _cmd_matrix(args) -> int:
     if not cells:
         print("matrix: no cells selected", file=sys.stderr)
         return 2
-    if args.resume and not args.journal:
-        print("matrix: --resume requires --journal", file=sys.stderr)
-        return 2
-    try:
-        matrix = run_matrix(
-            cells,
-            jobs=args.jobs,
-            shard_by=args.shard_by,
-            options=options,
-            progress=None if args.quiet else _matrix_progress,
-            journal=args.journal,
-            resume=args.resume,
-        )
-    except JournalError as exc:
-        print(f"matrix: {exc}", file=sys.stderr)
-        return 2
+    matrix = run_matrix(
+        cells,
+        jobs=args.jobs,
+        shard_by=args.shard_by,
+        options=options,
+        progress=None if args.quiet else _matrix_progress,
+    )
     if args.json is not None:
         report = _emit_json(matrix.as_dict(), args.json, "matrix")
         print(matrix.summary(), file=report)
@@ -523,27 +513,18 @@ def _cmd_fuzz(args) -> int:
         max_ops=args.max_ops,
         num_addresses=args.addrs,
     )
-    if args.resume and not args.journal:
-        print("fuzz: --resume requires --journal", file=sys.stderr)
-        return 2
-    try:
-        result = run_fuzz(
-            budget=args.budget,
-            seed=args.seed,
-            models=models,
-            config=config,
-            jobs=args.jobs,
-            shard_by=args.shard_by,
-            options=_check_options(args),
-            progress=None if args.quiet else _matrix_progress,
-            shrink=not args.no_shrink,
-            engines=engines,
-            journal=args.journal,
-            resume=args.resume,
-        )
-    except JournalError as exc:
-        print(f"fuzz: {exc}", file=sys.stderr)
-        return 2
+    result = run_fuzz(
+        budget=args.budget,
+        seed=args.seed,
+        models=models,
+        config=config,
+        jobs=args.jobs,
+        shard_by=args.shard_by,
+        options=_check_options(args),
+        progress=None if args.quiet else _matrix_progress,
+        shrink=not args.no_shrink,
+        engines=engines,
+    )
     report = sys.stdout
     if args.json is not None:
         report = _emit_json(result.as_dict(), args.json, "fuzz")
@@ -613,10 +594,12 @@ def _shared_flags() -> dict[str, argparse.ArgumentParser]:
             (("--store",), dict(
                 action="store_true",
                 help="consult and populate the persistent on-disk result "
-                "store (verdicts + mined observation sets under "
-                "~/.cache/checkfence or CHECKFENCE_CACHE_DIR, keyed by "
-                "content hash of source, test, model, options, and checker "
-                "code version; see 'checkfence cache')",
+                "store (every finished cell, plus mined observation sets, "
+                "under ~/.cache/checkfence or CHECKFENCE_CACHE_DIR, keyed "
+                "by content hash of what the result depends on and the "
+                "checker code version; rerunning a killed matrix or fuzz "
+                "campaign with --store recomputes only the cells without "
+                "a verdict; see 'checkfence cache')",
             )),
             (("--no-store",), dict(
                 action="store_true",
@@ -662,20 +645,6 @@ def _shared_flags() -> dict[str, argparse.ArgumentParser]:
             (("--quiet",), dict(
                 action="store_true",
                 help="suppress the per-cell progress stream on stderr",
-            )),
-        ),
-        "journal": _flag_group(
-            (("--journal",), dict(
-                default=None, metavar="FILE",
-                help="append one JSON line per completed cell to FILE as "
-                "the run progresses, so a killed run can be picked up with "
-                "--resume",
-            )),
-            (("--resume",), dict(
-                action="store_true",
-                help="read the --journal file first and re-run only cells "
-                "it does not already record a verdict for (ERROR/CRASHED "
-                "cells are retried)",
             )),
         ),
     }
@@ -768,7 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
         "run a (implementation x test x model) check matrix, sharded "
         "across a multiprocessing worker pool",
         "solver", "store", "budget", "spec_method", "jobs", "json", "quiet",
-        "journal",
     )
     matrix_parser.add_argument(
         "--impls", default="base",
@@ -877,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
         "differential fuzzing: generate random litmus programs and "
         "compare the operational oracle against the SAT encoding on every "
         "memory model (exit code 1 on divergence)",
-        "solver", "budget", "jobs", "json", "quiet", "journal",
+        "solver", "store", "budget", "jobs", "json", "quiet",
     )
     fuzz_parser.add_argument("--budget", type=int, default=100,
                              help="number of distinct programs (default: 100)")

@@ -1,30 +1,38 @@
-"""Persistent on-disk result store (verdicts and mined specifications).
+"""Persistent on-disk result store: the one record of finished work.
 
 Re-running an unchanged check matrix re-pays compilation, specification
 mining, encoding, and solving for every cell even though nothing that
-could change the answer has changed.  This module gives
-:class:`~repro.core.session.CheckSession` a durable cache: one sqlite
-database under ``~/.cache/checkfence`` (or ``CHECKFENCE_CACHE_DIR``)
-whose cells are keyed by a **content hash** of everything a verdict
-depends on —
+could change the answer has changed, and a killed campaign loses every
+cell it finished.  This module is the durable cache behind both: one
+sqlite database under ``~/.cache/checkfence`` (or
+``CHECKFENCE_CACHE_DIR``) whose cells are keyed by a **content hash**
+of everything a result depends on, plus a fingerprint of the checker's
+own code (every ``src/repro`` Python and C file) and
+:data:`CACHE_VERSION`.  Three cell kinds are stored:
 
-* the implementation (name and full C source),
-* the symbolic test (the same fingerprint the in-memory session caches
-  use),
-* the memory model name,
-* the resolved check options (specification method, loop bounds, range
-  analysis, assertion checking; not the solver stack, which cannot
-  change a verdict),
-* and a fingerprint of the checker's own code (every ``src/repro``
-  Python and C file), plus :data:`CACHE_VERSION`.
+* ``verdict`` — the JSON-safe essence of a catalog
+  :class:`~repro.core.results.CheckResult`, written by
+  :class:`~repro.core.session.CheckSession`.  Its key names the
+  implementation (name and full C source), the symbolic test (the same
+  fingerprint the in-memory session caches use), the memory model, and
+  the resolved check options (specification method, loop bounds, range
+  analysis) — not the solver stack, which cannot change a verdict.
+* ``spec`` — a mined observation set, keyed like a verdict minus the
+  model: it saves the serial-model mining even when the verdict cell
+  misses.
+* ``cell`` — the JSON fields of a litmus, fuzz or engines
+  :class:`~repro.harness.matrix.CellResult`, written by the matrix.  Its
+  key names the cell (kind, implementation column, test, model) and the
+  solver stack its SAT engine ran, because the stack is what a
+  differential cell tests.
 
 Because the key is a content hash, invalidation is automatic: editing an
 implementation, a test, an option, or the checker itself changes the key
 and the stale cell is simply never found again (``checkfence cache
---clear`` reclaims the space).  Two cell kinds are stored: ``verdict``
-(the JSON-safe essence of a :class:`~repro.core.results.CheckResult`)
-and ``spec`` (a mined observation set, which is model-independent and so
-saves the serial-model mining even when the verdict cell misses).
+--clear`` reclaims the space).  Degraded (TIMEOUT/OOM/CRASHED) and
+ERROR results are never stored, so rerunning a killed or budget-starved
+campaign with the store on recomputes exactly the cells without a
+verdict.
 
 The store is **off by default** — checks are exactly as reproducible as
 before unless the user opts in with ``--store`` / ``CHECKFENCE_STORE=1``
@@ -52,6 +60,7 @@ _DB_NAME = "store.sqlite"
 
 VERDICT_KIND = "verdict"
 SPEC_KIND = "spec"
+CELL_KIND = "cell"
 
 
 def store_enabled(flag: bool | None = None) -> bool:
@@ -131,9 +140,9 @@ class VerdictStore:
 
     Connections are opened lazily and re-opened after ``fork`` (matrix
     workers inherit the store object but must not share a connection);
-    WAL journaling lets several workers read and write concurrently.
-    Every sqlite error marks the store broken for this process and turns
-    all further operations into cache misses / no-ops.
+    sqlite's write-ahead log lets several workers read and write
+    concurrently.  Every sqlite error marks the store broken for this
+    process and turns all further operations into cache misses / no-ops.
     """
 
     def __init__(self, path: str | os.PathLike | None = None) -> None:

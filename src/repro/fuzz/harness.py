@@ -297,8 +297,9 @@ class FuzzCampaignResult:
             line += " — EVERY cell inconclusive: nothing was compared"
         if self.matrix.errors:
             line += f", {len(self.matrix.errors)} ERRORS"
-        if self.matrix.resumed:
-            line += f"; {len(self.matrix.resumed)} resumed from journal"
+        store_hits = self.matrix.cache_totals().get("store_hits")
+        if store_hits:
+            line += f"; {store_hits} store hits"
         return line
 
     def as_dict(self) -> dict:
@@ -336,8 +337,6 @@ def run_fuzz(
     progress=None,
     shrink: bool = True,
     engines=None,
-    journal: str | None = None,
-    resume: bool = False,
 ) -> FuzzCampaignResult:
     """Run one differential fuzzing campaign.
 
@@ -346,11 +345,10 @@ def run_fuzz(
     process and (when ``shrink``) minimized.  ``jobs``/``shard_by`` select
     the matrix pool exactly as for ``checkfence matrix``; ``engines``
     selects which consistency engines each cell compares (anything
-    :func:`repro.oracle.differ.parse_engines` accepts).
-    ``journal``/``resume`` thread straight through to
-    :func:`repro.harness.matrix.run_matrix`: the corpus is regenerated
-    deterministically from ``seed``, so a resumed campaign re-creates the
-    identical cell set and skips every journaled cell.
+    :func:`repro.oracle.differ.parse_engines` accepts).  The corpus is
+    regenerated deterministically from ``seed``, so rerunning a killed
+    campaign with ``options.store`` on re-creates the identical cells and
+    the store serves every one that finished.
     """
     from repro.core.checker import CheckOptions
 
@@ -366,8 +364,6 @@ def run_fuzz(
         shard_by=shard_by,
         options=options,
         progress=progress,
-        journal=journal,
-        resume=resume,
     )
     divergences: list[FuzzDivergence] = []
     inconclusive: list[dict] = []

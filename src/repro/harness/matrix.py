@@ -38,9 +38,11 @@ Fault tolerance (the robustness layer):
   (:data:`MATRIX_RETRIES`) and a small backoff; cells still unfinished
   after the attempt cap are quarantined as explicit ``CRASHED``
   verdicts, and a worker that dies while idle costs no shard an attempt;
-* ``journal=`` writes one JSON line per completed cell as it finishes,
-  and ``resume=True`` reads the journal back, records the finished
-  cells verdict-identically, and reruns only the rest;
+* with the persistent store on (``options.store``, see
+  :mod:`repro.core.store`) every cell with a verdict is recorded as it
+  finishes — a catalog cell by its session, a litmus, fuzz or engines
+  cell here — so rerunning a killed campaign against the same store
+  serves the finished cells and recomputes only the rest;
 * pool teardown escalates terminate → kill, so a worker stuck in a
   SIGTERM-ignoring state (hung solver, masked signals) is never leaked.
 
@@ -48,18 +50,16 @@ Fault *injection* for all of the above lives in
 :mod:`repro.core.faults` (``CHECKFENCE_FAULT=worker-crash:<key>,...``).
 
 The CLI surface is ``checkfence matrix`` (``--jobs``, ``--shard-by``,
-``--solver``, ``--json``, ``--timeout``, ``--journal``/``--resume``);
-``checkfence litmus`` and :func:`repro.harness.runner.catalog_matrix` are
-built on top of this module.
+``--solver``, ``--json``, ``--timeout``, ``--store``); ``checkfence
+litmus`` and ``checkfence fuzz`` are built on top of this module.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
-import hashlib
+import functools
 import itertools
-import json
 import multiprocessing
 import os
 import signal
@@ -69,6 +69,7 @@ from dataclasses import dataclass, field, replace
 from multiprocessing.connection import Connection, wait
 
 from repro.core import faults, limits
+from repro.core import store as result_store
 from repro.core.results import CheckResult
 from repro.core.session import CheckSession
 from repro.datatypes.registry import category_of, get_implementation
@@ -294,14 +295,10 @@ class MatrixResult:
         retries (verdicts TIMEOUT / OOM / CRASHED)."""
         return [r for r in self.results if r.degraded]
 
-    @property
-    def resumed(self) -> list[CellResult]:
-        """Cells restored from a journal instead of re-run."""
-        return [r for r in self.results if r.stats.get("resumed")]
-
     def cache_totals(self) -> dict:
-        """Aggregate CheckSession cache counters over all shards (how often
-        each stage ran vs was reused)."""
+        """Aggregate cache counters over all shards: how often each
+        CheckSession stage ran vs was reused, and the persistent-store
+        lookups of every cell kind."""
         totals: dict[str, int] = {}
         for stats in self.shard_stats:
             for key, value in stats.get("cache", {}).items():
@@ -361,9 +358,8 @@ class MatrixResult:
             f"spec mined {cache.get('mine', 0)}x, "
             f"{reused} cache hits"
         )
-        resumed = len(self.resumed)
-        if resumed:
-            line += f"; {resumed} resumed from journal"
+        if cache.get("store_hits"):
+            line += f"; {cache['store_hits']} store hits"
         degraded = self.degraded
         if degraded:
             counts = {}
@@ -425,246 +421,181 @@ def shard_cells(cells, shard_by: str = "test") -> list[_Shard]:
 # ------------------------------------------------------------ cell execution
 
 
-def _run_cell(cell: MatrixCell, sessions: dict, options) -> CellResult:
-    """Check one cell, reusing a warm session when one exists.
+#: The :class:`CellResult` fields a stored litmus, fuzz or engines cell
+#: keeps: its verdict and report, not the run that produced it (time,
+#: worker).  ERROR and degraded cells are never stored.
+_STORED_FIELDS = ("passed", "allowed", "counterexample", "notes", "stats")
 
-    Never raises: failures (unknown names, backend errors, ...) become
-    ``error`` results and resource-budget breaches become ``degraded``
-    results, so one bad cell cannot take down a shard.  The cell runs
-    under its own deadline scope built from the options (plus the
-    ``cell-timeout`` fault injection), which nested layers — the session,
-    the solver backends, the oracle loops — poll.
+
+class _Runner:
+    """Runs cells in one process — the serial path, or one pool worker —
+    and keeps what they share across shards: a warm
+    :class:`CheckSession` per implementation, and the persistent store
+    (``None`` while off), opened once from ``options.store``.
+
+    A catalog cell reaches the store through its session; a litmus,
+    fuzz or engines cell through :meth:`_stored`, whose lookups
+    ``store_stats`` counts the way a session's ``cache_stats`` counts
+    its own.
     """
-    started = time.perf_counter()
-    deadline = limits.deadline_from_options(options)
-    if cell.key in faults.timeout_cells():
-        # Injected expiry: the cell sees an already-expired deadline, so
-        # the TIMEOUT path runs without waiting for real wall-clock.
-        deadline = limits.Deadline(timeout_seconds=0.0)
-    try:
-        with limits.deadline_scope(deadline):
-            # An already-expired budget (tiny --timeout, injected
-            # cell-timeout fault) fails fast instead of waiting for the
-            # first in-loop poll, which a small cell may never reach.
-            limits.check_deadline()
-            return _run_cell_inner(cell, sessions, options, started)
-    except limits.LimitExceeded as exc:
+
+    def __init__(self, options) -> None:
+        self.options = options
+        self.sessions: dict[str, CheckSession] = {}
+        self.store = result_store.open_store(options.store)
+        self.store_stats = {"store_hits": 0, "store_misses": 0}
+
+    @functools.cached_property
+    def stack(self) -> tuple:
+        """The solver stack a litmus or fuzz cell's SAT engine runs: part
+        of its store key, since the stack is what a differential cell
+        tests."""
+        return make_backend_factory(self.options.solver_backend).stack
+
+    def cache_stats(self) -> dict[str, int]:
+        """Cache counters summed over the sessions, plus the store
+        lookups of the other cell kinds."""
+        totals = dict(self.store_stats)
+        for session in self.sessions.values():
+            for key, value in session.cache_stats.items():
+                totals[key] = totals.get(key, 0) + value
+        return totals
+
+    def run_shard(self, shard: _Shard, emit) -> dict:
+        """Run every cell of a shard, calling ``emit(position, result)``
+        as each finishes; returns the shard's cache-usage statistics."""
+        before = self.cache_stats()
+        for position, cell in shard.cells:
+            emit(position, self.run_cell(cell))
+        return {
+            "shard": shard.index,
+            "key": "/".join(str(part) for part in shard.key),
+            "cells": len(shard.cells),
+            "attempt": shard.attempt,
+            "cache": {
+                key: value - before.get(key, 0)
+                for key, value in self.cache_stats().items()
+            },
+        }
+
+    def run_cell(self, cell: MatrixCell) -> CellResult:
+        """Check one cell, reusing a warm session when one exists.
+
+        Never raises: failures (unknown names, backend errors, ...) become
+        ``error`` results and resource-budget breaches become ``degraded``
+        results, so one bad cell cannot take down a shard.  The cell runs
+        under its own deadline scope built from the options (plus the
+        ``cell-timeout`` fault injection), which nested layers — the
+        session, the solver backends, the oracle loops — poll.
+        """
+        started = time.perf_counter()
+        deadline = limits.deadline_from_options(self.options)
+        if cell.key in faults.timeout_cells():
+            # Injected expiry: the cell sees an already-expired deadline,
+            # so the TIMEOUT path runs without waiting for real wall-clock.
+            deadline = limits.Deadline(timeout_seconds=0.0)
+        try:
+            with limits.deadline_scope(deadline):
+                # An already-expired budget (tiny --timeout, injected
+                # cell-timeout fault) fails fast instead of waiting for the
+                # first in-loop poll, which a small cell may never reach.
+                limits.check_deadline()
+                if self.store is None or cell.kind == CATALOG_KIND:
+                    return self._check(cell, started)
+                return self._stored(cell, started)
+        except limits.LimitExceeded as exc:
+            return CellResult(
+                cell=cell,
+                seconds=time.perf_counter() - started,
+                degraded=exc.kind,
+                notes=[str(exc)],
+            )
+        except Exception as exc:
+            detail = traceback.format_exc(limit=3)
+            return CellResult(
+                cell=cell,
+                seconds=time.perf_counter() - started,
+                error=f"{type(exc).__name__}: {exc}\n{detail}",
+            )
+
+    def _stored(self, cell: MatrixCell, started: float) -> CellResult:
+        """A litmus, fuzz or engines cell served from the store, or
+        checked and then stored.  A budget breach or an error raises out
+        of :meth:`_check`, so only a cell with a verdict is stored."""
+        key = result_store.content_key(result_store.CELL_KIND, [
+            cell.kind, cell.implementation, cell.test, cell.model,
+            self.stack,
+        ])
+        payload = self.store.get(key)
+        if payload is not None:
+            self.store_stats["store_hits"] += 1
+            payload["stats"]["store_hit"] = True
+            return CellResult(
+                cell=cell, seconds=time.perf_counter() - started, **payload
+            )
+        self.store_stats["store_misses"] += 1
+        result = self._check(cell, started)
+        self.store.put(key, result_store.CELL_KIND, {
+            name: getattr(result, name) for name in _STORED_FIELDS
+        })
+        return result
+
+    def _check(self, cell: MatrixCell, started: float) -> CellResult:
+        if cell.kind in (FUZZ_KIND, ENGINES_KIND):
+            from repro.fuzz.harness import run_fuzz_cell
+
+            return run_fuzz_cell(cell, self.options)
+        if cell.kind == LITMUS_KIND:
+            from repro.litmus.catalog import (
+                available_litmus_tests,
+                observation_outcome,
+            )
+
+            litmus = available_litmus_tests()[cell.test]
+            outcome = observation_outcome(
+                litmus, cell.model,
+                backend_factory=make_backend_factory(
+                    self.options.solver_backend
+                ),
+            )
+            return CellResult(
+                cell=cell,
+                allowed=outcome.allowed,
+                seconds=time.perf_counter() - started,
+                stats={"backend": outcome.backend, "order": outcome.order},
+            )
+        session = self.sessions.get(cell.implementation)
+        if session is None:
+            session = CheckSession(
+                get_implementation(cell.implementation), self.options
+            )
+            self.sessions[cell.implementation] = session
+        test = get_test(category_of(cell.implementation), cell.test)
+        result = session.check(test, cell.model)
+        if result.degraded:
+            # The session already folded the budget breach into a degraded
+            # CheckResult (and skipped the store); surface it as a
+            # first-class cell verdict.
+            return CellResult(
+                cell=cell,
+                seconds=time.perf_counter() - started,
+                degraded=result.degraded,
+                notes=list(result.notes),
+                stats=result.stats.as_dict(),
+            )
         return CellResult(
             cell=cell,
+            passed=result.passed,
             seconds=time.perf_counter() - started,
-            degraded=exc.kind,
-            notes=[str(exc)],
-        )
-    except Exception as exc:
-        detail = traceback.format_exc(limit=3)
-        return CellResult(
-            cell=cell,
-            seconds=time.perf_counter() - started,
-            error=f"{type(exc).__name__}: {exc}\n{detail}",
-        )
-
-
-def _run_cell_inner(
-    cell: MatrixCell, sessions: dict, options, started: float
-) -> CellResult:
-    if cell.kind in (FUZZ_KIND, ENGINES_KIND):
-        from repro.fuzz.harness import run_fuzz_cell
-
-        return run_fuzz_cell(cell, options)
-    if cell.kind == LITMUS_KIND:
-        from repro.litmus.catalog import (
-            available_litmus_tests,
-            observation_outcome,
-        )
-
-        litmus = available_litmus_tests()[cell.test]
-        outcome = observation_outcome(
-            litmus, cell.model,
-            backend_factory=make_backend_factory(options.solver_backend),
-        )
-        return CellResult(
-            cell=cell,
-            allowed=outcome.allowed,
-            seconds=time.perf_counter() - started,
-            stats={"backend": outcome.backend, "order": outcome.order},
-        )
-    session = sessions.get(cell.implementation)
-    if session is None:
-        session = CheckSession(
-            get_implementation(cell.implementation), options
-        )
-        sessions[cell.implementation] = session
-    test = get_test(category_of(cell.implementation), cell.test)
-    result = session.check(test, cell.model)
-    if result.degraded:
-        # The session already folded the budget breach into a degraded
-        # CheckResult (and skipped the store); surface it as a
-        # first-class cell verdict.
-        return CellResult(
-            cell=cell,
-            seconds=time.perf_counter() - started,
-            degraded=result.degraded,
+            counterexample=(
+                result.counterexample.format()
+                if result.counterexample is not None
+                else ""
+            ),
             notes=list(result.notes),
             stats=result.stats.as_dict(),
+            result=result,
         )
-    return CellResult(
-        cell=cell,
-        passed=result.passed,
-        seconds=time.perf_counter() - started,
-        counterexample=(
-            result.counterexample.format()
-            if result.counterexample is not None
-            else ""
-        ),
-        notes=list(result.notes),
-        stats=result.stats.as_dict(),
-        result=result,
-    )
-
-
-def _cache_snapshot(sessions: dict) -> dict:
-    return {name: dict(s.cache_stats) for name, s in sessions.items()}
-
-
-def _cache_delta(sessions: dict, before: dict) -> dict:
-    """How often each cacheable stage ran during one shard."""
-    delta: dict[str, int] = {}
-    for name, session in sessions.items():
-        baseline = before.get(name, {})
-        for key, value in session.cache_stats.items():
-            delta[key] = delta.get(key, 0) + value - baseline.get(key, 0)
-    return delta
-
-
-def _run_shard(shard: _Shard, sessions: dict, options, emit) -> dict:
-    """Run every cell of a shard, calling ``emit(position, result)`` as
-    each finishes; returns the shard's cache-usage statistics."""
-    before = _cache_snapshot(sessions)
-    for position, cell in shard.cells:
-        emit(position, _run_cell(cell, sessions, options))
-    return {
-        "shard": shard.index,
-        "key": "/".join(str(part) for part in shard.key),
-        "cells": len(shard.cells),
-        "attempt": shard.attempt,
-        "cache": _cache_delta(sessions, before),
-    }
-
-
-# -------------------------------------------------------------- journaling
-
-
-JOURNAL_VERSION = 1
-
-#: Journal verdicts that count as *finished*: a resumed run restores them
-#: instead of re-running.  ERROR and the degraded verdicts (CRASHED,
-#: TIMEOUT, OOM) are deliberately not final — the whole point of resuming
-#: is to give them another go, and a budget is a property of one run, not
-#: of the cell.
-_FINAL_VERDICTS_EXCLUDED = ("ERROR",) + tuple(limits.DEGRADED_VERDICTS)
-
-
-class JournalError(ValueError):
-    """A journal file does not match the requested matrix run."""
-
-
-def _journal_fingerprint(cells) -> str:
-    payload = json.dumps(
-        [[c.implementation, c.test, c.model, c.kind] for c in cells],
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def _journal_entry(position: int, result: CellResult) -> dict:
-    return {
-        "position": position,
-        "key": result.cell.key,
-        "kind": result.cell.kind,
-        "verdict": result.verdict,
-        "passed": result.passed,
-        "allowed": result.allowed,
-        "degraded": result.degraded,
-        "error": result.error,
-        "seconds": result.seconds,
-        "counterexample": result.counterexample,
-        "notes": list(result.notes),
-        "stats": dict(result.stats),
-    }
-
-
-def _result_from_journal(cell: MatrixCell, entry: dict) -> CellResult:
-    stats = dict(entry.get("stats", {}))
-    stats["resumed"] = True
-    return CellResult(
-        cell=cell,
-        passed=entry.get("passed"),
-        allowed=entry.get("allowed"),
-        seconds=entry.get("seconds", 0.0),
-        error=entry.get("error", ""),
-        degraded=entry.get("degraded", ""),
-        counterexample=entry.get("counterexample", ""),
-        notes=list(entry.get("notes", [])),
-        stats=stats,
-    )
-
-
-def _load_journal(path: str, fingerprint: str, cells) -> dict[int, CellResult]:
-    """Parse a journal, returning the finished cells by position.
-
-    The header's cell-set fingerprint must match the requested run — a
-    journal from a different matrix silently "finishing" the wrong cells
-    would be much worse than an error.  A torn final line (the writer
-    died mid-write) is ignored.
-    """
-    finished: dict[int, CellResult] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        header_line = handle.readline()
-        if not header_line.strip():
-            return finished
-        try:
-            header = json.loads(header_line)
-        except ValueError as exc:
-            raise JournalError(
-                f"{path}: not a matrix journal (unparseable header)"
-            ) from exc
-        if header.get("journal") != JOURNAL_VERSION:
-            raise JournalError(
-                f"{path}: unsupported journal version "
-                f"{header.get('journal')!r}"
-            )
-        if header.get("fingerprint") != fingerprint:
-            raise JournalError(
-                f"{path}: journal was written for a different cell set "
-                f"(fingerprint {header.get('fingerprint')!r}, this run "
-                f"is {fingerprint!r}); use a fresh --journal file"
-            )
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue  # torn tail line from a dead writer
-            position = entry.get("position")
-            if not isinstance(position, int) or not (
-                0 <= position < len(cells)
-            ):
-                continue
-            cell = cells[position]
-            if entry.get("key") != cell.key:
-                raise JournalError(
-                    f"{path}: entry for position {position} names "
-                    f"{entry.get('key')!r}, expected {cell.key!r}"
-                )
-            if entry.get("verdict") in _FINAL_VERDICTS_EXCLUDED:
-                finished.pop(position, None)
-                continue
-            # Last entry for a position wins (a resumed run may append a
-            # fresh verdict for a cell an earlier run left as ERROR).
-            finished[position] = _result_from_journal(cell, entry)
-    return finished
 
 
 # ------------------------------------------------------------- orchestrator
@@ -683,11 +614,11 @@ def _worker_main(worker_id, conn, options) -> None:
     until it sends ``None`` (or is gone).
 
     Sessions stay warm across shards, so a worker that processes several
-    shards of one implementation compiles its C source once.  Messages:
-    ``("cell", position, result)`` per cell and ``("shard", stats)`` after
-    the shard.
+    shards of one implementation compiles its C source once, and the
+    worker opens the persistent store once.  Messages: ``("cell",
+    position, result)`` per cell and ``("shard", stats)`` after the shard.
     """
-    sessions: dict = {}
+    runner = _Runner(options)
 
     def emit(position, result):
         result.worker = worker_id
@@ -714,7 +645,7 @@ def _worker_main(worker_id, conn, options) -> None:
                 signal.signal(signal.SIGTERM, signal.SIG_IGN)
                 while True:
                     time.sleep(3600)
-            conn.send(("shard", _run_shard(shard, sessions, options, emit)))
+            conn.send(("shard", runner.run_shard(shard, emit)))
 
 
 def _mp_context():
@@ -746,8 +677,6 @@ def run_matrix(
     shard_by: str = "test",
     options=None,
     progress=None,
-    journal: str | None = None,
-    resume: bool = False,
 ) -> MatrixResult:
     """Run a check matrix, optionally across a multiprocessing pool.
 
@@ -762,11 +691,10 @@ def run_matrix(
     ``progress(done, total, cell_result)`` from the parent process, in
     completion order.
 
-    ``journal`` names a JSONL file that receives one line per completed
-    cell (plus a header identifying the cell set); with ``resume=True``
-    the journal is read first and every finished cell is restored
-    verdict-identically instead of re-run, so a campaign that died at cell
-    2400 of 2500 reruns only the missing hundred.
+    With ``options.store`` on, every cell with a verdict goes into the
+    persistent store as it finishes and is served from it on a rerun, so
+    a campaign that died at cell 2400 of 2500 reruns only the missing
+    hundred.
 
     The returned :class:`MatrixResult` lists cell results in the original
     order of ``cells``, so a parallel run is directly comparable to a
@@ -785,32 +713,8 @@ def run_matrix(
 
     interrupt_keys = faults.interrupt_cells()
 
-    # ---- journal / resume
-    fingerprint = _journal_fingerprint(cells)
-    resumed_results: dict[int, CellResult] = {}
-    if journal and resume and os.path.exists(journal):
-        resumed_results = _load_journal(journal, fingerprint, cells)
-    journal_handle = None
-    if journal:
-        fresh = not (resume and os.path.exists(journal))
-        journal_handle = open(
-            journal, "w" if fresh else "a", encoding="utf-8"
-        )
-        if fresh:
-            journal_handle.write(json.dumps({
-                "journal": JOURNAL_VERSION,
-                "fingerprint": fingerprint,
-                "cells": total,
-            }) + "\n")
-            journal_handle.flush()
-
     def record(position: int, result: CellResult) -> None:
         results[position] = result
-        if journal_handle is not None and not result.stats.get("resumed"):
-            journal_handle.write(
-                json.dumps(_journal_entry(position, result)) + "\n"
-            )
-            journal_handle.flush()
         if progress is not None:
             progress(len(results), total, result)
         if interrupt_keys and result.cell.key in interrupt_keys:
@@ -828,35 +732,13 @@ def run_matrix(
             shard_stats=shard_stats,
         )
 
-    try:
-        for position in sorted(resumed_results):
-            record(position, resumed_results[position])
-
-        shards = shard_cells(cells, shard_by)
-        if resumed_results:
-            shards = [
-                replace(shard, cells=members)
-                for shard in shards
-                if (members := [
-                    (p, c) for p, c in shard.cells if p not in resumed_results
-                ])
-            ]
-        remaining = total - len(resumed_results)
-
-        if jobs <= 1 or len(shards) <= 1 or remaining <= 1:
-            sessions: dict = {}
-            for shard in shards:
-                shard_stats.append(
-                    _run_shard(shard, sessions, options, record)
-                )
-            return finish(1, len(shards))
-
-        return _run_matrix_pool(
-            shards, jobs, options, record, finish, shard_stats
-        )
-    finally:
-        if journal_handle is not None:
-            journal_handle.close()
+    shards = shard_cells(cells, shard_by)
+    if jobs <= 1 or len(shards) <= 1:
+        runner = _Runner(options)
+        for shard in shards:
+            shard_stats.append(runner.run_shard(shard, record))
+        return finish(1, len(shards))
+    return _run_matrix_pool(shards, jobs, options, record, finish, shard_stats)
 
 
 @dataclass

@@ -17,10 +17,11 @@ The runner wraps the checker with bookkeeping so that each experiment
   fenced passes).
 
 Matrix-shaped experiments go through :mod:`repro.harness.matrix`:
-:func:`catalog_matrix` runs Fig. 8 x models across a worker pool, and
-:func:`fuzz_campaign` runs the differential litmus fuzzer (oracle vs SAT
-encoding) through the same pool.  One test under several models is
-:meth:`repro.core.session.CheckSession.sweep`.
+:func:`~repro.harness.matrix.run_matrix` over
+:func:`~repro.harness.matrix.catalog_cells` runs Fig. 8 x models across
+a worker pool, and :func:`repro.fuzz.run_fuzz` runs the differential
+litmus fuzzer (oracle vs SAT encoding) through the same pool.  One test
+under several models is :meth:`repro.core.session.CheckSession.sweep`.
 """
 
 from __future__ import annotations
@@ -36,13 +37,8 @@ from repro.core.specification import (
     ReferenceSpecificationMiner,
     SatSpecificationMiner,
 )
-from repro.datatypes.registry import (
-    base_implementations,
-    category_of,
-    get_implementation,
-)
+from repro.datatypes.registry import category_of, get_implementation
 from repro.harness.catalog import get_test
-from repro.harness.matrix import MatrixResult, catalog_cells, run_matrix
 from repro.memorymodel.base import get_model
 
 
@@ -63,59 +59,6 @@ def check_catalog_test(
     test = get_test(category, test_name)
     checker = CheckFence(implementation, options)
     return checker.check(test, get_model(memory_model))
-
-
-def catalog_matrix(
-    implementations=None,
-    memory_models=("relaxed",),
-    tests=None,
-    size: str = "small",
-    jobs: int | None = None,
-    shard_by: str = "test",
-    options: CheckOptions | None = None,
-    progress=None,
-) -> MatrixResult:
-    """Run a Fig. 8 catalog matrix: (implementation x test x model) cells
-    sharded across a worker pool (see :mod:`repro.harness.matrix`).
-
-    ``implementations=None`` checks the five Table 1 base implementations;
-    ``tests=None`` selects each implementation's catalog tests of the given
-    ``size`` class.
-    """
-    if implementations is None:
-        implementations = base_implementations()
-    cells = catalog_cells(
-        implementations, models=memory_models, tests=tests, size=size
-    )
-    return run_matrix(
-        cells, jobs=jobs, shard_by=shard_by, options=options, progress=progress
-    )
-
-
-def fuzz_campaign(
-    budget: int,
-    seed: int,
-    memory_models=("serial", "sc", "tso", "pso", "relaxed"),
-    jobs: int | None = None,
-    options: CheckOptions | None = None,
-    progress=None,
-):
-    """Run a differential fuzzing campaign (oracle vs SAT encoding).
-
-    A thin experiment-runner wrapper over :func:`repro.fuzz.run_fuzz`; the
-    returned :class:`~repro.fuzz.harness.FuzzCampaignResult` carries the
-    throughput numbers (programs/s, cells/s) the fuzz benchmark records.
-    """
-    from repro.fuzz import run_fuzz
-
-    return run_fuzz(
-        budget=budget,
-        seed=seed,
-        models=memory_models,
-        jobs=jobs,
-        options=options,
-        progress=progress,
-    )
 
 
 @dataclass

@@ -202,6 +202,15 @@ class BackendStackFactory:
         kernel unless ``CHECKFENCE_SIMPLIFY`` forces it)."""
         return self._forced or self._resolve()[1]
 
+    @property
+    def stack(self) -> tuple:
+        """What the stacks are: the parsed spec, whether its kernel
+        resolved to the pure-Python one, and whether
+        ``CHECKFENCE_SIMPLIFY`` forces the preprocessor in (the last two
+        say whether, and at which thresholds, it is in the stack;
+        resolves the kernel)."""
+        return (*self._spec, self._resolve()[1], self._forced)
+
     def __call__(self) -> SolverBackend:
         make, python_kernel = self._resolve()
         backend = make()

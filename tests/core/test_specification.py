@@ -12,8 +12,10 @@ from repro.core.specification import (
     mine_specification,
 )
 from repro.datatypes import get_implementation
+from repro.datatypes.registry import base_implementations, category_of
 from repro.encoding import compile_test
 from repro.harness.catalog import get_test
+from repro.harness.catalog import test_names as catalog_test_names
 from repro.lsl import Invocation, SymbolicTest
 
 
@@ -110,11 +112,23 @@ class TestReferenceMiner:
         assert (1, 1, 0, 1) not in spec       # contains(0) cannot be true
 
 
+#: Every small-catalog test of the five Table 1 implementations.
+SMALL_CATALOG = [
+    (implementation, test)
+    for implementation in base_implementations()
+    for test in catalog_test_names(category_of(implementation), "small")
+]
+
+
 class TestSatMinerAgreesWithReference:
-    @pytest.mark.parametrize("test_name", ["T0"])
-    def test_queue_t0(self, test_name):
+    @pytest.mark.parametrize(
+        "implementation,test_name", SMALL_CATALOG,
+        ids=[f"{impl}-{test}" for impl, test in SMALL_CATALOG],
+    )
+    def test_small_catalog(self, implementation, test_name):
         compiled = compile_test(
-            get_implementation("msn"), get_test("queue", test_name)
+            get_implementation(implementation),
+            get_test(category_of(implementation), test_name),
         )
         reference = ReferenceSpecificationMiner(compiled).mine()
         sat = SatSpecificationMiner(compiled).mine()

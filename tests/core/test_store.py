@@ -17,7 +17,9 @@ from repro.core.store import (
     store_enabled,
 )
 from repro.datatypes.registry import get_implementation
+from repro.fuzz import fuzz_cells
 from repro.harness.catalog import get_test
+from repro.harness.matrix import litmus_cells, run_matrix
 
 
 @pytest.fixture
@@ -177,6 +179,49 @@ class TestKeySensitivity:
         assert content_key(VERDICT_KIND, parts) != content_key(
             SPEC_KIND, parts
         )
+
+
+class TestMatrixCellKeys:
+    """Litmus, fuzz and engines cells are keyed by the cell and by the
+    solver stack their SAT engine ran, because the stack is what a
+    differential cell tests: unlike a catalog verdict, a cell stored
+    under one stack is never served to another."""
+
+    SPEC = "x=1 r0=y | y=1 r1=x"
+
+    @staticmethod
+    def _hits(cells, **options) -> int:
+        matrix = run_matrix(
+            cells, jobs=1, options=CheckOptions(store=True, **options)
+        )
+        assert matrix.ok
+        return matrix.cache_totals()["store_hits"]
+
+    def test_same_cell_and_stack_is_served(self, cache_dir):
+        cells = fuzz_cells([self.SPEC], ["sc"])
+        assert self._hits(cells) == 0
+        assert self._hits(cells) == 1
+
+    def test_other_solver_backend_misses(self, cache_dir):
+        cells = fuzz_cells([self.SPEC], ["sc"])
+        assert self._hits(cells, solver_backend="internal") == 0
+        assert self._hits(cells) == 0
+
+    def test_forced_preprocessor_misses(self, cache_dir, monkeypatch):
+        cells = fuzz_cells([self.SPEC], ["sc"])
+        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
+        assert self._hits(cells) == 0
+        monkeypatch.delenv("CHECKFENCE_SIMPLIFY")
+        assert self._hits(cells) == 0
+
+    def test_other_engines_miss(self, cache_dir):
+        assert self._hits(fuzz_cells([self.SPEC], ["sc"])) == 0
+        assert self._hits(fuzz_cells([self.SPEC], ["sc"], engines="all")) == 0
+
+    def test_other_model_misses(self, cache_dir):
+        assert self._hits(litmus_cells(["sc"])) == 0
+        assert self._hits(litmus_cells(["tso"])) == 0
+        assert self._hits(litmus_cells(["sc"])) == len(litmus_cells(["sc"]))
 
 
 class TestRobustness:

@@ -9,7 +9,6 @@ from repro.fuzz import (
     shrink_divergence,
 )
 from repro.harness.matrix import FUZZ_KIND, run_matrix
-from repro.harness.runner import fuzz_campaign
 
 
 class TestCampaign:
@@ -25,12 +24,6 @@ class TestCampaign:
         assert payload["ok"] is True
         assert payload["cells"] == 40
         assert "fuzz:" in result.summary()
-
-    def test_runner_wrapper(self):
-        result = fuzz_campaign(budget=3, seed=9, memory_models=("sc",))
-        assert result.ok
-        assert result.models == ["sc"]
-        assert result.cells_checked == 3
 
     def test_campaign_is_deterministic(self):
         first = run_fuzz(budget=5, seed=77, models=("sc",))

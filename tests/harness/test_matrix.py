@@ -17,7 +17,6 @@ from repro.harness.matrix import (
     run_matrix,
     shard_cells,
 )
-from repro.harness.runner import catalog_matrix
 
 
 def _verdicts(matrix):
@@ -191,11 +190,6 @@ class TestCatalogMatrix:
         assert bad.verdict == "ERROR" and "KeyError" in bad.error
         assert good.verdict == "PASS"
         assert not matrix.ok
-
-    def test_catalog_matrix_defaults(self):
-        matrix = catalog_matrix(["msn"], memory_models=["sc"], tests=["T0"])
-        assert len(matrix.results) == 1
-        assert matrix.ok
 
     def test_as_dict_is_json_safe(self):
         cells = catalog_cells(["msn"], models=["sc"], tests=["T0"])

@@ -3,7 +3,8 @@
 These exercise the CHECKFENCE_FAULT injection framework end-to-end:
 crashed workers whose shards are retried (and must be verdict-identical
 to a clean run), hung workers reaped by the watchdog, per-cell deadline
-expiry surfacing as TIMEOUT, and the journal/--resume path.
+expiry surfacing as TIMEOUT, and resuming a killed run through the
+persistent store.
 
 The suite runs on small litmus matrices to stay fast; timing-dependent
 assertions are kept generous because CI may be a single loaded core.
@@ -15,8 +16,10 @@ import multiprocessing
 import pytest
 
 from repro.core import faults, limits
+from repro.core.checker import CheckOptions
+from repro.core.store import CELL_KIND, VerdictStore
+from repro.fuzz import fuzz_cells
 from repro.harness.matrix import (
-    JournalError,
     WORKER_TIMEOUT_ENV,
     litmus_cells,
     run_matrix,
@@ -27,6 +30,10 @@ FAULT_ENV = faults.FAULT_ENV
 
 def _verdicts(matrix):
     return [(r.cell.key, r.verdict) for r in matrix.results]
+
+
+def _store_hits(matrix):
+    return matrix.cache_totals()["store_hits"]
 
 
 def _spawned_since(before):
@@ -170,133 +177,125 @@ class TestCellTimeout:
         assert payload["cells"][0]["degraded"] == "TIMEOUT"
 
 
-class TestJournalResume:
-    def test_journal_records_every_cell(self, tmp_path):
+@pytest.fixture
+def stored(tmp_path, monkeypatch):
+    """Matrix options with the persistent store on, in a throwaway
+    directory."""
+    monkeypatch.setenv("CHECKFENCE_CACHE_DIR", str(tmp_path / "store"))
+    return CheckOptions(store=True)
+
+
+#: Small matrices of the two cell kinds the matrix stores itself.
+CELL_SETS = {
+    "litmus": lambda: litmus_cells(["sc"]),
+    "fuzz": lambda: fuzz_cells(
+        ["x=1 r0=y | y=1 r1=x", "x=1 y=1 | r0=y r1=x"], ["sc", "tso"]
+    ),
+}
+
+
+class TestResumeThroughStore:
+    """Rerunning a campaign against the same store serves the cells it
+    finished and recomputes the rest, verdict-identically."""
+
+    def test_store_records_every_cell(self, stored):
         cells = litmus_cells(["sc"])
-        journal = tmp_path / "run.jsonl"
-        matrix = run_matrix(cells, jobs=1, journal=str(journal))
-        lines = journal.read_text().splitlines()
-        header = json.loads(lines[0])
-        assert header["journal"] == 1
-        assert header["cells"] == len(cells)
-        entries = [json.loads(line) for line in lines[1:]]
-        assert {e["key"] for e in entries} == {c.key for c in cells}
+        matrix = run_matrix(cells, jobs=1, options=stored)
         assert matrix.ok
+        assert VerdictStore().stats()["kinds"] == {CELL_KIND: len(cells)}
+        assert matrix.cache_totals()["store_misses"] == len(cells)
 
-    def test_resume_skips_finished_cells_verdict_identically(self, tmp_path):
-        cells = litmus_cells(["sc", "tso"])
-        journal = tmp_path / "run.jsonl"
-        clean = run_matrix(cells, jobs=1, journal=str(journal))
-        # Simulate a run that died partway: keep the header and the first
-        # three completed cells, drop the rest.
-        lines = journal.read_text().splitlines()
-        journal.write_text("\n".join(lines[:4]) + "\n")
-        resumed = run_matrix(
-            cells, jobs=1, journal=str(journal), resume=True
-        )
-        assert _verdicts(resumed) == _verdicts(clean)
-        assert len(resumed.resumed) == 3
-        fresh = [r for r in resumed.results if not r.stats.get("resumed")]
-        assert len(fresh) == len(cells) - 3
-        assert "resumed from journal" in resumed.summary()
-        # The journal is now complete again: a second resume re-runs
-        # nothing.
-        rerun = run_matrix(cells, jobs=1, journal=str(journal), resume=True)
-        assert len(rerun.resumed) == len(cells)
-        assert _verdicts(rerun) == _verdicts(clean)
-
-    def test_resume_works_in_parallel_mode(self, tmp_path):
-        cells = litmus_cells(["sc", "relaxed"])
-        journal = tmp_path / "run.jsonl"
-        clean = run_matrix(cells, jobs=1, journal=str(journal))
-        lines = journal.read_text().splitlines()
-        journal.write_text("\n".join(lines[:3]) + "\n")
-        resumed = run_matrix(
-            cells, jobs=2, journal=str(journal), resume=True
-        )
-        assert _verdicts(resumed) == _verdicts(clean)
-        assert len(resumed.resumed) == 2
-
-    def test_interrupted_run_resumes_to_clean_verdicts(
-        self, tmp_path, monkeypatch
-    ):
-        """The acceptance path: a run dies mid-matrix (injected Ctrl-C),
-        the journal holds the finished prefix, and --resume completes the
-        rest with verdicts identical to an uninterrupted run."""
+    def test_rerun_serves_finished_cells_verdict_identically(self, stored):
         cells = litmus_cells(["sc", "tso"])
         clean = run_matrix(cells, jobs=1)
-        journal = tmp_path / "run.jsonl"
+        # A run that died after finishing its first three cells.
+        run_matrix(cells[:3], jobs=1, options=stored)
+        rerun = run_matrix(cells, jobs=1, options=stored)
+        assert _verdicts(rerun) == _verdicts(clean)
+        assert _store_hits(rerun) == 3
+        served = [r.cell for r in rerun.results if r.stats.get("store_hit")]
+        assert served == cells[:3]
+        assert "3 store hits" in rerun.summary()
+        # Every cell is stored now: a second rerun computes nothing.
+        again = run_matrix(cells, jobs=1, options=stored)
+        assert _store_hits(again) == len(cells)
+        assert _verdicts(again) == _verdicts(clean)
+
+    def test_rerun_works_in_parallel_mode(self, stored):
+        cells = litmus_cells(["sc", "relaxed"])
+        clean = run_matrix(cells, jobs=1)
+        run_matrix(cells[:2], jobs=1, options=stored)
+        rerun = run_matrix(cells, jobs=2, options=stored)
+        assert rerun.jobs == 2
+        assert _verdicts(rerun) == _verdicts(clean)
+        assert _store_hits(rerun) == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupted_run_reruns_to_clean_verdicts(
+        self, stored, monkeypatch, jobs
+    ):
+        """The acceptance path: a run dies mid-matrix (injected Ctrl-C),
+        the store holds the cells it finished, and a rerun serves them and
+        completes the rest with verdicts identical to an uninterrupted
+        run."""
+        cells = litmus_cells(["sc", "tso"])
+        clean = run_matrix(cells, jobs=1)
         monkeypatch.setenv(FAULT_ENV, f"interrupt:{cells[4].key}")
         with pytest.raises(KeyboardInterrupt):
-            run_matrix(cells, jobs=1, journal=str(journal))
+            run_matrix(cells, jobs=jobs, options=stored)
         monkeypatch.delenv(FAULT_ENV)
-        resumed = run_matrix(
-            cells, jobs=1, journal=str(journal), resume=True
-        )
-        assert _verdicts(resumed) == _verdicts(clean)
-        assert resumed.resumed  # at least the pre-interrupt cells restored
-        assert len(resumed.resumed) < len(cells)
+        rerun = run_matrix(cells, jobs=jobs, options=stored)
+        assert _verdicts(rerun) == _verdicts(clean)
+        if jobs == 1:
+            # Cells 0-4 finished, the interrupted one included (a cell is
+            # stored before it is recorded).
+            assert _store_hits(rerun) == 5
+        else:
+            assert _store_hits(rerun) >= 1
 
-    def test_degraded_verdicts_are_never_treated_as_finished(
-        self, tmp_path, monkeypatch
-    ):
-        """A TIMEOUT in the journal must be re-run on resume (budgets are
-        per-run, the next run may have a better one); same for CRASHED."""
-        cells = litmus_cells(["sc"])
+    @pytest.mark.parametrize("kind", sorted(CELL_SETS))
+    def test_timeout_cell_is_never_stored(self, stored, monkeypatch, kind):
+        """A TIMEOUT is recomputed on the rerun: a budget is a property of
+        one run, and the next run may have a better one."""
+        cells = CELL_SETS[kind]()
         victim = cells[2]
-        journal = tmp_path / "run.jsonl"
         monkeypatch.setenv(FAULT_ENV, f"cell-timeout:{victim.key}")
-        first = run_matrix(cells, jobs=1, journal=str(journal))
-        assert first.degraded
+        first = run_matrix(cells, jobs=1, options=stored)
+        assert [r.cell for r in first.degraded] == [victim]
         monkeypatch.delenv(FAULT_ENV)
-        resumed = run_matrix(
-            cells, jobs=1, journal=str(journal), resume=True
-        )
-        by_key = {r.cell.key: r for r in resumed.results}
+        rerun = run_matrix(cells, jobs=1, options=stored)
+        by_key = {r.cell.key: r for r in rerun.results}
         assert by_key[victim.key].verdict not in limits.DEGRADED_VERDICTS
-        assert not by_key[victim.key].stats.get("resumed")
-        assert len(resumed.resumed) == len(cells) - 1
+        assert not by_key[victim.key].stats.get("store_hit")
+        assert _store_hits(rerun) == len(cells) - 1
 
-    def test_journal_for_different_cell_set_is_rejected(self, tmp_path):
-        journal = tmp_path / "run.jsonl"
-        run_matrix(litmus_cells(["sc"]), jobs=1, journal=str(journal))
-        with pytest.raises(JournalError, match="different cell set"):
-            run_matrix(
-                litmus_cells(["tso"]), jobs=1, journal=str(journal),
-                resume=True,
-            )
+    @pytest.mark.parametrize("kind", sorted(CELL_SETS))
+    def test_error_cell_is_never_stored(self, stored, monkeypatch, kind):
+        cells = CELL_SETS[kind]()
+        monkeypatch.setenv(FAULT_ENV, "solver-raise:1")
+        faults.reset_solver_counter()
+        first = run_matrix(cells, jobs=1, options=stored)
+        (failed,) = first.errors
+        assert "injected solver fault" in failed.error
+        monkeypatch.delenv(FAULT_ENV)
+        rerun = run_matrix(cells, jobs=1, options=stored)
+        by_key = {r.cell.key: r for r in rerun.results}
+        assert not by_key[failed.cell.key].error
+        assert not by_key[failed.cell.key].stats.get("store_hit")
+        assert _store_hits(rerun) == len(cells) - 1
 
-    def test_garbage_journal_is_rejected(self, tmp_path):
-        journal = tmp_path / "run.jsonl"
-        journal.write_text("this is not json\n")
-        with pytest.raises(JournalError, match="unparseable header"):
-            run_matrix(
-                litmus_cells(["sc"]), jobs=1, journal=str(journal),
-                resume=True,
-            )
-
-    def test_torn_tail_line_is_tolerated(self, tmp_path):
-        cells = litmus_cells(["sc"])
-        journal = tmp_path / "run.jsonl"
-        clean = run_matrix(cells, jobs=1, journal=str(journal))
-        with open(journal, "a", encoding="utf-8") as handle:
-            handle.write('{"position": 0, "key": "trunc')  # writer died here
-        resumed = run_matrix(
-            cells, jobs=1, journal=str(journal), resume=True
-        )
-        assert _verdicts(resumed) == _verdicts(clean)
-
-    def test_without_resume_existing_journal_is_overwritten(self, tmp_path):
-        cells = litmus_cells(["sc"])
-        journal = tmp_path / "run.jsonl"
-        run_matrix(cells, jobs=1, journal=str(journal))
-        first_size = journal.stat().st_size
-        run_matrix(cells, jobs=1, journal=str(journal))
-        # Rewritten from scratch, not appended.
-        assert journal.stat().st_size == pytest.approx(first_size, rel=0.2)
-        lines = journal.read_text().splitlines()
-        assert json.loads(lines[0])["journal"] == 1
-        assert len(lines) == 1 + len(cells)
+    def test_store_io_fault_completes_verdict_identically(
+        self, stored, monkeypatch
+    ):
+        """Every sqlite operation failing turns the store into misses: the
+        stored matrix still completes, verdict for verdict."""
+        cells = litmus_cells(["sc", "relaxed"])
+        clean = run_matrix(cells, jobs=1)
+        monkeypatch.setenv(FAULT_ENV, "store-io")
+        faulty = run_matrix(cells, jobs=1, options=stored)
+        assert _verdicts(faulty) == _verdicts(clean)
+        assert _store_hits(faulty) == 0
+        assert not faulty.errors
 
 
 class TestAcceptanceScenario:

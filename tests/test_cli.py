@@ -316,8 +316,7 @@ class TestIgnoredFlagsAreRejected:
         ["oracle", "--litmus", "store-buffering", "--model", "tso",
          "--timeout", "0.000001"],
         ["litmus", "--model", "sc", "--store"],
-        ["fuzz", "--budget", "1", "--models", "sc", "--store"],
-    ], ids=["oracle-timeout", "litmus-store", "fuzz-store"])
+    ], ids=["oracle-timeout", "litmus-store"])
     def test_argparse_rejects_flags_the_command_does_not_honor(
         self, argv, capsys
     ):

@@ -1,4 +1,5 @@
-"""CLI tests for resource budgets, degraded exit codes, and --resume."""
+"""CLI tests for resource budgets, degraded exit codes, and resuming a
+campaign through --store."""
 
 import json
 
@@ -99,59 +100,52 @@ class TestMatrixDegradedExit:
         assert "FAIL" in capsys.readouterr().out
 
 
-class TestMatrixJournalCli:
-    def test_resume_requires_journal(self, capsys):
-        code = main(["matrix", "--litmus", "--models", "sc", "--resume"])
-        assert code == 2
-        assert "--resume requires --journal" in capsys.readouterr().err
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    """Point the persistent store at a throwaway directory."""
+    monkeypatch.setenv("CHECKFENCE_CACHE_DIR", str(tmp_path / "store"))
 
-    def test_journal_roundtrip(self, tmp_path, capsys):
-        journal = tmp_path / "m.jsonl"
-        code = main([
-            "matrix", "--litmus", "--models", "sc", "--quiet",
-            "--journal", str(journal),
-        ])
-        assert code == 0
-        assert journal.exists()
-        capsys.readouterr()
-        code = main([
-            "matrix", "--litmus", "--models", "sc", "--quiet",
-            "--journal", str(journal), "--resume",
-        ])
-        assert code == 0
-        assert "resumed from journal" in capsys.readouterr().out
 
-    def test_mismatched_journal_is_usage_error(self, tmp_path, capsys):
-        journal = tmp_path / "m.jsonl"
+class TestMatrixStoreCli:
+    def test_journal_flags_are_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["matrix", "--litmus", "--models", "sc", "--resume"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_store_rerun_roundtrip(self, cache_dir, capsys):
+        args = ["matrix", "--litmus", "--models", "sc", "--quiet", "--store"]
+        assert main(args) == 0
+        assert "store hits" not in capsys.readouterr().out
+        assert main(args) == 0
+        assert "6 store hits" in capsys.readouterr().out
+
+    def test_other_cell_set_misses_the_store(self, cache_dir, capsys):
         assert main([
-            "matrix", "--litmus", "--models", "sc", "--quiet",
-            "--journal", str(journal),
+            "matrix", "--litmus", "--models", "sc", "--quiet", "--store",
         ]) == 0
         capsys.readouterr()
-        code = main([
-            "matrix", "--litmus", "--models", "tso", "--quiet",
-            "--journal", str(journal), "--resume",
-        ])
-        assert code == 2
-        assert "different cell set" in capsys.readouterr().err
+        assert main([
+            "matrix", "--litmus", "--models", "tso", "--quiet", "--store",
+        ]) == 0
+        assert "store hits" not in capsys.readouterr().out
 
 
-class TestFuzzJournalCli:
-    def test_resume_requires_journal(self, capsys):
-        code = main(["fuzz", "--budget", "1", "--resume"])
-        assert code == 2
-        assert "--resume requires --journal" in capsys.readouterr().err
+class TestFuzzStoreCli:
+    def test_journal_flags_are_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fuzz", "--budget", "1", "--resume"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_fuzz_journal_resume_roundtrip(self, tmp_path, capsys):
-        """The corpus is deterministic from the seed, so a resumed
-        campaign sees the identical cell set and restores from the
-        journal."""
-        journal = tmp_path / "f.jsonl"
+    def test_fuzz_store_rerun_roundtrip(self, cache_dir, capsys):
+        """The corpus is deterministic from the seed, so a rerun sees the
+        identical cells and the store serves every one."""
         args = [
             "fuzz", "--budget", "2", "--seed", "11", "--models", "sc",
-            "--jobs", "1", "--quiet", "--journal", str(journal),
+            "--jobs", "1", "--quiet", "--store",
         ]
         assert main(args) == 0
-        capsys.readouterr()
-        assert main(args + ["--resume"]) == 0
-        assert "resumed from journal" in capsys.readouterr().out
+        assert "store hits" not in capsys.readouterr().out
+        assert main(args) == 0
+        assert "2 store hits" in capsys.readouterr().out

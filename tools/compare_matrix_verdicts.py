@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Assert two ``checkfence matrix --json`` outputs are verdict-identical.
+"""Assert two matrix runs are verdict-identical.
 
-CI runs the small-catalog matrix once per solver backend (and once cold /
-once warm against the persistent store) and feeds both JSON files here;
-any per-cell verdict difference (or a cell present in one run only)
-fails with a readable diff.  Timing and counters are ignored — only
-(implementation, test, model) -> verdict matters.
+Each file is the output of ``checkfence matrix --json`` or ``checkfence
+fuzz --json`` (whose matrix sits under ``"matrix"``).  CI runs the
+small-catalog matrix once per solver backend, matrix and fuzz campaigns
+once cold and once warm against the persistent store, and a chaos run
+once faulty and once resumed through the store, and feeds both JSON
+files here; any per-cell verdict difference (or a cell present in one
+run only) fails with a readable diff.  Timing and counters are ignored —
+only (implementation, test, model) -> verdict matters.
 
 Degraded verdicts (TIMEOUT, OOM, CRASHED) are *incomparable*, not
 divergent: they mean a run hit a resource budget or lost a worker before
@@ -18,7 +21,8 @@ difference worth failing on.
 With ``--min-store-hit-rate`` the candidate run must additionally have
 served at least that fraction of its store lookups from the persistent
 cache (``store_hits / (store_hits + store_misses)`` over the matrix
-``cache`` totals) — the warm-rerun acceptance gate.
+``cache`` totals, which count the lookups of every cell kind) — the
+warm-rerun and resume acceptance gate.
 
 Usage::
 
@@ -39,8 +43,10 @@ INCOMPARABLE = frozenset({"TIMEOUT", "OOM", "CRASHED"})
 
 
 def _load(path: str) -> dict:
+    """The matrix payload of a ``matrix --json`` or ``fuzz --json`` file."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        payload = json.load(handle)
+    return payload.get("matrix", payload)
 
 
 def _verdicts(payload: dict) -> dict[tuple[str, str, str], str]:
@@ -61,10 +67,11 @@ def _store_hit_rate(payload: dict) -> tuple[float, int, int]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="assert two matrix --json outputs are verdict-identical",
+        description="assert two matrix --json or fuzz --json outputs are "
+        "verdict-identical",
     )
-    parser.add_argument("baseline", help="baseline matrix JSON")
-    parser.add_argument("candidate", help="candidate matrix JSON")
+    parser.add_argument("baseline", help="baseline matrix or fuzz JSON")
+    parser.add_argument("candidate", help="candidate matrix or fuzz JSON")
     parser.add_argument(
         "--min-store-hit-rate", type=float, default=None, metavar="RATE",
         help="additionally require the candidate's persistent-store hit "
