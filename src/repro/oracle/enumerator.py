@@ -31,12 +31,41 @@ operational machine that never touches the SAT stack:
   instead of silently missing them.
 
 States reached by different interleavings but with the same performed set,
-memory view and token bindings have the same futures, so they are memoised;
-the search is exhaustive yet far below ``n!``.  The memo key is three
-packed integers (performed-set bitmask, memory view, bindings) built by
-flat loops over fixed per-run bit slots — canonical without sorting, and
-far cheaper than the tuple-of-sorted-tuples key it replaces, since key
-construction runs once per explored state.
+memory view and token bindings have the same futures, so they are memoised.
+The memo key is three packed integers (performed-set bitmask, memory view,
+bindings) built by flat loops over fixed per-run bit slots — canonical
+without sorting.
+
+The memo merges interleavings only after exploring them, so on top of it
+each state performs a *stubborn set* of accesses (partial-order reduction,
+as in Abe et al., "Reducing State Explosion for Software Model Checking
+with Relaxed Memory Consistency Models") instead of every enabled one.
+Two accesses *depend* when they touch one address and at least one of them
+is a store; this covers store forwarding too, because a load's forwarding
+candidates are same-address stores.  A stubborn set starts from one
+enabled access and is closed under two rules: an enabled member adds every
+pending access it depends on, and a disabled member adds one of its
+unperformed predecessors, which must perform before it can
+(initialization-first is folded into the predecessor masks).  The DFS
+performs the enabled members of the smallest such set over all seeds.
+Enabledness depends on the performed set alone, so the choice is cached
+per performed-set mask.  The reduction is sound for this search because:
+
+* only complete executions are reported, and every access performs in
+  each of them, so the search must keep only the reachable complete
+  states — which the two closure rules preserve;
+* token guesses and path constraints commute: every binding in a complete
+  execution equals its final value (a guess a load later contradicts is
+  pruned), so independent accesses performed in either order reach the
+  same (memory, bindings) state, and a constraint that prunes one order
+  fails on that complete execution in the other as well;
+* the state graph is acyclic, since the performed set only grows, so the
+  memo needs no extra proviso.
+
+Traces with atomic blocks, and models with operation atomicity (Seriality),
+keep the full enabled set: opening a block or an invocation disables the
+other threads, and the commutation argument needs accesses that never
+disable each other.
 
 Everything that exceeds a budget (trace steps, explored states, value
 domains) or falls outside the supported fragment yields an
@@ -168,7 +197,8 @@ def enumerate_outcomes(
     """Enumerate every outcome of ``compiled`` allowed by ``model``.
 
     Budgets: ``max_steps`` bounds trace extraction, ``max_nodes`` bounds
-    explored enumeration states, ``max_domain`` bounds the value domain
+    explored enumeration states (distinct ones, as ``nodes`` counts them:
+    a memo hit is not a new state), ``max_domain`` bounds the value domain
     used when a token must be guessed (``2^width`` must fit).  Breaching
     any of them returns an ``INCONCLUSIVE`` result.
     """
@@ -221,7 +251,8 @@ class _Enumerator:
         self.max_nodes = max_nodes
         self.max_domain = max_domain
         self.record_final_memory = record_final_memory
-        self.nodes = 0
+        self.nodes = 0  # distinct states explored (the max_nodes budget)
+        self.visits = 0  # DFS calls, memo hits included
         width = max(compiled.ranges.width(), 1)
         self.mask = (1 << width) - 1
         if (1 << width) > max_domain:
@@ -240,6 +271,8 @@ class _Enumerator:
         self._prepare_structure(trace)
         self._init_tokens: dict[int, Token] = {}
         self._visited: set = set()
+        #: performed-set mask -> the accesses its states perform.
+        self._choices: dict[int, list[AccessEvent]] = {}
         self._result = result
         # Memo-key packing state: every location/token gets a bit slot of
         # ``stride`` bits on first sight (first-seen order is deterministic
@@ -291,12 +324,31 @@ class _Enumerator:
             for second in after:
                 for first in before:
                     preds[second.eid] |= 1 << first.eid
-        self.preds = preds
-
-        self.init_mask = 0
+        # Initialization happens first: every initialization access is a
+        # predecessor of every other access.
+        init_mask = 0
         for event in self.events:
             if event.thread == INIT_THREAD:
-                self.init_mask |= 1 << event.eid
+                init_mask |= 1 << event.eid
+        for event in self.events:
+            if event.thread != INIT_THREAD:
+                preds[event.eid] |= init_mask
+        self.preds = preds
+
+        #: per-access mask of the accesses it depends on: same address, at
+        #: least one of the two a store.
+        stores_at: dict[int, int] = {}
+        accesses_at: dict[int, int] = {}
+        for event in self.events:
+            bit = 1 << event.eid
+            accesses_at[event.addr] = accesses_at.get(event.addr, 0) | bit
+            if event.is_store:
+                stores_at[event.addr] = stores_at.get(event.addr, 0) | bit
+        self.dependents = [
+            (accesses_at if event.is_store else stores_at).get(event.addr, 0)
+            & ~(1 << event.eid)
+            for event in self.events
+        ]
 
         #: invocation / atomic-group member masks for the dynamic rules.
         self.invocation_masks: dict[int, int] = {}
@@ -312,6 +364,9 @@ class _Enumerator:
                 self.group_masks[event.atomic_group] = (
                     mask | 1 << event.eid, event.thread
                 )
+        #: Opening an atomic block or a Seriality invocation disables the
+        #: other threads, so only traces with neither are reduced.
+        self.reduce = not (self.group_masks or model.operation_atomicity)
 
         #: per-load forwarding candidates (program-order-earlier same-thread
         #: same-address stores), newest first.
@@ -338,10 +393,8 @@ class _Enumerator:
     # ------------------------------------------------------------------- DFS
 
     def _dfs(self, mask: int, memory: dict[int, int], bindings: dict) -> None:
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise _BudgetExceeded()
-        if self.nodes & 1023 == 0:
+        self.visits += 1
+        if self.visits & 1023 == 0:
             limits.check_deadline()
         stride = self._stride
         max_value = self.mask
@@ -382,11 +435,40 @@ class _Enumerator:
         if key in self._visited:
             return
         self._visited.add(key)
+        self.nodes += 1
+        if self.nodes > self.max_nodes:
+            raise _BudgetExceeded()
         if mask == (1 << self.n) - 1:
             self._complete(memory, bindings)
             return
+        choice = self._choices.get(mask)
+        if choice is None:
+            choice = self._choices[mask] = self._choose(mask)
+        for event in choice:
+            self._perform(event, mask | 1 << event.eid, memory, bindings)
 
-        init_pending = self.init_mask & ~mask
+    def _choose(self, mask: int) -> list[AccessEvent]:
+        """The accesses a state with performed set ``mask`` performs: the
+        enabled members of the smallest stubborn set, or every enabled
+        access when the trace is not reduced."""
+        enabled = self._enabled(mask)
+        if not self.reduce or len(enabled) < 2:
+            return enabled
+        enabled_mask = 0
+        for event in enabled:
+            enabled_mask |= 1 << event.eid
+        best, best_size = enabled_mask, len(enabled)
+        for seed in enabled:
+            members = self._stubborn_set(seed.eid, mask) & enabled_mask
+            size = members.bit_count()
+            if size < best_size:
+                best, best_size = members, size
+                if size == 1:
+                    break
+        return [event for event in enabled if best >> event.eid & 1]
+
+    def _enabled(self, mask: int) -> list[AccessEvent]:
+        """Every access enabled at performed set ``mask``."""
         open_groups = [
             thread for gmask, thread in self.group_masks.values()
             if gmask & mask and gmask & ~mask
@@ -397,20 +479,40 @@ class _Enumerator:
                 if imask & mask and imask & ~mask:
                     open_invocation = invocation
                     break
-
+        enabled = []
         for event in self.events:
-            bit = 1 << event.eid
-            if mask & bit:
-                continue
-            if self.preds[event.eid] & ~mask:
-                continue
-            if init_pending and event.thread != INIT_THREAD:
+            if mask >> event.eid & 1 or self.preds[event.eid] & ~mask:
                 continue
             if open_invocation is not None and event.invocation != open_invocation:
                 continue
             if open_groups and any(t != event.thread for t in open_groups):
                 continue
-            self._perform(event, mask | bit, memory, bindings)
+            enabled.append(event)
+        return enabled
+
+    def _stubborn_set(self, seed: int, mask: int) -> int:
+        """Close ``{seed}`` (an enabled access) into a stubborn set at
+        performed set ``mask``; returns its member mask."""
+        pending = ~mask
+        chosen = 1 << seed
+        work = [seed]
+        while work:
+            eid = work.pop()
+            blockers = self.preds[eid] & pending
+            if blockers:
+                # Disabled: it cannot perform until all of its blockers
+                # have, so one blocker in the set is enough.
+                if blockers & chosen:
+                    continue
+                added = blockers & -blockers
+            else:
+                added = self.dependents[eid] & pending & ~chosen
+            chosen |= added
+            while added:
+                low = added & -added
+                work.append(low.bit_length() - 1)
+                added ^= low
+        return chosen
 
     def _perform(self, event: AccessEvent, new_mask: int,
                  memory: dict[int, int], bindings: dict) -> None:

@@ -17,6 +17,7 @@ from repro.lsl.instructions import (
 )
 from repro.lsl.program import GlobalDecl, Invocation, Procedure, Program, SymbolicTest
 from repro.oracle import INCONCLUSIVE, OK, enumerate_outcomes
+from repro.oracle.enumerator import _Enumerator
 
 
 def outcomes(spec: str, model: str) -> set:
@@ -147,6 +148,34 @@ class TestInconclusiveSurfacing:
         result = enumerate_outcomes(compiled, "relaxed", max_nodes=3)
         assert result.status == INCONCLUSIVE
         assert "states" in result.reason
+
+    def test_nodes_count_distinct_states(self, monkeypatch):
+        # A memo hit explores nothing new: neither the count nor the
+        # budget includes it.
+        calls, states = [], set()
+        explore = _Enumerator._dfs
+
+        def recording(enumerator, mask, memory, bindings):
+            calls.append(mask)
+            states.add((
+                mask,
+                tuple(sorted(memory.items())),
+                tuple(sorted((t.index, v) for t, v in bindings.items())),
+            ))
+            explore(enumerator, mask, memory, bindings)
+
+        monkeypatch.setattr(_Enumerator, "_dfs", recording)
+        # Each load reads its own thread's store, forwarded or performed,
+        # so both orders of that pair reach one state.
+        compiled = FuzzProgram.parse("x=1 r0=x | y=1 r0=y").compile()
+        result = enumerate_outcomes(compiled, "relaxed")
+        assert len(calls) > len(states) == result.nodes
+        assert enumerate_outcomes(
+            compiled, "relaxed", max_nodes=result.nodes
+        ).ok
+        assert not enumerate_outcomes(
+            compiled, "relaxed", max_nodes=result.nodes - 1
+        ).ok
 
     def test_inconclusive_result_refuses_verdicts(self):
         compiled = FuzzProgram.parse("x=1 r0=y").compile()
