@@ -8,25 +8,26 @@ import pytest
 
 from repro.datatypes import get_implementation
 from repro.encoding import compile_test
-from repro.harness.catalog import get_test, test_names
+from repro.harness.catalog import get_test
+from repro.harness.catalog import test_names as catalog_test_names
 
 
 def test_catalog_is_complete(capsys):
     lines = []
     for category in ("queue", "set", "deque"):
-        names = test_names(category)
+        names = catalog_test_names(category)
         lines.append(f"{category}: {', '.join(names)}")
     with capsys.disabled():
         print("\nFig. 8 catalog:\n" + "\n".join(lines))
-    assert len(test_names("queue")) == 13
-    assert len(test_names("set")) == 9
-    assert len(test_names("deque")) == 5
+    assert len(catalog_test_names("queue")) == 13
+    assert len(catalog_test_names("set")) == 9
+    assert len(catalog_test_names("deque")) == 5
 
 
 _CASES = (
-    [("msn", "queue", name) for name in test_names("queue", "small")]
-    + [("lazylist", "set", name) for name in test_names("set", "small")]
-    + [("snark", "deque", name) for name in test_names("deque", "small")]
+    [("msn", "queue", name) for name in catalog_test_names("queue", "small")]
+    + [("lazylist", "set", name) for name in catalog_test_names("set", "small")]
+    + [("snark", "deque", name) for name in catalog_test_names("deque", "small")]
 )
 
 

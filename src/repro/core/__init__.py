@@ -16,7 +16,6 @@ from repro.core.specification import (
     ReferenceSpecificationMiner,
     SatSpecificationMiner,
     SpecificationError,
-    interleavings,
     mine_specification,
 )
 
@@ -41,6 +40,5 @@ __all__ = [
     "ReferenceSpecificationMiner",
     "SatSpecificationMiner",
     "SpecificationError",
-    "interleavings",
     "mine_specification",
 ]

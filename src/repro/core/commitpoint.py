@@ -10,15 +10,15 @@ module implements a baseline with the same *cost structure*:
 
 1. solve the memory-model formula for any execution whose observation has
    not been validated yet;
-2. validate that observation against the sequential reference implementation
-   by searching for a serial interleaving that reproduces it (early exit on
-   success);
+2. validate that observation against the sequential reference implementation:
+   look it up among the reference's serial observations, which the
+   reference miner's walk computes once, at the first validation;
 3. on success, block the observation and iterate; on failure, report the
    execution as a counterexample.
 
-The method therefore performs one solver call and one (lazy) serial-search
-per *distinct observation of the concurrent model*, whereas the observation
-set method performs one solver call per *serial observation* plus one final
+The method therefore performs one solver call and one lookup per *distinct
+observation of the concurrent model*, whereas the observation set method
+performs one solver call per *serial observation* plus one final
 refutation.  "Substitutions" in docs/paper-map.md records the
 substitution.
 """

@@ -8,10 +8,12 @@ provided, mirroring Section 3.2 and the "refset" data points of Fig. 11a:
   Seriality-model formula, record the observation, add a blocking clause,
   repeat until UNSAT.
 * :class:`ReferenceSpecificationMiner` — runs a small sequential Python
-  reference implementation over every interleaving of the operations and
-  every argument choice.  This is the fast path the paper recommends for
-  practice ("we can often compute observation sets much more efficiently by
-  using a small, fast reference implementation").
+  reference implementation over every serial order of the operations and
+  every argument choice, in one depth-first walk that expands each serial
+  state (thread progress plus reference contents) once.  This is the fast
+  path the paper recommends for practice ("we can often compute observation
+  sets much more efficiently by using a small, fast reference
+  implementation").
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass, field
 
 from repro.core import limits
 from repro.encoding.formula import EncodedTest, encode_test
-from repro.encoding.testprogram import CompiledTest, INIT_THREAD
-from repro.lsl.program import Invocation, SymbolicTest
+from repro.encoding.testprogram import CompiledTest
+from repro.lsl.program import Invocation
 from repro.memorymodel.base import SERIAL
 from repro.sat.backend import BackendFactory
 
@@ -99,186 +101,127 @@ class SatSpecificationMiner:
 
 
 class ReferenceSpecificationMiner:
-    """Mines the observation set by enumerating serial runs of a reference
-    implementation."""
+    """Mines the observation set from serial runs of a reference
+    implementation, in one memoized depth-first walk.
 
-    def __init__(
-        self,
-        compiled: CompiledTest,
-        max_interleavings: int = 2_000_000,
-    ) -> None:
+    A walk state is how far the init sequence and each thread have run plus
+    the reference object's exact contents (its ``key()``).  Every state is
+    expanded once: the walk memoizes, per state, the observations of the
+    operations still to run.
+    """
+
+    def __init__(self, compiled: CompiledTest) -> None:
         if compiled.implementation.reference is None:
             raise SpecificationError(
                 f"implementation {compiled.implementation.name!r} has no "
                 "reference implementation"
             )
         self.compiled = compiled
-        self.max_interleavings = max_interleavings
+        self._mined: ObservationSet | None = None
 
     # --------------------------------------------------------------- public
 
     def mine(self) -> ObservationSet:
         start = time.perf_counter()
-        spec = ObservationSet(
-            labels=self.compiled.observation_labels(), method="reference"
-        )
         test = self.compiled.test
-        init_slots, thread_slots = self._invocation_slots()
-
-        thread_sequences = [
-            [(thread, position) for position in range(len(test.threads[thread]))]
-            for thread in range(len(test.threads))
+        # The init sequence is sequence 0 and runs alone before the threads.
+        # Its slots, then each thread's in turn, make up the vector.
+        sequences = [test.init, *test.threads]
+        operation = self.compiled.implementation.operation
+        # tail[s][p]: the slots of sequence s's operations from position p on.
+        tail = [
+            [
+                sum(operation(inv.operation).num_observables
+                    for inv in sequence[p:])
+                for p in range(len(sequence) + 1)
+            ]
+            for sequence in sequences
         ]
-        count = 0
-        for interleaving in interleavings(thread_sequences):
-            if count & 63 == 0:
-                limits.check_deadline()
-            for observation in self._run_choices(interleaving, init_slots,
-                                                 thread_slots):
-                spec.add(observation)
-            count += 1
-            if count > self.max_interleavings:
-                raise SpecificationError(
-                    "too many interleavings for reference mining; "
-                    "use the SAT miner"
-                )
+        done = tuple(len(sequence) for sequence in sequences)
+        memo: dict[tuple, set[tuple[int, ...]]] = {}
+
+        def suffixes(progress: tuple[int, ...], reference) -> set[tuple[int, ...]]:
+            """Observations of the operations still to run from this state,
+            each laid out in vector order."""
+            if progress == done:
+                return {()}
+            key = (progress, reference.key())
+            found = memo.get(key)
+            if found is not None:
+                return found
+            limits.check_deadline()
+            found = set()
+            # The remaining operations of the sequences before s come first
+            # in every suffix, so sequence s's next operation goes after them.
+            offset = 0
+            for s, sequence in enumerate(sequences):
+                position = progress[s]
+                if position < len(sequence):
+                    after = progress[:s] + (position + 1,) + progress[s + 1:]
+                    for observables, successor in self._step(
+                        sequence[position], reference
+                    ):
+                        for rest in suffixes(after, successor):
+                            found.add(rest[:offset] + observables + rest[offset:])
+                    if s == 0:
+                        break  # init runs alone, before any thread
+                offset += tail[s][position]
+            memo[key] = found
+            return found
+
+        reference = self.compiled.implementation.reference()
+        spec = ObservationSet(
+            labels=self.compiled.observation_labels(),
+            observations=suffixes((0,) * len(sequences), reference),
+            method="reference",
+        )
         spec.mining_seconds = time.perf_counter() - start
         return spec
 
     def contains(self, observation: tuple[int, ...]) -> bool:
-        """Membership test with early exit (used by the lazy baseline)."""
-        test = self.compiled.test
-        init_slots, thread_slots = self._invocation_slots()
-        thread_sequences = [
-            [(thread, position) for position in range(len(test.threads[thread]))]
-            for thread in range(len(test.threads))
-        ]
-        for interleaving in interleavings(thread_sequences):
-            for candidate in self._run_choices(interleaving, init_slots,
-                                               thread_slots):
-                if candidate == observation:
-                    return True
-        return False
+        """Membership in the mined set (mined on the first call)."""
+        if self._mined is None:
+            self._mined = self.mine()
+        return observation in self._mined
 
     # ------------------------------------------------------------ internals
 
-    def _invocation_slots(self):
-        """Map invocations to their slot ranges in the observation vector."""
-        init_slots: list[tuple[Invocation, int, int]] = []
-        thread_slots: dict[tuple[int, int], tuple[Invocation, int, int]] = {}
-        offset = 0
-        test = self.compiled.test
-        for compiled_inv in self.compiled.invocations:
-            width = len(compiled_inv.observable_regs)
-            if compiled_inv.thread == INIT_THREAD:
-                invocation = test.init[compiled_inv.position]
-                init_slots.append((invocation, offset, width))
-            else:
-                invocation = test.threads[compiled_inv.thread][compiled_inv.position]
-                thread_slots[(compiled_inv.thread, compiled_inv.position)] = (
-                    invocation, offset, width,
-                )
-            offset += width
-        self._total_slots = offset
-        return init_slots, thread_slots
-
-    def _run_choices(self, interleaving, init_slots, thread_slots):
-        """Yield the observation of every argument choice for one interleaving."""
-        # Collect the symbolic (unspecified) arguments in a fixed order.
-        symbolic: list[tuple[str, int, tuple[int, ...]]] = []
-
-        def register_args(invocation: Invocation, key: str) -> None:
-            spec = self.compiled.implementation.operation(invocation.operation)
-            for index in range(spec.num_value_args):
-                provided = (
-                    invocation.args[index] if index < len(invocation.args) else None
-                )
-                if provided is None:
-                    symbolic.append((key, index, invocation.choice_domain))
-
-        for position, (invocation, _, _) in enumerate(init_slots):
-            register_args(invocation, f"init:{position}")
-        for (thread, position), (invocation, _, _) in thread_slots.items():
-            register_args(invocation, f"{thread}:{position}")
-
-        domains = [choices for _, _, choices in symbolic]
-        for assignment in itertools.product(*domains) if domains else [()]:
-            chosen = {
-                (key, index): value
-                for (key, index, _), value in zip(symbolic, assignment)
-            }
-            yield self._run_once(interleaving, init_slots, thread_slots, chosen)
-
-    def _run_once(self, interleaving, init_slots, thread_slots, chosen):
-        reference = self.compiled.implementation.reference()
-        observation = [0] * self._total_slots
-
-        def call(invocation: Invocation, key: str, offset: int, width: int) -> None:
-            spec = self.compiled.implementation.operation(invocation.operation)
-            args = []
-            for index in range(spec.num_value_args):
-                provided = (
-                    invocation.args[index] if index < len(invocation.args) else None
-                )
-                if provided is None:
-                    provided = chosen[(key, index)]
-                args.append(provided)
-            method = getattr(reference, invocation.operation, None)
+    def _step(self, invocation: Invocation, reference):
+        """Yield ``(observables, successor)`` for every argument choice of
+        ``invocation`` run on a copy of ``reference``."""
+        spec = self.compiled.implementation.operation(invocation.operation)
+        domains = []
+        for index in range(spec.num_value_args):
+            provided = (
+                invocation.args[index] if index < len(invocation.args) else None
+            )
+            domains.append(
+                invocation.choice_domain if provided is None else (provided,)
+            )
+        for args in itertools.product(*domains):
+            successor = reference.copy()
+            method = getattr(successor, invocation.operation, None)
             if method is None:
                 raise SpecificationError(
                     f"reference for {self.compiled.implementation.name!r} has "
                     f"no operation {invocation.operation!r}"
                 )
-            result = method(*args)
-            observables = list(args) + _normalize_result(result)
-            expected = spec.num_observables
-            if len(observables) != expected:
+            observables = args + _normalize_result(method(*args))
+            if len(observables) != spec.num_observables:
                 raise SpecificationError(
                     f"reference operation {invocation.operation!r} produced "
-                    f"{len(observables)} observables, expected {expected}"
+                    f"{len(observables)} observables, expected "
+                    f"{spec.num_observables}"
                 )
-            observation[offset:offset + width] = observables
-
-        for position, (invocation, offset, width) in enumerate(init_slots):
-            call(invocation, f"init:{position}", offset, width)
-        for thread, position in interleaving:
-            invocation, offset, width = thread_slots[(thread, position)]
-            call(invocation, f"{thread}:{position}", offset, width)
-        return tuple(observation)
+            yield observables, successor
 
 
-def _normalize_result(result) -> list[int]:
+def _normalize_result(result) -> tuple[int, ...]:
     if result is None:
-        return []
-    if isinstance(result, bool):
-        return [int(result)]
+        return ()
     if isinstance(result, tuple):
-        return [int(x) for x in result]
-    return [int(result)]
-
-
-def interleavings(sequences: list[list]):
-    """Yield every interleaving of the given sequences (per-sequence order
-    preserved)."""
-    non_empty = [s for s in sequences if s]
-    if not non_empty:
-        yield []
-        return
-    yield from _interleave([list(s) for s in non_empty], [])
-
-
-def _interleave(sequences, prefix):
-    if all(not s for s in sequences):
-        yield list(prefix)
-        return
-    for index, sequence in enumerate(sequences):
-        if not sequence:
-            continue
-        head = sequence.pop(0)
-        prefix.append(head)
-        yield from _interleave(sequences, prefix)
-        prefix.pop()
-        sequence.insert(0, head)
+        return tuple(int(x) for x in result)
+    return (int(result),)
 
 
 def mine_specification(

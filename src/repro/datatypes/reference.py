@@ -4,7 +4,9 @@ These are the "small, fast reference implementations" the paper recommends
 for computing observation sets (Section 3.2, Fig. 11a "refset").  Each class
 exposes one method per operation; methods return the observable results in
 the same order the C-side harness observes them (C return value first, then
-out-parameters).
+out-parameters).  The reference miner's walk steps a ``copy()`` of each
+state and recognizes a state it has already expanded by its ``key()``, the
+exact contents.
 
 Conventions shared with the C sources:
 
@@ -23,11 +25,26 @@ from collections import deque
 EMPTY = 2
 
 
-class ReferenceQueue:
+class _Reference:
+    """A reference whose whole state is its ``_items`` container."""
+
+    _items: deque[int] | set[int]
+
+    def copy(self):
+        """An independent reference with the same contents."""
+        clone = type(self)()
+        clone._items = self._items.copy()
+        return clone
+
+
+class ReferenceQueue(_Reference):
     """FIFO queue (reference for both ms2 and msn)."""
 
     def __init__(self) -> None:
         self._items: deque[int] = deque()
+
+    def key(self) -> tuple[int, ...]:
+        return tuple(self._items)
 
     def init(self) -> None:
         self._items.clear()
@@ -41,11 +58,14 @@ class ReferenceQueue:
         return (1, self._items.popleft())
 
 
-class ReferenceSet:
+class ReferenceSet(_Reference):
     """Sorted-set semantics (reference for lazylist and harris)."""
 
     def __init__(self) -> None:
         self._items: set[int] = set()
+
+    def key(self) -> frozenset[int]:
+        return frozenset(self._items)
 
     def init(self) -> None:
         self._items.clear()
@@ -66,11 +86,14 @@ class ReferenceSet:
         return int(value in self._items)
 
 
-class ReferenceDeque:
+class ReferenceDeque(_Reference):
     """Double-ended queue (reference for the snark-style deque)."""
 
     def __init__(self) -> None:
         self._items: deque[int] = deque()
+
+    def key(self) -> tuple[int, ...]:
+        return tuple(self._items)
 
     def init(self) -> None:
         self._items.clear()

@@ -477,8 +477,12 @@ class EncodedTest:
         self.cnf.add_clause(literals)
 
     def require_not_in(self, observations) -> None:
-        """Constrain the observation to differ from every element of a set."""
-        for observation in observations:
+        """Constrain the observation to differ from every element of a set.
+
+        The clauses follow the set's sorted order, so the formula depends
+        on what the set holds, not on how it was filled.
+        """
+        for observation in sorted(observations):
             self.block_observation(observation)
 
     def not_in_guard(self, observations) -> int:
@@ -490,15 +494,15 @@ class EncodedTest:
         (and its learned clauses) can serve the assertion query, the
         inclusion query, and later re-checks without the blocking clauses of
         one query leaking into another.  The guarded clauses are emitted only
-        once per distinct observation set, and are projected over the guard
-        literal plus observation literals only.
+        once per distinct observation set, in its sorted order, and are
+        projected over the guard literal plus observation literals only.
         """
         key = frozenset(observations)
         cached = self._not_in_guards.get(key)
         if cached is not None:
             return cached
         guard = self.ctx.circuit.var(f"not_in_guard{len(self._not_in_guards)}")
-        for observation in observations:
+        for observation in sorted(observations):
             literals = self.projected_blocking_clause(observation)
             if literals is None:
                 continue  # unreachable observation: guard need not block it

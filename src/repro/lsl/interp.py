@@ -1,13 +1,12 @@
 """A serial interpreter for LSL.
 
 The interpreter executes procedures one at a time against a concrete memory.
-It serves three purposes in the reproduction:
-
-* the fast "refset" style specification mining runs operations atomically in
-  every interleaving, which only needs serial semantics;
-* differential testing of the SAT encoding (serial SAT executions must agree
-  with the interpreter); and
-* executing test initialization sequences when a concrete prefix is wanted.
+It is the reference semantics that the C front-end and the inline/unroll
+passes are tested against (``tests/lang/test_lowering.py``,
+``tests/analysis/test_inline_unroll.py``): running lowered or transformed
+code must agree with the expected results and with the original code.
+Reference specification mining does not use it; it runs the Python classes
+of :mod:`repro.datatypes.reference`.
 
 Concurrency and memory-model relaxations are *not* modelled here — that is
 the job of the SAT encoding (:mod:`repro.encoding`).
