@@ -15,11 +15,11 @@ runs that loop on each lane:
 
 Every lane runs the identical mining loop, so the solve counts must agree
 and, on the uncapped test, the observation sets too — the verdict-identity
-gate of the incremental paths.  Results land in the BENCH trend JSON via
+gate of the incremental paths.  Results land in the benchmark JSON via
 ``extra_info``.
 
-Not in the default ``bench_trend`` set; run via ``tools/bench_trend.py
---benchmarks backend_incremental`` or directly with pytest.
+Run it with pytest; CI's ipasir-cadical job names a cadical build in
+``CHECKFENCE_SOLVER``, so the library lane runs there.
 """
 
 import pytest

@@ -5,7 +5,7 @@ reads-from engine earns its keep: the SAT lane pays one solve/decode/block
 round trip *per outcome* (plus the encoding itself), while the rf engine
 decides each candidate reads-from assignment by incremental order closure —
 no CNF, no solver.  This module times all three lanes on the same workload
-and embeds them in the BENCH trend JSON under ``extra_info["rfcheck"]``:
+and embeds them in the benchmark JSON under ``extra_info["rfcheck"]``:
 
 * **rfcheck** — :func:`repro.rfcheck.rfcheck_outcomes`;
 * **enumerator** — :func:`repro.oracle.enumerate_outcomes` (explicit-state);

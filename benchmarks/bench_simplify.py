@@ -10,7 +10,7 @@ Two gates ride along:
   verdict-identical to the unsimplified run, with the preprocessing
   counters (vars_eliminated, clauses_subsumed, equiv_merged,
   preprocess_seconds) recorded next to the solver counters in the
-  benchmark JSON, so the trend snapshots carry both sides of the A/B.
+  benchmark JSON, so it carries both sides of the A/B.
 
 Only encoding + preprocessing runs for the reduction gate (no solving),
 which keeps even the large tests affordable in CI.

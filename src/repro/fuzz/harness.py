@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 from repro.fuzz.generator import FuzzConfig, FuzzProgram, generate_corpus
 from repro.harness.matrix import (
-    ENGINES_KIND,
     FUZZ_KIND,
     MatrixCell,
     MatrixResult,
@@ -58,32 +57,20 @@ def compiled_fuzz_program(spec: str):
 
 
 def fuzz_cells(specs, models, engines=None) -> list[MatrixCell]:
-    """One matrix cell per (program spec, memory model).
+    """One :data:`FUZZ_KIND` matrix cell per (program spec, memory model).
 
-    With the default engine pair the cells keep their historical shape
-    (implementation ``"fuzz"``, :data:`FUZZ_KIND`); a non-default engine
-    selection produces :data:`ENGINES_KIND` cells whose implementation
-    column carries the engine list, which is how the selection travels to
-    pool workers without widening the cell tuple.
+    The implementation column carries the engine selection joined by
+    ``+`` (``enumerator+sat`` by default), which is how it travels to pool
+    workers; ``+``, not ``,``, keeps the cell key usable in a
+    ``CHECKFENCE_FAULT`` list.
     """
     model_names = [get_model(m).name for m in models]
-    selected = parse_engines(engines)
-    if selected == DEFAULT_ENGINES:
-        implementation, kind = "fuzz", FUZZ_KIND
-    else:
-        implementation, kind = ",".join(selected), ENGINES_KIND
+    implementation = "+".join(parse_engines(engines))
     return [
-        MatrixCell(implementation, spec, model, kind=kind)
+        MatrixCell(implementation, spec, model, kind=FUZZ_KIND)
         for spec in specs
         for model in model_names
     ]
-
-
-def cell_engines(cell: MatrixCell) -> tuple[str, ...]:
-    """The engine selection one fuzz/differential cell encodes."""
-    if cell.kind == ENGINES_KIND:
-        return parse_engines(cell.implementation)
-    return DEFAULT_ENGINES
 
 
 def run_fuzz_cell(cell: MatrixCell, options) -> "CellResult":
@@ -101,7 +88,7 @@ def run_fuzz_cell(cell: MatrixCell, options) -> "CellResult":
         compiled, cell.model,
         backend_factory=make_backend_factory(options.solver_backend),
         name=cell.test,
-        engines=cell_engines(cell),
+        engines=parse_engines(cell.implementation.split("+")),
     )
     notes = []
     if report.inconclusive:

@@ -81,14 +81,10 @@ from repro.sat.backend import make_backend_factory
 CATALOG_KIND = "catalog"
 LITMUS_KIND = "litmus"
 #: Differential-fuzzing cells: ``test`` is a replayable fuzz program spec
-#: (see :mod:`repro.fuzz.generator`) and the verdict is "oracle and SAT
-#: encoding agree on the outcome set".
+#: (see :mod:`repro.fuzz.generator`), ``implementation`` the engines that
+#: compare its outcome sets (see :func:`repro.fuzz.harness.fuzz_cells`),
+#: and the verdict is "the engines agree".
 FUZZ_KIND = "fuzz"
-#: Engine-parameterized differential cells: like :data:`FUZZ_KIND`, but the
-#: ``implementation`` column carries a comma-separated engine selection
-#: (``enumerator``/``rfcheck``/``sat``) instead of the constant ``"fuzz"``,
-#: so a non-default selection travels to pool workers inside the cell.
-ENGINES_KIND = "engines"
 
 #: Valid ``shard_by`` axes.
 SHARD_AXES = ("test", "model", "impl")
@@ -135,9 +131,9 @@ class MatrixCell:
     Fig. 1 check of a data type implementation against a Fig. 8 test;
     :data:`LITMUS_KIND` cells ask whether a litmus observation is reachable
     (``implementation`` is the constant ``"litmus"`` and ``test`` names the
-    litmus shape); :data:`FUZZ_KIND` cells differentially compare the
-    operational oracle against the SAT encoding on a generated program
-    (``implementation`` is ``"fuzz"`` and ``test`` is the replayable spec).
+    litmus shape); :data:`FUZZ_KIND` cells differentially compare outcome
+    engines on a generated program (``implementation`` names the engines
+    and ``test`` is the replayable spec).
     """
 
     implementation: str
@@ -235,7 +231,7 @@ class CellResult:
             return "ERROR"
         if self.cell.kind == LITMUS_KIND:
             return "allowed" if self.allowed else "forbidden"
-        if self.cell.kind in (FUZZ_KIND, ENGINES_KIND):
+        if self.cell.kind == FUZZ_KIND:
             if self.notes:
                 return "INCONCLUSIVE"
             return "agree" if self.passed else "DIVERGE"
@@ -541,7 +537,7 @@ class _Runner:
         return result
 
     def _check(self, cell: MatrixCell, started: float) -> CellResult:
-        if cell.kind in (FUZZ_KIND, ENGINES_KIND):
+        if cell.kind == FUZZ_KIND:
             from repro.fuzz.harness import run_fuzz_cell
 
             return run_fuzz_cell(cell, self.options)

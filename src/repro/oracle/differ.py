@@ -10,10 +10,13 @@ reachable observation vectors with any subset of the repo's three engines —
 * ``sat`` — *mining* the SAT encoding (solve, decode the observation,
   block it, repeat, exactly like the Section 3.2 specification miner) —
 
-and reports every pairwise difference, with direction.  The three
-implementations share nothing below :class:`repro.memorymodel.base
-.MemoryModel`, so an axiom dropped or mangled in any one of them shows up
-as a divergence with the offending observation vectors attached.
+and reports every pairwise difference, with direction.  Each engine
+implements the axioms of :class:`repro.memorymodel.base.MemoryModel` on
+its own.  The enumerator and rfcheck share trace extraction
+(:mod:`repro.oracle.trace`); the SAT encoding shares nothing with them
+beyond the compiled test.  So an axiom dropped or mangled in any one
+engine shows up as a divergence with the offending observation vectors
+attached, and a trace-extraction fault as one between SAT and both others.
 """
 
 from __future__ import annotations

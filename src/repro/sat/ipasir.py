@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import ctypes
 import os
-from typing import Iterable, Sequence
+import sys
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from repro.core import limits
 from repro.sat.cnf import CNF
@@ -42,8 +44,10 @@ IPASIR_UNSAT = 20
 IPASIR_INTERRUPTED = 0
 
 #: C type of the optional ``ipasir_set_terminate`` callback: called
-#: periodically by the solver; a non-zero return aborts the solve.
+#: periodically by the solver; a non-zero return aborts the solve.  The
+#: null callback uninstalls it.
 TERMINATE_CALLBACK = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_void_p)
+NO_TERMINATE = TERMINATE_CALLBACK()
 
 #: The symbols every IPASIR implementation must export.
 _REQUIRED_SYMBOLS = (
@@ -59,6 +63,58 @@ _REQUIRED_SYMBOLS = (
 
 class IpasirError(RuntimeError):
     """An IPASIR library could not be loaded or misbehaved."""
+
+
+def solve_polled(
+    set_terminate: Callable[[object], None], solve: Callable[[], int]
+) -> int:
+    """``solve()``, an IPASIR-style solve call, under a terminate callback
+    that ``set_terminate(callback)`` installs for its duration.
+
+    The callback stops the search once the active deadline expires or
+    exceeds its memory limit, and once an exception was raised inside it,
+    such as Ctrl-C, whose pending signal is raised on entry.  ctypes cannot
+    return an exception from a callback, so the exception is kept and
+    re-raised here after the C call has returned, and an interrupted solve
+    (status 0) re-checks the deadline, so a breach raises here too.
+    """
+    deadline = limits.active_deadline()
+    if deadline is not None:
+        deadline.check()
+    stop: list[BaseException] = []
+
+    def should_stop(_data) -> int:
+        try:
+            return int(bool(stop) or deadline is not None and (
+                deadline.expired() or deadline.memory_exceeded()
+            ))
+        except BaseException as exc:
+            stop.append(exc)
+            return 1
+
+    def keep_exception(unraisable) -> None:
+        # An exception raised before the callback's own handler runs
+        # reaches the unraisable hook instead; it stops the search at the
+        # next poll.  Swapping the process-wide hook assumes one solving
+        # thread, which is how the checker runs.
+        if unraisable.object is should_stop:
+            stop.append(unraisable.exc_value)
+        else:
+            previous_hook(unraisable)
+
+    poll = TERMINATE_CALLBACK(should_stop)  # must outlive the C call
+    previous_hook, sys.unraisablehook = sys.unraisablehook, keep_exception
+    set_terminate(poll)
+    try:
+        result = solve()
+    finally:
+        set_terminate(NO_TERMINATE)
+        sys.unraisablehook = previous_hook
+    if stop:
+        raise stop[0]
+    if result == IPASIR_INTERRUPTED and deadline is not None:
+        deadline.check()
+    return result
 
 
 class IpasirLibrary:
@@ -136,13 +192,10 @@ class IpasirLibrary:
         return bool(self._cdll.ipasir_failed(handle, literal))
 
     def set_terminate(self, handle: int, callback) -> None:
-        """Install (or with ``callback=None`` clear) the terminate hook;
+        """Install (or with :data:`NO_TERMINATE` clear) the terminate hook;
         no-op when the library does not export ``ipasir_set_terminate``."""
         if self.supports_terminate:
-            self._cdll.ipasir_set_terminate(
-                handle, None,
-                callback if callback is not None else TERMINATE_CALLBACK(),
-            )
+            self._cdll.ipasir_set_terminate(handle, None, callback)
 
 
 _LOADED: dict[str, IpasirLibrary] = {}
@@ -177,7 +230,6 @@ class IpasirBackend:
         self._last_result: bool | None = None
         self._failed: list[int] = []
         self._solves = 0
-        self._terminate_thunk = None
 
     def __del__(self) -> None:  # pragma: no cover - interpreter teardown
         handle = getattr(self, "_handle", None)
@@ -252,39 +304,24 @@ class IpasirBackend:
         conflict_limit: int | None = None,
     ) -> bool | None:
         # conflict_limit is a budget hint for the internal solver; IPASIR
-        # solvers run to completion — unless a deadline is in scope, in
-        # which case the optional ipasir_set_terminate hook aborts the
-        # solve on expiry (libraries without the hook are still checked
-        # between solves).
+        # solvers run to completion, unless the optional
+        # ipasir_set_terminate hook aborts the solve on a deadline breach
+        # or Ctrl-C (libraries without the hook are still checked between
+        # solves).
         self._failed = []
         self._last_result = None
         library = self._library
         handle = self._handle
-        deadline = limits.active_deadline()
-        terminate_installed = False
-        if deadline is not None:
-            deadline.check()
-            if library.supports_terminate:
-                def _should_stop(_data: object) -> int:
-                    return 1 if (
-                        deadline.expired() or deadline.memory_exceeded()
-                    ) else 0
-                # Keep the ctypes thunk alive for the duration of the
-                # solve; the solver calls it from C.
-                self._terminate_thunk = TERMINATE_CALLBACK(_should_stop)
-                library.set_terminate(handle, self._terminate_thunk)
-                terminate_installed = True
-        try:
+
+        def assume_and_solve() -> int:
             for lit in assumptions:
                 library.assume(handle, lit)
-            result = library.solve(handle)
-        finally:
-            if terminate_installed:
-                library.set_terminate(handle, None)
-                self._terminate_thunk = None
+            return library.solve(handle)
+
+        result = solve_polled(
+            partial(library.set_terminate, handle), assume_and_solve
+        )
         self._solves += 1
-        if result == IPASIR_INTERRUPTED and deadline is not None:
-            deadline.check()
         if result == IPASIR_SAT:
             self._last_result = True
             return True

@@ -35,14 +35,14 @@ import hashlib
 import os
 import shutil
 import subprocess
-import sys
 import tempfile
 from array import array
+from functools import partial
 from itertools import accumulate, chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.core import limits
+from repro.sat.ipasir import TERMINATE_CALLBACK, solve_polled
 from repro.sat.solver import SolverError, SolverStats
 
 SOURCE = Path(__file__).with_name("cdcl.c")
@@ -50,11 +50,6 @@ CFLAGS = ("-O2", "-shared", "-fPIC")
 
 _SAT = 10
 _UNSAT = 20
-
-#: C type of the terminate callback (the IPASIR signature), and the
-#: null callback that uninstalls it.
-_TERMINATE = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_void_p)
-_NO_TERMINATE = _TERMINATE()
 
 
 class NativeUnavailable(RuntimeError):
@@ -146,7 +141,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         "cf_model": (ctypes.c_int, [handle, ptr, ctypes.c_int]),
         "cf_failed": (ctypes.c_int, [handle, ptr, ctypes.c_int]),
         "cf_stats": (None, [handle, ptr]),
-        "ipasir_set_terminate": (None, [handle, ptr, _TERMINATE]),
+        "ipasir_set_terminate": (None, [handle, ptr, TERMINATE_CALLBACK]),
     }
     for symbol, (restype, argtypes) in signatures.items():
         function = getattr(lib, symbol)
@@ -254,53 +249,20 @@ class NativeSolver:
         assumed = array("i", assumptions)
         self._grow_to(assumed)
         self._last_assumptions = len(assumed)
-        deadline = limits.active_deadline()
-        if deadline is not None:
-            deadline.check()
-        stop: list[BaseException] = []
-
-        def should_stop(_data) -> int:
-            try:
-                return int(bool(stop) or deadline is not None and (
-                    deadline.expired() or deadline.memory_exceeded()
-                ))
-            except BaseException as exc:
-                stop.append(exc)
-                return 1
-
-        def keep_exception(unraisable) -> None:
-            # An exception ctypes could not return from the callback (such
-            # as Ctrl-C, raised on entry) is kept and stops the search at
-            # the next poll, to be re-raised once the C call has returned.
-            # Swapping the process-wide hook assumes one solving thread,
-            # which is how the checker runs.
-            if unraisable.object is should_stop:
-                stop.append(unraisable.exc_value)
-            else:
-                previous_hook(unraisable)
-
         lib, handle = self._lib, self._handle
-        poll = _TERMINATE(should_stop)  # must outlive the C call
-        previous_hook, sys.unraisablehook = sys.unraisablehook, keep_exception
-        lib.ipasir_set_terminate(handle, None, poll)
-        try:
-            result = lib.cf_solve(
-                handle, _address(assumed), len(assumed),
+        result = solve_polled(
+            partial(lib.ipasir_set_terminate, handle, None),
+            partial(
+                lib.cf_solve, handle, _address(assumed), len(assumed),
                 -1 if conflict_limit is None else conflict_limit,
-            )
-        finally:
-            lib.ipasir_set_terminate(handle, None, _NO_TERMINATE)
-            sys.unraisablehook = previous_hook
-        if stop:
-            raise stop[0]
+            ),
+        )
         if result < 0:
             raise SolverError("0 is not a valid assumption literal")
         if result == _SAT:
             self._last_result = True
         elif result == _UNSAT:
             self._last_result = False
-        elif deadline is not None:
-            deadline.check()
         return self._last_result
 
     def failed_assumptions(self) -> list[int]:

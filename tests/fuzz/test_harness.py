@@ -101,8 +101,19 @@ class TestFuzzCells:
         cells = fuzz_cells(["x=1 r0=y", "y=1 r0=x"], ["sc", "tso"])
         assert len(cells) == 4
         assert all(cell.kind == FUZZ_KIND for cell in cells)
-        assert cells[0].implementation == "fuzz"
+        assert cells[0].implementation == "enumerator+sat"
         assert cells[0].test == "x=1 r0=y"
+
+    def test_every_engine_selection_travels_in_the_implementation_column(
+        self,
+    ):
+        cells = fuzz_cells(["x=1 r0=y"], ["sc"], engines="sat,rfcheck")
+        assert [(c.kind, c.implementation) for c in cells] == [
+            (FUZZ_KIND, "rfcheck+sat")
+        ]
+        matrix = run_matrix(cells)
+        assert matrix.ok
+        assert set(matrix.results[0].stats["engines"]) == {"rfcheck", "sat"}
 
     def test_unparseable_spec_is_a_cell_error_not_a_crash(self):
         matrix = run_matrix(fuzz_cells(["this is not a spec"], ["sc"]))

@@ -266,10 +266,12 @@ class TestInterrupt:
 
     def test_cli_maps_interrupt_to_exit_130(self, monkeypatch, capsys):
         from repro.cli import main
+        from repro.fuzz import fuzz_cells
         from repro.fuzz.generator import generate_corpus
 
         spec = generate_corpus(seed=5, budget=1)[0].spec()
-        monkeypatch.setenv(FAULT_ENV, f"interrupt:fuzz/{spec}@sc")
+        cell = fuzz_cells([spec], ["sc"])[0]
+        monkeypatch.setenv(FAULT_ENV, f"interrupt:{cell.key}")
         code = main([
             "fuzz", "--budget", "1", "--seed", "5", "--models", "sc",
             "--jobs", "1", "--quiet",

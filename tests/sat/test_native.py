@@ -26,6 +26,7 @@ from repro.datatypes.registry import get_implementation
 from repro.harness.catalog import get_test
 from repro.sat import CNF, Solver, native
 from repro.sat.backend import make_backend_factory
+from repro.sat.ipasir import IpasirBackend
 
 
 def satisfiable(num_vars: int, clauses, assumptions=()) -> bool:
@@ -117,6 +118,16 @@ def hard_formula() -> tuple[CNF, list[int]]:
     return pigeonhole(12, 11)
 
 
+def kernel_solver(lane: str, cnf: CNF):
+    """A solver of the in-tree kernel holding ``cnf``: ``native`` binds
+    the kernel directly, ``ipasir`` loads it as an IPASIR library."""
+    if lane == "native":
+        return native.NativeSolver(cnf)
+    backend = IpasirBackend(native.library_path())
+    backend.add_cnf(cnf)
+    return backend
+
+
 def test_clause_deletion_keeps_the_formula_intact(native_solver):
     """A guarded pigeonhole refutation runs tens of thousands of conflicts,
     so learned-clause deletion and arena compaction both run; the clause
@@ -155,9 +166,14 @@ class TestDeadlines:
         core = solver.failed_assumptions()
         assert core and set(core) <= set(assumptions)
 
-    def test_callback_exception_is_reraised(self, native_solver, monkeypatch):
+    @pytest.mark.parametrize("lane", ["native", "ipasir"])
+    def test_callback_exception_is_reraised(
+        self, native_solver, monkeypatch, lane
+    ):
         class Exploding:
-            """A deadline whose poll raises from inside the C call."""
+            """A deadline whose first poll raises from inside the C call;
+            later polls report expiry, so a solve that loses the exception
+            still stops."""
 
             polls = 0
 
@@ -166,13 +182,15 @@ class TestDeadlines:
 
             def expired(self):
                 Exploding.polls += 1
-                raise KeyError("raised in the terminate callback")
+                if Exploding.polls == 1:
+                    raise KeyError("raised in the terminate callback")
+                return True
 
             def memory_exceeded(self):
                 return False
 
         cnf, first_pigeon = hard_formula()
-        solver = native_solver(cnf)
+        solver = kernel_solver(lane, cnf)
         monkeypatch.setattr(limits, "active_deadline", Exploding)
         with pytest.raises(KeyError, match="terminate callback"):
             solver.solve()
@@ -182,38 +200,53 @@ class TestDeadlines:
 
 
 _SIGINT_SNIPPET = """\
-from repro.sat.native import NativeSolver
-from test_native import hard_formula
+import sys
 
+from repro.core import limits
+from test_native import hard_formula, kernel_solver
+
+lane, scope = sys.argv[1:]
 cnf, first_pigeon = hard_formula()
-solver = NativeSolver(cnf)
+solver = kernel_solver(lane, cnf)
+deadline = limits.Deadline(600) if scope == "deadline" else None
 print("solving", flush=True)
 try:
-    solver.solve()
+    with limits.deadline_scope(deadline):
+        solver.solve()
 except KeyboardInterrupt:
     print("interrupted", solver.solve([-var for var in first_pigeon]))
 """
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGINT"), reason="needs SIGINT")
+@pytest.mark.parametrize("lane,scope", [
+    ("native", "no-deadline"),
+    ("ipasir", "no-deadline"),
+    ("ipasir", "deadline"),
+])
 def test_ctrl_c_interrupts_a_native_solve(
-    native_solver, monkeypatch, src_on_subprocess_path
+    native_solver, monkeypatch, src_on_subprocess_path, lane, scope
 ):
-    """Ctrl-C during a long native solve surfaces as KeyboardInterrupt
-    within a poll interval (ctypes would swallow it in the callback), and
-    the solver stays usable."""
+    """Ctrl-C during a long solve of the in-tree kernel, bound directly or
+    loaded as an IPASIR library, surfaces as KeyboardInterrupt within a
+    poll interval (ctypes would swallow it in the callback), and the
+    solver stays usable."""
     here = os.path.dirname(__file__)
     monkeypatch.setenv(
         "PYTHONPATH", f"{here}{os.pathsep}{os.environ['PYTHONPATH']}"
     )
     child = subprocess.Popen(
-        [sys.executable, "-c", _SIGINT_SNIPPET],
+        [sys.executable, "-c", _SIGINT_SNIPPET, lane, scope],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
-    assert child.stdout.readline().strip() == "solving"
-    time.sleep(0.5)
-    child.send_signal(signal.SIGINT)
-    out, err = child.communicate(timeout=30)
+    try:
+        assert child.stdout.readline().strip() == "solving"
+        time.sleep(0.5)
+        child.send_signal(signal.SIGINT)
+        out, err = child.communicate(timeout=30)
+    finally:
+        child.kill()
+        child.wait()
     assert out.strip() == "interrupted False", err
 
 
