@@ -8,9 +8,14 @@
 
 import pytest
 
-from repro.core import check
+from repro.core import CheckSession
 from repro.datatypes import get_implementation
 from repro.harness.bugtests import deque_double_pop_test, lazylist_missing_init_test
+
+
+def check(implementation, test, model):
+    """One check in a fresh session: compile, mine, encode and solve."""
+    return CheckSession(implementation).check(test, model)
 
 
 def test_snark_double_pop_bug(run_once, capsys):

@@ -16,10 +16,15 @@ Section 4.3.
 
 import pytest
 
-from repro.core import check
+from repro.core import CheckSession
 from repro.datatypes import get_implementation
 from repro.harness.catalog import get_test
 from repro.harness.runner import fence_experiment
+
+
+def check(implementation, test, model):
+    """One check in a fresh session: compile, mine, encode and solve."""
+    return CheckSession(implementation).check(test, model)
 
 _CASES = [
     ("msn", "T0"),

@@ -15,7 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import CheckFence, get_test
+from repro import CheckSession, get_test
 from repro.datatypes import get_implementation
 
 
@@ -47,10 +47,10 @@ def main() -> None:
     for index in range(len(positions)):
         source, removed = remove_fence(base.source, index)
         variant = base.with_source(source, f"minus-fence-{index}")
-        checker = CheckFence(variant)
+        session = CheckSession(variant)
         failing_test = None
         for test in tests:
-            if checker.check(test, "relaxed").failed:
+            if session.check(test, "relaxed").failed:
                 failing_test = test.name
                 break
         line = line_of(base.source, fence_positions(base.source)[index])

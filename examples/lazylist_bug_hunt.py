@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import CheckFence
+from repro import CheckSession
 from repro.datatypes import get_implementation
 from repro.harness.bugtests import lazylist_missing_init_test
 from repro.harness.catalog import get_test
@@ -25,7 +25,7 @@ def main() -> None:
     print("Test:", test.description, "— add an element, then look it up.")
     print()
 
-    buggy = CheckFence(get_implementation("lazylist-buggy"))
+    buggy = CheckSession(get_implementation("lazylist-buggy"))
     result = buggy.check(test, "sc")
     print("lazylist-buggy under sequential consistency:",
           "PASS" if result.passed else "FAIL")
@@ -39,7 +39,7 @@ def main() -> None:
               " relaxation at all — it is an algorithmic bug.")
     print()
 
-    fixed = CheckFence(get_implementation("lazylist"))
+    fixed = CheckSession(get_implementation("lazylist"))
     result = fixed.check(test, "sc")
     print("lazylist (marked field initialized):",
           "PASS" if result.passed else "FAIL")

@@ -12,14 +12,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import CheckFence, get_implementation, get_test
+from repro import CheckSession, get_implementation, get_test
 
 
 def run_check(implementation_name: str, model: str) -> None:
     implementation = get_implementation(implementation_name)
-    checker = CheckFence(implementation)
+    session = CheckSession(implementation)
     test = get_test("queue", "T0")          # ( enqueue | dequeue )
-    result = checker.check(test, model)
+    result = session.check(test, model)
     verdict = "PASS" if result.passed else "FAIL"
     print(f"{implementation_name:15s} under {model:8s}: {verdict} "
           f"({result.stats.accesses} accesses, "

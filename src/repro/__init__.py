@@ -3,10 +3,10 @@ relaxed memory models (Burckhardt, Alur, Martin — PLDI 2007).
 
 Quickstart::
 
-    from repro import CheckFence, get_implementation, get_test
+    from repro import CheckSession, get_implementation, get_test
 
-    checker = CheckFence(get_implementation("msn-unfenced"))
-    result = checker.check(get_test("queue", "T0"), "relaxed")
+    session = CheckSession(get_implementation("msn-unfenced"))
+    result = session.check(get_test("queue", "T0"), "relaxed")
     if result.failed:
         print(result.counterexample.format())
 
@@ -18,13 +18,14 @@ The package layers (docs/architecture.md has the full map):
 * :mod:`repro.analysis` — inlining, loop unrolling, range analysis
 * :mod:`repro.memorymodel` — Seriality, SC, TSO, PSO, Relaxed
 * :mod:`repro.encoding` — the propositional encoding of all executions
-* :mod:`repro.core` — specification mining, inclusion check, counterexamples
+* :mod:`repro.core` — check sessions, specification mining, inclusion check,
+  counterexamples
 * :mod:`repro.datatypes` — ms2, msn, lazylist, harris, snark (+ variants)
 * :mod:`repro.harness` — the Fig. 8 test catalog and Section 4 experiments
 * :mod:`repro.litmus` — memory-model litmus tests (Fig. 2 and friends)
 """
 
-from repro.core import CheckFence, CheckOptions, CheckResult, check
+from repro.core import CheckOptions, CheckResult, CheckSession
 from repro.datatypes import available_implementations, get_implementation
 from repro.harness import get_test, test_names
 from repro.lsl import Invocation, SymbolicTest
@@ -41,10 +42,9 @@ from repro.memorymodel import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckFence",
     "CheckOptions",
     "CheckResult",
-    "check",
+    "CheckSession",
     "available_implementations",
     "get_implementation",
     "get_test",

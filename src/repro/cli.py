@@ -5,10 +5,10 @@ Examples::
     checkfence list
     checkfence check --impl msn-unfenced --test T0 --model relaxed
     checkfence check --impl msn --test T0 --solver ipasir:libcadical.so
-    checkfence sweep --impl msn --test T0 --models serial,sc,tso,pso,relaxed
     checkfence spec --impl msn --test T0
-    checkfence litmus --model relaxed
+    checkfence matrix --impls msn --tests T0 --models serial,sc,tso,pso,relaxed
     checkfence matrix --impls msn,ms2 --models sc,relaxed --jobs 4
+    checkfence matrix --litmus --models relaxed
     checkfence matrix --litmus --models sc,tso,pso,relaxed --jobs 2 --json -
     checkfence oracle --litmus store-buffering --model tso
     checkfence oracle --spec "x=1 r0=y | y=1 r1=x" --model sc
@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from repro.core import limits
-from repro.core.checker import CheckFence, CheckOptions
+from repro.core.checker import CheckOptions
 from repro.core.session import CheckSession
 from repro.datatypes.registry import (
     TABLE1,
@@ -36,7 +37,6 @@ from repro.datatypes.registry import (
 )
 from repro.harness.catalog import get_test, test_names
 from repro.harness.matrix import (
-    SHARD_AXES,
     WORKER_TIMEOUT_ENV,
     catalog_cells,
     default_jobs,
@@ -44,22 +44,19 @@ from repro.harness.matrix import (
     run_matrix,
 )
 from repro.harness.reporting import format_table
-from repro.litmus.catalog import available_litmus_tests
 from repro.memorymodel.base import available_models, get_model
 from repro.sat.backend import make_backend_factory
 
 
 def _check_options(args, **fields) -> CheckOptions:
     """CheckOptions from the shared flags a subcommand carries, plus
-    command-specific ``fields``.  A flag left unset maps to None, so its
-    ``CHECKFENCE_*`` environment fallback stays reachable."""
+    command-specific ``fields``.  An unset ``--solver`` maps to None, so
+    ``CHECKFENCE_SOLVER`` stays its default."""
     values = {}
     if hasattr(args, "solver"):
         values["solver_backend"] = args.solver
     if hasattr(args, "store"):
-        values["store"] = (
-            False if args.no_store else True if args.store else None
-        )
+        values["store"] = args.store
     if hasattr(args, "timeout"):
         values["timeout"] = args.timeout
         values["memory_limit_mb"] = args.memory_limit
@@ -67,6 +64,32 @@ def _check_options(args, **fields) -> CheckOptions:
         values["specification_method"] = args.spec_method
     values.update(fields)
     return CheckOptions(**values)
+
+
+def _positive_number(text: str) -> float:
+    """Argparse type of a budget flag: a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number, got {text!r}"
+        )
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """Argparse type of ``--bound``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {text!r}"
+        )
+    return value
 
 
 def _backend_factory(options: CheckOptions):
@@ -151,8 +174,8 @@ def _cmd_check(args) -> int:
         lazy_loop_bounds=args.lazy_bounds,
         default_loop_bound=args.bound,
     )
-    checker = CheckFence(implementation, options)
-    result = checker.check(test, get_model(args.model))
+    session = CheckSession(implementation, options)
+    result = session.check(test, get_model(args.model))
     print(result.summary())
     if result.stats.solver_backend:
         if result.stats.solver_counters_available:
@@ -167,7 +190,7 @@ def _cmd_check(args) -> int:
                 f"solver: {result.stats.solver_backend} "
                 "(external backend; counters unavailable)"
             )
-    fallback = checker.session.backend_factory.fallback_reason
+    fallback = session.backend_factory.fallback_reason
     if fallback:
         print(f"note: {fallback}")
     if result.passed:
@@ -175,45 +198,13 @@ def _cmd_check(args) -> int:
     return 3 if result.degraded else 1
 
 
-def _cmd_sweep(args) -> int:
-    implementation = get_implementation(args.impl)
-    category = category_of(args.impl)
-    test = get_test(category, args.test)
-    session = CheckSession(implementation, _check_options(args))
-    models = [get_model(name) for name in _names(args.models)]
-    results = session.sweep(test, models)
-    rows = [
-        (
-            r.memory_model,
-            r.verdict,
-            r.stats.observation_set_size,
-            r.stats.cnf_clauses,
-            r.stats.solver_backend,
-            f"{r.stats.total_seconds:.2f}s",
-        )
-        for r in results
-    ]
-    print(
-        f"sweep of {args.impl} / {args.test} over "
-        f"{', '.join(m.name for m in models)} "
-        f"(compiled {session.cache_stats['compile']}x, "
-        f"spec mined {session.cache_stats['mine']}x):"
-    )
-    print(format_table(
-        ["model", "verdict", "spec size", "clauses", "backend", "total"], rows
-    ))
-    if any(r.failed for r in results):
-        return 1
-    return _degraded_exit(results)
-
-
 def _cmd_spec(args) -> int:
     implementation = get_implementation(args.impl)
     category = category_of(args.impl)
     test = get_test(category, args.test)
-    checker = CheckFence(implementation, _check_options(args))
-    compiled = checker.compile(test, "serial")
-    spec = checker.specification(test, compiled)
+    session = CheckSession(implementation, _check_options(args))
+    compiled = session.compile(test, "serial")
+    spec = session.specification(test, compiled)
     print(
         f"observation set for {args.impl} / {args.test}: "
         f"{len(spec)} observations (mined with the {spec.method} method in "
@@ -222,24 +213,6 @@ def _cmd_spec(args) -> int:
     for observation in sorted(spec.observations):
         print("  " + spec.describe(observation))
     return 0
-
-
-def _cmd_litmus(args) -> int:
-    model = get_model(args.model)
-    matrix = run_matrix(
-        litmus_cells([model.name]), jobs=args.jobs,
-        options=_check_options(args),
-    )
-    catalog = available_litmus_tests()
-    rows = [
-        (r.cell.test, catalog[r.cell.test].observation, r.verdict)
-        for r in matrix.results
-    ]
-    print(f"litmus outcomes under {model.name}:")
-    print(format_table(["test", "observation", "verdict"], rows))
-    for failed in matrix.errors:
-        print(f"error in {failed.cell.key}: {failed.error}", file=sys.stderr)
-    return 1 if matrix.errors else _degraded_exit(matrix.results)
 
 
 def _matrix_progress(done: int, total: int, result) -> None:
@@ -279,7 +252,6 @@ def _cmd_matrix(args) -> int:
     matrix = run_matrix(
         cells,
         jobs=args.jobs,
-        shard_by=args.shard_by,
         options=options,
         progress=None if args.quiet else _matrix_progress,
     )
@@ -321,7 +293,7 @@ def _cmd_oracle(args) -> int:
         return 2
     model = get_model(args.model)
     if args.litmus:
-        from repro.litmus.catalog import compiled_litmus
+        from repro.litmus.catalog import available_litmus_tests, compiled_litmus
 
         catalog = available_litmus_tests()
         if args.litmus not in catalog:
@@ -384,8 +356,8 @@ def _cmd_oracle(args) -> int:
 #: Flags (argparse destinations) that each ``synthesize`` mode, named by
 #: the flag selecting it, would ignore; combining them is a usage error.
 _SYNTHESIZE_IGNORED = {
-    "--fuzz-budget": ("test", "solver", "store", "no_store", "json", "budget"),
-    "--spec": ("test", "store", "no_store", "seed"),
+    "--fuzz-budget": ("test", "solver", "store", "json", "budget"),
+    "--spec": ("test", "store", "seed"),
     "--impl": ("seed",),
 }
 
@@ -519,7 +491,6 @@ def _cmd_fuzz(args) -> int:
         models=models,
         config=config,
         jobs=args.jobs,
-        shard_by=args.shard_by,
         options=_check_options(args),
         progress=None if args.quiet else _matrix_progress,
         shrink=not args.no_shrink,
@@ -601,24 +572,18 @@ def _shared_flags() -> dict[str, argparse.ArgumentParser]:
                 "campaign with --store recomputes only the cells without "
                 "a verdict; see 'checkfence cache')",
             )),
-            (("--no-store",), dict(
-                action="store_true",
-                help="never touch the persistent store, overriding "
-                "CHECKFENCE_STORE=1",
-            )),
         ),
         "budget": _flag_group(
             (("--timeout",), dict(
-                type=float, default=None, metavar="SECONDS",
+                type=_positive_number, default=None, metavar="SECONDS",
                 help="per-check wall-clock budget; an expired check reports "
                 "the first-class TIMEOUT verdict (exit code 3) instead of "
-                "hanging (env fallback: CHECKFENCE_TIMEOUT)",
+                "hanging (default: no limit)",
             )),
             (("--memory-limit",), dict(
-                type=float, default=None, metavar="MB",
+                type=_positive_number, default=None, metavar="MB",
                 help="per-check resident-memory budget in megabytes; a "
-                "breach reports the OOM verdict "
-                "(env fallback: CHECKFENCE_MEMORY_LIMIT)",
+                "breach reports the OOM verdict (default: no limit)",
             )),
         ),
         "spec_method": _flag_group(
@@ -686,30 +651,13 @@ def build_parser() -> argparse.ArgumentParser:
                               help="Fig. 8 test name, e.g. T0")
     check_parser.add_argument("--model", default="relaxed",
                               help="memory model (default: relaxed)")
-    check_parser.add_argument("--bound", type=int, default=None,
-                              help="default loop bound")
+    check_parser.add_argument("--bound", type=_positive_int, default=None,
+                              help="default loop bound, at least 1 "
+                              "(default: the implementation's)")
     check_parser.add_argument("--lazy-bounds", action="store_true",
                               help="refine loop bounds lazily (Section 3.3)")
     check_parser.add_argument("--no-range-analysis", action="store_true",
                               help="disable the range analysis (Fig. 11c)")
-
-    sweep_parser = command(
-        "sweep",
-        "check ONE implementation/test pair under several memory models "
-        "in one warm session (compiles and mines the specification once); "
-        "for many implementations or tests, or to use several cores, see "
-        "'matrix'",
-        "solver", "store", "budget", "spec_method",
-    )
-    sweep_parser.add_argument("--impl", required=True,
-                              help="implementation variant (see 'list')")
-    sweep_parser.add_argument("--test", required=True,
-                              help="Fig. 8 test name, e.g. T0")
-    sweep_parser.add_argument(
-        "--models", default="serial,sc,tso,pso,relaxed",
-        help="comma-separated memory models "
-        "(default: serial,sc,tso,pso,relaxed)",
-    )
 
     spec_parser = command(
         "spec",
@@ -722,20 +670,12 @@ def build_parser() -> argparse.ArgumentParser:
     spec_parser.add_argument("--test", required=True,
                              help="Fig. 8 test name, e.g. T0")
 
-    litmus_parser = command(
-        "litmus",
-        "evaluate the Fig. 2 litmus catalog under one memory model",
-        "solver", "budget", "jobs",
-    )
-    litmus_parser.add_argument(
-        "--model", default="relaxed",
-        help="memory model to evaluate under (default: relaxed)",
-    )
-
     matrix_parser = command(
         "matrix",
-        "run a (implementation x test x model) check matrix, sharded "
-        "across a multiprocessing worker pool",
+        "run a (implementation x test x model) check matrix, or the "
+        "Fig. 2 litmus matrix with --litmus; cells sharing a compiled "
+        "test run in one warm session (compiled and mined once), and "
+        "--jobs spreads those shards across a worker pool",
         "solver", "store", "budget", "spec_method", "jobs", "json", "quiet",
     )
     matrix_parser.add_argument(
@@ -763,13 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--litmus", action="store_true",
         help="check the litmus catalog instead of data type implementations",
     )
-    matrix_parser.add_argument(
-        "--shard-by", default="test", choices=list(SHARD_AXES),
-        help="how to batch cells into shards: 'test' batches by compiled-test "
-        "key (one session compiles and mines once per (impl, test)), "
-        "'impl' batches whole implementations, 'model' batches by memory "
-        "model (default: test)",
-    )
 
     engines_help = (
         "comma-separated consistency engines to compare — any of "
@@ -788,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     oracle_parser.add_argument(
         "--litmus", default=None, metavar="NAME",
-        help="a litmus catalog test (see 'litmus')",
+        help="a litmus catalog test (see 'matrix --litmus')",
     )
     oracle_parser.add_argument(
         "--spec", default=None, metavar="SPEC",
@@ -864,18 +797,13 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument("--addrs", type=int, default=2,
                              help="shared addresses (default: 2)")
     fuzz_parser.add_argument("--engines", default=None, help=engines_help)
-    fuzz_parser.add_argument(
-        "--shard-by", default="test", choices=list(SHARD_AXES),
-        help="matrix sharding axis; 'test' compiles each program once for "
-        "all models (default: test)",
-    )
     fuzz_parser.add_argument("--no-shrink", action="store_true",
                              help="report divergences without minimizing them")
 
     cache_parser = command(
         "cache",
         "inspect (default) or clear the persistent on-disk result "
-        "store populated by --store / CHECKFENCE_STORE=1",
+        "store populated by --store",
     )
     cache_parser.add_argument("--clear", action="store_true",
                               help="delete every stored cell")
@@ -893,10 +821,7 @@ def main(argv: list[str] | None = None) -> int:
             make_backend_factory(args.solver)
         _resolve_names(args)
         default_jobs()
-        for variable in (
-            limits.TIMEOUT_ENV, limits.MEMORY_LIMIT_ENV, WORKER_TIMEOUT_ENV,
-        ):
-            limits.env_float(variable)
+        limits.env_float(WORKER_TIMEOUT_ENV)
     except (ValueError, KeyError) as exc:
         # args[0]: str() of a KeyError would quote the message.
         print(f"{args.command}: {exc.args[0]}", file=sys.stderr)
@@ -905,9 +830,7 @@ def main(argv: list[str] | None = None) -> int:
         "list": _cmd_list,
         "table1": _cmd_table1,
         "check": _cmd_check,
-        "sweep": _cmd_sweep,
         "spec": _cmd_spec,
-        "litmus": _cmd_litmus,
         "matrix": _cmd_matrix,
         "oracle": _cmd_oracle,
         "synthesize": _cmd_synthesize,

@@ -1,6 +1,6 @@
 """The checker itself: specification mining, inclusion check, counterexamples."""
 
-from repro.core.checker import CheckFence, CheckOptions, check
+from repro.core.checker import CheckOptions
 from repro.core.commitpoint import CommitPointResult, run_commit_point_check
 from repro.core.counterexample import CounterexampleTrace, TraceStep, build_trace
 from repro.core.inclusion import (
@@ -20,9 +20,7 @@ from repro.core.specification import (
 )
 
 __all__ = [
-    "CheckFence",
     "CheckOptions",
-    "check",
     "CommitPointResult",
     "run_commit_point_check",
     "CounterexampleTrace",

@@ -42,11 +42,6 @@ import time
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-# Environment fallbacks: CLI flags take precedence, but CI jobs and the
-# chaos harness set blanket limits without touching every command line.
-TIMEOUT_ENV = "CHECKFENCE_TIMEOUT"
-MEMORY_LIMIT_ENV = "CHECKFENCE_MEMORY_LIMIT"
-
 # Degraded verdict labels, shared by results/matrix/reporting so string
 # comparisons are typo-proof.
 TIMEOUT = "TIMEOUT"
@@ -98,6 +93,12 @@ def env_float(name: str) -> Optional[float]:
     except ValueError:
         raise ValueError(f"{name} must be a number, got {raw!r}") from None
     return value if value > 0 else None
+
+
+def env_flag(name: str) -> bool:
+    """Whether the on/off switch in environment variable ``name`` is on:
+    its stripped value is anything but empty or ``"0"``."""
+    return os.environ.get(name, "").strip() not in ("", "0")
 
 
 class Deadline:
@@ -202,13 +203,9 @@ def deadline_scope(deadline: Optional[Deadline]) -> Iterator[Optional[Deadline]]
 
 
 def deadline_from_options(options) -> Optional[Deadline]:
-    """Build a Deadline from CheckOptions + environment fallbacks."""
-    timeout = getattr(options, "timeout", None)
-    if timeout is None:
-        timeout = env_float(TIMEOUT_ENV)
-    memory = getattr(options, "memory_limit_mb", None)
-    if memory is None:
-        memory = env_float(MEMORY_LIMIT_ENV)
+    """Build a Deadline from CheckOptions' budgets (None when neither is
+    set)."""
+    timeout, memory = options.timeout, options.memory_limit_mb
     if timeout is None and memory is None:
         return None
     return Deadline(timeout_seconds=timeout, memory_limit_mb=memory)

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, field, fields
 
+from repro.core import limits
 from repro.core.counterexample import CounterexampleTrace
 from repro.core.specification import ObservationSet
 from repro.encoding.formula import EncodingStatistics
@@ -136,7 +136,7 @@ class CheckStatistics(EncodingStatistics):
 def profile_enabled() -> bool:
     """The ``CHECKFENCE_PROFILE`` knob (default off): when on, every check
     prints its :meth:`CheckStatistics.profile_line` to stderr."""
-    return os.environ.get("CHECKFENCE_PROFILE", "0") not in ("", "0")
+    return limits.env_flag("CHECKFENCE_PROFILE")
 
 
 @dataclass

@@ -1,11 +1,12 @@
-"""Incremental check sessions.
+"""Incremental check sessions: the one way to run a check.
 
-A :class:`CheckSession` owns the state that is expensive to rebuild and
-profitable to share across checks of one implementation:
+A :class:`CheckSession` runs the check of Fig. 1 for one implementation
+and owns the state that is expensive to rebuild and profitable to share
+across its checks:
 
 * the lowered LSL program (compiled once per session);
-* compiled tests (inline + unroll + analyze), keyed so that a sweep of the
-  same test over several memory models compiles once;
+* compiled tests (inline + unroll + analyze), keyed so that checking the
+  same test under several memory models compiles it once;
 * mined specifications (one observation set per test, regardless of how
   many models the test is later checked under).
 
@@ -15,10 +16,7 @@ its learned clauses.  The inclusion query adds permanent blocking clauses
 (measurably stronger than guard-literal variants), so the formula never
 outlives its check.
 
-:class:`repro.core.checker.CheckFence` is now a thin facade over a session;
-use a session directly (or :meth:`CheckSession.sweep`) when checking one
-test under several memory models, as ``harness.runner`` does.  Sessions
-are also the unit of warmth in the parallel check matrix
+Sessions are also the unit of warmth in the check matrix
 (:mod:`repro.harness.matrix`): each worker process keeps one session per
 implementation and batches cells so the compile/mine caches hit.
 """
@@ -31,6 +29,7 @@ from dataclasses import asdict
 
 from repro.core import limits
 from repro.core import store as result_store
+from repro.core.checker import CheckOptions
 from repro.core.inclusion import run_assertion_check, run_inclusion_check
 from repro.core.loop_bounds import refine_loop_bounds
 from repro.core.results import CheckResult, CheckStatistics, profile_enabled
@@ -55,11 +54,8 @@ class CheckSession:
     def __init__(
         self,
         implementation: DataTypeImplementation,
-        options=None,
+        options: CheckOptions | None = None,
     ) -> None:
-        # Imported here to avoid a cycle: checker imports this module.
-        from repro.core.checker import CheckOptions
-
         self.implementation = implementation
         self.options = options if options is not None else CheckOptions()
         self.program: Program = compile_c(
@@ -75,7 +71,7 @@ class CheckSession:
         self._compiled: dict[tuple, CompiledTest] = {}
         self._specifications: dict[tuple, ObservationSet] = {}
         #: How often each cacheable stage actually ran (observability for
-        #: sweeps and tests of the reuse behavior).  ``encode`` counts
+        #: the matrix and tests of the reuse behavior).  ``encode`` counts
         #: formulas, one per check that reached the encoder.
         #: ``store_hits`` / ``store_misses`` count persistent-store lookups
         #: (verdict and specification cells) and stay zero while the store
@@ -140,8 +136,8 @@ class CheckSession:
 
         Compilation is model-independent unless lazy loop-bound refinement
         is on (the refinement solves under the model), so the cache key only
-        includes the model in that case and a cross-model sweep compiles the
-        test exactly once.
+        includes the model in that case and checking the test under several
+        models compiles it exactly once.
         """
         model = get_model(model)
         key = (
@@ -197,7 +193,8 @@ class CheckSession:
         """Mine (and cache) the observation set of a test.
 
         The specification only depends on the test and the implementation —
-        never on the memory model under check — so a sweep mines it once.
+        never on the memory model under check — so it is mined once however
+        many models check the test.
         """
         key = self._test_key(test)
         cached = self._specifications.get(key)
@@ -375,18 +372,6 @@ class CheckSession:
             loop_bounds=dict(compiled.loop_bounds),
             notes=notes,
         )
-
-    def sweep(
-        self,
-        test: SymbolicTest,
-        memory_models,
-    ) -> list[CheckResult]:
-        """Check one test under several memory models.
-
-        The test is compiled once and its specification mined once; each
-        model gets its own encoded formula and incremental backend.
-        """
-        return [self.check(test, model) for model in memory_models]
 
     # ----------------------------------------------------------- synthesis
 

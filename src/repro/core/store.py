@@ -35,9 +35,9 @@ campaign with the store on recomputes exactly the cells without a
 verdict.
 
 The store is **off by default** — checks are exactly as reproducible as
-before unless the user opts in with ``--store`` / ``CHECKFENCE_STORE=1``
-(and back out per-run with ``--no-store``).  All sqlite failures degrade
-to cache misses: a corrupt or unwritable database never breaks a check.
+before unless the user opts in with ``--store`` (``CheckOptions.store``).
+All sqlite failures degrade to cache misses: a corrupt or unwritable
+database never breaks a check.
 """
 
 from __future__ import annotations
@@ -61,16 +61,6 @@ _DB_NAME = "store.sqlite"
 VERDICT_KIND = "verdict"
 SPEC_KIND = "spec"
 CELL_KIND = "cell"
-
-
-def store_enabled(flag: bool | None = None) -> bool:
-    """Resolve the persistent-store knob: an explicit flag wins, otherwise
-    the ``CHECKFENCE_STORE`` environment variable.  Unlike the other repo
-    env flags this one defaults to **off** — a durable cache that outlives
-    the process must be opted into, never stumbled into."""
-    if flag is not None:
-        return bool(flag)
-    return os.environ.get("CHECKFENCE_STORE", "0") not in ("", "0")
 
 
 def cache_dir() -> Path:
@@ -283,10 +273,10 @@ class VerdictStore:
 
 
 def open_store(
-    flag: bool | None = None, path: str | os.PathLike | None = None
+    enabled: bool, path: str | os.PathLike | None = None
 ) -> VerdictStore | None:
-    """A :class:`VerdictStore` when the knob resolves on, else ``None``."""
-    return VerdictStore(path) if store_enabled(flag) else None
+    """A :class:`VerdictStore` when ``enabled``, else ``None``."""
+    return VerdictStore(path) if enabled else None
 
 
 # ------------------------------------------------------------ serialization

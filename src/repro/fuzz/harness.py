@@ -319,7 +319,6 @@ def run_fuzz(
     models=DEFAULT_MODELS,
     config: FuzzConfig | None = None,
     jobs: int | None = None,
-    shard_by: str = "test",
     options=None,
     progress=None,
     shrink: bool = True,
@@ -329,8 +328,8 @@ def run_fuzz(
 
     ``budget`` distinct programs are drawn from ``seed`` and checked under
     every model in ``models``; any divergence is re-confirmed in the parent
-    process and (when ``shrink``) minimized.  ``jobs``/``shard_by`` select
-    the matrix pool exactly as for ``checkfence matrix``; ``engines``
+    process and (when ``shrink``) minimized.  ``jobs`` selects the matrix
+    pool exactly as for ``checkfence matrix``; ``engines``
     selects which consistency engines each cell compares (anything
     :func:`repro.oracle.differ.parse_engines` accepts).  The corpus is
     regenerated deterministically from ``seed``, so rerunning a killed
@@ -348,7 +347,6 @@ def run_fuzz(
     matrix = run_matrix(
         fuzz_cells(specs, model_names, engines=engine_names),
         jobs=jobs,
-        shard_by=shard_by,
         options=options,
         progress=progress,
     )

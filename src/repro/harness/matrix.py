@@ -11,10 +11,9 @@ into *shards*, and runs the shards either serially or across a
   (implementation, Fig. 8 test, memory model) or a litmus cell
   (litmus test, memory model);
 * :func:`shard_cells` batches cells so that work is reused *inside* a
-  shard: the default ``shard_by="test"`` groups by compiled-test key
-  (implementation, test), so one :class:`~repro.core.session.CheckSession`
-  compiles the test and mines its specification once and then sweeps the
-  models;
+  shard: it groups by compiled-test key (kind, implementation, test), so
+  one :class:`~repro.core.session.CheckSession` compiles the test and
+  mines its specification once and then checks it under every model;
 * :func:`run_matrix` is the orchestrator.  With ``jobs=1`` it runs the
   shards in order in-process (the deterministic serial path).  With
   ``jobs>1`` it starts worker processes, each with its own duplex pipe,
@@ -49,9 +48,9 @@ Fault tolerance (the robustness layer):
 Fault *injection* for all of the above lives in
 :mod:`repro.core.faults` (``CHECKFENCE_FAULT=worker-crash:<key>,...``).
 
-The CLI surface is ``checkfence matrix`` (``--jobs``, ``--shard-by``,
-``--solver``, ``--json``, ``--timeout``, ``--store``); ``checkfence
-litmus`` and ``checkfence fuzz`` are built on top of this module.
+The CLI surface is ``checkfence matrix`` (``--jobs``, ``--solver``,
+``--json``, ``--timeout``, ``--store``; ``--litmus`` for the Fig. 2
+litmus matrix); ``checkfence fuzz`` is built on top of this module.
 """
 
 from __future__ import annotations
@@ -70,6 +69,7 @@ from multiprocessing.connection import Connection, wait
 
 from repro.core import faults, limits
 from repro.core import store as result_store
+from repro.core.checker import CheckOptions
 from repro.core.results import CheckResult
 from repro.core.session import CheckSession
 from repro.datatypes.registry import category_of, get_implementation
@@ -85,9 +85,6 @@ LITMUS_KIND = "litmus"
 #: compare its outcome sets (see :func:`repro.fuzz.harness.fuzz_cells`),
 #: and the verdict is "the engines agree".
 FUZZ_KIND = "fuzz"
-
-#: Valid ``shard_by`` axes.
-SHARD_AXES = ("test", "model", "impl")
 
 #: Extra attempts granted to the unfinished cells of a crashed or hung
 #: worker before they are quarantined as ``CRASHED`` (so the total
@@ -272,7 +269,6 @@ class MatrixResult:
 
     results: list[CellResult]
     jobs: int
-    shard_by: str
     shard_count: int
     elapsed_seconds: float
     shard_stats: list[dict] = field(default_factory=list)
@@ -315,7 +311,6 @@ class MatrixResult:
     def as_dict(self) -> dict:
         return {
             "jobs": self.jobs,
-            "shard_by": self.shard_by,
             "shards": self.shard_count,
             "elapsed_seconds": self.elapsed_seconds,
             "ok": self.ok,
@@ -347,8 +342,8 @@ class MatrixResult:
         cache = self.cache_totals()
         reused = cache.get("compile_hits", 0) + cache.get("mine_hits", 0)
         line = (
-            f"{len(self.results)} cells in {self.shard_count} shards "
-            f"(shard-by {self.shard_by}), jobs={self.jobs}, "
+            f"{len(self.results)} cells in {self.shard_count} shards, "
+            f"jobs={self.jobs}, "
             f"{self.elapsed_seconds:.2f}s elapsed; "
             f"compiled {cache.get('compile', 0)}x, "
             f"spec mined {cache.get('mine', 0)}x, "
@@ -386,28 +381,15 @@ class _Shard:
     attempt: int = 1
 
 
-def _shard_key(cell: MatrixCell, shard_by: str) -> tuple:
-    if shard_by == "test":
-        # The compiled-test key: one CheckSession compiles (impl, test)
-        # once and mines its specification once for all models.
-        return (cell.kind, cell.implementation, cell.test)
-    if shard_by == "impl":
-        return (cell.kind, cell.implementation)
-    if shard_by == "model":
-        return (cell.kind, cell.model)
-    raise ValueError(
-        f"unknown shard_by {shard_by!r} (expected one of {SHARD_AXES})"
-    )
-
-
-def shard_cells(cells, shard_by: str = "test") -> list[_Shard]:
-    """Group cells into shards of reusable work, preserving first-seen
-    order of both shards and cells."""
+def shard_cells(cells) -> list[_Shard]:
+    """Group cells into shards by compiled-test key (kind, implementation,
+    test), so one CheckSession compiles each test once and mines its
+    specification once for all models; preserves first-seen order of
+    both shards and cells."""
     grouped: dict[tuple, list[tuple[int, MatrixCell]]] = {}
     for position, cell in enumerate(cells):
-        grouped.setdefault(_shard_key(cell, shard_by), []).append(
-            (position, cell)
-        )
+        key = (cell.kind, cell.implementation, cell.test)
+        grouped.setdefault(key, []).append((position, cell))
     return [
         _Shard(index=index, key=key, cells=members)
         for index, (key, members) in enumerate(grouped.items())
@@ -670,8 +652,7 @@ def _stop_worker(process) -> None:
 def run_matrix(
     cells,
     jobs: int | None = None,
-    shard_by: str = "test",
-    options=None,
+    options: CheckOptions | None = None,
     progress=None,
 ) -> MatrixResult:
     """Run a check matrix, optionally across a multiprocessing pool.
@@ -696,8 +677,6 @@ def run_matrix(
     order of ``cells``, so a parallel run is directly comparable to a
     serial one.
     """
-    from repro.core.checker import CheckOptions
-
     cells = list(cells)
     if jobs is None:
         jobs = default_jobs()
@@ -722,13 +701,12 @@ def run_matrix(
         return MatrixResult(
             results=[results[i] for i in range(total)],
             jobs=jobs_used,
-            shard_by=shard_by,
             shard_count=shard_count,
             elapsed_seconds=time.perf_counter() - started,
             shard_stats=shard_stats,
         )
 
-    shards = shard_cells(cells, shard_by)
+    shards = shard_cells(cells)
     if jobs <= 1 or len(shards) <= 1:
         runner = _Runner(options)
         for shard in shards:

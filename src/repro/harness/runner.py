@@ -20,19 +20,19 @@ Matrix-shaped experiments go through :mod:`repro.harness.matrix`:
 :func:`~repro.harness.matrix.run_matrix` over
 :func:`~repro.harness.matrix.catalog_cells` runs Fig. 8 x models across
 a worker pool, and :func:`repro.fuzz.run_fuzz` runs the differential
-litmus fuzzer (oracle vs SAT encoding) through the same pool.  One test
-under several models is :meth:`repro.core.session.CheckSession.sweep`.
+litmus fuzzer (oracle vs SAT encoding) through the same pool.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.checker import CheckFence, CheckOptions
+from repro.core import limits
+from repro.core.checker import CheckOptions
 from repro.core.commitpoint import run_commit_point_check
 from repro.core.results import CheckResult
+from repro.core.session import CheckSession
 from repro.core.specification import (
     ReferenceSpecificationMiner,
     SatSpecificationMiner,
@@ -43,8 +43,8 @@ from repro.memorymodel.base import get_model
 
 
 def large_tests_enabled() -> bool:
-    """Large catalog tests are only run when CHECKFENCE_LARGE=1."""
-    return os.environ.get("CHECKFENCE_LARGE", "0") == "1"
+    """Large catalog tests are only run when CHECKFENCE_LARGE is on."""
+    return limits.env_flag("CHECKFENCE_LARGE")
 
 
 def check_catalog_test(
@@ -57,8 +57,9 @@ def check_catalog_test(
     implementation = get_implementation(implementation_name)
     category = category_of(implementation_name)
     test = get_test(category, test_name)
-    checker = CheckFence(implementation, options)
-    return checker.check(test, get_model(memory_model))
+    return CheckSession(implementation, options).check(
+        test, get_model(memory_model)
+    )
 
 
 @dataclass
@@ -78,8 +79,7 @@ def mining_point(
     implementation = get_implementation(implementation_name)
     category = category_of(implementation_name)
     test = get_test(category, test_name)
-    checker = CheckFence(implementation)
-    compiled = checker.compile(test, "serial")
+    compiled = CheckSession(implementation).compile(test, "serial")
     if method == "sat":
         spec = SatSpecificationMiner(compiled).mine()
     else:
@@ -195,15 +195,15 @@ def method_comparison(
     test = get_test(category, test_name)
     model = get_model(memory_model)
 
-    checker = CheckFence(implementation)
+    session = CheckSession(implementation)
     start = time.perf_counter()
-    observation_result = checker.check(test, model)
+    observation_result = session.check(test, model)
     observation_seconds = time.perf_counter() - start
 
-    compiled = checker.compile(test, model)
+    compiled = session.compile(test, model)
     # The same backend stack on both sides of the Fig. 12 comparison.
     commit_result = run_commit_point_check(
-        compiled, model, backend_factory=checker.session.backend_factory
+        compiled, model, backend_factory=session.backend_factory
     )
     return MethodComparison(
         implementation=implementation_name,
@@ -274,8 +274,6 @@ def fence_experiment(
     base_name: str, test_name: str, synthesize: bool = True,
     memory_model: str = "relaxed",
 ) -> FenceExperiment:
-    from repro.core.session import CheckSession
-
     fenced = check_catalog_test(base_name, test_name, memory_model)
     unfenced_relaxed = check_catalog_test(
         f"{base_name}-unfenced", test_name, memory_model

@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
-from repro.core import faults
+from repro.core import faults, limits
 from repro.sat.cnf import CNF
 from repro.sat.simplify import SimplifyingBackend
 from repro.sat.solver import Solver, SolverStats
@@ -171,9 +171,7 @@ class BackendStackFactory:
 
     def __init__(self, spec: str | None) -> None:
         self._spec = _parse_spec(spec)
-        self._forced = os.environ.get(
-            "CHECKFENCE_SIMPLIFY", ""
-        ).strip() not in ("", "0")
+        self._forced = limits.env_flag("CHECKFENCE_SIMPLIFY")
         self._inject_faults = bool(faults.solver_raise_counts())
         self._kernel: tuple[BackendFactory, bool] | None = None
 

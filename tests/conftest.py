@@ -1,6 +1,5 @@
-"""Shared fixtures: the store switched off, solver subprocesses, the
-native kernel, and the injected encoder bug of the mutation-detection
-tests."""
+"""Shared fixtures: solver subprocesses, the native kernel, and the
+injected encoder bug of the mutation-detection tests."""
 
 from __future__ import annotations
 
@@ -11,18 +10,6 @@ import pytest
 
 #: Absolute path of the in-tree package root.
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-
-
-@pytest.fixture(autouse=True, scope="session")
-def store_off_unless_asked():
-    """Run every test, and every module-scoped fixture, with the
-    persistent store off whatever the shell exports: a stored result
-    would skip the work a test measures, and a monkeypatched bug leaves
-    the store's code fingerprint unchanged, so the store would serve the
-    unpatched verdict.  Store tests opt in themselves."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.delenv("CHECKFENCE_STORE", raising=False)
-        yield
 
 
 @pytest.fixture

@@ -1,13 +1,13 @@
-"""Tests for the CheckFence driver, counterexamples, and the baselines."""
+"""Tests for the check of Fig. 1 (``CheckSession.check``),
+counterexamples, and the baselines."""
 
 from dataclasses import fields
 
 import pytest
 
 from repro.core import (
-    CheckFence,
     CheckOptions,
-    check,
+    CheckSession,
     refine_loop_bounds,
     run_commit_point_check,
 )
@@ -18,6 +18,11 @@ from repro.encoding.formula import EncodingStatistics
 from repro.harness.catalog import get_test
 from repro.memorymodel import RELAXED, SEQUENTIAL_CONSISTENCY, get_model
 from repro.sat.solver import SolverStats
+
+
+def check(implementation, test, model, options=None):
+    """One check in a fresh session."""
+    return CheckSession(implementation, options).check(test, model)
 
 
 class TestCheckerOnNonblockingQueue:
@@ -67,10 +72,10 @@ class TestCheckerOnNonblockingQueue:
         assert "PASS" in result.summary()
 
     def test_specification_cached_across_models(self):
-        checker = CheckFence(get_implementation("msn"))
+        session = CheckSession(get_implementation("msn"))
         test = get_test("queue", "T0")
-        first = checker.check(test, "sc")
-        second = checker.check(test, "relaxed")
+        first = session.check(test, "sc")
+        second = session.check(test, "relaxed")
         assert first.specification is second.specification
 
 

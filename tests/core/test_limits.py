@@ -94,9 +94,7 @@ class TestScope:
 
 
 class TestOptionsPlumbing:
-    def test_no_budget_yields_no_deadline(self, monkeypatch):
-        monkeypatch.delenv(limits.TIMEOUT_ENV, raising=False)
-        monkeypatch.delenv(limits.MEMORY_LIMIT_ENV, raising=False)
+    def test_no_budget_yields_no_deadline(self):
         assert limits.deadline_from_options(CheckOptions()) is None
 
     def test_options_budget_builds_deadline(self):
@@ -106,28 +104,6 @@ class TestOptionsPlumbing:
         assert deadline.timeout_seconds == 5.0
         assert deadline.memory_limit_mb == 256.0
 
-    def test_env_fallback_when_options_silent(self, monkeypatch):
-        monkeypatch.setenv(limits.TIMEOUT_ENV, "7.5")
-        monkeypatch.delenv(limits.MEMORY_LIMIT_ENV, raising=False)
-        deadline = limits.deadline_from_options(CheckOptions())
-        assert deadline.timeout_seconds == 7.5
-        assert deadline.memory_limit_mb is None
-
-    def test_options_take_precedence_over_env(self, monkeypatch):
-        monkeypatch.setenv(limits.TIMEOUT_ENV, "100")
-        deadline = limits.deadline_from_options(CheckOptions(timeout=2.0))
-        assert deadline.timeout_seconds == 2.0
-
-    def test_garbage_env_raises_naming_the_variable(self, monkeypatch):
-        monkeypatch.setenv(limits.TIMEOUT_ENV, "not-a-number")
-        with pytest.raises(ValueError, match=limits.TIMEOUT_ENV):
-            limits.deadline_from_options(CheckOptions())
-
-    def test_non_positive_env_ignored(self, monkeypatch):
-        monkeypatch.delenv(limits.TIMEOUT_ENV, raising=False)
-        monkeypatch.setenv(limits.MEMORY_LIMIT_ENV, "-3")
-        assert limits.deadline_from_options(CheckOptions()) is None
-
     def test_ensure_scope_prefers_ambient_deadline(self):
         # A matrix cell's deadline must not be clobbered by the nested
         # session establishing a fresh (later-expiring) one.
@@ -136,9 +112,7 @@ class TestOptionsPlumbing:
             with limits.ensure_scope(CheckOptions(timeout=3600.0)) as active:
                 assert active is ambient
 
-    def test_ensure_scope_builds_from_options_when_unscoped(self, monkeypatch):
-        monkeypatch.delenv(limits.TIMEOUT_ENV, raising=False)
-        monkeypatch.delenv(limits.MEMORY_LIMIT_ENV, raising=False)
+    def test_ensure_scope_builds_from_options_when_unscoped(self):
         with limits.ensure_scope(CheckOptions(timeout=9.0)) as active:
             assert active is not None
             assert active.timeout_seconds == 9.0
@@ -155,3 +129,32 @@ class TestOptionsPlumbing:
             impl, CheckOptions(timeout=1.0, memory_limit_mb=64.0)
         )._options_fingerprint()
         assert base == budgeted
+
+
+class TestEnvironmentSwitches:
+    """Every on/off ``CHECKFENCE_*`` switch reads its value one way: strip
+    it, then empty and ``0`` are off and anything else is on."""
+
+    @pytest.mark.parametrize("raw, on", [
+        ("", False), ("0", False), (" 0", False), ("0\n", False),
+        ("1", True), ("true", True), (" yes ", True),
+    ])
+    def test_env_flag(self, raw, on, monkeypatch):
+        monkeypatch.setenv("CHECKFENCE_LARGE", raw)
+        assert limits.env_flag("CHECKFENCE_LARGE") is on
+
+    def test_unset_is_off(self, monkeypatch):
+        monkeypatch.delenv("CHECKFENCE_LARGE", raising=False)
+        assert limits.env_flag("CHECKFENCE_LARGE") is False
+
+    def test_large_tests_switch_reads_true_as_on(self, monkeypatch):
+        from repro.harness.runner import large_tests_enabled
+
+        monkeypatch.setenv("CHECKFENCE_LARGE", "true")
+        assert large_tests_enabled()
+
+    def test_profile_switch_reads_padded_zero_as_off(self, monkeypatch):
+        from repro.core.results import profile_enabled
+
+        monkeypatch.setenv("CHECKFENCE_PROFILE", " 0")
+        assert not profile_enabled()

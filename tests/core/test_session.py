@@ -3,7 +3,7 @@
 import pytest
 
 import repro.core.session as session_module
-from repro.core.checker import CheckFence, CheckOptions
+from repro.core.checker import CheckOptions
 from repro.core.session import CheckSession
 from repro.datatypes.registry import get_implementation
 from repro.harness.catalog import get_test
@@ -27,9 +27,10 @@ def _result_fingerprint(result):
 
 class TestCrossModelReuse:
     def test_sweep_mines_spec_once_with_identical_verdicts(self, monkeypatch):
-        """A sweep over (sc, tso, pso, relaxed) must mine the specification
-        exactly once and compile the test exactly once, while producing
-        verdicts identical to independent CheckFence.check calls."""
+        """Checking one test under (sc, tso, pso, relaxed) in one session
+        must mine the specification exactly once and compile the test
+        exactly once, while producing verdicts identical to checks in
+        fresh sessions."""
         implementation = get_implementation("msn")
         test = get_test("queue", "T0")
 
@@ -45,7 +46,7 @@ class TestCrossModelReuse:
         )
 
         session = CheckSession(implementation)
-        swept = session.sweep(test, _MODELS)
+        swept = [session.check(test, model) for model in _MODELS]
 
         assert len(mine_calls) == 1
         assert session.cache_stats["mine"] == 1
@@ -54,7 +55,7 @@ class TestCrossModelReuse:
         assert session.cache_stats["compile_hits"] >= len(_MODELS) - 1
 
         independent = [
-            CheckFence(get_implementation("msn")).check(test, model)
+            CheckSession(get_implementation("msn")).check(test, model)
             for model in _MODELS
         ]
         for swept_result, independent_result in zip(swept, independent):
@@ -69,7 +70,8 @@ class TestCrossModelReuse:
         session = CheckSession(
             get_implementation("msn"), CheckOptions(specification_method="sat")
         )
-        rows = session.sweep(get_test("queue", "T0"), ["sc", "tso", "relaxed"])
+        test = get_test("queue", "T0")
+        rows = [session.check(test, model) for model in ["sc", "tso", "relaxed"]]
         assert session.cache_stats["mine_hits"] == 2
         for result in rows:
             stats = result.stats
@@ -82,10 +84,9 @@ class TestCrossModelReuse:
     def test_sweep_detects_bug_same_as_independent_checks(self):
         """Reuse must not mask failures: the unfenced queue still fails on
         relaxed and passes on sc within one session."""
-        implementation = get_implementation("msn-unfenced")
-        results = CheckSession(implementation).sweep(
-            get_test("queue", "T0"), ["sc", "relaxed"]
-        )
+        session = CheckSession(get_implementation("msn-unfenced"))
+        test = get_test("queue", "T0")
+        results = [session.check(test, model) for model in ["sc", "relaxed"]]
         by_model = {r.memory_model: r for r in results}
         assert by_model["sc"].passed
         assert not by_model["relaxed"].passed
@@ -111,22 +112,22 @@ class TestCrossModelReuse:
         assert result.stats.solver_decisions > 0
 
 
-class TestCheckFenceFacade:
-    def test_checkfence_exposes_session(self):
-        checker = CheckFence(get_implementation("msn"))
-        assert isinstance(checker.session, CheckSession)
-        assert checker.implementation.name == "msn"
-        assert checker.program is checker.session.program
+class TestSessionSurface:
+    def test_session_exposes_implementation_and_program(self):
+        session = CheckSession(get_implementation("msn"))
+        assert session.implementation.name == "msn"
+        assert isinstance(session.options, CheckOptions)
+        assert session.program.procedures
 
     def test_ipasir_backend_matches_internal(self, native_solver):
         """The ``ipasir:<path>`` spec (here over the native kernel's own
         IPASIR exports) must produce the same verdict and specification
         as the pure-Python kernel."""
         test = get_test("queue", "T0")
-        internal = CheckFence(
+        internal = CheckSession(
             get_implementation("msn"), CheckOptions(solver_backend="internal")
         ).check(test, "relaxed")
-        ipasir = CheckFence(
+        ipasir = CheckSession(
             get_implementation("msn"),
             CheckOptions(solver_backend=f"ipasir:{native.library_path()}"),
         ).check(test, "relaxed")
@@ -143,7 +144,6 @@ class TestSimplifyKnob:
         self, monkeypatch
     ):
         monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
-        monkeypatch.delenv("CHECKFENCE_STORE", raising=False)
         implementation = get_implementation("msn")
         session = CheckSession(
             implementation, CheckOptions(solver_backend="internal")

@@ -7,14 +7,14 @@ import pytest
 
 from repro.cli import main
 from repro.core import store as store_module
-from repro.core.checker import CheckFence, CheckOptions
+from repro.core.checker import CheckOptions
+from repro.core.session import CheckSession
 from repro.core.store import (
     SPEC_KIND,
     VERDICT_KIND,
     VerdictStore,
     content_key,
     open_store,
-    store_enabled,
 )
 from repro.datatypes.registry import get_implementation
 from repro.fuzz import fuzz_cells
@@ -33,54 +33,39 @@ def cache_dir(tmp_path, monkeypatch):
 def _check(impl_name, test_name, model, **options):
     implementation = get_implementation(impl_name)
     test = get_test("queue", test_name)
-    checker = CheckFence(implementation, CheckOptions(**options))
-    result = checker.check(test, model)
-    return checker, result
+    session = CheckSession(implementation, CheckOptions(**options))
+    result = session.check(test, model)
+    return session, result
 
 
 class TestKnobResolution:
-    def test_explicit_flag_wins(self, monkeypatch):
-        monkeypatch.setenv("CHECKFENCE_STORE", "1")
-        assert store_enabled(False) is False
-        monkeypatch.setenv("CHECKFENCE_STORE", "0")
-        assert store_enabled(True) is True
-
-    def test_env_fallback_defaults_off(self, monkeypatch):
-        monkeypatch.delenv("CHECKFENCE_STORE", raising=False)
-        assert store_enabled() is False
-        monkeypatch.setenv("CHECKFENCE_STORE", "1")
-        assert store_enabled() is True
-        monkeypatch.setenv("CHECKFENCE_STORE", "0")
-        assert store_enabled() is False
-
     def test_open_store(self, cache_dir):
         assert open_store(False) is None
         store = open_store(True)
         assert isinstance(store, VerdictStore)
         assert store.path.parent == cache_dir
 
-    def test_session_default_off(self, cache_dir, monkeypatch):
-        monkeypatch.delenv("CHECKFENCE_STORE", raising=False)
-        checker, result = _check("msn", "T0", "sc")
-        assert checker.session.store is None
+    def test_session_default_off(self, cache_dir):
+        session, result = _check("msn", "T0", "sc")
+        assert session.store is None
         assert result.stats.store_hit is False
         assert not (cache_dir / "store.sqlite").exists()
 
 
 class TestVerdictRoundtrip:
     def test_second_session_serves_from_store(self, cache_dir):
-        checker1, cold = _check("msn", "T0", "sc", store=True)
+        session1, cold = _check("msn", "T0", "sc", store=True)
         assert cold.stats.store_hit is False
-        assert checker1.session.cache_stats["store_hits"] == 0
-        assert checker1.session.cache_stats["store_misses"] == 2
+        assert session1.cache_stats["store_hits"] == 0
+        assert session1.cache_stats["store_misses"] == 2
 
-        checker2, warm = _check("msn", "T0", "sc", store=True)
+        session2, warm = _check("msn", "T0", "sc", store=True)
         assert warm.stats.store_hit is True
-        assert checker2.session.cache_stats["store_hits"] == 1
-        assert checker2.session.cache_stats["store_misses"] == 0
+        assert session2.cache_stats["store_hits"] == 1
+        assert session2.cache_stats["store_misses"] == 0
         # The warm check skipped the whole pipeline.
-        assert checker2.session.cache_stats["compile"] == 0
-        assert checker2.session.cache_stats["encode"] == 0
+        assert session2.cache_stats["compile"] == 0
+        assert session2.cache_stats["encode"] == 0
 
         assert warm.passed == cold.passed
         assert warm.notes == cold.notes
@@ -103,12 +88,12 @@ class TestVerdictRoundtrip:
         _check("msn", "T0", "sc", store=True)
         # Different model: verdict cell misses, spec cell (model-independent)
         # hits, so the serial-model mining is skipped.
-        checker, result = _check("msn", "T0", "tso", store=True)
+        session, result = _check("msn", "T0", "tso", store=True)
         assert result.stats.store_hit is False
-        assert checker.session.cache_stats["store_hits"] == 1  # spec
-        assert checker.session.cache_stats["mine"] == 0
+        assert session.cache_stats["store_hits"] == 1  # spec
+        assert session.cache_stats["mine"] == 0
         # The restored spec equals a freshly mined one.
-        fresh_checker, fresh = _check("msn", "T0", "tso", store=False)
+        _, fresh = _check("msn", "T0", "tso", store=False)
         assert (
             result.specification.observations
             == fresh.specification.observations
@@ -118,20 +103,20 @@ class TestVerdictRoundtrip:
 class TestKeySensitivity:
     def test_model_changes_key(self, cache_dir):
         _check("msn", "T0", "sc", store=True)
-        checker, result = _check("msn", "T0", "pso", store=True)
+        session, result = _check("msn", "T0", "pso", store=True)
         assert result.stats.store_hit is False
 
     def test_option_changes_key(self, cache_dir):
         _check("msn", "T0", "sc", store=True)
-        checker, result = _check(
+        session, result = _check(
             "msn", "T0", "sc", store=True, use_range_analysis=False
         )
         assert result.stats.store_hit is False
-        assert checker.session.cache_stats["store_hits"] == 0
+        assert session.cache_stats["store_hits"] == 0
 
     def test_implementation_changes_key(self, cache_dir):
         _check("msn", "T0", "sc", store=True)
-        checker, result = _check("ms2", "T0", "sc", store=True)
+        session, result = _check("ms2", "T0", "sc", store=True)
         assert result.stats.store_hit is False
 
     def test_backend_does_not_change_key(self, cache_dir):
@@ -205,7 +190,7 @@ class TestMatrixCellKeys:
     def test_other_solver_backend_misses(self, cache_dir):
         cells = fuzz_cells([self.SPEC], ["sc"])
         assert self._hits(cells, solver_backend="internal") == 0
-        assert self._hits(cells) == 0
+        assert self._hits(cells, solver_backend="auto") == 0
 
     def test_forced_preprocessor_misses(self, cache_dir, monkeypatch):
         cells = fuzz_cells([self.SPEC], ["sc"])
@@ -233,7 +218,7 @@ class TestRobustness:
             extra = cache_dir / ("store.sqlite" + side)
             if extra.exists():
                 extra.unlink()
-        checker, result = _check("msn", "T0", "sc", store=True)
+        session, result = _check("msn", "T0", "sc", store=True)
         assert result.passed is True
         assert result.stats.store_hit is False
 
@@ -362,7 +347,7 @@ class TestStoreFaultInjection:
         from repro.core import faults
 
         monkeypatch.setenv(faults.FAULT_ENV, "store-io")
-        checker, result = _check("msn", "T0", "sc", store=True)
+        session, result = _check("msn", "T0", "sc", store=True)
         assert result.passed is True
         assert result.stats.store_hit is False
 
@@ -371,12 +356,12 @@ class TestDegradedNeverStored:
     def test_timeout_verdict_is_not_cached(self, cache_dir):
         """A TIMEOUT is a property of one run's budget, not of the cell:
         it must never be served from the store as if it were an answer."""
-        checker, result = _check("msn", "T0", "sc", store=True, timeout=1e-9)
+        session, result = _check("msn", "T0", "sc", store=True, timeout=1e-9)
         assert result.degraded == "TIMEOUT"
         store = VerdictStore()
         assert store.stats()["cells"] == 0
         # A fresh, unbudgeted check runs for real and passes.
-        checker, result = _check("msn", "T0", "sc", store=True)
+        session, result = _check("msn", "T0", "sc", store=True)
         assert result.passed is True
         assert not result.degraded
 
@@ -404,11 +389,12 @@ class TestCacheCli:
         assert main(["cache"]) == 0
         assert "store not created yet" in capsys.readouterr().out
 
-    def test_no_store_overrides_env(self, cache_dir, monkeypatch):
+    def test_exported_store_variable_is_ignored(self, cache_dir, monkeypatch):
+        """``--store`` is the store's one switch: an exported
+        CHECKFENCE_STORE turns nothing on."""
         monkeypatch.setenv("CHECKFENCE_STORE", "1")
         assert main([
-            "check", "--impl", "msn", "--test", "T0",
-            "--model", "sc", "--no-store",
+            "check", "--impl", "msn", "--test", "T0", "--model", "sc",
         ]) == 0
         assert not (cache_dir / "store.sqlite").exists()
 

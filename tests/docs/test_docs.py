@@ -75,7 +75,7 @@ def test_symbol_checker_reports_stale_names(tmp_path, docs_check, monkeypatch):
 def test_tutorial_commands_extracted(docs_check):
     commands = docs_check.tutorial_commands()
     kinds = [kind for kind, _, _ in commands]
-    assert kinds.count("sh") >= 6      # list/spec/check x2/sweep/matrix x2
+    assert kinds.count("sh") >= 6      # list/spec/check x2/matrix x3
     assert "python" in kinds           # the C -> LSL snippet
     # The failing check declares its expected nonzero exit code.
     failing = [

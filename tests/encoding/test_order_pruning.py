@@ -156,17 +156,15 @@ class TestCounterexampleDecoding:
     def test_trace_is_a_linear_extension_of_the_model_order(self):
         """Every ordered fact the solver committed to is preserved by the
         topologically sorted trace."""
-        from repro.core.checker import CheckFence, CheckOptions
+        from repro.core.session import CheckSession
 
-        checker = CheckFence(
-            get_implementation("msn-unfenced"), CheckOptions()
-        )
-        result = checker.check(get_test("queue", "T0"), "relaxed")
+        session = CheckSession(get_implementation("msn-unfenced"))
+        result = session.check(get_test("queue", "T0"), "relaxed")
         assert not result.passed
         trace = result.counterexample
         assert trace is not None and trace.steps
         # Re-encode and re-solve to get a model + decoding we can inspect.
-        compiled = checker.compile(get_test("queue", "T0"), "relaxed")
+        compiled = session.compile(get_test("queue", "T0"), "relaxed")
         encoded = encode_test(compiled, get_model("relaxed"))
         assert encoded.solve()
         model = encoded.model_values()

@@ -93,7 +93,8 @@ def test_session_verdicts_identical_with_reused_skeleton():
     test = get_test("queue", "T0")
     for impl_name in ("msn", "msn-unfenced"):
         implementation = get_implementation(impl_name)
-        swept = CheckSession(implementation).sweep(test, MODELS)
+        session = CheckSession(implementation)
+        swept = [session.check(test, model) for model in MODELS]
         for model, reused in zip(MODELS, swept):
             fresh = CheckSession(implementation).check(test, model)
             assert reused.passed == fresh.passed, (impl_name, model)

@@ -17,11 +17,16 @@ small tests so the suite stays fast.
 
 import pytest
 
-from repro.core import check
+from repro.core import CheckSession
 from repro.datatypes import get_implementation
 from repro.harness.bugtests import deque_double_pop_test, lazylist_missing_init_test
 from repro.harness.catalog import get_test
 from repro.harness.runner import fence_experiment
+
+
+def check(implementation, test, model):
+    """One check in a fresh session."""
+    return CheckSession(implementation).check(test, model)
 
 
 class TestSection42MissingFences:

@@ -85,7 +85,7 @@ def test_catalog_check_verdicts_identical_under_simplification():
     """A full check (assertion + inclusion query, counterexample decoding)
     is verdict-identical with forced simplification, including the FAIL
     direction with its reconstructed-model counterexample."""
-    from repro.core.checker import CheckOptions, check
+    from repro.core.session import CheckSession
     from repro.datatypes.registry import get_implementation
 
     cases = [("msn", "T0", "relaxed"), ("msn-unfenced", "T0", "relaxed")]
@@ -95,9 +95,9 @@ def test_catalog_check_verdicts_identical_under_simplification():
         implementation = get_implementation(impl_name)
         test = get_test("queue", test_name)
         with simplification(False):
-            plain = check(implementation, test, model, CheckOptions())
+            plain = CheckSession(implementation).check(test, model)
         with simplification(True):
-            simplified = check(implementation, test, model, CheckOptions())
+            simplified = CheckSession(implementation).check(test, model)
         assert simplified.passed == plain.passed, impl_name
         if not plain.passed:
             assert simplified.counterexample is not None

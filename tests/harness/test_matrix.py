@@ -56,30 +56,21 @@ class TestCells:
 
 
 class TestSharding:
-    def test_shard_by_test_groups_compiled_test_key(self):
+    def test_shards_group_by_compiled_test_key(self):
         cells = catalog_cells(
             ["msn", "ms2"], models=["sc", "tso", "relaxed"], tests=["T0"]
         )
-        shards = shard_cells(cells, "test")
+        shards = shard_cells(cells)
         assert len(shards) == 2  # (msn, T0) and (ms2, T0)
         assert all(len(shard.cells) == 3 for shard in shards)
 
-    def test_shard_by_model_and_impl(self):
-        cells = catalog_cells(["msn", "ms2"], models=["sc", "tso"], tests=["T0"])
-        assert len(shard_cells(cells, "model")) == 2
-        assert len(shard_cells(cells, "impl")) == 2
-
     def test_shards_preserve_cell_positions(self):
         cells = catalog_cells(["msn"], models=["sc", "tso"], tests=["T0", "Ti2"])
-        shards = shard_cells(cells, "test")
+        shards = shard_cells(cells)
         positions = sorted(
             position for shard in shards for position, _ in shard.cells
         )
         assert positions == list(range(len(cells)))
-
-    def test_unknown_axis_rejected(self):
-        with pytest.raises(ValueError):
-            shard_cells([MatrixCell("msn", "T0", "sc")], "solver")
 
 
 class TestDefaultJobs:
@@ -144,9 +135,13 @@ class TestLitmusMatrix:
 
 class TestCatalogMatrix:
     def test_serial_matches_parallel_on_catalog_cells(self):
-        cells = catalog_cells(["msn"], models=["sc", "relaxed"], tests=["T0"])
+        # Two tests make two shards, so the pool really runs.
+        cells = catalog_cells(
+            ["msn"], models=["sc", "relaxed"], tests=["T0", "Ti2"]
+        )
         serial = run_matrix(cells, jobs=1)
-        parallel = run_matrix(cells, jobs=2, shard_by="model")
+        parallel = run_matrix(cells, jobs=2)
+        assert parallel.shard_count == 2
         assert _verdicts(serial) == _verdicts(parallel)
         for left, right in zip(serial.results, parallel.results):
             assert left.stats["cnf_clauses"] == right.stats["cnf_clauses"]
@@ -164,12 +159,13 @@ class TestCatalogMatrix:
         """Inside one shard (the compiled-test key), the test is compiled
         once and its specification mined once however many models run."""
         cells = catalog_cells(["msn"], models=["sc", "tso", "relaxed"], tests=["T0"])
-        matrix = run_matrix(cells, jobs=1, shard_by="test")
+        matrix = run_matrix(cells, jobs=1)
         assert matrix.shard_count == 1
         cache = matrix.cache_totals()
         assert cache["compile"] == 1
         assert cache["mine"] == 1
         assert cache["encode"] == 3  # one encoding per memory model
+        assert "compiled 1x, spec mined 1x" in matrix.summary()
 
     def test_failing_cell_reported(self):
         cells = catalog_cells(["msn-unfenced"], models=["relaxed"], tests=["T0"])
@@ -302,16 +298,20 @@ class TestCliMatrix:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "2 cells" in out
+        # One test over two models: one warm session compiles and mines
+        # it once.
+        assert "compiled 1x, spec mined 1x" in out
 
     def test_matrix_command_failure_exit_code(self, capsys):
         from repro.cli import main
 
         code = main([
             "matrix", "--impls", "msn-unfenced", "--tests", "T0",
-            "--models", "relaxed", "--quiet",
+            "--models", "sc,relaxed", "--quiet",
         ])
         assert code == 1
-        assert "FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "PASS" in out and "FAIL" in out
 
     def test_matrix_json_stdout(self, capsys):
         from repro.cli import main
@@ -325,9 +325,11 @@ class TestCliMatrix:
         assert payload["ok"] is True
         assert len(payload["cells"]) == 6
 
-    def test_litmus_command_with_jobs(self, capsys):
+    def test_matrix_litmus_table(self, capsys):
         from repro.cli import main
 
-        assert main(["litmus", "--model", "sc", "--jobs", "2"]) == 0
+        assert main([
+            "matrix", "--litmus", "--models", "sc", "--jobs", "2", "--quiet",
+        ]) == 0
         out = capsys.readouterr().out
         assert "store-buffering" in out and "forbidden" in out

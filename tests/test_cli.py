@@ -30,40 +30,20 @@ class TestCli:
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "counterexample" in out
+        # The smallest legal loop bound keeps the failure.
+        assert main([
+            "check", "--impl", "msn-unfenced", "--test", "T0",
+            "--model", "relaxed", "--bound", "1",
+        ]) == 1
 
     def test_spec(self, capsys):
         assert main(["spec", "--impl", "msn", "--test", "T0"]) == 0
         out = capsys.readouterr().out
         assert "4 observations" in out
 
-    def test_litmus(self, capsys):
-        assert main(["litmus", "--model", "sc"]) == 0
-        out = capsys.readouterr().out
-        assert "store-buffering" in out
-        assert "forbidden" in out
-
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
-
-    def test_sweep(self, capsys):
-        code = main([
-            "sweep", "--impl", "msn", "--test", "T0",
-            "--models", "sc,relaxed",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "compiled 1x" in out and "spec mined 1x" in out
-        assert "sc" in out and "relaxed" in out
-
-    def test_sweep_fail_returns_nonzero(self, capsys):
-        code = main([
-            "sweep", "--impl", "msn-unfenced", "--test", "T0",
-            "--models", "sc,relaxed",
-        ])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out
 
     def test_check_with_solver_flag(self, capsys):
         code = main([
@@ -119,10 +99,9 @@ class TestUnknownNames:
         (["check", "--impl", "msn", "--test", "T99"], "T99"),
         (["check", "--impl", "msn", "--test", "T0", "--model", "weird"],
          "weird"),
-        (["sweep", "--impl", "msn", "--test", "T0", "--models", "sc,weird"],
-         "weird"),
         (["spec", "--impl", "msn", "--test", "T99"], "T99"),
-        (["litmus", "--model", "weird"], "weird"),
+        (["matrix", "--litmus", "--models", "sc,weird", "--quiet"],
+         "weird"),
         (["matrix", "--impls", "msn,nosuch", "--models", "sc", "--quiet"],
          "nosuch"),
         (["matrix", "--impls", "msn-nosuch", "--models", "sc", "--quiet"],
@@ -163,12 +142,9 @@ class TestMalformedEnvironmentNumbers:
     any work — never a traceback, and never silently ignored."""
 
     @pytest.mark.parametrize("variable, argv", [
-        ("CHECKFENCE_JOBS", ["litmus", "--model", "sc"]),
+        ("CHECKFENCE_JOBS", ["matrix", "--litmus", "--models", "sc"]),
         ("CHECKFENCE_MATRIX_WORKER_TIMEOUT",
          ["matrix", "--litmus", "--models", "sc", "--jobs", "2", "--quiet"]),
-        ("CHECKFENCE_TIMEOUT", ["check", "--impl", "msn", "--test", "T0"]),
-        ("CHECKFENCE_MEMORY_LIMIT",
-         ["check", "--impl", "msn", "--test", "T0"]),
     ])
     def test_malformed_number_is_a_usage_error(
         self, variable, argv, capsys, monkeypatch
@@ -183,13 +159,41 @@ class TestMalformedEnvironmentNumbers:
         assert "'abc'" in lines[0]
 
 
+class TestOutOfRangeFlags:
+    """A budget flag that is not a positive finite number, or a loop
+    bound below 1, is a usage error (exit 2, before any work): a
+    nonpositive budget would report TIMEOUT or OOM for a check that never
+    ran, and a bound of 0 cuts every loop and turns a FAIL into a PASS."""
+
+    CHECK = ["check", "--impl", "msn-unfenced", "--test", "T0"]
+
+    @pytest.mark.parametrize("argv", [
+        CHECK + ["--timeout", "-1"],
+        CHECK + ["--timeout", "0"],
+        CHECK + ["--timeout", "nan"],
+        CHECK + ["--timeout", "inf"],
+        CHECK + ["--memory-limit", "-5"],
+        CHECK + ["--memory-limit", "0"],
+        CHECK + ["--bound", "0"],
+        CHECK + ["--bound", "-1"],
+        ["matrix", "--litmus", "--models", "sc", "--timeout", "-1"],
+        ["fuzz", "--budget", "1", "--memory-limit", "nan"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}={argv[-1]}")
+    def test_out_of_range_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {argv[-2]}: must be" in captured.err
+
+
 class TestErrorCellExit:
     """A cell that errors (here: an injected solver exception) makes every
     cell-running command exit 1; exit 2 is reserved for usage errors."""
 
     @pytest.mark.parametrize("argv", [
         ["matrix", "--litmus", "--models", "sc", "--quiet"],
-        ["litmus", "--model", "sc"],
         ["fuzz", "--budget", "3", "--models", "sc", "--quiet"],
     ], ids=lambda argv: argv[0])
     def test_error_cell_exits_1(self, argv, capsys, monkeypatch):
@@ -315,8 +319,8 @@ class TestIgnoredFlagsAreRejected:
     @pytest.mark.parametrize("argv", [
         ["oracle", "--litmus", "store-buffering", "--model", "tso",
          "--timeout", "0.000001"],
-        ["litmus", "--model", "sc", "--store"],
-    ], ids=["oracle-timeout", "litmus-store"])
+        ["spec", "--impl", "msn", "--test", "T0", "--store"],
+    ], ids=["oracle-timeout", "spec-store"])
     def test_argparse_rejects_flags_the_command_does_not_honor(
         self, argv, capsys
     ):

@@ -28,13 +28,17 @@ class TestCheckBudget:
         assert code == 3
         assert "[OOM]" in capsys.readouterr().out
 
-    def test_timeout_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv(limits.TIMEOUT_ENV, "0.0000001")
+    def test_exported_budget_variables_are_ignored(self, capsys, monkeypatch):
+        """``--timeout`` and ``--memory-limit`` are the budgets' one source:
+        exported CHECKFENCE_TIMEOUT / CHECKFENCE_MEMORY_LIMIT values set
+        no budget."""
+        monkeypatch.setenv("CHECKFENCE_TIMEOUT", "0.0000001")
+        monkeypatch.setenv("CHECKFENCE_MEMORY_LIMIT", "1")
         code = main([
             "check", "--impl", "msn", "--test", "T0", "--model", "sc",
         ])
-        assert code == 3
-        assert "[TIMEOUT]" in capsys.readouterr().out
+        assert code == 0
+        assert "[PASS]" in capsys.readouterr().out
 
     def test_generous_budget_still_passes(self, capsys):
         code = main([
@@ -45,31 +49,22 @@ class TestCheckBudget:
         assert "[PASS]" in capsys.readouterr().out
 
 
-class TestSweepBudget:
-    def test_timed_out_models_report_timeout_and_exit_3(self, capsys):
-        """A sweep whose every model runs out of budget is degraded, not a
-        FAIL: the rows say TIMEOUT and the exit code is 3, as for check."""
+class TestMatrixDegradedExit:
+    def test_timeout_flag_degrades_every_cell_to_exit_3(self, capsys):
+        """A matrix whose every cell runs out of budget is degraded, not a
+        FAIL, even where the check would fail: the rows say TIMEOUT and
+        the exit code is 3, as for check."""
         code = main([
-            "sweep", "--impl", "msn", "--test", "T0", "--models",
-            "sc,relaxed", "--timeout", "0.0000001",
+            "matrix", "--impls", "msn-unfenced", "--tests", "T0",
+            "--models", "sc,relaxed", "--timeout", "0.0000001", "--quiet",
         ])
         out = capsys.readouterr().out
         assert code == 3
-        rows = [line.split()[:2] for line in out.splitlines()
-                if line.split()[:1] in (["sc"], ["relaxed"])]
+        rows = [line.split()[2:4] for line in out.splitlines()
+                if line.startswith("msn-unfenced ")]
         assert rows == [["sc", "TIMEOUT"], ["relaxed", "TIMEOUT"]]
         assert "FAIL" not in out
 
-    def test_real_failure_still_exits_1(self, capsys):
-        code = main([
-            "sweep", "--impl", "msn-unfenced", "--test", "T0", "--models",
-            "sc,relaxed",
-        ])
-        assert code == 1
-        assert "FAIL" in capsys.readouterr().out
-
-
-class TestMatrixDegradedExit:
     def test_timed_out_cell_exits_3_not_1(self, capsys, monkeypatch):
         """Exit 3 (budget ran out) must be distinguishable from exit 1
         (a bug was found): passing cells plus one TIMEOUT is 3."""
