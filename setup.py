@@ -14,5 +14,5 @@ setup(
     name="checkfence-repro",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    package_data={"repro.sat.native": ["cdcl.c"]},
+    package_data={"repro.sat.native": ["cdcl.c", "order.c"]},
 )

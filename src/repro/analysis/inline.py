@@ -49,15 +49,26 @@ def rename_statements(
     block tags) get ``prefix`` prepended.  A fresh copy is always returned so
     callers can freely mutate or re-inline the result.
     """
-    reg_map = reg_map or {}
+    return _Renamer(reg_map or {}, prefix).walk(statements)
 
-    def reg(name: str) -> str:
-        return reg_map.get(name, prefix + name)
 
-    def tag(name: str) -> str:
-        return prefix + name
+class _Renamer:
+    """The recursive walk of :func:`rename_statements`.  A class, not
+    nested functions: a closure that calls itself is a reference cycle,
+    freed only by the garbage collector."""
 
-    def walk(stmts: list[Statement]) -> list[Statement]:
+    def __init__(self, reg_map: dict[str, str], prefix: str) -> None:
+        self.reg_map = reg_map
+        self.prefix = prefix
+
+    def reg(self, name: str) -> str:
+        return self.reg_map.get(name, self.prefix + name)
+
+    def tag(self, name: str) -> str:
+        return self.prefix + name
+
+    def walk(self, stmts: list[Statement]) -> list[Statement]:
+        reg, tag = self.reg, self.tag
         out: list[Statement] = []
         for stmt in stmts:
             if isinstance(stmt, ConstAssign):
@@ -73,7 +84,7 @@ def rename_statements(
             elif isinstance(stmt, Fence):
                 out.append(Fence(stmt.kind, candidate=stmt.candidate))
             elif isinstance(stmt, Atomic):
-                out.append(Atomic(walk(stmt.body)))
+                out.append(Atomic(self.walk(stmt.body)))
             elif isinstance(stmt, Call):
                 out.append(
                     Call(
@@ -83,7 +94,7 @@ def rename_statements(
                     )
                 )
             elif isinstance(stmt, Block):
-                out.append(Block(tag(stmt.tag), walk(stmt.body)))
+                out.append(Block(tag(stmt.tag), self.walk(stmt.body)))
             elif isinstance(stmt, BreakIf):
                 out.append(BreakIf(reg(stmt.cond), tag(stmt.tag)))
             elif isinstance(stmt, ContinueIf):
@@ -106,8 +117,6 @@ def rename_statements(
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown statement {stmt!r}")
         return out
-
-    return walk(statements)
 
 
 @dataclass

@@ -25,7 +25,7 @@ import math
 import sys
 
 from repro.core import limits
-from repro.core.checker import CheckOptions
+from repro.core.checker import CheckOptions, is_budget, is_loop_bound
 from repro.core.session import CheckSession
 from repro.datatypes.registry import (
     TABLE1,
@@ -67,12 +67,12 @@ def _check_options(args, **fields) -> CheckOptions:
 
 
 def _positive_number(text: str) -> float:
-    """Argparse type of a budget flag: a positive finite number."""
+    """Argparse type of a budget flag: :func:`is_budget`."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value > 0):
+    if not is_budget(value):
         raise argparse.ArgumentTypeError(
             f"must be a positive number, got {text!r}"
         )
@@ -80,12 +80,12 @@ def _positive_number(text: str) -> float:
 
 
 def _positive_int(text: str) -> int:
-    """Argparse type of ``--bound``: an integer of at least 1."""
+    """Argparse type of ``--bound``: :func:`is_loop_bound`."""
     try:
         value = int(text)
     except ValueError:
         value = 0
-    if value < 1:
+    if not is_loop_bound(value):
         raise argparse.ArgumentTypeError(
             f"must be an integer of at least 1, got {text!r}"
         )

@@ -11,7 +11,23 @@ tests, or models — use the check matrix (:mod:`repro.harness.matrix` /
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+
+def is_loop_bound(value) -> bool:
+    """A loop bound is an integer of at least 1."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def is_budget(value) -> bool:
+    """A resource budget is a positive finite number."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )
 
 
 @dataclass
@@ -60,3 +76,26 @@ class CheckOptions:
     #: of the synthesized set; when exhausted (at once for 0) the
     #: 1-minimal deletion result is returned with ``optimal=False``.
     synthesis_budget: int = 60
+
+    def __post_init__(self) -> None:
+        """Reject what the CLI rejects: a loop bound below 1 (the unroller
+        would drop the loop body and the check would PASS over a cut
+        program) and a budget that is not a positive finite number (an
+        instant TIMEOUT or OOM)."""
+        bounds = [("default_loop_bound", self.default_loop_bound)]
+        bounds += [
+            (f"loop_bounds[{tag!r}]", bound)
+            for tag, bound in (self.loop_bounds or {}).items()
+        ]
+        for name, bound in bounds:
+            if bound is not None and not is_loop_bound(bound):
+                raise ValueError(
+                    f"{name} must be an integer of at least 1, got {bound!r}"
+                )
+        for name in ("timeout", "memory_limit_mb"):
+            value = getattr(self, name)
+            if value is not None and not is_budget(value):
+                raise ValueError(
+                    f"{name} must be None or a positive finite number, "
+                    f"got {value!r}"
+                )

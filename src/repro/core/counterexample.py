@@ -96,7 +96,7 @@ def build_trace(
     )
     invocation_labels = {
         invocation.global_index: invocation.label
-        for invocation in encoded.ctx.compiled.invocations
+        for invocation in encoded.compiled.invocations
     }
     layout = encoded.ctx.layout
     executed = encoded.decode_memory_order(model)
@@ -134,6 +134,6 @@ def build_trace(
         steps=steps,
         violated_assertions=encoded.violated_assertions(model),
         memory_model=encoded.model.name,
-        test_name=encoded.ctx.compiled.test.name,
-        implementation=encoded.ctx.compiled.implementation.name,
+        test_name=encoded.compiled.test.name,
+        implementation=encoded.compiled.implementation.name,
     )

@@ -138,41 +138,16 @@ class ReferenceSpecificationMiner:
             for sequence in sequences
         ]
         done = tuple(len(sequence) for sequence in sequences)
+        # The memo is a local of this call, passed down the walk: nothing
+        # refers to it once mine() returns or a deadline interrupts it.
         memo: dict[tuple, set[tuple[int, ...]]] = {}
-
-        def suffixes(progress: tuple[int, ...], reference) -> set[tuple[int, ...]]:
-            """Observations of the operations still to run from this state,
-            each laid out in vector order."""
-            if progress == done:
-                return {()}
-            key = (progress, reference.key())
-            found = memo.get(key)
-            if found is not None:
-                return found
-            limits.check_deadline()
-            found = set()
-            # The remaining operations of the sequences before s come first
-            # in every suffix, so sequence s's next operation goes after them.
-            offset = 0
-            for s, sequence in enumerate(sequences):
-                position = progress[s]
-                if position < len(sequence):
-                    after = progress[:s] + (position + 1,) + progress[s + 1:]
-                    for observables, successor in self._step(
-                        sequence[position], reference
-                    ):
-                        for rest in suffixes(after, successor):
-                            found.add(rest[:offset] + observables + rest[offset:])
-                    if s == 0:
-                        break  # init runs alone, before any thread
-                offset += tail[s][position]
-            memo[key] = found
-            return found
-
+        walk = (sequences, tail, done, memo)
         reference = self.compiled.implementation.reference()
         spec = ObservationSet(
             labels=self.compiled.observation_labels(),
-            observations=suffixes((0,) * len(sequences), reference),
+            observations=self._suffixes(
+                walk, (0,) * len(sequences), reference
+            ),
             method="reference",
         )
         spec.mining_seconds = time.perf_counter() - start
@@ -185,6 +160,39 @@ class ReferenceSpecificationMiner:
         return observation in self._mined
 
     # ------------------------------------------------------------ internals
+
+    def _suffixes(
+        self, walk: tuple, progress: tuple[int, ...], reference
+    ) -> set[tuple[int, ...]]:
+        """Observations of the operations still to run from this state,
+        each laid out in vector order.  ``walk`` is ``(sequences, tail,
+        done, memo)`` of the :meth:`mine` call."""
+        sequences, tail, done, memo = walk
+        if progress == done:
+            return {()}
+        key = (progress, reference.key())
+        found = memo.get(key)
+        if found is not None:
+            return found
+        limits.check_deadline()
+        found = set()
+        # The remaining operations of the sequences before s come first
+        # in every suffix, so sequence s's next operation goes after them.
+        offset = 0
+        for s, sequence in enumerate(sequences):
+            position = progress[s]
+            if position < len(sequence):
+                after = progress[:s] + (position + 1,) + progress[s + 1:]
+                for observables, successor in self._step(
+                    sequence[position], reference
+                ):
+                    for rest in self._suffixes(walk, after, successor):
+                        found.add(rest[:offset] + observables + rest[offset:])
+                if s == 0:
+                    break  # init runs alone, before any thread
+            offset += tail[s][position]
+        memo[key] = found
+        return found
 
     def _step(self, invocation: Invocation, reference):
         """Yield ``(observables, successor)`` for every argument choice of

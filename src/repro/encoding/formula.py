@@ -59,10 +59,15 @@ from repro.sat.simplify import ENUMERATION_MIN_CLAUSES, SimplifyingBackend
 
 
 class EncodingContext:
-    """Shared state while building the formula for one (test, model) pair."""
+    """Shared state while building the formula for one (test, model) pair.
+
+    It keeps the compiled test's layout, ranges and allocation but not the
+    compiled test itself: the skeleton memoized on the compiled test holds
+    the pristine context, so a back reference would make a cycle that only
+    the garbage collector frees.
+    """
 
     def __init__(self, compiled: CompiledTest) -> None:
-        self.compiled = compiled
         self.circuit = Circuit()
         self.bvb = BitVecBuilder(self.circuit)
         self.layout = compiled.layout
@@ -96,7 +101,6 @@ class EncodingContext:
         the shared skeleton.
         """
         out = EncodingContext.__new__(EncodingContext)
-        out.compiled = self.compiled
         out.circuit = self.circuit.copy()
         out.bvb = BitVecBuilder(out.circuit)
         out.layout = self.layout
@@ -278,6 +282,7 @@ class EncodedTest:
 
     def __init__(
         self,
+        compiled: CompiledTest,
         context: EncodingContext,
         model: MemoryModel,
         threads: list[ThreadEncoding],
@@ -288,6 +293,7 @@ class EncodedTest:
         stats: EncodingStatistics,
         backend_factory: BackendFactory | None = None,
     ) -> None:
+        self.compiled = compiled
         self.ctx = context
         self.model = model
         self.threads = threads
@@ -630,9 +636,11 @@ class EncodingSkeleton:
     overflow handles, and the access table every memory-model layer reads.
     Per-model layers must never mutate it: they run on
     :meth:`EncodingContext.fork` snapshots (see :func:`encode_test`).
+    It holds no reference to the compiled test that memoizes it, so
+    dropping the compiled test frees the skeleton without a garbage
+    collection.
     """
 
-    compiled: CompiledTest
     context: EncodingContext
     threads: list[ThreadEncoding]
     observation_slots: list[ObservationSlot]
@@ -700,7 +708,6 @@ def build_skeleton(compiled: CompiledTest) -> EncodingSkeleton:
     table = AccessTable(thread_encodings)
     _prewarm_shared_terms(context, table)
     return EncodingSkeleton(
-        compiled=compiled,
         context=context,
         threads=thread_encodings,
         observation_slots=observation_slots,
@@ -812,6 +819,7 @@ def encode_test(
     stats.encode_seconds = stats.skeleton_seconds + stats.layer_seconds
 
     return EncodedTest(
+        compiled=compiled,
         context=context,
         model=model,
         threads=skeleton.threads,

@@ -47,9 +47,13 @@ no-3-cycle clauses per elimination triangle, with statically known edges
 folded into binary implications; triangulating the support graph makes the
 triangle constraints equivalent to full transitivity (every cycle in a
 chordal graph has a chord, so acyclic triangles imply an acyclic — hence
-linearizable — order).  Pairs that appear in no constraint get no variable
-at all; counterexample decoding topologically sorts the remaining partial
-order (:meth:`repro.encoding.formula.EncodedTest.decode_memory_order`).
+linearizable — order).  One call per layer triangulates, numbers the live
+pairs and writes those clauses: :func:`repro.sat.native.build_order` in the
+native library when it loads, else its pure-Python twin
+:func:`build_order`; the two write the same formula byte for byte, and no
+option chooses between them.  Pairs that appear in no constraint get no
+variable at all; counterexample decoding topologically sorts the remaining
+partial order (:meth:`repro.encoding.formula.EncodedTest.decode_memory_order`).
 The operational enumerator (:mod:`repro.oracle.enumerator`) and the
 reads-from engine (:mod:`repro.rfcheck`) check the resulting outcome sets
 independently.
@@ -58,8 +62,10 @@ independently.
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass, field
-from itertools import combinations, zip_longest
+from itertools import chain, combinations, zip_longest
+from typing import Iterable, Sequence
 
 from repro.encoding.symbolic import MemoryAccess, ThreadEncoding
 from repro.encoding.testprogram import INIT_THREAD
@@ -152,6 +158,11 @@ class AccessTable:
         self.other_accesses = [
             a for a in self.accesses if a.thread != INIT_THREAD
         ]
+        #: Bitmask of the non-init access indices: the vertices of every
+        #: layer's support graph (:func:`build_order`).
+        self.other_mask = 0
+        for access in self.other_accesses:
+            self.other_mask |= 1 << access.index
         #: (before, after, guard) of every fence-ordered pair whose fence
         #: can execute (guard not FALSE).
         self.fence_pairs = list(self._enumerate_fence_pairs(threads))
@@ -292,11 +303,8 @@ class AccessTable:
             for first, second, guard in self.fence_pairs
             if guard == Circuit.TRUE
         ))
-        others = 0
-        for access in self.other_accesses:
-            others |= 1 << access.index
         for access in self.init_accesses:
-            successors[access.index] |= others
+            successors[access.index] |= self.other_mask
         return successors
 
 
@@ -386,20 +394,33 @@ class MemoryModelEncoder:
 
     def _create_live_order_variables(self) -> None:
         """Mint variables only for pairs that can influence outcomes, then
-        assert pruned transitivity over the triangulated support graph."""
-        seeds = self._seed_pairs()
-        triangles = self._triangulate(seeds)
-        # Order variables come straight from the CNF, unnamed: no decoder
-        # reads them back by name.
-        new_var = self.ctx.circuit.cnf.new_var
-        order = self.encoding.table
+        assert pruned transitivity over the triangulated support graph.
+
+        :func:`build_order` does both, in the native library when it
+        loads and in Python otherwise; the two write the same formula.
+        The layer mints the returned pairs' variables in order and adds
+        the clauses through the trusted path: a triangle clause's
+        literals are distinct order variables by construction.
+        """
+        # Imported here, as the backends do: the binding pulls in ctypes,
+        # which no import of the encoder needs to pay for.
+        from repro.sat import native
+
+        cnf = self.ctx.circuit.cnf
         n = len(self.accesses)
-        for i, j in sorted(seeds):
-            var = new_var()
+        build = build_order if native.load() is None else native.build_order
+        pairs, literals, lengths = build(
+            n, self._static_reach, self.table.other_mask, self._seed_pairs(),
+            cnf.num_vars + 1,
+        )
+        order = self.encoding.table
+        flat = iter(pairs)
+        for var, i, j in zip(cnf.new_vars(len(pairs) // 2), flat, flat):
             order[i * n + j] = var
             order[j * n + i] = -var
-        self.order_var_count = len(seeds)
-        self._assert_transitivity_pruned(triangles)
+        self.order_var_count = len(pairs) // 2
+        cnf.add_clauses_trusted_flat(literals, lengths)
+        self.transitivity_clause_count += len(lengths)
 
     def _seed_pairs(self) -> set[tuple[int, int]]:
         """Every non-static pair some constraint will mention."""
@@ -441,149 +462,6 @@ class MemoryModelEncoder:
             for first, second in combinations(candidates, 2):
                 need(first, second)
         return seeds
-
-    def _triangulate(
-        self, seeds: set[tuple[int, int]]
-    ) -> list[tuple[int, int, int]]:
-        """Chordalize the support graph by min-degree elimination.
-
-        The support graph has an edge for every live or static pair between
-        non-init accesses (init accesses have only outgoing static edges, so
-        no cycle passes through them).  Fill edges discovered during
-        elimination become live pairs (added to ``seeds``); the returned
-        elimination triangles are exactly the triples over which no-3-cycle
-        clauses must be asserted to make every orientation extendable to a
-        total order.
-        """
-        n = len(self.accesses)
-        order = self.encoding.table
-        vertices = [a.index for a in self.table.other_accesses]
-        # Adjacency as one bitmask per vertex: membership tests, edge
-        # updates and degree counts (popcount) all beat set operations in
-        # this loop, and iterating set bits in ascending order gives the
-        # sorted neighbor walk the fill computation needs for determinism.
-        adjacency = [0] * n
-        allowed = 0
-        for p in vertices:
-            allowed |= 1 << p
-        for i, j in seeds:
-            if (allowed >> i) & 1 and (allowed >> j) & 1:
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
-        for i in vertices:
-            mask = self._static_reach[i] & allowed
-            adjacency[i] |= mask
-            while mask:
-                low = mask & -mask
-                adjacency[low.bit_length() - 1] |= 1 << i
-                mask ^= low
-
-        triangles: list[tuple[int, int, int]] = []
-        append = triangles.append
-        alive = set(vertices)
-        # Lazy min-degree heap: entries go stale when a neighbor's degree
-        # changes, so each pop re-checks the recorded degree, and touched
-        # neighbors are re-entered with their settled degree — the pop
-        # order matches an eager min-scan exactly.  Scanning `alive` for
-        # the minimum on every round was quadratic in the vertex count and
-        # showed up in layer profiles.
-        heap = [(adjacency[p].bit_count(), p) for p in vertices]
-        heapq.heapify(heap)
-        push = heapq.heappush
-        while alive:
-            degree, vertex = heapq.heappop(heap)
-            if vertex not in alive:
-                continue
-            mask = adjacency[vertex]
-            current = mask.bit_count()
-            if current != degree:
-                push(heap, (current, vertex))
-                continue
-            alive.discard(vertex)
-            neighbors = []
-            while mask:
-                low = mask & -mask
-                neighbors.append(low.bit_length() - 1)
-                mask ^= low
-            vertex_bit = 1 << vertex
-            for index, a in enumerate(neighbors):
-                adjacency[a] &= ~vertex_bit
-                a_bit = 1 << a
-                for b in neighbors[index + 1:]:
-                    append((vertex, a, b))
-                    b_bit = 1 << b
-                    if not adjacency[a] & b_bit:
-                        adjacency[a] |= b_bit
-                        adjacency[b] |= a_bit
-                        # a < b by construction (ascending bit order).
-                        if order[a * n + b] is None:
-                            seeds.add((a, b))
-            adjacency[vertex] = 0
-            for a in neighbors:
-                push(heap, (adjacency[a].bit_count(), a))
-        return triangles
-
-    def _assert_transitivity_pruned(
-        self, triangles: list[tuple[int, int, int]]
-    ) -> None:
-        """Forbid both cyclic orientations of every elimination triangle.
-
-        Statically resolved edges fold away: a triangle with a known edge
-        degenerates to one binary implication, and a triangle whose cycle is
-        already statically impossible emits nothing.
-
-        This is the hottest loop of the per-model layer (hundreds of
-        thousands of triangles on the larger tests), so it reads the order
-        table directly and the clauses go through the trusted CNF path —
-        the three literals of a triangle clause are distinct order
-        variables by construction, so no per-clause normalization is
-        needed.
-        """
-        n_acc = len(self.accesses)
-        order = self.encoding.table
-        # Clauses are batched into flat buffers and installed in one go;
-        # `append` is bound once — this loop dominates layer time on the
-        # larger tests.
-        buf: list[int] = []
-        lengths: list[int] = []
-        push = buf.append
-        push_len = lengths.append
-        count = 0
-        for v, a, b in triangles:
-            row = v * n_acc
-            e1 = order[row + a]  # v <M a
-            e2 = order[a * n_acc + b]  # a <M b
-            e3 = order[row + b]  # v <M b
-            # cycle v -> a -> b -> v: not(e1 and e2 and not e3)
-            if not (e1 == -1 or e2 == -1 or e3 == 1):
-                n = 0
-                if e1 != 1:
-                    push(-e1)
-                    n += 1
-                if e2 != 1:
-                    push(-e2)
-                    n += 1
-                if e3 != -1:
-                    push(e3)
-                    n += 1
-                push_len(n)
-                count += 1
-            # cycle v -> b -> a -> v: not(e3 and not e2 and not e1)
-            if not (e3 == -1 or e2 == 1 or e1 == 1):
-                n = 0
-                if e3 != 1:
-                    push(-e3)
-                    n += 1
-                if e2 != -1:
-                    push(e2)
-                    n += 1
-                if e1 != -1:
-                    push(e1)
-                    n += 1
-                push_len(n)
-                count += 1
-        self.ctx.circuit.cnf.add_clauses_trusted_flat(buf, lengths)
-        self.transitivity_clause_count += count
 
     # ---------------------------------------------------------- pair streams
 
@@ -913,3 +791,165 @@ class MemoryModelEncoder:
             and store.thread == load.thread
             and store.seq < load.seq
         )
+
+
+# ------------------------------------------------------ the order builder
+
+
+def build_order(
+    n: int,
+    reach: Sequence[int],
+    allowed: int,
+    seeds: Iterable[tuple[int, int]],
+    first_var: int,
+) -> tuple[array, array, array]:
+    """The live order pairs and transitivity clauses of one layer.
+
+    Inputs: the access count ``n``; ``reach[i]``, the bitmask of accesses
+    statically after access ``i`` (transitively closed and acyclic);
+    ``allowed``, the bitmask of the support graph's vertices (the non-init
+    accesses: they have only outgoing static edges, so no cycle passes
+    through them); the unordered seed pairs ``(i, j)``, ``i < j``, that
+    some axiom mentions and no static edge orders; and the first free
+    variable.
+
+    The support graph has an edge for every seed and static pair between
+    vertices.  It is chordalized by min-degree elimination: a lazy
+    ``(degree, vertex)`` heap whose stale entries are re-pushed with the
+    settled degree, so the pop order matches an eager min-scan, and an
+    ascending walk over each eliminated vertex's neighbours that adds the
+    missing pairs (the *fill*).  Seeds and fill are the live pairs,
+    numbered ``first_var, first_var + 1, ...`` in sorted order.  Each
+    elimination triangle ``(v, a, b)`` gets its two no-3-cycle clauses
+    (``v -> a -> b -> v``, then ``v -> b -> a -> v``) with statically
+    known edges folded away: a known edge drops its literal, and a cycle a
+    static edge already breaks emits nothing.  Every cycle of a chordal
+    graph has a chord, so acyclic triangles make the whole order acyclic.
+
+    Returns ``(pairs, literals, lengths)``: the live pairs flat as ``i0,
+    j0, i1, j1, ...``, the clauses' literals back to back, and each
+    clause's length.  :func:`repro.sat.native.build_order` computes the
+    same three arrays in C; this is the fallback when the native library
+    cannot be built, and the reference the byte-identity tests compare
+    against.  Raises :class:`ValueError` on a seed outside ``0 <= i < j <
+    n`` or a statically ordered one.
+    """
+    allowed &= (1 << n) - 1
+    vertices = [p for p in range(n) if (allowed >> p) & 1]
+    # Adjacency as one bitmask per vertex: membership tests, edge updates
+    # and degree counts (popcount) all beat set operations in this loop,
+    # and iterating set bits in ascending order gives the sorted neighbour
+    # walk the fill computation needs for determinism.
+    adjacency = [0] * n
+    live: set[tuple[int, int]] = set()
+    for i, j in seeds:
+        if not 0 <= i < j < n or (reach[i] >> j) & 1 or (reach[j] >> i) & 1:
+            raise ValueError(
+                f"seed pair {(i, j)} out of range or statically ordered"
+            )
+        live.add((i, j))
+        if (allowed >> i) & 1 and (allowed >> j) & 1:
+            adjacency[i] |= 1 << j
+            adjacency[j] |= 1 << i
+    for i in vertices:
+        mask = reach[i] & allowed
+        adjacency[i] |= mask
+        while mask:
+            low = mask & -mask
+            adjacency[low.bit_length() - 1] |= 1 << i
+            mask ^= low
+
+    triangles: list[tuple[int, int, int]] = []
+    append = triangles.append
+    alive = set(vertices)
+    heap = [(adjacency[p].bit_count(), p) for p in vertices]
+    heapq.heapify(heap)
+    push = heapq.heappush
+    while alive:
+        degree, vertex = heapq.heappop(heap)
+        if vertex not in alive:
+            continue
+        mask = adjacency[vertex]
+        current = mask.bit_count()
+        if current != degree:
+            push(heap, (current, vertex))
+            continue
+        alive.discard(vertex)
+        neighbors = []
+        while mask:
+            low = mask & -mask
+            neighbors.append(low.bit_length() - 1)
+            mask ^= low
+        vertex_bit = 1 << vertex
+        for index, a in enumerate(neighbors):
+            adjacency[a] &= ~vertex_bit
+            a_bit = 1 << a
+            for b in neighbors[index + 1:]:
+                append((vertex, a, b))
+                b_bit = 1 << b
+                if not adjacency[a] & b_bit:
+                    # A fill pair (a < b by the ascending walk).  Static
+                    # pairs between vertices are edges from the start, so
+                    # a missing edge is never static.
+                    adjacency[a] |= b_bit
+                    adjacency[b] |= a_bit
+                    live.add((a, b))
+        adjacency[vertex] = 0
+        for a in neighbors:
+            push(heap, (adjacency[a].bit_count(), a))
+
+    # The literal of "first <M second" for every pair a triangle can name.
+    order: list[int] = [0] * (n * n)
+    for i in vertices:
+        mask = reach[i] & allowed
+        while mask:
+            low = mask & -mask
+            j = low.bit_length() - 1
+            mask ^= low
+            order[i * n + j] = 1
+            order[j * n + i] = -1
+    pairs = sorted(live)
+    for var, (i, j) in enumerate(pairs, first_var):
+        order[i * n + j] = var
+        order[j * n + i] = -var
+
+    buf: list[int] = []
+    lengths: list[int] = []
+    push = buf.append
+    push_len = lengths.append
+    for v, a, b in triangles:
+        row = v * n
+        e1 = order[row + a]  # v <M a
+        e2 = order[a * n + b]  # a <M b
+        e3 = order[row + b]  # v <M b
+        # cycle v -> a -> b -> v: not(e1 and e2 and not e3)
+        if not (e1 == -1 or e2 == -1 or e3 == 1):
+            count = 0
+            if e1 != 1:
+                push(-e1)
+                count += 1
+            if e2 != 1:
+                push(-e2)
+                count += 1
+            if e3 != -1:
+                push(e3)
+                count += 1
+            push_len(count)
+        # cycle v -> b -> a -> v: not(e3 and not e2 and not e1)
+        if not (e3 == -1 or e2 == 1 or e1 == 1):
+            count = 0
+            if e3 != 1:
+                push(-e3)
+                count += 1
+            if e2 != -1:
+                push(e2)
+                count += 1
+            if e1 != -1:
+                push(e1)
+                count += 1
+            push_len(count)
+    return (
+        array("i", chain.from_iterable(pairs)),
+        array("i", buf),
+        array("b", lengths),
+    )

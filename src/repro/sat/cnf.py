@@ -100,12 +100,13 @@ class CNF:
         return self.num_vars
 
     def new_vars(self, count: int, prefix: str | None = None) -> list[int]:
-        """Allocate ``count`` fresh variables."""
-        out = []
-        for i in range(count):
-            name = f"{prefix}[{i}]" if prefix is not None else None
-            out.append(self.new_var(name))
-        return out
+        """Allocate ``count`` fresh, consecutive variables."""
+        first = self.num_vars + 1
+        self.num_vars += count
+        if prefix is not None:
+            for i in range(count):
+                self.names[first + i] = f"{prefix}[{i}]"
+        return list(range(first, first + count))
 
     def add_clause(self, literals: Iterable[int]) -> None:
         """Add a clause (a disjunction of literals).

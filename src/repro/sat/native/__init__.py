@@ -1,9 +1,10 @@
-"""The native CDCL kernel (``cdcl.c``) and its ctypes binding.
+"""The native CDCL kernel (``cdcl.c``), the memory-order builder
+(``order.c``) and their ctypes binding.
 
-The kernel is built on first use with the system C compiler (``cc``,
-else ``gcc``, from ``PATH``) and cached as a shared library under
+Both sources are built into one shared library on first use with the
+system C compiler (``cc``, else ``gcc``, from ``PATH``) and cached under
 ``CHECKFENCE_CACHE_DIR`` (default ``~/.cache/checkfence``), named by a
-hash of the source and the compiler flags.  The build is written under a
+hash of every source and the compiler flags.  The build is written under a
 temporary name and moved into place with :func:`os.replace`, so
 concurrent worker processes may race to build it safely.  When the cache
 directory is unwritable the library is built into a per-process
@@ -25,6 +26,10 @@ cores and counters each come back in one call.
 The library also exports the IPASIR interface, so
 :class:`repro.sat.ipasir.IpasirBackend` can load it from
 :func:`library_path`.
+
+:func:`build_order` runs ``order.c``: the live order pairs and the
+transitivity clauses of one per-model encoding layer, the same as its
+pure-Python twin :func:`repro.encoding.memory.build_order`.
 """
 
 from __future__ import annotations
@@ -46,10 +51,13 @@ from repro.sat.ipasir import TERMINATE_CALLBACK, solve_polled
 from repro.sat.solver import SolverError, SolverStats
 
 SOURCE = Path(__file__).with_name("cdcl.c")
+#: The memory-order builder, compiled into the same library as the kernel.
+ORDER_SOURCE = Path(__file__).with_name("order.c")
 CFLAGS = ("-O2", "-shared", "-fPIC")
 
 _SAT = 10
 _UNSAT = 20
+_ORDER_BAD_INPUT = -2
 
 
 class NativeUnavailable(RuntimeError):
@@ -93,9 +101,12 @@ def _build() -> str:
     from repro.core.store import cache_dir
 
     compiler = shutil.which("cc") or shutil.which("gcc")
-    source = SOURCE.read_bytes()
-    digest = hashlib.sha256(source + " ".join(CFLAGS).encode()).hexdigest()
-    name = f"libcfcdcl-{digest[:16]}.so"
+    sources = (SOURCE, ORDER_SOURCE)
+    digest = hashlib.sha256(" ".join(CFLAGS).encode())
+    for source in sources:
+        text = source.read_bytes()
+        digest.update(b"%s %d\n" % (source.name.encode(), len(text)) + text)
+    name = f"libcfcdcl-{digest.hexdigest()[:16]}.so"
     cached = cache_dir() / name
     if cached.is_file():
         return str(cached)
@@ -114,12 +125,13 @@ def _build() -> str:
         scratch = str(cached) + ".tmp"
     try:
         built = subprocess.run(
-            [compiler, *CFLAGS, "-o", scratch, str(SOURCE)],
+            [compiler, *CFLAGS, "-o", scratch, *map(str, sources)],
             capture_output=True, text=True,
         )
         if built.returncode != 0:
+            names = " + ".join(source.name for source in sources)
             raise NativeUnavailable(
-                f"{compiler} failed on {SOURCE.name}: {built.stderr.strip()}"
+                f"{compiler} failed on {names}: {built.stderr.strip()}"
             )
         os.replace(scratch, cached)
     finally:
@@ -142,6 +154,12 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         "cf_failed": (ctypes.c_int, [handle, ptr, ctypes.c_int]),
         "cf_stats": (None, [handle, ptr]),
         "ipasir_set_terminate": (None, [handle, ptr, TERMINATE_CALLBACK]),
+        "cf_order_build": (handle, [
+            ctypes.c_int32, ctypes.c_char_p, ctypes.c_char_p, ptr, i64,
+            ctypes.c_int32, ptr,
+        ]),
+        "cf_order_copy": (None, [handle, ptr, ptr, ptr]),
+        "cf_order_free": (None, [handle]),
     }
     for symbol, (restype, argtypes) in signatures.items():
         function = getattr(lib, symbol)
@@ -152,6 +170,59 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
 
 def _address(buffer: array) -> int:
     return buffer.buffer_info()[0]
+
+
+def build_order(
+    n: int,
+    reach: Sequence[int],
+    allowed: int,
+    seeds: Iterable[tuple[int, int]],
+    first_var: int,
+) -> tuple[array, array, array]:
+    """:func:`repro.encoding.memory.build_order` in ``order.c``: the same
+    inputs, and the same pairs, literals and lengths as arrays.
+
+    The reach rows and the vertex mask go in as little-endian 64-bit
+    words (one ``bytes`` each, read in place), the seeds as one ``array``;
+    the results come back in ``array`` buffers the library fills by
+    address.  Raises :class:`MemoryError` when the library runs out of
+    memory and :class:`ValueError` on a seed outside ``0 <= i < j < n``,
+    a statically ordered seed, or a variable number past 32 bits.
+    """
+    lib = load()
+    if lib is None:
+        raise NativeUnavailable(_failure or "native kernel unavailable")
+    if len(reach) != n:
+        raise ValueError(f"{len(reach)} reach rows for {n} accesses")
+    if not 0 < first_var < 2**31:
+        raise ValueError(f"first variable {first_var} outside 1..2**31-1")
+    width = 8 * ((n + 63) // 64)
+    full = (1 << n) - 1
+    rows = b"".join([(row & full).to_bytes(width, "little") for row in reach])
+    mask = (allowed & full).to_bytes(width, "little")
+    flat = array("i", chain.from_iterable(seeds))
+    sizes = array("q", bytes(32))
+    build = lib.cf_order_build(
+        n, rows, mask, _address(flat), len(flat) // 2, first_var,
+        _address(sizes),
+    )
+    if not build:
+        if sizes[0] == _ORDER_BAD_INPUT:
+            raise ValueError(
+                "seed pair out of range or statically ordered, or variable "
+                f"numbers from {first_var} past 32 bits"
+            )
+        raise MemoryError("memory-order builder: out of memory")
+    try:
+        pairs = array("i", bytes(8 * sizes[1]))
+        literals = array("i", bytes(4 * sizes[2]))
+        lengths = array("b", bytes(sizes[3]))
+        lib.cf_order_copy(
+            build, _address(pairs), _address(literals), _address(lengths)
+        )
+    finally:
+        lib.cf_order_free(build)
+    return pairs, literals, lengths
 
 
 def _check_added(code: int) -> bool:

@@ -106,6 +106,31 @@ class TestCheckerOptions:
         assert with_ranges.stats.cnf_clauses < without_ranges.stats.cnf_clauses
 
 
+class TestOptionValidation:
+    """``CheckOptions`` rejects what the CLI rejects.  Each case below
+    would run a wrong check: on msn-unfenced/T0 under relaxed (a FAIL
+    over 26 accesses at the defaults) the bounds cut the loops, so the
+    check PASSes over 9 accesses (79 with lazy refinement), and the
+    budgets end the check at once as TIMEOUT or OOM."""
+
+    #: msn-unfenced/T0's two loops at their default bound of 1.
+    T0_LOOPS = ("t0$0$enqueue.2::B@1", "t1$0$dequeue.3::B@1")
+
+    @pytest.mark.parametrize("field, values", [
+        ("default_loop_bound", {"default_loop_bound": 0}),
+        ("default_loop_bound", {"default_loop_bound": -1}),
+        ("loop_bounds", {"loop_bounds": dict.fromkeys(T0_LOOPS, 0)}),
+        ("default_loop_bound",
+         {"default_loop_bound": 0, "lazy_loop_bounds": True}),
+        ("timeout", {"timeout": -1}),
+        ("timeout", {"timeout": float("nan")}),
+        ("memory_limit_mb", {"memory_limit_mb": -5}),
+    ])
+    def test_out_of_range_value_names_its_field(self, field, values):
+        with pytest.raises(ValueError, match=field):
+            CheckOptions(**values)
+
+
 class TestLoopBounds:
     def test_refinement_converges_on_t0(self):
         implementation = get_implementation("msn")

@@ -1,5 +1,8 @@
 """Tests for the incremental :class:`repro.core.session.CheckSession`."""
 
+import gc
+import weakref
+
 import pytest
 
 import repro.core.session as session_module
@@ -23,6 +26,26 @@ def _result_fingerprint(result):
         result.loop_bounds,
         result.notes,
     )
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("implementation", ["msn", "msn-unfenced"])
+    def test_dropped_session_frees_its_compiled_test(self, implementation):
+        """No reference cycle holds a compiled test (and the skeleton CNF
+        memoized on it): dropping the session and the result frees it
+        with the garbage collector off.  The unfenced queue FAILs, so the
+        counterexample decoding runs too."""
+        gc.disable()
+        try:
+            session = CheckSession(get_implementation(implementation))
+            test = get_test("queue", "T0")
+            result = session.check(test, "relaxed")
+            assert result.passed == (implementation == "msn")
+            compiled = weakref.ref(session.compile(test, "relaxed"))
+            del session, result
+            assert compiled() is None
+        finally:
+            gc.enable()
 
 
 class TestCrossModelReuse:

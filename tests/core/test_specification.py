@@ -1,5 +1,6 @@
 """Tests for specification mining (both miners) and observation sets."""
 
+import gc
 import hashlib
 
 import pytest
@@ -65,6 +66,45 @@ class TestReferenceMiner:
         with limits.deadline_scope(limits.Deadline(timeout_seconds=0.0)):
             with pytest.raises(limits.TimeoutExceeded):
                 ReferenceSpecificationMiner(compiled).mine()
+
+    def test_mining_leaves_nothing_for_the_collector(self):
+        """The walk's memo is freed by reference counting when mine()
+        returns; a walk that refers to itself would keep it (thousands of
+        entries on the large tests) until a full collection."""
+        compiled = self._compiled()
+        gc.collect()
+        gc.disable()
+        try:
+            spec = ReferenceSpecificationMiner(compiled).mine()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert len(spec) == 4
+
+    def test_interrupted_mining_leaves_nothing_for_the_collector(self):
+        class AfterPolls:
+            """A deadline that expires at its third poll, mid-walk."""
+
+            enforced = True
+
+            def __init__(self):
+                self.polls = 0
+
+            def check(self):
+                self.polls += 1
+                if self.polls == 3:
+                    raise limits.TimeoutExceeded("expired mid-walk")
+
+        compiled = self._compiled("Tpc3")
+        gc.collect()
+        gc.disable()
+        try:
+            with limits.deadline_scope(AfterPolls()):
+                with pytest.raises(limits.TimeoutExceeded):
+                    ReferenceSpecificationMiner(compiled).mine()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_init_sequence_included(self):
         compiled = self._compiled("Ti2")
