@@ -6,12 +6,13 @@ whole solve/block mining loop (the heaviest enumeration loop in the
 pipeline), so learned clauses from one query prune the next.  This module
 runs that loop on each lane:
 
-* **internal** — ``InternalBackend`` over the pure-Python CDCL kernel;
-* **native** — ``InternalBackend`` over the native C kernel (skipped when
-  it cannot be built);
+* **native** — ``InternalBackend`` over the native C kernel;
+* **ipasir** — ``IpasirBackend`` over the same kernel's IPASIR exports
+  (one ctypes call per literal instead of one per clause batch);
 * **library** — ``IpasirBackend`` over a real IPASIR shared library,
   when ``CHECKFENCE_SOLVER`` names one as ``ipasir:<path>`` (skipped
-  otherwise).
+  otherwise).  CI's ipasir-cadical job runs it against cadical, the one
+  check of ``cdcl.c`` against an independent kernel.
 
 Every lane runs the identical mining loop, so the solve counts must agree
 and, on the uncapped test, the observation sets too — the verdict-identity
@@ -50,12 +51,9 @@ needs_library = pytest.mark.skipif(
 )
 
 
-@pytest.fixture
-def native_backend():
-    """Factory of bare native-kernel backends (skips when unavailable)."""
-    if native.load() is None:
-        pytest.skip(f"native kernel unavailable: {native.unavailable_reason()}")
-    return lambda: InternalBackend(native.NativeSolver(), "native")
+def _native_ipasir():
+    """The native kernel loaded through its own IPASIR exports."""
+    return IpasirBackend(native.library_path())
 
 
 def _mine(compiled, factory, max_observations=100_000):
@@ -81,38 +79,39 @@ def _record(benchmark, test, lanes, **extra):
     }
 
 
-def test_internal_vs_native_full_mining(benchmark, native_backend):
-    """msn/Ti2 mined to completion on both kernels: identical observation
-    sets and solve counts, both wall-clocks recorded."""
+def test_native_vs_ipasir_full_mining(benchmark):
+    """msn/Ti2 mined to completion on the native kernel, bound directly and
+    through its IPASIR exports: identical observation sets and solve
+    counts, both wall-clocks recorded."""
     compiled = _compiled(*FULL_TEST)
 
     def run_both():
         return {
-            "internal": _mine(compiled, InternalBackend),
-            "native": _mine(compiled, native_backend),
+            "native": _mine(compiled, InternalBackend),
+            "ipasir": _mine(compiled, _native_ipasir),
         }
 
     lanes = benchmark.pedantic(run_both, rounds=1, iterations=1)
     _record(benchmark, "/".join(FULL_TEST), lanes,
-            observations=len(lanes["internal"]))
-    assert lanes["internal"].observations == lanes["native"].observations
+            observations=len(lanes["native"]))
+    assert lanes["native"].observations == lanes["ipasir"].observations
     assert (
-        lanes["internal"].solver_iterations
-        == lanes["native"].solver_iterations
+        lanes["native"].solver_iterations
+        == lanes["ipasir"].solver_iterations
     )
 
 
-def test_internal_vs_native_capped_large(benchmark, native_backend):
+def test_native_vs_ipasir_capped_large(benchmark):
     """lazylist/Saaarr for a fixed number of solve/block iterations: the
-    per-solve cost of the two kernels."""
+    per-solve cost of the two bindings."""
     compiled = _compiled(*CAPPED_TEST)
 
     def run_both():
         return {
             name: _mine(compiled, factory, max_observations=CAPPED_SOLVES)
             for name, factory in (
-                ("internal", InternalBackend),
-                ("native", native_backend),
+                ("native", InternalBackend),
+                ("ipasir", _native_ipasir),
             )
         }
 
@@ -120,32 +119,32 @@ def test_internal_vs_native_capped_large(benchmark, native_backend):
     _record(benchmark, "/".join(CAPPED_TEST), lanes,
             capped_solves=CAPPED_SOLVES)
     assert (
-        lanes["internal"].solver_iterations
-        == lanes["native"].solver_iterations
+        lanes["native"].solver_iterations
+        == lanes["ipasir"].solver_iterations
     )
 
 
 @needs_library
 def test_ipasir_library_full_mining(benchmark):
     """With a real IPASIR library (CI's cadical job): the full msn/Ti2
-    loop on the library is verdict-identical to the internal solver."""
+    loop on the library is verdict-identical to the native kernel."""
     compiled = _compiled(*FULL_TEST)
 
     def run_both():
         return {
-            "internal": _mine(compiled, InternalBackend),
+            "native": _mine(compiled, InternalBackend),
             "library": _mine(compiled, lambda: IpasirBackend(LIBRARY)),
         }
 
     lanes = benchmark.pedantic(run_both, rounds=1, iterations=1)
     _record(benchmark, "/".join(FULL_TEST), lanes, library=LIBRARY)
-    assert lanes["internal"].observations == lanes["library"].observations
+    assert lanes["native"].observations == lanes["library"].observations
 
 
 @needs_library
 def test_ipasir_library_capped_tpc6(benchmark):
     """msn/Tpc6 capped to a fixed number of solve/block iterations on the
-    library and the internal solver: identical solve counts, per-solve
+    library and the native kernel: identical solve counts, per-solve
     timings recorded."""
     compiled = _compiled("msn", "Tpc6")
 
@@ -153,7 +152,7 @@ def test_ipasir_library_capped_tpc6(benchmark):
         return {
             name: _mine(compiled, factory, max_observations=CAPPED_SOLVES)
             for name, factory in (
-                ("internal", InternalBackend),
+                ("native", InternalBackend),
                 ("library", lambda: IpasirBackend(LIBRARY)),
             )
         }
@@ -162,6 +161,6 @@ def test_ipasir_library_capped_tpc6(benchmark):
     _record(benchmark, "msn/Tpc6", lanes, library=LIBRARY,
             capped_solves=CAPPED_SOLVES)
     assert (
-        lanes["internal"].solver_iterations
+        lanes["native"].solver_iterations
         == lanes["library"].solver_iterations
     )

@@ -7,8 +7,9 @@ persistent incremental backend exists for.  Two groups:
 
 * per catalog pair — one synthesis run per ``*-unfenced`` cell under
   Relaxed, with the search statistics embedded in the benchmark JSON;
-* **solver lanes** — the identical search driven by the pure-Python
-  kernel and by the native one, required to return the identical
+* **solver lanes** — the identical search driven by the native kernel
+  bare and with the CNF preprocessor forced in front of it
+  (``CHECKFENCE_SIMPLIFY=1``), required to return the identical
   canonical fence set.
 """
 
@@ -20,7 +21,6 @@ from repro.core.checker import CheckOptions
 from repro.core.session import CheckSession
 from repro.datatypes.registry import get_implementation
 from repro.harness.catalog import get_test
-from repro.sat import native
 
 _PAIRS = [
     ("msn-unfenced", "queue", "T0"),
@@ -55,34 +55,33 @@ def test_synthesize_catalog_pair(
     }
 
 
-def test_internal_vs_native_search(benchmark):
-    """The core-guided search on the pure-Python kernel and on the native
-    one finds the identical canonical set on msn-unfenced/T0/relaxed;
-    both solve counts and wall-clocks are recorded."""
-    if native.load() is None:
-        pytest.skip(f"native kernel unavailable: {native.unavailable_reason()}")
+def test_native_vs_simplify_search(benchmark, monkeypatch):
+    """The core-guided search on the bare native kernel and with the
+    preprocessor forced in front of it finds the identical canonical set
+    on msn-unfenced/T0/relaxed; both solve counts and wall-clocks are
+    recorded."""
 
-    def run_lane(solver):
+    def run_lane(simplify):
+        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", simplify)
         start = time.perf_counter()
         result = _synthesize(
-            "msn-unfenced", "queue", "T0",
-            CheckOptions(solver_backend=solver),
+            "msn-unfenced", "queue", "T0", CheckOptions(solver_backend="auto")
         )
         return result, time.perf_counter() - start
 
     def run_both():
-        return {solver: run_lane(solver) for solver in ("internal", "auto")}
+        return {lane: run_lane(lane) for lane in ("0", "1")}
 
     lanes = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    (internal, internal_seconds), (fast, native_seconds) = (
-        lanes["internal"], lanes["auto"]
+    (bare, bare_seconds), (simplified, simplify_seconds) = (
+        lanes["0"], lanes["1"]
     )
-    assert internal.labels == fast.labels
-    assert internal.cost == fast.cost
+    assert bare.labels == simplified.labels
+    assert bare.cost == simplified.cost
     benchmark.extra_info["synthesize_lanes"] = {
         "cell": "msn-unfenced/T0/relaxed",
-        "internal_solves": internal.stats.solves,
-        "native_solves": fast.stats.solves,
-        "internal_seconds": internal_seconds,
-        "native_seconds": native_seconds,
+        "native_solves": bare.stats.solves,
+        "simplify_solves": simplified.stats.solves,
+        "native_seconds": bare_seconds,
+        "simplify_seconds": simplify_seconds,
     }

@@ -45,6 +45,7 @@ from repro.harness.matrix import (
 )
 from repro.harness.reporting import format_table
 from repro.memorymodel.base import available_models, get_model
+from repro.sat import native
 from repro.sat.backend import make_backend_factory
 
 
@@ -80,7 +81,8 @@ def _positive_number(text: str) -> float:
 
 
 def _positive_int(text: str) -> int:
-    """Argparse type of ``--bound``: :func:`is_loop_bound`."""
+    """Argparse type of a count flag (``--bound``, ``--jobs``, fuzz
+    sizes): an integer of at least 1, :func:`is_loop_bound`."""
     try:
         value = int(text)
     except ValueError:
@@ -190,9 +192,6 @@ def _cmd_check(args) -> int:
                 f"solver: {result.stats.solver_backend} "
                 "(external backend; counters unavailable)"
             )
-    fallback = session.backend_factory.fallback_reason
-    if fallback:
-        print(f"note: {fallback}")
     if result.passed:
         return 0
     return 3 if result.degraded else 1
@@ -469,11 +468,10 @@ def _cmd_fuzz(args) -> int:
     from repro.oracle import parse_engines
 
     models = _names(args.models)
-    if not models or args.budget <= 0:
+    if not models:
         # Mirror the matrix command's guard: a campaign with no cells
         # would "pass" having compared nothing.
-        print("fuzz: no cells selected (check --models / --budget)",
-              file=sys.stderr)
+        print("fuzz: no cells selected (check --models)", file=sys.stderr)
         return 2
     try:
         engines = parse_engines(args.engines)
@@ -554,11 +552,12 @@ def _shared_flags() -> dict[str, argparse.ArgumentParser]:
         "solver": _flag_group(
             (("--solver",), dict(
                 default=None,
-                help="SAT backend: auto (the native C kernel, built on "
-                "first use; the pure-Python kernel when it cannot be "
-                "built), internal (the pure-Python kernel), or "
+                help="SAT backend: auto (the native C kernel, built with "
+                "cc or gcc on first use and cached) or "
                 "ipasir:<path-to-shared-library> (a file or a soname such "
-                "as libcadical.so) (default: CHECKFENCE_SOLVER or auto)",
+                "as libcadical.so); every check needs the native library, "
+                "which also builds the memory-order layer "
+                "(default: CHECKFENCE_SOLVER or auto)",
             )),
         ),
         "store": _flag_group(
@@ -594,7 +593,7 @@ def _shared_flags() -> dict[str, argparse.ArgumentParser]:
         ),
         "jobs": _flag_group(
             (("--jobs",), dict(
-                type=int, default=None,
+                type=_positive_int, default=None,
                 help="worker processes (default: CHECKFENCE_JOBS or 1; "
                 "1 = deterministic serial path)",
             )),
@@ -763,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 60)",
     )
     synth_parser.add_argument(
-        "--fuzz-budget", type=int, default=None, metavar="N",
+        "--fuzz-budget", type=_positive_int, default=None, metavar="N",
         help="smoke mode: synthesize + verify fences for N seeded random "
         "litmus programs instead of a single target (exit 1 on any "
         "unrepaired or oracle-refuted program)",
@@ -780,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
         "memory model (exit code 1 on divergence)",
         "solver", "store", "budget", "jobs", "json", "quiet",
     )
-    fuzz_parser.add_argument("--budget", type=int, default=100,
+    fuzz_parser.add_argument("--budget", type=_positive_int, default=100,
                              help="number of distinct programs (default: 100)")
     fuzz_parser.add_argument("--seed", type=int, default=1,
                              help="generator seed; the whole campaign is "
@@ -790,11 +789,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated memory models "
         "(default: serial,sc,tso,pso,relaxed)",
     )
-    fuzz_parser.add_argument("--max-threads", type=int, default=3,
+    fuzz_parser.add_argument("--max-threads", type=_positive_int, default=3,
                              help="threads per program (default: up to 3)")
-    fuzz_parser.add_argument("--max-ops", type=int, default=4,
+    fuzz_parser.add_argument("--max-ops", type=_positive_int, default=4,
                              help="operations per thread (default: up to 4)")
-    fuzz_parser.add_argument("--addrs", type=int, default=2,
+    fuzz_parser.add_argument("--addrs", type=_positive_int, default=2,
                              help="shared addresses (default: 2)")
     fuzz_parser.add_argument("--engines", default=None, help=engines_help)
     fuzz_parser.add_argument("--no-shrink", action="store_true",
@@ -838,7 +837,17 @@ def main(argv: list[str] | None = None) -> int:
         "cache": _cmd_cache,
     }
     try:
+        if hasattr(args, "solver"):
+            # Every check encodes through the native library: load it
+            # before any work, so a machine that cannot build it gets one
+            # usage line, not an ERROR cell per check.
+            native.load()
         return handlers[args.command](args)
+    except native.NativeUnavailable as exc:
+        reason = " ".join(str(exc).split())  # compiler output: one line
+        print(f"{args.command}: native kernel unavailable: {reason}",
+              file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         # The matrix pool has already torn its workers down by the time
         # the interrupt reaches here; report the conventional 128+SIGINT.

@@ -51,9 +51,8 @@ class CheckOptions:
     lazy_loop_bounds: bool = False
     #: Apply the range analysis of Section 3.4 (Fig. 11c turns it off).
     use_range_analysis: bool = True
-    #: SAT backend spec: "auto" (the native kernel), "internal" (the
-    #: pure-Python kernel) or "ipasir:<path>" (see
-    #: :mod:`repro.sat.backend`, which also decides whether the CNF
+    #: SAT backend spec: "auto" (the native kernel) or "ipasir:<path>"
+    #: (see :mod:`repro.sat.backend`, which also decides whether the CNF
     #: preprocessor runs).  None uses CHECKFENCE_SOLVER or auto.
     solver_backend: str | None = None
     #: Consult (and populate) the persistent on-disk result store

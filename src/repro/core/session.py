@@ -61,8 +61,8 @@ class CheckSession:
         self.program: Program = compile_c(
             implementation.source, implementation.name
         )
-        #: Builds every backend stack of this session; the kernel (and
-        #: with it the CNF preprocessor decision) is resolved on first use.
+        #: Builds every backend stack of this session; the native library
+        #: loads with the first stack (or the first encode).
         self.backend_factory = make_backend_factory(
             self.options.solver_backend
         )
@@ -86,7 +86,7 @@ class CheckSession:
     @property
     def simplify(self) -> bool:
         """Whether this session's backend stacks include the CNF
-        preprocessor (resolves the solver kernel on first read)."""
+        preprocessor (only when ``CHECKFENCE_SIMPLIFY`` forces it)."""
         return self.backend_factory.preprocess
 
     # ------------------------------------------------------------- pipeline
@@ -106,12 +106,10 @@ class CheckSession:
         The solver stack is deliberately excluded — the backend and the
         CNF preprocessor alike: both are verdict-preserving by construction
         and gated so differentially in CI, and keying on them would make a
-        store populated under one stack useless under another (the default
-        stack itself depends on whether the native kernel could be built
-        on the machine).  The resource
-        budgets (``timeout`` / ``memory_limit_mb``) are excluded too: a
-        completed verdict does not depend on the budget it ran under, and
-        degraded results are never stored in the first place.
+        store populated under one stack useless under another.  The
+        resource budgets (``timeout`` / ``memory_limit_mb``) are excluded
+        too: a completed verdict does not depend on the budget it ran
+        under, and degraded results are never stored in the first place.
         """
         options = self.options
         return [

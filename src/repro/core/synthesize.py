@@ -581,7 +581,6 @@ def _synthesize(
         encoded = encode_test(
             instrumented, model, backend_factory=backend_factory
         )
-        encoded.expect_enumeration()  # many solves on one formula
         probes: list[_Query] = []
         if encoded.assertions:
             violation = assertion_violation(encoded)

@@ -55,7 +55,6 @@ from repro.memorymodel.base import MemoryModel
 from repro.sat.backend import BackendFactory, SolverBackend, make_backend_factory
 from repro.sat.bitvec import BitVec, BitVecBuilder
 from repro.sat.circuit import Circuit
-from repro.sat.simplify import ENUMERATION_MIN_CLAUSES, SimplifyingBackend
 
 
 class EncodingContext:
@@ -372,24 +371,11 @@ class EncodedTest:
         handles.extend(self.fence_selectors.values())
         return {abs(handle) for handle in handles}
 
-    def expect_enumeration(self) -> None:
-        """Hint that this formula feeds a solve/block enumeration loop
-        (outcome mining), so one preprocessing pass will amortize over
-        many solves: lowers the preprocessor's engagement threshold.
-        Must be called before the first solve to have an effect; a no-op
-        when simplification is off or the backend already decided."""
-        backend = self._ensure_backend()
-        if isinstance(backend, SimplifyingBackend):
-            backend.min_clauses = min(
-                backend.min_clauses, ENUMERATION_MIN_CLAUSES
-            )
-
     def observations(self):
         """The reachable observation vectors, by solve -> decode -> yield
         -> block until a solve is not SAT.  An observation is blocked only
         when the next one is asked for, so a caller that stops early still
         reads the last model; caps and deadline polls are the caller's."""
-        self.expect_enumeration()
         while self.solve():
             observation = self.decode_current_observation()
             yield observation

@@ -49,11 +49,11 @@ triangle constraints equivalent to full transitivity (every cycle in a
 chordal graph has a chord, so acyclic triangles imply an acyclic — hence
 linearizable — order).  One call per layer triangulates, numbers the live
 pairs and writes those clauses: :func:`repro.sat.native.build_order` in the
-native library when it loads, else its pure-Python twin
-:func:`build_order`; the two write the same formula byte for byte, and no
-option chooses between them.  Pairs that appear in no constraint get no
-variable at all; counterexample decoding topologically sorts the remaining
-partial order (:meth:`repro.encoding.formula.EncodedTest.decode_memory_order`).
+native library (its pure-Python twin :func:`build_order` is the reference
+the byte-identity tests compare it with).  Pairs that appear in no
+constraint get no variable at all; counterexample decoding topologically
+sorts the remaining partial order
+(:meth:`repro.encoding.formula.EncodedTest.decode_memory_order`).
 The operational enumerator (:mod:`repro.oracle.enumerator`) and the
 reads-from engine (:mod:`repro.rfcheck`) check the resulting outcome sets
 independently.
@@ -396,11 +396,10 @@ class MemoryModelEncoder:
         """Mint variables only for pairs that can influence outcomes, then
         assert pruned transitivity over the triangulated support graph.
 
-        :func:`build_order` does both, in the native library when it
-        loads and in Python otherwise; the two write the same formula.
-        The layer mints the returned pairs' variables in order and adds
-        the clauses through the trusted path: a triangle clause's
-        literals are distinct order variables by construction.
+        :func:`repro.sat.native.build_order` does both in the native
+        library.  The layer mints the returned pairs' variables in order
+        and adds the clauses through the trusted path: a triangle
+        clause's literals are distinct order variables by construction.
         """
         # Imported here, as the backends do: the binding pulls in ctypes,
         # which no import of the encoder needs to pay for.
@@ -408,8 +407,7 @@ class MemoryModelEncoder:
 
         cnf = self.ctx.circuit.cnf
         n = len(self.accesses)
-        build = build_order if native.load() is None else native.build_order
-        pairs, literals, lengths = build(
+        pairs, literals, lengths = native.build_order(
             n, self._static_reach, self.table.other_mask, self._seed_pairs(),
             cnf.num_vars + 1,
         )
@@ -829,10 +827,11 @@ def build_order(
     Returns ``(pairs, literals, lengths)``: the live pairs flat as ``i0,
     j0, i1, j1, ...``, the clauses' literals back to back, and each
     clause's length.  :func:`repro.sat.native.build_order` computes the
-    same three arrays in C; this is the fallback when the native library
-    cannot be built, and the reference the byte-identity tests compare
-    against.  Raises :class:`ValueError` on a seed outside ``0 <= i < j <
-    n`` or a statically ordered one.
+    same three arrays in C, and the encoder calls only that one: this twin
+    is the reference the byte-identity tests of
+    ``tests/encoding/test_order_builder.py`` compare it with.  Raises
+    :class:`ValueError` on a seed outside ``0 <= i < j < n`` or a
+    statically ordered one.
     """
     allowed &= (1 << n) - 1
     vertices = [p for p in range(n) if (allowed >> p) & 1]

@@ -73,8 +73,8 @@ DEQUE_TESTS: dict[str, tuple[str, list[str]]] = {
 
 _CATALOG = {"queue": QUEUE_TESTS, "set": SET_TESTS, "deque": DEQUE_TESTS}
 
-#: Tests small enough for the pure-Python back-end to check quickly; the
-#: remaining tests are available but slow (guard with CHECKFENCE_LARGE=1).
+#: Tests small enough to check quickly; the remaining tests are available
+#: but slow (guard with CHECKFENCE_LARGE=1).
 SMALL_TESTS = {
     "queue": ["T0", "Ti2", "Tpc2"],
     "set": ["Sac", "Sar", "Saa"],

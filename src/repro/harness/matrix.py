@@ -104,17 +104,21 @@ def default_jobs() -> int:
 
     Reads the ``CHECKFENCE_JOBS`` environment variable (so CI can run the
     whole suite through the pool with ``CHECKFENCE_JOBS=2``); defaults to 1
-    (the deterministic serial path).
+    (the deterministic serial path).  A value that is not an integer of at
+    least 1 raises :class:`ValueError` naming the variable.
     """
     value = os.environ.get("CHECKFENCE_JOBS", "").strip()
     if not value:
         return 1
     try:
-        return max(1, int(value))
-    except ValueError as exc:
+        jobs = int(value)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
         raise ValueError(
-            f"CHECKFENCE_JOBS must be an integer, got {value!r}"
-        ) from exc
+            f"CHECKFENCE_JOBS must be an integer of at least 1, got {value!r}"
+        )
+    return jobs
 
 
 # --------------------------------------------------------------------- cells

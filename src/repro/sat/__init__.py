@@ -3,12 +3,13 @@
 Public surface:
 
 * :class:`repro.sat.cnf.CNF` — clause database.
-* :mod:`repro.sat.native` — the default CDCL kernel, in C, built with the
-  system compiler on first use and driven through ctypes.
-* :class:`repro.sat.solver.Solver` — the pure-Python incremental CDCL
-  kernel, the fallback when the native one cannot be built.
+* :mod:`repro.sat.native` — the CDCL kernel, in C, built with the system
+  compiler on first use and driven through ctypes; every check needs it.
+* :mod:`repro.sat.solver` — the records every backend shares
+  (:class:`repro.sat.solver.SolverStats`,
+  :class:`repro.sat.solver.SolverError`).
 * :class:`repro.sat.backend.SolverBackend` — pluggable solving backends
-  (:class:`repro.sat.backend.InternalBackend` over either kernel, the
+  (:class:`repro.sat.backend.InternalBackend` over the native kernel, the
   IPASIR backend of :mod:`repro.sat.ipasir`) plus the backend-stack
   factory :func:`repro.sat.backend.make_backend_factory`, the one place
   a solver stack is chosen.
@@ -18,12 +19,12 @@ Public surface:
 * :mod:`repro.sat.simplify` — in-process SatELite-style CNF preprocessing
   (:class:`repro.sat.simplify.SimplifyingBackend`) between the encoder's
   CNF and the solver, with model reconstruction and a frozen-variable
-  contract.
+  contract; stacked only when ``CHECKFENCE_SIMPLIFY`` forces it.
 * :class:`repro.sat.bitvec.BitVecBuilder` — fixed-width bit-vector terms.
 """
 
 from repro.sat.cnf import CNF
-from repro.sat.solver import Solver, SolverStats, solve_cnf
+from repro.sat.solver import SolverStats
 from repro.sat.backend import (
     BackendFactory,
     InternalBackend,
@@ -42,9 +43,7 @@ from repro.sat.simplify import (
 
 __all__ = [
     "CNF",
-    "Solver",
     "SolverStats",
-    "solve_cnf",
     "BackendFactory",
     "InternalBackend",
     "SolverBackend",

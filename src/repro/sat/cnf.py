@@ -3,7 +3,7 @@
 Literals follow the DIMACS convention: a variable is a positive integer
 ``v >= 1`` and a literal is ``+v`` (the variable itself) or ``-v`` (its
 negation).  :class:`CNF` is the clause database that the rest of the system
-builds and that :class:`repro.sat.solver.Solver` consumes.
+builds and that the solver backends (:mod:`repro.sat.backend`) consume.
 
 Clauses are stored in two flat ``array`` buffers — one holding every
 literal back to back and one holding the cumulative end offset of each

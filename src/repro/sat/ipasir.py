@@ -303,7 +303,7 @@ class IpasirBackend:
         assumptions: Sequence[int] = (),
         conflict_limit: int | None = None,
     ) -> bool | None:
-        # conflict_limit is a budget hint for the internal solver; IPASIR
+        # conflict_limit is a budget hint for the native kernel; IPASIR
         # solvers run to completion, unless the optional
         # ipasir_set_terminate hook aborts the solve on a deadline breach
         # or Ctrl-C (libraries without the hook are still checked between

@@ -10,26 +10,25 @@ concurrent worker processes may race to build it safely.  When the cache
 directory is unwritable the library is built into a per-process
 temporary directory instead.
 
-:func:`load` locates, compiles and loads the library once per process and
-returns None when that fails (no compiler, a compile error, a load error);
-:func:`unavailable_reason` then says why, and the ``auto`` backend spec
-falls back to the pure-Python kernel (see
-:func:`repro.sat.backend.make_backend_factory`).
+The library is required: every check encodes through :func:`build_order`
+and solves on :class:`NativeSolver` (or an IPASIR library).  :func:`load`
+locates, compiles and loads it once per process and raises
+:class:`NativeUnavailable` with the reason when that fails (no compiler, a
+compile error with the compiler's output, or a load error); the failure is
+cached, so every later call raises the same reason.
 
-:class:`NativeSolver` has the surface of :class:`repro.sat.solver.Solver`
-that :class:`repro.sat.backend.InternalBackend` uses, so the native
-kernel runs behind the same backend class as the Python one.  No hot path
-makes a ctypes call per literal or per variable: clause syncs pass
-pointers into the :class:`repro.sat.cnf.CNF` literal buffers, and models,
-cores and counters each come back in one call.
+:class:`NativeSolver` is the kernel behind
+:class:`repro.sat.backend.InternalBackend`.  No hot path makes a ctypes
+call per literal or per variable: clause syncs pass pointers into the
+:class:`repro.sat.cnf.CNF` literal buffers, and models, cores and
+counters each come back in one call.
 
 The library also exports the IPASIR interface, so
 :class:`repro.sat.ipasir.IpasirBackend` can load it from
 :func:`library_path`.
 
 :func:`build_order` runs ``order.c``: the live order pairs and the
-transitivity clauses of one per-model encoding layer, the same as its
-pure-Python twin :func:`repro.encoding.memory.build_order`.
+transitivity clauses of one per-model encoding layer.
 """
 
 from __future__ import annotations
@@ -66,30 +65,32 @@ class NativeUnavailable(RuntimeError):
 
 _library: ctypes.CDLL | None = None
 _library_path: str | None = None
+#: Why the library could not be built or loaded (None until it fails).
 _failure: str | None = None
-_attempted = False
 
 
-def load() -> ctypes.CDLL | None:
+def load() -> ctypes.CDLL:
     """The loaded kernel library, building it on the first call of the
-    process; None when it cannot be built or loaded."""
-    global _library, _library_path, _failure, _attempted
-    if not _attempted:
-        _attempted = True
+    process; raises :class:`NativeUnavailable` with the reason when it
+    cannot be built or loaded (and again on every later call)."""
+    global _library, _library_path, _failure
+    if _library is None and _failure is None:
+        path = None
         try:
-            _library_path = _build()
-            _library = _bind(ctypes.CDLL(_library_path))
-        except Exception as exc:  # any failure means the Python kernel
-            _library, _library_path, _failure = None, None, str(exc)
+            path = _build()
+            _library = _bind(ctypes.CDLL(path))
+            _library_path = path
+        except NativeUnavailable as exc:  # no compiler, or a compile error
+            _failure = str(exc)
+        except Exception as exc:
+            where = f"cannot load {path}" if path else "build failed"
+            _failure = f"{where}: {exc}"
+    if _library is None:
+        raise NativeUnavailable(_failure)
     return _library
 
 
-def unavailable_reason() -> str | None:
-    """Why :func:`load` returned None (None when it has not failed)."""
-    return _failure
-
-
-def library_path() -> str | None:
+def library_path() -> str:
     """Path of the loaded shared library, for IPASIR clients."""
     load()
     return _library_path
@@ -190,8 +191,6 @@ def build_order(
     a statically ordered seed, or a variable number past 32 bits.
     """
     lib = load()
-    if lib is None:
-        raise NativeUnavailable(_failure or "native kernel unavailable")
     if len(reach) != n:
         raise ValueError(f"{len(reach)} reach rows for {n} accesses")
     if not 0 < first_var < 2**31:
@@ -232,13 +231,11 @@ def _check_added(code: int) -> bool:
 
 
 class NativeSolver:
-    """The native kernel behind the :class:`repro.sat.solver.Solver`
-    surface that :class:`repro.sat.backend.InternalBackend` calls."""
+    """The native kernel, as :class:`repro.sat.backend.InternalBackend`
+    calls it."""
 
     def __init__(self, cnf=None) -> None:
         lib = load()
-        if lib is None:
-            raise NativeUnavailable(_failure or "native kernel unavailable")
         self._lib = lib
         self._handle = lib.cf_new()
         self._num_vars = 0
@@ -274,7 +271,8 @@ class NativeSolver:
 
     def add_clauses_trusted(self, clauses: Iterable[Sequence[int]]) -> bool:
         """Add a batch of clauses in one call (the kernel normalizes them
-        anyway, so "trusted" only names the :class:`Solver` method)."""
+        anyway: "trusted" is the backend's name for pre-normalized
+        clauses)."""
         clauses = list(clauses)
         lits = array("i", chain.from_iterable(clauses))
         ends = array("q", accumulate(map(len, clauses)))
@@ -311,7 +309,7 @@ class NativeSolver:
         out.
 
         The kernel calls back into Python every 64 conflicts and every
-        4096 decisions, as often as the Python kernel polls its deadline:
+        4096 decisions to poll the deadline and Ctrl-C:
         a deadline breach raises from here, leaving the solver reusable,
         and so does Ctrl-C (the pending signal is raised in the callback).
         """

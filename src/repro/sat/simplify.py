@@ -56,22 +56,11 @@ solver never sees a literal the preprocessor already resolved.
 backend with this machinery and additionally *compacts* the variable
 space: surviving variables are renumbered densely for the inner solver,
 which shrinks the inner solver's per-variable structures.
-:func:`repro.sat.backend.make_backend_factory` decides whether a backend
-stack includes it.
-
-Economics: the pipeline is pure Python, so on small formulas it costs
-more than the solver work it saves.  The backend therefore *engages* only
-when the formula at first solve has at least ``min_clauses`` clauses
-(default :data:`_DEFAULT_MIN_CLAUSES`); below that it delegates to the
-inner backend untouched.  ``min_clauses=0`` forces preprocessing on every
-formula — the differential tests and ``benchmarks/bench_simplify`` do
-exactly that.
-
-Against the native C kernel the pass no longer pays on the formulas the
-checker builds (it is pure Python, the kernel is not), so
-:func:`repro.sat.backend.make_backend_factory` stacks this backend only
-over the pure-Python kernel, unless ``CHECKFENCE_SIMPLIFY`` forces it over
-any kernel with ``min_clauses=0``.
+:func:`repro.sat.backend.make_backend_factory` stacks it only when
+``CHECKFENCE_SIMPLIFY`` forces it in, and then it preprocesses every
+formula: the pass is pure Python, so on most formulas it costs more than
+the native kernel's search it saves, and it stays an escape hatch for the
+few it pays on.
 """
 
 from __future__ import annotations
@@ -83,25 +72,6 @@ from typing import Iterable, Sequence
 
 from repro.core import limits
 from repro.sat.solver import SolverStats
-
-
-#: Below this many clauses the preprocessing pass costs more wall-clock
-#: than the solver work it saves (the pipeline is pure Python while the
-#: CDCL hot loop is already tuned), so :class:`SimplifyingBackend`
-#: bypasses itself and delegates straight to the inner backend.  The
-#: threshold was measured on the Fig. 10 catalog with the pure-Python
-#: kernel: 20-35k-clause instances solve in ~0.1-0.5s, which a ~0.3s
-#: preprocessing pass cannot repay, while the largest tests
-#: (lazylist/Saaarr, msn/Tpc6: 100k+ clauses) gain more solving time than
-#: the pass costs.
-_DEFAULT_MIN_CLAUSES = 50_000
-
-#: Engagement threshold for formulas known to feed a solve/block
-#: enumeration loop (outcome mining): one preprocessing pass amortizes
-#: over every iteration, so it pays on much smaller formulas than a
-#: one-or-two-query check does.  See
-#: :meth:`repro.encoding.formula.EncodedTest.expect_enumeration`.
-ENUMERATION_MIN_CLAUSES = 20_000
 
 
 @dataclass
@@ -863,14 +833,9 @@ class SimplifyingBackend:
     original variable space.
     """
 
-    def __init__(self, inner, min_clauses: int = _DEFAULT_MIN_CLAUSES) -> None:
+    def __init__(self, inner) -> None:
         self.inner = inner
         self.simplifier = Simplifier()
-        #: Engagement threshold: formulas smaller than this at first solve
-        #: are delegated to the inner backend untouched (see
-        #: :data:`_DEFAULT_MIN_CLAUSES` for the economics).
-        self.min_clauses = min_clauses
-        self._bypass = False
         self._pending: list[tuple[int, ...]] = []
         #: Original var -> inner (dense) var, and its inverse.
         self._to_inner: dict[int, int] = {}
@@ -886,11 +851,6 @@ class SimplifyingBackend:
 
     @property
     def name(self) -> str:
-        """``simplify+<inner>`` while preprocessing is (or may yet be)
-        active; the bare inner name once the backend has bypassed itself
-        (it then behaves exactly like the inner backend)."""
-        if self._bypass:
-            return self.inner.name
         return f"simplify+{self.inner.name}"
 
     @property
@@ -903,12 +863,8 @@ class SimplifyingBackend:
 
     def ensure_vars(self, num_vars: int) -> None:
         self.simplifier.ensure_vars(num_vars)
-        if self._bypass:
-            self.inner.ensure_vars(num_vars)
 
     def add_clause(self, literals: Iterable[int]) -> bool:
-        if self._bypass:
-            return self.inner.add_clause(literals)
         clause = tuple(literals)
         for lit in clause:
             if lit == 0:
@@ -922,8 +878,6 @@ class SimplifyingBackend:
         return self._add_mapped(clause)
 
     def add_clauses(self, clauses: Iterable[Sequence[int]]) -> bool:
-        if self._bypass:
-            return self.inner.add_clauses(clauses)
         if not self.simplifier.preprocessed:
             # Bulk buffering fast path: clauses from a CNF database are
             # already normalized; variable bounds are re-derived in
@@ -941,8 +895,6 @@ class SimplifyingBackend:
         return ok
 
     def add_cnf(self, cnf, start: int = 0) -> bool:
-        if self._bypass:
-            return self.inner.add_cnf(cnf, start)
         self.ensure_vars(cnf.num_vars)
         return self.add_clauses(cnf.clauses[start:])
 
@@ -999,22 +951,7 @@ class SimplifyingBackend:
         conflict_limit: int | None = None,
     ) -> bool | None:
         simplifier = self.simplifier
-        if self._bypass:
-            return self.inner.solve(
-                assumptions=assumptions, conflict_limit=conflict_limit
-            )
         if not simplifier.preprocessed:
-            if not self._unsat and len(self._pending) < self.min_clauses:
-                # Too small to repay a preprocessing pass: delegate the
-                # buffered formula (and everything after it) untouched.
-                self._bypass = True
-                self.inner.ensure_vars(simplifier.num_vars)
-                if not self.inner.add_clauses(self._pending):
-                    self._unsat = True
-                self._pending = []
-                return self.inner.solve(
-                    assumptions=assumptions, conflict_limit=conflict_limit
-                )
             # Assumption variables behave like frozen ones: they must
             # survive preprocessing to be assumable (and re-assumable).
             simplifier.freeze(abs(lit) for lit in assumptions)
@@ -1068,8 +1005,6 @@ class SimplifyingBackend:
         original assumption literals of the last solve; ``[lit]`` when an
         assumption contradicted a root-level fact before the inner solver
         ran, ``[]`` when the formula alone is unsatisfiable."""
-        if self._bypass:
-            return self.inner.failed_assumptions()
         if self._forced_core is not None:
             return list(self._forced_core)
         origin = self._assumption_origin
@@ -1082,8 +1017,6 @@ class SimplifyingBackend:
 
     def model(self) -> dict[int, bool]:
         """A model over the *original* variable space (reconstructed)."""
-        if self._bypass:
-            return self.inner.model()
         inner_model = self.inner.model()
         model = {
             self._from_inner[inner]: value
@@ -1096,8 +1029,6 @@ class SimplifyingBackend:
         """Values of selected original variables, without reconstructing
         the full model.  Falls back to full reconstruction when one of
         them was eliminated (frozen variables never are)."""
-        if self._bypass:
-            return self.inner.values_of(variables)
         simplifier = self.simplifier
         wanted = list(variables)
         inner_wanted: dict[int, int] = {}
@@ -1129,7 +1060,7 @@ class SimplifyingBackend:
         """Inner solver counters with the preprocessing counters merged in
         (None when the inner backend cannot report counters)."""
         inner_stats = self.inner.stats()
-        if self._bypass or inner_stats is None:
+        if inner_stats is None:
             return inner_stats
         stats = self.simplifier.stats
         return replace(inner_stats, **{

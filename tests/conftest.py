@@ -1,5 +1,6 @@
-"""Shared fixtures: solver subprocesses, the native kernel, and the
-injected encoder bug of the mutation-detection tests."""
+"""Shared fixtures: solver subprocesses, the native kernel (and a failed
+build of it), and the injected encoder bug of the mutation-detection
+tests."""
 
 from __future__ import annotations
 
@@ -44,10 +45,27 @@ def src_on_subprocess_path(monkeypatch):
 
 @pytest.fixture(scope="session")
 def native_solver():
-    """The native kernel's solver class; skips with the reason when the
-    kernel cannot be built or loaded here."""
+    """The native kernel's solver class.  Every check needs the library,
+    so a failed build fails the test with its reason (never a skip)."""
     from repro.sat import native
 
-    if native.load() is None:
-        pytest.skip(f"native kernel unavailable: {native.unavailable_reason()}")
+    native.load()
     return native.NativeSolver
+
+
+@pytest.fixture
+def broken_native_build(monkeypatch):
+    """This process as if the native library could not be built:
+    ``native._build`` raises and the process's load is forgotten (both
+    restored afterwards).  Returns the reason the failed build gives."""
+    from repro.sat import native
+
+    reason = "no C compiler (cc or gcc) on PATH"
+
+    def build():
+        raise native.NativeUnavailable(reason)
+
+    for name in ("_library", "_library_path", "_failure"):
+        monkeypatch.setattr(native, name, None)
+    monkeypatch.setattr(native, "_build", build)
+    return reason

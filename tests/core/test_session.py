@@ -128,10 +128,10 @@ class TestCrossModelReuse:
     def test_backend_name_recorded(self):
         session = CheckSession(
             get_implementation("msn"),
-            CheckOptions(solver_backend="internal"),
+            CheckOptions(solver_backend="auto"),
         )
         result = session.check(get_test("queue", "T0"), "sc")
-        assert result.stats.solver_backend == "internal"
+        assert result.stats.solver_backend == "native"
         assert result.stats.solver_decisions > 0
 
 
@@ -142,22 +142,23 @@ class TestSessionSurface:
         assert isinstance(session.options, CheckOptions)
         assert session.program.procedures
 
-    def test_ipasir_backend_matches_internal(self, native_solver):
+    def test_ipasir_backend_matches_native(self, native_solver):
         """The ``ipasir:<path>`` spec (here over the native kernel's own
         IPASIR exports) must produce the same verdict and specification
-        as the pure-Python kernel."""
+        as the native kernel bound directly."""
         test = get_test("queue", "T0")
-        internal = CheckSession(
-            get_implementation("msn"), CheckOptions(solver_backend="internal")
+        direct = CheckSession(
+            get_implementation("msn"), CheckOptions(solver_backend="auto")
         ).check(test, "relaxed")
         ipasir = CheckSession(
             get_implementation("msn"),
             CheckOptions(solver_backend=f"ipasir:{native.library_path()}"),
         ).check(test, "relaxed")
         assert ipasir.stats.solver_backend.endswith("ipasir(repro-cdcl)")
-        assert internal.passed == ipasir.passed
+        assert direct.stats.solver_backend == "native"
+        assert direct.passed == ipasir.passed
         assert (
-            sorted(internal.specification.observations)
+            sorted(direct.specification.observations)
             == sorted(ipasir.specification.observations)
         )
 
@@ -168,34 +169,26 @@ class TestSimplifyKnob:
     ):
         monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
         implementation = get_implementation("msn")
-        session = CheckSession(
-            implementation, CheckOptions(solver_backend="internal")
-        )
-        assert session.simplify is True
-        backend = session.backend_factory()
+        session = CheckSession(implementation)
+        assert session.simplify is False
+        assert isinstance(session.backend_factory(), InternalBackend)
+        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
+        forced = CheckSession(implementation)
+        assert forced.simplify is True
+        backend = forced.backend_factory()
         assert isinstance(backend, SimplifyingBackend)
         assert isinstance(backend.inner, InternalBackend)
-        assert backend.min_clauses > 0
-        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
-        forced = CheckSession(
-            implementation, CheckOptions(solver_backend="internal")
-        )
-        assert forced.simplify is True
-        assert forced.backend_factory().min_clauses == 0
         # perfbench/run.py prints these after it has measured; a missing
         # attribute would crash the benchmark.
         assert session.store is None
         assert (session.dense_order, session.share_encode) == (False, True)
 
     def test_env_fallback(self, monkeypatch):
-        """``CHECKFENCE_SIMPLIFY=0`` reads as unset: the Python stack keeps
-        its preprocessor at the measured threshold."""
+        """``CHECKFENCE_SIMPLIFY=0`` reads as unset: no preprocessor."""
         monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "0")
-        session = CheckSession(
-            get_implementation("msn"), CheckOptions(solver_backend="internal")
-        )
-        assert session.simplify is True
-        assert session.backend_factory().min_clauses > 0
+        session = CheckSession(get_implementation("msn"))
+        assert session.simplify is False
+        assert session.backend_factory().name == "native"
 
     def test_default_stack_over_the_native_kernel_has_no_preprocessor(
         self, native_solver, monkeypatch
@@ -214,16 +207,12 @@ class TestSimplifyKnob:
 
     def test_check_verdict_independent_of_the_knob(self, monkeypatch):
         monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
-        session = CheckSession(
-            get_implementation("msn"), CheckOptions(solver_backend="internal")
-        )
+        session = CheckSession(get_implementation("msn"))
         result = session.check(get_test("queue", "T0"), "sc")
-        assert result.stats.solver_backend == "simplify+internal"
+        assert result.stats.solver_backend == "simplify+native"
         monkeypatch.delenv("CHECKFENCE_SIMPLIFY")
-        # Below its threshold the default preprocessor bypasses itself and
-        # reports the bare kernel.
-        off = CheckSession(
-            get_implementation("msn"), CheckOptions(solver_backend="internal")
-        ).check(get_test("queue", "T0"), "sc")
-        assert off.stats.solver_backend == "internal"
+        off = CheckSession(get_implementation("msn")).check(
+            get_test("queue", "T0"), "sc"
+        )
+        assert off.stats.solver_backend == "native"
         assert off.passed == result.passed

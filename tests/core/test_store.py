@@ -20,6 +20,7 @@ from repro.datatypes.registry import get_implementation
 from repro.fuzz import fuzz_cells
 from repro.harness.catalog import get_test
 from repro.harness.matrix import litmus_cells, run_matrix
+from repro.sat import native
 
 
 @pytest.fixture
@@ -123,14 +124,14 @@ class TestKeySensitivity:
         """solver_backend is verdict-preserving by construction
         (differentially gated in CI), so cells are shared across backends
         — the point of a content-addressed cache."""
-        _check("msn", "T0", "sc", store=True, solver_backend="internal")
+        _check("msn", "T0", "sc", store=True,
+               solver_backend=f"ipasir:{native.library_path()}")
         _, warm = _check("msn", "T0", "sc", store=True, solver_backend="auto")
         assert warm.stats.store_hit is True
 
     def test_preprocessor_does_not_change_key(self, cache_dir, monkeypatch):
-        """The CNF preprocessor is verdict-preserving like the backend, and
-        the default stack includes it only where the native kernel could
-        not be built, so a cell is shared across the two settings."""
+        """The CNF preprocessor is verdict-preserving like the backend, so a
+        cell is shared between the forced and the default stack."""
         monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
         _, cold = _check("msn", "T0", "sc", store=True)
         assert cold.stats.store_hit is False
@@ -189,7 +190,8 @@ class TestMatrixCellKeys:
 
     def test_other_solver_backend_misses(self, cache_dir):
         cells = fuzz_cells([self.SPEC], ["sc"])
-        assert self._hits(cells, solver_backend="internal") == 0
+        library = f"ipasir:{native.library_path()}"
+        assert self._hits(cells, solver_backend=library) == 0
         assert self._hits(cells, solver_backend="auto") == 0
 
     def test_forced_preprocessor_misses(self, cache_dir, monkeypatch):

@@ -1,23 +1,19 @@
-"""The memory-order builder writes one formula, native or in Python.
+"""The memory-order builder in C writes the formula of its Python twin.
 
 Each per-model layer hands its static order, its support-graph vertices
 (the non-init accesses) and its seed pairs to one builder call, which
 returns the live pairs, the transitivity clauses' literals and their
-lengths.  ``order.c`` (:func:`repro.sat.native.build_order`) runs it when
-the native library loads; the pure-Python twin
-(:func:`repro.encoding.memory.build_order`) runs it otherwise.  These
+lengths.  The encoder runs ``order.c``
+(:func:`repro.sat.native.build_order`); the pure-Python twin
+(:func:`repro.encoding.memory.build_order`) is the reference.  These
 tests hold the two to byte identity:
 
 * on the inputs of every small-catalog layer (every implementation,
   fenced and unfenced, each small test, five models);
-* through :func:`repro.encoding.encode_test` with the library hidden:
-  the whole CNF and every integer encoding statistic, under two models;
 * on random inputs up to 130 accesses, so the native bit sets span three
   64-bit words.
 
-The native side is skipped, not failed, when the library cannot be built
-or loaded here; the random-input and bad-input tests then check the twin
-alone.
+The library is required, so a failed build fails these tests.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from repro.datatypes.registry import (
     category_of,
     get_implementation,
 )
-from repro.encoding import compile_test, encode_test
+from repro.encoding import compile_test
 from repro.encoding.formula import skeleton_for
 from repro.encoding.memory import MemoryModelEncoder, build_order
 from repro.harness.catalog import get_test
@@ -50,20 +46,8 @@ IMPLEMENTATIONS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def native_build():
-    """The native builder; skips with the reason when the library cannot
-    be built or loaded here."""
-    if native.load() is None:
-        pytest.skip(f"native library unavailable: {native.unavailable_reason()}")
-    return native.build_order
-
-
-def _builders():
-    """The Python twin, then the native builder when the library loads."""
-    if native.load() is None:
-        return [build_order]
-    return [build_order, native.build_order]
+#: The Python twin, then the native builder.
+BUILDERS = [build_order, native.build_order]
 
 
 @pytest.fixture(scope="module")
@@ -110,43 +94,17 @@ def _as_lists(built):
 
 
 @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
-def test_native_and_python_build_the_same_layers(
-    implementation, native_build, small_tests
-):
+def test_native_and_python_build_the_same_layers(implementation, small_tests):
     layers = 0
     for test_name, compiled in small_tests(implementation):
         for model in MODELS:
             inputs = _layer_inputs(compiled, model)
             expected = _as_lists(build_order(*inputs))
-            assert _as_lists(native_build(*inputs)) == expected, (
+            assert _as_lists(native.build_order(*inputs)) == expected, (
                 implementation, test_name, model
             )
             layers += 1
     assert layers >= 2 * len(MODELS)
-
-
-@pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
-def test_encode_without_the_library_is_byte_identical(
-    implementation, native_build, small_tests
-):
-    """The layer falls back to the Python twin when ``load()`` returns
-    None and writes the same CNF, clause for clause.  The test above
-    already compares the builders on every layer, so two models suffice
-    here: Seriality's layer (operation atomicity) and relaxed's (the
-    most live pairs)."""
-    for test_name, compiled in small_tests(implementation):
-        for model_name in ("serial", "relaxed"):
-            model = get_model(model_name)
-            built = encode_test(compiled, model)
-            with pytest.MonkeyPatch.context() as hidden:
-                hidden.setattr(native, "load", lambda: None)
-                fallback = encode_test(compiled, model)
-            where = (implementation, test_name, model_name)
-            assert fallback.cnf.num_vars == built.cnf.num_vars, where
-            assert fallback.cnf._ends == built.cnf._ends, where
-            assert fallback.cnf._lits == built.cnf._lits, where
-            assert fallback.stats.order_dict() == built.stats.order_dict(), where
-            assert fallback.order.table == built.order.table, where
 
 
 def _random_inputs(n: int, seed: int, edge_p: float, vertex_p: float,
@@ -199,7 +157,7 @@ def test_random_inputs_build_identically(
     given_seeds = set(seeds)
     expected, *others = [
         _as_lists(build(n, reach, allowed, seeds, first_var))
-        for build in _builders()
+        for build in BUILDERS
     ]
     assert seeds == given_seeds  # neither builder touches the caller's set
     assert all(built == expected for built in others)
@@ -217,6 +175,6 @@ def test_random_inputs_build_identically(
 def test_bad_seed_is_rejected_on_both_paths(seeds):
     """Out of range, reversed, or statically ordered (0 -> 1 below)."""
     reach = [0b10, 0, 0, 0]
-    for build in _builders():
+    for build in BUILDERS:
         with pytest.raises(ValueError):
             build(4, reach, 0b1111, seeds, 1)

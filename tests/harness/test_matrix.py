@@ -17,6 +17,7 @@ from repro.harness.matrix import (
     run_matrix,
     shard_cells,
 )
+from repro.sat import native
 
 
 def _verdicts(matrix):
@@ -87,6 +88,13 @@ class TestDefaultJobs:
         with pytest.raises(ValueError):
             default_jobs()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_env_below_one_rejected(self, value, monkeypatch):
+        """Not clamped to 1: a count below 1 is a mistake to report."""
+        monkeypatch.setenv("CHECKFENCE_JOBS", value)
+        with pytest.raises(ValueError, match="at least 1"):
+            default_jobs()
+
 
 class TestLitmusMatrix:
     def test_parallel_results_identical_to_serial(self):
@@ -119,18 +127,33 @@ class TestLitmusMatrix:
         cells = litmus_cells(["sc", "relaxed"])[:4] + catalog_cells(
             ["msn"], models=["sc"], tests=["T0"]
         )
-        options = CheckOptions(solver_backend="internal")
+        options = CheckOptions(
+            solver_backend=f"ipasir:{native.library_path()}"
+        )
         monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
         on = run_matrix(cells, jobs=1, options=options)
-        # Unforced, the Python stack's preprocessor bypasses these small
-        # formulas and reports the bare kernel.
         monkeypatch.delenv("CHECKFENCE_SIMPLIFY")
         off = run_matrix(cells, jobs=1, options=options)
         assert {r.stats["backend"] for r in on.results} == {
-            "simplify+internal"
+            "simplify+ipasir(repro-cdcl)"
         }
-        assert {r.stats["backend"] for r in off.results} == {"internal"}
+        assert {r.stats["backend"] for r in off.results} == {
+            "ipasir(repro-cdcl)"
+        }
         assert _verdicts(on) == _verdicts(off)
+
+
+    def test_unavailable_native_kernel_is_an_error_cell(
+        self, broken_native_build
+    ):
+        """A library caller on a machine that cannot build the kernel gets
+        one ERROR cell per check, naming the reason, not a crash."""
+        cells = litmus_cells(["sc"])[:1] + catalog_cells(
+            ["msn"], models=["sc"], tests=["T0"]
+        )
+        matrix = run_matrix(cells, jobs=1)
+        assert [r.verdict for r in matrix.results] == ["ERROR", "ERROR"]
+        assert all(broken_native_build in r.error for r in matrix.results)
 
 
 class TestCatalogMatrix:

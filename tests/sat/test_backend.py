@@ -1,8 +1,8 @@
 """Tests for the pluggable solver backend layer.
 
-The differential suite checks :class:`InternalBackend` over both kernels
-against brute-force truth-table enumeration on random small CNFs; the
-spec tests pin how :func:`make_backend_factory` resolves a spec and
+The differential suite checks :class:`InternalBackend` (the native
+kernel) against brute-force truth-table enumeration on random small CNFs;
+the spec tests pin how :func:`make_backend_factory` resolves a spec and
 stacks the preprocessor and the fault proxy around the chosen backend.
 """
 
@@ -75,20 +75,9 @@ class TestInternalBackend:
     def test_differential_vs_brute_force(self):
         run_differential(InternalBackend, count=120)
 
-    def test_native_differential_vs_brute_force(self, native_solver):
-        run_differential(
-            lambda: InternalBackend(native_solver(), "native"), count=120
-        )
-
-    @pytest.mark.parametrize("kernel", ["python", "native"])
-    def test_add_cnf_from_an_offset(self, kernel, request):
+    def test_add_cnf_from_an_offset(self):
         """``add_cnf(cnf, start)`` adds exactly clauses ``start`` onwards."""
-        if kernel == "python":
-            backend = InternalBackend()
-        else:
-            backend = InternalBackend(
-                request.getfixturevalue("native_solver")(), "native"
-            )
+        backend = InternalBackend()
         cnf = CNF()
         a, b = cnf.new_vars(2)
         cnf.add_clause([a])
@@ -113,30 +102,28 @@ class TestInternalBackend:
         assert backend.solve(assumptions=[a]) is False
         assert backend.solve() is True
         assert backend.stats().propagations >= 1
-        assert backend.name == "internal"
-
-
-def innermost(backend):
-    """The kernel backend under any preprocessor layer."""
-    return getattr(backend, "inner", backend)
+        assert backend.name == "native"
 
 
 class TestBackendSpecs:
-    def test_internal_specs(self, monkeypatch):
+    def test_auto_specs(self, monkeypatch):
         monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
-        for spec in ("auto", "internal", ""):
+        for spec in ("auto", ""):
             backend = make_backend_factory(spec)()
-            assert isinstance(innermost(backend), InternalBackend)
+            assert isinstance(backend, InternalBackend)
 
-    def test_env_default(self, monkeypatch):
+    def test_env_default(self, native_solver, monkeypatch):
         monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
-        monkeypatch.setenv("CHECKFENCE_SOLVER", "internal")
+        library = native.library_path()
+        monkeypatch.setenv("CHECKFENCE_SOLVER", f"ipasir:{library}")
         backend = make_backend_factory(None)()
-        assert innermost(backend).name == "internal"
+        assert backend.name == "ipasir(repro-cdcl)"
 
     def test_unknown_spec_rejected(self):
-        for spec in ("zchaff", "dimacs", "dimacs:kissat", "ipasir:", "native"):
-            with pytest.raises(ValueError):
+        """The pure-Python kernel's ``internal`` spec is gone with it."""
+        for spec in ("zchaff", "dimacs", "dimacs:kissat", "ipasir:", "native",
+                     "internal"):
+            with pytest.raises(ValueError, match="auto or ipasir:<path"):
                 make_backend_factory(spec)
 
     def test_bare_ipasir_names_the_library_spec(self):
@@ -157,16 +144,6 @@ class TestBackendSpecs:
 class TestBackendStack:
     """The factory owns the one remaining solver-stack decision."""
 
-    def test_preprocessor_wraps_the_python_kernel_by_default(self, monkeypatch):
-        monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
-        factory = make_backend_factory("internal")
-        backend = factory()
-        assert factory.preprocess is True
-        assert isinstance(backend, SimplifyingBackend)
-        assert isinstance(backend.inner, InternalBackend)
-        assert backend.name == "simplify+internal"
-        assert factory.fallback_reason is None
-
     def test_native_kernel_runs_bare_by_default(
         self, native_solver, monkeypatch
     ):
@@ -175,67 +152,55 @@ class TestBackendStack:
         factory = make_backend_factory()
         backend = factory()
         assert factory.preprocess is False
+        assert factory.stack == ("auto", "", False)
         assert isinstance(backend, InternalBackend)
         assert isinstance(backend.solver, native_solver)
         assert backend.name == "native"
-        assert factory.fallback_reason is None
-        # The environment still forces the preprocessor over the native
-        # kernel.
-        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
-        assert make_backend_factory()().name == "simplify+native"
 
-    @pytest.mark.parametrize("kernel", ["python", "native"])
+    @pytest.mark.parametrize("spec", ["auto", "ipasir"])
     def test_forced_preprocessor_engages_on_every_formula(
-        self, kernel, request, monkeypatch
+        self, spec, native_solver, monkeypatch
     ):
-        """``CHECKFENCE_SIMPLIFY=1`` stacks the preprocessor over either
-        kernel with engagement threshold 0."""
-        if kernel == "native":
-            request.getfixturevalue("native_solver")
+        """``CHECKFENCE_SIMPLIFY=1`` stacks the preprocessor over any
+        backend, and it preprocesses even a two-clause formula."""
         monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
-        factory = make_backend_factory(
-            "internal" if kernel == "python" else "auto"
-        )
+        if spec == "ipasir":
+            spec = f"ipasir:{native.library_path()}"
+        factory = make_backend_factory(spec)
         backend = factory()
         assert factory.preprocess is True
+        assert factory.stack[-1] is True
         assert isinstance(backend, SimplifyingBackend)
-        assert backend.min_clauses == 0
-        assert backend.inner.name == (
-            "internal" if kernel == "python" else "native"
-        )
+        assert backend.name == f"simplify+{backend.inner.name}"
+        backend.add_clauses([[1, 2], [1, -2]])
+        assert backend.solve() is True
+        assert backend.simplify_stats.clauses_before == 2
+        assert backend.model()[1] is True
 
     def test_simplify_zero_reads_as_unset(self, monkeypatch):
         """``CHECKFENCE_SIMPLIFY=0`` builds the same stack as no setting:
-        the preprocessor over the Python kernel at its measured threshold,
-        none over the native kernel (checked when it builds)."""
-        specs = ["internal"] + (["auto"] if native.load() is not None else [])
+        the native kernel with no preprocessor."""
 
-        def stacks():
-            built = [make_backend_factory(spec)() for spec in specs]
-            return [
-                (type(backend), backend.name,
-                 getattr(backend, "min_clauses", None),
-                 type(innermost(backend)))
-                for backend in built
-            ]
+        def stack():
+            factory = make_backend_factory("auto")
+            backend = factory()
+            return factory.stack, type(backend), backend.name
 
         monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
-        unset = stacks()
+        unset = stack()
         monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "0")
-        assert stacks() == unset
-        assert [stack[0] is SimplifyingBackend for stack in unset] == [
-            spec == "internal" for spec in specs
-        ]
+        assert stack() == unset == (
+            ("auto", "", False), InternalBackend, "native"
+        )
 
     def test_fault_proxy_sits_inside_the_preprocessor(self, monkeypatch):
         monkeypatch.setenv(faults.FAULT_ENV, "solver-raise:1000000")
         monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
-        backend = make_backend_factory("internal")()
-        assert isinstance(backend, SimplifyingBackend)
-        assert isinstance(backend.inner, faults.FaultySolverProxy)
+        backend = make_backend_factory("auto")()
+        assert isinstance(backend, faults.FaultySolverProxy)
         monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
-        forced = make_backend_factory("internal")()
-        assert forced.min_clauses == 0
+        forced = make_backend_factory("auto")()
+        assert isinstance(forced, SimplifyingBackend)
         assert isinstance(forced.inner, faults.FaultySolverProxy)
 
     def test_encoded_test_freezes_every_stack_before_its_clauses(self):

@@ -1,20 +1,17 @@
 """Shared conformance suite for every SolverBackend implementation.
 
-Each backend family — the two in-tree CDCL kernels behind
-``InternalBackend`` (pure Python and native C), an IPASIR shared library
-(the native kernel's own IPASIR exports, loaded through
-``IpasirBackend``), and the simplifying wrapper — must satisfy the same
-observable contract: solving under temporary assumptions,
+Each backend family — the native CDCL kernel behind ``InternalBackend``,
+an IPASIR shared library (the native kernel's own IPASIR exports, loaded
+through ``IpasirBackend``), and the simplifying wrapper — must satisfy
+the same observable contract: solving under temporary assumptions,
 failed-assumption cores after UNSAT, incremental clause addition after
 both SAT and UNSAT verdicts, and ``values_of`` agreement with ``model``.
 
 The stacks :func:`repro.sat.backend.make_backend_factory` builds run it
-too: the default Python stack (the preprocessor bypassing itself on
-formulas below its threshold), and, with ``CHECKFENCE_SIMPLIFY=1``, the
-preprocessor engaged over the native kernel and over the armed
-``solver-raise`` fault proxy.
-Lanes that need the native kernel skip, with the reason, when it cannot
-be built.
+too: the default stack (the bare native kernel), the armed
+``solver-raise`` fault proxy over it, and, with ``CHECKFENCE_SIMPLIFY=1``,
+the preprocessor over the native kernel, over an IPASIR library and over
+the armed fault proxy.
 """
 
 from __future__ import annotations
@@ -27,45 +24,43 @@ from repro.sat.backend import InternalBackend, make_backend_factory
 from repro.sat.ipasir import IpasirBackend
 from repro.sat.simplify import SimplifyingBackend
 
-#: Factory-built lanes: lane -> (spec, environment).  The fault is armed
-#: far beyond any solve count reached here, so the proxy only forwards.
+#: The ``solver-raise`` fault, armed far beyond any solve count reached
+#: here, so the proxy only forwards.
+ARMED_FAULT = {faults.FAULT_ENV: "solver-raise:1000000000"}
+#: Factory-built lanes: lane -> (spec, environment); ``{library}`` is the
+#: native library's path.
 FACTORY_LANES = {
-    "default-stack": ("internal", {}),
+    "native": ("auto", {}),
+    "native-fault-proxy": ("auto", ARMED_FAULT),
     "simplify-native": ("auto", {"CHECKFENCE_SIMPLIFY": "1"}),
-    "fault-proxy": ("internal", {"CHECKFENCE_SIMPLIFY": "1",
-                                 faults.FAULT_ENV: "solver-raise:1000000000"}),
+    "simplify-ipasir": ("ipasir:{library}", {"CHECKFENCE_SIMPLIFY": "1"}),
+    "fault-proxy": ("auto", {"CHECKFENCE_SIMPLIFY": "1", **ARMED_FAULT}),
 }
-BACKENDS = ["internal", "native", "ipasir-lib", "simplify", *FACTORY_LANES]
-#: Lanes whose innermost solver is an in-tree kernel (exact cores).
+BACKENDS = ["ipasir-lib", "simplify", *FACTORY_LANES]
+#: Lanes whose innermost solver is the in-tree kernel bound directly
+#: (exact cores).
 EXACT_CORE_LANES = (
-    "internal", "native", "simplify", "default-stack", "simplify-native",
+    "native", "native-fault-proxy", "simplify", "simplify-native",
     "fault-proxy",
 )
-#: Lanes that run the native kernel.
-NATIVE_LANES = ("native", "ipasir-lib", "simplify-native")
 
 
 @pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
+def backend(request, monkeypatch, native_solver):
     kind = request.param
-    if kind in NATIVE_LANES:
-        request.getfixturevalue("native_solver")
     for name in ("CHECKFENCE_SIMPLIFY", faults.FAULT_ENV):
         monkeypatch.delenv(name, raising=False)
-    if kind == "internal":
-        made = InternalBackend()
-    elif kind == "native":
-        made = make_backend_factory("auto")()
-        assert made.name == "native"
-    elif kind == "ipasir-lib":
+    if kind == "ipasir-lib":
         made = IpasirBackend(native.library_path())
     elif kind == "simplify":
-        made = SimplifyingBackend(InternalBackend(), min_clauses=0)
+        made = SimplifyingBackend(InternalBackend())
     else:
         spec, env = FACTORY_LANES[kind]
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        made = make_backend_factory(spec)()
+        made = make_backend_factory(
+            spec.format(library=native.library_path())
+        )()
     return made
 
 
@@ -166,7 +161,7 @@ def test_core_driven_deletion_search_parity(backend):
     """A miniature of the fence-synthesis loop: selector assumptions guard
     constraints, the all-on core seeds a working set, and destructive
     deletion (fixed order) minimizes it.  Every backend must converge to
-    the same minimal set — exact cores (internal, IPASIR, simplify with
+    the same minimal set — exact cores (native, IPASIR, simplify with
     its substitution-origin mapping) just get there with fewer solves than
     conservative full-set cores would.
 

@@ -5,7 +5,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sat import BitVecBuilder, Circuit, Solver, width_for
+from repro.sat import BitVecBuilder, Circuit, width_for
+from repro.sat.native import NativeSolver
 
 
 def value_of(literal: int, model: dict[int, bool]) -> bool:
@@ -17,7 +18,7 @@ def solve_handle(circuit: Circuit, handle: int, extra_asserts=()):
     cnf = circuit.cnf.copy()
     for h in (handle, *extra_asserts):
         cnf.add_unit(h)
-    solver = Solver(cnf)
+    solver = NativeSolver(cnf)
     sat = solver.solve()
     return sat, solver.model()
 
@@ -191,12 +192,12 @@ class TestGateClauses:
             cnf = circuit.cnf.copy()
             for lit, value in zip(handles, assignment):
                 cnf.add_unit(lit if value else -lit)
-            solver = Solver(cnf)
+            solver = NativeSolver(cnf)
             assert solver.solve()
             model = solver.model()
             assert [value_of(h, model) for h in handles] == expected
             cnf.add_clause(-h if v else h for h, v in zip(handles, expected))
-            assert not Solver(cnf).solve()
+            assert not NativeSolver(cnf).solve()
 
 
 class TestBitVec:

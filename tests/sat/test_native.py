@@ -1,8 +1,8 @@
-"""The native CDCL kernel: agreement with the pure-Python kernel, deadline
-handling, determinism across processes, and the build fallback.
+"""The native CDCL kernel: agreement with brute force on incremental
+scripts, deadline handling, determinism across processes, and the build
+(cache, failures, and the error every check then raises).
 
-The kernel-agnostic unit tests live in ``test_solver.py`` (they run
-against both kernels); the backend contract in
+The kernel unit tests live in ``test_solver.py``; the backend contract in
 ``test_backend_contract.py`` covers the native lanes.
 """
 
@@ -24,7 +24,7 @@ from repro.core.checker import CheckOptions
 from repro.core.session import CheckSession
 from repro.datatypes.registry import get_implementation
 from repro.harness.catalog import get_test
-from repro.sat import CNF, Solver, native
+from repro.sat import CNF, native
 from repro.sat.backend import make_backend_factory
 from repro.sat.ipasir import IpasirBackend
 
@@ -56,22 +56,20 @@ def incremental_scripts(draw):
     return num_vars, rounds
 
 
-class TestAgreesWithPythonKernel:
+class TestAgreesWithBruteForce:
     @settings(max_examples=120, deadline=None)
     @given(incremental_scripts())
     def test_incremental_solves_under_assumptions(self, native_solver, script):
         num_vars, rounds = script
-        python, solver = Solver(), native_solver()
-        python.ensure_vars(num_vars)
+        solver = native_solver()
         solver.ensure_vars(num_vars)
         clauses: list[list[int]] = []
         for added, assumptions in rounds:
             for clause in added:
-                python.add_clause(clause)
                 solver.add_clause(clause)
                 clauses.append(clause)
             verdict = solver.solve(assumptions)
-            assert verdict == python.solve(assumptions)
+            assert verdict == satisfiable(num_vars, clauses, assumptions)
             if verdict:
                 model = solver.model()
                 assert all(
@@ -289,28 +287,57 @@ def test_two_process_determinism(
 def fresh_kernel_state(monkeypatch):
     """Forget this process's kernel load, so the next use builds again
     (restored afterwards)."""
-    for name, value in (("_attempted", False), ("_library", None),
-                        ("_library_path", None), ("_failure", None)):
-        monkeypatch.setattr(native, name, value)
+    for name in ("_library", "_library_path", "_failure"):
+        monkeypatch.setattr(native, name, None)
     for name in ("CHECKFENCE_SIMPLIFY", "CHECKFENCE_SOLVER"):
         monkeypatch.delenv(name, raising=False)
     return monkeypatch
 
 
-class TestBuildFallback:
-    def test_no_compiler_falls_back_to_the_python_stack(
+class TestBuild:
+    def test_failed_build_fails_every_check_with_its_reason(
+        self, broken_native_build
+    ):
+        """No fallback: the first encode (or backend) raises the build's
+        reason, and so does every later use in the process."""
+        session = CheckSession(get_implementation("msn"), CheckOptions())
+        for _ in range(2):
+            with pytest.raises(native.NativeUnavailable) as raised:
+                session.check(get_test("queue", "T0"), "sc")
+            assert str(raised.value) == broken_native_build
+        with pytest.raises(native.NativeUnavailable, match="no C compiler"):
+            make_backend_factory()()
+
+    def test_setup_does_not_load_the_library(self, broken_native_build):
+        """Loading is lazy, so session setup pays nothing for it: a
+        session and a backend factory are made without trying the build."""
+        CheckSession(get_implementation("msn"), CheckOptions())
+        make_backend_factory()
+        assert native._library is None and native._failure is None
+
+    def test_import_does_not_load_the_library(self, src_on_subprocess_path):
+        probe = (
+            "import repro.cli, repro.core.session, repro.harness.matrix\n"
+            "from repro.sat import native\n"
+            "print(native._library, native._failure)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out == "None None\n"
+
+    def test_no_compiler_and_a_cold_cache_is_unavailable(
         self, fresh_kernel_state, tmp_path
     ):
         fresh_kernel_state.setenv("CHECKFENCE_CACHE_DIR", str(tmp_path / "cold"))
         fresh_kernel_state.setenv("PATH", str(tmp_path / "no-compiler"))
-        factory = make_backend_factory()
-        assert factory().name == "simplify+internal"
-        assert factory.preprocess is True
-        assert "no C compiler" in native.unavailable_reason()
-        assert "no C compiler" in factory.fallback_reason
-        session = CheckSession(get_implementation("msn"), CheckOptions())
-        assert session.check(get_test("queue", "T0"), "sc").passed
-        assert session.simplify is True
+        with pytest.raises(native.NativeUnavailable, match="no C compiler"):
+            native.load()
+        # The failure is cached: the build is not retried.
+        fresh_kernel_state.setattr(native, "_build", None)
+        with pytest.raises(native.NativeUnavailable, match="no C compiler"):
+            native.load()
 
     @pytest.mark.skipif(
         not (shutil.which("cc") or shutil.which("gcc")),
@@ -323,10 +350,18 @@ class TestBuildFallback:
         broken.write_text("this is not C\n")
         fresh_kernel_state.setattr(native, "SOURCE", broken)
         fresh_kernel_state.setenv("CHECKFENCE_CACHE_DIR", str(tmp_path / "c"))
-        assert native.load() is None
-        assert "failed on cdcl.c" in native.unavailable_reason()
-        assert make_backend_factory()().name == "simplify+internal"
+        with pytest.raises(native.NativeUnavailable, match="failed on cdcl.c"):
+            native.load()
+        with pytest.raises(native.NativeUnavailable, match="failed on cdcl.c"):
+            make_backend_factory()()
         assert not list((tmp_path / "c").glob("*.tmp"))
+
+    def test_load_error_names_the_library(self, fresh_kernel_state, tmp_path):
+        junk = tmp_path / "libcfcdcl-junk.so"
+        junk.write_text("not a shared library\n")
+        fresh_kernel_state.setattr(native, "_build", lambda: str(junk))
+        with pytest.raises(native.NativeUnavailable, match="cannot load"):
+            native.load()
 
     def test_unwritable_cache_builds_into_a_temporary_directory(
         self, native_solver, fresh_kernel_state, tmp_path
@@ -334,7 +369,7 @@ class TestBuildFallback:
         blocker = tmp_path / "a-file"
         blocker.write_text("")
         fresh_kernel_state.setenv("CHECKFENCE_CACHE_DIR", str(blocker / "cache"))
-        assert native.load() is not None, native.unavailable_reason()
+        assert native.load() is not None
         assert not native.library_path().startswith(str(tmp_path))
         assert make_backend_factory()().name == "native"
 
@@ -350,7 +385,7 @@ class TestBuildFallback:
             built.rsplit("/", 1)[-1]
         ]
         # A later process finds the cached library and needs no compiler.
-        fresh_kernel_state.setattr(native, "_attempted", False)
+        fresh_kernel_state.setattr(native, "_library", None)
         fresh_kernel_state.setenv("PATH", str(tmp_path / "no-compiler"))
         assert native.load() is not None
         assert native.library_path() == built

@@ -2,7 +2,7 @@
 
 The differential suites compare :class:`SimplifyingBackend` (forced to
 preprocess every formula) against brute-force truth tables and against the
-bare internal backend — including model *reconstruction* back onto the
+bare native backend — including model *reconstruction* back onto the
 original variable space, frozen-variable protection, incremental clause
 additions after a solve (with reinstatement of eliminated variables), and
 assumptions over simplified-away literals.
@@ -25,8 +25,9 @@ from repro.sat.simplify import (
 
 
 def forced_backend() -> SimplifyingBackend:
-    """A simplifying backend that preprocesses regardless of formula size."""
-    return SimplifyingBackend(InternalBackend(), min_clauses=0)
+    """A simplifying backend over the native kernel (it preprocesses every
+    formula, however small)."""
+    return SimplifyingBackend(InternalBackend())
 
 
 def brute_force_satisfiable(cnf: CNF) -> bool:
@@ -235,23 +236,7 @@ class TestFrozenProtection:
         assert all(model[v] for v in inputs)
 
 
-class TestBypass:
-    def test_small_formula_bypasses_preprocessing(self):
-        cnf = CNF()
-        a, b = cnf.new_vars(2)
-        cnf.add_clause([a, b])
-        backend = SimplifyingBackend(InternalBackend(), min_clauses=1000)
-        backend.add_cnf(cnf)
-        assert backend.name == "simplify+internal"
-        assert backend.solve() is True
-        # Below the threshold the backend delegates untouched and reports
-        # the inner backend's identity.
-        assert backend.name == "internal"
-        assert backend.simplify_stats.clauses_before == 0
-        backend.add_clause([-a])
-        assert backend.solve() is True
-        assert backend.model()[b] is True
-
+class TestEngagement:
     def test_forced_backend_engages(self):
         cnf = CNF()
         a, b = cnf.new_vars(2)
@@ -260,7 +245,7 @@ class TestBypass:
         backend = forced_backend()
         backend.add_cnf(cnf)
         assert backend.solve() is True
-        assert backend.name == "simplify+internal"
+        assert backend.name == "simplify+native"
         assert backend.simplify_stats.clauses_before == 2
         assert backend.model()[a] is True
 
@@ -330,14 +315,12 @@ class TestSimplifierUnit:
 
 
 class TestSolverValuesOf:
-    def test_values_of_matches_model(self):
-        from repro.sat.solver import Solver
-
+    def test_values_of_matches_model(self, native_solver):
         cnf = CNF()
         a, b, c = cnf.new_vars(3)
         cnf.add_clause([a])
         cnf.add_clause([-a, b])
-        solver = Solver(cnf)
+        solver = native_solver(cnf)
         assert solver.values_of([a, b]) == {}  # no model yet
         assert solver.solve() is True
         model = solver.model()

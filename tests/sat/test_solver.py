@@ -1,9 +1,9 @@
-"""Unit and property tests for the CDCL kernels.
+"""Unit and property tests for the CDCL kernel.
 
-Every test that takes the ``kernel`` fixture runs against both kernels:
-the pure-Python :class:`repro.sat.solver.Solver` and the native C one
-(:class:`repro.sat.native.NativeSolver`, skipped with the reason when it
-cannot be built).  The ``VarOrderHeap`` tests cover a Python-only part.
+Every test that takes the ``kernel`` fixture runs against the native C
+kernel (:class:`repro.sat.native.NativeSolver`), and the property tests
+check it against brute-force enumeration.  The ``SolverStats`` tests
+cover the counter record every backend reports.
 """
 
 import itertools
@@ -11,15 +11,13 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sat import CNF, Solver, SolverStats
+from repro.sat import CNF, SolverStats
 
 
-@pytest.fixture(scope="module", params=["python", "native"])
-def kernel(request):
+@pytest.fixture(scope="module")
+def kernel(native_solver):
     """A solver class: ``kernel(cnf)`` builds a solver over ``cnf``."""
-    if request.param == "python":
-        return Solver
-    return request.getfixturevalue("native_solver")
+    return native_solver
 
 
 def solve_cnf(kernel, cnf):
@@ -264,53 +262,6 @@ class TestStats:
             conflicts=3, max_decision_level=6
         )
         assert earlier == SolverStats(conflicts=4, max_decision_level=6)
-
-
-class TestVarOrderHeap:
-    def test_pops_by_activity_with_var_tiebreak(self):
-        from repro.sat.solver import VarOrderHeap
-
-        activity = [0.0, 1.0, 3.0, 2.0, 3.0]
-        heap = VarOrderHeap(activity)
-        heap.grow(4)
-        for var in (1, 2, 3, 4):
-            heap.insert(var)
-        # Max activity first; ties (vars 2 and 4) toward the higher var.
-        assert heap.pop_max() == 4
-        assert heap.pop_max() == 2
-        assert heap.pop_max() == 3
-        assert heap.pop_max() == 1
-        assert heap.pop_max() is None
-
-    def test_reinsert_and_bump_are_lazy(self):
-        from repro.sat.solver import VarOrderHeap
-
-        activity = [0.0, 1.0, 2.0]
-        heap = VarOrderHeap(activity)
-        heap.grow(2)
-        heap.insert(1)
-        heap.insert(1)  # duplicate insert is a no-op
-        heap.insert(2)
-        activity[1] = 5.0
-        heap.bump(1)  # stale entry for var 1 remains, fresh one wins
-        assert heap.pop_max() == 1
-        assert heap.pop_max() == 2
-        assert heap.pop_max() is None
-        assert 1 not in heap
-
-    def test_rebuild_after_rescale(self):
-        from repro.sat.solver import VarOrderHeap
-
-        activity = [0.0, 4.0, 8.0]
-        heap = VarOrderHeap(activity)
-        heap.grow(2)
-        heap.insert(1)
-        heap.insert(2)
-        activity[1] = 4e-100
-        activity[2] = 1e-100
-        heap.rebuild()
-        assert heap.pop_max() == 1
-        assert heap.pop_max() == 2
 
 
 class TestTrustedBulkAdd:

@@ -3,10 +3,10 @@
 The low-level core/deletion contract lives in
 ``tests/sat/test_backend_contract.py``; this file asserts the end-to-end
 consequence: the *synthesized fence set* is identical whichever solver
-lane drives the search — the bare pure-Python CDCL kernel, the native
-one, or the simplifying preprocessor forced on around the Python kernel
-(whose UNSAT cores must round-trip through its substitution-origin map).
-The native lane is left out when the kernel cannot be built.
+lane drives the search — the native CDCL kernel, the same kernel through
+its IPASIR exports, or the simplifying preprocessor forced on around the
+native kernel (whose UNSAT cores must round-trip through its
+substitution-origin map).
 
 Different lanes produce different SAT witnesses and different (equally
 sound) UNSAT cores, so they can reach *different equal-cost optima*;
@@ -25,19 +25,20 @@ from repro.datatypes.registry import get_implementation
 from repro.fuzz import FuzzProgram
 from repro.harness.catalog import get_test
 from repro.sat import native
-from repro.sat.backend import InternalBackend, make_backend_factory
+from repro.sat.backend import make_backend_factory
+from repro.sat.simplify import SimplifyingBackend
 
 
 @pytest.fixture
 def lanes(monkeypatch):
-    """Lane name -> backend factory; the native lane only when its kernel
-    builds."""
+    """Lane name -> backend factory."""
     monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
-    factories = {"internal": InternalBackend}
-    if native.load() is not None:
-        factories["native"] = make_backend_factory("auto")
+    factories = {
+        "native": make_backend_factory("auto"),
+        "ipasir": make_backend_factory(f"ipasir:{native.library_path()}"),
+    }
     monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
-    factories["simplify"] = make_backend_factory("internal")
+    factories["simplify"] = make_backend_factory("auto")
     monkeypatch.delenv("CHECKFENCE_SIMPLIFY")
     return factories
 
@@ -92,11 +93,11 @@ def test_litmus_synthesis_agrees_across_lanes(spec, models, lanes):
 def test_simplify_lane_actually_preprocesses(lanes):
     """Guard against the parity test silently degenerating: the simplify
     lane must have run the preprocessor (CHECKFENCE_SIMPLIFY plumbed all
-    the way down), otherwise it is just the internal lane twice."""
-    assert lanes["simplify"]().min_clauses == 0
+    the way down), otherwise it is just the native lane twice."""
+    assert isinstance(lanes["simplify"](), SimplifyingBackend)
     session = session_on("msn-unfenced", lanes["simplify"])
     result = session.synthesize(get_test("queue", "T0"), ["relaxed"])
-    baseline = session_on("msn-unfenced", lanes["internal"]).synthesize(
+    baseline = session_on("msn-unfenced", lanes["native"]).synthesize(
         get_test("queue", "T0"), ["relaxed"]
     )
     assert result.labels == baseline.labels

@@ -1,8 +1,10 @@
 """Tests for the command line interface."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 class TestCli:
@@ -48,27 +50,31 @@ class TestCli:
     def test_check_with_solver_flag(self, capsys):
         code = main([
             "check", "--impl", "msn", "--test", "T0",
-            "--model", "sc", "--solver", "internal",
+            "--model", "sc", "--solver", "auto",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "PASS" in out
-        assert "solver: internal" in out
+        assert "solver: native" in out
 
 
 class TestSolverSpecValidation:
     """A bad solver spec, from ``--solver`` or ``CHECKFENCE_SOLVER``, is a
-    usage error in every command: one stderr line naming the valid specs
-    and exit 2, before any work."""
+    usage error in every command that takes ``--solver``: one stderr line
+    naming the valid specs and exit 2, before any work."""
 
+    #: One argument vector per command that takes ``--solver``.
     ARGV = {
         "check": ["check", "--impl", "msn", "--test", "T0"],
         "matrix": ["matrix", "--impls", "msn", "--tests", "T0",
                    "--models", "sc", "--quiet"],
         "fuzz": ["fuzz", "--budget", "2", "--models", "sc", "--quiet"],
+        "oracle": ["oracle", "--litmus", "store-buffering", "--model", "sc"],
+        "synthesize": ["synthesize", "--spec", "x=1 r0=y | y=1 r1=x",
+                       "--model", "tso"],
     }
 
-    @pytest.mark.parametrize("spec", ["zchaff", "ipasir"])
+    @pytest.mark.parametrize("spec", ["zchaff", "ipasir", "internal"])
     @pytest.mark.parametrize("source", ["flag", "env"])
     @pytest.mark.parametrize("command", sorted(ARGV))
     def test_bad_spec_is_a_usage_error(
@@ -86,7 +92,51 @@ class TestSolverSpecValidation:
         assert len(lines) == 1, lines
         assert lines[0].startswith(f"{command}: ")
         assert repr(spec) in lines[0]
-        assert "auto, internal, or ipasir:<path" in lines[0]
+        assert "auto or ipasir:<path" in lines[0]
+
+    def test_argv_covers_every_command_that_takes_solver(self):
+        commands = next(
+            action.choices for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        takes_solver = {
+            name for name, parser in commands.items()
+            if any("--solver" in action.option_strings
+                   for action in parser._actions)
+        }
+        assert takes_solver == set(self.ARGV)
+
+
+class TestNativeKernelRequired:
+    """Every check needs the native library.  When it cannot be built,
+    each command that takes ``--solver`` says why in one stderr line and
+    exits 2, before any work; a command that checks nothing still runs."""
+
+    ARGV = TestSolverSpecValidation.ARGV
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_failed_build_is_a_usage_error(
+        self, command, broken_native_build, capsys
+    ):
+        assert main(self.ARGV[command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"{command}: native kernel unavailable: {broken_native_build}"
+        ]
+
+    @pytest.mark.parametrize("argv, shows", [
+        (["list"], "Implementations"),
+        (["table1"], "Two-lock queue"),
+        (["cache"], "store not created yet"),
+    ])
+    def test_commands_that_check_nothing_still_run(
+        self, argv, shows, broken_native_build, tmp_path, monkeypatch,
+        capsys
+    ):
+        monkeypatch.setenv("CHECKFENCE_CACHE_DIR", str(tmp_path))
+        assert main(argv) == 0
+        assert shows in capsys.readouterr().out
 
 
 class TestUnknownNames:
@@ -158,12 +208,26 @@ class TestMalformedEnvironmentNumbers:
         assert lines[0].startswith(f"{argv[0]}: {variable} ")
         assert "'abc'" in lines[0]
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, value, capsys, monkeypatch):
+        """Not clamped to one worker: a count below 1 is a mistake."""
+        monkeypatch.setenv("CHECKFENCE_JOBS", value)
+        assert main(["matrix", "--litmus", "--models", "sc"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"matrix: CHECKFENCE_JOBS must be an integer of at least 1, "
+            f"got {value!r}"
+        ]
+
 
 class TestOutOfRangeFlags:
     """A budget flag that is not a positive finite number, or a loop
-    bound below 1, is a usage error (exit 2, before any work): a
-    nonpositive budget would report TIMEOUT or OOM for a check that never
-    ran, and a bound of 0 cuts every loop and turns a FAIL into a PASS."""
+    bound or other count below 1, is a usage error (exit 2, before any
+    work): a nonpositive budget would report TIMEOUT or OOM for a check
+    that never ran, a bound of 0 cuts every loop and turns a FAIL into a
+    PASS, and a smoke or campaign of 0 programs passes having checked
+    nothing."""
 
     CHECK = ["check", "--impl", "msn-unfenced", "--test", "T0"]
 
@@ -178,6 +242,15 @@ class TestOutOfRangeFlags:
         CHECK + ["--bound", "-1"],
         ["matrix", "--litmus", "--models", "sc", "--timeout", "-1"],
         ["fuzz", "--budget", "1", "--memory-limit", "nan"],
+        ["matrix", "--litmus", "--models", "sc", "--jobs", "0"],
+        ["matrix", "--litmus", "--models", "sc", "--jobs", "-2"],
+        ["synthesize", "--fuzz-budget", "0"],
+        ["synthesize", "--fuzz-budget", "-1"],
+        ["fuzz", "--budget", "0"],
+        ["fuzz", "--budget", "1", "--jobs", "0"],
+        ["fuzz", "--budget", "1", "--max-threads", "0"],
+        ["fuzz", "--budget", "1", "--max-ops", "0"],
+        ["fuzz", "--budget", "1", "--addrs", "0"],
     ], ids=lambda argv: f"{argv[0]} {argv[-2]}={argv[-1]}")
     def test_out_of_range_flag_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -266,7 +339,6 @@ class TestFuzzCommand:
         assert main(["fuzz", "--models", ",", "--budget", "5",
                      "--quiet"]) == 2
         assert "no cells selected" in capsys.readouterr().err
-        assert main(["fuzz", "--budget", "0", "--quiet"]) == 2
 
     def test_json_stdout_is_pure(self, capsys):
         # `--json - | jq` must work: the human summary goes to stderr.
@@ -362,7 +434,7 @@ class TestIgnoredFlagsAreRejected:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [
-        ["--solver", "internal"], ["--budget", "5"], ["--json", "-"],
+        ["--solver", "auto"], ["--budget", "5"], ["--json", "-"],
     ], ids=["solver", "budget", "json"])
     def test_synthesize_fuzz_budget_rejects_ignored_flags(self, extra, capsys):
         code = main(["synthesize", "--fuzz-budget", "1"] + extra)
@@ -380,7 +452,7 @@ class TestIgnoredFlagsAreRejected:
     def test_synthesize_spec_honors_its_flags(self, capsys):
         code = main([
             "synthesize", "--spec", self.SPEC, "--model", "tso",
-            "--solver", "internal", "--budget", "30",
+            "--solver", "auto", "--budget", "30",
         ])
         assert code == 0
         assert "fence(s)" in capsys.readouterr().out
