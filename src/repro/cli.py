@@ -22,10 +22,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from repro.core import limits
-from repro.core.checker import CheckOptions, is_budget, is_loop_bound
+from repro.core.checker import (
+    CheckOptions, is_budget, is_loop_bound, is_solve_budget,
+)
 from repro.core.session import CheckSession
 from repro.datatypes.registry import (
     TABLE1,
@@ -83,13 +86,25 @@ def _positive_number(text: str) -> float:
 def _positive_int(text: str) -> int:
     """Argparse type of a count flag (``--bound``, ``--jobs``, fuzz
     sizes): an integer of at least 1, :func:`is_loop_bound`."""
+    return _integer_flag(text, is_loop_bound, 1)
+
+
+def _solve_budget(text: str) -> int:
+    """Argparse type of ``synthesize --budget``: an integer of at least
+    0, :func:`is_solve_budget`."""
+    return _integer_flag(text, is_solve_budget, 0)
+
+
+def _integer_flag(text: str, valid, least: int) -> int:
+    """``text`` as an integer that ``valid`` accepts, the integers of at
+    least ``least``; anything else is the flag's usage error."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if not is_loop_bound(value):
+        value = None
+    if not valid(value):
         raise argparse.ArgumentTypeError(
-            f"must be an integer of at least 1, got {text!r}"
+            f"must be an integer of at least {least}, got {text!r}"
         )
     return value
 
@@ -756,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
         "that repairs ALL of them (overrides --model)",
     )
     synth_parser.add_argument(
-        "--budget", type=int, default=None,
+        "--budget", type=_solve_budget, default=None,
         help="solve budget of the escalation from destructive deletion to "
         "the exact minimal-correction search; 0 stops at the 1-minimal set "
         "(default: 60)",
@@ -842,7 +857,16 @@ def main(argv: list[str] | None = None) -> int:
             # before any work, so a machine that cannot build it gets one
             # usage line, not an ERROR cell per check.
             native.load()
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed reader surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # Nobody reads stdout any more (``checkfence matrix | head -1``).
+        # That is no verdict: point stdout at devnull, so the exit-time
+        # flush cannot raise again, and exit as a SIGPIPE death reads in
+        # a shell (128 + 13), a code no verdict uses.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except native.NativeUnavailable as exc:
         reason = " ".join(str(exc).split())  # compiler output: one line
         print(f"{args.command}: native kernel unavailable: {reason}",

@@ -20,6 +20,11 @@ def is_loop_bound(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
+def is_solve_budget(value) -> bool:
+    """A solve budget is an integer of at least 0 (0: no solve)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def is_budget(value) -> bool:
     """A resource budget is a positive finite number."""
     return (
@@ -79,8 +84,9 @@ class CheckOptions:
     def __post_init__(self) -> None:
         """Reject what the CLI rejects: a loop bound below 1 (the unroller
         would drop the loop body and the check would PASS over a cut
-        program) and a budget that is not a positive finite number (an
-        instant TIMEOUT or OOM)."""
+        program), a budget that is not a positive finite number (an
+        instant TIMEOUT or OOM), and a synthesis budget that is not an
+        integer of at least 0 (a negative one would act as 0)."""
         bounds = [("default_loop_bound", self.default_loop_bound)]
         bounds += [
             (f"loop_bounds[{tag!r}]", bound)
@@ -98,3 +104,8 @@ class CheckOptions:
                     f"{name} must be None or a positive finite number, "
                     f"got {value!r}"
                 )
+        if not is_solve_budget(self.synthesis_budget):
+            raise ValueError(
+                "synthesis_budget must be an integer of at least 0, "
+                f"got {self.synthesis_budget!r}"
+            )

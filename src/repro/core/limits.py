@@ -37,6 +37,7 @@ property of one run, not of the (program, test, model) triple.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from contextlib import contextmanager
@@ -82,17 +83,22 @@ def current_rss_bytes() -> Optional[int]:
 
 
 def env_float(name: str) -> Optional[float]:
-    """The positive number in environment variable ``name``; ``None``
-    when it is unset, empty or not positive.  A value that is not a
-    number raises :class:`ValueError` naming the variable."""
+    """The positive finite number in environment variable ``name``;
+    ``None`` when it is unset or empty.  Any other value raises
+    :class:`ValueError` naming the variable: a value of 0 or below would
+    otherwise switch its limit off without a word."""
     raw = os.environ.get(name, "").strip()
     if not raw:
         return None
     try:
         value = float(raw)
     except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
-    return value if value > 0 else None
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(
+            f"{name} must be a positive finite number, got {raw!r}"
+        )
+    return value
 
 
 def env_flag(name: str) -> bool:

@@ -587,7 +587,7 @@ class MemoryModelEncoder:
 
         ``order <-> OP`` goes out as two clauses directly; a static pair
         degenerates to a unit constraint on the OP variable (an ``iff()``
-        gate would write an XOR cone per access pair just to assert its
+        gate would write an XOR gate per access pair just to assert its
         output).  Clauses are batched through the trusted path — every
         clause pairs the OP literal with a distinct order literal.
         """

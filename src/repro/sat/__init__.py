@@ -13,9 +13,10 @@ Public surface:
   IPASIR backend of :mod:`repro.sat.ipasir`) plus the backend-stack
   factory :func:`repro.sat.backend.make_backend_factory`, the one place
   a solver stack is chosen.
-* :class:`repro.sat.circuit.Circuit` — the gate builder: every handle is
-  a literal of its own CNF, and each gate's Tseitin clauses are written
-  when the gate is built.
+* :class:`repro.sat.circuit.Circuit` — the gate builder (AND, XOR and
+  if-then-else gates, one variable each): every handle is a literal of
+  its own CNF, and each gate's Tseitin clauses are written when the gate
+  is built.
 * :mod:`repro.sat.simplify` — in-process SatELite-style CNF preprocessing
   (:class:`repro.sat.simplify.SimplifyingBackend`) between the encoder's
   CNF and the solver, with model reconstruction and a frozen-variable

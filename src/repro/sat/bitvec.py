@@ -95,11 +95,11 @@ class BitVecBuilder:
     def ult(self, a: BitVec, b: BitVec) -> int:
         """Unsigned a < b."""
         a, b = self.match_widths(a, b)
-        result = self.circuit.FALSE
+        circuit = self.circuit
+        result = circuit.FALSE
         for x, y in zip(a.bits, b.bits):  # LSB to MSB
-            bit_lt = self.circuit.and_(-x, y)
-            bit_eq = self.circuit.iff(x, y)
-            result = self.circuit.or_(bit_lt, self.circuit.and_(bit_eq, result))
+            # The highest differing bit decides: there, a < b iff y is set.
+            result = circuit.ite(circuit.xor(x, y), y, result)
         return result
 
     def ule(self, a: BitVec, b: BitVec) -> int:
@@ -120,12 +120,10 @@ class BitVecBuilder:
         carry = circuit.FALSE
         out = []
         for x, y in zip(a.bits, b.bits):
-            s = circuit.xor(circuit.xor(x, y), carry)
-            carry = circuit.or_(
-                circuit.and_(x, y),
-                circuit.and_(carry, circuit.xor(x, y)),
-            )
-            out.append(s)
+            differ = circuit.xor(x, y)
+            out.append(circuit.xor(differ, carry))
+            # Differing bits pass the carry on; equal bits generate x.
+            carry = circuit.ite(differ, carry, x)
         return BitVec(tuple(out))
 
     def add_const(self, a: BitVec, value: int) -> BitVec:

@@ -1,7 +1,7 @@
 """In-process CNF simplification (SatELite-style preprocessing).
 
 The gate builder :class:`repro.sat.circuit.Circuit` mints a fresh variable
-per AND gate, so a large fraction of the variables that reach the solver are
+per gate, so a large fraction of the variables that reach the solver are
 *functionally defined*: they occur in exactly the clauses that define them
 plus a handful of uses, which is the textbook target of the
 SatELite/MiniSat preprocessing lineage.  This module implements that

@@ -110,8 +110,9 @@ class TestOptionValidation:
     """``CheckOptions`` rejects what the CLI rejects.  Each case below
     would run a wrong check: on msn-unfenced/T0 under relaxed (a FAIL
     over 26 accesses at the defaults) the bounds cut the loops, so the
-    check PASSes over 9 accesses (79 with lazy refinement), and the
-    budgets end the check at once as TIMEOUT or OOM."""
+    check PASSes over 9 accesses (79 with lazy refinement), the budgets
+    end the check at once as TIMEOUT or OOM, and a negative synthesis
+    budget acts as 0."""
 
     #: msn-unfenced/T0's two loops at their default bound of 1.
     T0_LOOPS = ("t0$0$enqueue.2::B@1", "t1$0$dequeue.3::B@1")
@@ -125,6 +126,9 @@ class TestOptionValidation:
         ("timeout", {"timeout": -1}),
         ("timeout", {"timeout": float("nan")}),
         ("memory_limit_mb", {"memory_limit_mb": -5}),
+        ("synthesis_budget", {"synthesis_budget": -5}),
+        ("synthesis_budget", {"synthesis_budget": 2.5}),
+        ("synthesis_budget", {"synthesis_budget": True}),
     ])
     def test_out_of_range_value_names_its_field(self, field, values):
         with pytest.raises(ValueError, match=field):

@@ -8,6 +8,7 @@ cheap invariants so a broken link or a renamed CLI flag fails fast.
 
 import importlib.util
 import os
+import re
 import sys
 
 import pytest
@@ -93,3 +94,44 @@ def test_tutorial_commands_extracted(docs_check):
     for kind, argv, _ in commands:
         if kind == "sh":
             assert argv[0] == sys.executable and "repro.cli" in argv
+
+
+def test_quoted_verdict_lines_mask_the_wall_clock(docs_check):
+    quoted = ["[FAIL] q / T0 on tso: 3 accesses, 10 clauses, total 0.02s",
+              "counterexample lines are not verdicts"]
+    printed = "[PASS] q / T1 on sc: 2 accesses, 5 clauses, total 0.01s\n" \
+        "[FAIL] q / T0 on tso: 3 accesses, 10 clauses, total 1.50s\n"
+    assert docs_check.stale_verdict_lines(quoted, printed) == []
+    stale = ["[FAIL] q / T0 on tso: 3 accesses, 11 clauses, total 0.02s"]
+    assert docs_check.stale_verdict_lines(stale, printed) == [
+        f"tutorial quotes {stale[0]!r} but the command printed "
+        "'[PASS] q / T1 on sc: 2 accesses, 5 clauses, total 0.01s'"
+    ]
+
+
+def test_tutorial_run_names_a_stale_clause_count(tmp_path, docs_check):
+    """The tutorial's quoted msn-unfenced/T0 verdict line, its clause
+    count off by one, fails the run: the problem names the quoted line
+    and the line the check printed (with the tutorial's count)."""
+    quoted = next(
+        line
+        for language, block in docs_check.tutorial_blocks()
+        if language == "text"
+        for line in block
+        if line.startswith("[FAIL] msn-unfenced / T0 on relaxed:")
+    )
+    clauses = int(re.search(r"(\d+) clauses", quoted).group(1))
+    stale = quoted.replace(f"{clauses} clauses", f"{clauses + 1} clauses")
+    snippet = tmp_path / "tutorial.md"
+    snippet.write_text(
+        "```sh\n"
+        "checkfence check --impl msn-unfenced --test T0 --model relaxed"
+        "  # exit: 1\n"
+        "```\n\n"
+        f"```text\n{stale}\n```\n"
+    )
+    problems = docs_check.run_tutorial(str(snippet))
+    assert len(problems) == 1, problems
+    named_quote, named_print = problems[0].split(" but the command printed ")
+    assert named_quote == f"tutorial quotes {stale!r}"
+    assert named_print.startswith("'" + quoted.split(" total ")[0])

@@ -144,7 +144,10 @@ def _apply(circuit: Circuit, op: str, lits: list[int]) -> int:
 def gate_dags(draw):
     """(input count, steps): each step applies one builder operation to
     earlier handles (inputs, the two constants, earlier gates), each
-    operand possibly complemented."""
+    operand possibly complemented.  The operations cover all three gate
+    kinds (AND, XOR, ITE) and everything derived from them, so operands
+    often repeat, complement each other or are constants, and the
+    folding rules run as well as the gates' clauses."""
     inputs = draw(st.integers(1, 5))
     steps = draw(st.lists(
         st.tuples(
@@ -256,6 +259,49 @@ class TestBitVec:
         assert (self.bv.ule(a, b) == self.circuit.TRUE) == (x <= y)
         assert (self.bv.ugt(a, b) == self.circuit.TRUE) == (x > y)
         assert (self.bv.uge(a, b) == self.circuit.TRUE) == (x >= y)
+
+    def test_symbolic_arithmetic_and_comparisons_match_python(self):
+        # On fresh vectors every sum, carry and comparison bit is a gate,
+        # not a folded constant.  Pin both inputs to each pair of 3-bit
+        # values and decode what the clauses force.
+        a = self.bv.fresh(3, "a")
+        b = self.bv.fresh(3, "b")
+        total, difference = self.bv.add(a, b), self.bv.sub(a, b)
+        predicates = {
+            "ult": (self.bv.ult(a, b), lambda x, y: x < y),
+            "ule": (self.bv.ule(a, b), lambda x, y: x <= y),
+            "ugt": (self.bv.ugt(a, b), lambda x, y: x > y),
+            "uge": (self.bv.uge(a, b), lambda x, y: x >= y),
+            "eq": (self.bv.eq(a, b), lambda x, y: x == y),
+        }
+        for x, y in itertools.product(range(8), repeat=2):
+            pins = [
+                bit if (value >> i) & 1 else -bit
+                for vec, value in ((a, x), (b, y))
+                for i, bit in enumerate(vec.bits)
+            ]
+            sat, model = solve_handle(self.circuit, self.circuit.TRUE, pins)
+            assert sat
+            for vec, expected in ((total, x + y), (difference, x - y)):
+                assert BitVecBuilder.decode(
+                    vec, lambda h: value_of(h, model)
+                ) == expected % 8
+            for name, (handle, meaning) in predicates.items():
+                assert value_of(handle, model) == meaning(x, y), (name, x, y)
+
+    def test_ult_is_two_gates_and_add_three_gates_per_bit(self):
+        # ult: one XOR and one ITE per bit (the first ITE, with a FALSE
+        # else branch, folds to an AND).  add: the bit's XOR, the sum XOR
+        # and the carry ITE, sharing the first; the first bit has no carry
+        # in, so its sum is the XOR and its carry an AND.
+        width = 4
+        for operation, gates in (("ult", 2 * width), ("add", 3 * width - 1)):
+            circuit = Circuit()
+            bv = BitVecBuilder(circuit)
+            a, b = bv.fresh(width, "a"), bv.fresh(width, "b")
+            before = circuit.cnf.num_vars
+            getattr(bv, operation)(a, b)
+            assert circuit.cnf.num_vars - before == gates, operation
 
     def test_symbolic_addition_solved(self):
         a = self.bv.fresh(4, "a")

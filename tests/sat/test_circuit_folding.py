@@ -8,6 +8,8 @@ the point of the exercise — assert that the *CNF size* stays flat when
 redundant structure is rebuilt.
 """
 
+import itertools
+
 from repro.sat import Circuit
 
 
@@ -134,7 +136,8 @@ class TestCnfSize:
 
     def test_each_gate_writes_its_clauses_once(self):
         # A binary AND gate is one variable and three clauses; an n-ary
-        # one is one variable and n + 1 clauses.
+        # one is one variable and n + 1 clauses; an XOR or an ITE is one
+        # variable and four clauses.  Rebuilding any of them adds none.
         c = Circuit()
         a, b, x = c.var("a"), c.var("b"), c.var("x")
         before = size(c)
@@ -142,6 +145,15 @@ class TestCnfSize:
         assert size(c) == (before[0] + 1, before[1] + 3)
         c.and_many([a, b, x])
         assert size(c) == (before[0] + 2, before[1] + 7)
+        c.xor(a, b)
+        assert size(c) == (before[0] + 3, before[1] + 11)
+        c.ite(x, a, b)
+        assert size(c) == (before[0] + 4, before[1] + 15)
+        c.and_(b, a)
+        c.and_many([x, b, a])
+        c.xor(b, a)
+        c.ite(x, a, b)
+        assert size(c) == (before[0] + 4, before[1] + 15)
 
     def test_redundant_input_shares_structure(self):
         # Re-conjoining duplicate operands reuses the consed canonical
@@ -201,3 +213,149 @@ class TestFork:
         assert other == m
         assert c.and_(ab, other) == gate
         assert size(c) == (before[0] + 2, before[1] + 3)
+
+    def test_fork_xor_and_ite_never_reach_the_original(self):
+        c = Circuit()
+        a, b, x = c.var("a"), c.var("b"), c.var("x")
+        g = c.xor(a, b)
+        m = c.ite(x, a, b)
+        before = size(c)
+        layer = c.copy()
+        assert layer.xor(b, a) == g
+        assert layer.ite(-x, b, a) == m
+        assert size(layer) == before
+        y = layer.var("y")
+        fork_xor = layer.xor(g, y)
+        fork_ite = layer.ite(y, g, m)
+        assert size(layer) == (before[0] + 3, before[1] + 8)
+        assert size(c) == before
+        assert (g, y) not in c._xor_cache
+        assert (y, g, m) not in c._ite_cache
+        # Rebuilt on the original, the gates write their own clauses.
+        other = c.var("other")
+        assert other == y
+        assert c.xor(g, other) == fork_xor
+        assert c.ite(other, g, m) == fork_ite
+        assert size(c) == (before[0] + 3, before[1] + 8)
+
+
+def truth_table(c: Circuit, inputs: list[int], out: int):
+    """Brute force over every variable of the builder's CNF: for each
+    assignment of ``inputs``, the set of values ``out`` takes in the
+    CNF's models.  Clauses that leave a gate's output free, or that
+    forbid every value, under some input assignment show up as a set
+    other than one value."""
+    clauses = list(c.cnf.clauses)
+    table: dict[tuple[bool, ...], set[bool]] = {}
+    for bits in itertools.product((False, True), repeat=c.cnf.num_vars):
+        assignment = dict(enumerate(bits, start=1))
+        if all(any(holds(lit, assignment) for lit in cl) for cl in clauses):
+            key = tuple(assignment[v] for v in inputs)
+            table.setdefault(key, set()).add(holds(out, assignment))
+    return table
+
+
+def holds(lit: int, assignment: dict[int, bool]) -> bool:
+    return assignment[abs(lit)] == (lit > 0)
+
+
+def assert_computes(c: Circuit, inputs: list[int], out: int, semantics):
+    """The CNF forces ``out`` to ``semantics(assignment)`` under every
+    assignment of the input variables (with the constant-TRUE variable
+    set)."""
+    table = truth_table(c, inputs, out)
+    for values in itertools.product((False, True), repeat=len(inputs)):
+        assignment = {c.TRUE: True, **dict(zip(inputs, values))}
+        assert table.get(values) == {semantics(assignment)}, values
+
+
+def signed_operands(c: Circuit, *variables: int) -> list[int]:
+    """Each variable in both signs, and both constants."""
+    return [*variables, *(-v for v in variables), c.TRUE, c.FALSE]
+
+
+class TestXorIteGates:
+    """The one-variable XOR and ITE gates: folding, sign normalisation
+    and their own structural hashes."""
+
+    def test_every_xor_fold_and_sign_matches_its_truth_table(self):
+        # 36 operand pairs, each on a fresh builder: a constant operand,
+        # a == b and a == -b fold to no gate; the rest are the gate in
+        # all four sign combinations.
+        for x, y in itertools.product(range(6), repeat=2):
+            c = Circuit()
+            a, b = c.var("a"), c.var("b")
+            ops = signed_operands(c, a, b)
+            lx, ly = ops[x], ops[y]
+            before = size(c)
+            out = c.xor(lx, ly)
+            folds = abs(lx) == 1 or abs(ly) == 1 or abs(lx) == abs(ly)
+            assert size(c) == (
+                before if folds else (before[0] + 1, before[1] + 4)
+            )
+            assert_computes(
+                c, [a, b], out, lambda v: holds(lx, v) != holds(ly, v)
+            )
+
+    def test_every_ite_fold_and_sign_matches_its_truth_table(self):
+        # 512 operand triples, each on a fresh builder.  Three distinct
+        # non-constant variables build the gate; every fold (a constant
+        # cond, then == ±else, a constant branch, a branch on cond's
+        # variable) returns an operand or builds one AND, OR or XOR.
+        for i, j, k in itertools.product(range(8), repeat=3):
+            c = Circuit()
+            p, q, r = c.var("p"), c.var("q"), c.var("r")
+            ops = signed_operands(c, p, q, r)
+            lc, lt, le = ops[i], ops[j], ops[k]
+            before = size(c)
+            out = c.ite(lc, lt, le)
+            added = (size(c)[0] - before[0], size(c)[1] - before[1])
+            variables = {abs(lc), abs(lt), abs(le)}
+            if len(variables) == 3 and c.TRUE not in variables:
+                assert added == (1, 4)
+            else:
+                assert added in ((0, 0), (1, 3), (1, 4))
+            assert_computes(
+                c, [p, q, r], out,
+                lambda v: holds(lt, v) if holds(lc, v) else holds(le, v),
+            )
+
+    def test_xor_normalises_order_and_signs(self):
+        c = Circuit()
+        a, b = c.var("a"), c.var("b")
+        g = c.xor(a, b)
+        before = size(c)
+        for x, y in itertools.product((a, -a), (b, -b)):
+            flip = (x < 0) != (y < 0)
+            assert c.xor(x, y) == (-g if flip else g)
+            assert c.xor(y, x) == (-g if flip else g)
+        assert c.xor(b, a) == g
+        assert -c.xor(-a, b) == g
+        assert c.iff(a, b) == -g
+        assert size(c) == before
+
+    def test_ite_normalises_branch_order_and_signs(self):
+        c = Circuit()
+        p, q, r = c.var("p"), c.var("q"), c.var("r")
+        for t, e in itertools.product((q, -q), (r, -r)):
+            g = c.ite(p, t, e)
+            before = size(c)
+            assert c.ite(-p, e, t) == g
+            assert -c.ite(p, -t, -e) == g
+            assert -c.ite(-p, -e, -t) == g
+            assert size(c) == before
+        # Four sign patterns of (then, else) up to negation: two gates.
+        assert len(c._ite_cache) == 2
+
+    def test_ternary_and_key_does_not_answer_an_ite(self):
+        # The AND, XOR and ITE hashes are separate: and_(a, b, x) is
+        # cached under the key (a, b, x) that ite(a, b, x) looks up.
+        c = Circuit()
+        a, b, x = c.var("a"), c.var("b"), c.var("x")
+        conj = c.and_(a, b, x)
+        parity = c.xor(a, b)
+        mux = c.ite(a, b, x)
+        assert mux not in (conj, parity)
+        assert_computes(
+            c, [a, b, x], mux, lambda v: v[b] if v[a] else v[x]
+        )

@@ -1,6 +1,9 @@
 """Tests for the command line interface."""
 
 import argparse
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -208,6 +211,23 @@ class TestMalformedEnvironmentNumbers:
         assert lines[0].startswith(f"{argv[0]}: {variable} ")
         assert "'abc'" in lines[0]
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_worker_timeout_is_a_usage_error(
+        self, value, capsys, monkeypatch
+    ):
+        """Not a way to switch the hung-worker watchdog off: that is
+        leaving the variable unset."""
+        monkeypatch.setenv("CHECKFENCE_MATRIX_WORKER_TIMEOUT", value)
+        argv = ["matrix", "--litmus", "--models", "sc", "--jobs", "2",
+                "--quiet"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "matrix: CHECKFENCE_MATRIX_WORKER_TIMEOUT must be a positive "
+            f"finite number, got {value!r}"
+        ]
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_jobs_below_one_is_a_usage_error(self, value, capsys, monkeypatch):
         """Not clamped to one worker: a count below 1 is a mistake."""
@@ -251,6 +271,10 @@ class TestOutOfRangeFlags:
         ["fuzz", "--budget", "1", "--max-threads", "0"],
         ["fuzz", "--budget", "1", "--max-ops", "0"],
         ["fuzz", "--budget", "1", "--addrs", "0"],
+        ["synthesize", "--impl", "msn-unfenced", "--test", "T0",
+         "--budget", "-1"],
+        ["synthesize", "--impl", "msn-unfenced", "--test", "T0",
+         "--budget", "2.5"],
     ], ids=lambda argv: f"{argv[0]} {argv[-2]}={argv[-1]}")
     def test_out_of_range_flag_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -259,6 +283,41 @@ class TestOutOfRangeFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {argv[-2]}: must be" in captured.err
+
+    def test_synthesis_budget_of_zero_stays_valid(self):
+        """0 stops synthesis at the 1-minimal set; it is not out of
+        range."""
+        args = build_parser().parse_args([
+            "synthesize", "--impl", "msn-unfenced", "--test", "T0",
+            "--budget", "0",
+        ])
+        assert args.budget == 0
+
+
+class TestClosedStdout:
+    """A reader that goes away (``checkfence matrix ... | head -1``) is no
+    verdict: the command exits 141, as a shell reports a SIGPIPE death,
+    with no traceback, and never 1, the FAIL code."""
+
+    @pytest.mark.parametrize("argv", [
+        ["list"],
+        ["check", "--impl", "msn", "--test", "T0", "--model", "relaxed"],
+        ["matrix", "--impls", "msn", "--tests", "T0", "--models", "sc,tso"],
+    ], ids=lambda argv: argv[0])
+    def test_closed_stdout_exits_141(self, argv, src_on_subprocess_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "repro.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert run.returncode == 141, run.stderr
+        assert "Traceback" not in run.stderr
+        assert "BrokenPipeError" not in run.stderr
 
 
 class TestErrorCellExit:

@@ -16,7 +16,11 @@ Three modes, combinable (the CI docs job runs all three):
   one command; a leading ``checkfence`` is translated to ``python -m
   repro.cli`` with ``PYTHONPATH=src``, and a trailing ``# exit: N``
   comment declares the expected exit code (default 0).  ``python`` blocks
-  run whole, also against the in-tree package.
+  run whole, also against the in-tree package.  A ``text`` block right
+  after an ``sh`` block quotes that block's output: each of its
+  ``[PASS]`` / ``[FAIL]`` verdict lines must be one the commands printed,
+  with the ``total …s`` wall-clock figure masked, so a quoted clause
+  count cannot go stale.
 
 Exits nonzero, listing every failure, when anything is broken.  Run from
 anywhere; paths resolve relative to the repo root (the parent of this
@@ -45,6 +49,9 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE_RE = re.compile(r"^```(\w*)\s*$")
 _EXIT_RE = re.compile(r"^(?P<cmd>.*?)(?:\s*#\s*exit:\s*(?P<code>\d+))?\s*$")
+#: A check's verdict line, and the wall-clock figure masked in it.
+_VERDICT_RE = re.compile(r"^\[(?:PASS|FAIL)\] ")
+_TOTAL_RE = re.compile(r"total \d+(?:\.\d+)?s")
 
 #: A backticked span, and the two code-name shapes ``--symbols`` checks:
 #: ``repro.a.b`` and ``Class.attr``, each optionally followed by a call.
@@ -197,71 +204,117 @@ def check_symbols() -> list[str]:
     return problems
 
 
-def tutorial_commands(path: str | None = None) -> list[tuple[str, list[str], int]]:
-    """Extract ``(kind, command, expected_exit)`` tuples from the tutorial's
-    fenced ``sh``/``python`` blocks.  ``command`` is an argv list."""
+def tutorial_blocks(path: str | None = None) -> list[tuple[str, list[str]]]:
+    """The fenced code blocks of the tutorial, in order, as
+    ``(language, lines)``."""
     if path is None:
         path = os.path.join(REPO_ROOT, "docs", "tutorial.md")
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
-    commands: list[tuple[str, list[str], int]] = []
+    blocks: list[tuple[str, list[str]]] = []
     language = None
-    block: list[str] = []
     for line in lines:
         fence = _FENCE_RE.match(line)
         if fence is None:
             if language is not None:
-                block.append(line)
-            continue
-        if language is None:
+                blocks[-1][1].append(line)
+        elif language is None:
             language = fence.group(1)
-            block = []
+            blocks.append((language, []))
+        else:  # closing fence
+            language = None
+    return blocks
+
+
+def block_commands(
+    language: str, block: list[str]
+) -> list[tuple[str, list[str], int]]:
+    """``(kind, command, expected_exit)`` tuples of one ``sh`` or
+    ``python`` block; ``command`` is an argv list."""
+    if language == "python":
+        return [("python", [sys.executable, "-c", "\n".join(block)], 0)]
+    if language != "sh":
+        return []
+    commands = []
+    for raw in block:
+        raw = raw.strip()
+        if not raw or raw.startswith("#"):
             continue
-        # Closing fence: flush the block.
-        if language == "sh":
-            for raw in block:
-                raw = raw.strip()
-                if not raw or raw.startswith("#"):
-                    continue
-                match = _EXIT_RE.match(raw)
-                command, code = match.group("cmd"), match.group("code")
-                if command.startswith("checkfence"):
-                    command = command.replace(
-                        "checkfence",
-                        f"{sys.executable} -m repro.cli",
-                        1,
-                    )
-                commands.append(
-                    ("sh", shlex.split(command), int(code) if code else 0)
-                )
-        elif language == "python":
-            commands.append(("python", [sys.executable, "-c", "\n".join(block)], 0))
-        language = None
+        match = _EXIT_RE.match(raw)
+        command, code = match.group("cmd"), match.group("code")
+        if command.startswith("checkfence"):
+            command = command.replace(
+                "checkfence", f"{sys.executable} -m repro.cli", 1
+            )
+        commands.append(
+            ("sh", shlex.split(command), int(code) if code else 0)
+        )
     return commands
 
 
-def run_tutorial() -> list[str]:
-    """Run every tutorial command; return problem strings."""
+def tutorial_commands(path: str | None = None) -> list[tuple[str, list[str], int]]:
+    """Every block's commands (:func:`block_commands`), in order."""
+    return [
+        command
+        for language, block in tutorial_blocks(path)
+        for command in block_commands(language, block)
+    ]
+
+
+def stale_verdict_lines(quoted: list[str], stdout: str) -> list[str]:
+    """Problem strings for the verdict lines of a ``text`` block that
+    ``stdout`` did not print, the ``total …s`` figure masked on both
+    sides.  A block may quote some of the output only; a stale line is
+    named together with the verdict line printed at its position."""
+    def verdicts(lines):
+        return [
+            line.strip() for line in lines
+            if _VERDICT_RE.match(line.strip())
+        ]
+
+    def masked(line):
+        return _TOTAL_RE.sub("total …s", line)
+
+    wanted, printed = verdicts(quoted), verdicts(stdout.splitlines())
+    known = {masked(line) for line in printed}
+    return [
+        f"tutorial quotes {line!r} but the command printed "
+        f"{printed[i] if i < len(printed) else '(no verdict line)'!r}"
+        for i, line in enumerate(wanted)
+        if masked(line) not in known
+    ]
+
+
+def run_tutorial(path: str | None = None) -> list[str]:
+    """Run every tutorial command and compare each quoted verdict line
+    with the output it quotes; return problem strings."""
     env = dict(os.environ)
     src = os.path.join(REPO_ROOT, "src")
     env["PYTHONPATH"] = src + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     problems = []
-    commands = tutorial_commands()
-    if not commands:
+    blocks = tutorial_blocks(path)
+    if not any(block_commands(*block) for block in blocks):
         return ["docs/tutorial.md: no runnable code blocks found"]
-    for kind, argv, expected in commands:
-        shown = " ".join(argv[:6]) + (" ..." if len(argv) > 6 else "")
-        print(f"[tutorial:{kind}] {shown}", flush=True)
-        proc = subprocess.run(
-            argv, cwd=REPO_ROOT, env=env, capture_output=True, text=True
-        )
-        if proc.returncode != expected:
-            problems.append(
-                f"tutorial command {shown!r} exited {proc.returncode} "
-                f"(expected {expected}):\n{proc.stderr.strip()[-2000:]}"
+    stdout = None  # of the sh block just before, for a quoting text block
+    for language, block in blocks:
+        if language == "text" and stdout is not None:
+            problems += stale_verdict_lines(block, stdout)
+        outputs = []
+        for kind, argv, expected in block_commands(language, block):
+            shown = " ".join(argv[:6]) + (" ..." if len(argv) > 6 else "")
+            print(f"[tutorial:{kind}] {shown}", flush=True)
+            proc = subprocess.run(
+                argv, cwd=REPO_ROOT, env=env, capture_output=True, text=True
             )
+            outputs.append(proc.stdout)
+            if proc.returncode != expected:
+                problems.append(
+                    f"tutorial command {shown!r} exited {proc.returncode} "
+                    f"(expected {expected}):\n{proc.stderr.strip()[-2000:]}"
+                )
+        stdout = "".join(outputs) if language == "sh" else None
     return problems
 
 
