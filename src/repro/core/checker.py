@@ -57,8 +57,8 @@ class CheckOptions:
     #: Apply the range analysis of Section 3.4 (Fig. 11c turns it off).
     use_range_analysis: bool = True
     #: SAT backend spec: "auto" (the native kernel) or "ipasir:<path>"
-    #: (see :mod:`repro.sat.backend`, which also decides whether the CNF
-    #: preprocessor runs).  None uses CHECKFENCE_SOLVER or auto.
+    #: (see :mod:`repro.sat.backend`).  None uses CHECKFENCE_SOLVER or
+    #: auto.
     solver_backend: str | None = None
     #: Consult (and populate) the persistent on-disk result store
     #: (:mod:`repro.core.store`): verdicts and mined observation sets keyed

@@ -38,8 +38,8 @@ class CheckStatistics(EncodingStatistics):
     store_hit: bool = False
     #: ``solver_<name>`` holds the check's ``SolverStats.<name>`` (see
     #: :meth:`merge_solver`); every ``SolverStats`` field has one.
-    #: The preprocessing counters are zero when the preprocessor was off
-    #: or bypassed itself on a formula below its engagement threshold.
+    #: The preprocessing counters are always zero: no backend stack the
+    #: pipeline builds preprocesses its formula.
     solver_decisions: int = 0
     solver_propagations: int = 0
     solver_conflicts: int = 0

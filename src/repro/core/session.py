@@ -46,10 +46,12 @@ from repro.sat.backend import make_backend_factory
 class CheckSession:
     """Caches and incremental solver state for checking one implementation."""
 
-    #: The memory-order construction and skeleton reuse are fixed; these
-    #: constants remain because ``perfbench/run.py`` prints them.
+    #: The memory-order construction, skeleton reuse and the solver stack
+    #: (no CNF preprocessor) are fixed; these constants remain because
+    #: ``perfbench/run.py`` prints them.
     dense_order = False
     share_encode = True
+    simplify = False
 
     def __init__(
         self,
@@ -83,12 +85,6 @@ class CheckSession:
             "store_hits": 0, "store_misses": 0,
         }
 
-    @property
-    def simplify(self) -> bool:
-        """Whether this session's backend stacks include the CNF
-        preprocessor (only when ``CHECKFENCE_SIMPLIFY`` forces it)."""
-        return self.backend_factory.preprocess
-
     # ------------------------------------------------------------- pipeline
 
     @staticmethod
@@ -103,13 +99,13 @@ class CheckSession:
     def _options_fingerprint(self) -> list:
         """The option values a verdict (or mined specification) depends on.
 
-        The solver stack is deliberately excluded — the backend and the
-        CNF preprocessor alike: both are verdict-preserving by construction
-        and gated so differentially in CI, and keying on them would make a
-        store populated under one stack useless under another.  The
-        resource budgets (``timeout`` / ``memory_limit_mb``) are excluded
-        too: a completed verdict does not depend on the budget it ran
-        under, and degraded results are never stored in the first place.
+        The solver backend is deliberately excluded: every backend is
+        verdict-preserving by construction and gated so differentially in
+        CI, and keying on it would make a store populated under one
+        backend useless under another.  The resource budgets
+        (``timeout`` / ``memory_limit_mb``) are excluded too: a completed
+        verdict does not depend on the budget it ran under, and degraded
+        results are never stored in the first place.
         """
         options = self.options
         return [

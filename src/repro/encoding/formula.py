@@ -303,7 +303,7 @@ class EncodedTest:
         self.stats = stats
         #: Builds the solver stack on first use (see
         #: :func:`repro.sat.backend.make_backend_factory`); the default
-        #: resolves ``CHECKFENCE_SOLVER`` and ``CHECKFENCE_SIMPLIFY``.
+        #: resolves ``CHECKFENCE_SOLVER``.
         self.backend_factory = backend_factory or make_backend_factory()
         self._backend: SolverBackend | None = None
         self._synced_clauses = 0
@@ -323,11 +323,7 @@ class EncodedTest:
 
     def _ensure_backend(self) -> SolverBackend:
         if self._backend is None:
-            backend = self.backend_factory()
-            # The frozen set must be in place before any clause reaches a
-            # preprocessing backend (the others ignore it).
-            backend.freeze(self.frozen_variables())
-            self._backend = backend
+            self._backend = self.backend_factory()
         cnf = self.cnf
         self._backend.ensure_vars(cnf.num_vars)
         if self._synced_clauses < len(cnf):
@@ -336,40 +332,6 @@ class EncodedTest:
             self._backend.add_cnf(cnf, self._synced_clauses)
             self._synced_clauses = len(cnf)
         return self._backend
-
-    def frozen_variables(self) -> set[int]:
-        """CNF variables the pipeline mentions *after* the first solve, so
-        the preprocessor must not eliminate or substitute them away:
-
-        * observation-slot bits (projected blocking clauses and the
-          observation decoding of every mined outcome),
-        * assertion and overflow handles (assumption terms are built over
-          them lazily),
-        * already-minted ``not_in_guard`` guard literals (guards created
-          later are fresh variables and need no protection), and
-        * the constant-TRUE variable.
-
-        Every handle is a CNF literal, so the set is the handles'
-        variables.  A gate built later that touches an eliminated variable
-        is caught by the preprocessor's reinstatement path.
-
-        Memory-order variables and reads-from selectors are deliberately
-        *not* frozen: no later clause or assumption is ever built over
-        them, and counterexample decoding reads them out of the
-        *reconstructed* model, which the elimination stack rebuilds to
-        satisfy every original clause (including the order and value
-        axioms).  Leaving them eliminable is what lets the preprocessor cut
-        the order-axiom-heavy formulas (e.g. msn/Tpc6) by half instead of
-        15%.
-        """
-        handles: list[int] = [Circuit.TRUE]
-        for slot in self.observation_slots:
-            handles.extend(slot.value.bits)
-        handles.extend(handle for handle, _ in self.assertions)
-        handles.extend(self.overflow_handles.values())
-        handles.extend(self._not_in_guards.values())
-        handles.extend(self.fence_selectors.values())
-        return {abs(handle) for handle in handles}
 
     def observations(self):
         """The reachable observation vectors, by solve -> decode -> yield
@@ -381,9 +343,9 @@ class EncodedTest:
             yield observation
             self.block_observation(observation)
 
-    def solve(self, assumptions=()):
-        """Solve the current formula under assumption literals; returns
-        True/False (or None on limit).
+    def solve(self, assumptions=()) -> bool:
+        """Solve the current formula under assumption literals: True (SAT)
+        or False (UNSAT); a budget breach raises.
 
         A gate's clauses are written when the gate is built, so every
         clause an assumption depends on is already in the CNF: one sync at
@@ -461,8 +423,7 @@ class EncodedTest:
 
         The blocking clause is *projected*: it mentions observation-slot
         literals only (no fresh variables), which keeps the incremental
-        solver state small during outcome mining and lets the preprocessor
-        map it against the live simplified state."""
+        solver state small during outcome mining."""
         literals = self.projected_blocking_clause(observation)
         if literals is None:
             return  # no execution matches; nothing to block

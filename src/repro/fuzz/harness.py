@@ -76,13 +76,13 @@ def fuzz_cells(specs, models, engines=None) -> list[MatrixCell]:
 def run_fuzz_cell(cell: MatrixCell, options) -> "CellResult":
     """Differentially check one (program, model) cell.
 
-    Called by the matrix executor (:func:`repro.harness.matrix._run_cell`)
-    inside its error containment, so exceptions here become per-cell
-    errors, not crashed shards.
+    Called by the matrix executor (``_Runner.run_cell`` in
+    :mod:`repro.harness.matrix`) inside its error containment, so
+    exceptions here become per-cell errors, not crashed shards; it also
+    times the cell.
     """
     from repro.harness.matrix import CellResult
 
-    started = time.perf_counter()
     compiled = compiled_fuzz_program(cell.test)
     report = differential_check(
         compiled, cell.model,
@@ -102,7 +102,6 @@ def run_fuzz_cell(cell: MatrixCell, options) -> "CellResult":
     return CellResult(
         cell=cell,
         passed=report.ok,
-        seconds=time.perf_counter() - started,
         counterexample=report.describe() if report.diverged else "",
         notes=notes,
         stats=stats,

@@ -429,9 +429,9 @@ class _Runner:
 
     @functools.cached_property
     def stack(self) -> tuple:
-        """The solver stack a litmus or fuzz cell's SAT engine runs: part
-        of its store key, since the stack is what a differential cell
-        tests."""
+        """The solver stack a litmus or fuzz cell's SAT engine runs (the
+        parsed backend spec): part of its store key, since the stack is
+        what a differential cell tests."""
         return make_backend_factory(self.options.solver_backend).stack
 
     def cache_stats(self) -> dict[str, int]:
@@ -468,7 +468,8 @@ class _Runner:
         results, so one bad cell cannot take down a shard.  The cell runs
         under its own deadline scope built from the options (plus the
         ``cell-timeout`` fault injection), which nested layers — the
-        session, the solver backends, the oracle loops — poll.
+        session, the solver backends, the oracle loops — poll.  The
+        cell's ``seconds`` is timed here, once, whichever way it ends.
         """
         started = time.perf_counter()
         deadline = limits.deadline_from_options(self.options)
@@ -483,24 +484,22 @@ class _Runner:
                 # first in-loop poll, which a small cell may never reach.
                 limits.check_deadline()
                 if self.store is None or cell.kind == CATALOG_KIND:
-                    return self._check(cell, started)
-                return self._stored(cell, started)
+                    result = self._check(cell)
+                else:
+                    result = self._stored(cell)
         except limits.LimitExceeded as exc:
-            return CellResult(
-                cell=cell,
-                seconds=time.perf_counter() - started,
-                degraded=exc.kind,
-                notes=[str(exc)],
+            result = CellResult(
+                cell=cell, degraded=exc.kind, notes=[str(exc)]
             )
         except Exception as exc:
             detail = traceback.format_exc(limit=3)
-            return CellResult(
-                cell=cell,
-                seconds=time.perf_counter() - started,
-                error=f"{type(exc).__name__}: {exc}\n{detail}",
+            result = CellResult(
+                cell=cell, error=f"{type(exc).__name__}: {exc}\n{detail}"
             )
+        result.seconds = time.perf_counter() - started
+        return result
 
-    def _stored(self, cell: MatrixCell, started: float) -> CellResult:
+    def _stored(self, cell: MatrixCell) -> CellResult:
         """A litmus, fuzz or engines cell served from the store, or
         checked and then stored.  A budget breach or an error raises out
         of :meth:`_check`, so only a cell with a verdict is stored."""
@@ -512,17 +511,15 @@ class _Runner:
         if payload is not None:
             self.store_stats["store_hits"] += 1
             payload["stats"]["store_hit"] = True
-            return CellResult(
-                cell=cell, seconds=time.perf_counter() - started, **payload
-            )
+            return CellResult(cell=cell, **payload)
         self.store_stats["store_misses"] += 1
-        result = self._check(cell, started)
+        result = self._check(cell)
         self.store.put(key, result_store.CELL_KIND, {
             name: getattr(result, name) for name in _STORED_FIELDS
         })
         return result
 
-    def _check(self, cell: MatrixCell, started: float) -> CellResult:
+    def _check(self, cell: MatrixCell) -> CellResult:
         if cell.kind == FUZZ_KIND:
             from repro.fuzz.harness import run_fuzz_cell
 
@@ -543,7 +540,6 @@ class _Runner:
             return CellResult(
                 cell=cell,
                 allowed=outcome.allowed,
-                seconds=time.perf_counter() - started,
                 stats={"backend": outcome.backend, "order": outcome.order},
             )
         session = self.sessions.get(cell.implementation)
@@ -560,7 +556,6 @@ class _Runner:
             # first-class cell verdict.
             return CellResult(
                 cell=cell,
-                seconds=time.perf_counter() - started,
                 degraded=result.degraded,
                 notes=list(result.notes),
                 stats=result.stats.as_dict(),
@@ -568,7 +563,6 @@ class _Runner:
         return CellResult(
             cell=cell,
             passed=result.passed,
-            seconds=time.perf_counter() - started,
             counterexample=(
                 result.counterexample.format()
                 if result.counterexample is not None

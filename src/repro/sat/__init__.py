@@ -17,11 +17,10 @@ Public surface:
   if-then-else gates, one variable each): every handle is a literal of
   its own CNF, and each gate's Tseitin clauses are written when the gate
   is built.
-* :mod:`repro.sat.simplify` — in-process SatELite-style CNF preprocessing
-  (:class:`repro.sat.simplify.SimplifyingBackend`) between the encoder's
-  CNF and the solver, with model reconstruction and a frozen-variable
-  contract; stacked only when ``CHECKFENCE_SIMPLIFY`` forces it.
 * :class:`repro.sat.bitvec.BitVecBuilder` — fixed-width bit-vector terms.
+
+:mod:`repro.sat.simplify`, a SatELite-style CNF preprocessor, is not part
+of it: no backend stack includes it, and no pipeline module imports it.
 """
 
 from repro.sat.cnf import CNF
@@ -35,12 +34,6 @@ from repro.sat.backend import (
 )
 from repro.sat.circuit import Circuit
 from repro.sat.bitvec import BitVec, BitVecBuilder, width_for
-from repro.sat.simplify import (
-    Simplifier,
-    SimplifyingBackend,
-    SimplifyStats,
-    simplify_cnf,
-)
 
 __all__ = [
     "CNF",
@@ -54,8 +47,4 @@ __all__ = [
     "BitVec",
     "BitVecBuilder",
     "width_for",
-    "Simplifier",
-    "SimplifyingBackend",
-    "SimplifyStats",
-    "simplify_cnf",
 ]

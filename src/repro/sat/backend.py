@@ -19,11 +19,15 @@ Backend choice is a string *spec* threaded through
   from an IPASIR shared library (:mod:`repro.sat.ipasir`); the path may
   be a loader soname such as ``libcadical.so``.
 
-:func:`make_backend_factory` turns a spec into a factory of fresh backend
-*stacks*: it alone decides whether the CNF preprocessor
-(:class:`repro.sat.simplify.SimplifyingBackend`) wraps the chosen backend
-(``CHECKFENCE_SIMPLIFY``), so that decision is made once, where the
-factory is built, and every layer below only ever receives the factory.
+:func:`make_backend_factory` turns a spec into a factory of fresh
+backends, so the spec is resolved once, where the factory is built, and
+every layer below only ever receives the factory.
+
+A solve answers SAT (``True``) or UNSAT (``False``) and nothing else.
+A search that a budget stops raises the budget's
+:class:`repro.core.limits.LimitExceeded`, and any other status the
+kernel reports raises, so an unfinished search is never read as a
+verdict.
 """
 
 from __future__ import annotations
@@ -31,9 +35,8 @@ from __future__ import annotations
 import os
 from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
-from repro.core import faults, limits
+from repro.core import faults
 from repro.sat.cnf import CNF
-from repro.sat.simplify import SimplifyingBackend
 from repro.sat.solver import SolverStats
 
 BackendFactory = Callable[[], "SolverBackend"]
@@ -54,21 +57,18 @@ class SolverBackend(Protocol):
         """Add clauses ``start`` through ``len(cnf) - 1`` of ``cnf``."""
         ...
 
-    def freeze(self, variables: Iterable[int]) -> None: ...
-
-    def solve(
-        self,
-        assumptions: Sequence[int] = (),
-        conflict_limit: int | None = None,
-    ) -> bool | None: ...
+    def solve(self, assumptions: Sequence[int] = ()) -> bool:
+        """True (SAT) or False (UNSAT).  A budget that stops the search
+        raises its :class:`repro.core.limits.LimitExceeded`."""
+        ...
 
     def failed_assumptions(self) -> list[int]:
         """Subset of the last solve's assumptions already unsatisfiable
         together with the formula.  Uniform contract across backends:
         non-empty only when the most recent :meth:`solve` returned
-        ``False`` — after a SAT or UNKNOWN result, or before any solve,
-        this is ``[]`` (core-guided searches rely on that to distinguish
-        "no core" from a stale one)."""
+        ``False`` — after a SAT result, a solve that raised, or before
+        any solve, this is ``[]`` (core-guided searches rely on that to
+        distinguish "no core" from a stale one)."""
         ...
 
     def model(self) -> dict[int, bool]: ...
@@ -106,19 +106,8 @@ class InternalBackend:
     def add_cnf(self, cnf: CNF, start: int = 0) -> bool:
         return self.solver.add_cnf(cnf, start)
 
-    def freeze(self, variables: Iterable[int]) -> None:
-        """No-op: the kernel never removes variables.  Preprocessing
-        backends (:class:`repro.sat.simplify.SimplifyingBackend`) use the
-        frozen set to protect variables the caller will mention again."""
-
-    def solve(
-        self,
-        assumptions: Sequence[int] = (),
-        conflict_limit: int | None = None,
-    ) -> bool | None:
-        return self.solver.solve(
-            assumptions=assumptions, conflict_limit=conflict_limit
-        )
+    def solve(self, assumptions: Sequence[int] = ()) -> bool:
+        return self.solver.solve(assumptions)
 
     def failed_assumptions(self) -> list[int]:
         """Subset of the last solve's assumptions that is already
@@ -147,13 +136,10 @@ def default_backend_spec() -> str:
 def make_backend_factory(spec: str | None = None) -> "BackendStackFactory":
     """Turn a backend spec string into a factory of fresh backend stacks.
 
-    Each produced stack is, innermost first: the backend ``spec`` names;
-    the counting proxy of the ``solver-raise`` fault
+    Each produced stack is the backend ``spec`` names, inside the
+    counting proxy of the ``solver-raise`` fault
     (:mod:`repro.core.faults`) when that fault is armed, so the hot path
-    pays nothing otherwise; and, only when ``CHECKFENCE_SIMPLIFY`` is set
-    to anything but ``0``, the CNF preprocessor, which then runs on every
-    formula: the escape hatch for formulas the native kernel finds hard,
-    and the differential lanes.
+    pays nothing otherwise.
 
     The spec is checked here (a ValueError names the valid ones); the
     native library is loaded only when the first stack is made.
@@ -167,20 +153,12 @@ class BackendStackFactory:
 
     def __init__(self, spec: str | None) -> None:
         self._spec = _parse_spec(spec)
-        self._forced = limits.env_flag("CHECKFENCE_SIMPLIFY")
         self._inject_faults = bool(faults.solver_raise_counts())
 
     @property
-    def preprocess(self) -> bool:
-        """Whether the stacks include the CNF preprocessor
-        (``CHECKFENCE_SIMPLIFY`` forces it in)."""
-        return self._forced
-
-    @property
     def stack(self) -> tuple:
-        """What the stacks are: the parsed spec (kind, library path) and
-        whether ``CHECKFENCE_SIMPLIFY`` forces the preprocessor in."""
-        return (*self._spec, self._forced)
+        """What the stacks are: the parsed spec (kind, library path)."""
+        return self._spec
 
     def __call__(self) -> SolverBackend:
         kind, library = self._spec
@@ -194,8 +172,6 @@ class BackendStackFactory:
             backend = ipasir.IpasirBackend(library)
         if self._inject_faults:
             backend = faults.FaultySolverProxy(backend)
-        if self._forced:
-            backend = SimplifyingBackend(backend)
         return backend
 
 

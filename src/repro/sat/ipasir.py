@@ -37,11 +37,10 @@ from typing import Callable, Iterable, Sequence
 
 from repro.core import limits
 from repro.sat.cnf import CNF
-from repro.sat.solver import SolverStats
+from repro.sat.solver import SolverError, SolverStats
 
 IPASIR_SAT = 10
 IPASIR_UNSAT = 20
-IPASIR_INTERRUPTED = 0
 
 #: C type of the optional ``ipasir_set_terminate`` callback: called
 #: periodically by the solver; a non-zero return aborts the solve.  The
@@ -61,8 +60,9 @@ _REQUIRED_SYMBOLS = (
 )
 
 
-class IpasirError(RuntimeError):
-    """An IPASIR library could not be loaded or misbehaved."""
+class IpasirError(SolverError):
+    """An IPASIR library could not be loaded or misbehaved, or was handed
+    input no IPASIR call may take (a literal 0)."""
 
 
 def solve_polled(
@@ -71,12 +71,12 @@ def solve_polled(
     """``solve()``, an IPASIR-style solve call, under a terminate callback
     that ``set_terminate(callback)`` installs for its duration.
 
-    The callback stops the search once the active deadline expires or
-    exceeds its memory limit, and once an exception was raised inside it,
-    such as Ctrl-C, whose pending signal is raised on entry.  ctypes cannot
-    return an exception from a callback, so the exception is kept and
-    re-raised here after the C call has returned, and an interrupted solve
-    (status 0) re-checks the deadline, so a breach raises here too.
+    The callback checks the active deadline and stops the search once
+    that check, or anything else inside the callback (such as Ctrl-C,
+    whose pending signal is raised on entry), raises.  ctypes cannot
+    return an exception from a callback, so the first one is kept and
+    re-raised here after the C call has returned: the breach the poll
+    saw, not a fresh reading, decides what a stopped search raises.
     """
     deadline = limits.active_deadline()
     if deadline is not None:
@@ -85,12 +85,11 @@ def solve_polled(
 
     def should_stop(_data) -> int:
         try:
-            return int(bool(stop) or deadline is not None and (
-                deadline.expired() or deadline.memory_exceeded()
-            ))
+            if not stop and deadline is not None:
+                deadline.check()
         except BaseException as exc:
             stop.append(exc)
-            return 1
+        return int(bool(stop))
 
     def keep_exception(unraisable) -> None:
         # An exception raised before the callback's own handler runs
@@ -112,8 +111,6 @@ def solve_polled(
         sys.unraisablehook = previous_hook
     if stop:
         raise stop[0]
-    if result == IPASIR_INTERRUPTED and deadline is not None:
-        deadline.check()
     return result
 
 
@@ -226,10 +223,8 @@ class IpasirBackend:
         self._handle = library.init()
         self.name = f"ipasir({library.signature()})"
         self._num_vars = 0
-        self._unsat = False
         self._last_result: bool | None = None
         self._failed: list[int] = []
-        self._solves = 0
 
     def __del__(self) -> None:  # pragma: no cover - interpreter teardown
         handle = getattr(self, "_handle", None)
@@ -247,43 +242,27 @@ class IpasirBackend:
             self._num_vars = num_vars
 
     def add_clause(self, literals: Iterable[int]) -> bool:
-        add = self._library.add
-        handle = self._handle
-        count = 0
-        num_vars = self._num_vars
-        for lit in literals:
-            if lit == 0:
-                raise IpasirError("0 is not a valid literal")
-            var = lit if lit > 0 else -lit
-            if var > num_vars:
-                num_vars = var
-            add(handle, lit)
-            count += 1
-        add(handle, 0)
-        self._num_vars = num_vars
-        if count == 0:
-            self._unsat = True
-            return False
-        return True
+        return self.add_clauses([tuple(literals)])
 
     def add_clauses(self, clauses: Iterable[Sequence[int]]) -> bool:
+        """Push each clause, 0-terminated.  A clause holding a 0 raises
+        before any of its literals reaches the library, which would
+        otherwise prefix them to the next clause added."""
         add = self._library.add
         handle = self._handle
         num_vars = self._num_vars
         ok = True
         for clause in clauses:
-            count = 0
+            if 0 in clause:
+                self._num_vars = num_vars
+                raise IpasirError("0 is not a valid literal")
             for lit in clause:
-                if lit == 0:
-                    raise IpasirError("0 is not a valid literal")
                 var = lit if lit > 0 else -lit
                 if var > num_vars:
                     num_vars = var
                 add(handle, lit)
-                count += 1
             add(handle, 0)
-            if count == 0:
-                self._unsat = True
+            if not clause:
                 ok = False
         self._num_vars = num_vars
         return ok
@@ -292,24 +271,19 @@ class IpasirBackend:
         self.ensure_vars(cnf.num_vars)
         return self.add_clauses(cnf.clauses[start:])
 
-    def freeze(self, variables: Iterable[int]) -> None:
-        """No-op: IPASIR solvers manage frozen/melted state internally
-        (assumption and value queries keep variables alive)."""
-
     # -------------------------------------------------------------- solving
 
-    def solve(
-        self,
-        assumptions: Sequence[int] = (),
-        conflict_limit: int | None = None,
-    ) -> bool | None:
-        # conflict_limit is a budget hint for the native kernel; IPASIR
-        # solvers run to completion, unless the optional
+    def solve(self, assumptions: Sequence[int] = ()) -> bool:
+        # IPASIR solvers run to completion, unless the optional
         # ipasir_set_terminate hook aborts the solve on a deadline breach
         # or Ctrl-C (libraries without the hook are still checked between
         # solves).
         self._failed = []
         self._last_result = None
+        assumptions = tuple(assumptions)
+        if 0 in assumptions:
+            # Checked here: a 0 would end the library's assumption list.
+            raise IpasirError("0 is not a valid assumption literal")
         library = self._library
         handle = self._handle
 
@@ -321,7 +295,6 @@ class IpasirBackend:
         result = solve_polled(
             partial(library.set_terminate, handle), assume_and_solve
         )
-        self._solves += 1
         if result == IPASIR_SAT:
             self._last_result = True
             return True

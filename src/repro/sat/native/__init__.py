@@ -150,7 +150,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         "cf_reserve": (None, [handle, ctypes.c_int]),
         "cf_add_clauses": (ctypes.c_int, [handle, ptr, ptr, i64, i64]),
         "cf_add_clause": (ctypes.c_int, [handle, ptr, ctypes.c_int]),
-        "cf_solve": (ctypes.c_int, [handle, ptr, ctypes.c_int, i64]),
+        "cf_solve": (ctypes.c_int, [handle, ptr, ctypes.c_int]),
         "cf_model": (ctypes.c_int, [handle, ptr, ctypes.c_int]),
         "cf_failed": (ctypes.c_int, [handle, ptr, ctypes.c_int]),
         "cf_stats": (None, [handle, ptr]),
@@ -300,18 +300,14 @@ class NativeSolver:
 
     # ----------------------------------------------------------- solve
 
-    def solve(
-        self,
-        assumptions: Sequence[int] = (),
-        conflict_limit: int | None = None,
-    ) -> bool | None:
-        """True (SAT), False (UNSAT), or None when ``conflict_limit`` ran
-        out.
+    def solve(self, assumptions: Sequence[int] = ()) -> bool:
+        """True (SAT) or False (UNSAT).
 
         The kernel calls back into Python every 64 conflicts and every
-        4096 decisions to poll the deadline and Ctrl-C:
-        a deadline breach raises from here, leaving the solver reusable,
-        and so does Ctrl-C (the pending signal is raised in the callback).
+        4096 decisions to poll the deadline and Ctrl-C: a deadline breach
+        raises from here, leaving the solver reusable, and so does Ctrl-C
+        (the pending signal is raised in the callback).  Any other status
+        raises :class:`SolverError`.
         """
         self._last_result = None
         self._values = None
@@ -321,17 +317,15 @@ class NativeSolver:
         lib, handle = self._lib, self._handle
         result = solve_polled(
             partial(lib.ipasir_set_terminate, handle, None),
-            partial(
-                lib.cf_solve, handle, _address(assumed), len(assumed),
-                -1 if conflict_limit is None else conflict_limit,
-            ),
+            partial(lib.cf_solve, handle, _address(assumed), len(assumed)),
         )
         if result < 0:
             raise SolverError("0 is not a valid assumption literal")
-        if result == _SAT:
-            self._last_result = True
-        elif result == _UNSAT:
-            self._last_result = False
+        if result not in (_SAT, _UNSAT):
+            raise SolverError(
+                f"kernel returned unexpected solve status {result}"
+            )
+        self._last_result = result == _SAT
         return self._last_result
 
     def failed_assumptions(self) -> list[int]:

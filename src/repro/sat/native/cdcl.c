@@ -14,8 +14,8 @@
  *   - clause addition at decision level 0 (duplicates, tautologies and
  *     root-level facts are handled here);
  *   - solving under assumptions with an analyzeFinal failed-assumption
- *     core, a conflict limit that returns "unknown", and a terminate
- *     callback polled every 64 conflicts and every 4096 decisions.
+ *     core, and a terminate callback polled every 64 conflicts and every
+ *     4096 decisions.
  *
  * The search is deterministic: no randomness, no dependence on addresses,
  * and every buffer is zero-initialised before use, so two processes given
@@ -720,10 +720,8 @@ static int stop_requested(Solver *s) {
 }
 
 /* Solve under ``assumptions`` (DIMACS literals).  Returns CF_SAT,
- * CF_UNSAT, or CF_UNKNOWN when ``conflict_limit`` (if >= 0) ran out or
- * the terminate callback asked to stop. */
-int cf_solve(Solver *s, const int32_t *assumptions, int count,
-             int64_t conflict_limit) {
+ * CF_UNSAT, or CF_UNKNOWN when the terminate callback asked to stop. */
+int cf_solve(Solver *s, const int32_t *assumptions, int count) {
     s->has_model = 0;
     s->core.size = 0;
     backtrack(s, 0);
@@ -759,10 +757,6 @@ int cf_solve(Solver *s, const int32_t *assumptions, int count,
             learn(s, lbd);
             s->var_inc *= 1 / 0.95;
             s->cla_inc *= 1 / 0.999;
-            if (conflict_limit >= 0 && conflicts >= conflict_limit) {
-                backtrack(s, 0);
-                return CF_UNKNOWN;
-            }
             if ((conflicts & POLL_CONFLICTS_MASK) == 0 && stop_requested(s)) {
                 backtrack(s, 0);
                 return CF_UNKNOWN;
@@ -946,7 +940,7 @@ void ipasir_assume(void *solver, int32_t lit) {
 int ipasir_solve(void *solver) {
     Solver *s = solver;
     int result = cf_solve(s, s->ipasir_assumptions.data,
-                          s->ipasir_assumptions.size, -1);
+                          s->ipasir_assumptions.size);
     s->ipasir_assumptions.size = 0;
     return result < 0 ? CF_UNKNOWN : result;
 }

@@ -32,14 +32,11 @@ clauses during outcome mining, guard definitions, the clauses of gates
 built for later assumptions).  Two mechanisms keep that sound:
 
 * a **frozen set** of variables that outside code will mention again
-  (observation-slot bits, assumption/guard handles; memory-order variables
-  and reads-from selectors stay out: counterexample decoding reads them
-  from the reconstructed model, see
-  :meth:`repro.encoding.formula.EncodedTest.frozen_variables`).  Frozen
-  variables are never eliminated, never pure-literal assigned and never
-  substituted away; they may still be *fixed* by unit propagation, which
-  is a root-level consequence and therefore survives any future clause
-  additions.
+  (:meth:`Simplifier.freeze`; assumption variables are frozen at the
+  first solve).  Frozen variables are never eliminated, never
+  pure-literal assigned and never substituted away; they may still be
+  *fixed* by unit propagation, which is a root-level consequence and
+  therefore survives any future clause additions.
 * **reinstatement**: if an incoming clause or assumption mentions an
   eliminated variable anyway, the clauses removed at its elimination are
   replayed back into the solver (recursively, since they may mention
@@ -56,11 +53,13 @@ solver never sees a literal the preprocessor already resolved.
 backend with this machinery and additionally *compacts* the variable
 space: surviving variables are renumbered densely for the inner solver,
 which shrinks the inner solver's per-variable structures.
-:func:`repro.sat.backend.make_backend_factory` stacks it only when
-``CHECKFENCE_SIMPLIFY`` forces it in, and then it preprocesses every
-formula: the pass is pure Python, so on most formulas it costs more than
-the native kernel's search it saves, and it stays an escape hatch for the
-few it pays on.
+
+No backend stack the pipeline builds includes it: the pass is pure
+Python, and on the measured slow checks it costs more than the native
+kernel's search it saves.  Only its own unit tests and the traced
+benchmark run (``perfbench/tracer.py``, which wraps
+:meth:`Simplifier.preprocess` and :meth:`SimplifyingBackend.solve`)
+import it.
 """
 
 from __future__ import annotations
@@ -945,11 +944,7 @@ class SimplifyingBackend:
 
     # --------------------------------------------------------------- solving
 
-    def solve(
-        self,
-        assumptions: Sequence[int] = (),
-        conflict_limit: int | None = None,
-    ) -> bool | None:
+    def solve(self, assumptions: Sequence[int] = ()) -> bool:
         simplifier = self.simplifier
         if not simplifier.preprocessed:
             # Assumption variables behave like frozen ones: they must
@@ -996,9 +991,7 @@ class SimplifyingBackend:
             inner_lit = self._inner_lit(mapped)
             self._assumption_origin.setdefault(inner_lit, lit)
             inner_assumptions.append(inner_lit)
-        return self.inner.solve(
-            assumptions=inner_assumptions, conflict_limit=conflict_limit
-        )
+        return self.inner.solve(inner_assumptions)
 
     def failed_assumptions(self) -> list[int]:
         """The inner solver's failed-assumption core mapped back onto the

@@ -1,6 +1,6 @@
 """The solver records every backend shares: :class:`SolverStats`, the
 counters a solve reports, and :class:`SolverError`, raised on malformed
-solver input.
+solver input or a kernel status that is neither SAT nor UNSAT.
 
 The kernels live elsewhere: the native CDCL kernel in
 :mod:`repro.sat.native`, external IPASIR libraries in
@@ -17,11 +17,11 @@ class SolverStats:
     """Counters a backend reports after each solve.
 
     The ``vars_eliminated`` / ``clauses_subsumed`` / ``equiv_merged`` /
-    ``preprocess_seconds`` counters are zero for a bare solver; they are
-    filled in by :class:`repro.sat.simplify.SimplifyingBackend` when
-    in-process CNF preprocessing runs in front of the solver.  The native
-    kernel builds this record positionally from its first seven counters,
-    so those keep their order.
+    ``preprocess_seconds`` counters are zero on every stack the pipeline
+    builds; only :class:`repro.sat.simplify.SimplifyingBackend`, which no
+    stack includes, fills them in.  The native kernel builds this record
+    positionally from its first seven counters, so those keep their
+    order.
     """
 
     decisions: int = 0
@@ -66,4 +66,6 @@ class SolverStats:
 
 
 class SolverError(RuntimeError):
-    """Raised on malformed solver input (e.g. literal 0)."""
+    """Raised on malformed solver input (e.g. literal 0), or when a
+    kernel ends a solve with neither SAT nor UNSAT and no budget says
+    why."""

@@ -1,6 +1,6 @@
 """Shared fixtures: solver subprocesses, the native kernel (and a failed
-build of it), and the injected encoder bug of the mutation-detection
-tests."""
+build of it), a memory budget that only a kernel's poll sees breached,
+and the injected encoder bug of the mutation-detection tests."""
 
 from __future__ import annotations
 
@@ -69,3 +69,47 @@ def broken_native_build(monkeypatch):
         monkeypatch.setattr(native, name, None)
     monkeypatch.setattr(native, "_build", build)
     return reason
+
+
+@pytest.fixture
+def poll_only_memory_spike(monkeypatch):
+    """A deadline whose resident-memory reading is over its cap at the
+    first terminate poll a kernel makes, and under it at every other
+    reading, in a poll or not: the budget stops a search once, and is met
+    again by the time the solve returns.  Install it with
+    ``limits.deadline_scope``; ``spiked`` says whether the poll came.
+
+    A reading is in a poll while the callback every solve installs runs,
+    which the fixture marks by wrapping the callback type
+    ``repro.sat.ipasir.TERMINATE_CALLBACK``.  An IPASIR library reads that
+    type when it loads, so the in-tree library is loaded first."""
+    from repro.core import limits
+    from repro.sat import ipasir, native
+
+    ipasir.load_ipasir_library(native.library_path())
+
+    class PollOnlySpike(limits.Deadline):
+        polling = False
+        spiked = False
+
+        def memory_exceeded(self) -> bool:
+            if self.polling and not self.spiked:
+                self.spiked = True
+                return True
+            return False
+
+    deadline = PollOnlySpike(memory_limit_mb=100_000)
+    callback_type = ipasir.TERMINATE_CALLBACK
+
+    def marking_polls(function):
+        def poll(data):
+            deadline.polling = True
+            try:
+                return function(data)
+            finally:
+                deadline.polling = False
+
+        return callback_type(poll)
+
+    monkeypatch.setattr(ipasir, "TERMINATE_CALLBACK", marking_polls)
+    return deadline

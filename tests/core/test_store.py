@@ -129,16 +129,6 @@ class TestKeySensitivity:
         _, warm = _check("msn", "T0", "sc", store=True, solver_backend="auto")
         assert warm.stats.store_hit is True
 
-    def test_preprocessor_does_not_change_key(self, cache_dir, monkeypatch):
-        """The CNF preprocessor is verdict-preserving like the backend, so a
-        cell is shared between the forced and the default stack."""
-        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
-        _, cold = _check("msn", "T0", "sc", store=True)
-        assert cold.stats.store_hit is False
-        monkeypatch.delenv("CHECKFENCE_SIMPLIFY")
-        _, warm = _check("msn", "T0", "sc", store=True)
-        assert warm.stats.store_hit is True
-
     def test_native_kernel_source_changes_key(self, tmp_path, monkeypatch):
         """The default solver is C: editing ``cdcl.c`` must move every
         key, like editing any Python file of the checker."""
@@ -193,13 +183,6 @@ class TestMatrixCellKeys:
         library = f"ipasir:{native.library_path()}"
         assert self._hits(cells, solver_backend=library) == 0
         assert self._hits(cells, solver_backend="auto") == 0
-
-    def test_forced_preprocessor_misses(self, cache_dir, monkeypatch):
-        cells = fuzz_cells([self.SPEC], ["sc"])
-        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
-        assert self._hits(cells) == 0
-        monkeypatch.delenv("CHECKFENCE_SIMPLIFY")
-        assert self._hits(cells) == 0
 
     def test_other_engines_miss(self, cache_dir):
         assert self._hits(fuzz_cells([self.SPEC], ["sc"])) == 0

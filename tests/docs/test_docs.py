@@ -96,16 +96,47 @@ def test_tutorial_commands_extracted(docs_check):
             assert argv[0] == sys.executable and "repro.cli" in argv
 
 
-def test_quoted_verdict_lines_mask_the_wall_clock(docs_check):
-    quoted = ["[FAIL] q / T0 on tso: 3 accesses, 10 clauses, total 0.02s",
-              "counterexample lines are not verdicts"]
-    printed = "[PASS] q / T1 on sc: 2 accesses, 5 clauses, total 0.01s\n" \
+def test_quoted_lines_mask_the_wall_clock(docs_check):
+    """Every quoted line must be printed, in order, with durations, rates,
+    table rules and runs of blanks masked; lines may be left out."""
+    printed = (
+        "[PASS] q / T1 on sc: 2 accesses, 5 clauses, total 0.01s\n"
         "[FAIL] q / T0 on tso: 3 accesses, 10 clauses, total 1.50s\n"
-    assert docs_check.stale_verdict_lines(quoted, printed) == []
+        "  #0   ld x  value=1  <- #3\n"
+        "cell  time\n"
+        "----  -----\n"
+        "q     0.12s\n"
+        "40 programs in 0.25s (157.0 programs/s)\n"
+    )
+    quoted = [
+        "[FAIL] q / T0 on tso: 3 accesses, 10 clauses, total 0.02s",
+        "    #0   ld x  value=1      <- #3",
+        "",
+        "----  ----",
+        "q     38ms",
+        "40 programs in 1.05s (38.1 programs/s)",
+    ]
+    assert docs_check.stale_lines(quoted, printed) == []
     stale = ["[FAIL] q / T0 on tso: 3 accesses, 11 clauses, total 0.02s"]
-    assert docs_check.stale_verdict_lines(stale, printed) == [
+    assert docs_check.stale_lines(stale, printed) == [
         f"tutorial quotes {stale[0]!r} but the command printed "
         "'[PASS] q / T1 on sc: 2 accesses, 5 clauses, total 0.01s'"
+    ]
+    # Out of order: the verdict line cannot come after the trace line.
+    assert docs_check.stale_lines([quoted[1], quoted[0]], printed) == [
+        f"tutorial quotes {quoted[0]!r} but the command printed "
+        "'cell  time'"
+    ]
+
+
+def test_a_quote_past_the_end_of_the_output_names_the_end(docs_check):
+    printed = "[PASS] q / T1 on sc: 2 accesses, total 0.01s\nsolver: native\n"
+    assert docs_check.stale_lines(
+        ["solver: native", "[PASS] q / T1 on sc: 2 accesses, total 0.02s"],
+        printed,
+    ) == [
+        "tutorial quotes '[PASS] q / T1 on sc: 2 accesses, total 0.02s' "
+        "but the command printed '(end)'"
     ]
 
 
@@ -135,3 +166,99 @@ def test_tutorial_run_names_a_stale_clause_count(tmp_path, docs_check):
     named_quote, named_print = problems[0].split(" but the command printed ")
     assert named_quote == f"tutorial quotes {stale!r}"
     assert named_print.startswith("'" + quoted.split(" total ")[0])
+
+
+def test_tutorial_run_names_a_changed_trace_line(tmp_path, docs_check):
+    """The tutorial's whole msn-unfenced/T0 quote, one counterexample
+    trace line changed (the store its last load read), fails the run on
+    that line alone."""
+    quoted = next(
+        block
+        for language, block in docs_check.tutorial_blocks()
+        if language == "text"
+        and block[0].startswith("[FAIL] msn-unfenced / T0 on relaxed:")
+    )
+    last_load = max(
+        index for index, line in enumerate(quoted) if " <- #" in line
+    )
+    line = quoted[last_load]
+    source = int(line.rsplit("#", 1)[1])
+    changed = line.replace(f"<- #{source}", f"<- #{source - 1}")
+    snippet = tmp_path / "tutorial.md"
+    snippet.write_text(
+        "```sh\n"
+        "checkfence check --impl msn-unfenced --test T0 --model relaxed"
+        "  # exit: 1\n"
+        "```\n\n"
+        "```text\n" + "\n".join(
+            changed if index == last_load else text
+            for index, text in enumerate(quoted)
+        ) + "\n```\n"
+    )
+    problems = docs_check.run_tutorial(str(snippet))
+    assert len(problems) == 1, problems
+    assert problems[0].startswith(f"tutorial quotes {changed.strip()!r}")
+
+
+def test_tutorial_run_keeps_the_callers_store(
+    tmp_path, docs_check, monkeypatch
+):
+    """The tutorial runs under a cache directory of its own: its ``cache``
+    commands see an empty store, and its ``cache --clear`` leaves the
+    store of the directory the caller names whole."""
+    from repro.core.store import VerdictStore
+
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("CHECKFENCE_CACHE_DIR", str(cache))
+    VerdictStore().put("a-cell", "verdict", {"passed": True})
+    snippet = tmp_path / "tutorial.md"
+    snippet.write_text(
+        "```sh\ncheckfence cache\ncheckfence cache --clear\n```\n\n"
+        "```text\ncells:  0 (store not created yet)\n```\n"
+    )
+    assert docs_check.run_tutorial(str(snippet)) == []
+    assert VerdictStore().stats()["cells"] == 1
+
+
+def _environment_tree(root, code: str, rows: list[str]) -> None:
+    package = root / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "knobs.py").write_text(code)
+    (root / "docs").mkdir()
+    (root / "docs" / "architecture.md").write_text(
+        "## Environment variables\n\n| variable | effect |\n| --- | --- |\n"
+        + "".join(f"| `{name}` | an effect |\n" for name in rows)
+        + "\n## Running things\n\n| `CHECKFENCE_OTHER_TABLE` | not it |\n"
+    )
+
+
+def test_environment_table_names_every_variable_read(
+    tmp_path, docs_check, monkeypatch
+):
+    _environment_tree(
+        tmp_path,
+        'import os\nos.environ.get("CHECKFENCE_SOLVER")\n'
+        'FAULT_ENV = "CHECKFENCE_FAULT"\n'
+        '"""``CHECKFENCE_IN_PROSE`` is not a read."""\n',
+        ["CHECKFENCE_SOLVER"],
+    )
+    monkeypatch.setattr(docs_check, "REPO_ROOT", str(tmp_path))
+    assert docs_check.check_environment_table() == [
+        "docs/architecture.md: environment table lacks `CHECKFENCE_FAULT`, "
+        "which src/repro reads"
+    ]
+
+
+def test_environment_table_lists_no_variable_unread(
+    tmp_path, docs_check, monkeypatch
+):
+    _environment_tree(
+        tmp_path,
+        'import os\nos.environ.get("CHECKFENCE_SOLVER")\n',
+        ["CHECKFENCE_SOLVER", "CHECKFENCE_SIMPLIFY"],
+    )
+    monkeypatch.setattr(docs_check, "REPO_ROOT", str(tmp_path))
+    assert docs_check.check_environment_table() == [
+        "docs/architecture.md: environment table lists "
+        "`CHECKFENCE_SIMPLIFY`, which no code under src/repro reads"
+    ]

@@ -9,23 +9,17 @@ writes the load's address and holds the load's value (an initial-value
 source holds the location's initial value).  The solution's memory order is
 checked against the choice too: the chosen store is the ``<M``-maximal
 store visible to the load, and an initial-value source sees no store.
-
-The selectors are not frozen, so under the CNF preprocessor they are read
-back from the reconstructed model; one lane forces the preprocessor with
-``CHECKFENCE_SIMPLIFY=1``.
 """
 
 from __future__ import annotations
 
 import random
-from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from repro.encoding.formula import encode_test
 from repro.fuzz import generate_program
 from repro.memorymodel.base import get_model
-from repro.sat.backend import make_backend_factory
 from repro.sat.bitvec import BitVecBuilder
 
 MODELS = ["serial", "sc", "tso", "pso", "relaxed"]
@@ -95,33 +89,16 @@ def _assert_selector_invariants(encoded, model: dict[int, bool]) -> None:
                 assert before(other, source), (access.label, store.label)
 
 
-def _check_program(seed: int, backend_factory=None) -> list[str]:
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_selectors_name_one_consistent_source(seed):
     """Check the invariants on a few solutions of the program's formula
-    under every memory model; returns the backend name of each formula."""
-    program = generate_program(random.Random(seed))
-    compiled = program.compile()
-    backends = []
+    under every memory model."""
+    compiled = generate_program(random.Random(seed)).compile()
     for name in MODELS:
-        encoded = encode_test(compiled, get_model(name), backend_factory)
+        encoded = encode_test(compiled, get_model(name))
         for count, _ in enumerate(encoded.observations()):
             _assert_selector_invariants(encoded, encoded.model_values())
             if count + 1 == SOLUTIONS_PER_FORMULA:
                 break
-        backends.append(encoded.backend_name)
-    return backends
 
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_selectors_name_one_consistent_source(seed):
-    _check_program(seed)
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_selectors_survive_preprocessing(seed):
-    """The same property with the CNF preprocessor on every formula."""
-    with mock.patch.dict("os.environ", {"CHECKFENCE_SIMPLIFY": "1"}):
-        factory = make_backend_factory()
-    backends = _check_program(seed, factory)
-    assert all(name.startswith("simplify+") for name in backends), backends

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import repro.harness.matrix as matrix_module
+from repro.core import limits
 from repro.core.checker import CheckOptions
 from repro.core.faults import FAULT_ENV
 from repro.harness.matrix import (
@@ -17,6 +19,7 @@ from repro.harness.matrix import (
     run_matrix,
     shard_cells,
 )
+from repro.fuzz import fuzz_cells
 from repro.sat import native
 
 
@@ -119,28 +122,25 @@ class TestLitmusMatrix:
         assert by_name["store-buffering"] == "forbidden"
         assert matrix.ok  # litmus cells never "fail"
 
-    def test_cells_forward_the_solver_stack(self, monkeypatch):
+    def test_cells_forward_the_solver_stack(self):
         """Litmus and catalog cells build their backend from the matrix
-        options and ``CHECKFENCE_SIMPLIFY``, so both reach every cell; the
-        recorded backend names the stack that ran, and the verdicts do not
-        depend on it."""
+        options, so the spec reaches every cell; the recorded backend
+        names the stack that ran, and the verdicts do not depend on it."""
         cells = litmus_cells(["sc", "relaxed"])[:4] + catalog_cells(
             ["msn"], models=["sc"], tests=["T0"]
         )
         options = CheckOptions(
             solver_backend=f"ipasir:{native.library_path()}"
         )
-        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
-        on = run_matrix(cells, jobs=1, options=options)
-        monkeypatch.delenv("CHECKFENCE_SIMPLIFY")
-        off = run_matrix(cells, jobs=1, options=options)
-        assert {r.stats["backend"] for r in on.results} == {
-            "simplify+ipasir(repro-cdcl)"
-        }
-        assert {r.stats["backend"] for r in off.results} == {
+        library = run_matrix(cells, jobs=1, options=options)
+        auto = run_matrix(
+            cells, jobs=1, options=CheckOptions(solver_backend="auto")
+        )
+        assert {r.stats["backend"] for r in library.results} == {
             "ipasir(repro-cdcl)"
         }
-        assert _verdicts(on) == _verdicts(off)
+        assert {r.stats["backend"] for r in auto.results} == {"native"}
+        assert _verdicts(library) == _verdicts(auto)
 
 
     def test_unavailable_native_kernel_is_an_error_cell(
@@ -210,12 +210,74 @@ class TestCatalogMatrix:
         assert good.verdict == "PASS"
         assert not matrix.ok
 
+    def test_a_search_a_budget_stopped_is_an_oom_cell(
+        self, poll_only_memory_spike
+    ):
+        """snark/Dq FAILs under relaxed; memory over the cap at the
+        kernel's first poll makes the cell OOM, never a PASS."""
+        cells = catalog_cells(["snark"], models=["relaxed"], tests=["Dq"])
+        with limits.deadline_scope(poll_only_memory_spike):
+            matrix = run_matrix(cells, jobs=1)
+        assert poll_only_memory_spike.spiked
+        assert [r.verdict for r in matrix.results] == ["OOM"]
+
     def test_as_dict_is_json_safe(self):
         cells = catalog_cells(["msn"], models=["sc"], tests=["T0"])
         matrix = run_matrix(cells, jobs=1)
         payload = json.loads(json.dumps(matrix.as_dict()))
         assert payload["cells"][0]["verdict"] == "PASS"
         assert payload["cache"]["mine"] == 1
+
+
+class TestCellTiming:
+    """``run_cell`` reads the clock twice per cell, whichever way the cell
+    ends, and ``seconds`` is the difference of the two readings."""
+
+    class Clock:
+        def __init__(self):
+            self.reads = 0
+
+        def perf_counter(self):
+            self.reads += 1
+            return 2.5 * self.reads
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        clock = self.Clock()
+        monkeypatch.setattr(matrix_module, "time", clock)
+        return clock
+
+    @staticmethod
+    def _timed(clock, cell, **options):
+        runner = matrix_module._Runner(CheckOptions(**options))
+        result = runner.run_cell(cell)
+        assert (clock.reads, result.seconds) == (2, 2.5)
+        return result
+
+    def test_a_checked_cell(self, clock):
+        cell = catalog_cells(["msn"], models=["sc"], tests=["T0"])[0]
+        assert self._timed(clock, cell).verdict == "PASS"
+
+    def test_a_fuzz_cell(self, clock):
+        """The fuzz harness keeps no clock of its own."""
+        cell = fuzz_cells(["x=1 r0=y | y=1 r1=x"], ["sc"])[0]
+        assert self._timed(clock, cell).verdict == "agree"
+
+    def test_a_cell_served_from_the_store(self, clock, tmp_path, monkeypatch):
+        monkeypatch.setenv("CHECKFENCE_CACHE_DIR", str(tmp_path))
+        cell = litmus_cells(["sc"])[0]
+        matrix_module._Runner(CheckOptions(store=True)).run_cell(cell)
+        clock.reads = 0
+        assert self._timed(clock, cell, store=True).stats["store_hit"]
+
+    def test_a_cell_its_budget_stopped(self, clock, monkeypatch):
+        cell = litmus_cells(["sc"])[0]
+        monkeypatch.setenv(FAULT_ENV, f"cell-timeout:{cell.key}")
+        assert self._timed(clock, cell).verdict == "TIMEOUT"
+
+    def test_a_cell_that_raised(self, clock):
+        cell = MatrixCell("no-such-impl", "T0", "sc")
+        assert self._timed(clock, cell).verdict == "ERROR"
 
 
 class TestWorkerCrash:

@@ -92,19 +92,16 @@ class TestLitmusOutcomes:
 
 class TestBackendEquivalence:
     """The litmus verdict matrix must be bit-identical across solver
-    stacks: the native kernel, the same kernel through its IPASIR exports,
-    and the CNF preprocessor forced on in front of the native kernel."""
+    stacks: the native kernel and the same kernel through its IPASIR
+    exports."""
 
-    def test_matrix_identical_across_backends(self, native_solver, monkeypatch):
-        monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
+    def test_matrix_identical_across_backends(self, native_solver):
         stacks = {
             "native": make_backend_factory("auto"),
             "ipasir": make_backend_factory(f"ipasir:{native.library_path()}"),
         }
-        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
-        stacks["simplify+native"] = make_backend_factory("auto")
         assert stacks["native"]().name == "native"
-        assert stacks["simplify+native"]().name == "simplify+native"
+        assert stacks["ipasir"]().name == "ipasir(repro-cdcl)"
         models = ["sc", "tso", "pso", "relaxed"]
         matrices = {name: {} for name in stacks}
         for name, litmus in available_litmus_tests().items():

@@ -3,13 +3,15 @@
 The differential suite checks :class:`InternalBackend` (the native
 kernel) against brute-force truth-table enumeration on random small CNFs;
 the spec tests pin how :func:`make_backend_factory` resolves a spec and
-stacks the preprocessor and the fault proxy around the chosen backend.
+stacks the fault proxy around the chosen backend.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -19,7 +21,6 @@ from repro.litmus.catalog import available_litmus_tests, compiled_litmus
 from repro.memorymodel.base import get_model
 from repro.sat import CNF, ipasir, native
 from repro.sat.backend import InternalBackend, make_backend_factory
-from repro.sat.simplify import SimplifyingBackend
 
 
 def brute_force_satisfiable(cnf: CNF) -> bool:
@@ -106,14 +107,12 @@ class TestInternalBackend:
 
 
 class TestBackendSpecs:
-    def test_auto_specs(self, monkeypatch):
-        monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
+    def test_auto_specs(self):
         for spec in ("auto", ""):
             backend = make_backend_factory(spec)()
             assert isinstance(backend, InternalBackend)
 
     def test_env_default(self, native_solver, monkeypatch):
-        monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
         library = native.library_path()
         monkeypatch.setenv("CHECKFENCE_SOLVER", f"ipasir:{library}")
         backend = make_backend_factory(None)()
@@ -142,76 +141,71 @@ class TestBackendSpecs:
 
 
 class TestBackendStack:
-    """The factory owns the one remaining solver-stack decision."""
+    """The factory builds the backend the spec names, inside the fault
+    proxy only when the ``solver-raise`` fault is armed."""
 
     def test_native_kernel_runs_bare_by_default(
         self, native_solver, monkeypatch
     ):
-        monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
         monkeypatch.delenv("CHECKFENCE_SOLVER", raising=False)
+        monkeypatch.delenv(faults.FAULT_ENV, raising=False)
         factory = make_backend_factory()
         backend = factory()
-        assert factory.preprocess is False
-        assert factory.stack == ("auto", "", False)
+        assert factory.stack == ("auto", "")
         assert isinstance(backend, InternalBackend)
         assert isinstance(backend.solver, native_solver)
         assert backend.name == "native"
 
-    @pytest.mark.parametrize("spec", ["auto", "ipasir"])
-    def test_forced_preprocessor_engages_on_every_formula(
-        self, spec, native_solver, monkeypatch
+    def test_the_pipeline_does_not_import_the_preprocessor(
+        self, src_on_subprocess_path
     ):
-        """``CHECKFENCE_SIMPLIFY=1`` stacks the preprocessor over any
-        backend, and it preprocesses even a two-clause formula."""
-        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
-        if spec == "ipasir":
-            spec = f"ipasir:{native.library_path()}"
-        factory = make_backend_factory(spec)
-        backend = factory()
-        assert factory.preprocess is True
-        assert factory.stack[-1] is True
-        assert isinstance(backend, SimplifyingBackend)
-        assert backend.name == f"simplify+{backend.inner.name}"
-        backend.add_clauses([[1, 2], [1, -2]])
-        assert backend.solve() is True
-        assert backend.simplify_stats.clauses_before == 2
-        assert backend.model()[1] is True
-
-    def test_simplify_zero_reads_as_unset(self, monkeypatch):
-        """``CHECKFENCE_SIMPLIFY=0`` builds the same stack as no setting:
-        the native kernel with no preprocessor."""
-
-        def stack():
-            factory = make_backend_factory("auto")
-            backend = factory()
-            return factory.stack, type(backend), backend.name
-
-        monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
-        unset = stack()
-        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "0")
-        assert stack() == unset == (
-            ("auto", "", False), InternalBackend, "native"
+        """No stack includes the CNF preprocessor, so a fresh
+        ``import repro.cli`` leaves :mod:`repro.sat.simplify` unloaded."""
+        probe = (
+            "import sys, repro.cli\n"
+            "print('repro.sat.simplify' in sys.modules)\n"
         )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out == "False\n"
 
-    def test_fault_proxy_sits_inside_the_preprocessor(self, monkeypatch):
-        monkeypatch.setenv(faults.FAULT_ENV, "solver-raise:1000000")
-        monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
-        backend = make_backend_factory("auto")()
-        assert isinstance(backend, faults.FaultySolverProxy)
-        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
-        forced = make_backend_factory("auto")()
-        assert isinstance(forced, SimplifyingBackend)
-        assert isinstance(forced.inner, faults.FaultySolverProxy)
+    _RUN_PROBE = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'repro.sat.simplify' in sys.modules)\n"
+    )
+    _LITMUS_SPEC = "x=1 r0=y | y=1 r1=x"
 
-    def test_encoded_test_freezes_every_stack_before_its_clauses(self):
-        """``EncodedTest`` hands its frozen set to whatever stack the
-        factory built, bare backends included: once, before any clause."""
+    @pytest.mark.parametrize("argv", [
+        ["check", "--impl", "msn", "--test", "T0", "--model", "sc"],
+        ["spec", "--impl", "msn", "--test", "T0"],
+        ["matrix", "--litmus", "--models", "sc", "--jobs", "1", "--quiet"],
+        ["oracle", "--spec", _LITMUS_SPEC, "--model", "tso",
+         "--engines", "all"],
+        ["fuzz", "--budget", "5", "--seed", "1", "--jobs", "1", "--quiet"],
+        ["synthesize", "--spec", _LITMUS_SPEC, "--model", "tso"],
+    ], ids=lambda argv: argv[0])
+    def test_a_pipeline_run_leaves_the_preprocessor_unloaded(
+        self, src_on_subprocess_path, argv
+    ):
+        """The subcommands import their engines on first use, so a run of
+        each, not only the import of ``repro.cli``, must leave
+        :mod:`repro.sat.simplify` unloaded."""
+        out = subprocess.run(
+            [sys.executable, "-c", self._RUN_PROBE, *argv],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.splitlines()[-1] == "0 False"
+
+    def test_encoded_test_syncs_clauses_from_the_first(self):
+        """``EncodedTest`` hands the stack it built its formula from the
+        first clause on."""
         events = []
 
         class RecordingBackend(InternalBackend):
-            def freeze(self, variables):
-                events.append(frozenset(variables))
-
             def add_cnf(self, cnf, start=0):
                 events.append(("add_cnf", start))
                 return super().add_cnf(cnf, start)
@@ -222,8 +216,4 @@ class TestBackendStack:
             backend_factory=RecordingBackend,
         )
         assert encoded.solve()
-        frozen, *rest = events
-        assert frozen and frozen <= encoded.frozen_variables()
-        assert rest and all(event[0] == "add_cnf" for event in rest)
-        # Each sync starts where the previous one stopped.
-        assert rest[0] == ("add_cnf", 0)
+        assert events and events[0] == ("add_cnf", 0)

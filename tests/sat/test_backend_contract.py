@@ -5,21 +5,22 @@ an IPASIR shared library (the native kernel's own IPASIR exports, loaded
 through ``IpasirBackend``), and the simplifying wrapper — must satisfy
 the same observable contract: solving under temporary assumptions,
 failed-assumption cores after UNSAT, incremental clause addition after
-both SAT and UNSAT verdicts, and ``values_of`` agreement with ``model``.
+both SAT and UNSAT verdicts, ``values_of`` agreement with ``model``, and
+a solve that answers SAT or UNSAT or raises, never a verdict read off a
+search a budget stopped.
 
 The stacks :func:`repro.sat.backend.make_backend_factory` builds run it
-too: the default stack (the bare native kernel), the armed
-``solver-raise`` fault proxy over it, and, with ``CHECKFENCE_SIMPLIFY=1``,
-the preprocessor over the native kernel, over an IPASIR library and over
-the armed fault proxy.
+too: the default stack (the bare native kernel), and the armed
+``solver-raise`` fault proxy over it.
 """
 
 from __future__ import annotations
 
 import pytest
+from test_native import hard_formula
 
-from repro.core import faults
-from repro.sat import native
+from repro.core import faults, limits
+from repro.sat import CNF, native
 from repro.sat.backend import InternalBackend, make_backend_factory
 from repro.sat.ipasir import IpasirBackend
 from repro.sat.simplify import SimplifyingBackend
@@ -27,40 +28,26 @@ from repro.sat.simplify import SimplifyingBackend
 #: The ``solver-raise`` fault, armed far beyond any solve count reached
 #: here, so the proxy only forwards.
 ARMED_FAULT = {faults.FAULT_ENV: "solver-raise:1000000000"}
-#: Factory-built lanes: lane -> (spec, environment); ``{library}`` is the
-#: native library's path.
-FACTORY_LANES = {
-    "native": ("auto", {}),
-    "native-fault-proxy": ("auto", ARMED_FAULT),
-    "simplify-native": ("auto", {"CHECKFENCE_SIMPLIFY": "1"}),
-    "simplify-ipasir": ("ipasir:{library}", {"CHECKFENCE_SIMPLIFY": "1"}),
-    "fault-proxy": ("auto", {"CHECKFENCE_SIMPLIFY": "1", **ARMED_FAULT}),
-}
+#: Lanes the factory builds from the ``auto`` spec: lane -> environment.
+FACTORY_LANES = {"native": {}, "native-fault-proxy": ARMED_FAULT}
 BACKENDS = ["ipasir-lib", "simplify", *FACTORY_LANES]
 #: Lanes whose innermost solver is the in-tree kernel bound directly
 #: (exact cores).
-EXACT_CORE_LANES = (
-    "native", "native-fault-proxy", "simplify", "simplify-native",
-    "fault-proxy",
-)
+EXACT_CORE_LANES = ("native", "native-fault-proxy", "simplify")
 
 
 @pytest.fixture(params=BACKENDS)
 def backend(request, monkeypatch, native_solver):
     kind = request.param
-    for name in ("CHECKFENCE_SIMPLIFY", faults.FAULT_ENV):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv(faults.FAULT_ENV, raising=False)
     if kind == "ipasir-lib":
         made = IpasirBackend(native.library_path())
     elif kind == "simplify":
         made = SimplifyingBackend(InternalBackend())
     else:
-        spec, env = FACTORY_LANES[kind]
-        for name, value in env.items():
+        for name, value in FACTORY_LANES[kind].items():
             monkeypatch.setenv(name, value)
-        made = make_backend_factory(
-            spec.format(library=native.library_path())
-        )()
+        made = make_backend_factory("auto")()
     return made
 
 
@@ -205,3 +192,66 @@ def test_blocking_clause_enumeration(backend):
         )
         assert len(seen) <= 4, "enumeration failed to terminate"
     assert seen == {(True, True), (True, False), (False, True)}
+
+
+def test_add_cnf_from_an_offset(backend):
+    """``add_cnf(cnf, start)`` adds clauses ``start`` onwards and nothing
+    before them: an encoded test syncs only what its encoder appended
+    since the last solve."""
+    cnf = CNF()
+    cnf.add_clause([-1])
+    backend.add_cnf(cnf, 1)
+    # The skipped unit [-1] never reached the backend.
+    assert backend.solve([1]) is True
+    cnf.add_clause([2])
+    backend.add_cnf(cnf, 1)
+    assert backend.solve([1]) is True
+    assert backend.values_of([1, 2]) == {1: True, 2: True}
+    assert backend.solve([-2]) is False
+
+
+def test_an_empty_clause_makes_every_solve_unsat(backend, request):
+    backend.ensure_vars(1)
+    assert backend.add_clause([]) is False
+    assert backend.solve() is False
+    assert backend.solve([1]) is False
+    core = backend.failed_assumptions()
+    assert set(core) <= {1}
+    if request.node.callspec.params["backend"] in EXACT_CORE_LANES:
+        assert core == []
+    backend.add_clause([1])
+    assert backend.solve() is False
+
+
+def test_a_solve_that_raised_leaves_no_core(backend):
+    """``failed_assumptions()`` is empty after a solve that raised, even
+    when the solve before it was UNSAT under assumptions: a budget stop
+    must not hand that solve's core to a core-guided search."""
+    backend.ensure_vars(2)
+    backend.add_clause([1, 2])
+    assert backend.solve([-1, -2]) is False
+    assert backend.failed_assumptions()
+    with limits.deadline_scope(limits.Deadline(timeout_seconds=0)):
+        with pytest.raises(limits.TimeoutExceeded):
+            backend.solve([-1, -2])
+    assert backend.failed_assumptions() == []
+    assert backend.solve([-1]) is True
+    assert backend.values_of([2]) == {2: True}
+
+
+def test_a_budget_stop_is_no_verdict(backend, poll_only_memory_spike):
+    """A solve answers SAT or UNSAT, or raises: memory over the cap at the
+    kernel's first poll stops the search, and the solve raises that
+    breach although the reading is under the cap again when the kernel
+    returns, so the stopped search is never an answer.  The backend then
+    answers the next query."""
+    cnf, first_pigeon = hard_formula()
+    backend.add_cnf(cnf)
+    with limits.deadline_scope(poll_only_memory_spike):
+        with pytest.raises(limits.MemoryExceeded):
+            backend.solve()
+    assert poll_only_memory_spike.spiked
+    assert backend.failed_assumptions() == []
+    assumptions = [-var for var in first_pigeon]
+    assert backend.solve(assumptions) is False
+    assert set(backend.failed_assumptions()) <= set(assumptions)

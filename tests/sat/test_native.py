@@ -26,7 +26,8 @@ from repro.datatypes.registry import get_implementation
 from repro.harness.catalog import get_test
 from repro.sat import CNF, native
 from repro.sat.backend import make_backend_factory
-from repro.sat.ipasir import IpasirBackend
+from repro.sat.ipasir import IpasirBackend, IpasirLibrary
+from repro.sat.solver import SolverError
 
 
 def satisfiable(num_vars: int, clauses, assumptions=()) -> bool:
@@ -169,32 +170,73 @@ class TestDeadlines:
         self, native_solver, monkeypatch, lane
     ):
         class Exploding:
-            """A deadline whose first poll raises from inside the C call;
-            later polls report expiry, so a solve that loses the exception
-            still stops."""
+            """A deadline whose check passes before the solve, raises from
+            inside the C call at the first poll, and reports expiry after
+            that, so a solve that loses the exception still stops."""
 
-            polls = 0
+            checks = 0
 
             def check(self):
-                pass
-
-            def expired(self):
-                Exploding.polls += 1
-                if Exploding.polls == 1:
+                Exploding.checks += 1
+                if Exploding.checks == 2:
                     raise KeyError("raised in the terminate callback")
-                return True
-
-            def memory_exceeded(self):
-                return False
+                if Exploding.checks > 2:
+                    raise limits.TimeoutExceeded("a later poll")
 
         cnf, first_pigeon = hard_formula()
         solver = kernel_solver(lane, cnf)
         monkeypatch.setattr(limits, "active_deadline", Exploding)
         with pytest.raises(KeyError, match="terminate callback"):
             solver.solve()
-        assert Exploding.polls == 1
+        assert Exploding.checks == 2
         monkeypatch.undo()
         assert solver.solve([-var for var in first_pigeon]) is False
+
+
+class TestRejectedInput:
+    """Input no kernel call may take, and a status that is neither SAT nor
+    UNSAT, raise :class:`SolverError` on both lanes (an IPASIR library's
+    :class:`repro.sat.ipasir.IpasirError` is one), and the solver stays
+    usable."""
+
+    @pytest.mark.parametrize("lane", ["native", "ipasir"])
+    def test_a_clause_holding_zero_adds_nothing(self, native_solver, lane):
+        solver = kernel_solver(lane, CNF())
+        with pytest.raises(SolverError, match="0 is not a valid literal"):
+            solver.add_clause([1, 0, 2])
+        # Had the 1 reached the kernel, the next clause would read [1, 3].
+        solver.add_clause([3])
+        assert solver.solve([-3]) is False
+
+    @pytest.mark.parametrize("lane", ["native", "ipasir"])
+    def test_a_zero_assumption_is_rejected(self, native_solver, lane):
+        """IPASIR would read a 0 as the end of the assumption list."""
+        solver = kernel_solver(lane, CNF())
+        solver.add_clause([1, 2])
+        with pytest.raises(
+            SolverError, match="0 is not a valid assumption literal"
+        ):
+            solver.solve([-1, 0, -2])
+        assert solver.failed_assumptions() == []
+        assert solver.solve([-1, -2]) is False
+
+    @pytest.mark.parametrize("lane", ["native", "ipasir"])
+    def test_an_unexpected_status_is_no_verdict(
+        self, native_solver, monkeypatch, lane
+    ):
+        """A kernel that ends a solve with neither answer and no breach to
+        report (IPASIR's 0, an interrupted search) raises."""
+        solver = kernel_solver(lane, CNF())
+        solver.add_clause([1, 2])
+        if lane == "native":
+            monkeypatch.setattr(solver._lib, "cf_solve", lambda *args: 0)
+        else:
+            monkeypatch.setattr(IpasirLibrary, "solve", lambda *args: 0)
+        with pytest.raises(SolverError, match="unexpected solve status 0"):
+            solver.solve([-1])
+        assert solver.failed_assumptions() == []
+        monkeypatch.undo()
+        assert solver.solve([-1]) is True
 
 
 _SIGINT_SNIPPET = """\
@@ -268,8 +310,7 @@ def test_two_process_determinism(
     """Two processes report identical native counters (PYTHONHASHSEED is
     left random on purpose): nothing in the kernel depends on addresses
     or uninitialised memory."""
-    for name in ("CHECKFENCE_SOLVER", "CHECKFENCE_SIMPLIFY"):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("CHECKFENCE_SOLVER", raising=False)
 
     def run():
         return subprocess.run(
@@ -289,8 +330,7 @@ def fresh_kernel_state(monkeypatch):
     (restored afterwards)."""
     for name in ("_library", "_library_path", "_failure"):
         monkeypatch.setattr(native, name, None)
-    for name in ("CHECKFENCE_SIMPLIFY", "CHECKFENCE_SOLVER"):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("CHECKFENCE_SOLVER", raising=False)
     return monkeypatch
 
 

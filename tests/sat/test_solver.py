@@ -226,13 +226,6 @@ class TestIncremental:
             assert solver.solve() is True
             assert check_model(cnf, solver.model())
 
-    def test_conflict_limit_returns_none_or_result(self, kernel):
-        cnf = CNF()
-        pigeonhole(cnf, 6, 5)
-        solver = kernel(cnf)
-        result = solver.solve(conflict_limit=3)
-        assert result in (None, False)
-
 
 class TestStats:
     def test_stats_populated(self, kernel):

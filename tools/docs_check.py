@@ -10,17 +10,22 @@ Three modes, combinable (the CI docs job runs all three):
   backticks must exist: a dotted ``repro.…`` name must import and
   resolve, and a ``Class.attr`` (optionally followed by a call) whose
   class is defined under ``src/repro`` must name a method, property,
-  field or attribute of that class or of a base class.
+  field or attribute of that class or of a base class.  The environment
+  table of ``docs/architecture.md`` must list exactly the
+  ``CHECKFENCE_*`` variables the code under ``src/repro`` reads (a string
+  constant that is the whole name).
 * ``--tutorial`` — executes the fenced ``sh`` and ``python`` code blocks
   of ``docs/tutorial.md`` as a smoke test.  In ``sh`` blocks each line is
   one command; a leading ``checkfence`` is translated to ``python -m
   repro.cli`` with ``PYTHONPATH=src``, and a trailing ``# exit: N``
   comment declares the expected exit code (default 0).  ``python`` blocks
   run whole, also against the in-tree package.  A ``text`` block right
-  after an ``sh`` block quotes that block's output: each of its
-  ``[PASS]`` / ``[FAIL]`` verdict lines must be one the commands printed,
-  with the ``total …s`` wall-clock figure masked, so a quoted clause
-  count cannot go stale.
+  after an ``sh`` block quotes that block's output: every line of it must
+  be one the commands printed, in the same order (a block may leave
+  lines out), so no quoted figure or trace line can go stale.  Wall-clock
+  figures are masked on both sides (``0.02s``, ``38ms``, ``157.0
+  programs/s``, and the width of a table's rule, which follows its time
+  column), and so are runs of blanks.
 
 Exits nonzero, listing every failure, when anything is broken.  Run from
 anywhere; paths resolve relative to the repo root (the parent of this
@@ -38,8 +43,10 @@ import os
 import pkgutil
 import re
 import shlex
+import shutil
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -49,9 +56,14 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE_RE = re.compile(r"^```(\w*)\s*$")
 _EXIT_RE = re.compile(r"^(?P<cmd>.*?)(?:\s*#\s*exit:\s*(?P<code>\d+))?\s*$")
-#: A check's verdict line, and the wall-clock figure masked in it.
-_VERDICT_RE = re.compile(r"^\[(?:PASS|FAIL)\] ")
-_TOTAL_RE = re.compile(r"total \d+(?:\.\d+)?s")
+#: Wall-clock figures a quoted line is compared without: durations, rates,
+#: and the dashes of a table's rule, whose width follows the time column.
+_DURATION_RE = re.compile(r"\b\d+(?:\.\d+)?m?s\b")
+_RATE_RE = re.compile(r"\b\d+(?:\.\d+)? (\w+)/s\b")
+_RULE_RE = re.compile(r"-{2,}")
+#: A ``CHECKFENCE_*`` variable name.
+_ENV_NAME_RE = re.compile(r"CHECKFENCE_[A-Z0-9_]+")
+_ENV_HEADING = "## Environment variables"
 
 #: A backticked span, and the two code-name shapes ``--symbols`` checks:
 #: ``repro.a.b`` and ``Class.attr``, each optionally followed by a call.
@@ -122,11 +134,18 @@ def _has_attribute(cls, name: str) -> bool:
     )
 
 
-def _repro_classes() -> dict[str, list[type]]:
-    """Every class defined under ``src/repro``, by name."""
+def _src_on_path() -> str:
+    """The in-tree package root, put first on ``sys.path`` so ``repro``
+    imports from it."""
     src = os.path.join(REPO_ROOT, "src")
     if os.path.isdir(src) and src not in sys.path:
         sys.path.insert(0, src)
+    return src
+
+
+def _repro_classes() -> dict[str, list[type]]:
+    """Every class defined under ``src/repro``, by name."""
+    _src_on_path()
     import repro
 
     classes: dict[str, list[type]] = {}
@@ -162,7 +181,8 @@ def _resolve_dotted(name: str) -> bool:
 
 def check_symbols() -> list[str]:
     """Return a "file: unknown name" problem string per backticked code
-    name in README.md and docs/*.md that does not exist in the code."""
+    name in README.md and docs/*.md that does not exist in the code, and
+    the problems of :func:`check_environment_table`."""
     classes = _repro_classes()
     paths = [os.path.join(REPO_ROOT, "README.md")]
     docs = os.path.join(REPO_ROOT, "docs")
@@ -201,7 +221,62 @@ def check_symbols() -> list[str]:
             if not ok:
                 rel = os.path.relpath(path, REPO_ROOT)
                 problems.append(f"{rel}: unknown name `{span}`")
-    return problems
+    return problems + check_environment_table()
+
+
+def environment_variables_read() -> set[str]:
+    """Every ``CHECKFENCE_*`` name that a string constant of a Python file
+    under ``src/repro`` spells out whole: the variables the code reads."""
+    names = set()
+    package = os.path.join(REPO_ROOT, "src", "repro")
+    for dirpath, _dirnames, filenames in os.walk(package):
+        for filename in filenames:
+            if not filename.endswith(".py"):
+                continue
+            with open(os.path.join(dirpath, filename), encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+            names.update(
+                node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and _ENV_NAME_RE.fullmatch(node.value)
+            )
+    return names
+
+
+def environment_table() -> set[str]:
+    """The variables the environment table of ``docs/architecture.md``
+    lists: the backticked name opening each row under its heading."""
+    path = os.path.join(REPO_ROOT, "docs", "architecture.md")
+    if not os.path.exists(path):
+        return set()
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    names = set()
+    inside = False
+    for line in lines:
+        if line.startswith("## "):
+            inside = line.strip() == _ENV_HEADING
+        elif inside and line.startswith("| `"):
+            name = line[3:].split("`", 1)[0]
+            if _ENV_NAME_RE.fullmatch(name):
+                names.add(name)
+    return names
+
+
+def check_environment_table() -> list[str]:
+    """Problem strings for each variable the code reads and the
+    environment table leaves out, and each the table lists and no code
+    reads."""
+    read, listed = environment_variables_read(), environment_table()
+    where = "docs/architecture.md: environment table"
+    return [
+        f"{where} lacks `{name}`, which src/repro reads"
+        for name in sorted(read - listed)
+    ] + [
+        f"{where} lists `{name}`, which no code under src/repro reads"
+        for name in sorted(listed - read)
+    ]
 
 
 def tutorial_blocks(path: str | None = None) -> list[tuple[str, list[str]]]:
@@ -261,35 +336,58 @@ def tutorial_commands(path: str | None = None) -> list[tuple[str, list[str], int
     ]
 
 
-def stale_verdict_lines(quoted: list[str], stdout: str) -> list[str]:
-    """Problem strings for the verdict lines of a ``text`` block that
-    ``stdout`` did not print, the ``total …s`` figure masked on both
-    sides.  A block may quote some of the output only; a stale line is
-    named together with the verdict line printed at its position."""
-    def verdicts(lines):
-        return [
-            line.strip() for line in lines
-            if _VERDICT_RE.match(line.strip())
-        ]
+def masked(line: str) -> str:
+    """``line`` with its wall-clock figures masked and its runs of blanks
+    collapsed (see :data:`_DURATION_RE`)."""
+    line = _RATE_RE.sub(r"… \1/s", line)
+    line = _DURATION_RE.sub("…s", line)
+    return " ".join(_RULE_RE.sub("--", line).split())
 
-    def masked(line):
-        return _TOTAL_RE.sub("total …s", line)
 
-    wanted, printed = verdicts(quoted), verdicts(stdout.splitlines())
-    known = {masked(line) for line in printed}
-    return [
-        f"tutorial quotes {line!r} but the command printed "
-        f"{printed[i] if i < len(printed) else '(no verdict line)'!r}"
-        for i, line in enumerate(wanted)
-        if masked(line) not in known
-    ]
+def stale_lines(quoted: list[str], stdout: str) -> list[str]:
+    """Problem strings for the lines of a ``text`` block that ``stdout``
+    did not print in the block's order, compared :func:`masked`.  A block
+    may leave printed lines out, and its blank lines are layout.  A stale
+    line is named together with the line printed where it should be."""
+    printed = [line.strip() for line in stdout.splitlines()]
+    keys = [masked(line) for line in printed]
+    problems = []
+    position = 0
+    for line in quoted:
+        key = masked(line)
+        if not key:
+            continue
+        try:
+            position = keys.index(key, position) + 1
+        except ValueError:
+            there = printed[position] if position < len(printed) else "(end)"
+            problems.append(
+                f"tutorial quotes {line.strip()!r} but the command printed "
+                f"{there!r}"
+            )
+    return problems
+
+
+def _own_cache() -> tempfile.TemporaryDirectory:
+    """A fresh cache directory, so the store the tutorial fills and clears
+    is its own, seeded with the built kernel so nothing compiles twice."""
+    cache = tempfile.TemporaryDirectory(prefix="checkfence-tutorial-")
+    _src_on_path()
+    from repro.sat import native
+
+    try:
+        shutil.copy(native.library_path(), cache.name)
+    except native.NativeUnavailable:
+        pass  # every command that needs the kernel reports why
+    return cache
 
 
 def run_tutorial(path: str | None = None) -> list[str]:
-    """Run every tutorial command and compare each quoted verdict line
-    with the output it quotes; return problem strings."""
+    """Run every tutorial command, under a cache directory of its own,
+    and compare each quoted block with the output it quotes; return
+    problem strings."""
     env = dict(os.environ)
-    src = os.path.join(REPO_ROOT, "src")
+    src = _src_on_path()
     env["PYTHONPATH"] = src + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
@@ -298,23 +396,27 @@ def run_tutorial(path: str | None = None) -> list[str]:
     if not any(block_commands(*block) for block in blocks):
         return ["docs/tutorial.md: no runnable code blocks found"]
     stdout = None  # of the sh block just before, for a quoting text block
-    for language, block in blocks:
-        if language == "text" and stdout is not None:
-            problems += stale_verdict_lines(block, stdout)
-        outputs = []
-        for kind, argv, expected in block_commands(language, block):
-            shown = " ".join(argv[:6]) + (" ..." if len(argv) > 6 else "")
-            print(f"[tutorial:{kind}] {shown}", flush=True)
-            proc = subprocess.run(
-                argv, cwd=REPO_ROOT, env=env, capture_output=True, text=True
-            )
-            outputs.append(proc.stdout)
-            if proc.returncode != expected:
-                problems.append(
-                    f"tutorial command {shown!r} exited {proc.returncode} "
-                    f"(expected {expected}):\n{proc.stderr.strip()[-2000:]}"
+    with _own_cache() as cache:
+        env["CHECKFENCE_CACHE_DIR"] = cache
+        for language, block in blocks:
+            if language == "text" and stdout is not None:
+                problems += stale_lines(block, stdout)
+            outputs = []
+            for kind, argv, expected in block_commands(language, block):
+                shown = " ".join(argv[:6]) + (" ..." if len(argv) > 6 else "")
+                print(f"[tutorial:{kind}] {shown}", flush=True)
+                proc = subprocess.run(
+                    argv, cwd=REPO_ROOT, env=env, capture_output=True,
+                    text=True,
                 )
-        stdout = "".join(outputs) if language == "sh" else None
+                outputs.append(proc.stdout)
+                if proc.returncode != expected:
+                    problems.append(
+                        f"tutorial command {shown!r} exited "
+                        f"{proc.returncode} (expected {expected}):\n"
+                        f"{proc.stderr.strip()[-2000:]}"
+                    )
+            stdout = "".join(outputs) if language == "sh" else None
     return problems
 
 
