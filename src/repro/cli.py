@@ -50,6 +50,7 @@ from repro.harness.reporting import format_table
 from repro.memorymodel.base import available_models, get_model
 from repro.sat import native
 from repro.sat.backend import make_backend_factory
+from repro.sat.ipasir import IpasirError, load_ipasir_library
 
 
 def _check_options(args, **fields) -> CheckOptions:
@@ -81,6 +82,20 @@ def _positive_number(text: str) -> float:
             f"must be a positive number, got {text!r}"
         )
     return value
+
+
+def _json_target(text: str) -> str:
+    """Argparse type of ``--json``: ``-`` (stdout) or a file in an
+    existing directory, checked before any cell runs, so a target that
+    cannot be written does not lose a finished run."""
+    directory, name = os.path.split(text)
+    if text != "-" and (
+        not name or os.path.isdir(text) or not os.path.isdir(directory or ".")
+    ):
+        raise argparse.ArgumentTypeError(
+            f"must be '-' or a file in an existing directory, got {text!r}"
+        )
+    return text
 
 
 def _positive_int(text: str) -> int:
@@ -615,7 +630,7 @@ def _shared_flags() -> dict[str, argparse.ArgumentParser]:
         ),
         "json": _flag_group(
             (("--json",), dict(
-                default=None, metavar="FILE",
+                type=_json_target, default=None, metavar="FILE",
                 help="write the command's result as JSON to FILE, or '-' "
                 "for stdout",
             )),
@@ -828,15 +843,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # A bad solver spec, an unknown name or a malformed CHECKFENCE_*
-    # number is a usage error, reported before any work.
+    # A bad solver spec (an ``ipasir:`` library that cannot be loaded
+    # included), an unknown name or a malformed CHECKFENCE_* number is a
+    # usage error, reported before any work.
     try:
         if hasattr(args, "solver"):
-            make_backend_factory(args.solver)
+            kind, library = make_backend_factory(args.solver).stack
+            if kind == "ipasir":
+                load_ipasir_library(library)
         _resolve_names(args)
         default_jobs()
         limits.env_float(WORKER_TIMEOUT_ENV)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, IpasirError) as exc:
         # args[0]: str() of a KeyError would quote the message.
         print(f"{args.command}: {exc.args[0]}", file=sys.stderr)
         return 2

@@ -135,7 +135,9 @@ class Deadline:
         if memory_limit_mb is None:
             self._memory_limit_bytes = None
         else:
-            self._memory_limit_bytes = int(memory_limit_mb * 1024 * 1024)
+            # A float: a cap near the largest float overflows to inf,
+            # which no reading exceeds, where ``int()`` would raise.
+            self._memory_limit_bytes = memory_limit_mb * 1024 * 1024
 
     @property
     def enforced(self) -> bool:

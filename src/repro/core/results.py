@@ -18,9 +18,13 @@ class CheckStatistics(EncodingStatistics):
 
     ``encode_seconds`` splits into the model-independent skeleton build
     (zero when a memoized skeleton was reused — ``skeleton_shared``) and
-    the per-model layer; CNF preprocessing time is the separate
-    ``solver_preprocess_seconds`` counter below.
+    the per-model layer.
     """
+
+    #: No check preprocesses its CNF.  A class constant, not a field, so
+    #: it stays out of ``asdict``, the JSON and the store payload; it
+    #: remains because ``perfbench/workloads.py`` prints it.
+    solver_preprocess_seconds = 0.0
 
     implementation: str = ""
     test: str = ""
@@ -38,8 +42,6 @@ class CheckStatistics(EncodingStatistics):
     store_hit: bool = False
     #: ``solver_<name>`` holds the check's ``SolverStats.<name>`` (see
     #: :meth:`merge_solver`); every ``SolverStats`` field has one.
-    #: The preprocessing counters are always zero: no backend stack the
-    #: pipeline builds preprocesses its formula.
     solver_decisions: int = 0
     solver_propagations: int = 0
     solver_conflicts: int = 0
@@ -47,10 +49,6 @@ class CheckStatistics(EncodingStatistics):
     solver_learned_clauses: int = 0
     solver_deleted_clauses: int = 0
     solver_max_decision_level: int = 0
-    solver_vars_eliminated: int = 0
-    solver_clauses_subsumed: int = 0
-    solver_equiv_merged: int = 0
-    solver_preprocess_seconds: float = 0.0
     solver_backend: str = ""
     #: False when the backend cannot report counters, so zeros are not
     #: mistaken for a trivially easy instance.
@@ -102,7 +100,6 @@ class CheckStatistics(EncodingStatistics):
             "skeleton_seconds": self.skeleton_seconds,
             "layer_seconds": self.layer_seconds,
             "skeleton_shared": self.skeleton_shared,
-            "simplify_seconds": self.solver_preprocess_seconds,
             "solve_seconds": self.solve_seconds,
             "total_seconds": self.total_seconds,
             "store_hit": self.store_hit,
@@ -111,8 +108,7 @@ class CheckStatistics(EncodingStatistics):
 
     def profile_line(self) -> str:
         """One-line per-cell phase report (the ``CHECKFENCE_PROFILE=1``
-        output).  Solve time includes CNF preprocessing, which is shown
-        inside it, as encode shows its skeleton and layer parts."""
+        output); encode shows its skeleton and layer parts."""
         label = f"{self.implementation}/{self.test}@{self.memory_model}"
         if self.store_hit:
             return f"[profile] {label} store-hit total={self.total_seconds:.3f}s"
@@ -127,8 +123,7 @@ class CheckStatistics(EncodingStatistics):
             f"mine={self.mining_seconds:.3f}s "
             f"encode={self.encode_seconds:.3f}s"
             f"(skeleton {skeleton} + layer {self.layer_seconds:.3f}s) "
-            f"solve={self.solve_seconds:.3f}s"
-            f"(preprocess {self.solver_preprocess_seconds:.3f}s) "
+            f"solve={self.solve_seconds:.3f}s "
             f"total={self.total_seconds:.3f}s"
         )
 

@@ -19,8 +19,8 @@ Public surface:
   is built.
 * :class:`repro.sat.bitvec.BitVecBuilder` — fixed-width bit-vector terms.
 
-:mod:`repro.sat.simplify`, a SatELite-style CNF preprocessor, is not part
-of it: no backend stack includes it, and no pipeline module imports it.
+No stack preprocesses the CNF: :mod:`repro.sat.simplify` is an empty
+stub the traced benchmark wraps, and nothing calls it.
 """
 
 from repro.sat.cnf import CNF

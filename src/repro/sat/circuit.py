@@ -26,15 +26,15 @@ from typing import Iterable
 
 from repro.sat.cnf import CNF
 
-# Nested positive AND children are deliberately *not* flattened into the
-# parent conjunction: inlining ``and_(and_(a, b), c)`` to ``and_(a, b, c)``
-# looks like a canonicalization win, but the wide n-ary gates it produces
-# have wide Tseitin clauses whose resolvents blow past the
-# preprocessor's bounded-variable-elimination limits — on the largest
-# catalog tests flattening was measured to cut the post-preprocessing
-# clause reduction from ~65% to ~15%.  Keeping gates narrow (and letting
-# the structural hash share the intermediate gates) is what the SAT side
-# actually wants.
+# Nested positive AND children are not flattened into the parent
+# conjunction: inlining ``and_(and_(a, b), c)`` to ``and_(a, b, c)`` looks
+# like a canonicalization win, but the wide n-ary gates it produces have
+# wide Tseitin clauses.  With the since-deleted Python preprocessor in
+# front of the kernel, their resolvents blew past its bounded variable
+# elimination limits: on the largest catalog tests flattening cut the
+# clause reduction from ~65% to ~15%.  That measurement has not been
+# repeated on the bare kernel; narrow gates, whose intermediate gates the
+# structural hash shares, are what was measured to win.
 
 
 class Circuit:

@@ -16,12 +16,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 class SolverStats:
     """Counters a backend reports after each solve.
 
-    The ``vars_eliminated`` / ``clauses_subsumed`` / ``equiv_merged`` /
-    ``preprocess_seconds`` counters are zero on every stack the pipeline
-    builds; only :class:`repro.sat.simplify.SimplifyingBackend`, which no
-    stack includes, fills them in.  The native kernel builds this record
-    positionally from its first seven counters, so those keep their
-    order.
+    The native kernel builds this record positionally from the seven
+    counters ``cf_stats`` fills, so the fields keep that order.
     """
 
     decisions: int = 0
@@ -30,22 +26,8 @@ class SolverStats:
     restarts: int = 0
     learned_clauses: int = 0
     deleted_clauses: int = 0
-    #: A high-water mark: :meth:`merge` keeps the max, and :meth:`since`
-    #: reports it as-is.
+    #: A high-water mark: :meth:`since` reports it as-is.
     max_decision_level: int = field(default=0, metadata={"high_water": True})
-    vars_eliminated: int = 0
-    clauses_subsumed: int = 0
-    equiv_merged: int = 0
-    preprocess_seconds: float = 0.0
-
-    def merge(self, other: "SolverStats") -> None:
-        for f in fields(self):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            setattr(
-                self, f.name,
-                max(mine, theirs) if "high_water" in f.metadata
-                else mine + theirs,
-            )
 
     def copy(self) -> "SolverStats":
         return replace(self)

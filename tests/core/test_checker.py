@@ -189,7 +189,7 @@ class TestCheckStatistics:
             assert f"solver_{f.name}" in names
 
     def test_merge_solver_round_trips_through_solver_dict(self):
-        solver = SolverStats(*range(1, 11), preprocess_seconds=0.5)
+        solver = SolverStats(*range(1, 8))
         stats = CheckStatistics()
         stats.merge_solver(solver, "native")
         assert stats.solver_conflicts == solver.conflicts

@@ -40,8 +40,11 @@ class TestDeadline:
             deadline.check()
         assert exc_info.value.kind == limits.OOM
 
-    def test_huge_memory_cap_does_not_fire(self):
-        deadline = limits.Deadline(memory_limit_mb=1 << 20)
+    @pytest.mark.parametrize("cap_mb", [1 << 20, 1e308])
+    def test_huge_memory_cap_does_not_fire(self, cap_mb):
+        """Every positive finite cap works; one whose byte count
+        overflows a float is simply never reached."""
+        deadline = limits.Deadline(memory_limit_mb=cap_mb)
         assert not deadline.memory_exceeded()
         deadline.check()
 

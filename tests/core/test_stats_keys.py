@@ -2,8 +2,9 @@
 
 Benchmark JSON, ``matrix --json`` cells and persistent-store payloads are
 read by tools and by later runs, so a refactor of the statistics records
-may add keys but must never drop one.  Each set below is the full key set
-of its view when the pin was taken.
+may add keys, but a key goes only with the code that fills it, and
+CHANGES.md names it.  Each set below is the full key set of its view
+when the pin was taken.
 """
 
 import pytest
@@ -11,27 +12,16 @@ import pytest
 from repro.core.results import CheckStatistics
 from repro.core.store import result_payload
 from repro.harness.matrix import MatrixCell, run_matrix
-from repro.sat.simplify import SimplifyStats
 from repro.sat.solver import SolverStats
 
 SOLVER_STATS_KEYS = {
     "decisions", "propagations", "conflicts", "restarts", "learned_clauses",
-    "deleted_clauses", "max_decision_level", "vars_eliminated",
-    "clauses_subsumed", "equiv_merged", "preprocess_seconds",
-}
-
-SIMPLIFY_STATS_KEYS = {
-    "vars_eliminated", "clauses_subsumed", "equiv_merged", "units_fixed",
-    "pure_literals", "literals_strengthened", "vars_reinstated",
-    "clauses_before", "clauses_after", "vars_before", "vars_after",
-    "preprocess_seconds",
+    "deleted_clauses", "max_decision_level",
 }
 
 SOLVER_DICT_KEYS = {
     "backend", "counters_available", "decisions", "propagations",
     "conflicts", "restarts", "learned_clauses", "deleted_clauses",
-    "vars_eliminated", "clauses_subsumed", "equiv_merged",
-    "preprocess_seconds",
 }
 
 ORDER_DICT_KEYS = {
@@ -42,8 +32,7 @@ ORDER_DICT_KEYS = {
 PHASE_DICT_KEYS = {
     "compile_seconds", "mining_seconds", "encode_seconds",
     "skeleton_seconds", "layer_seconds", "skeleton_shared",
-    "simplify_seconds", "solve_seconds", "total_seconds", "store_hit",
-    "degraded",
+    "solve_seconds", "total_seconds", "store_hit", "degraded",
 }
 
 STORE_STATS_KEYS = {
@@ -54,9 +43,7 @@ STORE_STATS_KEYS = {
     "encode_seconds", "skeleton_seconds", "layer_seconds", "skeleton_shared",
     "solve_seconds", "total_seconds", "store_hit", "solver_conflicts",
     "solver_decisions", "solver_propagations", "solver_restarts",
-    "solver_learned_clauses", "solver_deleted_clauses",
-    "solver_vars_eliminated", "solver_clauses_subsumed",
-    "solver_equiv_merged", "solver_preprocess_seconds", "solver_backend",
+    "solver_learned_clauses", "solver_deleted_clauses", "solver_backend",
     "solver_counters_available", "degraded",
 }
 
@@ -64,8 +51,8 @@ MATRIX_CELL_STATS_KEYS = {
     "backend", "cnf_clauses", "cnf_variables", "observation_set_size",
     "solver_decisions", "solver_conflicts", "compile_seconds",
     "mining_seconds", "encode_seconds", "skeleton_seconds", "layer_seconds",
-    "skeleton_shared", "simplify_seconds", "solve_seconds", "total_seconds",
-    "store_hit", "degraded",
+    "skeleton_shared", "solve_seconds", "total_seconds", "store_hit",
+    "degraded",
 }
 
 
@@ -84,10 +71,6 @@ def _missing(expected: set, view: dict) -> set:
 
 def test_solver_stats_keys():
     assert not _missing(SOLVER_STATS_KEYS, SolverStats().as_dict())
-
-
-def test_simplify_stats_keys():
-    assert not _missing(SIMPLIFY_STATS_KEYS, SimplifyStats().as_dict())
 
 
 def test_check_statistics_views():

@@ -391,8 +391,8 @@ class TestProfileOutput:
         err = capsys.readouterr().err
         assert "[profile] msn/T0@sc" in err
         assert "skeleton" in err
-        # Preprocessing is part of the solve figure, not a phase beside it.
-        assert re.search(r"solve=\d+\.\d{3}s\(preprocess \d+\.\d{3}s\) ", err)
+        assert re.search(r" solve=\d+\.\d{3}s total=\d+\.\d{3}s$", err,
+                         re.MULTILINE)
         assert "simplify=" not in err
         _check("msn", "T0", "sc", store=True)
         err = capsys.readouterr().err

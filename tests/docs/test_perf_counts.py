@@ -1,4 +1,5 @@
-"""Tests for the ``tools/perf_counts.py`` exact-count gate.
+"""Tests for the ``tools/perf_counts.py`` exact-count gate, and for the
+names of the checker that perfbench reads.
 
 They work on made-up perfbench results: the tier-1 suite runs no
 perfbench workload.
@@ -7,22 +8,31 @@ perfbench workload.
 import importlib.util
 import json
 import os
+import sys
 
 import pytest
+
+from repro.core.results import CheckStatistics
+from repro.core.session import CheckSession
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__)
 )))
 
 
-@pytest.fixture(scope="module")
-def perf_counts():
+def _load(name, *path):
+    """The module at ``path`` under the repository root, loaded by path."""
     spec = importlib.util.spec_from_file_location(
-        "perf_counts", os.path.join(_REPO_ROOT, "tools", "perf_counts.py")
+        name, os.path.join(_REPO_ROOT, *path)
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def perf_counts():
+    return _load("perf_counts", "tools", "perf_counts.py")
 
 
 def result(correct=True, **metrics):
@@ -110,3 +120,47 @@ def test_baseline_pins_exactly_the_benchmark_workloads(perf_counts):
         assert entry["command"] == perf_counts.workload_command(workload)
         assert entry["counts"]["verdicts"] > 0
 
+
+def _entry_point(module_name, attribute):
+    """What a tracer ``LAYERS`` row names, as its module or class holds
+    it now."""
+    module = importlib.import_module(module_name)
+    if "." in attribute:
+        class_name, method = attribute.split(".")
+        return getattr(module, class_name).__dict__[method]
+    return getattr(module, attribute)
+
+
+def test_the_benchmark_tracer_installs_on_this_tree(monkeypatch):
+    """The traced benchmark run wraps checker entry points by name and
+    prints constants kept only for it, so a refactor that drops one of
+    them breaks the benchmark: every ``LAYERS`` row must resolve, and
+    the tracer must put every original back."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no .pyc
+    tracer_module = _load("perfbench_tracer", "perfbench", "tracer.py")
+    rows = [(module, attribute)
+            for _, module, attribute in tracer_module.LAYERS]
+    originals = [_entry_point(*row) for row in rows]
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        wrappers = [_entry_point(*row) for row in rows]
+    finally:
+        tracer.uninstall()
+    for row, original, wrapper in zip(rows, originals, wrappers):
+        assert wrapper.__wrapped__ is original, row
+        assert _entry_point(*row) is original, row
+    # The tracer also rebinds a function in every module that imported
+    # it by name; none may keep a wrapper.
+    left = {id(wrapper) for wrapper in wrappers}
+    for loaded in list(sys.modules.values()):
+        names = getattr(loaded, "__dict__", {})
+        assert not any(id(value) in left for value in names.values()), loaded
+    # perfbench/run.py and perfbench/workloads.py print these.
+    assert (
+        CheckSession.dense_order, CheckSession.share_encode,
+        CheckSession.simplify,
+    ) == (False, True, False)
+    stats = CheckStatistics()
+    assert stats.solver_preprocess_seconds == 0.0
+    assert "solver_preprocess_seconds" not in stats.as_dict()  # no field

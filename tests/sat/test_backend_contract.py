@@ -1,9 +1,9 @@
 """Shared conformance suite for every SolverBackend implementation.
 
-Each backend family — the native CDCL kernel behind ``InternalBackend``,
-an IPASIR shared library (the native kernel's own IPASIR exports, loaded
-through ``IpasirBackend``), and the simplifying wrapper — must satisfy
-the same observable contract: solving under temporary assumptions,
+Each backend family — the native CDCL kernel behind ``InternalBackend``
+and an IPASIR shared library (the native kernel's own IPASIR exports,
+loaded through ``IpasirBackend``) — must satisfy the same observable
+contract: solving under temporary assumptions,
 failed-assumption cores after UNSAT, incremental clause addition after
 both SAT and UNSAT verdicts, ``values_of`` agreement with ``model``, and
 a solve that answers SAT or UNSAT or raises, never a verdict read off a
@@ -21,19 +21,18 @@ from test_native import hard_formula
 
 from repro.core import faults, limits
 from repro.sat import CNF, native
-from repro.sat.backend import InternalBackend, make_backend_factory
+from repro.sat.backend import make_backend_factory
 from repro.sat.ipasir import IpasirBackend
-from repro.sat.simplify import SimplifyingBackend
 
 #: The ``solver-raise`` fault, armed far beyond any solve count reached
 #: here, so the proxy only forwards.
 ARMED_FAULT = {faults.FAULT_ENV: "solver-raise:1000000000"}
 #: Lanes the factory builds from the ``auto`` spec: lane -> environment.
 FACTORY_LANES = {"native": {}, "native-fault-proxy": ARMED_FAULT}
-BACKENDS = ["ipasir-lib", "simplify", *FACTORY_LANES]
+BACKENDS = ["ipasir-lib", *FACTORY_LANES]
 #: Lanes whose innermost solver is the in-tree kernel bound directly
 #: (exact cores).
-EXACT_CORE_LANES = ("native", "native-fault-proxy", "simplify")
+EXACT_CORE_LANES = ("native", "native-fault-proxy")
 
 
 @pytest.fixture(params=BACKENDS)
@@ -42,8 +41,6 @@ def backend(request, monkeypatch, native_solver):
     monkeypatch.delenv(faults.FAULT_ENV, raising=False)
     if kind == "ipasir-lib":
         made = IpasirBackend(native.library_path())
-    elif kind == "simplify":
-        made = SimplifyingBackend(InternalBackend())
     else:
         for name, value in FACTORY_LANES[kind].items():
             monkeypatch.setenv(name, value)
@@ -148,13 +145,9 @@ def test_core_driven_deletion_search_parity(backend):
     """A miniature of the fence-synthesis loop: selector assumptions guard
     constraints, the all-on core seeds a working set, and destructive
     deletion (fixed order) minimizes it.  Every backend must converge to
-    the same minimal set — exact cores (native, IPASIR, simplify with
-    its substitution-origin mapping) just get there with fewer solves than
-    conservative full-set cores would.
-
-    The formula routes the selectors through equivalence chains, so under
-    the simplifying backend the core literals come back through the
-    preprocessor's assumption-origin substitution map.
+    the same minimal set — exact cores (native, IPASIR) just get there
+    with fewer solves than conservative full-set cores would.  The formula
+    routes the selectors through equivalence chains.
     """
     # Vars: 1 = x; selectors 2..5; 6,7 = aliases of selectors 2,3.
     backend.ensure_vars(7)

@@ -239,20 +239,12 @@ class TestStats:
         assert solver.total_stats.decisions >= 1
         assert solver.total_stats.propagations >= 1
 
-    def test_merge_sums_counters_and_keeps_the_deepest_level(self):
-        total = SolverStats(decisions=3, max_decision_level=9,
-                            preprocess_seconds=0.5)
-        total.merge(SolverStats(decisions=2, max_decision_level=4,
-                                preprocess_seconds=0.25))
-        assert total == SolverStats(decisions=5, max_decision_level=9,
-                                    preprocess_seconds=0.75)
-
     def test_since_is_a_delta_except_for_the_deepest_level(self):
         earlier = SolverStats(conflicts=4, max_decision_level=6)
         later = earlier.copy()
-        later.merge(SolverStats(conflicts=3, max_decision_level=2))
+        later.conflicts, later.max_decision_level = 7, 9
         assert later.since(earlier) == SolverStats(
-            conflicts=3, max_decision_level=6
+            conflicts=3, max_decision_level=9
         )
         assert earlier == SolverStats(conflicts=4, max_decision_level=6)
 

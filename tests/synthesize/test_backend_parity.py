@@ -10,8 +10,8 @@ Different lanes can produce different SAT witnesses and different
 (equally sound) UNSAT cores, so they can reach *different equal-cost
 optima*; the search's lexicographic canonicalization pass is what makes
 this test possible.  ``lazylist`` is the regression anchor: before
-canonicalization, a lane over a CNF preprocessor picked a different
-slot there.
+canonicalization, a lane over the since-deleted CNF preprocessor picked
+a different slot there.
 """
 
 from __future__ import annotations

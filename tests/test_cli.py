@@ -1,5 +1,6 @@
 """Tests for the command line interface."""
 
+import _ctypes
 import argparse
 import os
 import subprocess
@@ -77,12 +78,9 @@ class TestSolverSpecValidation:
                        "--model", "tso"],
     }
 
-    @pytest.mark.parametrize("spec", ["zchaff", "ipasir", "internal"])
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    @pytest.mark.parametrize("command", sorted(ARGV))
-    def test_bad_spec_is_a_usage_error(
-        self, command, source, spec, capsys, monkeypatch
-    ):
+    def _usage_line(self, command, source, spec, capsys, monkeypatch):
+        """The one stderr line of ``command`` run with ``spec`` from
+        ``source``, which must exit 2 and print nothing on stdout."""
         argv = list(self.ARGV[command])
         if source == "flag":
             argv += ["--solver", spec]
@@ -94,8 +92,35 @@ class TestSolverSpecValidation:
         lines = captured.err.splitlines()
         assert len(lines) == 1, lines
         assert lines[0].startswith(f"{command}: ")
-        assert repr(spec) in lines[0]
-        assert "auto or ipasir:<path" in lines[0]
+        return lines[0]
+
+    @pytest.mark.parametrize("spec", ["zchaff", "ipasir", "internal"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_bad_spec_is_a_usage_error(
+        self, command, source, spec, capsys, monkeypatch
+    ):
+        line = self._usage_line(command, source, spec, capsys, monkeypatch)
+        assert repr(spec) in line
+        assert "auto or ipasir:<path" in line
+
+    @pytest.mark.parametrize("library", ["missing", "not-ipasir"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_unloadable_ipasir_library_is_a_usage_error(
+        self, command, source, library, capsys, monkeypatch, tmp_path
+    ):
+        """The library an ``ipasir:`` spec names is loaded before any
+        work, so a missing file, or a shared library that exports no
+        IPASIR symbols, is one usage line, not an ERROR per check."""
+        path = {
+            "missing": str(tmp_path / "libnothing.so"),
+            "not-ipasir": _ctypes.__file__,
+        }[library]
+        line = self._usage_line(
+            command, source, f"ipasir:{path}", capsys, monkeypatch
+        )
+        assert repr(path) in line
 
     def test_argv_covers_every_command_that_takes_solver(self):
         commands = next(
@@ -247,7 +272,9 @@ class TestOutOfRangeFlags:
     work): a nonpositive budget would report TIMEOUT or OOM for a check
     that never ran, a bound of 0 cuts every loop and turns a FAIL into a
     PASS, and a smoke or campaign of 0 programs passes having checked
-    nothing."""
+    nothing.  So is a ``--json`` target that is a directory, has no file
+    name or lies in a missing directory: the finished run would be lost
+    when it is written."""
 
     CHECK = ["check", "--impl", "msn-unfenced", "--test", "T0"]
 
@@ -275,6 +302,14 @@ class TestOutOfRangeFlags:
          "--budget", "-1"],
         ["synthesize", "--impl", "msn-unfenced", "--test", "T0",
          "--budget", "2.5"],
+        ["matrix", "--impls", "msn", "--tests", "T0", "--models", "sc",
+         "--quiet", "--json", "/nonexistent/x.json"],
+        ["matrix", "--litmus", "--models", "sc", "--json", "."],
+        ["synthesize", "--impl", "msn-unfenced", "--test", "T0",
+         "--json", "/nonexistent/x.json"],
+        ["fuzz", "--budget", "1", "--json", "/nonexistent/x.json"],
+        ["fuzz", "--budget", "1", "--json", "."],
+        ["fuzz", "--budget", "1", "--json", ""],
     ], ids=lambda argv: f"{argv[0]} {argv[-2]}={argv[-1]}")
     def test_out_of_range_flag_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -283,6 +318,15 @@ class TestOutOfRangeFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {argv[-2]}: must be" in captured.err
+
+    def test_a_huge_memory_limit_stays_valid(self, capsys):
+        """Every positive finite budget works: a cap whose byte count
+        overflows a float is one no resident size reaches."""
+        assert main([
+            "check", "--impl", "msn", "--test", "T0",
+            "--memory-limit", "1e308",
+        ]) == 0
+        assert "[PASS]" in capsys.readouterr().out
 
     def test_synthesis_budget_of_zero_stays_valid(self):
         """0 stops synthesis at the 1-minimal set; it is not out of
