@@ -8,6 +8,7 @@ stacks the fault proxy around the chosen backend.
 
 from __future__ import annotations
 
+import _ctypes
 import itertools
 import random
 import subprocess
@@ -138,6 +139,24 @@ class TestBackendSpecs:
         assert first._library is second._library
         assert ipasir.load_ipasir_library(path) is first._library
         assert first.name == "ipasir(repro-cdcl)"
+
+    @pytest.mark.parametrize("library, message", [
+        ("missing", "cannot load IPASIR library"),
+        ("not-ipasir", "is not an IPASIR library"),
+    ])
+    def test_unloadable_ipasir_library_raises_for_library_callers(
+        self, library, message, tmp_path
+    ):
+        """Only the CLI turns a library that cannot be loaded into a usage
+        error: the spec itself is accepted, and building a backend from
+        it raises :class:`IpasirError`."""
+        path = {
+            "missing": str(tmp_path / "libnothing.so"),
+            "not-ipasir": _ctypes.__file__,
+        }[library]
+        factory = make_backend_factory(f"ipasir:{path}")
+        with pytest.raises(ipasir.IpasirError, match=message):
+            factory()
 
 
 class TestBackendStack:
