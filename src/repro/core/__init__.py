@@ -3,11 +3,7 @@
 from repro.core.checker import CheckOptions
 from repro.core.commitpoint import CommitPointResult, run_commit_point_check
 from repro.core.counterexample import CounterexampleTrace, TraceStep, build_trace
-from repro.core.inclusion import (
-    InclusionOutcome,
-    run_assertion_check,
-    run_inclusion_check,
-)
+from repro.core.inclusion import InclusionOutcome, run_inclusion_check
 from repro.core.loop_bounds import LoopBoundResult, refine_loop_bounds
 from repro.core.results import CheckResult, CheckStatistics
 from repro.core.session import CheckSession
@@ -27,7 +23,6 @@ __all__ = [
     "TraceStep",
     "build_trace",
     "InclusionOutcome",
-    "run_assertion_check",
     "run_inclusion_check",
     "LoopBoundResult",
     "refine_loop_bounds",

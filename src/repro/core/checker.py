@@ -1,8 +1,9 @@
 """The options of one check (Fig. 1 / Fig. 3).
 
 :class:`repro.core.session.CheckSession` runs the check: compile the test
-against the implementation, mine the specification, and run the assertion
-and inclusion checks under the requested memory model, returning a
+against the implementation, mine the specification, and solve once for an
+execution under the requested memory model that fails an ``assert`` or
+whose observation the specification does not contain, returning a
 :class:`repro.core.results.CheckResult` with a counterexample trace when
 the check fails.  For many checks at once — several implementations,
 tests, or models — use the check matrix (:mod:`repro.harness.matrix` /

@@ -10,11 +10,11 @@ across its checks:
 * mined specifications (one observation set per test, regardless of how
   many models the test is later checked under).
 
-Each check encodes its formula once and hands it to both queries, so the
-assertion query and the inclusion query share one incremental solver and
-its learned clauses.  The inclusion query adds permanent blocking clauses
-(measurably stronger than guard-literal variants), so the formula never
-outlives its check.
+Each check encodes its formula once and solves it once: "some ``assert``
+fails or the observation is outside the mined set" is one query
+(:func:`repro.core.inclusion.run_inclusion_check`).  The query adds
+permanent clauses (measurably stronger than guard-literal variants), so
+the formula never outlives its check.
 
 Sessions are also the unit of warmth in the check matrix
 (:mod:`repro.harness.matrix`): each worker process keeps one session per
@@ -30,7 +30,7 @@ from dataclasses import asdict
 from repro.core import limits
 from repro.core import store as result_store
 from repro.core.checker import CheckOptions
-from repro.core.inclusion import run_assertion_check, run_inclusion_check
+from repro.core.inclusion import run_inclusion_check
 from repro.core.loop_bounds import refine_loop_bounds
 from repro.core.results import CheckResult, CheckStatistics, profile_enabled
 from repro.core.specification import ObservationSet, mine_specification
@@ -41,6 +41,15 @@ from repro.lang.lower import compile_c
 from repro.lsl.program import Program, SymbolicTest
 from repro.memorymodel.base import MemoryModel, get_model
 from repro.sat.backend import make_backend_factory
+
+#: The note of a FAIL verdict, by the kind of its counterexample.
+_FAIL_NOTES = {
+    "assertion": "an assertion in the implementation can fail",
+    "observation": (
+        "an execution is not observationally equivalent to any serial "
+        "execution"
+    ),
+}
 
 
 class CheckSession:
@@ -324,31 +333,12 @@ class CheckSession:
             **asdict(encoded.stats),
         )
 
-        counterexample = None
-        notes: list[str] = []
-        passed = True
-
-        assertion_outcome = run_assertion_check(
-            compiled, model, specification.labels, encoded=encoded
+        outcome = run_inclusion_check(
+            compiled, model, specification, encoded=encoded
         )
-        stats.solve_seconds += assertion_outcome.solve_seconds
-        if not assertion_outcome.passed:
-            passed = False
-            counterexample = assertion_outcome.counterexample
-            notes.append("an assertion in the implementation can fail")
-
-        if passed:
-            inclusion_outcome = run_inclusion_check(
-                compiled, model, specification, encoded=encoded
-            )
-            stats.solve_seconds += inclusion_outcome.solve_seconds
-            if not inclusion_outcome.passed:
-                passed = False
-                counterexample = inclusion_outcome.counterexample
-                notes.append(
-                    "an execution is not observationally equivalent to any "
-                    "serial execution"
-                )
+        stats.solve_seconds = outcome.solve_seconds
+        counterexample = outcome.counterexample
+        notes = [_FAIL_NOTES[counterexample.kind]] if counterexample else []
 
         # The formula is this check's own, so its backend's cumulative
         # counters are the check's.
@@ -356,7 +346,7 @@ class CheckSession:
         stats.total_seconds = time.perf_counter() - total_start
 
         return CheckResult(
-            passed=passed,
+            passed=outcome.passed,
             implementation=self.implementation.name,
             test=test.name,
             memory_model=model.name,

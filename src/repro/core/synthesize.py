@@ -36,7 +36,7 @@ Catalog data types (:func:`synthesize_fences`, specified by the session's
 mined observation set) and fuzz litmus programs (:func:`synthesize_litmus`,
 specified by their SC outcomes) share one code path: probe, search,
 1-minimality certificate, and a re-check of the program rebuilt with the
-chosen fences as real fences by the plain assertion and inclusion checks.
+chosen fences as real fences by the plain check.
 
 Costs are per fence kind — ``store-store``/``load-load``/``load-store``
 are cheap, ``store-load`` and ``full`` are the expensive barriers on real
@@ -50,11 +50,7 @@ import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 
-from repro.core.inclusion import (
-    assertion_violation,
-    run_assertion_check,
-    run_inclusion_check,
-)
+from repro.core.inclusion import run_inclusion_check
 from repro.core.specification import ObservationSet
 from repro.encoding.formula import EncodedTest, encode_test
 from repro.encoding.testprogram import CompiledTest, compile_test
@@ -248,11 +244,11 @@ def apply_fences(program: Program, fences) -> Program:
 
 @dataclass
 class _Query:
-    """One FAILing SAT query the fence set must turn UNSAT."""
+    """One FAILing SAT query the fence set must turn UNSAT: "an ``assert``
+    fails or the observation is outside S" under one model."""
 
-    name: str                   # "<model>/assertion" or "<model>/inclusion"
     encoded: EncodedTest
-    assumptions: list[int]      # literals assumed alongside selectors
+    guard: int                  # the not-in-S guard, assumed with selectors
 
     def selector(self, label: str) -> int | None:
         return self.encoded.fence_selectors.get(label)
@@ -371,7 +367,7 @@ class CoreGuidedSearch:
             }
             start = time.perf_counter()
             satisfiable = query.encoded.solve(
-                list(query.assumptions) + sorted(selector_of)
+                [query.guard] + sorted(selector_of)
             )
             self.stats.solve_seconds += time.perf_counter() - start
             self.stats.solves += 1
@@ -570,38 +566,32 @@ def _synthesize(
     backend_factory,
     exact_budget: int,
 ) -> SynthesisResult:
-    """The search both front ends share: probe the assertion and inclusion
-    queries of ``instrumented`` under every model, search a fence set that
-    turns the FAILing ones UNSAT, certify it 1-minimal on the warm
-    formulas, and re-check ``fenced(fences)`` — the program rebuilt with
-    the chosen fences as real fences — with the plain checks."""
+    """The search both front ends share: probe the query of
+    ``instrumented`` under every model, search a fence set that turns the
+    FAILing ones UNSAT, certify it 1-minimal on the warm formulas, and
+    re-check ``fenced(fences)`` — the program rebuilt with the chosen
+    fences as real fences — with the plain check."""
     queries: list[_Query] = []
     stats = SynthesisStatistics(candidates=len(candidates))
     for model in models:
         encoded = encode_test(
             instrumented, model, backend_factory=backend_factory
         )
-        probes: list[_Query] = []
-        if encoded.assertions:
-            violation = assertion_violation(encoded)
-            probes.append(
-                _Query(f"{model.name}/assertion", encoded, [violation])
-            )
-        guard = encoded.not_in_guard(specification.observations)
-        probes.append(_Query(f"{model.name}/inclusion", encoded, [guard]))
+        query = _Query(
+            encoded, encoded.not_in_guard(specification.observations)
+        )
         # Baseline: with no selector assumed the solver switches every
         # candidate off, so this is exactly the plain check.  Fences only
-        # remove executions, so queries that PASS bare stay PASSing under
-        # any fence set and never need re-solving.
-        for query in probes:
-            start = time.perf_counter()
-            if encoded.solve(query.assumptions):
-                queries.append(query)
-            stats.solve_seconds += time.perf_counter() - start
-            stats.solves += 1
+        # remove executions, so a query that PASSes bare stays PASSing
+        # under any fence set and never needs re-solving.
+        start = time.perf_counter()
+        if encoded.solve([query.guard]):
+            queries.append(query)
+        stats.solve_seconds += time.perf_counter() - start
+        stats.solves += 1
 
     model_names = [model.name for model in models]
-    failing = [query.name for query in queries]
+    failing = [query.encoded.model.name for query in queries]
     if not queries:
         return SynthesisResult(
             implementation, test, model_names,
@@ -682,19 +672,13 @@ def _verify_concrete(
 ) -> bool:
     """Re-check a program compiled with the synthesized fences as
     unconditional fences — entirely independent of the selector
-    machinery: the plain assertion and inclusion checks, on a fresh
-    formula per model."""
-    for model in models:
-        encoded = encode_test(compiled, model, backend_factory=backend_factory)
-        if not run_assertion_check(
-            compiled, model, specification.labels, encoded=encoded
-        ).passed:
-            return False
-        if not run_inclusion_check(
-            compiled, model, specification, encoded=encoded
-        ).passed:
-            return False
-    return True
+    machinery: the plain check, on a fresh formula per model."""
+    return all(
+        run_inclusion_check(
+            compiled, model, specification, backend_factory=backend_factory
+        ).passed
+        for model in models
+    )
 
 
 # --------------------------------------------------------- catalog front end

@@ -4,9 +4,9 @@
 adds the memory-model constraints for the chosen model, and returns an
 :class:`EncodedTest` that the checker drives: it exposes the observation
 slots (argument/return values), supports adding blocking clauses
-incrementally (specification mining) and "not in the observation set"
-constraints (inclusion check), and decodes SAT models back into execution
-traces.
+incrementally (specification mining) and "an assertion fails or the
+observation is not in the set" constraints (inclusion check), and decodes
+SAT models back into execution traces.
 
 The formula lives in one literal space: the gate builder
 (:class:`repro.sat.circuit.Circuit`) returns CNF literals and writes each
@@ -429,37 +429,51 @@ class EncodedTest:
             return  # no execution matches; nothing to block
         self.cnf.add_clause(literals)
 
-    def require_not_in(self, observations) -> None:
-        """Constrain the observation to differ from every element of a set.
+    def _assertion_violation(self) -> list[int]:
+        """``[A]``, where A is "some ``assert`` fails" (the OR of the
+        negated assertions), or ``[]`` when no assertion can fail, so that
+        widening a clause by it leaves the formula of a test without
+        ``assert`` byte-identical.  The circuit hash-conses the gate: it is
+        built on the first call, and every later call returns it."""
+        violation = self.ctx.circuit.or_many(
+            -handle for handle, _ in self.assertions
+        )
+        return [] if violation == Circuit.FALSE else [violation]
 
-        The clauses follow the set's sorted order, so the formula depends
-        on what the set holds, not on how it was filled.
-        """
+    def _add_not_in(self, observations, prefix: list[int]) -> None:
+        """One clause ``prefix | A | block(o)`` per observation o, in the
+        set's sorted order, so the formula depends on what the set holds,
+        not on how it was filled."""
+        widened = prefix + self._assertion_violation()
         for observation in sorted(observations):
-            self.block_observation(observation)
+            literals = self.projected_blocking_clause(observation)
+            if literals is not None:  # else unreachable: nothing to block
+                self.cnf.add_clause(widened + literals)
+
+    def require_not_in(self, observations) -> None:
+        """Constrain the execution to fail an ``assert`` or to produce an
+        observation outside a set: ``A | block(o)`` for each o in it, with
+        A from :meth:`_assertion_violation`."""
+        self._add_not_in(observations, [])
 
     def not_in_guard(self, observations) -> int:
-        """A guard handle that, when assumed, excludes every observation in
-        the given set.
+        """A guard handle that, when assumed, imposes
+        :meth:`require_not_in` on the given set.
 
         Unlike :meth:`require_not_in` the constraint is inert unless the
         returned handle is passed as an assumption, so the same encoded test
-        (and its learned clauses) can serve the assertion query, the
-        inclusion query, and later re-checks without the blocking clauses of
-        one query leaking into another.  The guarded clauses are emitted only
-        once per distinct observation set, in its sorted order, and are
-        projected over the guard literal plus observation literals only.
+        (and its learned clauses) can serve several queries, such as fence
+        synthesis's probes under different selector sets, without the
+        clauses of one query leaking into another.  The guarded clauses
+        ``-g | A | block(o)`` are emitted only once per distinct observation
+        set.
         """
         key = frozenset(observations)
         cached = self._not_in_guards.get(key)
         if cached is not None:
             return cached
         guard = self.ctx.circuit.var(f"not_in_guard{len(self._not_in_guards)}")
-        for observation in sorted(observations):
-            literals = self.projected_blocking_clause(observation)
-            if literals is None:
-                continue  # unreachable observation: guard need not block it
-            self.cnf.add_clause([-guard] + literals)
+        self._add_not_in(observations, [-guard])
         self._not_in_guards[key] = guard
         return guard
 

@@ -97,6 +97,10 @@ MATRIX_BACKOFF = 0.05
 #: sent no message for this many seconds is killed and its shard
 #: re-queued like a crash.  Unset/empty disables the watchdog.
 WORKER_TIMEOUT_ENV = "CHECKFENCE_MATRIX_WORKER_TIMEOUT"
+#: Longest single sleep of the pool loop, in seconds: ``wait`` cannot sleep
+#: past ``INT_MAX`` milliseconds, and the loop re-arms the watchdog on every
+#: pass, so a larger timeout still fires at the configured silence.
+_MAX_WAIT = 3600.0
 
 
 def default_jobs() -> int:
@@ -808,8 +812,10 @@ def _run_matrix_pool(
         while busy := [w for w in workers.values() if w.shard is not None]:
             timeout = None
             if worker_timeout is not None:
-                timeout = max(0.0, min(w.last_heard for w in busy)
-                              + worker_timeout - time.monotonic())
+                timeout = min(_MAX_WAIT, max(
+                    0.0, min(w.last_heard for w in busy)
+                    + worker_timeout - time.monotonic(),
+                ))
             for conn in wait(list(workers), timeout):
                 worker = workers[conn]
                 try:

@@ -83,7 +83,7 @@ def test_reused_and_fresh_formulas_are_identical():
 
 
 def test_session_verdicts_identical_with_reused_skeleton():
-    """Full checks (assertion + inclusion query, counterexample decoding)
+    """Full checks (the inclusion query, counterexample decoding)
     are verdict-identical between a session sweeping every model on one
     skeleton and a fresh session per model, including the FAIL direction."""
     from repro.core.session import CheckSession

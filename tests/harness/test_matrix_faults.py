@@ -21,6 +21,7 @@ from repro.core.store import CELL_KIND, VerdictStore
 from repro.fuzz import fuzz_cells
 from repro.harness.matrix import (
     WORKER_TIMEOUT_ENV,
+    catalog_cells,
     litmus_cells,
     run_matrix,
 )
@@ -98,6 +99,23 @@ class TestHangWatchdog:
         assert not any(p.is_alive() for p in _spawned_since(before)), (
             "matrix pool leaked a live worker after a hang injection"
         )
+
+
+    @pytest.mark.parametrize("seconds", ["1e7", "1e300"])
+    def test_a_timeout_past_the_longest_wait_runs_like_any(
+        self, monkeypatch, seconds
+    ):
+        """The pool's ``wait`` cannot sleep past ``INT_MAX`` milliseconds
+        (about 24.8 days), so each sleep is capped: a larger watchdog
+        timeout leaves a two-shard pool run verdict-identical to the
+        serial one instead of raising ``OverflowError``."""
+        cells = catalog_cells(["msn"], ["sc"], tests=["T0", "Ti2"])
+        serial = run_matrix(cells, jobs=1)
+        monkeypatch.setenv(WORKER_TIMEOUT_ENV, seconds)
+        pooled = run_matrix(cells, jobs=2)
+        assert pooled.jobs == 2 and len(pooled.shard_stats) == 2
+        assert _verdicts(pooled) == _verdicts(serial)
+        assert pooled.ok
 
 
 class TestExternalKill:

@@ -213,7 +213,7 @@ class TestIncremental:
 
     def test_unsat_under_assumptions_many_rounds(self, kernel):
         """Alternating UNSAT/SAT assumption queries on one solver instance
-        (the shape of the session's assertion + inclusion query reuse)."""
+        (the shape of fence synthesis's probes on one warm backend)."""
         cnf = CNF()
         variables = cnf.new_vars(12)
         cnf.add_unit(variables[0])

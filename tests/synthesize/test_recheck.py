@@ -2,7 +2,7 @@
 
 Catalog cells and fuzz litmus programs share one re-check: the program
 rebuilt with the chosen fences as real fences runs through the plain
-assertion and inclusion checks.  For a litmus program that must decide
+check, one inclusion query per model.  For a litmus program that must decide
 exactly what mining does — "every outcome of the fenced program under
 every model is an SC outcome of the original" — including for the
 insufficient sets one fence short of a repair.

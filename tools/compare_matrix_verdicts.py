@@ -8,7 +8,13 @@ once cold and once warm against the persistent store, and a chaos run
 once faulty and once resumed through the store, and feeds both JSON
 files here; any per-cell verdict difference (or a cell present in one
 run only) fails with a readable diff.  Timing and counters are ignored —
-only (implementation, test, model) -> verdict matters.
+only (implementation, test, model) -> verdict matters, and for a FAIL
+cell also the kind of its counterexample (``assertion`` or
+``observation``, from the first line of its text, ``counterexample
+(assertion) for ...``): a refactor that turns an assertion failure into
+an observation failure has changed what the check reports.  (On a cell
+where both kinds exist the check reports the kind its solver's model
+shows, so two solver backends may differ there.)
 
 Degraded verdicts (TIMEOUT, OOM, CRASHED) are *incomparable*, not
 divergent: they mean a run hit a resource budget or lost a worker before
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 #: Verdicts that mean "no answer was produced" (resource budget or lost
@@ -49,11 +56,21 @@ def _load(path: str) -> dict:
     return payload.get("matrix", payload)
 
 
+#: The first line of a counterexample's text names its kind.
+_KIND = re.compile(r"counterexample \((\w+)\)")
+
+
 def _verdicts(payload: dict) -> dict[tuple[str, str, str], str]:
+    """(implementation, test, model) -> verdict, with the counterexample
+    kind appended to a FAIL: ``FAIL (assertion)``."""
     out: dict[tuple[str, str, str], str] = {}
     for cell in payload.get("cells", []):
         key = (cell["implementation"], cell["test"], cell["model"])
-        out[key] = cell["verdict"]
+        verdict = cell["verdict"]
+        kind = _KIND.match(cell.get("counterexample") or "")
+        if verdict == "FAIL" and kind:
+            verdict = f"FAIL ({kind.group(1)})"
+        out[key] = verdict
     return out
 
 
