@@ -47,12 +47,15 @@ no-3-cycle clauses per elimination triangle, with statically known edges
 folded into binary implications; triangulating the support graph makes the
 triangle constraints equivalent to full transitivity (every cycle in a
 chordal graph has a chord, so acyclic triangles imply an acyclic — hence
-linearizable — order).  One call per layer triangulates, numbers the live
-pairs and writes those clauses: :func:`repro.sat.native.build_order` in the
-native library (its pure-Python twin :func:`build_order` is the reference
-the byte-identity tests compare it with).  Pairs that appear in no
-constraint get no variable at all; counterexample decoding topologically
-sorts the remaining partial order
+linearizable — order).  One native build per layer
+(:func:`repro.sat.native.build_order`, ``order.c``) seeds the value
+axioms' pairs, triangulates, numbers the live pairs and writes those
+clauses; it stays open while the Python emitters write the same-address,
+fence, atomic-block and Seriality clauses, and then writes the value axioms
+over its own literal table.  The pure-Python builders the byte-identity
+tests compare it with live in ``tests/encoding/order_reference.py``.
+Pairs that appear in no constraint get no variable at all; counterexample
+decoding topologically sorts the remaining partial order
 (:meth:`repro.encoding.formula.EncodedTest.decode_memory_order`).
 The operational enumerator (:mod:`repro.oracle.enumerator`) and the
 reads-from engine (:mod:`repro.rfcheck`) check the resulting outcome sets
@@ -61,11 +64,8 @@ independently.
 
 from __future__ import annotations
 
-import heapq
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, combinations, zip_longest
-from typing import Iterable, Sequence
 
 from repro.encoding.symbolic import MemoryAccess, ThreadEncoding
 from repro.encoding.testprogram import INIT_THREAD
@@ -159,7 +159,7 @@ class AccessTable:
             a for a in self.accesses if a.thread != INIT_THREAD
         ]
         #: Bitmask of the non-init access indices: the vertices of every
-        #: layer's support graph (:func:`build_order`).
+        #: layer's support graph (:func:`repro.sat.native.build_order`).
         self.other_mask = 0
         for access in self.other_accesses:
             self.other_mask |= 1 << access.index
@@ -174,6 +174,12 @@ class AccessTable:
         #: (load, may-alias candidate stores in index order), loads in
         #: index order.
         self.candidates = self._may_alias_candidates()
+        #: ``(guard, width, *value bits)`` of every access, by index: the
+        #: tail of its records in a layer's value descriptor
+        #: (:meth:`MemoryModelEncoder._value_loads`).
+        self.value_tails = [
+            (a.guard, len(a.value.bits), *a.value.bits) for a in self.accesses
+        ]
         self.core_successors = self._core_successors()
         #: Same-thread (earlier, store) pairs whose address comparison is
         #: the constant TRUE — static edges of every model that orders
@@ -326,9 +332,6 @@ class MemoryModelEncoder:
         self.encoding = MemoryOrderEncoding(
             accesses=table.accesses, table=[None] * (n * n)
         )
-        #: Candidate stores per load, visibility-pruned by
-        #: :meth:`_prune_value_candidates`.
-        self._value_candidates: list[tuple[MemoryAccess, list[MemoryAccess]]] = []
         #: Atomic non-interleaving triples: walked by the seeder and the
         #: assertion pass, and quadratic, so built per layer rather than
         #: kept alive on the skeleton.
@@ -345,14 +348,16 @@ class MemoryModelEncoder:
 
     def encode(self) -> MemoryOrderEncoding:
         self._resolve_static_orders()
-        self._prune_value_candidates()
-        self._create_live_order_variables()
-        self._assert_same_address_order()
-        self._assert_fences()
-        self._assert_atomic_blocks()
-        if self.model.operation_atomicity:
-            self._assert_operation_atomicity()
-        self._assert_value_axioms()
+        # The native build stays open while the Python emitters write their
+        # clauses: the value axioms come last, over its literal table.
+        with self._build_order() as build:
+            self._create_live_order_variables(build)
+            self._assert_same_address_order()
+            self._assert_fences()
+            self._assert_atomic_blocks()
+            if self.model.operation_atomicity:
+                self._assert_operation_atomicity()
+            self._assert_value_axioms(build)
         return self.encoding
 
     @property
@@ -392,51 +397,57 @@ class MemoryModelEncoder:
 
     # ------------------------------------------------- conflict restriction
 
-    def _create_live_order_variables(self) -> None:
-        """Mint variables only for pairs that can influence outcomes, then
-        assert pruned transitivity over the triangulated support graph.
-
-        :func:`repro.sat.native.build_order` does both in the native
-        library.  The layer mints the returned pairs' variables in order
-        and adds the clauses through the trusted path: a triangle
-        clause's literals are distinct order variables by construction.
-        """
+    def _build_order(self):
+        """Open the layer's build in the native library
+        (:func:`repro.sat.native.build_order`): it seeds the value axioms'
+        pairs from the value descriptor, triangulates the support graph
+        and numbers the live pairs from the CNF's next free variable."""
         # Imported here, as the backends do: the binding pulls in ctypes,
         # which no import of the encoder needs to pay for.
         from repro.sat import native
 
+        return native.build_order(
+            len(self.accesses), self._static_reach, self.table.other_mask,
+            self._seed_pairs(), self._value_loads(),
+            self.ctx.circuit.cnf.num_vars + 1,
+        )
+
+    def _create_live_order_variables(self, build) -> None:
+        """Mint variables only for pairs that can influence outcomes, then
+        assert pruned transitivity over the triangulated support graph.
+
+        The build has numbered the live pairs and written the clauses:
+        the layer mints the pairs' variables in order and installs the
+        clauses with their ends as the build wrote them.
+        """
         cnf = self.ctx.circuit.cnf
         n = len(self.accesses)
-        pairs, literals, lengths = native.build_order(
-            n, self._static_reach, self.table.other_mask, self._seed_pairs(),
-            cnf.num_vars + 1,
-        )
+        pairs, literals, ends = build.transitivity(cnf.literal_count)
         order = self.encoding.table
         flat = iter(pairs)
         for var, i, j in zip(cnf.new_vars(len(pairs) // 2), flat, flat):
             order[i * n + j] = var
             order[j * n + i] = -var
         self.order_var_count = len(pairs) // 2
-        cnf.add_clauses_trusted_flat(literals, lengths)
-        self.transitivity_clause_count += len(lengths)
+        cnf.add_clauses_trusted_ends(literals, ends)
+        self.transitivity_clause_count += len(ends)
 
     def _seed_pairs(self) -> set[tuple[int, int]]:
-        """Every non-static pair some constraint will mention."""
-        seeds: set[tuple[int, int]] = set()
+        """Every non-static pair the same-address, fence, atomic-block and
+        Seriality axioms mention (the build seeds the value axioms' pairs
+        itself)."""
         order = self.encoding.table
         n = len(self.accesses)
-
-        def need(first: MemoryAccess, second: MemoryAccess) -> None:
-            i, j = first.index, second.index
-            if order[i * n + j] is None:
-                seeds.add((i, j) if i < j else (j, i))
-
-        for first, second in self._same_address_pairs():
-            need(first, second)
-        for first, second, guard in self.table.fence_pairs:
-            if guard != Circuit.TRUE:
-                if not self.model.preserves(first.kind, second.kind):
-                    need(first, second)
+        preserves = self.model.preserves
+        mentioned = [
+            (first.index, second.index)
+            for first, second in self._same_address_pairs()
+        ]
+        mentioned += [
+            (first.index, second.index)
+            for first, second, guard in self.table.fence_pairs
+            if guard != Circuit.TRUE and not preserves(first.kind, second.kind)
+        ]
         for first, second, other in self._exclusion_triples:
             first_other = order[first.index * n + other.index]
             other_second = order[other.index * n + second.index]
@@ -445,21 +456,21 @@ class MemoryModelEncoder:
             if first_other == -1 or other_second == -1:
                 continue
             if first_other is None:
-                need(first, other)
+                mentioned.append((first.index, other.index))
             if other_second is None:
-                need(other, second)
+                mentioned.append((other.index, second.index))
         if self.model.operation_atomicity:
-            for group_a, group_b in self.table.invocation_group_pairs:
-                for x in group_a:
-                    for y in group_b:
-                        need(x, y)
-        for load, candidates in self._value_candidates:
-            for store in candidates:
-                if not self._forwarded(store, load):
-                    need(store, load)
-            for first, second in combinations(candidates, 2):
-                need(first, second)
-        return seeds
+            mentioned += [
+                (x.index, y.index)
+                for group_a, group_b in self.table.invocation_group_pairs
+                for x in group_a
+                for y in group_b
+            ]
+        return {
+            (i, j) if i < j else (j, i)
+            for i, j in mentioned
+            if order[i * n + j] is None
+        }
 
     # ---------------------------------------------------------- pair streams
 
@@ -624,25 +635,46 @@ class MemoryModelEncoder:
 
     # ---------------------------------------------------------- value axioms
 
-    def _prune_value_candidates(self) -> None:
-        """Drop statically invisible stores from every candidate list (the
-        store is ordered after the load and forwarding does not apply).
-        Runs once, right after static resolution, so the seeder and the
-        value-axiom emitter consume the exact same lists."""
-        self._value_candidates = [
-            (load, [s for s in candidates if self._visible(s, load)])
-            for load, candidates in self.table.candidates
-        ]
+    def _value_loads(self) -> array:
+        """The layer's value descriptor, laid out as ``order.c`` reads it.
 
-    def _visible(self, store: MemoryAccess, load: MemoryAccess) -> bool:
-        """Can this store possibly be visible to the load?  False only when
-        the static resolver ordered the store after the load and store
-        forwarding does not apply."""
-        if self._forwarded(store, load):
-            return True
-        return self.encoding.resolved(store.index, load.index) != -1
+        One record per load, in index order: its index, its initial-value
+        term, its candidate count and its value tail
+        (:attr:`AccessTable.value_tails`).  Then one record per candidate
+        store that can be visible to it: the store's index, whether the
+        store is forwarded to the load, their address equality and the
+        store's value tail.  A store the static order puts after the load
+        is never visible unless forwarded, and is left out.  The
+        skeleton's prewarm has built every term read here, so the gather
+        mints no variable and writes no clause.
+        """
+        reach = self._static_reach
+        tails = self.table.value_tails
+        forwarding = self.model.store_forwarding
+        addr_eq = self.ctx.addr_eq
+        initial_value_term = self.ctx.initial_value_term
+        out: list[int] = []
+        for load, stores in self.table.candidates:
+            after = reach[load.index]
+            thread, seq = load.thread, load.seq
+            count_at = len(out) + 2
+            out += (load.index, initial_value_term(load), 0)
+            out += tails[load.index]
+            count = 0
+            for store in stores:
+                # Store-queue forwarding: a program-order-earlier store of
+                # the load's own thread is visible regardless of <M.
+                forwarded = (
+                    forwarding and store.thread == thread and store.seq < seq
+                )
+                if forwarded or not (after >> store.index) & 1:
+                    out += (store.index, forwarded, addr_eq(load, store))
+                    out += tails[store.index]
+                    count += 1
+            out[count_at] = count
+        return array("i", out)
 
-    def _assert_value_axioms(self) -> None:
+    def _assert_value_axioms(self, build) -> None:
         """An executed load reads the ``<M``-maximal visible store, or the
         initial value of its address when no store is visible.
 
@@ -663,292 +695,32 @@ class MemoryModelEncoder:
         No at-most-one clauses are needed: two true selectors of one load
         would force both orders of one pair, which share a variable.
 
-        The literals are clause-ready by construction — every candidate's
-        visibility conjuncts are normalized once (constants folded,
-        duplicates merged, a candidate with a FALSE or complementary
-        conjunct is never visible and dropped), selectors are fresh, and
-        a maximality clause's order literal names a pair of stores, which
-        no visibility conjunct does — so the clauses go through the
-        trusted bulk path.
+        The build writes these clauses in ``order.c``, from the value
+        descriptor and its literal table: each candidate's visibility
+        conjuncts are normalized once (constants folded, duplicates
+        merged, a candidate with a FALSE or complementary conjunct is never
+        visible and dropped), a candidate whose value can never equal the
+        load's gets no selector, and a load whose guard is FALSE gets no
+        clause.  Selectors are numbered from the CNF's next free variable,
+        each load's initial-value selector last but listed first.
         """
         cnf = self.ctx.circuit.cnf
-        new_var = cnf.new_var
-        addr_eq = self.ctx.addr_eq
-        initial_value_term = self.ctx.initial_value_term
-        order = self.encoding.table
-        n = len(self.accesses)
-        sources = self.encoding.sources
-        buf: list[int] = []
-        lengths: list[int] = []
-        push = buf.append
-        extend = buf.extend
-        push_len = lengths.append
-        for load, candidates in self._value_candidates:
-            if load.guard == Circuit.FALSE:
-                continue
-            load_index = load.index
-            # (store, negated visibility literals) of every candidate that
-            # can be visible; an empty list means "always visible".
-            visible: list[tuple[MemoryAccess, list[int]]] = []
-            for store in candidates:
-                if self._forwarded(store, load):
-                    before = 1
-                else:
-                    before = order[store.index * n + load_index]
-                negated: list[int] = []
-                for lit in (store.guard, addr_eq(load, store), before):
-                    if lit == 1:
-                        continue
-                    if lit == -1 or lit in negated:
-                        break  # FALSE, or complementary to another conjunct
-                    if -lit not in negated:
-                        negated.append(-lit)
-                else:
-                    visible.append((store, negated))
-
-            load_bits = load.value.bits
-            selectors: list[tuple[int | None, int]] = []
-            for store, negated in visible:
-                # Bitwise value equality as clause tails under rf(store);
-                # None when the two values can never be equal.
-                tails: list[tuple[int, ...]] | None = []
-                # A missing high bit of the narrower value is FALSE (-1).
-                for a, s in zip_longest(
-                    load_bits, store.value.bits, fillvalue=-1
-                ):
-                    if a == s:
-                        continue
-                    if a == -s:
-                        tails = None
-                        break
-                    if abs(a) == 1:
-                        tails.append((s if a > 0 else -s,))
-                    elif abs(s) == 1:
-                        tails.append((a if s > 0 else -a,))
-                    else:
-                        tails.append((-a, s))
-                        tails.append((a, -s))
-                if tails is None:
-                    continue
-                rf = new_var()
-                selectors.append((store.index, rf))
-                for lit in negated:
-                    push(-rf)
-                    push(-lit)
-                    push_len(2)
-                for tail in tails:
-                    push(-rf)
-                    extend(tail)
-                    push_len(len(tail) + 1)
-                # Maximality: every other visible candidate precedes store.
-                store_index = store.index
-                for other, other_negated in visible:
-                    if other is store:
-                        continue
-                    lit = order[other.index * n + store_index]
-                    if lit == 1:
-                        continue
-                    push(-rf)
-                    extend(other_negated)
-                    if lit == -1:
-                        push_len(len(other_negated) + 1)
-                    else:
-                        push(lit)
-                        push_len(len(other_negated) + 2)
-
-            # No rf(init) when the initial value can never match or some
-            # candidate is always visible.
-            init_term = initial_value_term(load)
-            if init_term != Circuit.FALSE and all(n for _, n in visible):
-                rf = new_var()
-                selectors.insert(0, (None, rf))
-                for _, negated in visible:
-                    push(-rf)
-                    extend(negated)
-                    push_len(len(negated) + 1)
-                if init_term != Circuit.TRUE:
-                    push(-rf)
-                    push(init_term)
-                    push_len(2)
-
-            sources[load_index] = selectors
-            count = len(selectors)
-            if load.guard != Circuit.TRUE:
-                push(-load.guard)
-                count += 1
-            extend(rf for _, rf in selectors)
-            push_len(count)
-        cnf.add_clauses_trusted_flat(buf, lengths)
-        self.value_clause_count += len(lengths)
-
-    def _forwarded(self, store: MemoryAccess, load: MemoryAccess) -> bool:
-        """Store-queue forwarding: a program-order-earlier store of the
-        load's own thread is visible regardless of the global order."""
-        return (
-            self.model.store_forwarding
-            and store.thread == load.thread
-            and store.seq < load.seq
+        literals, ends, selectors, minted = build.value_axioms(
+            cnf.num_vars + 1, cnf.literal_count
         )
-
-
-# ------------------------------------------------------ the order builder
-
-
-def build_order(
-    n: int,
-    reach: Sequence[int],
-    allowed: int,
-    seeds: Iterable[tuple[int, int]],
-    first_var: int,
-) -> tuple[array, array, array]:
-    """The live order pairs and transitivity clauses of one layer.
-
-    Inputs: the access count ``n``; ``reach[i]``, the bitmask of accesses
-    statically after access ``i`` (transitively closed and acyclic);
-    ``allowed``, the bitmask of the support graph's vertices (the non-init
-    accesses: they have only outgoing static edges, so no cycle passes
-    through them); the unordered seed pairs ``(i, j)``, ``i < j``, that
-    some axiom mentions and no static edge orders; and the first free
-    variable.
-
-    The support graph has an edge for every seed and static pair between
-    vertices.  It is chordalized by min-degree elimination: a lazy
-    ``(degree, vertex)`` heap whose stale entries are re-pushed with the
-    settled degree, so the pop order matches an eager min-scan, and an
-    ascending walk over each eliminated vertex's neighbours that adds the
-    missing pairs (the *fill*).  Seeds and fill are the live pairs,
-    numbered ``first_var, first_var + 1, ...`` in sorted order.  Each
-    elimination triangle ``(v, a, b)`` gets its two no-3-cycle clauses
-    (``v -> a -> b -> v``, then ``v -> b -> a -> v``) with statically
-    known edges folded away: a known edge drops its literal, and a cycle a
-    static edge already breaks emits nothing.  Every cycle of a chordal
-    graph has a chord, so acyclic triangles make the whole order acyclic.
-
-    Returns ``(pairs, literals, lengths)``: the live pairs flat as ``i0,
-    j0, i1, j1, ...``, the clauses' literals back to back, and each
-    clause's length.  :func:`repro.sat.native.build_order` computes the
-    same three arrays in C, and the encoder calls only that one: this twin
-    is the reference the byte-identity tests of
-    ``tests/encoding/test_order_builder.py`` compare it with.  Raises
-    :class:`ValueError` on a seed outside ``0 <= i < j < n`` or a
-    statically ordered one.
-    """
-    allowed &= (1 << n) - 1
-    vertices = [p for p in range(n) if (allowed >> p) & 1]
-    # Adjacency as one bitmask per vertex: membership tests, edge updates
-    # and degree counts (popcount) all beat set operations in this loop,
-    # and iterating set bits in ascending order gives the sorted neighbour
-    # walk the fill computation needs for determinism.
-    adjacency = [0] * n
-    live: set[tuple[int, int]] = set()
-    for i, j in seeds:
-        if not 0 <= i < j < n or (reach[i] >> j) & 1 or (reach[j] >> i) & 1:
-            raise ValueError(
-                f"seed pair {(i, j)} out of range or statically ordered"
-            )
-        live.add((i, j))
-        if (allowed >> i) & 1 and (allowed >> j) & 1:
-            adjacency[i] |= 1 << j
-            adjacency[j] |= 1 << i
-    for i in vertices:
-        mask = reach[i] & allowed
-        adjacency[i] |= mask
-        while mask:
-            low = mask & -mask
-            adjacency[low.bit_length() - 1] |= 1 << i
-            mask ^= low
-
-    triangles: list[tuple[int, int, int]] = []
-    append = triangles.append
-    alive = set(vertices)
-    heap = [(adjacency[p].bit_count(), p) for p in vertices]
-    heapq.heapify(heap)
-    push = heapq.heappush
-    while alive:
-        degree, vertex = heapq.heappop(heap)
-        if vertex not in alive:
-            continue
-        mask = adjacency[vertex]
-        current = mask.bit_count()
-        if current != degree:
-            push(heap, (current, vertex))
-            continue
-        alive.discard(vertex)
-        neighbors = []
-        while mask:
-            low = mask & -mask
-            neighbors.append(low.bit_length() - 1)
-            mask ^= low
-        vertex_bit = 1 << vertex
-        for index, a in enumerate(neighbors):
-            adjacency[a] &= ~vertex_bit
-            a_bit = 1 << a
-            for b in neighbors[index + 1:]:
-                append((vertex, a, b))
-                b_bit = 1 << b
-                if not adjacency[a] & b_bit:
-                    # A fill pair (a < b by the ascending walk).  Static
-                    # pairs between vertices are edges from the start, so
-                    # a missing edge is never static.
-                    adjacency[a] |= b_bit
-                    adjacency[b] |= a_bit
-                    live.add((a, b))
-        adjacency[vertex] = 0
-        for a in neighbors:
-            push(heap, (adjacency[a].bit_count(), a))
-
-    # The literal of "first <M second" for every pair a triangle can name.
-    order: list[int] = [0] * (n * n)
-    for i in vertices:
-        mask = reach[i] & allowed
-        while mask:
-            low = mask & -mask
-            j = low.bit_length() - 1
-            mask ^= low
-            order[i * n + j] = 1
-            order[j * n + i] = -1
-    pairs = sorted(live)
-    for var, (i, j) in enumerate(pairs, first_var):
-        order[i * n + j] = var
-        order[j * n + i] = -var
-
-    buf: list[int] = []
-    lengths: list[int] = []
-    push = buf.append
-    push_len = lengths.append
-    for v, a, b in triangles:
-        row = v * n
-        e1 = order[row + a]  # v <M a
-        e2 = order[a * n + b]  # a <M b
-        e3 = order[row + b]  # v <M b
-        # cycle v -> a -> b -> v: not(e1 and e2 and not e3)
-        if not (e1 == -1 or e2 == -1 or e3 == 1):
-            count = 0
-            if e1 != 1:
-                push(-e1)
-                count += 1
-            if e2 != 1:
-                push(-e2)
-                count += 1
-            if e3 != -1:
-                push(e3)
-                count += 1
-            push_len(count)
-        # cycle v -> b -> a -> v: not(e3 and not e2 and not e1)
-        if not (e3 == -1 or e2 == 1 or e1 == 1):
-            count = 0
-            if e3 != 1:
-                push(-e3)
-                count += 1
-            if e2 != -1:
-                push(e2)
-                count += 1
-            if e1 != -1:
-                push(e1)
-                count += 1
-            push_len(count)
-    return (
-        array("i", chain.from_iterable(pairs)),
-        array("i", buf),
-        array("b", lengths),
-    )
+        cnf.num_vars += minted
+        cnf.add_clauses_trusted_ends(literals, ends)
+        self.value_clause_count += len(ends)
+        sources = self.encoding.sources
+        records = selectors.tolist()
+        end = 0
+        while end < len(records):
+            load, count = records[end], records[end + 1]
+            start = end + 2
+            end = start + 2 * count
+            sources[load] = [
+                (None if source < 0 else source, literal)
+                for source, literal in zip(
+                    records[start:end:2], records[start + 1:end:2]
+                )
+            ]

@@ -162,6 +162,28 @@ class CNF:
             end += n
             ends.append(end)
 
+    def add_clauses_trusted_ends(self, literals: array, ends: array) -> None:
+        """Bulk form of :meth:`add_clause_trusted` for clauses whose ends
+        are already absolute: ``ends`` (an ``array("q")``) holds each
+        clause's end counted from :attr:`literal_count` as it is now, as
+        the native order builder writes them.  Two array extends install
+        everything; a stale count raises :class:`ValueError`."""
+        base = len(self._lits)
+        last = ends[-1] if ends else base
+        if last != base + len(literals) or (ends and ends[0] < base):
+            raise ValueError(
+                f"clause ends up to {last} do not extend {base} literals "
+                f"by {len(literals)}"
+            )
+        self._lits.extend(literals)
+        self._ends.extend(ends)
+
+    @property
+    def literal_count(self) -> int:
+        """The number of literals of every clause so far: where the next
+        clause starts."""
+        return len(self._lits)
+
     def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
         for clause in clauses:
             self.add_clause(clause)

@@ -27,8 +27,8 @@ The library also exports the IPASIR interface, so
 :class:`repro.sat.ipasir.IpasirBackend` can load it from
 :func:`library_path`.
 
-:func:`build_order` runs ``order.c``: the live order pairs and the
-transitivity clauses of one per-model encoding layer.
+:func:`build_order` runs ``order.c``: the live order pairs, the
+transitivity clauses and the value axioms of one per-model encoding layer.
 """
 
 from __future__ import annotations
@@ -156,10 +156,14 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         "cf_stats": (None, [handle, ptr]),
         "ipasir_set_terminate": (None, [handle, ptr, TERMINATE_CALLBACK]),
         "cf_order_build": (handle, [
-            ctypes.c_int32, ctypes.c_char_p, ctypes.c_char_p, ptr, i64,
-            ctypes.c_int32, ptr,
+            ctypes.c_int32, ctypes.c_char_p, ctypes.c_char_p, ptr, i64, ptr,
+            i64, ctypes.c_int32, ptr,
         ]),
-        "cf_order_copy": (None, [handle, ptr, ptr, ptr]),
+        "cf_order_copy": (None, [handle, ptr, ptr, ptr, i64]),
+        "cf_order_values": (ctypes.c_int, [
+            handle, ptr, i64, ctypes.c_int32, ptr,
+        ]),
+        "cf_order_values_copy": (None, [handle, ptr, ptr, i64, ptr]),
         "cf_order_free": (None, [handle]),
     }
     for symbol, (restype, argtypes) in signatures.items():
@@ -178,17 +182,28 @@ def build_order(
     reach: Sequence[int],
     allowed: int,
     seeds: Iterable[tuple[int, int]],
+    loads: Sequence[int],
     first_var: int,
-) -> tuple[array, array, array]:
-    """:func:`repro.encoding.memory.build_order` in ``order.c``: the same
-    inputs, and the same pairs, literals and lengths as arrays.
+) -> "OrderBuild":
+    """Build one layer's memory order in ``order.c``.
+
+    ``reach[i]`` is the bitmask of the accesses statically after access
+    ``i`` (transitively closed and acyclic), ``allowed`` the bitmask of the
+    support graph's vertices, ``seeds`` the unordered pairs ``(i, j)``,
+    ``i < j``, that the same-address, fence, atomic-block and Seriality
+    axioms mention and no static edge orders, and ``loads`` the value
+    descriptor (an ``array("i")``, laid out as ``order.c`` describes),
+    whose pairs the build seeds itself.  The live pairs are numbered from
+    ``first_var`` on.
 
     The reach rows and the vertex mask go in as little-endian 64-bit
-    words (one ``bytes`` each, read in place), the seeds as one ``array``;
-    the results come back in ``array`` buffers the library fills by
-    address.  Raises :class:`MemoryError` when the library runs out of
-    memory and :class:`ValueError` on a seed outside ``0 <= i < j < n``,
-    a statically ordered seed, or a variable number past 32 bits.
+    words (one ``bytes`` each, read in place), the seeds and the
+    descriptor as ``array`` buffers.  Returns the open
+    :class:`OrderBuild`; close it (or use it as a context manager) on
+    every path.  Raises :class:`MemoryError` when the library runs out of
+    memory and :class:`ValueError` on a seed outside ``0 <= i < j < n``, a
+    statically ordered seed, a malformed descriptor, or a variable number
+    past 32 bits.
     """
     lib = load()
     if len(reach) != n:
@@ -200,28 +215,104 @@ def build_order(
     rows = b"".join([(row & full).to_bytes(width, "little") for row in reach])
     mask = (allowed & full).to_bytes(width, "little")
     flat = array("i", chain.from_iterable(seeds))
+    if not (isinstance(loads, array) and loads.typecode == "i"):
+        loads = array("i", loads)
     sizes = array("q", bytes(32))
-    build = lib.cf_order_build(
-        n, rows, mask, _address(flat), len(flat) // 2, first_var,
-        _address(sizes),
+    handle = lib.cf_order_build(
+        n, rows, mask, _address(flat), len(flat) // 2, _address(loads),
+        len(loads), first_var, _address(sizes),
     )
-    if not build:
+    if not handle:
         if sizes[0] == _ORDER_BAD_INPUT:
             raise ValueError(
-                "seed pair out of range or statically ordered, or variable "
-                f"numbers from {first_var} past 32 bits"
+                "seed pair out of range or statically ordered, malformed "
+                f"value descriptor, or variable numbers from {first_var} "
+                "past 32 bits"
             )
         raise MemoryError("memory-order builder: out of memory")
-    try:
-        pairs = array("i", bytes(8 * sizes[1]))
-        literals = array("i", bytes(4 * sizes[2]))
-        lengths = array("b", bytes(sizes[3]))
-        lib.cf_order_copy(
-            build, _address(pairs), _address(literals), _address(lengths)
+    return OrderBuild(lib, handle, loads, sizes)
+
+
+class OrderBuild:
+    """One open build of ``order.c`` (see :func:`build_order`): its live
+    pairs and transitivity clauses, then the value axioms over its literal
+    table.  Both copy-outs return clause ends counted from the literal
+    count the caller's CNF has reached, for
+    :meth:`repro.sat.cnf.CNF.add_clauses_trusted_ends`."""
+
+    def __init__(self, lib, handle, loads: array, sizes: array) -> None:
+        self._lib = lib
+        self._handle = handle
+        self._loads = loads
+        self._sizes = tuple(sizes[1:4])
+
+    def __enter__(self) -> "OrderBuild":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Free the build; later calls do nothing."""
+        if self._handle:
+            self._lib.cf_order_free(self._handle)
+            self._handle = None
+
+    def _checked_handle(self):
+        if not self._handle:
+            raise ValueError("the order build is closed")
+        return self._handle
+
+    def transitivity(self, literal_base: int) -> tuple[array, array, array]:
+        """``(pairs, literals, ends)``: the live pairs flat as ``i0, j0, i1,
+        j1, ...`` in sorted order, the transitivity clauses' literals back
+        to back, and each clause's end, ``literal_base`` plus the literals
+        up to it."""
+        handle = self._checked_handle()
+        pair_count, literal_count, clause_count = self._sizes
+        pairs = array("i", bytes(8 * pair_count))
+        literals = array("i", bytes(4 * literal_count))
+        ends = array("q", bytes(8 * clause_count))
+        self._lib.cf_order_copy(
+            handle, _address(pairs), _address(literals), _address(ends),
+            literal_base,
         )
-    finally:
-        lib.cf_order_free(build)
-    return pairs, literals, lengths
+        return pairs, literals, ends
+
+    def value_axioms(
+        self, first_var: int, literal_base: int
+    ) -> tuple[array, array, array, int]:
+        """``(literals, ends, selectors, count)``: the value axioms' clauses
+        as in :meth:`transitivity`, and their reads-from selectors, the
+        ``count`` variables from ``first_var`` on.  ``selectors`` holds one
+        record per load whose guard is not FALSE: the load's index, its
+        selector count, then ``source, selector`` per selector, where
+        ``source`` is a store's index or ``-1`` for the initial value.
+        Raises :class:`ValueError` when a selector would be numbered past
+        2**31 - 1."""
+        handle = self._checked_handle()
+        if not 0 < first_var < 2**31:
+            raise ValueError(f"first variable {first_var} outside 1..2**31-1")
+        sizes = array("q", bytes(40))
+        status = self._lib.cf_order_values(
+            handle, _address(self._loads), len(self._loads), first_var,
+            _address(sizes),
+        )
+        if status == _ORDER_BAD_INPUT:
+            raise ValueError(
+                "malformed value descriptor, or selector numbers from "
+                f"{first_var} past 32 bits"
+            )
+        if status:
+            raise MemoryError("memory-order builder: out of memory")
+        literals = array("i", bytes(4 * sizes[1]))
+        ends = array("q", bytes(8 * sizes[2]))
+        selectors = array("i", bytes(4 * sizes[3]))
+        self._lib.cf_order_values_copy(
+            handle, _address(literals), _address(ends), literal_base,
+            _address(selectors),
+        )
+        return literals, ends, selectors, sizes[4]
 
 
 def _check_added(code: int) -> bool:

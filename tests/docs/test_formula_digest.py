@@ -1,0 +1,91 @@
+"""Tests for ``tools/formula_digest.py``, the per-layer formula digest.
+
+CI runs the whole tool under two ``PYTHONHASHSEED`` values and requires
+equal totals; these tests check what it covers and that its digest sees
+every part of a layer.
+"""
+
+import importlib.util
+import os
+import subprocess
+import sys
+
+import pytest
+
+from repro.datatypes.registry import category_of, get_implementation
+from repro.encoding import compile_test, encode_test
+from repro.harness.catalog import get_test
+from repro.memorymodel.base import get_model
+
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)
+)))
+_TOOL = os.path.join(_REPO_ROOT, "tools", "formula_digest.py")
+
+
+@pytest.fixture(scope="module")
+def formula_digest():
+    spec = importlib.util.spec_from_file_location("formula_digest", _TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_layers_are_the_small_catalog_and_the_large_rows(formula_digest):
+    layers = formula_digest.layers()
+    assert len(layers) == len(set(layers)) == 28 * 5 + 4
+    assert layers[0] == ("ms2", "T0", "serial")
+    assert layers[-4:] == [
+        (implementation, test, "relaxed")
+        for implementation, test in formula_digest.LARGE_ROWS
+    ]
+    assert {model for _, _, model in layers} == set(formula_digest.MODELS)
+
+
+def _encoded(model: str):
+    compiled = compile_test(
+        get_implementation("msn"), get_test(category_of("msn"), "T0")
+    )
+    return encode_test(compiled, get_model(model))
+
+
+def test_equal_formulas_have_equal_digests(formula_digest):
+    assert formula_digest.layer_digest(_encoded("tso")) == (
+        formula_digest.layer_digest(_encoded("tso"))
+    )
+    assert formula_digest.layer_digest(_encoded("tso")) != (
+        formula_digest.layer_digest(_encoded("pso"))
+    )
+
+
+@pytest.mark.parametrize("change", [
+    "variable", "clause", "clause end", "selector", "order entry",
+])
+def test_every_part_of_a_layer_moves_the_digest(formula_digest, change):
+    encoded = _encoded("relaxed")
+    before = formula_digest.layer_digest(encoded)
+    cnf = encoded.cnf
+    if change == "variable":
+        cnf.new_var()
+    elif change == "clause":
+        cnf.add_clause([1])
+    elif change == "clause end":
+        cnf._ends[0] += 1
+    elif change == "selector":
+        load, selectors = next(iter(encoded.order.sources.items()))
+        encoded.order.sources[load] = selectors[::-1] + [(None, 1)]
+    else:
+        table = encoded.order.table
+        live = next(
+            i for i, lit in enumerate(table) if lit not in (None, 1, -1)
+        )
+        table[live] = -table[live]
+    assert formula_digest.layer_digest(encoded) != before
+
+
+def test_the_tool_takes_no_flags():
+    run = subprocess.run(
+        [sys.executable, _TOOL, "--help"], capture_output=True, text=True
+    )
+    assert run.returncode == 2
+    assert "takes no flags" in run.stderr
