@@ -709,7 +709,8 @@ def _prewarm_shared_terms(
     # when the zero-extended bits are equal, so those pairs are found
     # without building a comparison.  A pair the core already orders has
     # the order-table entry TRUE in every model, so the same-address axiom
-    # never references its comparison.
+    # never references its comparison; the others, unless the comparison
+    # folds to FALSE, go to table.same_address_pairs with it.
     core_reach = table.closure(table.core_successors)
     for first, second in table.same_thread_pairs:
         if first.thread == INIT_THREAD or not second.is_store:
@@ -727,7 +728,9 @@ def _prewarm_shared_terms(
         if first_addr == second_addr:
             table.const_edges.append((first, second))
         elif not (core_reach[first.index] >> second.index) & 1:
-            context.addr_eq(first, second)
+            addr_eq = context.addr_eq(first, second)
+            if addr_eq != Circuit.FALSE:
+                table.same_address_pairs.append((first, second, addr_eq))
 
     successors = list(table.core_successors)
     table.add_edges(successors, table.const_edges)

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 from repro.encoding.symbolic import MemoryAccess, ThreadEncoding
 from repro.encoding.testprogram import INIT_THREAD
@@ -152,6 +153,19 @@ class AccessTable:
             for i, first in enumerate(thread_accesses)
             for second in thread_accesses[i + 1:]
         ]
+        #: Program-order successor masks of the non-init threads, one list
+        #: per (earlier kind, later kind) class: a layer ORs the classes its
+        #: model preserves.
+        self.program_order = {
+            (first, second): [0] * len(self.accesses)
+            for first in ("load", "store")
+            for second in ("load", "store")
+        }
+        for first, second in self.same_thread_pairs:
+            if first.thread != INIT_THREAD:
+                self.program_order[first.kind, second.kind][first.index] |= (
+                    1 << second.index
+                )
         self.init_accesses = [
             a for a in self.accesses if a.thread == INIT_THREAD
         ]
@@ -186,6 +200,13 @@ class AccessTable:
         #: same-address stores.  Filled by the skeleton's term prewarm,
         #: which builds those comparisons.
         self.const_edges: list[tuple[MemoryAccess, MemoryAccess]] = []
+        #: (earlier, store, address comparison) of the same-thread pairs
+        #: whose comparison is symbolic and that the core order leaves
+        #: open: the conditional half of the same-address axiom.  Filled
+        #: by the same prewarm.
+        self.same_address_pairs: list[
+            tuple[MemoryAccess, MemoryAccess, int]
+        ] = []
         # Static edges go from the init thread into the others or, within
         # one thread, to a higher seq, so this order is topological.
         accesses = self.accesses
@@ -332,10 +353,6 @@ class MemoryModelEncoder:
         self.encoding = MemoryOrderEncoding(
             accesses=table.accesses, table=[None] * (n * n)
         )
-        #: Atomic non-interleaving triples: walked by the seeder and the
-        #: assertion pass, and quadratic, so built per layer rather than
-        #: kept alive on the skeleton.
-        self._exclusion_triples = self._atomic_exclusion_triples()
         #: Reachability masks of the static order, per access index.
         self._static_reach: list[int] = []
         # Size counters surfaced through EncodingStatistics.
@@ -348,13 +365,15 @@ class MemoryModelEncoder:
 
     def encode(self) -> MemoryOrderEncoding:
         self._resolve_static_orders()
+        ordered_when, exclusions = self._open_constraints()
         # The native build stays open while the Python emitters write their
         # clauses: the value axioms come last, over its literal table.
-        with self._build_order() as build:
+        with self._build_order(
+            self._seed_pairs(ordered_when, exclusions)
+        ) as build:
             self._create_live_order_variables(build)
-            self._assert_same_address_order()
-            self._assert_fences()
-            self._assert_atomic_blocks()
+            self._assert_ordered_when(ordered_when)
+            self._assert_atomic_blocks(exclusions)
             if self.model.operation_atomicity:
                 self._assert_operation_atomicity()
             self._assert_value_axioms(build)
@@ -369,19 +388,18 @@ class MemoryModelEncoder:
 
     def _resolve_static_orders(self) -> None:
         """Precompute every unconditionally ordered pair and its closure:
-        the skeleton's core order plus this model's constant same-address
-        store pairs and preserved program-order pairs.  Each closure edge
-        fills its two table entries with the constant literals."""
+        the skeleton's core order plus, under a model that orders
+        same-address stores, the constant same-address store pairs (the
+        static half of that axiom), and the program-order classes the
+        model preserves.  Each closure edge fills its two table entries
+        with the constant literals."""
         table = self.table
         successors = list(table.core_successors)
-        table.add_edges(successors, self._same_address_static_edges())
-        preserves = self.model.preserves
-        table.add_edges(successors, (
-            (first, second)
-            for first, second in table.same_thread_pairs
-            if first.thread != INIT_THREAD
-            and preserves(first.kind, second.kind)
-        ))
+        if self.model.same_address_store_order:
+            table.add_edges(successors, table.const_edges)
+        for kinds in self.model.preserved_program_order:
+            for p, mask in enumerate(table.program_order[kinds]):
+                successors[p] |= mask
         reach = table.closure(successors)
         self._static_reach = reach
         order = self.encoding.table
@@ -395,9 +413,69 @@ class MemoryModelEncoder:
                 order[i * n + j] = 1
                 order[j * n + i] = -1
 
-    # ------------------------------------------------- conflict restriction
+    # ------------------------------------------------------ open constraints
 
-    def _build_order(self):
+    def _open_constraints(self):
+        """The same-address, fence and atomic-block constraints the static
+        order leaves open, listed once for the seeds and the clauses.  A
+        position is an index into the order table.
+
+        * ``(position, condition)`` for ``condition -> first <M second``:
+          the symbolic same-address pairs (under a model that orders
+          same-address stores), then the fence pairs under their guards.
+          A pair the model preserves, or whose fence always executes, is a
+          static edge and left out.
+        * ``(first <M other, other <M second)`` position pairs for atomic
+          non-interleaving, one per block pair and access ``other`` of
+          another thread, unless an order is statically impossible.
+        """
+        table = self.table
+        order = self.encoding.table
+        n = len(self.accesses)
+        pairs = table.fence_pairs
+        if self.model.same_address_store_order:
+            pairs = table.same_address_pairs + pairs
+        ordered_when = [
+            (position, condition)
+            for first, second, condition in pairs
+            if order[position := first.index * n + second.index] != 1
+        ]
+        exclusions = []
+        for members in table.atomic_groups:
+            thread = members[0].thread
+            outside = [a.index for a in self.accesses if a.thread != thread]
+            for i, first in enumerate(members):
+                row = first.index * n
+                for second in members[i + 1:]:
+                    for other in outside:
+                        before = row + other
+                        after = other * n + second.index
+                        if order[before] != -1 and order[after] != -1:
+                            exclusions.append((before, after))
+        return ordered_when, exclusions
+
+    def _seed_pairs(self, ordered_when, exclusions) -> set[tuple[int, int]]:
+        """Every non-static pair the same-address, fence, atomic-block and
+        Seriality axioms mention, read from the open constraints the
+        emitters write (the build seeds the value axioms' pairs itself)."""
+        order = self.encoding.table
+        n = len(self.accesses)
+        mentioned = [position for position, _ in ordered_when]
+        mentioned += chain.from_iterable(exclusions)
+        if self.model.operation_atomicity:
+            mentioned += [
+                x.index * n + y.index
+                for group_a, group_b in self.table.invocation_group_pairs
+                for x in group_a
+                for y in group_b
+            ]
+        positions = {p for p in mentioned if order[p] is None}
+        return {
+            (i, j) if i < j else (j, i)
+            for i, j in map(divmod, positions, repeat(n))
+        }
+
+    def _build_order(self, seeds):
         """Open the layer's build in the native library
         (:func:`repro.sat.native.build_order`): it seeds the value axioms'
         pairs from the value descriptor, triangulates the support graph
@@ -408,8 +486,7 @@ class MemoryModelEncoder:
 
         return native.build_order(
             len(self.accesses), self._static_reach, self.table.other_mask,
-            self._seed_pairs(), self._value_loads(),
-            self.ctx.circuit.cnf.num_vars + 1,
+            seeds, self._value_loads(), self.ctx.circuit.cnf.num_vars + 1,
         )
 
     def _create_live_order_variables(self, build) -> None:
@@ -432,154 +509,40 @@ class MemoryModelEncoder:
         cnf.add_clauses_trusted_ends(literals, ends)
         self.transitivity_clause_count += len(ends)
 
-    def _seed_pairs(self) -> set[tuple[int, int]]:
-        """Every non-static pair the same-address, fence, atomic-block and
-        Seriality axioms mention (the build seeds the value axioms' pairs
-        itself)."""
-        order = self.encoding.table
-        n = len(self.accesses)
-        preserves = self.model.preserves
-        mentioned = [
-            (first.index, second.index)
-            for first, second in self._same_address_pairs()
-        ]
-        mentioned += [
-            (first.index, second.index)
-            for first, second, guard in self.table.fence_pairs
-            if guard != Circuit.TRUE and not preserves(first.kind, second.kind)
-        ]
-        for first, second, other in self._exclusion_triples:
-            first_other = order[first.index * n + other.index]
-            other_second = order[other.index * n + second.index]
-            # The clause (not first<other) or (not other<second) is
-            # trivially true when either order is statically impossible.
-            if first_other == -1 or other_second == -1:
-                continue
-            if first_other is None:
-                mentioned.append((first.index, other.index))
-            if other_second is None:
-                mentioned.append((other.index, second.index))
-        if self.model.operation_atomicity:
-            mentioned += [
-                (x.index, y.index)
-                for group_a, group_b in self.table.invocation_group_pairs
-                for x in group_a
-                for y in group_b
-            ]
-        return {
-            (i, j) if i < j else (j, i)
-            for i, j in mentioned
-            if order[i * n + j] is None
-        }
-
-    # ---------------------------------------------------------- pair streams
-
-    def _same_address_static_edges(self):
-        """Same-address store order with a *constant* address comparison —
-        the static half of axiom 1 (the symbolic half is emitted by
-        :meth:`_assert_same_address_order`): the skeleton's constant pairs,
-        under a model that orders same-address stores."""
-        if not self.model.same_address_store_order:
-            return ()
-        return self.table.const_edges
-
-    def _same_address_pairs(self):
-        """Pairs the same-address store-order axiom constrains with a
-        *symbolic* address comparison (constant comparisons are static or
-        vacuous)."""
-        if not self.model.same_address_store_order:
-            return
-        circuit = self.ctx.circuit
-        order = self.encoding.table
-        n = len(self.accesses)
-        for first, second in self.table.same_thread_pairs:
-            if not second.is_store:
-                continue
-            if first.thread == INIT_THREAD:
-                continue  # already totally ordered
-            if self.model.preserves(first.kind, second.kind):
-                continue  # already ordered unconditionally
-            if not self.table.may_alias(first, second):
-                continue
-            if order[first.index * n + second.index] == 1:
-                # Statically ordered: the clause is vacuous, so build no
-                # comparison (its gates would be written into the CNF).
-                continue
-            addr_eq = self.ctx.addr_eq(first, second)
-            if addr_eq == circuit.FALSE:
-                continue  # can never be the same address
-            if addr_eq == circuit.TRUE:
-                continue  # statically resolved instead
-            yield first, second
-
-    def _atomic_exclusion_triples(self):
-        """(first, second, other) triples for atomic non-interleaving: no
-        ``other`` of a different thread lands between two block members."""
-        triples = []
-        for members in self.table.atomic_groups:
-            thread = members[0].thread
-            outside = [a for a in self.accesses if a.thread != thread]
-            for i, first in enumerate(members):
-                for second in members[i + 1:]:
-                    for other in outside:
-                        triples.append((first, second, other))
-        return triples
-
     # ------------------------------------------------------------ the axioms
 
-    def _assert_same_address_order(self) -> None:
-        addr_eq = self.ctx.addr_eq
-        self._assert_ordered_when(
-            (first, second, addr_eq(first, second))
-            for first, second in self._same_address_pairs()
-        )
-
-    def _assert_fences(self) -> None:
-        # An always-executed fence is a static edge, so it emits nothing.
-        self._assert_ordered_when(
-            (first, second, guard)
-            for first, second, guard in self.table.fence_pairs
-            if not self.model.preserves(first.kind, second.kind)
-        )
-
-    def _assert_ordered_when(self, triples) -> None:
-        """``condition -> first <M second`` for every ``(first, second,
-        condition)`` triple, as one binary clause each through the trusted
+    def _assert_ordered_when(self, ordered_when) -> None:
+        """``condition -> first <M second`` for every open same-address and
+        fence constraint, as one binary clause each through the trusted
         path (an implies() gate would write an OR gate per pair just to
-        assert its output true).  The condition is a symbolic address
-        comparison or fence guard, never an order variable, so the two
-        literals are distinct."""
+        assert its output true).  Every such pair was seeded, so its order
+        is a variable, and the condition is a symbolic address comparison
+        or fence guard, never an order variable: the two literals are
+        distinct."""
         order = self.encoding.table
-        n = len(self.accesses)
         buf: list[int] = []
-        for first, second, condition in triples:
-            lit = order[first.index * n + second.index]
-            if lit != 1:
-                buf += (-condition, lit)
+        for position, condition in ordered_when:
+            buf += (-condition, order[position])
         self.ctx.circuit.cnf.add_clauses_trusted_flat(
-            buf, [2] * (len(buf) // 2)
+            buf, [2] * len(ordered_when)
         )
 
-    def _assert_atomic_blocks(self) -> None:
+    def _assert_atomic_blocks(self, exclusions) -> None:
         # No access of another thread interleaves with an atomic block
-        # (program order inside the block is a static edge).  The triple
-        # count is the layer's largest clause source after transitivity,
-        # so the literals come straight from the order table (a pair whose
-        # order is statically impossible was never seeded, and its clause
-        # is vacuous), and the clauses go out through the trusted bulk
-        # path — at most two distinct order literals each, so no
-        # normalization is needed.
+        # (program order inside the block is a static edge): one clause
+        # (not first<other) or (not other<second) per open exclusion.  The
+        # exclusion count is the layer's largest clause source after
+        # transitivity, so the literals come straight from the order table
+        # and the clauses go out through the trusted bulk path — at most
+        # two distinct order literals each, so no normalization is needed.
         order = self.encoding.table
-        n = len(self.accesses)
         buf: list[int] = []
         lengths: list[int] = []
         push = buf.append
         push_len = lengths.append
-        for first, second, other in self._exclusion_triples:
-            first_other = order[first.index * n + other.index]
-            other_second = order[other.index * n + second.index]
-            if first_other == -1 or other_second == -1:
-                continue  # one of the two orders is statically impossible
+        for before, after in exclusions:
+            first_other = order[before]
+            other_second = order[after]
             count = 0
             if first_other != 1:
                 push(-first_other)

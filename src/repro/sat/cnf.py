@@ -11,20 +11,13 @@ clause — rather than a list of tuples.  That keeps the per-clause overhead
 at a few machine words and, more importantly, makes :meth:`CNF.copy` an
 ``array``-level memcpy, which is what lets the encoder snapshot a shared
 formula skeleton once per memory model at negligible cost.  The
-:attr:`CNF.clauses` attribute is preserved as a sequence view that yields
-tuples, so existing consumers (``for clause in cnf.clauses``,
-``cnf.clauses[n:]``, ``len(cnf.clauses)``) keep working unchanged.
+:attr:`CNF.clauses` attribute is a sequence view that yields tuples.
 """
 
 from __future__ import annotations
 
 from array import array
 from typing import Iterable, Iterator, Sequence
-
-
-def neg(literal: int) -> int:
-    """Return the negation of a literal."""
-    return -literal
 
 
 class ClauseView(Sequence):
@@ -136,24 +129,15 @@ class CNF:
         self._lits.extend(out)
         self._ends.append(len(self._lits))
 
-    def add_clause_trusted(self, literals) -> None:
-        """Append a clause known to be normalized already.
-
-        The caller guarantees: no zero literal, no duplicate literals, not
-        a tautology, and every variable already allocated.  Hot emitters
-        (the gate builder, the transitivity triangles) satisfy all four by
-        construction, and skipping the per-literal checks roughly halves
-        their clause-emission cost.
-        """
-        self._lits.extend(literals)
-        self._ends.append(len(self._lits))
-
     def add_clauses_trusted_flat(
         self, literals: Sequence[int], lengths: Sequence[int]
     ) -> None:
-        """Bulk form of :meth:`add_clause_trusted`: ``literals`` holds the
-        clauses back to back, ``lengths`` the literal count of each.  One
-        array-level extend installs every literal; only the clause-boundary
+        """Append clauses known to be normalized already: no zero literal,
+        no duplicate literals, no tautology, every variable already
+        allocated (the gate builder and the memory-order emitters satisfy
+        all four by construction).  ``literals`` holds the clauses back to
+        back, ``lengths`` the literal count of each.  One array-level
+        extend installs every literal; only the clause-boundary
         bookkeeping runs per clause."""
         self._lits.extend(literals)
         end = len(self._lits) - len(literals)
@@ -163,11 +147,12 @@ class CNF:
             ends.append(end)
 
     def add_clauses_trusted_ends(self, literals: array, ends: array) -> None:
-        """Bulk form of :meth:`add_clause_trusted` for clauses whose ends
-        are already absolute: ``ends`` (an ``array("q")``) holds each
-        clause's end counted from :attr:`literal_count` as it is now, as
-        the native order builder writes them.  Two array extends install
-        everything; a stale count raises :class:`ValueError`."""
+        """Append normalized clauses, as :meth:`add_clauses_trusted_flat`
+        does, whose ends are already absolute: ``ends`` (an
+        ``array("q")``) holds each clause's end counted from
+        :attr:`literal_count` as it is now, as the native order builder
+        writes them.  Two array extends install everything; a stale count
+        raises :class:`ValueError`."""
         base = len(self._lits)
         last = ends[-1] if ends else base
         if last != base + len(literals) or (ends and ends[0] < base):
@@ -183,18 +168,6 @@ class CNF:
         """The number of literals of every clause so far: where the next
         clause starts."""
         return len(self._lits)
-
-    def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
-        for clause in clauses:
-            self.add_clause(clause)
-
-    def extend(self, other: "CNF") -> None:
-        """Append all clauses of ``other`` (variables must already be shared)."""
-        self.num_vars = max(self.num_vars, other.num_vars)
-        offset = len(self._lits)
-        self._lits.extend(other._lits)
-        self._ends.extend(end + offset for end in other._ends)
-        self.names.update(other.names)
 
     # -- convenience constraint builders ------------------------------------
 

@@ -4,6 +4,7 @@ and the injected encoder bug of the mutation-detection tests."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from pathlib import Path
 
@@ -19,17 +20,20 @@ def drop_same_address_axiom(monkeypatch):
     constant-address pairs a layer adds to its static order and the
     symbolic implication) — the injected encoder bug the
     mutation-detection tests expect the differential oracle / fuzzer to
-    catch."""
+    catch.  The encoder alone gets the model with the axiom's switch off;
+    the oracles keep the real model."""
     from repro.encoding.memory import MemoryModelEncoder
 
-    monkeypatch.setattr(
-        MemoryModelEncoder, "_assert_same_address_order",
-        lambda self: None,
-    )
-    monkeypatch.setattr(
-        MemoryModelEncoder, "_same_address_static_edges",
-        lambda self: (),
-    )
+    build = MemoryModelEncoder.__init__
+
+    def without_the_axiom(self, context, model, table):
+        build(
+            self, context,
+            dataclasses.replace(model, same_address_store_order=False),
+            table,
+        )
+
+    monkeypatch.setattr(MemoryModelEncoder, "__init__", without_the_axiom)
 
 
 @pytest.fixture

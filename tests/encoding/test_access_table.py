@@ -106,6 +106,13 @@ def test_unconditional_pairs_are_forward_static_edges(case):
             and model.preserves(first.kind, second.kind)
         ]
         assert preserved or name == "relaxed"
+        # The OR of the preserved classes' masks is exactly those pairs.
+        assert {
+            (i, j)
+            for kinds in model.preserved_program_order
+            for i, mask in enumerate(table.program_order[kinds])
+            for j in _bits(mask)
+        } == {(first.index, second.index) for first, second in preserved}, name
         order = encode_test(compiled, model).order
         for first, second in init_pairs + init_first + block_pairs + preserved:
             assert order.resolved(first.index, second.index) == Circuit.TRUE, (

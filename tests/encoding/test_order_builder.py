@@ -97,7 +97,7 @@ def _layer_inputs(compiled, model: str):
         len(encoder.accesses),
         encoder._static_reach,
         skeleton.table.other_mask,
-        encoder._seed_pairs(),
+        encoder._seed_pairs(*encoder._open_constraints()),
         loads,
         cnf.num_vars + 1,
     )
@@ -364,7 +364,7 @@ def test_the_build_is_freed_when_an_emitter_raises(monkeypatch, small_tests):
         closed.append(self)
         close(self)
 
-    def broken_emitter(self):
+    def broken_emitter(self, exclusions):
         raise RuntimeError("emitter failed")
 
     monkeypatch.setattr(native.OrderBuild, "close", counting_close)
