@@ -27,7 +27,7 @@ _TOOL = os.path.join(_REPO_ROOT, "tools", "formula_digest.py")
 #: on purpose updates it, as it rewrites ``BENCH_4.json``; a refactor that
 #: claims byte-identical formulas leaves it as it is.
 PINNED_TOTAL = (
-    "7766b564e2e352fa24b05377e1fa636b69f5c5e4ffa928426809ed463056ec24"
+    "63d833f39753dd9f469e474b150cd0e5e741c7202b434e57f5a4039cfa84a0c1"
 )
 
 
@@ -40,14 +40,42 @@ def formula_digest():
 
 
 def test_the_layers_are_the_small_catalog_and_the_large_rows(formula_digest):
+    """Then the instrumented programs of the synthesis pairs."""
     layers = formula_digest.layers()
-    assert len(layers) == len(set(layers)) == 28 * 5 + 4
-    assert layers[0] == ("ms2", "T0", "serial")
-    assert layers[-4:] == [
-        (implementation, test, "relaxed")
+    assert len(layers) == len(set(layers)) == 28 * 5 + 4 + 4 * 2
+    assert layers[0] == ("ms2", "T0", "serial", False)
+    assert layers[140:144] == [
+        (implementation, test, "relaxed", False)
         for implementation, test in formula_digest.LARGE_ROWS
     ]
-    assert {model for _, _, model in layers} == set(formula_digest.MODELS)
+    assert layers[144:] == [
+        (implementation, test, model, True)
+        for implementation, test in formula_digest.SYNTHESIS_PAIRS
+        for model in ("pso", "relaxed")
+    ]
+    assert {layer[2] for layer in layers} == set(formula_digest.MODELS)
+    names = [formula_digest.layer_name(*layer) for layer in layers]
+    assert len(set(names)) == len(names)
+    assert names[144] == "msn-unfenced/T0@pso instrumented"
+
+
+def test_a_synthesis_layer_has_fence_selectors(formula_digest):
+    """The instrumented program is the one synthesis encodes: every
+    candidate fence slot has a selector variable."""
+    from repro.core.synthesize import instrument_program
+    from repro.lang import compile_c
+
+    implementation = get_implementation("msn-unfenced")
+    program, candidates = instrument_program(
+        compile_c(implementation.source, implementation.name)
+    )
+    compiled = compile_test(
+        implementation, get_test(category_of("msn-unfenced"), "T0"),
+        program=program,
+    )
+    encoded = encode_test(compiled, get_model("pso"))
+    assert encoded.fence_selectors
+    assert set(encoded.fence_selectors) <= {c.label for c in candidates}
 
 
 def test_the_digest_total_is_pinned(formula_digest):
