@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import heapq
 import time
+from array import array
 from dataclasses import dataclass, fields
+from itertools import chain
 
 from repro.encoding.memory import (
     AccessTable,
@@ -163,26 +165,31 @@ class EncodingContext:
         cached = self._initial_values.get(location)
         if cached is not None:
             return cached
-        info = self.layout.info(location)
-        if not is_undef(info.initial):
-            value = self.const_value(int(info.initial))
-        else:
-            policy = self._heap_policies.get(location, "havoc")
-            if policy == "zero":
-                value = self.const_value(0)
-            else:
-                value = self.fresh_value(f"init_loc{location}")
-                domain = self.ranges.location_domain(location)
-                if domain is not None:
-                    valid = [v for v in sorted(domain) if v < (1 << self.width)]
-                    if valid:
-                        self.assert_true(
-                            self.circuit.or_many(
-                                self.bvb.eq_const(value, v) for v in valid
-                            )
-                        )
+        value = self._initial_constant_or_domain(location)
+        if not isinstance(value, BitVec):
+            valid = value
+            value = self.fresh_value(f"init_loc{location}")
+            if valid:
+                self.assert_true(
+                    self.circuit.or_many(
+                        self.bvb.eq_const(value, v) for v in valid
+                    )
+                )
         self._initial_values[location] = value
         return value
+
+    def _initial_constant_or_domain(self, location: int) -> BitVec | list[int]:
+        """A location's initial value when it is a constant, else the
+        sorted values a fresh one may take (``[]``: unconstrained)."""
+        info = self.layout.info(location)
+        if not is_undef(info.initial):
+            return self.const_value(int(info.initial))
+        if self._heap_policies.get(location, "havoc") == "zero":
+            return self.const_value(0)
+        domain = self.ranges.location_domain(location)
+        if domain is None:
+            return []
+        return [v for v in sorted(domain) if v < (1 << self.width)]
 
     # ----------------------------------------------- shared equality terms
 
@@ -207,12 +214,8 @@ class EncodingContext:
             return cached
         circuit = self.circuit
         bvb = self.bvb
-        if load.addr_candidates is None:
-            locations = sorted(self.layout.valid_indices())
-        else:
-            locations = sorted(l for l in load.addr_candidates if l != 0)
         terms = []
-        for location in locations:
+        for location in self._load_locations(load):
             terms.append(
                 circuit.and_(
                     bvb.eq_const(load.addr, location),
@@ -222,6 +225,110 @@ class EncodingContext:
         term = circuit.or_many(terms)
         self._init_terms[load.index] = term
         return term
+
+    def _load_locations(self, load) -> list[int]:
+        """The locations a load may read, ascending."""
+        if load.addr_candidates is None:
+            return sorted(self.layout.valid_indices())
+        return sorted(l for l in load.addr_candidates if l != 0)
+
+
+class SharedTermBatch:
+    """Address comparisons and initial-value terms gathered in Python and
+    built in one native call (:meth:`repro.sat.circuit.Circuit
+    .build_terms`, ``terms.c``).
+
+    :meth:`addr_eq` and :meth:`initial_value_term` queue a request unless
+    the context already has the term; :meth:`build` builds the queue in
+    order, exactly as :meth:`EncodingContext.addr_eq` and
+    :meth:`EncodingContext.initial_value_term` called in the same order
+    would, and installs the terms, the initial values and their variable
+    names in the context, where those methods then find them.  Errors an
+    eager build would raise (a constant that does not fit its width) are
+    raised while queueing.  ``accesses[i]`` must be the access with index
+    ``i``.
+    """
+
+    def __init__(self, context: EncodingContext, accesses) -> None:
+        self.context = context
+        self.accesses = accesses
+        # The request section, and each queued term's place in it.
+        self._requests: list[int] = []
+        self._comparisons: dict[tuple[int, int], int] = {}
+        self._loads: dict[int, int] = {}
+        self._initials: list[int] = []
+        #: location -> (slot, its value if it is known, or None).
+        self._slots: dict[int, tuple[int, BitVec | None]] = {}
+
+    def addr_eq(self, first, second) -> None:
+        if first.index < second.index:
+            key = (first.index, second.index)
+        else:
+            key = (second.index, first.index)
+        if key in self.context._addr_eq or key in self._comparisons:
+            return
+        self._comparisons[key] = len(self._comparisons) + len(self._loads)
+        self._requests += (0, first.index, second.index)
+
+    def initial_value_term(self, load) -> None:
+        context = self.context
+        if load.index in context._init_terms or load.index in self._loads:
+            return
+        width = len(load.addr.bits)
+        locations = context._load_locations(load)
+        record = [1, load.index, len(locations)]
+        for location in locations:
+            if location < 0 or (width and location >> width):
+                # The error eq_const would raise on this location.
+                context.bvb.const(location, width)
+            record += (location, self._slot(location))
+        self._loads[load.index] = len(self._comparisons) + len(self._loads)
+        self._requests += record
+
+    def _slot(self, location: int) -> int:
+        """The initial value's slot, queued on the location's first use."""
+        known = self._slots.get(location)
+        if known is not None:
+            return known[0]
+        context = self.context
+        slot = len(self._slots)
+        value = context._initial_values.get(location)
+        if value is None:
+            value = context._initial_constant_or_domain(location)
+        if isinstance(value, BitVec):
+            self._initials += (0, len(value.bits), *value.bits)
+            self._slots[location] = (slot, value)
+        else:
+            self._initials += (1, context.width, len(value), *value)
+            self._slots[location] = (slot, None)
+        return slot
+
+    def build(self) -> None:
+        """Build every queued term and install it in the context."""
+        if not self._requests:
+            return
+        context = self.context
+        accesses = array("i", chain.from_iterable(
+            (len(a.addr.bits), *a.addr.bits, len(a.value.bits), *a.value.bits)
+            for a in self.accesses
+        ))
+        results, minted = context.circuit.build_terms(
+            accesses, array("i", self._initials), array("i", self._requests)
+        )
+        for key, position in self._comparisons.items():
+            context._addr_eq[key] = results[position]
+        for load, position in self._loads.items():
+            context._init_terms[load] = results[position]
+        names = context.circuit.cnf.names
+        fresh = iter(minted)
+        width = context.width
+        for location, (_, value) in self._slots.items():
+            if value is None:
+                first = next(fresh)
+                value = BitVec(tuple(range(first, first + width)))
+                for bit, var in enumerate(value.bits):
+                    names[var] = f"init_loc{location}.{bit}"
+            context._initial_values.setdefault(location, value)
 
 
 @dataclass
@@ -697,8 +804,9 @@ def _prewarm_shared_terms(
     pairs never compare addresses at all: the <M-maximality clauses reuse
     the load's own visibility conjuncts.  Value equality needs no term:
     the value axioms compare the value bits one by one under a reads-from
-    selector.  The construction order fixes the variable numbering, hence
-    every CNF.
+    selector.  The terms are queued in the order the filters find them and
+    built in one native call (:class:`SharedTermBatch`); that order fixes
+    the variable numbering, hence every CNF.
     """
     # The same-thread (earlier, store) pairs of the same-address axiom
     # compare addresses symbolically — except on the init thread and inside
@@ -711,6 +819,8 @@ def _prewarm_shared_terms(
     # the order-table entry TRUE in every model, so the same-address axiom
     # never references its comparison; the others, unless the comparison
     # folds to FALSE, go to table.same_address_pairs with it.
+    batch = SharedTermBatch(context, table.accesses)
+    compared = []
     core_reach = table.closure(table.core_successors)
     for first, second in table.same_thread_pairs:
         if first.thread == INIT_THREAD or not second.is_store:
@@ -728,19 +838,23 @@ def _prewarm_shared_terms(
         if first_addr == second_addr:
             table.const_edges.append((first, second))
         elif not (core_reach[first.index] >> second.index) & 1:
-            addr_eq = context.addr_eq(first, second)
-            if addr_eq != Circuit.FALSE:
-                table.same_address_pairs.append((first, second, addr_eq))
+            batch.addr_eq(first, second)
+            compared.append((first, second))
 
     successors = list(table.core_successors)
     table.add_edges(successors, table.const_edges)
     reach = table.closure(successors)
     for load, stores in table.candidates:
-        context.initial_value_term(load)
+        batch.initial_value_term(load)
         load_reach = reach[load.index]
         for store in stores:
             if not (load_reach >> store.index) & 1:
-                context.addr_eq(load, store)
+                batch.addr_eq(load, store)
+    batch.build()
+    for first, second in compared:
+        addr_eq = context.addr_eq(first, second)  # built by the batch
+        if addr_eq != Circuit.FALSE:
+            table.same_address_pairs.append((first, second, addr_eq))
 
 
 def encode_test(

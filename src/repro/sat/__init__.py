@@ -16,7 +16,8 @@ Public surface:
 * :class:`repro.sat.circuit.Circuit` — the gate builder (AND, XOR and
   if-then-else gates, one variable each): every handle is a literal of
   its own CNF, and each gate's Tseitin clauses are written when the gate
-  is built.
+  is built, one at a time or, for a skeleton's shared equality terms, in
+  one native batch (:meth:`repro.sat.circuit.Circuit.build_terms`).
 * :class:`repro.sat.bitvec.BitVecBuilder` — fixed-width bit-vector terms.
 
 No stack preprocesses the CNF: :mod:`repro.sat.simplify` is an empty

@@ -22,6 +22,8 @@ an equal term instead of minting a second one.
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain, islice
 from typing import Iterable
 
 from repro.sat.cnf import CNF
@@ -241,6 +243,59 @@ class Circuit:
             )
             self._ite_cache[key] = out
         return -out if negate else out
+
+    # ------------------------------------------------------------ batches
+
+    def build_terms(
+        self, accesses: array, initials: array, requests: array
+    ) -> tuple[array, array]:
+        """Build a batch of equality terms in one native call
+        (:func:`repro.sat.native.build_terms`), gate for gate as
+        :meth:`and_many`, :meth:`xor` and
+        :meth:`repro.sat.bitvec.BitVecBuilder.eq` would build them here.
+
+        ``accesses``, ``initials`` and ``requests`` are the sections of
+        the ``terms.c`` descriptor this builder does not own; it adds its
+        AND and XOR hashes, so the batch hash-conses with every gate built
+        so far.  The new clauses, variables and gates are installed here,
+        so later gates hash-cons with the batch's.  Returns one literal
+        per request and the first variable of each fresh initial value.
+        """
+        # Imported here: the binding loads ctypes and the IPASIR module,
+        # which importing the gate builder does not need.
+        from repro.sat import native
+
+        and_keys = self._and_cache.keys()
+        lengths = array("i", map(len, and_keys))
+        operands = array("i", chain.from_iterable(and_keys))
+        descriptor = array("i", (
+            len(lengths), len(operands), len(self._xor_cache),
+            len(accesses), len(initials), len(requests),
+        ))
+        descriptor += lengths
+        descriptor += operands
+        descriptor.extend(self._and_cache.values())
+        descriptor.extend(chain.from_iterable(self._xor_cache))
+        descriptor.extend(self._xor_cache.values())
+        descriptor += accesses
+        descriptor += initials
+        descriptor += requests
+        cnf = self.cnf
+        built = native.build_terms(
+            descriptor, cnf.num_vars + 1, cnf.literal_count
+        )
+        cnf.add_clauses_trusted_ends(built.literals, built.ends)
+        cnf.num_vars = built.next_var - 1
+        operands = iter(built.and_operands)
+        self._and_cache.update(zip(
+            [tuple(islice(operands, n)) for n in built.and_lengths],
+            built.and_outputs,
+        ))
+        operands = iter(built.xor_operands)
+        self._xor_cache.update(
+            zip(zip(operands, operands), built.xor_outputs)
+        )
+        return built.results, built.minted
 
     # ------------------------------------------------------------- snapshot
 

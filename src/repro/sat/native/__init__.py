@@ -1,7 +1,8 @@
 """The native CDCL kernel (``cdcl.c``), the memory-order builder
-(``order.c``) and their ctypes binding.
+(``order.c``), the shared-term builder (``terms.c``) and their ctypes
+binding.
 
-Both sources are built into one shared library on first use with the
+The three sources are built into one shared library on first use with the
 system C compiler (``cc``, else ``gcc``, from ``PATH``) and cached under
 ``CHECKFENCE_CACHE_DIR`` (default ``~/.cache/checkfence``), named by a
 hash of every source and the compiler flags.  The build is written under a
@@ -10,8 +11,9 @@ concurrent worker processes may race to build it safely.  When the cache
 directory is unwritable the library is built into a per-process
 temporary directory instead.
 
-The library is required: every check encodes through :func:`build_order`
-and solves on :class:`NativeSolver` (or an IPASIR library).  :func:`load`
+The library is required: every check encodes through :func:`build_terms`
+and :func:`build_order` and solves on :class:`NativeSolver` (or an IPASIR
+library).  :func:`load`
 locates, compiles and loads it once per process and raises
 :class:`NativeUnavailable` with the reason when that fails (no compiler, a
 compile error with the compiler's output, or a load error); the failure is
@@ -29,6 +31,8 @@ The library also exports the IPASIR interface, so
 
 :func:`build_order` runs ``order.c``: the live order pairs, the
 transitivity clauses and the value axioms of one per-model encoding layer.
+:func:`build_terms` runs ``terms.c``: the address comparisons and
+initial-value terms of one encoding skeleton, with their gates.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from array import array
 from functools import partial
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.sat.ipasir import TERMINATE_CALLBACK, solve_polled
 from repro.sat.solver import SolverError, SolverStats
@@ -52,11 +56,14 @@ from repro.sat.solver import SolverError, SolverStats
 SOURCE = Path(__file__).with_name("cdcl.c")
 #: The memory-order builder, compiled into the same library as the kernel.
 ORDER_SOURCE = Path(__file__).with_name("order.c")
+#: The shared-term builder, compiled into the same library.
+TERMS_SOURCE = Path(__file__).with_name("terms.c")
 CFLAGS = ("-O2", "-shared", "-fPIC")
 
 _SAT = 10
 _UNSAT = 20
 _ORDER_BAD_INPUT = -2
+_TERMS_BAD_INPUT = -2
 
 
 class NativeUnavailable(RuntimeError):
@@ -102,7 +109,7 @@ def _build() -> str:
     from repro.core.store import cache_dir
 
     compiler = shutil.which("cc") or shutil.which("gcc")
-    sources = (SOURCE, ORDER_SOURCE)
+    sources = (SOURCE, ORDER_SOURCE, TERMS_SOURCE)
     digest = hashlib.sha256(" ".join(CFLAGS).encode())
     for source in sources:
         text = source.read_bytes()
@@ -165,6 +172,9 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         ]),
         "cf_order_values_copy": (None, [handle, ptr, ptr, i64, ptr]),
         "cf_order_free": (None, [handle]),
+        "cf_terms_build": (handle, [ptr, i64, ctypes.c_int32, ptr]),
+        "cf_terms_copy": (None, [handle, ptr, ptr, i64, ptr]),
+        "cf_terms_free": (None, [handle]),
     }
     for symbol, (restype, argtypes) in signatures.items():
         function = getattr(lib, symbol)
@@ -313,6 +323,82 @@ class OrderBuild:
             _address(selectors),
         )
         return literals, ends, selectors, sizes[4]
+
+
+class BuiltTerms(NamedTuple):
+    """What one :func:`build_terms` call built."""
+
+    #: The next free variable after the build.
+    next_var: int
+    #: The clauses' literals back to back, and each clause's end.
+    literals: array
+    ends: array
+    #: The new AND gates in creation order: each one's operand count, every
+    #: one's sorted operands back to back, and each one's output.
+    and_lengths: array
+    and_operands: array
+    and_outputs: array
+    #: The new XOR gates in creation order: two operand variables each,
+    #: and each one's output.
+    xor_operands: array
+    xor_outputs: array
+    #: One literal per request, in request order.
+    results: array
+    #: The first variable of each fresh initial value, in section order.
+    minted: array
+
+
+def build_terms(
+    descriptor: array, first_var: int, literal_base: int
+) -> BuiltTerms:
+    """Build one skeleton's shared terms in ``terms.c``.
+
+    ``descriptor`` (an ``array("i")``) holds the gate builder's AND and
+    XOR hashes, the accesses' bit vectors, the initial values and the
+    requests, laid out as ``terms.c`` describes; new variables are
+    numbered from ``first_var`` on, and each clause's end is counted from
+    ``literal_base``, the literal count of the caller's CNF.  The native
+    build is freed before this returns or raises.  Raises
+    :class:`MemoryError` when the library runs out of memory and
+    :class:`ValueError` on a malformed descriptor or a variable number
+    past 2**31 - 1.
+    """
+    lib = load()
+    if not (isinstance(descriptor, array) and descriptor.typecode == "i"):
+        descriptor = array("i", descriptor)
+    if not 0 < first_var < 2**31:
+        raise ValueError(f"first variable {first_var} outside 1..2**31-1")
+    sizes = array("q", bytes(8 * 9))
+    handle = lib.cf_terms_build(
+        _address(descriptor), len(descriptor), first_var, _address(sizes)
+    )
+    if not handle:
+        if sizes[0] == _TERMS_BAD_INPUT:
+            raise ValueError(
+                "malformed term descriptor, or variable numbers from "
+                f"{first_var} past 2**31 - 1"
+            )
+        raise MemoryError("shared-term builder: out of memory")
+    try:
+        (next_var, literal_count, clause_count, and_count,
+         and_operand_count, xor_count, result_count, fresh_count) = sizes[1:]
+        literals = array("i", bytes(4 * literal_count))
+        ends = array("q", bytes(8 * clause_count))
+        counts = (and_count, and_operand_count, and_count, 2 * xor_count,
+                  xor_count, result_count, fresh_count)
+        rest = array("i", bytes(4 * sum(counts)))
+        lib.cf_terms_copy(
+            handle, _address(literals), _address(ends), literal_base,
+            _address(rest),
+        )
+    finally:
+        lib.cf_terms_free(handle)
+    parts = []
+    start = 0
+    for count in counts:
+        parts.append(rest[start:start + count])
+        start += count
+    return BuiltTerms(next_var, literals, ends, *parts)
 
 
 def _check_added(code: int) -> bool:
